@@ -40,66 +40,13 @@ bool env_enabled(const char* name) {
     return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
-constexpr const char* ckpt_site = "ckpt.pack";
-
-/// Spawns one overlapped pack task per capture region.  Node-field pack
-/// futures go to `node_out` (joined into B1), element-field ones to
-/// `elem_out` (joined into B3).  The body mirrors guarded()'s progress and
-/// tracing plumbing, with two deliberate differences: no stop-token
-/// early-return (a capture of the *previous* iteration stays valid even
-/// when this iteration faults — it is committed by the rollback path), and
-/// exceptions are swallowed into mark_failed() instead of propagating (a
-/// faulted pack must never fail the compute iteration; the resilient loop
-/// re-marks the capture's regions dirty and retries at the next
-/// checkpoint).
-std::size_t spawn_pack_tasks(amt::runtime& rt,
-                             const std::shared_ptr<lulesh::state_capture>& cap,
-                             const graph::error_flags& flags,
-                             std::vector<amt::future<void>>& node_out,
-                             std::vector<amt::future<void>>& elem_out) {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < cap->num_regions(); ++i) {
-        auto body = [cap, i, progress = flags.progress] {
-            amt::trace::annotate_task(ckpt_site,
-                                      static_cast<std::int32_t>(i));
-            const auto& wk = amt::current_worker();
-            const std::size_t slot =
-                wk.rt != nullptr
-                    ? std::min<std::size_t>(
-                          wk.index + 1,
-                          graph::progress_state::max_tracked_workers)
-                    : 0;
-            progress->site.store(ckpt_site, amt::memory_order_relaxed);
-            progress->worker_site[slot].store(ckpt_site,
-                                              amt::memory_order_relaxed);
-            progress->started.fetch_add(1, amt::memory_order_relaxed);
-            try {
-                amt::fault::probe(ckpt_site);
-                amt::trace::scoped_span span(
-                    amt::trace::event_kind::checkpoint_span, ckpt_site,
-                    static_cast<std::int32_t>(i));
-                cap->pack_region(i);
-            } catch (...) {
-                cap->mark_failed();
-            }
-            progress->worker_site[slot].store(nullptr,
-                                              amt::memory_order_relaxed);
-            progress->finished.fetch_add(1, amt::memory_order_relaxed);
-        };
-        auto& out = field_space(cap->region(i).f) == space::node ? node_out
-                                                                 : elem_out;
-        out.push_back(amt::async(rt, std::move(body)));
-        ++n;
-    }
-    return n;
-}
-
-/// The replay-mode counterpart of spawn_pack_tasks: the pack jobs are plain
-/// posted tasks (no futures — the compiled graph's B1/B3 are gated on them
-/// through external dependencies instead).  Each task's LAST action on
-/// every path is comp->pack_done(), which satisfies one external
-/// dependency; the graph cannot finish the gated barrier — and the driver
-/// cannot destroy or recompile `comp` — before every pack task got there.
+/// The replay-mode pack tasks: plain posted tasks running the shared
+/// graph::pack_region_task body (no futures — the compiled graph's B1/B3
+/// are gated on them through external dependencies instead).  Each task's
+/// LAST action on every path is comp->pack_done(), which satisfies one
+/// external dependency; the graph cannot finish the gated barrier — and the
+/// driver cannot destroy or recompile `comp` — before every pack task got
+/// there.
 void spawn_pack_tasks_replay(amt::runtime& rt,
                              const std::shared_ptr<lulesh::state_capture>& cap,
                              const graph::error_flags& flags,
@@ -107,31 +54,7 @@ void spawn_pack_tasks_replay(amt::runtime& rt,
     for (std::size_t i = 0; i < cap->num_regions(); ++i) {
         const space sp = field_space(cap->region(i).f);
         rt.post_fn([cap, i, sp, comp, progress = flags.progress] {
-            amt::trace::annotate_task(ckpt_site,
-                                      static_cast<std::int32_t>(i));
-            const auto& wk = amt::current_worker();
-            const std::size_t slot =
-                wk.rt != nullptr
-                    ? std::min<std::size_t>(
-                          wk.index + 1,
-                          graph::progress_state::max_tracked_workers)
-                    : 0;
-            progress->site.store(ckpt_site, amt::memory_order_relaxed);
-            progress->worker_site[slot].store(ckpt_site,
-                                              amt::memory_order_relaxed);
-            progress->started.fetch_add(1, amt::memory_order_relaxed);
-            try {
-                amt::fault::probe(ckpt_site);
-                amt::trace::scoped_span span(
-                    amt::trace::event_kind::checkpoint_span, ckpt_site,
-                    static_cast<std::int32_t>(i));
-                cap->pack_region(i);
-            } catch (...) {
-                cap->mark_failed();
-            }
-            progress->worker_site[slot].store(nullptr,
-                                              amt::memory_order_relaxed);
-            progress->finished.fetch_add(1, amt::memory_order_relaxed);
+            graph::pack_region_task(*cap, i, *progress);
             comp->pack_done(sp);
         });
     }
@@ -219,8 +142,8 @@ void taskgraph_driver::advance_build(domain& d) {
     std::vector<amt::future<void>> elem_packs;
     if (std::shared_ptr<state_capture> cap = std::move(pending_capture_)) {
         if (cap->source() == &d) {
-            const std::size_t n =
-                spawn_pack_tasks(rt_, cap, flags, w1.futures, elem_packs);
+            const std::size_t n = graph::spawn_pack_tasks(
+                rt_, cap, flags, w1.futures, elem_packs);
             counter->fetch_add(n, amt::memory_order_relaxed);
         } else {
             cap->pack_remaining();  // different domain: pack on the spot

@@ -171,7 +171,8 @@ public:
     /// ordinary graph tasks of the *next* advance(): node-field packs are
     /// joined into barrier B1 (before the node wave writes coordinates and
     /// velocities), element-field packs into B3 (waves 1-3 write no
-    /// checkpointed element field).  Always returns true; if the next
+    /// checkpointed element field).  Declines (returns false, the caller
+    /// packs synchronously) on a single-worker runtime; if the next
     /// advance() runs on a different domain the capture is packed
     /// synchronously on the spot instead.
     bool submit_overlapped_capture(

@@ -6,6 +6,8 @@
 #include <optional>
 #include <utility>
 
+#include "lulesh/checkpoint_chain.hpp"
+
 namespace lulesh::graph {
 
 namespace wave_body {
@@ -358,6 +360,46 @@ wave spawn_constraint_wave(amt::runtime& rt, domain& d, index_t p_elems,
     }
     w.tasks = w.futures.size();
     return w;
+}
+
+void pack_region_task(state_capture& cap, std::size_t i,
+                      progress_state& progress) {
+    const auto part = static_cast<std::int32_t>(i);
+    amt::trace::annotate_task(ckpt_pack_site, part);
+    const auto& wk = amt::current_worker();
+    const std::size_t slot =
+        wk.rt != nullptr ? std::min<std::size_t>(
+                               wk.index + 1, progress_state::max_tracked_workers)
+                         : 0;
+    progress.site.store(ckpt_pack_site, amt::memory_order_relaxed);
+    progress.worker_site[slot].store(ckpt_pack_site,
+                                     amt::memory_order_relaxed);
+    progress.started.fetch_add(1, amt::memory_order_relaxed);
+    try {
+        amt::fault::probe(ckpt_pack_site);
+        amt::trace::scoped_span span(amt::trace::event_kind::checkpoint_span,
+                                     ckpt_pack_site, part);
+        cap.pack_region(i);
+    } catch (...) {
+        cap.mark_failed();
+    }
+    progress.worker_site[slot].store(nullptr, amt::memory_order_relaxed);
+    progress.finished.fetch_add(1, amt::memory_order_relaxed);
+}
+
+std::size_t spawn_pack_tasks(amt::runtime& rt,
+                             const std::shared_ptr<state_capture>& cap,
+                             const error_flags& flags,
+                             std::vector<amt::future<void>>& node_out,
+                             std::vector<amt::future<void>>& elem_out) {
+    for (std::size_t i = 0; i < cap->num_regions(); ++i) {
+        auto& out = field_space(cap->region(i).f) == space::node ? node_out
+                                                                 : elem_out;
+        out.push_back(amt::async(rt, [cap, i, progress = flags.progress] {
+            pack_region_task(*cap, i, *progress);
+        }));
+    }
+    return cap->num_regions();
 }
 
 }  // namespace lulesh::graph

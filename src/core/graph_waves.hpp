@@ -22,6 +22,10 @@
 #include "lulesh/domain.hpp"
 #include "lulesh/kernels.hpp"
 
+namespace lulesh {
+class state_capture;
+}  // namespace lulesh
+
 namespace lulesh::graph {
 
 struct wave {
@@ -236,5 +240,34 @@ std::size_t constraint_slot_count(const domain& d, index_t p_elems);
 wave spawn_constraint_wave(amt::runtime& rt, domain& d, index_t p_elems,
                            kernels::dt_constraints* partials,
                            const error_flags& flags);
+
+/// Site label of the overlapped checkpoint pack tasks: their fault probe,
+/// progress/watchdog label, and tracer span.
+inline constexpr const char* ckpt_pack_site = "ckpt.pack";
+
+/// The body of one overlapped checkpoint pack task, shared by every driver
+/// that packs a capture alongside the next iteration's compute: claims and
+/// packs region `i` of `cap` with guarded()'s progress and tracing
+/// plumbing, with two deliberate differences.  There is no stop-token
+/// early return: the capture holds the *previous* iteration's state, which
+/// stays valid when this iteration faults, and the rollback path commits
+/// it.  Exceptions are swallowed into mark_failed() instead of
+/// propagating: a faulted pack must never fail the compute iteration; the
+/// resilient loop drops the capture and covers its regions at the next
+/// checkpoint.
+void pack_region_task(state_capture& cap, std::size_t i,
+                      progress_state& progress);
+
+/// Spawns one pack_region_task per region of `cap` as a future-returning
+/// task.  Node-field pack futures go to `node_out`, element-field ones to
+/// `elem_out`; the caller joins them into the barrier before the first
+/// wave that writes that space's checkpointed fields (the placement
+/// add_checkpoint_pack_tasks models for the graph audit).  Returns the
+/// number of tasks spawned.
+std::size_t spawn_pack_tasks(amt::runtime& rt,
+                             const std::shared_ptr<state_capture>& cap,
+                             const error_flags& flags,
+                             std::vector<amt::future<void>>& node_out,
+                             std::vector<amt::future<void>>& elem_out);
 
 }  // namespace lulesh::graph

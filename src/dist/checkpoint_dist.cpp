@@ -15,8 +15,10 @@ namespace lulesh::dist {
 
 namespace {
 
-/// Packs one record of `d` synchronously (the dist layer does not overlap
-/// packing yet — the slab drivers would each need their own pack waves).
+/// Packs one record of `d` synchronously: whole-cluster chain files are
+/// saved and appended between runs, with no next cycle to overlap with.
+/// dist::run_resilient overlaps its per-cycle records with the next cycle
+/// (dist_driver::submit_overlapped_capture).
 std::string pack_record(const domain& d, bool base) {
     state_capture cap(d, full_coverage(d), base);
     cap.pack_remaining();

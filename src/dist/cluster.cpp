@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "lulesh/crc32.hpp"
+#include "lulesh/crc32c.hpp"
 #include "lulesh/driver.hpp"
 
 namespace lulesh::dist {
@@ -16,17 +16,23 @@ namespace lulesh::dist {
 namespace {
 
 // Halo messages carry a trailing real_t slot whose low 4 bytes hold a
-// CRC-32 of the payload (bit-copied, never interpreted as a double — the
-// arbitrary bit pattern could be a signalling NaN).  pack_* appends it,
-// unpack_* strips and verifies it: a payload corrupted in transit fails the
-// iteration through the data_corruption status instead of silently skewing
-// the neighbor's force sums.
+// CRC-32C of the payload (bit-copied, never interpreted as a double — the
+// arbitrary bit pattern could be a signalling NaN).  pack_* sizes the
+// buffer for the slot up front and seals it, unpack_* verifies it: a
+// payload corrupted in transit fails the iteration through the
+// data_corruption status instead of silently skewing the neighbor's force
+// sums.  CRC-32C rather than the byte-at-a-time CRC-32 of crc32.hpp
+// because every message is checksummed twice per cycle on the critical
+// path, and CRC-32C runs in hardware (lulesh/crc32c.hpp).
 
-void append_crc(plane_buffer& buf) {
-    const std::uint32_t crc = crc32_of(buf.data(), buf.size() * sizeof(real_t));
+/// Writes the CRC-32C of buf[0, buf.size() - 1) into the last slot.
+void seal_crc(plane_buffer& buf) {
+    const std::size_t payload = buf.size() - 1;
+    const std::uint32_t crc =
+        crc32c_of(buf.data(), payload * sizeof(real_t));
     real_t slot = real_t(0);
     std::memcpy(&slot, &crc, sizeof(crc));
-    buf.push_back(slot);
+    buf[payload] = slot;
 }
 
 std::string hex32(std::uint32_t v) {
@@ -39,7 +45,8 @@ void verify_crc(const plane_buffer& buf, std::size_t payload, const char* what,
                 const halo_message_info& info) {
     std::uint32_t stored = 0;
     std::memcpy(&stored, &buf[payload], sizeof(stored));
-    const std::uint32_t actual = crc32_of(buf.data(), payload * sizeof(real_t));
+    const std::uint32_t actual =
+        crc32c_of(buf.data(), payload * sizeof(real_t));
     if (actual != stored) {
         // Reporting parity with checkpoint_error: name where the message
         // came from and both CRCs, so a corrupt halo is as attributable as
@@ -130,7 +137,7 @@ void cluster::rebuild_slab(index_t i) {
 
 plane_buffer pack_corner_plane(const domain& d, index_t elem_base) {
     const auto n = static_cast<std::size_t>(d.elems_per_plane()) * 8;
-    plane_buffer buf(6 * n);
+    plane_buffer buf(6 * n + 1);  // + the CRC slot: sealing never reallocates
     const auto base = static_cast<std::size_t>(elem_base) * 8;
     const std::vector<real_t>* arrays[6] = {&d.fx_elem,    &d.fy_elem,
                                             &d.fz_elem,    &d.fx_elem_hg,
@@ -140,7 +147,7 @@ plane_buffer pack_corner_plane(const domain& d, index_t elem_base) {
         real_t* dst = buf.data() + a * n;
         for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
     }
-    append_crc(buf);
+    seal_crc(buf);
     return buf;
 }
 
@@ -165,10 +172,10 @@ void unpack_corner_ghosts(domain& d, index_t ghost_slot,
 
 plane_buffer pack_delv_plane(const domain& d, index_t elem_base) {
     const auto n = static_cast<std::size_t>(d.elems_per_plane());
-    plane_buffer buf(n);
+    plane_buffer buf(n + 1);  // + the CRC slot
     const real_t* src = d.delv_zeta.data() + static_cast<std::size_t>(elem_base);
     for (std::size_t i = 0; i < n; ++i) buf[i] = src[i];
-    append_crc(buf);
+    seal_crc(buf);
     return buf;
 }
 

@@ -35,7 +35,7 @@ namespace lulesh::dist {
 /// Flat halo message.  Corner messages hold 6 arrays (fx, fy, fz stress then
 /// hourglass) of elems_per_plane*8 values; delv messages hold
 /// elems_per_plane values.  Every message carries one extra trailing real_t
-/// slot whose bytes hold a CRC-32 of the payload; unpack_* verifies it and
+/// slot whose bytes hold a CRC-32C of the payload; unpack_* verifies it and
 /// fails the iteration (simulation_error with status::data_corruption) if a
 /// bit flipped in transit.
 using plane_buffer = std::vector<real_t>;

@@ -145,6 +145,7 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
         static_cast<std::uint64_t>(b) * num_halo_streams +
         static_cast<std::uint64_t>(which) + 1;
     plane_buffer copy;
+    std::uint64_t seq = 0;
     {
         std::lock_guard lk(tx.mu);
         if (tx.packed_seq == 0) return false;  // nothing ever cached
@@ -158,6 +159,7 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
         }
         ++tx.attempts;
         tx.last_attempt = std::chrono::steady_clock::now();
+        seq = tx.packed_seq;
         copy = tx.payload;
     }
     // The resend crosses the same faulty transit as the original: unbounded
@@ -173,17 +175,34 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
     if (amt::fault::decide(lab.corrupt[wi].c_str())) {
         flip_payload_bit(copy);
     }
+    {
+        // Claim the delivery before making it, as send_halo does: the
+        // original send may have gone out while this copy was in transit,
+        // and a second copy would stay queued and feed the next cycle's
+        // receive a stale plane.  A forced resend replaces a delivery the
+        // receiver found corrupt, so it always goes out.
+        std::lock_guard lk(tx.mu);
+        if (!force && tx.sent_seq >= seq) return false;
+        tx.sent_seq = seq;
+    }
     try {
         stream_channel(bc, which).set(std::move(copy));
     } catch (const amt::channel_closed&) {
         return false;  // fabric already failed; the cascade handles it
     }
-    {
-        std::lock_guard lk(tx.mu);
-        tx.sent_seq = tx.packed_seq;
-    }
     amt::resilience().halo_resends.add(1);
     amt::trace::mark("halo:resend", static_cast<std::int32_t>(b));
+    return true;
+}
+
+bool dist_driver::submit_overlapped_capture(
+    index_t slab, std::shared_ptr<state_capture> cap) {
+    if (mode_ == exchange_mode::bulk_synchronous || rt_.num_workers() <= 1) {
+        return false;
+    }
+    const auto i = static_cast<std::size_t>(slab);
+    if (pending_captures_.size() <= i) pending_captures_.resize(i + 1);
+    pending_captures_[i] = cap;
     return true;
 }
 
@@ -406,6 +425,7 @@ void dist_driver::advance_futurized(cluster& c, bool eager) {
 
     graph::error_flags flags;
     partials_.resize(static_cast<std::size_t>(num_slabs));
+    pending_captures_.resize(static_cast<std::size_t>(num_slabs));
 
     cluster* cp = &c;
     amt::runtime* rt = &rt_;
@@ -431,10 +451,23 @@ void dist_driver::advance_futurized(cluster& c, bool eager) {
             });
         auto b1 = std::move(stage1.barrier);
 
+        // Overlapped checkpoint packing of the slab's previous state (see
+        // submit_overlapped_capture): node-field packs join halo1 below,
+        // element-field packs ready3.
+        std::vector<amt::future<void>> ready;
+        std::vector<amt::future<void>> elem_packs;
+        const std::shared_ptr<state_capture> cap =
+            std::exchange(pending_captures_[static_cast<std::size_t>(s)], {})
+                .lock();
+        if (cap != nullptr && cap->source() == dp) {
+            graph::spawn_pack_tasks(rt_, cap, flags, ready, elem_packs);
+        } else if (cap != nullptr) {
+            cap->pack_remaining();  // different domain: pack on the spot
+        }
+
         // Ghost fills chain directly on the channel futures: this slab
         // proceeds as soon as its own wave and its neighbors' boundary
         // messages are ready — no global synchronization.
-        std::vector<amt::future<void>> ready;
         ready.push_back(std::move(b1));
         for (auto& send : stage1.sends) ready.push_back(std::move(send));
         if (dp->has_lower_neighbor()) {
@@ -514,7 +547,7 @@ void dist_driver::advance_futurized(cluster& c, bool eager) {
                 pr3->set_exception(std::current_exception());
             }
         });
-        std::vector<amt::future<void>> ready3;
+        std::vector<amt::future<void>> ready3 = std::move(elem_packs);
         ready3.push_back(std::move(wave3_done));
         if (dp->has_lower_neighbor()) {
             ready3.push_back(receive_halo(

@@ -33,6 +33,7 @@
 #include "dist/cluster.hpp"
 #include "dist/failure_detector.hpp"
 #include "dist/retry_policy.hpp"
+#include "lulesh/checkpoint_chain.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/kernels.hpp"
 
@@ -95,6 +96,7 @@ public:
         }
     }
     [[nodiscard]] exchange_mode mode() const noexcept { return mode_; }
+    [[nodiscard]] amt::runtime& runtime() noexcept { return rt_; }
 
     /// One global leapfrog iteration: all slabs advance, constraints are
     /// min-reduced across slabs and written back to every slab.  Throws
@@ -109,6 +111,22 @@ public:
     [[nodiscard]] const slab_failure& last_failure() const noexcept {
         return last_failure_;
     }
+
+    /// Accepts `cap`, a capture of slab `slab`'s state, for overlapped
+    /// packing — the per-slab form of
+    /// taskgraph_driver::submit_overlapped_capture.  The pack jobs become
+    /// ordinary tasks of the *next* advance(): node-field packs join the
+    /// slab's halo1 set (before its node wave writes x..zd), element-field
+    /// packs its ready3 set (before its region wave writes e/p/q/v/ss) —
+    /// the placement audit_cluster audits.  The driver holds the capture
+    /// only weakly: the caller keeps it and finalizes it (pack_remaining,
+    /// wait_packed) before it touches the slab; a capture finalized and
+    /// released before the next advance() is simply skipped.  Declines
+    /// (returns false, the caller packs synchronously) in the
+    /// bulk-synchronous mode and on single-worker runtimes, where there is
+    /// no idle worker to overlap with.
+    bool submit_overlapped_capture(index_t slab,
+                                   std::shared_ptr<state_capture> cap);
 
     /// Re-delivers the cached copy of one boundary message (recovery
     /// plumbing; public for the receive-retry chain and tests).  With
@@ -166,6 +184,7 @@ private:
     std::vector<std::string> kill_labels_;  ///< "slab_kill:<s>" per slab
     std::shared_ptr<failure_detector> detector_;
     slab_failure last_failure_;
+    std::vector<std::weak_ptr<state_capture>> pending_captures_;
 };
 
 /// Iteration loop over a cluster, mirroring lulesh::run_simulation: shared

@@ -115,6 +115,7 @@ std::vector<slab_audit> audit_cluster(const cluster& c,
         slab_audit a;
         a.slab = s;
         a.model = build_slab_model(d, parts);
+        graph::add_checkpoint_pack_tasks(a.model, d);
         a.result = graph::audit_graph(a.model, d);
         audits.push_back(std::move(a));
     }

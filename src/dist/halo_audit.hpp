@@ -19,11 +19,19 @@
 //            unpack_delv   writes the delv_zeta ghost plane, again with no
 //                          edge — disjointness is the safety argument.
 //
+// audit_cluster also appends the overlapped checkpoint packs dist_driver
+// spawns for a capture submitted by dist::run_resilient
+// (graph::add_checkpoint_pack_tasks): node-field packs within stage 0
+// (joined into the slab's halo1 set, ahead of the node wave), element-field
+// packs through stage 2 (joined into its ready3 set, ahead of the region
+// wave).  The audit thus proves the packs race neither the waves nor the
+// ghost unpacks.
+//
 // The audit is per-slab: slabs share no arrays (channels pass buffers by
 // value), so cross-slab ordering is the channel set→get dependency the
 // runtime enforces by construction, while every intra-slab hazard — ghost
-// slots colliding with owned ranges, a send racing the plane it reads — is
-// in scope here.
+// slots colliding with owned ranges, a send racing the plane it reads, a
+// checkpoint pack outliving its barrier — is in scope here.
 
 #pragma once
 
@@ -48,7 +56,8 @@ struct slab_audit {
     graph::audit_result result;
 };
 
-/// Audits every slab of the cluster with build_slab_model.
+/// Audits every slab of the cluster with build_slab_model plus the
+/// overlapped checkpoint packs (graph::add_checkpoint_pack_tasks).
 std::vector<slab_audit> audit_cluster(const cluster& c, partition_sizes parts);
 
 [[nodiscard]] bool cluster_audit_ok(const std::vector<slab_audit>& audits);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -68,6 +69,51 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
         }
     }
 
+    // Per-slab captures whose packing may still be overlapped with the next
+    // cycle (dist_driver::submit_overlapped_capture).  They are finalized —
+    // the rest packed, waited for, record_hook run, records committed in
+    // slab order — before the next checkpoint, before any rebuild_slab or
+    // rollback touches a slab, and before this function returns, exactly
+    // like finalize_pending in lulesh/resilient_run.cpp.  The chains stay
+    // in lockstep: if any slab's pack faulted, the whole checkpoint is
+    // dropped, so every chain head is still a cycle every chain holds.
+    std::vector<std::shared_ptr<state_capture>> pending(n);
+    const auto finalize_pending = [&] {
+        if (pending[0] == nullptr) return;
+        auto caps = std::exchange(pending, decltype(pending)(n));
+        bool failed = false;
+        for (const auto& cap : caps) {
+            cap->pack_remaining();
+            cap->wait_packed();
+            failed = failed || cap->failed();
+        }
+        if (failed) return;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto s = static_cast<index_t>(i);
+            std::string rec = caps[i]->take_record();
+            if (opt.record_hook) opt.record_hook(s, rec);
+            chains[i].push_back({caps[i]->cycle(), std::move(rec)});
+            if (!opt.checkpoint_path.empty()) {
+                append_chain_record_file(
+                    slab_chain_path(opt.checkpoint_path, s),
+                    chains[i].back().record);
+            }
+        }
+    };
+
+    // Whatever way this function exits, no pack task may outlive it with a
+    // dangling slab reference: claim and finish every in-flight capture.
+    struct quiesce_guard {
+        std::vector<std::shared_ptr<state_capture>>* p;
+        ~quiesce_guard() {
+            for (const auto& cap : *p) {
+                if (cap == nullptr) continue;
+                cap->pack_remaining();
+                cap->wait_packed();
+            }
+        }
+    } quiesce{&pending};
+
     // Consistent-cycle rollback over the in-memory chains: restore every
     // slab to the newest cycle every chain holds (the on-disk loader's rule
     // — see load_cluster_chains).  A corrupt delta truncates its chain and
@@ -75,6 +121,7 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
     // and restores the pristine entry snapshot.  Returns the restored
     // cycle.
     const auto rollback = [&]() -> int {
+        finalize_pending();
         for (;;) {
             int target = chains[0].back().cycle;
             for (std::size_t i = 1; i < n; ++i) {
@@ -119,6 +166,14 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
         }
     };
 
+    // Record buffers for the checkpoint the current cycle ends with, filled
+    // by tasks running alongside its advance.  The chains keep every
+    // record, so each checkpoint needs fresh memory; faulting its pages in
+    // (648 of them per cycle for s=30 over four slabs) on a worker keeps
+    // them off the main thread between cycles.  A failed cycle leaves them
+    // for its replay.
+    std::vector<amt::future<std::string>> fresh;
+
     int incident_cycle = -1;  // failing cycle of the open incident, or -1
     int attempts = 0;         // recoveries spent on the open incident
 
@@ -130,6 +185,23 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
         amt::fault::set_epoch(c.slab(0).cycle);
         const int this_cycle = c.slab(0).cycle;
         const real_t this_dt = c.slab(0).deltatime;
+        const bool checkpoint_due = opt.checkpoint_every > 0 &&
+                                    this_cycle % opt.checkpoint_every == 0;
+        if (checkpoint_due && fresh.empty()) {
+            for (std::size_t i = 0; i < n; ++i) {
+                // A full-coverage delta has the entry base record's size.
+                // Reserved here, so the chains' memory keeps coming from
+                // this thread's malloc arena; first touched by the task.
+                const std::size_t bytes = entry_base[i].size();
+                std::string buf;
+                buf.reserve(bytes);
+                fresh.push_back(amt::async(
+                    drv.runtime(), [buf = std::move(buf), bytes]() mutable {
+                        buf.resize(bytes);
+                        return std::move(buf);
+                    }));
+            }
+        }
 
         try {
             drv.advance(c);
@@ -175,6 +247,7 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
             amt::trace::scoped_span recovery(
                 amt::trace::event_kind::checkpoint_span, "dist:recovery",
                 static_cast<std::int32_t>(failure.slab));
+            finalize_pending();  // its packs read the slab rebuilt below
             if (failure.slab >= 0) {
                 // The driver named a dead slab: rebuild its domain from
                 // scratch (the old memory is presumed lost/poisoned); the
@@ -203,26 +276,28 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
             incident_cycle = -1;
             attempts = 0;
         }
-        if (opt.checkpoint_every > 0 &&
-            c.slab(0).cycle % opt.checkpoint_every == 0) {
+        if (checkpoint_due) {
             // The dist layer's deltas are conservative full-coverage
             // captures (see dist/checkpoint_dist.hpp), appended in lockstep
             // — which is what makes the consistent-cycle minimum a cycle
-            // every chain actually holds.
+            // every chain actually holds.  Each slab's capture is packed by
+            // the next cycle's tasks where the driver accepts it, else here.
+            finalize_pending();
             for (std::size_t i = 0; i < n; ++i) {
                 const auto s = static_cast<index_t>(i);
-                std::string rec = pack_record(c.slab(s), /*base=*/false);
-                if (opt.record_hook) opt.record_hook(s, rec);
-                chains[i].push_back({c.slab(s).cycle, std::move(rec)});
-                if (!opt.checkpoint_path.empty()) {
-                    append_chain_record_file(
-                        slab_chain_path(opt.checkpoint_path, s),
-                        chains[i].back().record);
+                pending[i] = std::make_shared<state_capture>(
+                    c.slab(s), full_coverage(c.slab(s)), /*base=*/false,
+                    fresh[i].get());
+                if (!drv.submit_overlapped_capture(s, pending[i])) {
+                    pending[i]->pack_remaining();
                 }
             }
+            fresh.clear();
             ++rr.checkpoints;
         }
     }
+
+    finalize_pending();
 
     const auto t1 = std::chrono::steady_clock::now();
     rr.result.cycles = c.slab(0).cycle;

@@ -24,6 +24,14 @@
 //      (tests verify this).  Repeat failures of the same cycle, and
 //      deterministic physics failures, halve dt first.
 //
+// Checkpoint records are packed off the critical path where the driver
+// accepts it: each slab's capture is handed to
+// dist_driver::submit_overlapped_capture and packed by the next cycle's
+// tasks, then finalized (record_hook run, record committed, in slab order)
+// before the next checkpoint, before step 2 or 3 touches a slab, and before
+// run_resilient returns — so recovery restores the same cycles as a
+// synchronous pack would.
+//
 // Recovery attempts per incident are bounded by max_recoveries; exhausting
 // the budget ends the run with the same status (and process exit code) the
 // fail-stop path would have produced — degradation never invents new

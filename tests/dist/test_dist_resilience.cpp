@@ -236,6 +236,47 @@ TEST(DistRetry, RetryDisabledPreservesFailStopBehaviour) {
     EXPECT_EQ(amt::resilience().halo_resends.load(), 0u);
 }
 
+TEST(DistRetry, ResendRacingTheOriginalSendDeliversOnce) {
+    fault_guard guard;
+    const options o = opts(8);
+    const int iters = 10;
+    domain global(o);
+    {
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(global, drv, iters);
+    }
+
+    // Hold one message in transit on both paths at cycle 5: the original
+    // send is delayed after it filled the retransmit cache, so the wait
+    // loop resends the cached copy, and that resend is delayed in turn
+    // until the original has gone out.  Only one of the two may be
+    // delivered — a second copy would stay queued and feed cycle 6 the
+    // ghost plane of cycle 5, CRC-valid and silently wrong.  Four slabs put
+    // boundary 0 at plane 2, which the blast reaches by cycle 5, so a stale
+    // plane there changes the answer.
+    amt::fault::plan p;
+    p.kind = amt::fault::action::delay;
+    p.site = "halo_drop:corner_up:0";
+    p.epoch = 5;
+    p.max_injections = 2;
+    p.delay = std::chrono::milliseconds(30);
+    amt::fault::arm(p);
+
+    cluster c(o, 4);
+    amt::runtime rt(2);
+    dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
+                    std::chrono::milliseconds(0), retry_policy{});
+    const auto result = lulesh::dist::run_simulation(c, drv, iters);
+    const auto injected = amt::fault::snapshot().injections;
+    amt::fault::disarm();
+
+    ASSERT_EQ(injected, 2u) << "the resend never raced the original send";
+    EXPECT_EQ(result.run_status, lulesh::status::ok);
+    EXPECT_EQ(result.cycles, iters);
+    EXPECT_EQ(cluster_vs_global(c, global), 0.0)
+        << "a duplicate delivery fed a later cycle a stale ghost plane";
+}
+
 // ---------------- coordinated rollback (run_resilient) ----------------
 
 TEST(DistResilient, SlabKillRecoversBitwiseIdenticalToFaultFree) {

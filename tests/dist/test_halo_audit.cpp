@@ -1,9 +1,10 @@
 // tests/dist/test_halo_audit.cpp — the halo-exchange extension of the
 // static graph audit.  The slab model (iteration waves + pack/unpack tasks
-// per interior boundary) must be proven race-free for real clusters, and
-// adversarial mutations — an unpack retargeted at the owned plane, a pack
-// whose plane gating is severed — must surface as exactly the hazard the
-// mutation introduces.
+// per interior boundary + overlapped checkpoint packs) must be proven
+// race-free for real clusters, and adversarial mutations — an unpack
+// retargeted at the owned plane, a pack whose plane gating is severed, a
+// checkpoint pack held into the region stage — must surface as exactly the
+// hazard the mutation introduces.
 
 #include "dist/halo_audit.hpp"
 
@@ -14,6 +15,7 @@
 
 #include "core/access.hpp"
 #include "dist/cluster.hpp"
+#include "lulesh/checkpoint_chain.hpp"
 #include "lulesh/domain.hpp"
 
 namespace {
@@ -148,6 +150,97 @@ TEST(HaloAudit, FormatNamesEverySlab) {
     EXPECT_NE(text.find("slab 0: "), std::string::npos) << text;
     EXPECT_NE(text.find("slab 2: "), std::string::npos) << text;
     EXPECT_NE(text.find("PASS"), std::string::npos) << text;
+}
+
+// ---------------- overlapped checkpoint packs ----------------
+
+bool is_ckpt_pack(const graph::task_decl& t) {
+    return std::string(t.site).rfind("ckpt.pack.", 0) == 0;
+}
+
+/// The slab model audit_cluster checks: halo tasks plus the overlapped
+/// checkpoint packs.
+graph::graph_model slab_model_with_packs(const domain& d,
+                                         partition_sizes parts) {
+    graph::graph_model m = build_slab_model(d, parts);
+    graph::add_checkpoint_pack_tasks(m, d);
+    return m;
+}
+
+TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
+    // The accepted placement: dist_driver joins a slab's node-field packs
+    // into its halo1 set (stage 0 only) and its element-field packs into its
+    // ready3 set (through stage 2).  With the ghost unpacks, the waves and
+    // the packs all in one model, every slab must still audit clean — for
+    // edge and interior slabs, one-plane slabs, and a partition sweep.
+    for (const index_t slabs : {1, 2, 3, 6}) {
+        cluster c(opts(6), slabs);
+        for (const partition_sizes parts :
+             {partition_sizes{16, 16}, partition_sizes{64, 64}}) {
+            for (index_t s = 0; s < slabs; ++s) {
+                const domain& d = c.slab(s);
+                const auto plain = build_slab_model(d, parts);
+                const auto m = slab_model_with_packs(d, parts);
+                ASSERT_EQ(m.tasks.size(),
+                          plain.tasks.size() + lulesh::num_checkpoint_fields);
+                std::size_t node_packs = 0;
+                std::size_t elem_packs = 0;
+                for (const auto& t : m.tasks) {
+                    if (!is_ckpt_pack(t)) continue;
+                    const bool node = std::string(t.site) == "ckpt.pack.node";
+                    (node ? node_packs : elem_packs) += 1;
+                    EXPECT_EQ(t.stage, 0);
+                    EXPECT_EQ(t.stage_last, node ? 0 : 2);
+                }
+                EXPECT_EQ(node_packs, 6u);  // x y z xd yd zd
+                EXPECT_EQ(elem_packs, 5u);  // e p q v ss
+                const auto res = graph::audit_graph(m, d);
+                EXPECT_TRUE(res.ok())
+                    << slabs << " slabs, slab " << s << ":\n"
+                    << graph::format_audit(res, m);
+            }
+        }
+    }
+}
+
+TEST(HaloAuditCheckpoint, ClusterAuditCarriesThePacks) {
+    // audit_cluster (and distributed_sedov --audit-graph) audits the model
+    // with the packs in it, not the pack-free one.
+    cluster c(opts(6), 3);
+    const auto audits = audit_cluster(c, {64, 64});
+    for (const auto& a : audits) {
+        EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                      a.model.tasks.begin(), a.model.tasks.end(),
+                      is_ckpt_pack)),
+                  lulesh::num_checkpoint_fields)
+            << "slab " << a.slab;
+    }
+    EXPECT_TRUE(cluster_audit_ok(audits)) << format_cluster_audit(audits);
+}
+
+TEST(HaloAuditCheckpoint, ElemPackSpanningTheRegionStageIsFlagged) {
+    // Adversarial: an element-field pack still in flight in stage 3 — what
+    // joining it into the region wave's barrier instead of ready3 would
+    // mean — races the region wave's writes of e.  The audit must say so.
+    cluster c(opts(6), 3);
+    const domain& d = c.slab(1);
+    auto m = slab_model_with_packs(d, {64, 64});
+    const auto pack = std::find_if(
+        m.tasks.begin(), m.tasks.end(), [](const graph::task_decl& t) {
+            return std::string(t.site) == "ckpt.pack.elem" &&
+                   t.accesses.front().f == graph::field::e;
+        });
+    ASSERT_NE(pack, m.tasks.end());
+    pack->stage_last = 3;
+
+    const auto res = graph::audit_graph(m, d);
+    ASSERT_FALSE(res.ok());
+    for (const auto& h : res.hazards) {
+        EXPECT_EQ(h.k, graph::hazard_report::kind::read_write);
+        EXPECT_EQ(h.f, graph::field::e);
+        const std::string line = h.describe(m);
+        EXPECT_NE(line.find("ckpt.pack.elem"), std::string::npos) << line;
+    }
 }
 
 // ---------------- adversarial mutations ----------------
