@@ -43,7 +43,7 @@ double probe_cost_ns(std::uint64_t iterations) {
     return seconds_since(t0) * 1e9 / static_cast<double>(iterations);
 }
 
-/// Disarmed probes on the path of one task: the wave builder's
+/// Disarmed probes on the path of one task: the graph node's
 /// annotate_task, the scheduler's pre-execute gap check, the execute()
 /// tracing check, and the post-execute anchor check.
 constexpr double probes_per_task = 4.0;

@@ -205,21 +205,6 @@ int main(int argc, char** argv) {
         if (!audit.ok()) {
             return lulesh::exit_code_for(lulesh::status::hazard);
         }
-        if (cli.driver == "taskgraph" && cli.graph_mode != "build") {
-            // The structural audit of the compiled replay form: a short
-            // probe run (so the graph has been re-armed), then every
-            // model task, edge and barrier checked against the compiled
-            // graph plus the once-per-replay execution invariant.
-            const std::string err = lulesh::audit_compiled_replay(
-                cli.problem, parts, cli.threads);
-            if (!err.empty()) {
-                std::cout << "Compiled-replay audit: FAILED — " << err
-                          << "\n";
-                return lulesh::exit_code_for(lulesh::status::hazard);
-            }
-            std::cout << "Compiled-replay audit: graph matches the model "
-                         "across re-arms\n";
-        }
     }
 
     lulesh::run_result result;
@@ -237,9 +222,6 @@ int main(int argc, char** argv) {
     } else {
         amt::runtime rt(threads);
         lulesh::taskgraph_driver drv(rt, parts);
-        if (cli.graph_mode == "build") {
-            drv.set_graph_mode(lulesh::graph_mode::build);
-        }
         drv.enable_node_profiling(cli.critical_path_report);
         result = run_with(dom, drv, cli);
         if (cli.critical_path_report) {

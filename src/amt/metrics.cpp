@@ -36,8 +36,8 @@ struct entry {
 };
 
 /// Registry storage: deques give stable element addresses across growth, so
-/// the references handed out by get_* never move.  Registration is
-/// mutex-guarded and rare (call sites cache the reference in a function
+/// the references handed out by get_* never move.  Registration holds the
+/// mutex and is rare (call sites cache the reference in a function
 /// local static); collect() copies the entry table under the lock and reads
 /// shards outside it.
 struct registry_state {

@@ -22,6 +22,7 @@ static_graph::node_id static_graph::add_node(unique_function<void()> body,
     const auto id = static_cast<node_id>(nodes_.size());
     node& n = nodes_.emplace_back();
     n.graph = this;
+    n.id = id;
     n.body = std::move(body);
     n.name = label;
     n.arg = arg;
@@ -143,6 +144,23 @@ void static_graph::wait() {
     if (e) std::rethrow_exception(e);
 }
 
+bool static_graph::wait_for(std::chrono::nanoseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    runtime* rt = rt_;
+    if (rt != nullptr && rt->on_worker_thread()) {
+        for (;;) {
+            {
+                std::lock_guard lk(gate_mu_);
+                if (done_) return true;
+            }
+            if (std::chrono::steady_clock::now() >= deadline) return false;
+            if (!rt->try_run_one()) std::this_thread::yield();
+        }
+    }
+    std::unique_lock lk(gate_mu_);
+    return gate_cv_.wait_until(lk, deadline, [&] { return done_; });
+}
+
 void static_graph::node::execute() noexcept {
     static_graph* g = graph;
     trace::annotate_task(name, arg);
@@ -161,7 +179,7 @@ void static_graph::node::execute() noexcept {
             }
             ++execs;
         } catch (...) {
-            g->record_error(std::current_exception());
+            g->fail(id, std::current_exception());
         }
     }
     g->on_complete(*this);
@@ -189,10 +207,13 @@ void static_graph::finish_graph() noexcept {
     gate_cv_.notify_all();
 }
 
-void static_graph::record_error(std::exception_ptr e) noexcept {
+void static_graph::fail(node_id id, std::exception_ptr e) noexcept {
     stop_.store(true, amt::memory_order_release);
-    std::lock_guard lk(err_mu_);
-    if (!error_) error_ = e;  // first failure wins, like when_all
+    {
+        std::lock_guard lk(err_mu_);
+        if (!error_) error_ = e;  // first failure wins, like when_all
+    }
+    if (error_hook_) error_hook_(id, e);
 }
 
 std::uint64_t static_graph::executions(node_id id) const {

@@ -1,9 +1,9 @@
 // amt/static_graph.hpp
 //
 // A compiled, replayable task graph: the allocation side of the paper's T6
-// trick taken to its end point.  Where amt::async / stage_after build a
-// fresh web of heap-allocated tasks, shared states and continuation nodes
-// every iteration, a static_graph is compiled ONCE — nodes live in
+// trick taken to its end point.  Where amt::async / when_all build a fresh
+// web of heap-allocated tasks, shared states and continuation nodes every
+// iteration, a static_graph is compiled ONCE — nodes live in
 // arena-style storage (a std::deque of recycled node objects), dependency
 // edges are flattened into a CSR successor table, and readiness is tracked
 // by per-node generation counters — and then *replayed*: arm() resets every
@@ -30,15 +30,20 @@
 //     Roots gated by external deps are posted by satisfy_external().
 //   * wait() — blocks until ALL nodes completed (cooperatively running
 //     tasks when called from a worker thread), then rethrows the first
-//     body exception, if any.
+//     body exception, if any.  wait_for(timeout) is the bounded form for
+//     callers that poll (a progress deadline); it reports whether the
+//     replay drained, and wait() still closes the replay.
 //
 // Error/stop semantics: a body exception (or request_stop()) flips the
 // graph's stop flag.  Remaining nodes still *complete* — they are posted,
-// counted and finish the graph — but their bodies are skipped, exactly
-// like the stop-token early-return in the fresh-build driver path.  The
-// graph therefore always drains fully and is immediately re-armable; the
-// next arm() starts from fresh stop state (re-armed tasks observe no stale
-// cancellation).
+// counted and finish the graph — but their bodies are skipped.  The graph
+// therefore always drains fully and is immediately re-armable; the next
+// arm() starts from fresh stop state (re-armed tasks observe no stale
+// cancellation).  fail(id, e) records a failure that happened outside the
+// graph (a message that will never arrive) as if node `id` had thrown, and
+// the error hook lets the owner react to every failure on the failing
+// thread — e.g. close a message fabric so that the external dependencies a
+// stopped peer will never satisfy resolve instead of hanging the replay.
 //
 // Ownership: nodes are task_base subclasses constructed NOT scheduler-owned
 // — the scheduler executes them but never deletes them (see task.hpp).
@@ -47,6 +52,7 @@
 #pragma once
 
 #include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -91,6 +97,24 @@ public:
     void arm(runtime& rt);
     void start();
     void wait();
+    /// Waits at most `timeout` for every node to complete; true when the
+    /// replay drained.  Does not end the replay: wait() must follow.
+    [[nodiscard]] bool wait_for(std::chrono::nanoseconds timeout);
+
+    /// Records `e` against node `id` as if its body had thrown: the stop
+    /// flag is set, the first error is what wait() rethrows, and the error
+    /// hook runs.  Satisfies nothing — a failed external dependency is
+    /// still owed its satisfy_external().
+    void fail(node_id id, std::exception_ptr e) noexcept;
+
+    /// Runs on the failing thread after every recorded error (body
+    /// exception or fail()), once the stop flag is set and outside every
+    /// lock of the graph, so it may call fail() and satisfy_external().
+    /// Set while quiescent.
+    void set_error_hook(
+        unique_function<void(node_id, const std::exception_ptr&)> hook) {
+        error_hook_ = std::move(hook);
+    }
 
     /// arm + start + wait in one call (no external deps in flight).
     void run(runtime& rt) {
@@ -145,6 +169,7 @@ private:
     struct node final : task_base {
         node() : task_base(/*scheduler_owned=*/false) {}
         static_graph* graph = nullptr;
+        node_id id = 0;
         unique_function<void()> body;
         const char* name = "node";
         std::int32_t arg = -1;
@@ -164,7 +189,6 @@ private:
     };
 
     void on_complete(node& n) noexcept;
-    void record_error(std::exception_ptr e) noexcept;
     void finish_graph() noexcept;
 
     // Node storage: deque for stable addresses while growing (nodes are
@@ -188,6 +212,7 @@ private:
 
     std::mutex err_mu_;
     std::exception_ptr error_;
+    unique_function<void(node_id, const std::exception_ptr&)> error_hook_;
 };
 
 }  // namespace amt

@@ -47,7 +47,7 @@ struct alignas(cache_line_size) ring {
 struct registry_state {
     std::mutex mu;
     std::vector<std::unique_ptr<ring>> rings;
-    ring* phase_ring = nullptr;       // lazily created, mutex-guarded writes
+    ring* phase_ring = nullptr;       // lazily created, written under mu
     std::uint64_t generation = 1;     // bumped by reset(); 0 never used
     std::size_t capacity = default_ring_capacity;
     // epoch is written under the mutex before the release store of

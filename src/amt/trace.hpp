@@ -114,8 +114,8 @@ inline constexpr bool compiled_in = true;
 /// Labels the *currently executing* task: the scheduler emits exactly one
 /// task span per execution and names it from the last annotation the body
 /// left behind (first annotation wins, so a body that inlines further
-/// completions keeps its own label).  Called by the wave builders' guarded
-/// wrappers with the wave site and partition index.
+/// completions keeps its own label).  Called by the compiled graph's nodes
+/// with their label and argument (the wave site and partition index).
 inline void annotate_task(const char* name, std::int32_t arg) noexcept {
     if (enabled()) detail::annotate_slow(name, arg);
 }

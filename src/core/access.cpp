@@ -1,5 +1,5 @@
-// core/access.cpp — the declarative access sets of the five task waves and
-// the model builder that mirrors graph_waves.cpp's spawn loops.
+// core/access.cpp — the iteration table builder and the declarative access
+// sets of its tasks.
 //
 // Every declaration below is derived from the kernel bodies
 // (lulesh/kernels_*.cpp); the dynamic shadow tracker cross-checks them at
@@ -251,7 +251,28 @@ std::vector<access> constraint_accesses(const index_t* list, index_t lo,
     };
 }
 
-// --- the model builder -----------------------------------------------------
+namespace {
+
+std::vector<access> plane_accesses(body_kind k, index_t lo, index_t hi) {
+    // Halo steps: the six corner-force arrays or delv_zeta over one element
+    // plane — read on the owned plane a send packs, written on the ghost
+    // plane a receive unpacks.
+    const mode m = k == body_kind::pack_corner || k == body_kind::pack_delv
+                       ? mode::read
+                       : mode::write;
+    if (k == body_kind::pack_delv || k == body_kind::unpack_delv) {
+        return {{field::delv_zeta, m, lo, hi}};
+    }
+    return {
+        {field::fx_elem, m, lo, hi},    {field::fy_elem, m, lo, hi},
+        {field::fz_elem, m, lo, hi},    {field::fx_elem_hg, m, lo, hi},
+        {field::fy_elem_hg, m, lo, hi}, {field::fz_elem_hg, m, lo, hi},
+    };
+}
+
+}  // namespace
+
+// --- the iteration table ---------------------------------------------------
 
 namespace model_site {
 // Sub-site labels for the model's tasks: the runtime wave_site prefix plus
@@ -269,84 +290,99 @@ inline constexpr const char* ckpt_pack_node = "ckpt.pack.node";
 inline constexpr const char* ckpt_pack_elem = "ckpt.pack.elem";
 }  // namespace model_site
 
-graph_model build_iteration_model(const domain& d, partition_sizes parts) {
+graph_model build_iteration_table(const domain& d, partition_sizes parts) {
     graph_model m;
     const index_t ne = d.numElem();
     const index_t nn = d.numNode();
     const index_t pn = parts.nodal > 0 ? parts.nodal : ne;
     const index_t pe = parts.elems > 0 ? parts.elems : ne;
 
-    auto add = [&m](const char* site, index_t partition, index_t lo,
-                    index_t hi, int stage, std::vector<access> accs,
-                    std::vector<int> deps = {}) {
-        m.tasks.push_back({site, partition, lo, hi, stage, std::move(accs),
-                           std::move(deps)});
+    std::size_t count = 2 * static_cast<std::size_t>(wave_chunks(ne, pn) +
+                                                     wave_chunks(nn, pn)) +
+                        2 * static_cast<std::size_t>(wave_chunks(ne, pe));
+    for (index_t r = 0; r < d.numReg(); ++r) {
+        count += 3 * static_cast<std::size_t>(wave_chunks(
+                         static_cast<index_t>(d.regElemList(r).size()), pe));
+    }
+    m.tasks.reserve(count);
+
+    auto add = [&m](const char* site, body_kind kind, index_t partition,
+                    index_t lo, index_t hi, int stage, index_t region = -1,
+                    index_t slot = -1) {
+        task_decl& t = m.tasks.emplace_back();
+        t.site = site;
+        t.kind = kind;
+        t.partition = partition;
+        t.lo = lo;
+        t.hi = hi;
+        t.stage = stage;
+        t.region = region;
+        t.slot = slot;
         return static_cast<int>(m.tasks.size()) - 1;
+    };
+    auto chain = [&m](int before, int after) {
+        m.tasks[static_cast<std::size_t>(after)].deps.push_back(before);
     };
 
     // Stage 0 — force wave: stress ∥ hourglass per element chunk of p_nodal
-    // (mirrors spawn_force_wave).
+    // (trick T4: both launched together).
     index_t part = 0;
     for (index_t lo = 0; lo < ne; lo += pn, ++part) {
         const index_t hi = std::min<index_t>(lo + pn, ne);
-        add(model_site::force_stress, part, lo, hi, 0,
-            force_stress_accesses(lo, hi));
-        add(model_site::force_hourglass, part, lo, hi, 0,
-            force_hourglass_accesses(lo, hi));
+        add(model_site::force_stress, body_kind::force_stress, part, lo, hi,
+            0);
+        add(model_site::force_hourglass, body_kind::force_hourglass, part, lo,
+            hi, 0);
     }
 
     // Stage 1 — node chains: gather→velpos continuation per node chunk
-    // (spawn_node_wave).  The velpos link depends on its gather link; that
-    // edge is what orders the xdd/ydd/zdd write→read within the stage.
+    // (T2+T3).  The velpos link depends on its gather link; that edge is
+    // what orders the xdd/ydd/zdd write→read within the stage.
     part = 0;
     for (index_t lo = 0; lo < nn; lo += pn, ++part) {
         const index_t hi = std::min<index_t>(lo + pn, nn);
-        const int gather = add(model_site::node_gather, part, lo, hi, 1,
-                               node_gather_accesses(lo, hi));
-        add(model_site::node_velpos, part, lo, hi, 1,
-            node_velpos_accesses(lo, hi), {gather});
+        const int gather =
+            add(model_site::node_gather, body_kind::node_gather, part, lo, hi,
+                1);
+        chain(gather, add(model_site::node_velpos, body_kind::node_velpos,
+                          part, lo, hi, 1));
     }
 
-    // Stage 2 — fused element wave per p_elems chunk (spawn_elem_wave).
+    // Stage 2 — fused element wave per p_elems chunk (T3).
     part = 0;
     for (index_t lo = 0; lo < ne; lo += pe, ++part) {
         const index_t hi = std::min<index_t>(lo + pe, ne);
-        add(model_site::elem, part, lo, hi, 2, elem_wave_accesses(lo, hi));
+        add(model_site::elem, body_kind::elem_fused, part, lo, hi, 2);
     }
 
-    // Stage 3 — per-(region, chunk) monoq→EOS chains plus the independent
-    // volume update (spawn_region_wave).
+    // Stage 3 — per-(region, chunk) monoq→EOS chains (T2+T4+T5, all
+    // regions launched together) plus the independent volume update.
     part = 0;
     for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        const auto count = static_cast<index_t>(list.size());
-        const index_t* lp = list.data();
-        for (index_t lo = 0; lo < count; lo += pe, ++part) {
-            const index_t hi = std::min<index_t>(lo + pe, count);
-            const int monoq = add(model_site::region_monoq, part, lo, hi, 3,
-                                  region_monoq_accesses(lp, lo, hi));
-            add(model_site::region_eos, part, lo, hi, 3,
-                region_eos_accesses(lp, lo, hi), {monoq});
+        const auto n = static_cast<index_t>(d.regElemList(r).size());
+        for (index_t lo = 0; lo < n; lo += pe, ++part) {
+            const index_t hi = std::min<index_t>(lo + pe, n);
+            const int monoq = add(model_site::region_monoq,
+                                  body_kind::region_monoq, part, lo, hi, 3, r);
+            chain(monoq, add(model_site::region_eos, body_kind::region_eos,
+                             part, lo, hi, 3, r));
         }
     }
     part = 0;
     for (index_t lo = 0; lo < ne; lo += pe, ++part) {
         const index_t hi = std::min<index_t>(lo + pe, ne);
-        add(model_site::region_volume, part, lo, hi, 3,
-            volume_update_accesses(lo, hi));
+        add(model_site::region_volume, body_kind::volume_update, part, lo, hi,
+            3);
     }
 
-    // Stage 4 — constraint partials, one slot per (region, chunk)
-    // (spawn_constraint_wave).
+    // Stage 4 — constraint partials, one slot per (region, chunk).
     index_t slot = 0;
     for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        const auto count = static_cast<index_t>(list.size());
-        const index_t* lp = list.data();
-        for (index_t lo = 0; lo < count; lo += pe, ++slot) {
-            const index_t hi = std::min<index_t>(lo + pe, count);
-            add(model_site::constraints, slot, lo, hi, 4,
-                constraint_accesses(lp, lo, hi, slot));
+        const auto n = static_cast<index_t>(d.regElemList(r).size());
+        for (index_t lo = 0; lo < n; lo += pe, ++slot) {
+            const index_t hi = std::min<index_t>(lo + pe, n);
+            add(model_site::constraints, body_kind::constraints, slot, lo, hi,
+                4, r, slot);
         }
     }
 
@@ -355,27 +391,73 @@ graph_model build_iteration_model(const domain& d, partition_sizes parts) {
     return m;
 }
 
+std::vector<access> accesses_of(const task_decl& t, const domain& d) {
+    const index_t* list =
+        t.region >= 0 ? d.regElemList(t.region).data() : nullptr;
+    switch (t.kind) {
+        case body_kind::force_stress:
+            return force_stress_accesses(t.lo, t.hi);
+        case body_kind::force_hourglass:
+            return force_hourglass_accesses(t.lo, t.hi);
+        case body_kind::node_gather:
+            return node_gather_accesses(t.lo, t.hi);
+        case body_kind::node_velpos:
+            return node_velpos_accesses(t.lo, t.hi);
+        case body_kind::elem_fused:
+            return elem_wave_accesses(t.lo, t.hi);
+        case body_kind::region_monoq:
+            return region_monoq_accesses(list, t.lo, t.hi);
+        case body_kind::region_eos:
+            return region_eos_accesses(list, t.lo, t.hi);
+        case body_kind::volume_update:
+            return volume_update_accesses(t.lo, t.hi);
+        case body_kind::constraints:
+            return constraint_accesses(list, t.lo, t.hi, t.slot);
+        case body_kind::pack_corner:
+        case body_kind::unpack_corner:
+        case body_kind::pack_delv:
+        case body_kind::unpack_delv:
+            return plane_accesses(t.kind, t.lo, t.hi);
+        case body_kind::ckpt_pack:
+            return {{checkpoint_field_at(static_cast<std::size_t>(t.slot)),
+                     mode::read, t.lo, t.hi}};
+        case body_kind::slab_liveness:
+            break;
+    }
+    return {};
+}
+
+void fill_accesses(graph_model& m, const domain& d) {
+    for (task_decl& t : m.tasks) t.accesses = accesses_of(t, d);
+}
+
+graph_model build_iteration_model(const domain& d, partition_sizes parts) {
+    graph_model m = build_iteration_table(d, parts);
+    fill_accesses(m, d);
+    return m;
+}
+
 void add_checkpoint_pack_tasks(graph_model& m, const domain& d) {
     // One read-only pack task per checkpointed field, spanning the stages
-    // the runtime allows it to still be in flight (driver_taskgraph.cpp):
-    // node packs are joined into barrier 1 — before the node wave (stage 1)
-    // writes x/y/z/xd/yd/zd — so they occupy stage 0 only; elem packs are
-    // joined into barrier 3½ ahead of the region wave (stage 3), the first
-    // writer of e/p/q/ss/v, so they may run through stages 0-2.
-    index_t part = 0;
-    for (std::size_t s = 0; s < num_checkpoint_fields; ++s, ++part) {
-        const field f = checkpoint_field_at(s);
-        const bool node_field = field_space(f) == space::node;
-        const index_t extent = node_field ? d.numNode() : d.numElem();
+    // the drivers allow it to still be in flight: node packs gate barrier
+    // B1 — before the node wave (stage 1) writes x/y/z/xd/yd/zd — so they
+    // occupy stage 0 only; elem packs gate B3, ahead of the region wave
+    // (stage 3), the first writer of e/p/q/ss/v, so they may run through
+    // stages 0-2.
+    for (std::size_t s = 0; s < num_checkpoint_fields; ++s) {
+        const bool node_field =
+            field_space(checkpoint_field_at(s)) == space::node;
         task_decl t;
         t.site = node_field ? model_site::ckpt_pack_node
                             : model_site::ckpt_pack_elem;
-        t.partition = part;
+        t.kind = body_kind::ckpt_pack;
+        t.partition = static_cast<index_t>(s);
         t.lo = 0;
-        t.hi = extent;
+        t.hi = node_field ? d.numNode() : d.numElem();
         t.stage = 0;
         t.stage_last = node_field ? 0 : 2;
-        t.accesses = {{f, mode::read, 0, extent}};
+        t.slot = static_cast<index_t>(s);
+        t.accesses = accesses_of(t, d);
         m.tasks.push_back(std::move(t));
     }
 }

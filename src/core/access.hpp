@@ -1,15 +1,18 @@
 // core/access.hpp
 //
-// Declarative access sets for the task-graph waves — the foundation of the
-// hazard auditor.  Every task of the five leapfrog waves (graph_waves.cpp)
-// declares which domain fields it reads and writes and over which index
-// ranges, derived from the kernel signatures in lulesh/kernels.hpp.  Two
-// consumers:
+// The iteration table and its declarative access sets.  The table
+// (build_iteration_table, plus build_slab_model's halo tasks for a dist
+// slab) is the ONE description of a leapfrog iteration: each task_decl
+// names the call it makes (a body_kind plus its chunk, region and slot),
+// its stage and its continuation edges.  core/compiled_iteration compiles
+// it into the replayed static graph; the same table, with every task's
+// access set filled in from lulesh/kernels.hpp's signatures, feeds two
+// checkers:
 //
 //   * the static audit pass (core/graph_audit.*) walks the declarative
 //     model of one iteration and proves that every read-write and
 //     write-write overlap between tasks is ordered by a declared
-//     continuation edge or a surviving when_all barrier — turning the
+//     continuation edge or a surviving barrier — turning the
 //     paper's hand-reasoned "the elided dependencies are element-local"
 //     claim (trick T2) into a checkable property;
 //
@@ -123,12 +126,13 @@ std::size_t space_extent(space s, const domain& d, std::size_t slots);
 
 // --- per-task access declarations ----------------------------------------
 //
-// One function per distinct task body spawned by graph_waves.cpp, mirroring
-// the kernel signatures it fuses.  Ranges are the same [lo, hi) the builder
-// hands the kernels; region tasks additionally carry the region's element
-// list.  Keep these in lockstep with the bodies: the shadow tracker flags a
-// body that touches outside its declaration, and the adversarial audit
-// tests flag a declaration that shrinks below what the chaining needs.
+// One function per distinct task body of the table (the wave_body:: calls
+// of graph_waves.hpp), mirroring the kernel signatures it fuses.  Ranges
+// are the same [lo, hi) the table hands the kernels; region tasks
+// additionally carry the region's element list.  Keep these in lockstep
+// with the bodies: the shadow tracker flags a body that touches outside its
+// declaration, and the adversarial audit tests flag a declaration that
+// shrinks below what the chaining needs.
 
 /// Wave 1, stress chain: force_stress_chunk(d, lo, hi).
 std::vector<access> force_stress_accesses(index_t lo, index_t hi);
@@ -162,16 +166,48 @@ std::vector<access> volume_update_accesses(index_t lo, index_t hi);
 std::vector<access> constraint_accesses(const index_t* list, index_t lo,
                                         index_t hi, index_t slot);
 
-// --- the declarative iteration model --------------------------------------
+// --- the iteration table ----------------------------------------------------
+
+/// The call a table task makes.  The first nine are the wave_body:: calls
+/// (graph_waves.hpp) run by the compiled graph's task nodes; the halo kinds
+/// are a dist slab's boundary steps (build_slab_model), whose bodies the
+/// dist driver supplies; ckpt_pack is an overlapped checkpoint pack
+/// (add_checkpoint_pack_tasks), which the drivers run as external
+/// dependencies of the graph rather than as nodes.
+enum class body_kind : std::uint8_t {
+    force_stress,
+    force_hourglass,
+    node_gather,
+    node_velpos,
+    elem_fused,
+    region_monoq,
+    region_eos,
+    volume_update,
+    constraints,
+    pack_corner,    ///< send the owned boundary plane's corner forces
+    unpack_corner,  ///< receive the neighbor's plane into the ghost slots
+    pack_delv,      ///< send the owned boundary plane's delv_zeta
+    unpack_delv,    ///< receive the neighbor's delv_zeta ghost plane
+    ckpt_pack,
+    slab_liveness   ///< the dist driver's per-slab heartbeat/kill-switch
+                    ///< node; appended to compiled slab tables only
+};
+
+/// True for the kinds whose body is a wave_body:: call.
+[[nodiscard]] constexpr bool is_wave_body(body_kind k) noexcept {
+    return k <= body_kind::constraints;
+}
 
 /// One task of the modelled iteration.
 struct task_decl {
-    const char* site = nullptr;  ///< wave_site label
-    index_t partition = 0;       ///< partition ordinal within the wave
-    index_t lo = 0;              ///< primary range, for reporting
-    index_t hi = 0;
+    const char* site = nullptr;  ///< sub-site label, e.g. "region_eos.monoq"
+    index_t partition = 0;       ///< partition ordinal within the wave; for
+                                 ///< halo tasks 0 = lower, 1 = upper boundary
+    index_t lo = 0;              ///< the chunk the body runs over: element or
+    index_t hi = 0;              ///< node range, region-list positions, or
+                                 ///< the halo plane
     int stage = 0;               ///< barrier interval the task runs in (0-4)
-    std::vector<access> accesses;
+    std::vector<access> accesses;  ///< empty in a compact table
     std::vector<int> deps;       ///< tasks ordered *before* this one by a
                                  ///< declared continuation edge (task ids)
     int stage_last = -1;         ///< last stage the task may still be running
@@ -180,31 +216,47 @@ struct task_decl {
                                  ///< start with stage 0 and are joined into
                                  ///< the barrier before the first wave that
                                  ///< writes their field.
+    body_kind kind = body_kind::force_stress;
+    index_t region = -1;  ///< region whose element list [lo, hi) indexes
+    index_t slot = -1;    ///< dt partial slot (constraints) or checkpoint
+                          ///< field slot (ckpt_pack)
 };
 
 /// The pre-built graph of one leapfrog iteration: tasks grouped into
-/// `num_stages` barrier intervals (the surviving when_all barriers order
-/// stage i entirely before stage i+1; within a stage only `deps` edges
-/// order tasks).
+/// `num_stages` barrier intervals (the surviving barriers order stage i
+/// entirely before stage i+1; within a stage only `deps` edges order
+/// tasks).
 struct graph_model {
     std::vector<task_decl> tasks;
     int num_stages = 0;
     std::size_t num_slots = 0;  ///< extent of the dt_partial space
 };
 
-/// Builds the declarative model of one taskgraph_driver iteration on `d`
-/// with partition sizes `parts` — the same chunk decomposition, chain
-/// edges, and barrier structure graph_waves.cpp spawns.
+/// The compact table of one taskgraph iteration on `d` with partition
+/// sizes `parts`: every task's body, stage and edges, no access sets.
+/// Region contents and the domain's address are not part of it — task
+/// bodies read the region lists from the domain they are bound to.
+graph_model build_iteration_table(const domain& d, partition_sizes parts);
+
+/// build_iteration_table with every task's access set filled in — the
+/// form the static audit and the checkpoint write-set derivation read.
 graph_model build_iteration_model(const domain& d, partition_sizes parts);
 
-/// Appends the overlapped checkpoint-packing tasks the task-graph driver
-/// spawns when the resilient loop hands it a capture: one read-only task
-/// per checkpointed field, modelled conservatively over the field's full
-/// extent.  Node-field packs run within stage 0 (they are joined into the
-/// barrier before the node wave writes coordinates/velocities); elem-field
-/// packs span stages 0-2 (joined before the region/volume wave writes
-/// e/p/q/ss/v).  The audit over this extended model is the proof that
-/// packing never races the compute it overlaps.
+/// The declared accesses of task `t` on `d` (region tasks expand against
+/// d's region lists).
+std::vector<access> accesses_of(const task_decl& t, const domain& d);
+
+/// Fills every task's access set from accesses_of.
+void fill_accesses(graph_model& m, const domain& d);
+
+/// Appends the overlapped checkpoint-packing tasks the drivers run when
+/// the resilient loop hands them a capture: one read-only task per
+/// checkpointed field, modelled conservatively over the field's full
+/// extent.  Node-field packs run within stage 0 (they gate the barrier
+/// before the node wave writes coordinates/velocities); elem-field packs
+/// span stages 0-2 (they gate the barrier before the region/volume wave
+/// writes e/p/q/ss/v).  The audit over this extended model is the proof
+/// that packing never races the compute it overlaps.
 void add_checkpoint_pack_tasks(graph_model& m, const domain& d);
 
 // --- bridges to the dynamic tracker and the NaN sentinel -------------------

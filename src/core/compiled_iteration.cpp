@@ -1,374 +1,310 @@
-// core/compiled_iteration.cpp — compiles one leapfrog iteration into a
-// replayable static graph, mirroring build_iteration_model's task order
-// exactly: compiled node i corresponds to model task i, which is what lets
-// verify() check the two structures against each other index by index.
+// core/compiled_iteration.cpp — compiles slab tables into one replayable
+// static graph, and the task wrapper every wave-body node runs through.
 
 #include "core/compiled_iteration.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
-#include <sstream>
 #include <utility>
+
+#include "lulesh/checkpoint_chain.hpp"
 
 namespace lulesh::graph {
 
 namespace k = kernels;
 
-compiled_iteration::compiled_iteration(amt::runtime& rt, domain& d,
+compiled_iteration::compiled_iteration(amt::runtime& rt,
+                                       std::vector<slab_table> slabs,
                                        const config& cfg,
-                                       const error_flags& flags)
-    : rt_(rt), dom_(&d), cfg_(cfg), flags_(flags) {
-    const index_t pe = cfg_.parts.elems > 0 ? cfg_.parts.elems : d.numElem();
-    slots_ = constraint_slot_count(d, pe);
-    partials_.assign(slots_, k::dt_constraints{});
-    compile(d);
+                                       const error_flags& flags,
+                                       halo_gating gating, halo_handler halo)
+    : rt_(rt),
+      cfg_(cfg),
+      gating_(gating),
+      flags_(flags),
+      halo_(std::move(halo)),
+      instrumented_(flags.sentinel != nullptr &&
+                    (cfg.track_hazards || cfg.scan_nan)),
+      slabs_(slabs.size()) {
+    for (std::size_t s = 0; s < slabs.size(); ++s) {
+        const domain& d = *slabs[s].dom;
+        table_shape& shape = slabs_[s].shape;
+        shape.elems = d.numElem();
+        shape.nodes = d.numNode();
+        shape.plane = d.elems_per_plane();
+        shape.lower = d.has_lower_neighbor();
+        shape.upper = d.has_upper_neighbor();
+        for (index_t r = 0; r < d.numReg(); ++r) {
+            shape.region_sizes.push_back(
+                static_cast<index_t>(d.regElemList(r).size()));
+        }
+        slabs_[s].table = std::move(slabs[s].table);
+        slabs_[s].env.dom = slabs[s].dom;
+    }
+    compile();
     graph_.seal();
     graph_.set_profiling(cfg_.profile_nodes);
 }
 
-int compiled_iteration::node_stage(
-    amt::static_graph::node_id id) const noexcept {
-    for (const node_info& n : compute_nodes_) {
-        if (n.id == id) return n.stage;
-    }
-    return -1;
-}
-
-bool compiled_iteration::matches(const domain& d, const config& cfg,
-                                 const error_flags& flags) const noexcept {
-    return dom_ == &d && cfg_.parts.nodal == cfg.parts.nodal &&
+bool compiled_iteration::matches(const config& cfg, const error_flags& flags,
+                                 std::size_t slabs) const noexcept {
+    return cfg_.parts.nodal == cfg.parts.nodal &&
            cfg_.parts.elems == cfg.parts.elems &&
            cfg_.track_hazards == cfg.track_hazards &&
            cfg_.scan_nan == cfg.scan_nan &&
-           cfg_.profile_nodes == cfg.profile_nodes &&
+           cfg_.profile_nodes == cfg.profile_nodes && slabs_.size() == slabs &&
            flags_.sentinel.get() == flags.sentinel.get();
 }
 
-void compiled_iteration::set_pack_deps(std::size_t node_packs,
-                                       std::size_t elem_packs) {
-    graph_.set_external_deps(barrier_[0],
-                             static_cast<std::uint32_t>(node_packs));
-    graph_.set_external_deps(barrier_[2],
-                             static_cast<std::uint32_t>(elem_packs));
+bool compiled_iteration::shape_matches(std::size_t slab,
+                                       const domain& d) const noexcept {
+    const table_shape& s = slabs_[slab].shape;
+    if (s.elems != d.numElem() || s.nodes != d.numNode() ||
+        s.plane != d.elems_per_plane() || s.lower != d.has_lower_neighbor() ||
+        s.upper != d.has_upper_neighbor() ||
+        s.region_sizes.size() != static_cast<std::size_t>(d.numReg())) {
+        return false;
+    }
+    for (index_t r = 0; r < d.numReg(); ++r) {
+        if (s.region_sizes[static_cast<std::size_t>(r)] !=
+            static_cast<index_t>(d.regElemList(r).size())) {
+            return false;
+        }
+    }
+    return true;
+}
+
+void compiled_iteration::bind(std::size_t slab, domain& d) {
+    slabs_[slab].env.dom = &d;
+}
+
+void compiled_iteration::add_capture(std::size_t slab,
+                                     std::shared_ptr<state_capture> cap) {
+    slabs_[slab].capture = std::move(cap);
 }
 
 void compiled_iteration::arm(real_t dt) {
-    dt_ = dt;
-    std::fill(partials_.begin(), partials_.end(), k::dt_constraints{});
-    stamps_.fill(amt::clock::time_point{});
-    graph_.arm(rt_);
-}
-
-void compiled_iteration::pack_done(space s) {
-    graph_.satisfy_external(s == space::node ? barrier_[0] : barrier_[2]);
-}
-
-// Replicates graph_waves' guarded() minus what the graph engine already
-// provides: the trace annotation (node::execute annotates from the node's
-// label/arg), the stop-token early-return (the engine skips bodies once the
-// graph's stop flag is set), and stop propagation on throw (the engine's
-// record_error sets the stop flag).  Everything else — fault probe at the
-// wave site, progress counters and per-worker in-flight labels, the
-// optional hazard scope and NaN scan — is kept identical so watchdogs,
-// fault plans and the sentinel observe replayed tasks exactly as they
-// observe fresh-built ones.
-template <class Body>
-amt::static_graph::node_id compiled_iteration::add_task(
-    const char* site, int stage, std::int64_t part, std::vector<access> accs,
-    Body body) {
-    std::shared_ptr<iteration_sentinel> sent;
-    if (flags_.sentinel != nullptr && flags_.sentinel->dom == dom_ &&
-        (cfg_.track_hazards || cfg_.scan_nan)) {
-        sent = flags_.sentinel;
-    }
-    const iteration_sentinel::task_ctx* ctx = nullptr;
-    if (sent != nullptr) {
-        iteration_sentinel::task_ctx& c = ctxs_.emplace_back();
-        c.accs = std::move(accs);
-        c.partition = part;
-        if (cfg_.track_hazards) c.decl = expand_to_hazard_set(c.accs, *dom_);
-        ctx = &c;
-    }
-    auto wrapped = [progress = flags_.progress, sent = std::move(sent),
-                    nan_ok = flags_.nan_ok, ctx, site,
-                    body = std::move(body)]() {
-        const auto& wk = amt::current_worker();
-        const std::size_t slot =
-            wk.rt != nullptr
-                ? std::min<std::size_t>(wk.index + 1,
-                                        progress_state::max_tracked_workers)
-                : 0;
-        progress->site.store(site, amt::memory_order_relaxed);
-        progress->worker_site[slot].store(site, amt::memory_order_relaxed);
-        progress->started.fetch_add(1, amt::memory_order_relaxed);
-        try {
-            amt::fault::probe(site);
-            {
-                std::optional<amt::hazard::task_scope> scope;
-                if (sent && sent->track_hazards && ctx != nullptr) {
-                    scope.emplace(static_cast<const void*>(sent->dom), site,
-                                  ctx->partition, &ctx->decl);
-                }
-                body();
-            }
-            if (sent && sent->scan_nan && ctx != nullptr) {
-                const field bad =
-                    scan_written_for_nonfinite(ctx->accs, *sent->dom);
-                if (bad != field::count) {
-                    nan_ok->store(false, amt::memory_order_relaxed);
-                    sent->nan_wave_site.store(site,
-                                              amt::memory_order_relaxed);
-                    sent->nan_field_name.store(field_name(bad),
-                                               amt::memory_order_relaxed);
-                }
-            }
-        } catch (...) {
-            progress->worker_site[slot].store(nullptr,
-                                              amt::memory_order_relaxed);
-            progress->finished.fetch_add(1, amt::memory_order_relaxed);
-            throw;
-        }
-        progress->worker_site[slot].store(nullptr, amt::memory_order_relaxed);
-        progress->finished.fetch_add(1, amt::memory_order_relaxed);
+    // Node-field packs gate B1, element-field packs B3.
+    const auto pack_stage = [](const state_capture& cap, std::size_t i) {
+        return field_space(cap.region(i).f) == space::node ? 0 : 2;
     };
-    const auto id = graph_.add_node(std::move(wrapped), site,
-                                    static_cast<std::int32_t>(part));
-    compute_nodes_.push_back({site, id, stage, part});
-    ++task_count_;
+    ext_ = receives_;
+    for (std::size_t s = 0; s < slabs_.size(); ++s) {
+        slab_state& sl = slabs_[s];
+        sl.env.dt = dt;
+        std::fill(sl.partials.begin(), sl.partials.end(),
+                  k::dt_constraints{});
+        if (instrumented_) {
+            // Access sets expand against the bound domain's connectivity
+            // and region lists, so they are rebuilt for every replay.
+            const domain& d = *sl.env.dom;
+            for (std::size_t i = 0; i < sl.ctxs.size(); ++i) {
+                const task_decl& t = sl.table.tasks[i];
+                if (!is_wave_body(t.kind)) continue;
+                sl.ctxs[i].accs = accesses_of(t, d);
+                if (cfg_.track_hazards) {
+                    sl.ctxs[i].decl = expand_to_hazard_set(sl.ctxs[i].accs, d);
+                }
+            }
+        }
+        if (sl.capture != nullptr) {
+            for (std::size_t i = 0; i < sl.capture->num_regions(); ++i) {
+                ++ext_[set_of(s)][pack_stage(*sl.capture, i)];
+            }
+        }
+    }
+    for (auto& st : stamps_) st.fill(amt::clock::time_point{});
+    for (std::size_t b = 0; b < barrier_.size(); ++b) {
+        for (std::size_t i = 0; i < num_barriers; ++i) {
+            if (ext_[b][i] != 0) {
+                graph_.set_external_deps(barrier_[b][i], ext_[b][i]);
+            }
+        }
+    }
+    graph_.arm(rt_);
+
+    // The overlapped pack tasks: plain posted tasks running the shared
+    // pack_region_task body.  Each task's LAST action on every path
+    // satisfies one external dependency; the graph cannot finish the gated
+    // barrier — and the driver cannot destroy or recompile this object —
+    // before every pack task got there.
+    for (std::size_t s = 0; s < slabs_.size(); ++s) {
+        std::shared_ptr<state_capture> cap = std::move(slabs_[s].capture);
+        if (cap == nullptr) continue;
+        for (std::size_t i = 0; i < cap->num_regions(); ++i) {
+            const node_id gate = barrier_[set_of(s)][pack_stage(*cap, i)];
+            rt_.post_fn([this, cap, i, gate] {
+                pack_region_task(*cap, i, *flags_.progress);
+                graph_.satisfy_external(gate);
+            });
+        }
+    }
+}
+
+// The one task wrapper.  What the graph engine already provides is left to
+// it: the trace annotation (node::execute annotates from the node label),
+// skipping bodies once the graph's stop flag is set, and the stop request
+// on throw.  Everything else — the fault probe at the wave site, progress
+// counters and per-worker in-flight labels for the watchdog, the optional
+// hazard scope and NaN scan — happens here.
+void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task,
+                                  k::eos_scratch* scratch) {
+    const slab_state& sl = slabs_[slab];
+    const task_decl& t = sl.table.tasks[task];
+    const char* site = wave_site_of(t.kind);
+    progress_state& progress = *flags_.progress;
+    const auto& wk = amt::current_worker();
+    const std::size_t slot =
+        wk.rt != nullptr
+            ? std::min<std::size_t>(wk.index + 1,
+                                    progress_state::max_tracked_workers)
+            : 0;
+    progress.site.store(site, amt::memory_order_relaxed);
+    progress.worker_site[slot].store(site, amt::memory_order_relaxed);
+    progress.started.fetch_add(1, amt::memory_order_relaxed);
+    const iteration_sentinel::task_ctx* ctx =
+        instrumented_ ? &sl.ctxs[task] : nullptr;
+    try {
+        amt::fault::probe(site);
+        {
+            std::optional<amt::hazard::task_scope> scope;
+            if (ctx != nullptr && cfg_.track_hazards) {
+                scope.emplace(static_cast<const void*>(sl.env.dom), site,
+                              t.partition, &ctx->decl);
+            }
+            run_body(t, sl.env, scratch);
+        }
+        if (ctx != nullptr && cfg_.scan_nan) {
+            const field bad = scan_written_for_nonfinite(ctx->accs,
+                                                         *sl.env.dom);
+            if (bad != field::count) {
+                iteration_sentinel& sent = *flags_.sentinel;
+                flags_.nan_ok->store(false, amt::memory_order_relaxed);
+                sent.nan_wave_site.store(site, amt::memory_order_relaxed);
+                sent.nan_field_name.store(field_name(bad),
+                                          amt::memory_order_relaxed);
+            }
+        }
+    } catch (...) {
+        progress.worker_site[slot].store(nullptr, amt::memory_order_relaxed);
+        progress.finished.fetch_add(1, amt::memory_order_relaxed);
+        throw;
+    }
+    progress.worker_site[slot].store(nullptr, amt::memory_order_relaxed);
+    progress.finished.fetch_add(1, amt::memory_order_relaxed);
+}
+
+compiled_iteration::node_id compiled_iteration::add_node(
+    amt::unique_function<void()> body, const char* label, index_t arg,
+    int stage, std::size_t slab) {
+    const node_id id = graph_.add_node(std::move(body), label,
+                                       static_cast<std::int32_t>(arg));
+    meta_.push_back({static_cast<std::int8_t>(stage),
+                     static_cast<std::uint32_t>(slab)});
     return id;
 }
 
-void compiled_iteration::compile(domain& d) {
-    domain* dp = &d;
-    const index_t ne = d.numElem();
-    const index_t nn = d.numNode();
-    const index_t pn = cfg_.parts.nodal > 0 ? cfg_.parts.nodal : ne;
-    const index_t pe = cfg_.parts.elems > 0 ? cfg_.parts.elems : ne;
-    auto vol_ok = flags_.volume_ok;
-    auto q_ok = flags_.qstop_ok;
-    const real_t* dtp = &dt_;
-
-    // Barrier nodes first (B1..B5), chained so stage k+1 cannot start
-    // before stage k's barrier completed — the replay analogue of the
-    // fresh path's stage_after(b_k, ...) sequencing.  Bodies stamp the
-    // phase-completion instants for the profile/tracer.
-    for (std::size_t b = 0; b < num_barriers; ++b) {
-        amt::clock::time_point* out = &stamps_[b];
-        barrier_[b] =
-            graph_.add_node([out] { *out = amt::clock::now(); },
-                            "graph:barrier", static_cast<std::int32_t>(b));
-    }
-    for (std::size_t b = 0; b + 1 < num_barriers; ++b) {
-        graph_.add_edge(barrier_[b], barrier_[b + 1]);
-    }
-
-    // Chain-head/tail barrier wiring: a task with no in-wave predecessor
-    // hangs off the previous stage's barrier (stage 0 tasks are roots); a
-    // task nothing in its wave depends on feeds its stage's barrier.
-    auto head = [this](int stage, amt::static_graph::node_id id) {
-        if (stage > 0) {
-            graph_.add_edge(barrier_[static_cast<std::size_t>(stage - 1)],
-                            id);
-        }
+void compiled_iteration::compile() {
+    const auto is_send = [](body_kind k) {
+        return k == body_kind::pack_corner || k == body_kind::pack_delv;
     };
-    auto tail = [this](int stage, amt::static_graph::node_id id) {
-        graph_.add_edge(id, barrier_[static_cast<std::size_t>(stage)]);
+    const auto is_receive = [](body_kind k) {
+        return k == body_kind::unpack_corner || k == body_kind::unpack_delv;
     };
-
-    // Stage 0 — force wave: stress ∥ hourglass per element chunk of p_nodal.
-    index_t part = 0;
-    for (index_t lo = 0; lo < ne; lo += pn, ++part) {
-        const index_t hi = std::min<index_t>(lo + pn, ne);
-        const auto stress = add_task(
-            wave_site::force, 0, part, force_stress_accesses(lo, hi),
-            [dp, lo, hi, vol_ok] {
-                wave_body::force_stress(*dp, lo, hi, *vol_ok);
-            });
-        head(0, stress);
-        tail(0, stress);
-        const auto hg = add_task(
-            wave_site::force, 0, part, force_hourglass_accesses(lo, hi),
-            [dp, lo, hi, vol_ok] {
-                wave_body::force_hourglass(*dp, lo, hi, *vol_ok);
-            });
-        head(0, hg);
-        tail(0, hg);
+    const bool direct = gating_ == halo_gating::direct;
+    const std::size_t sets = direct ? 1 : slabs_.size();
+    barrier_.resize(sets);
+    stamps_.resize(sets);
+    receives_.assign(sets, {});
+    for (std::size_t b = 0; b < sets; ++b) {
+        for (std::size_t i = 0; i < num_barriers; ++i) {
+            amt::clock::time_point* out = &stamps_[b][i];
+            barrier_[b][i] = add_node([out] { *out = amt::clock::now(); },
+                                      "graph:barrier",
+                                      static_cast<index_t>(i), -1, b);
+            if (i > 0) graph_.add_edge(barrier_[b][i - 1], barrier_[b][i]);
+        }
     }
 
-    // Stage 1 — node chains: gather → velpos per node chunk.
-    part = 0;
-    for (index_t lo = 0; lo < nn; lo += pn, ++part) {
-        const index_t hi = std::min<index_t>(lo + pn, nn);
-        const auto gather =
-            add_task(wave_site::node, 1, part, node_gather_accesses(lo, hi),
-                     [dp, lo, hi] { wave_body::node_gather(*dp, lo, hi); });
-        const auto velpos = add_task(
-            wave_site::node, 1, part, node_velpos_accesses(lo, hi),
-            [dp, lo, hi, dtp] {
-                wave_body::node_velpos(*dp, lo, hi, *dtp);
-            });
-        head(1, gather);
-        graph_.add_edge(gather, velpos);
-        tail(1, velpos);
-    }
+    for (std::size_t s = 0; s < slabs_.size(); ++s) {
+        slab_state& sl = slabs_[s];
+        const std::vector<task_decl>& tasks = sl.table.tasks;
+        const auto& bar = barrier_[set_of(s)];
+        sl.env.volume_ok = flags_.volume_ok.get();
+        sl.env.qstop_ok = flags_.qstop_ok.get();
+        sl.partials.assign(sl.table.num_slots, k::dt_constraints{});
+        sl.env.partials = sl.partials.data();
+        sl.ids.assign(tasks.size(), no_node);
+        if (instrumented_) sl.ctxs.resize(tasks.size());
 
-    // Stage 2 — fused element wave per p_elems chunk.
-    part = 0;
-    for (index_t lo = 0; lo < ne; lo += pe, ++part) {
-        const index_t hi = std::min<index_t>(lo + pe, ne);
-        const auto elem = add_task(
-            wave_site::elem, 2, part, elem_wave_accesses(lo, hi),
-            [dp, lo, hi, dtp, vol_ok, q_ok] {
-                wave_body::elem_fused(*dp, lo, hi, *dtp, *vol_ok, *q_ok);
-            });
-        head(2, elem);
-        tail(2, elem);
-    }
-
-    // Stage 3 — per-(region, chunk) monoq → EOS chains plus the independent
-    // volume update.  Each EOS node owns a persistent scratch (T5, recycled
-    // across replays; every scratch array is written before read).
-    part = 0;
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        const auto count = static_cast<index_t>(list.size());
-        const int rep = k::eos_rep_for_region(d, r);
-        const index_t* lp = list.data();
-        for (index_t lo = 0; lo < count; lo += pe, ++part) {
-            const index_t hi = std::min<index_t>(lo + pe, count);
-            const auto monoq = add_task(
-                wave_site::region_eos, 3, part,
-                region_monoq_accesses(lp, lo, hi), [dp, lp, lo, hi] {
-                    wave_body::region_monoq(*dp, lp, lo, hi);
-                });
-            k::eos_scratch* scr = &eos_scratch_.emplace_back();
-            const auto eos = add_task(
-                wave_site::region_eos, 3, part,
-                region_eos_accesses(lp, lo, hi), [dp, lp, lo, hi, rep, scr] {
-                    wave_body::region_eos(*dp, lp, lo, hi, rep, *scr);
-                });
-            head(3, monoq);
-            graph_.add_edge(monoq, eos);
-            tail(3, eos);
-        }
-    }
-    part = 0;
-    for (index_t lo = 0; lo < ne; lo += pe, ++part) {
-        const auto hi = std::min<index_t>(lo + pe, ne);
-        const auto vol = add_task(
-            wave_site::region_eos, 3, part, volume_update_accesses(lo, hi),
-            [dp, lo, hi] { wave_body::volume_update(*dp, lo, hi); });
-        head(3, vol);
-        tail(3, vol);
-    }
-
-    // Stage 4 — constraint partials, one slot per (region, chunk).
-    index_t slot = 0;
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        const auto count = static_cast<index_t>(list.size());
-        const index_t* lp = list.data();
-        for (index_t lo = 0; lo < count; lo += pe, ++slot) {
-            const index_t hi = std::min<index_t>(lo + pe, count);
-            k::dt_constraints* out =
-                partials_.data() + static_cast<std::size_t>(slot);
-            const auto c = add_task(
-                wave_site::constraints, 4, slot,
-                constraint_accesses(lp, lo, hi, slot), [dp, lp, lo, hi, out] {
-                    wave_body::constraints(*dp, lp, lo, hi, *out);
-                });
-            head(4, c);
-            tail(4, c);
-        }
-    }
-}
-
-std::string compiled_iteration::verify(const graph_model& m) const {
-    std::ostringstream err;
-    if (m.tasks.size() != compute_nodes_.size()) {
-        err << "compiled graph has " << compute_nodes_.size()
-            << " compute nodes, model has " << m.tasks.size() << " tasks";
-        return err.str();
-    }
-    if (m.num_slots != slots_) {
-        err << "compiled slot count " << slots_ << " != model num_slots "
-            << m.num_slots;
-        return err.str();
-    }
-    for (std::size_t b = 0; b + 1 < num_barriers; ++b) {
-        if (!graph_.has_edge(barrier_[b], barrier_[b + 1])) {
-            err << "missing barrier chain edge B" << b + 1 << " -> B"
-                << b + 2;
-            return err.str();
-        }
-    }
-    std::vector<char> has_consumer(m.tasks.size(), 0);
-    for (const task_decl& td : m.tasks) {
-        for (int dep : td.deps) {
-            has_consumer[static_cast<std::size_t>(dep)] = 1;
-        }
-    }
-    const std::uint64_t gen = graph_.generation();
-    for (std::size_t i = 0; i < m.tasks.size(); ++i) {
-        const task_decl& td = m.tasks[i];
-        const node_info& ni = compute_nodes_[i];
-        auto fail = [&](const char* what) {
-            err << "task " << i << " (" << td.site << " partition "
-                << td.partition << "): " << what;
-            return err.str();
-        };
-        // Model sites are dotted sub-sites of the runtime wave_site label
-        // ("region_eos.monoq" vs "region_eos"), so prefix-match.
-        if (std::strncmp(td.site, ni.site, std::strlen(ni.site)) != 0) {
-            return fail("site mismatch");
-        }
-        if (td.stage != ni.stage) return fail("stage mismatch");
-        if (static_cast<std::int64_t>(td.partition) != ni.partition) {
-            return fail("partition mismatch");
-        }
-        for (int dep : td.deps) {
-            const node_info& from =
-                compute_nodes_[static_cast<std::size_t>(dep)];
-            if (!graph_.has_edge(from.id, ni.id)) {
-                return fail("declared continuation edge missing");
-            }
-        }
-        if (td.deps.empty()) {
-            if (td.stage > 0) {
-                const auto b =
-                    barrier_[static_cast<std::size_t>(td.stage - 1)];
-                if (!graph_.has_edge(b, ni.id)) {
-                    return fail("chain head not gated on previous barrier");
+        // Nodes.  A task some wave body of its stage chains after is not a
+        // tail; direct exchanges become the gate of their slab's next stage.
+        std::vector<char> has_consumer(tasks.size(), 0);
+        std::array<std::vector<node_id>, num_barriers> exchanges;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const task_decl& t = tasks[i];
+            const bool receive = is_receive(t.kind);
+            const bool send = is_send(t.kind);
+            if (is_wave_body(t.kind)) {
+                for (int dep : t.deps) {
+                    has_consumer[static_cast<std::size_t>(dep)] = 1;
                 }
-            } else if (graph_.dependency_count(ni.id) != 0) {
-                return fail("stage-0 task is not a graph root");
+                k::eos_scratch* scratch = t.kind == body_kind::region_eos
+                                              ? &eos_scratch_.emplace_back()
+                                              : nullptr;
+                const auto slab = static_cast<std::uint32_t>(s);
+                const auto task = static_cast<std::uint32_t>(i);
+                sl.ids[i] = add_node(
+                    [this, slab, task, scratch] {
+                        run_task(slab, task, scratch);
+                    },
+                    wave_site_of(t.kind), t.partition, t.stage, s);
+                ++task_count_;
+            } else if (receive && !direct) {
+                ++receives_[s][static_cast<std::size_t>(t.stage)];
+                externals_.push_back(
+                    {s, &t, bar[static_cast<std::size_t>(t.stage)]});
+            } else if (!(send && direct)) {
+                const task_decl* tp = &t;
+                sl.ids[i] = add_node([this, s, tp] { halo_(s, *tp); }, t.site,
+                                     t.partition, -1, s);
+                if (receive) {
+                    graph_.add_edge(bar[static_cast<std::size_t>(t.stage)],
+                                    sl.ids[i]);
+                    exchanges[static_cast<std::size_t>(t.stage)].push_back(
+                        sl.ids[i]);
+                }
             }
         }
-        if (!has_consumer[i] &&
-            !graph_.has_edge(ni.id,
-                             barrier_[static_cast<std::size_t>(td.stage)])) {
-            return fail("chain tail not joined into its stage barrier");
-        }
-        if (gen > 0 && graph_.executions(ni.id) != gen) {
-            err << "task " << i << " (" << td.site << " partition "
-                << td.partition << "): executed " << graph_.executions(ni.id)
-                << " times over " << gen
-                << " replays (re-arm invariant violated)";
-            return err.str();
-        }
-    }
-    if (gen > 0) {
-        for (std::size_t b = 0; b < num_barriers; ++b) {
-            if (graph_.executions(barrier_[b]) != gen) {
-                err << "barrier B" << b + 1 << " executed "
-                    << graph_.executions(barrier_[b]) << " times over " << gen
-                    << " replays";
-                return err.str();
+
+        // Edges (direct exchanges were wired above).
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const task_decl& t = tasks[i];
+            const node_id id = sl.ids[i];
+            if (id == no_node || is_receive(t.kind)) continue;
+            const auto stage = static_cast<std::size_t>(t.stage);
+            if (is_send(t.kind) && gating_ == halo_gating::whole_wave) {
+                for (std::size_t j = 0; j < tasks.size(); ++j) {
+                    if (is_wave_body(tasks[j].kind) &&
+                        tasks[j].stage == t.stage) {
+                        graph_.add_edge(sl.ids[j], id);
+                    }
+                }
+            } else {
+                for (int dep : t.deps) {
+                    graph_.add_edge(sl.ids[static_cast<std::size_t>(dep)], id);
+                }
+                if (t.deps.empty() && stage > 0) {
+                    const auto& gate = exchanges[stage - 1];
+                    if (gate.empty()) {
+                        graph_.add_edge(bar[stage - 1], id);
+                    }
+                    for (node_id g : gate) graph_.add_edge(g, id);
+                }
             }
+            if (!has_consumer[i]) graph_.add_edge(id, bar[stage]);
         }
     }
-    return {};
 }
 
 }  // namespace lulesh::graph

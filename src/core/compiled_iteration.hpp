@@ -1,16 +1,18 @@
 // core/compiled_iteration.hpp
 //
 // One leapfrog iteration compiled into a reusable amt::static_graph — the
-// end point of the paper's T6 trick.  Where the fresh-build path
-// (driver_taskgraph's stage_after chain over graph_waves) re-creates every
-// task, shared state and continuation node each cycle, the compiled form
-// is built ONCE per (domain, partition, instrumentation) shape and then
-// *replayed*: arm() re-arms the generation counters, resets the per-slot
-// constraint partials and stamps, and the very same node objects flow
-// through the scheduler again.  Steady-state replay iterations perform
-// zero heap allocations (tests/amt/test_alloc_count.cpp).
+// end point of the paper's T6 trick.  The compiler walks a list of slab
+// tables (core/access.hpp: build_iteration_table for the taskgraph
+// driver, one build_slab_model table per slab for the dist driver) and
+// turns every task into a node, its edges, or an external dependency; it
+// is the only place the iteration's graph is wired.  The graph is compiled
+// ONCE per table shape and then *replayed*: bind() points each slab at its
+// domain, arm() re-arms the generation counters, resets the constraint
+// partials and stamps, and the very same node objects flow through the
+// scheduler again.  Steady-state replay iterations perform zero heap
+// allocations (tests/amt/test_alloc_count.cpp).
 //
-// Structure (identical to the fresh path by construction):
+// Per slab (the taskgraph driver compiles exactly one):
 //
 //   wave 1  force:       stress ∥ hourglass per element chunk    → B1
 //   wave 2  node:        gather → velpos chains per node chunk   → B2
@@ -19,35 +21,44 @@
 //                        ∥ volume update per element chunk       → B4
 //   wave 5  constraints: dt partials, one slot per (region,chunk)→ B5
 //
-// The five barriers are graph nodes whose bodies stamp the phase-completion
-// instants (feeding phase_profile / the tracer's phase windows, exactly
-// like the stamp() continuations of the fresh path).  B1 and B3 optionally
-// carry *external* dependencies for the overlapped checkpoint pack tasks
-// of PR 5: node-field packs gate B1, element-field packs gate B3 — the
-// same placement add_checkpoint_pack_tasks models, so the graph audit's
-// non-interference proof covers the compiled form too.
+// A task with no in-stage predecessor hangs off the previous barrier, a
+// task nothing in its stage depends on feeds its own barrier, and the
+// barriers chain B1 → … → B5.  Barrier bodies stamp the phase-completion
+// instants (phase_profile, the tracer's phase windows).
 //
-// Task bodies are the shared wave_body:: kernels (graph_waves.hpp): both
-// execution paths run identical floating-point operations in identical
-// order, which is why N replays are bitwise equal to N fresh builds
-// (tests/core/test_replay.cpp).  Per-task plumbing (fault probes, progress
-// counters, hazard scopes, NaN scans) mirrors graph_waves' guarded();
-// cancellation is the graph's stop flag, reset by every arm(), so re-armed
-// tasks always observe fresh stop state.
+// The halo tasks of a dist slab table:
+//   * a send (pack_corner, pack_delv) is a node running the driver's halo
+//     handler, gated on the producers of its plane (halo_gating::plane,
+//     the eager exchange) or on every task of its wave (whole_wave), and
+//     feeding its stage's barrier;
+//   * a receive (unpack_*) is an external dependency of its stage's
+//     barrier, satisfied by the driver's receive chain (externals());
+//   * under halo_gating::direct (bulk-synchronous) one barrier per stage
+//     is shared by every slab, sends compile to nothing, and each receive
+//     is a direct exchange node between its stage's barrier and its
+//     slab's next stage.
+// Overlapped checkpoint packs are external dependencies as well:
+// node-field packs gate B1, element-field packs B3 — the placement
+// add_checkpoint_pack_tasks models for the audit.
+//
+// The graph is keyed by table shape, never by a domain's address: bodies
+// read the domain, its region lists and the step through the binding, so a
+// replaced domain of the same shape — a re-emplaced domain, a rebuilt
+// slab, the next cluster of a benchmark — replays the same graph.
 //
 // EOS scratch (T5): each EOS node owns a persistent eos_scratch recycled
 // across replays.  Every eval_eos_chunk writes each scratch array before
-// reading it, so recycling is bitwise-equivalent to the fresh path's
-// task-local vectors — and saves 14 vector allocations per EOS task per
-// iteration.
+// reading it, so recycling is bitwise-equivalent to task-local vectors and
+// saves 14 vector allocations per EOS task per iteration.
 
 #pragma once
 
 #include <array>
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <string>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "amt/amt.hpp"
@@ -57,11 +68,19 @@
 #include "lulesh/kernels.hpp"
 #include "lulesh/options.hpp"
 
+namespace lulesh {
+class state_capture;
+}  // namespace lulesh
+
 namespace lulesh::graph {
 
 class compiled_iteration {
 public:
     static constexpr std::size_t num_barriers = 5;
+    using node_id = amt::static_graph::node_id;
+
+    /// How a slab table's halo tasks compile (see the file comment).
+    enum class halo_gating : std::uint8_t { whole_wave, plane, direct };
 
     struct config {
         partition_sizes parts;
@@ -74,110 +93,165 @@ public:
         bool profile_nodes = false;
     };
 
-    /// Compiles and seals the graph for `d`'s current shape.  `flags`
-    /// copies share state with the driver's (shared_ptr semantics), so the
-    /// driver's volume/qstop/nan flags and progress tracker observe the
-    /// replayed tasks exactly as they observe fresh-built ones.
-    compiled_iteration(amt::runtime& rt, domain& d, const config& cfg,
-                       const error_flags& flags);
+    /// Body of the driver's own nodes: sends, direct exchanges and the
+    /// slab_liveness node, called with the slab and its table task.
+    using halo_handler =
+        std::function<void(std::size_t slab, const task_decl& t)>;
+
+    /// A receive owed to the graph every replay: once the message of
+    /// table task `task` of slab `slab` is unpacked — or has failed, after
+    /// graph().fail(gate, e) — the driver calls satisfy_external(gate).
+    struct external {
+        std::size_t slab;
+        const task_decl* task;
+        node_id gate;
+    };
+
+    /// One slab's input: its compact table (access sets are built only
+    /// when the sentinel is on) and the domain it is first bound to, whose
+    /// shape keys the compiled graph.
+    struct slab_table {
+        graph_model table;
+        domain* dom = nullptr;
+    };
+
+    /// Compiles, seals and binds the graph of `slabs`.  `flags` copies
+    /// share state with the driver's, so the driver's volume/qstop/nan
+    /// flags and progress tracker observe the replayed tasks.  `gating`
+    /// and `halo` matter only to tables with halo tasks.
+    compiled_iteration(amt::runtime& rt, std::vector<slab_table> slabs,
+                       const config& cfg, const error_flags& flags,
+                       halo_gating gating = halo_gating::whole_wave,
+                       halo_handler halo = {});
 
     compiled_iteration(const compiled_iteration&) = delete;
     compiled_iteration& operator=(const compiled_iteration&) = delete;
 
-    /// True when the compiled shape is still valid for (d, cfg) — same
-    /// domain object, partitions and instrumentation setup.
-    [[nodiscard]] bool matches(const domain& d, const config& cfg,
-                               const error_flags& flags) const noexcept;
+    /// True when the graph was compiled for `slabs` tables under `cfg`
+    /// and the same sentinel; shape_matches() checks each slab's domain.
+    /// (A driver's halo gating never changes, so it is not compared.)
+    [[nodiscard]] bool matches(const config& cfg, const error_flags& flags,
+                               std::size_t slabs) const noexcept;
+    [[nodiscard]] bool shape_matches(std::size_t slab,
+                                     const domain& d) const noexcept;
 
     /// Replay protocol (one iteration):
-    ///   set_pack_deps → arm(dt) → [pack tasks call pack_done] → start →
-    ///   wait.
-    /// set_pack_deps gates B1 on `node_packs` and B3 on `elem_packs`
-    /// external completions; pass zeros (the steady state) for an ungated
-    /// replay.  Gating is consumed per-arm.
-    void set_pack_deps(std::size_t node_packs, std::size_t elem_packs);
+    ///   bind (every slab) → [add_capture] → arm(dt) → start → wait.
+    /// arm() posts the pack tasks of the captures added since the last
+    /// arm, each gating its slab's B1 (node fields) or B3 (element fields).
+    void bind(std::size_t slab, domain& d);
+    void add_capture(std::size_t slab, std::shared_ptr<state_capture> cap);
     void arm(real_t dt);
     void start() { graph_.start(); }
     void wait() { graph_.wait(); }
-
-    /// Called by an overlapped checkpoint pack task when its region is
-    /// packed (or failed): satisfies one external dependency on B1 (node
-    /// fields) or B3 (element fields).  Must be called exactly once per
-    /// dependency declared via set_pack_deps, on every path.
-    void pack_done(space s);
+    [[nodiscard]] bool wait_for(std::chrono::nanoseconds timeout) {
+        return graph_.wait_for(timeout);
+    }
 
     [[nodiscard]] amt::static_graph& graph() noexcept { return graph_; }
     [[nodiscard]] const amt::static_graph& graph() const noexcept {
         return graph_;
     }
 
-    /// Compute tasks per replay (excluding the 5 barrier nodes), matching
-    /// the fresh path's tasks_last_iteration accounting.
+    /// Wave-body tasks per replay, excluding barriers and halo nodes.
     [[nodiscard]] std::size_t task_count() const noexcept {
         return task_count_;
     }
-    [[nodiscard]] std::size_t slot_count() const noexcept { return slots_; }
-    [[nodiscard]] const kernels::dt_constraints* partials() const noexcept {
-        return partials_.data();
+    [[nodiscard]] std::size_t slot_count(std::size_t slab = 0) const noexcept {
+        return slabs_[slab].partials.size();
     }
-    /// Barrier-completion stamps of the last replay (B1..B5).
+    [[nodiscard]] const kernels::dt_constraints* partials(
+        std::size_t slab = 0) const noexcept {
+        return slabs_[slab].partials.data();
+    }
+    /// Barrier-completion stamps of the last replay (B1..B5 of slab 0, or
+    /// of the shared barriers).
     [[nodiscard]] const std::array<amt::clock::time_point, num_barriers>&
     stamps() const noexcept {
-        return stamps_;
+        return stamps_.front();
     }
     /// Completed replays (the graph generation).
     [[nodiscard]] std::uint64_t replays() const noexcept {
         return graph_.generation();
     }
 
-    /// Stage of a compute node (the phase_profile index, 0 = force …
-    /// 4 = constraints), or -1 when `id` is not a compute node (barriers) —
-    /// the phase attribution the critical-path report groups by.
-    /// Quiescent-only, like every introspection accessor.
-    [[nodiscard]] int node_stage(amt::static_graph::node_id id) const noexcept;
-    /// Barrier node id for wave `i` (0-based, B1..B5).
-    [[nodiscard]] amt::static_graph::node_id barrier_id(
-        std::size_t i) const noexcept {
-        return barrier_[i];
+    /// Stage of a wave-body node (the phase_profile index, 0 = force …
+    /// 4 = constraints), or -1 for barriers and halo nodes — the phase
+    /// attribution the critical-path report groups by.
+    [[nodiscard]] int node_stage(node_id id) const noexcept {
+        return meta_[id].stage;
+    }
+    /// The slab a node belongs to (0 for the shared direct-mode barriers).
+    [[nodiscard]] std::size_t slab_of(node_id id) const noexcept {
+        return meta_[id].slab;
+    }
+    /// Barrier node id for wave `i` (0-based, B1..B5) of slab 0.
+    [[nodiscard]] node_id barrier_id(std::size_t i) const noexcept {
+        return barrier_.front()[i];
+    }
+    /// The node compiled from task `task` of slab `slab`'s table, or
+    /// no_node when the task compiled to an external dependency or nothing.
+    static constexpr node_id no_node = ~node_id{0};
+    [[nodiscard]] node_id node_of(std::size_t slab,
+                                  std::size_t task) const noexcept {
+        return slabs_[slab].ids[task];
+    }
+    [[nodiscard]] const std::vector<external>& externals() const noexcept {
+        return externals_;
     }
 
-    /// Structural audit of the compiled form against the declarative model
-    /// (core/access): per-task site/stage/partition correspondence, every
-    /// declared continuation edge present, barrier wiring of chain heads
-    /// and tails, and — after healthy replays — the re-arm invariant that
-    /// every node executed exactly generation() times.  Returns "" on
-    /// success, else a description of the first mismatch.  Call while
-    /// quiescent.
-    [[nodiscard]] std::string verify(const graph_model& m) const;
-
 private:
-    struct node_info {
-        const char* site;  ///< wave_site label (prefix of the model site)
-        amt::static_graph::node_id id;
-        int stage;
-        std::int64_t partition;
+    /// What a table depends on besides the partition sizes: counts,
+    /// region sizes and neighbors — not region contents or addresses.
+    struct table_shape {
+        index_t elems = 0;
+        index_t nodes = 0;
+        index_t plane = 0;
+        bool lower = false;
+        bool upper = false;
+        std::vector<index_t> region_sizes;
+    };
+    struct slab_state {
+        graph_model table;
+        body_env env;
+        std::vector<kernels::dt_constraints> partials;
+        table_shape shape;
+        std::vector<node_id> ids;  ///< node per table task (or no_node)
+        std::shared_ptr<state_capture> capture;
+        std::vector<iteration_sentinel::task_ctx> ctxs;  ///< instrumented
+    };
+    struct node_meta {
+        std::int8_t stage;
+        std::uint32_t slab;
     };
 
-    void compile(domain& d);
-    template <class Body>
-    amt::static_graph::node_id add_task(const char* site, int stage,
-                                        std::int64_t part,
-                                        std::vector<access> accs, Body body);
+    void compile();
+    node_id add_node(amt::unique_function<void()> body, const char* label,
+                     index_t arg, int stage, std::size_t slab);
+    void run_task(std::uint32_t slab, std::uint32_t task,
+                  kernels::eos_scratch* scratch);
+    [[nodiscard]] std::size_t set_of(std::size_t slab) const noexcept {
+        return barrier_.size() == 1 ? 0 : slab;
+    }
 
     amt::runtime& rt_;
-    domain* dom_;
     config cfg_;
+    halo_gating gating_;
     error_flags flags_;  ///< shares state with the driver's flags
+    halo_handler halo_;
+    bool instrumented_ = false;
     amt::static_graph graph_;
-    std::array<amt::static_graph::node_id, num_barriers> barrier_{};
-    std::array<amt::clock::time_point, num_barriers> stamps_{};
-    real_t dt_ = 0;  ///< read by node/elem bodies through a stable pointer
-    std::vector<kernels::dt_constraints> partials_;
+    std::vector<slab_state> slabs_;
+    /// Barriers and their stamps per barrier set: one set per slab, or a
+    /// single shared set under halo_gating::direct.
+    std::vector<std::array<node_id, num_barriers>> barrier_;
+    std::vector<std::array<amt::clock::time_point, num_barriers>> stamps_;
+    std::vector<std::array<std::uint32_t, num_barriers>> receives_;
+    std::vector<std::array<std::uint32_t, num_barriers>> ext_;
+    std::vector<external> externals_;
+    std::vector<node_meta> meta_;
     std::deque<kernels::eos_scratch> eos_scratch_;  ///< one per EOS node
-    std::deque<iteration_sentinel::task_ctx> ctxs_;  ///< compiled once
-    std::vector<node_info> compute_nodes_;
     std::size_t task_count_ = 0;
-    std::size_t slots_ = 0;
 };
 
 }  // namespace lulesh::graph

@@ -17,13 +17,14 @@
 //       imbalance gets absorbed by work stealing);
 //   T5  temporaries are task-local (sigma values, hourglass scratch, EOS
 //       work arrays) instead of mesh-sized global buffers;
-//   T6  all tasks of an iteration are created up front; the graph flows
-//       through `when_all` barrier futures with stage-spawner continuations,
+//   T6  all tasks of an iteration are created up front: the iteration
+//       table (core/access) is compiled once into a static graph
+//       (core/compiled_iteration) that every advance() re-arms and replays,
 //       and the driver blocks exactly once per iteration, at the end.
 //
-// The iteration has 5 internal `when_all` synchronization points (the paper
-// reports 7 for its decomposition; our slightly more aggressive fusion of
-// the kinematics/gradients/clamp wave and of the error checks removes two
+// The iteration has 5 internal barrier nodes (the paper reports 7 for its
+// decomposition; our slightly more aggressive fusion of the
+// kinematics/gradients/clamp wave and of the error checks removes two
 // without changing any dependence):
 //   B1  after stress+hourglass corner forces (element → node transition)
 //   B2  after position update (node → element transition)
@@ -47,19 +48,6 @@
 #include "lulesh/kernels.hpp"
 
 namespace lulesh {
-
-/// How the taskgraph driver realizes the iteration's task graph:
-///
-///   replay — the default: the graph is compiled once into an
-///            amt::static_graph (core/compiled_iteration) and re-armed
-///            every advance().  Steady-state iterations perform zero heap
-///            allocations.
-///   build  — the original T6 form: a fresh web of futures, when_all
-///            barriers and stage-spawner continuations every iteration.
-///            Kept as the ablation baseline (bench/micro_runtime's replay
-///            gate measures the gap) and as the reference the replay
-///            equivalence tests compare against bitwise.
-enum class graph_mode { replay, build };
 
 /// Accumulated wall time per iteration phase of the task graph, measured at
 /// the barrier-completion instants (so a phase's time includes its tasks
@@ -106,22 +94,15 @@ public:
     [[nodiscard]] std::string name() const override { return "taskgraph"; }
     void advance(domain& d) override;
 
-    /// Number of internal when_all synchronization points per iteration.
+    /// Number of internal barriers per iteration.
     static constexpr int num_barriers = 5;
 
     [[nodiscard]] amt::runtime& runtime() noexcept { return rt_; }
     [[nodiscard]] partition_sizes partitions() const noexcept { return parts_; }
 
-    /// Selects compiled-replay (default) or fresh-build execution for
-    /// subsequent advances.  Switching modes is safe at any iteration
-    /// boundary; both modes run the same wave_body kernels in the same
-    /// order and produce bitwise-identical fields.
-    void set_graph_mode(graph_mode m) noexcept { mode_ = m; }
-    [[nodiscard]] graph_mode mode() const noexcept { return mode_; }
-
-    /// The compiled iteration of the replay mode (null until the first
-    /// replay advance compiled it).  Exposed for the compiled-form audit
-    /// and the regression tests.
+    /// The compiled iteration (null until the first advance compiled
+    /// it).  Exposed for the critical-path analyzer and the regression
+    /// tests.
     [[nodiscard]] const graph::compiled_iteration* compiled() const noexcept {
         return compiled_.get();
     }
@@ -147,8 +128,8 @@ public:
     }
 
     /// Enables per-node wall-time profiling on the compiled graph for
-    /// subsequent advances (replay mode only; part of the compiled shape,
-    /// so flipping it recompiles).  Feeds the critical-path analyzer
+    /// subsequent advances (part of the compiled shape, so flipping it
+    /// recompiles).  Feeds the critical-path analyzer
     /// (core/critical_path.hpp) behind --critical-path-report.
     void enable_node_profiling(bool on) noexcept { profile_nodes_ = on; }
     [[nodiscard]] bool node_profiling() const noexcept {
@@ -168,9 +149,9 @@ public:
     void record_dirty(dirty_tracker& t, const domain& d) const override;
 
     /// Accepts a capture for overlapped packing.  The pack jobs become
-    /// ordinary graph tasks of the *next* advance(): node-field packs are
-    /// joined into barrier B1 (before the node wave writes coordinates and
-    /// velocities), element-field packs into B3 (waves 1-3 write no
+    /// tasks of the *next* advance(), gating the compiled graph's barriers:
+    /// node-field packs B1 (before the node wave writes coordinates and
+    /// velocities), element-field packs B3 (waves 1-3 write no
     /// checkpointed element field).  Declines (returns false, the caller
     /// packs synchronously) on a single-worker runtime; if the next
     /// advance() runs on a different domain the capture is packed
@@ -180,25 +161,11 @@ public:
 
 private:
     void prepare_instrumentation(domain& d);
-    void advance_build(domain& d);
-    void advance_replay(domain& d);
-
-    /// Epilogue shared by both modes: phase profile + tracer windows from
-    /// the barrier stamps, constraint combine, and the deferred error
-    /// checks (volume/qstop/NaN/hazard).
-    void finish_iteration(
-        domain& d, amt::clock::time_point t0,
-        const std::array<amt::clock::time_point,
-                         phase_profile::num_phases>& stamps,
-        const kernels::dt_constraints* partials, std::size_t num_slots,
-        bool tracing);
 
     amt::runtime& rt_;
     partition_sizes parts_;
-    graph_mode mode_ = graph_mode::replay;
     std::unique_ptr<graph::compiled_iteration> compiled_;
     graph::error_flags flags_;
-    std::vector<kernels::dt_constraints> constraint_partials_;
     std::size_t tasks_last_iteration_ = 0;
     phase_profile profile_{};
 
@@ -207,7 +174,7 @@ private:
     const domain* hazard_arena_for_ = nullptr;  ///< domain with a bound arena
 
     /// Capture handed over by submit_overlapped_capture(), consumed (its
-    /// regions spawned as pack tasks) at the start of the next advance().
+    /// regions gate the compiled graph) at the start of the next advance().
     std::shared_ptr<state_capture> pending_capture_;
 
     /// Per-field write spans of one iteration, derived from the model and
@@ -216,15 +183,5 @@ private:
     mutable index_t write_set_elems_ = -1;
     mutable index_t write_set_nodes_ = -1;
 };
-
-/// End-to-end audit of the compiled replay form: runs a short simulation
-/// (two cycles, so the graph has been re-armed at least once) on a fresh
-/// domain built from `o`, then checks the compiled graph against the
-/// declarative model — per-task correspondence, every declared edge,
-/// barrier wiring, and the re-arm invariant that every node executed once
-/// per replay.  Returns "" on success, else a description of the failure.
-/// `threads == 0` picks a small default.
-std::string audit_compiled_replay(const options& o, partition_sizes parts,
-                                  std::size_t threads);
 
 }  // namespace lulesh

@@ -13,7 +13,7 @@
 //            hazard.  (Either direction suffices: an ordered pair cannot
 //            race, whichever way the edge points.)
 //
-// Cross-stage overlaps need no checking: the surviving when_all barriers
+// Cross-stage overlaps need no checking: the surviving barriers
 // order stage i entirely before stage i+1.  Intra-stage ordering is the
 // transitive closure of the declared continuation edges, computed as
 // ancestor bitsets (tasks are created in spawn order, so dependency ids are

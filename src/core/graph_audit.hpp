@@ -4,7 +4,7 @@
 // model of one leapfrog iteration (core/access.hpp) and proves that every
 // read–write and write–write overlap between tasks is ordered — either by a
 // declared continuation edge within a barrier interval, or by one of the
-// five surviving when_all barriers (tasks of different stages are totally
+// five surviving barriers (tasks of different stages are totally
 // ordered by construction, so only same-stage overlaps need an edge).
 //
 // This turns the paper's hand-reasoned barrier-elision argument (trick T2:

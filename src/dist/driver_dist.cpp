@@ -6,14 +6,14 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "amt/metrics.hpp"
-#include "core/graph_waves.hpp"
-#include "core/stage.hpp"
+#include "dist/halo_audit.hpp"
 
 namespace lulesh::dist {
 
@@ -37,6 +37,13 @@ void flip_payload_bit(plane_buffer& buf) {
     std::memcpy(&bits, buf.data(), sizeof(bits));
     bits ^= 1ULL;
     std::memcpy(buf.data(), &bits, sizeof(bits));
+}
+
+/// The stream a boundary message travels on: towards the upper slab
+/// ("up") or the lower one.
+halo_stream stream_of(bool corner, bool up) {
+    return corner ? (up ? halo_stream::corner_up : halo_stream::corner_down)
+                  : (up ? halo_stream::delv_up : halo_stream::delv_down);
 }
 
 }  // namespace
@@ -73,29 +80,290 @@ void dist_driver::ensure_fabric(cluster& c) {
     }
 }
 
+void dist_driver::prepare_graph(cluster& c) {
+    using graph::compiled_iteration;
+    const auto slabs = static_cast<std::size_t>(c.num_slabs());
+    compiled_iteration::config cfg;
+    cfg.parts = parts_;
+    bool reuse = compiled_ != nullptr && compiled_->matches(cfg, flags_, slabs);
+    for (std::size_t s = 0; reuse && s < slabs; ++s) {
+        reuse = compiled_->shape_matches(s, c.slab(static_cast<index_t>(s)));
+    }
+    if (!reuse) {
+        std::vector<compiled_iteration::slab_table> tables(slabs);
+        for (std::size_t s = 0; s < slabs; ++s) {
+            domain& d = c.slab(static_cast<index_t>(s));
+            tables[s] = {build_slab_table(d, parts_), &d};
+            if (mode_ != exchange_mode::bulk_synchronous) {
+                // The slab's liveness node: a stage-0 root stamping its
+                // heartbeat and passing the slab_kill:<s> fault site, the
+                // hook a fail-stop test uses to take one slab down.
+                graph::task_decl& t = tables[s].table.tasks.emplace_back();
+                t.site = "dist.liveness";
+                t.kind = graph::body_kind::slab_liveness;
+                t.partition = static_cast<index_t>(s);
+            }
+        }
+        const auto gating =
+            mode_ == exchange_mode::eager
+                ? compiled_iteration::halo_gating::plane
+            : mode_ == exchange_mode::bulk_synchronous
+                ? compiled_iteration::halo_gating::direct
+                : compiled_iteration::halo_gating::whole_wave;
+        compiled_.reset();
+        compiled_ = std::make_unique<compiled_iteration>(
+            rt_, std::move(tables), cfg, flags_, gating,
+            [this](std::size_t s, const graph::task_decl& t) {
+                halo_step(s, t);
+            });
+        // Failed-slab propagation: every failure is filed under its slab,
+        // and the first one closes *all* channels, so every peer's pending
+        // receive resolves with channel_closed and satisfies its gate —
+        // the replay can never hang on a dead neighbor.
+        compiled_->graph().set_error_hook(
+            [this](compiled_iteration::node_id id,
+                   const std::exception_ptr& e) {
+                {
+                    std::lock_guard lk(errors_mu_);
+                    std::exception_ptr& slot = errors_[compiled_->slab_of(id)];
+                    if (slot == nullptr) slot = e;
+                }
+                bound_->close_channels();
+            });
+    }
+    for (std::size_t s = 0; s < slabs; ++s) {
+        compiled_->bind(s, c.slab(static_cast<index_t>(s)));
+    }
+}
+
+void dist_driver::halo_step(std::size_t slab, const graph::task_decl& t) {
+    cluster& c = *bound_;
+    const auto s = static_cast<index_t>(slab);
+    const bool upper = t.partition == 1;
+    const bool corner = t.kind == graph::body_kind::pack_corner ||
+                        t.kind == graph::body_kind::unpack_corner;
+    switch (t.kind) {
+        case graph::body_kind::pack_corner:
+        case graph::body_kind::pack_delv:
+            send_halo(c, s, upper, corner);
+            return;
+        case graph::body_kind::unpack_corner:
+        case graph::body_kind::unpack_delv: {
+            // Bulk-synchronous direct exchange: every slab finished the
+            // wave (shared barrier), so the neighbor's plane is read in
+            // place — no channel, no copy held in flight.
+            const index_t b = upper ? s : s - 1;
+            amt::trace::scoped_span halo(
+                amt::trace::event_kind::halo_span,
+                corner ? "halo:exchange_corner" : "halo:exchange_delv",
+                static_cast<std::int32_t>(b));
+            domain& me = c.slab(s);
+            const domain& nb = c.slab(upper ? s + 1 : s - 1);
+            const index_t base = upper ? nb.bottom_plane_elem_base()
+                                       : nb.top_plane_elem_base();
+            const index_t ghost =
+                upper ? me.ghost_upper_slot() : me.ghost_lower_slot();
+            const halo_message_info info{
+                b, halo_stream_name(stream_of(corner, !upper))};
+            if (corner) {
+                unpack_corner_ghosts(me, ghost, pack_corner_plane(nb, base),
+                                     info);
+            } else {
+                unpack_delv_ghosts(me, ghost, pack_delv_plane(nb, base), info);
+            }
+            return;
+        }
+        default:
+            if (detector_) detector_->heartbeat(s);
+            amt::fault::probe(kill_labels_[slab].c_str());
+            return;
+    }
+}
+
 void dist_driver::advance(cluster& c) {
     last_failure_ = slab_failure{};
     ensure_fabric(c);
     if (detector_) detector_->begin_iteration();
-    switch (mode_) {
-        case exchange_mode::futurized:
-            advance_futurized(c, /*eager=*/false);
-            break;
-        case exchange_mode::eager:
-            advance_futurized(c, /*eager=*/true);
-            break;
-        case exchange_mode::bulk_synchronous:
-            advance_bulk_synchronous(c);
-            break;
+    const index_t num_slabs = c.num_slabs();
+    const auto slabs = static_cast<std::size_t>(num_slabs);
+    {
+        std::lock_guard lk(errors_mu_);
+        errors_.assign(slabs, nullptr);
+    }
+    bound_ = &c;
+    prepare_graph(c);
+    flags_.reset();
+
+    // Overlapped checkpoint packing of each slab's previous state (see
+    // submit_overlapped_capture).
+    pending_captures_.resize(slabs);
+    for (std::size_t s = 0; s < slabs; ++s) {
+        const std::shared_ptr<state_capture> cap =
+            std::exchange(pending_captures_[s], {}).lock();
+        if (cap == nullptr) continue;
+        if (cap->source() == &c.slab(static_cast<index_t>(s))) {
+            compiled_->add_capture(s, cap);
+        } else {
+            cap->pack_remaining();  // different domain: pack on the spot
+        }
+    }
+    compiled_->arm(c.slab(0).deltatime);
+    for (const auto& e : compiled_->externals()) receive_halo(c, e);
+    compiled_->start();
+
+    // The iteration's one blocking wait: every slab's graph plus the halo
+    // messages feeding it.  The span closes (RAII) even when it throws.
+    amt::trace::scoped_span halo_wait(amt::trace::event_kind::barrier_span,
+                                      "halo_wait",
+                                      static_cast<std::int32_t>(num_slabs));
+    bool timed_out = false;
+    index_t suspect_slab = -1;
+    const bool armed = mode_ != exchange_mode::bulk_synchronous &&
+                       (halo_timeout_.count() > 0 || retry_.enabled());
+    if (armed) {
+        // Per-iteration progress deadline: a whole deadline's worth of
+        // polls with zero task completions while the graph is pending
+        // means a halo message is not coming (e.g. a dead peer).  Fail the
+        // fabric — the channel_closed cascade satisfies every pending
+        // receive, so the wait below terminates.  With retry on but no
+        // explicit timeout, a default deadline guarantees exhausted retries
+        // escalate instead of hanging.  The poll period is finer than the
+        // deadline so the drop recovery (service_resends) runs on the
+        // backoff timescale.
+        const auto deadline =
+            halo_timeout_.count() > 0 ? halo_timeout_ : default_retry_deadline;
+        auto poll = deadline / 4;
+        if (retry_.enabled()) {
+            poll = std::min(poll, std::max(retry_.initial_backoff,
+                                           std::chrono::milliseconds(1)));
+        }
+        poll = std::clamp(poll, std::chrono::milliseconds(1),
+                          std::chrono::milliseconds(250));
+        auto last_finished =
+            flags_.progress->finished.load(amt::memory_order_relaxed);
+        std::chrono::milliseconds stalled_for{0};
+        while (!compiled_->wait_for(poll)) {
+            if (retry_.enabled()) service_resends(c);
+            const auto now_finished =
+                flags_.progress->finished.load(amt::memory_order_relaxed);
+            if (now_finished == last_finished) {
+                stalled_for += poll;
+                if (!timed_out && stalled_for >= deadline) {
+                    timed_out = true;
+                    if (detector_) {
+                        // Heartbeats name the prime suspect: the slab whose
+                        // last sign of life is the most stale.
+                        const auto ranked = detector_->suspect();
+                        if (!ranked.empty()) suspect_slab = ranked.front();
+                        amt::resilience().slab_deaths.add(1);
+                        amt::trace::mark("halo:slab_death",
+                                         static_cast<std::int32_t>(
+                                             suspect_slab));
+                    }
+                    c.close_channels();
+                    // A *simulated* stall (fault injection) parks its task
+                    // inside the probe; release it so the stalled slab's
+                    // own nodes can complete too.  A genuinely hung task
+                    // body cannot be recovered in-process — its
+                    // stall_timeout fail-safe is the backstop.
+                    amt::fault::release_stalls();
+                }
+            } else {
+                stalled_for = std::chrono::milliseconds(0);
+            }
+            last_finished = now_finished;
+        }
+    }
+    try {
+        compiled_->wait();
+    } catch (...) {
+        // Already filed under its slab by the error hook; the root cause
+        // is picked below.
+    }
+
+    // Surface the root cause: a slab's own failure beats the
+    // channel_closed cascade it triggered in its peers.
+    std::exception_ptr cascade, root;
+    index_t root_slab = -1;
+    status root_code = status::ok;
+    bool root_transient = false;
+    for (std::size_t i = 0; i < errors_.size(); ++i) {
+        const auto& e = errors_[i];
+        if (e == nullptr) continue;
+        try {
+            std::rethrow_exception(e);
+        } catch (const amt::channel_closed&) {
+            if (cascade == nullptr) cascade = e;
+        } catch (const simulation_error& se) {
+            if (root == nullptr) {
+                root = e;
+                root_slab = static_cast<index_t>(i);
+                root_code = se.code();
+                root_transient = false;
+            }
+        } catch (const amt::fault::injected_fault&) {
+            if (root == nullptr) {
+                root = e;
+                root_slab = static_cast<index_t>(i);
+                root_code = status::task_fault;
+                root_transient = true;  // replay at unchanged dt can clear it
+            }
+        } catch (...) {
+            if (root == nullptr) {
+                root = e;
+                root_slab = static_cast<index_t>(i);
+                root_code = status::task_fault;
+                root_transient = false;
+            }
+        }
+    }
+    if (root != nullptr) {
+        try {
+            std::rethrow_exception(root);
+        } catch (const std::exception& ex) {
+            last_failure_ = {root_slab, root_code, root_transient, ex.what()};
+        } catch (...) {
+            last_failure_ = {root_slab, root_code, root_transient, ""};
+        }
+        std::rethrow_exception(root);
+    }
+    if (timed_out) {
+        std::string msg =
+            "halo exchange timed out (no progress within the deadline)";
+        if (suspect_slab >= 0) {
+            msg += "; failure detector suspects slab " +
+                   std::to_string(suspect_slab);
+        }
+        last_failure_ = {suspect_slab, status::stalled, false, msg};
+        throw simulation_error(status::stalled, msg);
+    }
+    if (cascade != nullptr) {
+        last_failure_ = {-1, status::stalled, false,
+                         "halo fabric failed (cascade)"};
+        std::rethrow_exception(cascade);
+    }
+
+    reduce_constraints(c);
+
+    if (!flags_.volume_ok->load(amt::memory_order_relaxed)) {
+        last_failure_ = {-1, status::volume_error, false,
+                         "non-positive volume detected"};
+        throw simulation_error(status::volume_error,
+                               "non-positive volume detected");
+    }
+    if (!flags_.qstop_ok->load(amt::memory_order_relaxed)) {
+        last_failure_ = {-1, status::qstop_error, false,
+                         "artificial viscosity exceeded qstop"};
+        throw simulation_error(status::qstop_error,
+                               "artificial viscosity exceeded qstop");
     }
 }
+
 
 void dist_driver::send_halo(cluster& c, index_t s, bool upper, bool corner) {
     domain& d = c.slab(s);
     const index_t b = upper ? s : s - 1;
-    const halo_stream which =
-        corner ? (upper ? halo_stream::corner_up : halo_stream::corner_down)
-               : (upper ? halo_stream::delv_up : halo_stream::delv_down);
+    const halo_stream which = stream_of(corner, upper);
     amt::trace::scoped_span halo(amt::trace::event_kind::halo_span,
                                  corner ? "halo:pack_corner" : "halo:pack_delv",
                                  static_cast<std::int32_t>(s));
@@ -222,12 +490,15 @@ struct recv_ctx {
     amt::channel<plane_buffer> ch;
     retry_policy pol;
     std::uint64_t salt = 0;
-    const char* span_name = "";
+    bool corner = true;
+    domain* dom = nullptr;
+    index_t ghost_slot = -1;
+    halo_message_info info;
     index_t slab = -1;
     std::shared_ptr<failure_detector> det;
-    std::function<void(const plane_buffer&)> unpack;
     std::function<bool()> request_resend;  // null = retry disabled
-    amt::promise<void> done;
+    amt::static_graph* graph = nullptr;
+    amt::static_graph::node_id gate = 0;
     /// Armed-metrics stamp taken when the receive was posted; the
     /// dist_halo_rtt_ns sample closes at successful unpack, so retries and
     /// backoff count into the tail.
@@ -242,18 +513,28 @@ amt::metrics::histogram& halo_rtt_hist() {
     return h;
 }
 
-/// Chains one channel get() → unpack; on a CRC failure with retry budget
-/// left, requests a resend (as its own backed-off task — never blocking
-/// this continuation) and re-chains for the fresh copy.
+/// Chains one channel get() → unpack → satisfy the gate; on a CRC failure
+/// with retry budget left, requests a resend (as its own backed-off task —
+/// never blocking this continuation) and re-chains for the fresh copy.
+/// Every path ends in exactly one satisfy_external, its last action.
 void chain_receive(const std::shared_ptr<recv_ctx>& ctx, int attempt) {
     ctx->ch.get().then(
         amt::launch::sync, [ctx, attempt](amt::future<plane_buffer>&& m) {
             try {
                 {
                     amt::trace::scoped_span halo(
-                        amt::trace::event_kind::halo_span, ctx->span_name,
+                        amt::trace::event_kind::halo_span,
+                        ctx->corner ? "halo:unpack_corner"
+                                    : "halo:unpack_delv",
                         static_cast<std::int32_t>(ctx->slab));
-                    ctx->unpack(m.get());
+                    const plane_buffer buf = m.get();
+                    if (ctx->corner) {
+                        unpack_corner_ghosts(*ctx->dom, ctx->ghost_slot, buf,
+                                             ctx->info);
+                    } else {
+                        unpack_delv_ghosts(*ctx->dom, ctx->ghost_slot, buf,
+                                           ctx->info);
+                    }
                 }
                 if (ctx->metrics_t0 !=
                     std::chrono::steady_clock::time_point{}) {
@@ -264,8 +545,6 @@ void chain_receive(const std::shared_ptr<recv_ctx>& ctx, int attempt) {
                             .count()));
                 }
                 if (ctx->det) ctx->det->heartbeat(ctx->slab);
-                ctx->done.set_value();
-                return;
             } catch (const simulation_error& e) {
                 if (e.code() == status::data_corruption &&
                     ctx->request_resend != nullptr &&
@@ -285,27 +564,37 @@ void chain_receive(const std::shared_ptr<recv_ctx>& ctx, int attempt) {
                     chain_receive(ctx, attempt + 1);
                     return;
                 }
-                ctx->done.set_exception(std::current_exception());
+                ctx->graph->fail(ctx->gate, std::current_exception());
             } catch (...) {
-                ctx->done.set_exception(std::current_exception());
+                ctx->graph->fail(ctx->gate, std::current_exception());
             }
+            ctx->graph->satisfy_external(ctx->gate);
         });
 }
 
 }  // namespace
 
-amt::future<void> dist_driver::receive_halo(
-    cluster& c, index_t s, index_t b, halo_stream which, const char* span_name,
-    std::function<void(const plane_buffer&)> unpack) {
+void dist_driver::receive_halo(
+    cluster& c, const graph::compiled_iteration::external& e) {
+    const auto s = static_cast<index_t>(e.slab);
+    const bool upper = e.task->partition == 1;
+    const bool corner = e.task->kind == graph::body_kind::unpack_corner;
+    const index_t b = upper ? s : s - 1;
+    const halo_stream which = stream_of(corner, !upper);
     auto ctx = std::make_shared<recv_ctx>();
     ctx->ch = stream_channel(c.boundary(b), which);
     ctx->pol = retry_;
     ctx->salt = static_cast<std::uint64_t>(b) * num_halo_streams +
                 static_cast<std::uint64_t>(which) + 1;
-    ctx->span_name = span_name;
+    ctx->corner = corner;
+    ctx->dom = &c.slab(s);
+    ctx->ghost_slot =
+        upper ? ctx->dom->ghost_upper_slot() : ctx->dom->ghost_lower_slot();
+    ctx->info = {b, halo_stream_name(which)};
     ctx->slab = s;
     ctx->det = detector_;
-    ctx->unpack = std::move(unpack);
+    ctx->graph = &compiled_->graph();
+    ctx->gate = e.gate;
     if (amt::metrics::enabled()) {
         ctx->metrics_t0 = std::chrono::steady_clock::now();
     }
@@ -315,524 +604,21 @@ amt::future<void> dist_driver::receive_halo(
             return resend_from_cache(*cp, b, which, /*force=*/true);
         };
     }
-    auto fut = ctx->done.get_future();
     chain_receive(ctx, 0);
-    return fut;
 }
 
 void dist_driver::reduce_constraints(cluster& c) {
     k::dt_constraints combined;
-    for (const auto& slab_partials : partials_) {
-        for (const auto& partial : slab_partials) {
-            combined = k::min_constraints(combined, partial);
+    for (index_t s = 0; s < c.num_slabs(); ++s) {
+        const auto slab = static_cast<std::size_t>(s);
+        const k::dt_constraints* partials = compiled_->partials(slab);
+        for (std::size_t i = 0; i < compiled_->slot_count(slab); ++i) {
+            combined = k::min_constraints(combined, partials[i]);
         }
     }
     for (index_t s = 0; s < c.num_slabs(); ++s) {
         c.slab(s).dtcourant = combined.dtcourant;
         c.slab(s).dthydro = combined.dthydro;
-    }
-}
-
-namespace {
-
-/// Builds one element-range wave in either monolithic or eager-split form.
-/// In eager mode the bottom/top boundary-plane tasks form their own groups
-/// whose completion gates the respective sends — a neighbor's ghost message
-/// leaves as soon as the plane it needs is computed, while this slab's
-/// interior may still be running.  Returns the whole-wave barrier plus the
-/// send-completion futures.
-struct staged_wave {
-    amt::future<void> barrier;
-    std::vector<amt::future<void>> sends;
-};
-
-template <class SpawnRange, class SendLower, class SendUpper>
-staged_wave spawn_staged(domain& d, bool eager, SpawnRange&& spawn_range,
-                         SendLower&& send_lower, SendUpper&& send_upper) {
-    const index_t ne = d.numElem();
-    const index_t ep = d.elems_per_plane();
-    staged_wave out;
-
-    if (!eager || ne <= ep) {
-        // Monolithic wave: sends gate on the full barrier (single-plane
-        // slabs always take this path — the plane *is* the whole wave).
-        amt::shared_future<void> all(
-            amt::when_all_void(std::move(spawn_range(0, ne).futures)));
-        if (d.has_lower_neighbor()) {
-            out.sends.push_back(all.then(
-                amt::launch::sync,
-                [send_lower](const amt::shared_future<void>& f) {
-                    f.get();
-                    send_lower();
-                }));
-        }
-        if (d.has_upper_neighbor()) {
-            out.sends.push_back(all.then(
-                amt::launch::sync,
-                [send_upper](const amt::shared_future<void>& f) {
-                    f.get();
-                    send_upper();
-                }));
-        }
-        out.barrier = all.then(amt::launch::sync,
-                               [](const amt::shared_future<void>& f) { f.get(); });
-        return out;
-    }
-
-    // Eager split: [0, ep) bottom plane, [ne-ep, ne) top plane, interior.
-    const index_t top_base = ne - ep;
-    amt::shared_future<void> bottom(
-        amt::when_all_void(std::move(spawn_range(0, ep).futures)));
-    amt::shared_future<void> top(
-        amt::when_all_void(std::move(spawn_range(top_base, ne).futures)));
-    auto interior =
-        top_base > ep
-            ? amt::when_all_void(std::move(spawn_range(ep, top_base).futures))
-            : amt::make_ready_future();
-
-    if (d.has_lower_neighbor()) {
-        out.sends.push_back(bottom.then(
-            amt::launch::sync, [send_lower](const amt::shared_future<void>& f) {
-                f.get();
-                send_lower();
-            }));
-    }
-    if (d.has_upper_neighbor()) {
-        out.sends.push_back(top.then(
-            amt::launch::sync, [send_upper](const amt::shared_future<void>& f) {
-                f.get();
-                send_upper();
-            }));
-    }
-
-    std::vector<amt::future<void>> parts;
-    parts.push_back(bottom.then(
-        amt::launch::sync, [](const amt::shared_future<void>& f) { f.get(); }));
-    parts.push_back(top.then(
-        amt::launch::sync, [](const amt::shared_future<void>& f) { f.get(); }));
-    parts.push_back(std::move(interior));
-    out.barrier = amt::when_all_void(std::move(parts));
-    return out;
-}
-
-}  // namespace
-
-void dist_driver::advance_futurized(cluster& c, bool eager) {
-    const index_t num_slabs = c.num_slabs();
-    const real_t dt = c.slab(0).deltatime;
-    const index_t p_nodal = parts_.nodal;
-    const index_t p_elems = parts_.elems;
-
-    graph::error_flags flags;
-    partials_.resize(static_cast<std::size_t>(num_slabs));
-    pending_captures_.resize(static_cast<std::size_t>(num_slabs));
-
-    cluster* cp = &c;
-    amt::runtime* rt = &rt_;
-
-    std::vector<amt::future<void>> finals;
-    finals.reserve(static_cast<std::size_t>(num_slabs));
-
-    for (index_t s = 0; s < num_slabs; ++s) {
-        domain* dp = &c.slab(s);
-
-        // ---- wave 1: corner forces with (optionally eager) plane sends --
-        auto stage1 = spawn_staged(
-            *dp, eager,
-            [&](index_t lo, index_t hi) {
-                return graph::spawn_force_wave_range(rt_, *dp, lo, hi, p_nodal,
-                                                     flags);
-            },
-            [this, cp, s] {
-                send_halo(*cp, s, /*upper=*/false, /*corner=*/true);
-            },
-            [this, cp, s] {
-                send_halo(*cp, s, /*upper=*/true, /*corner=*/true);
-            });
-        auto b1 = std::move(stage1.barrier);
-
-        // Overlapped checkpoint packing of the slab's previous state (see
-        // submit_overlapped_capture): node-field packs join halo1 below,
-        // element-field packs ready3.
-        std::vector<amt::future<void>> ready;
-        std::vector<amt::future<void>> elem_packs;
-        const std::shared_ptr<state_capture> cap =
-            std::exchange(pending_captures_[static_cast<std::size_t>(s)], {})
-                .lock();
-        if (cap != nullptr && cap->source() == dp) {
-            graph::spawn_pack_tasks(rt_, cap, flags, ready, elem_packs);
-        } else if (cap != nullptr) {
-            cap->pack_remaining();  // different domain: pack on the spot
-        }
-
-        // Ghost fills chain directly on the channel futures: this slab
-        // proceeds as soon as its own wave and its neighbors' boundary
-        // messages are ready — no global synchronization.
-        ready.push_back(std::move(b1));
-        for (auto& send : stage1.sends) ready.push_back(std::move(send));
-        if (dp->has_lower_neighbor()) {
-            ready.push_back(receive_halo(
-                c, s, s - 1, halo_stream::corner_up, "halo:unpack_corner",
-                [dp, s](const plane_buffer& buf) {
-                    unpack_corner_ghosts(*dp, dp->ghost_lower_slot(), buf,
-                                         {s - 1, "corner_up"});
-                }));
-        }
-        if (dp->has_upper_neighbor()) {
-            ready.push_back(receive_halo(
-                c, s, s, halo_stream::corner_down, "halo:unpack_corner",
-                [dp, s](const plane_buffer& buf) {
-                    unpack_corner_ghosts(*dp, dp->ghost_upper_slot(), buf,
-                                         {s, "corner_down"});
-                }));
-        }
-        if (amt::fault::armed() || detector_) {
-            // Per-slab liveness/kill-switch task: stamps the slab's
-            // heartbeat and passes the slab_kill:<s> fault site, the hook a
-            // fail-stop test uses to take one specific slab down.
-            const char* kill_site =
-                kill_labels_[static_cast<std::size_t>(s)].c_str();
-            auto det = detector_;
-            ready.push_back(amt::async(rt_, [kill_site, det, s] {
-                if (det) det->heartbeat(s);
-                amt::fault::probe(kill_site);
-            }));
-        }
-        auto halo1 = amt::when_all_void(std::move(ready));
-
-        // ---- wave 2 ------------------------------------------------------
-        auto b2 = graph::stage_after(
-            std::move(halo1),
-            [rt, dp, p_nodal, dt, flags] {
-                return graph::spawn_node_wave(*rt, *dp, p_nodal, dt, flags)
-                    .futures;
-            },
-            graph::wave_site::node);
-
-        // ---- wave 3 with the delv_zeta halo for the monotonic-Q stencil --
-        // The wave is spawned by a continuation once b2 resolves; its sends
-        // are eager-gated the same way as wave 1's.
-        auto pr3 = std::make_shared<amt::promise<void>>();
-        auto wave3_done = pr3->get_future();
-        b2.then(amt::launch::sync, [this, cp, dp, s, p_elems, dt, flags, eager,
-                                    pr3](amt::future<void>&& f) {
-            try {
-                f.get();
-                auto stage3 = spawn_staged(
-                    *dp, eager,
-                    [this, dp, p_elems, dt, flags](index_t lo, index_t hi) {
-                        return graph::spawn_elem_wave_range(rt_, *dp, lo, hi,
-                                                            p_elems, dt, flags);
-                    },
-                    [this, cp, s] {
-                        send_halo(*cp, s, /*upper=*/false, /*corner=*/false);
-                    },
-                    [this, cp, s] {
-                        send_halo(*cp, s, /*upper=*/true, /*corner=*/false);
-                    });
-                std::vector<amt::future<void>> parts;
-                parts.push_back(std::move(stage3.barrier));
-                for (auto& send : stage3.sends) parts.push_back(std::move(send));
-                amt::when_all_void(std::move(parts))
-                    .then(amt::launch::sync,
-                          [pr3](amt::future<void>&& g) mutable {
-                              try {
-                                  g.get();
-                                  pr3->set_value();
-                              } catch (...) {
-                                  pr3->set_exception(std::current_exception());
-                              }
-                          });
-            } catch (...) {
-                pr3->set_exception(std::current_exception());
-            }
-        });
-        std::vector<amt::future<void>> ready3 = std::move(elem_packs);
-        ready3.push_back(std::move(wave3_done));
-        if (dp->has_lower_neighbor()) {
-            ready3.push_back(receive_halo(
-                c, s, s - 1, halo_stream::delv_up, "halo:unpack_delv",
-                [dp, s](const plane_buffer& buf) {
-                    unpack_delv_ghosts(*dp, dp->ghost_lower_slot(), buf,
-                                       {s - 1, "delv_up"});
-                }));
-        }
-        if (dp->has_upper_neighbor()) {
-            ready3.push_back(receive_halo(
-                c, s, s, halo_stream::delv_down, "halo:unpack_delv",
-                [dp, s](const plane_buffer& buf) {
-                    unpack_delv_ghosts(*dp, dp->ghost_upper_slot(), buf,
-                                       {s, "delv_down"});
-                }));
-        }
-        auto halo3 = amt::when_all_void(std::move(ready3));
-
-        // ---- waves 4 and 5 ------------------------------------------------
-        auto b4 = graph::stage_after(
-            std::move(halo3),
-            [rt, dp, p_elems, flags] {
-                return graph::spawn_region_wave(*rt, *dp, p_elems, flags)
-                    .futures;
-            },
-            graph::wave_site::region_eos);
-
-        auto& slab_partials = partials_[static_cast<std::size_t>(s)];
-        slab_partials.assign(graph::constraint_slot_count(*dp, p_elems),
-                             k::dt_constraints{});
-        auto* partials = slab_partials.data();
-        finals.push_back(graph::stage_after(
-            std::move(b4),
-            [rt, dp, p_elems, partials, flags] {
-                return graph::spawn_constraint_wave(*rt, *dp, p_elems,
-                                                    partials, flags)
-                    .futures;
-            },
-            graph::wave_site::constraints));
-    }
-
-    // Failed-slab propagation: each slab's chain settles into one error
-    // slot, and the first failure closes *all* channels, so every peer's
-    // pending halo get() resolves with channel_closed and its chain settles
-    // too (exceptionally) — the barrier below can never hang on a dead
-    // neighbor.
-    auto errors = std::make_shared<std::vector<std::exception_ptr>>(
-        finals.size());
-    std::vector<amt::future<void>> settled;
-    settled.reserve(finals.size());
-    for (std::size_t i = 0; i < finals.size(); ++i) {
-        settled.push_back(finals[i].then(
-            amt::launch::sync, [cp, errors, i](amt::future<void>&& f) {
-                try {
-                    f.get();
-                } catch (...) {
-                    (*errors)[i] = std::current_exception();
-                    cp->close_channels();
-                }
-            }));
-    }
-    auto all = amt::when_all_void(std::move(settled));
-
-    // The iteration's one blocking wait: every slab's chain plus the halo
-    // messages feeding it.  The span closes (RAII) even when get() throws.
-    amt::trace::scoped_span halo_wait(amt::trace::event_kind::barrier_span,
-                                      "halo_wait",
-                                      static_cast<std::int32_t>(num_slabs));
-    bool timed_out = false;
-    index_t suspect_slab = -1;
-    const bool armed = halo_timeout_.count() > 0 || retry_.enabled();
-    if (armed) {
-        // Per-iteration progress deadline: a whole deadline's worth of
-        // polls with zero task completions while the barrier is pending
-        // means a halo message is not coming (e.g. a dead peer).  Fail the
-        // fabric — the channel_closed cascade settles every chain, so the
-        // wait below terminates.  With retry on but no explicit timeout, a
-        // default deadline guarantees exhausted retries escalate instead of
-        // hanging.  The poll period is finer than the deadline so the drop
-        // recovery (service_resends) runs on the backoff timescale.
-        const auto deadline =
-            halo_timeout_.count() > 0 ? halo_timeout_ : default_retry_deadline;
-        auto poll = deadline / 4;
-        if (retry_.enabled()) {
-            poll = std::min(poll, std::max(retry_.initial_backoff,
-                                           std::chrono::milliseconds(1)));
-        }
-        poll = std::clamp(poll, std::chrono::milliseconds(1),
-                          std::chrono::milliseconds(250));
-        auto last_finished =
-            flags.progress->finished.load(amt::memory_order_relaxed);
-        std::chrono::milliseconds stalled_for{0};
-        while (!all.wait_for(poll)) {
-            if (retry_.enabled()) service_resends(c);
-            const auto now_finished =
-                flags.progress->finished.load(amt::memory_order_relaxed);
-            if (now_finished == last_finished) {
-                stalled_for += poll;
-                if (!timed_out && stalled_for >= deadline) {
-                    timed_out = true;
-                    if (detector_) {
-                        // Heartbeats name the prime suspect: the slab whose
-                        // last sign of life is the most stale.
-                        const auto ranked = detector_->suspect();
-                        if (!ranked.empty()) suspect_slab = ranked.front();
-                        amt::resilience().slab_deaths.add(1);
-                        amt::trace::mark("halo:slab_death",
-                                         static_cast<std::int32_t>(
-                                             suspect_slab));
-                    }
-                    c.close_channels();
-                    // A *simulated* stall (fault injection) parks its task
-                    // inside the probe; release it so the stalled slab's
-                    // own chain can settle too.  A genuinely hung task body
-                    // cannot be recovered in-process — its stall_timeout
-                    // fail-safe is the backstop.
-                    amt::fault::release_stalls();
-                }
-            } else {
-                stalled_for = std::chrono::milliseconds(0);
-            }
-            last_finished = now_finished;
-        }
-    }
-    all.get();
-
-    // Surface the root cause: a slab's own failure beats the
-    // channel_closed cascade it triggered in its peers.
-    std::exception_ptr cascade, root;
-    index_t root_slab = -1;
-    status root_code = status::ok;
-    bool root_transient = false;
-    for (std::size_t i = 0; i < errors->size(); ++i) {
-        const auto& e = (*errors)[i];
-        if (e == nullptr) continue;
-        try {
-            std::rethrow_exception(e);
-        } catch (const amt::channel_closed&) {
-            if (cascade == nullptr) cascade = e;
-        } catch (const simulation_error& se) {
-            if (root == nullptr) {
-                root = e;
-                root_slab = static_cast<index_t>(i);
-                root_code = se.code();
-                root_transient = false;
-            }
-        } catch (const amt::fault::injected_fault&) {
-            if (root == nullptr) {
-                root = e;
-                root_slab = static_cast<index_t>(i);
-                root_code = status::task_fault;
-                root_transient = true;  // replay at unchanged dt can clear it
-            }
-        } catch (...) {
-            if (root == nullptr) {
-                root = e;
-                root_slab = static_cast<index_t>(i);
-                root_code = status::task_fault;
-                root_transient = false;
-            }
-        }
-    }
-    if (root != nullptr) {
-        try {
-            std::rethrow_exception(root);
-        } catch (const std::exception& ex) {
-            last_failure_ = {root_slab, root_code, root_transient, ex.what()};
-        } catch (...) {
-            last_failure_ = {root_slab, root_code, root_transient, ""};
-        }
-        std::rethrow_exception(root);
-    }
-    if (timed_out) {
-        std::string msg =
-            "halo exchange timed out (no progress within the deadline)";
-        if (suspect_slab >= 0) {
-            msg += "; failure detector suspects slab " +
-                   std::to_string(suspect_slab);
-        }
-        last_failure_ = {suspect_slab, status::stalled, false, msg};
-        throw simulation_error(status::stalled, msg);
-    }
-    if (cascade != nullptr) {
-        last_failure_ = {-1, status::stalled, false,
-                         "halo fabric failed (cascade)"};
-        std::rethrow_exception(cascade);
-    }
-
-    reduce_constraints(c);
-
-    if (!flags.volume_ok->load(amt::memory_order_relaxed)) {
-        last_failure_ = {-1, status::volume_error, false,
-                         "non-positive volume detected"};
-        throw simulation_error(status::volume_error,
-                               "non-positive volume detected");
-    }
-    if (!flags.qstop_ok->load(amt::memory_order_relaxed)) {
-        last_failure_ = {-1, status::qstop_error, false,
-                         "artificial viscosity exceeded qstop"};
-        throw simulation_error(status::qstop_error,
-                               "artificial viscosity exceeded qstop");
-    }
-}
-
-void dist_driver::advance_bulk_synchronous(cluster& c) {
-    const index_t num_slabs = c.num_slabs();
-    const real_t dt = c.slab(0).deltatime;
-    const index_t p_nodal = parts_.nodal;
-    const index_t p_elems = parts_.elems;
-
-    graph::error_flags flags;
-    partials_.resize(static_cast<std::size_t>(num_slabs));
-
-    // One global barrier per wave: collect every slab's futures, block.
-    auto global_wave = [&](auto&& spawn_for_slab) {
-        std::vector<amt::future<void>> all;
-        for (index_t s = 0; s < num_slabs; ++s) {
-            auto futures = spawn_for_slab(c.slab(s), s);
-            for (auto& f : futures) all.push_back(std::move(f));
-        }
-        amt::trace::scoped_span wait(amt::trace::event_kind::barrier_span,
-                                     "global_wave",
-                                     static_cast<std::int32_t>(all.size()));
-        amt::when_all_void(std::move(all)).get();
-    };
-
-    global_wave([&](domain& d, index_t) {
-        return graph::spawn_force_wave(rt_, d, p_nodal, flags).futures;
-    });
-    // Main-thread exchange between the global barriers (the MPI-ish step).
-    for (index_t b = 0; b + 1 < num_slabs; ++b) {
-        amt::trace::scoped_span halo(amt::trace::event_kind::halo_span,
-                                     "halo:exchange_corner",
-                                     static_cast<std::int32_t>(b));
-        domain& lower = c.slab(b);
-        domain& upper = c.slab(b + 1);
-        unpack_corner_ghosts(upper, upper.ghost_lower_slot(),
-                             pack_corner_plane(lower, lower.top_plane_elem_base()),
-                             {b, "corner_up"});
-        unpack_corner_ghosts(lower, lower.ghost_upper_slot(),
-                             pack_corner_plane(upper, upper.bottom_plane_elem_base()),
-                             {b, "corner_down"});
-    }
-
-    global_wave([&](domain& d, index_t) {
-        return graph::spawn_node_wave(rt_, d, p_nodal, dt, flags).futures;
-    });
-    global_wave([&](domain& d, index_t) {
-        return graph::spawn_elem_wave(rt_, d, p_elems, dt, flags).futures;
-    });
-    for (index_t b = 0; b + 1 < num_slabs; ++b) {
-        amt::trace::scoped_span halo(amt::trace::event_kind::halo_span,
-                                     "halo:exchange_delv",
-                                     static_cast<std::int32_t>(b));
-        domain& lower = c.slab(b);
-        domain& upper = c.slab(b + 1);
-        unpack_delv_ghosts(upper, upper.ghost_lower_slot(),
-                           pack_delv_plane(lower, lower.top_plane_elem_base()),
-                           {b, "delv_up"});
-        unpack_delv_ghosts(lower, lower.ghost_upper_slot(),
-                           pack_delv_plane(upper, upper.bottom_plane_elem_base()),
-                           {b, "delv_down"});
-    }
-    global_wave([&](domain& d, index_t) {
-        return graph::spawn_region_wave(rt_, d, p_elems, flags).futures;
-    });
-    global_wave([&](domain& d, index_t s) {
-        auto& slab_partials = partials_[static_cast<std::size_t>(s)];
-        slab_partials.assign(graph::constraint_slot_count(d, p_elems),
-                             k::dt_constraints{});
-        return graph::spawn_constraint_wave(rt_, d, p_elems,
-                                            slab_partials.data(), flags)
-            .futures;
-    });
-
-    reduce_constraints(c);
-
-    if (!flags.volume_ok->load(amt::memory_order_relaxed)) {
-        throw simulation_error(status::volume_error,
-                               "non-positive volume detected");
-    }
-    if (!flags.qstop_ok->load(amt::memory_order_relaxed)) {
-        throw simulation_error(status::qstop_error,
-                               "artificial viscosity exceeded qstop");
     }
 }
 

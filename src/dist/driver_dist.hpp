@@ -1,35 +1,40 @@
 // dist/driver_dist.hpp
 //
 // Multi-domain leapfrog driver: advances every slab of a cluster by one
-// iteration, inserting halo exchanges between the task waves.  Two exchange
-// modes contrast the paper's future-work hypothesis:
+// iteration, inserting halo exchanges between the task waves.  Every slab's
+// table (dist/halo_audit: the iteration waves plus its halo tasks) is
+// compiled into ONE static graph per cluster shape (core/compiled_iteration)
+// and replayed every advance; a new cluster of the same shape rebinds it.
+// Three exchange modes contrast the paper's future-work hypothesis:
 //
-//   futurized        — each slab's waves chain through per-slab barriers and
-//                      *channel futures*: a slab continues as soon as its own
-//                      wave and its neighbors' boundary messages are ready,
-//                      so slabs overlap freely (the "asynchronous mechanisms
-//                      of HPX" style).
-//   eager            — futurized, plus fine-grained sends: a boundary plane
-//                      is pushed into its channel as soon as the tasks
-//                      covering *that plane* finish, before the rest of the
-//                      slab's wave — maximal communication/computation
-//                      overlap (neighbors unblock while this slab's interior
-//                      is still computing).
-//   bulk_synchronous — a global barrier after every wave, with the exchange
-//                      performed between barriers (the "mostly synchronous
-//                      data exchange mechanisms of MPI" style).
+//   futurized        — per-slab barriers; a send node fires once its wave
+//                      has finished, and each slab's next wave is gated on
+//                      its own barrier plus its neighbors' messages
+//                      (external dependencies satisfied by the channel
+//                      receive chains), so slabs overlap freely (the
+//                      "asynchronous mechanisms of HPX" style).
+//   eager            — futurized, but a send node is gated only on the
+//                      tasks producing *its plane*, so a neighbor unblocks
+//                      while this slab's interior is still computing —
+//                      maximal communication/computation overlap.
+//   bulk_synchronous — one barrier per wave shared by all slabs, with
+//                      direct exchange nodes between the barriers (the
+//                      "mostly synchronous data exchange mechanisms of
+//                      MPI" style).
 //
 // All modes produce results bitwise identical to the single-domain drivers.
 
 #pragma once
 
 #include <chrono>
-#include <functional>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "amt/amt.hpp"
+#include "core/compiled_iteration.hpp"
 #include "dist/cluster.hpp"
 #include "dist/failure_detector.hpp"
 #include "dist/retry_policy.hpp"
@@ -115,10 +120,10 @@ public:
     /// Accepts `cap`, a capture of slab `slab`'s state, for overlapped
     /// packing — the per-slab form of
     /// taskgraph_driver::submit_overlapped_capture.  The pack jobs become
-    /// ordinary tasks of the *next* advance(): node-field packs join the
-    /// slab's halo1 set (before its node wave writes x..zd), element-field
-    /// packs its ready3 set (before its region wave writes e/p/q/v/ss) —
-    /// the placement audit_cluster audits.  The driver holds the capture
+    /// tasks of the *next* advance(): node-field packs gate the slab's B1
+    /// (before its node wave writes x..zd), element-field packs its B3
+    /// (before its region wave writes e/p/q/v/ss) — the placement
+    /// audit_cluster audits.  The driver holds the capture
     /// only weakly: the caller keeps it and finalizes it (pack_remaining,
     /// wait_packed) before it touches the slab; a capture finalized and
     /// released before the next advance() is simply skipped.  Declines
@@ -140,22 +145,32 @@ public:
     bool resend_from_cache(cluster& c, index_t b, halo_stream which,
                            bool force);
 
+    /// The compiled cluster iteration (null before the first advance).
+    [[nodiscard]] const graph::compiled_iteration* compiled() const noexcept {
+        return compiled_.get();
+    }
+
 private:
-    void advance_futurized(cluster& c, bool eager);
-    void advance_bulk_synchronous(cluster& c);
+    /// Compiles the cluster's slab tables unless the graph already matches
+    /// their shape, and binds every slab.
+    void prepare_graph(cluster& c);
+    /// Body of the compiled graph's driver nodes: sends, bulk-synchronous
+    /// direct exchanges and the per-slab liveness node.
+    void halo_step(std::size_t slab, const graph::task_decl& t);
     void reduce_constraints(cluster& c);
 
     /// Packs and sends one boundary plane, routing through the retransmit
     /// cache and the halo_drop/halo_corrupt fault sites when retry is on.
     void send_halo(cluster& c, index_t s, bool upper, bool corner);
 
-    /// Future for one incoming boundary message, unpacked by `unpack`.
-    /// When retry is enabled a CRC-corrupt delivery requests a backed-off
-    /// resend (bounded by the policy) before the error escalates.
-    amt::future<void> receive_halo(cluster& c, index_t s, index_t b,
-                                   halo_stream which, const char* span_name,
-                                   std::function<void(const plane_buffer&)>
-                                       unpack);
+    /// Chains the receive of one incoming boundary message (the external
+    /// dependency `e` of the compiled graph): unpacks it into the slab's
+    /// ghost plane, then satisfies the gate — after failing it when the
+    /// message cannot arrive.  When retry is enabled a CRC-corrupt
+    /// delivery requests a backed-off resend (bounded by the policy)
+    /// before the error escalates.
+    void receive_halo(cluster& c,
+                      const graph::compiled_iteration::external& e);
 
     /// Scans every retransmit slot for overdue undelivered messages and
     /// resends them (called from the armed wait loop).
@@ -172,7 +187,6 @@ private:
     exchange_mode mode_;
     std::chrono::milliseconds halo_timeout_{0};
     retry_policy retry_;
-    std::vector<std::vector<kernels::dt_constraints>> partials_;
 
     /// Per-boundary fault-injection site labels, e.g. "halo_drop:corner_up:2"
     /// = drop the corner_up message of boundary 2 (see docs/resilience.md).
@@ -185,6 +199,14 @@ private:
     std::shared_ptr<failure_detector> detector_;
     slab_failure last_failure_;
     std::vector<std::weak_ptr<state_capture>> pending_captures_;
+
+    graph::error_flags flags_;
+    std::unique_ptr<graph::compiled_iteration> compiled_;
+    cluster* bound_ = nullptr;  ///< the cluster of the running advance()
+    /// First failure of each slab in the running advance(), filed by the
+    /// graph's error hook.
+    std::mutex errors_mu_;
+    std::vector<std::exception_ptr> errors_;
 };
 
 /// Iteration loop over a cluster, mirroring lulesh::run_simulation: shared

@@ -10,10 +10,8 @@ namespace lulesh::dist {
 
 namespace {
 
-using graph::access;
-using graph::closure;
+using graph::body_kind;
 using graph::graph_model;
-using graph::mode;
 using graph::task_decl;
 
 namespace halo_site {
@@ -23,32 +21,15 @@ inline constexpr const char* pack_delv = "halo.pack_delv";
 inline constexpr const char* unpack_delv = "halo.unpack_delv";
 }  // namespace halo_site
 
-/// The six corner-force arrays over elements [lo, hi) (pack reads the
-/// owned boundary plane; unpack writes the ghost plane).
-std::vector<access> corner_plane_accesses(index_t lo, index_t hi, mode m) {
-    return {
-        {field::fx_elem, m, lo, hi},    {field::fy_elem, m, lo, hi},
-        {field::fz_elem, m, lo, hi},    {field::fx_elem_hg, m, lo, hi},
-        {field::fy_elem_hg, m, lo, hi}, {field::fz_elem_hg, m, lo, hi},
-    };
-}
-
-std::vector<access> delv_plane_accesses(index_t lo, index_t hi, mode m) {
-    return {{field::delv_zeta, m, lo, hi}};
-}
-
-/// Task ids of stage `stage` whose primary element range intersects
-/// [lo, hi) and whose site matches `prefix` — the tasks that produce the
-/// plane a pack task reads, i.e. the orderings spawn_staged's plane gating
-/// guarantees before a send fires.
-std::vector<int> producers_of(const graph_model& m, int stage,
-                              const char* prefix, index_t lo, index_t hi) {
+/// Task ids of stage `stage` whose chunk intersects [lo, hi) — the tasks
+/// that produce the plane a pack task reads, i.e. the orderings the eager
+/// exchange guarantees before a send fires.
+std::vector<int> producers_of(const graph_model& m, int stage, index_t lo,
+                              index_t hi) {
     std::vector<int> deps;
-    const std::string want(prefix);
     for (std::size_t t = 0; t < m.tasks.size(); ++t) {
         const task_decl& td = m.tasks[t];
-        if (td.stage != stage) continue;
-        if (std::string(td.site).rfind(want, 0) != 0) continue;
+        if (td.stage != stage || !graph::is_wave_body(td.kind)) continue;
         if (td.lo < hi && lo < td.hi) deps.push_back(static_cast<int>(t));
     }
     return deps;
@@ -56,15 +37,20 @@ std::vector<int> producers_of(const graph_model& m, int stage,
 
 }  // namespace
 
-graph_model build_slab_model(const domain& d, partition_sizes parts) {
-    graph_model m = graph::build_iteration_model(d, parts);
+graph_model build_slab_table(const domain& d, partition_sizes parts) {
+    graph_model m = graph::build_iteration_table(d, parts);
     const index_t ep = d.elems_per_plane();
 
-    auto add = [&m](const char* site, index_t partition, index_t lo,
-                    index_t hi, int stage, std::vector<access> accs,
-                    std::vector<int> deps = {}) {
-        m.tasks.push_back({site, partition, lo, hi, stage, std::move(accs),
-                           std::move(deps)});
+    auto add = [&m, ep](const char* site, body_kind kind, index_t partition,
+                        index_t lo, int stage, std::vector<int> deps) {
+        task_decl& t = m.tasks.emplace_back();
+        t.site = site;
+        t.kind = kind;
+        t.partition = partition;
+        t.lo = lo;
+        t.hi = lo + ep;
+        t.stage = stage;
+        t.deps = std::move(deps);
     };
 
     // Boundary descriptors: partition 0 = lower neighbor, 1 = upper.
@@ -84,25 +70,26 @@ graph_model build_slab_model(const domain& d, partition_sizes parts) {
 
     for (const boundary& b : bounds) {
         // Stage 0: corner-force exchange feeding the node gather of wave 2.
-        add(halo_site::pack_corner, b.ordinal, b.plane_base, b.plane_base + ep,
-            0, corner_plane_accesses(b.plane_base, b.plane_base + ep,
-                                     mode::read),
-            producers_of(m, 0, "force.", b.plane_base, b.plane_base + ep));
-        add(halo_site::unpack_corner, b.ordinal, b.ghost_slot,
-            b.ghost_slot + ep,
-            0, corner_plane_accesses(b.ghost_slot, b.ghost_slot + ep,
-                                     mode::write));
+        add(halo_site::pack_corner, body_kind::pack_corner, b.ordinal,
+            b.plane_base, 0,
+            producers_of(m, 0, b.plane_base, b.plane_base + ep));
+        add(halo_site::unpack_corner, body_kind::unpack_corner, b.ordinal,
+            b.ghost_slot, 0, {});
 
         // Stage 2: delv_zeta exchange feeding the monotonic-Q stencil of
         // wave 4 (stage 3 reads the ghosts through face_neighbors).
-        add(halo_site::pack_delv, b.ordinal, b.plane_base, b.plane_base + ep,
-            2, delv_plane_accesses(b.plane_base, b.plane_base + ep,
-                                   mode::read),
-            producers_of(m, 2, "elem", b.plane_base, b.plane_base + ep));
-        add(halo_site::unpack_delv, b.ordinal, b.ghost_slot, b.ghost_slot + ep,
-            2, delv_plane_accesses(b.ghost_slot, b.ghost_slot + ep,
-                                   mode::write));
+        add(halo_site::pack_delv, body_kind::pack_delv, b.ordinal,
+            b.plane_base, 2,
+            producers_of(m, 2, b.plane_base, b.plane_base + ep));
+        add(halo_site::unpack_delv, body_kind::unpack_delv, b.ordinal,
+            b.ghost_slot, 2, {});
     }
+    return m;
+}
+
+graph_model build_slab_model(const domain& d, partition_sizes parts) {
+    graph_model m = build_slab_table(d, parts);
+    graph::fill_accesses(m, d);
     return m;
 }
 

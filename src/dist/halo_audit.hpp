@@ -1,15 +1,13 @@
 // dist/halo_audit.hpp
 //
-// Extends the static task-graph audit (core/graph_audit) to the dist halo
-// exchange.  The single-domain model (core/access::build_iteration_model)
-// covers the five leapfrog waves; a slab additionally runs, per interior
-// boundary:
+// The dist slab's table and its audit.  The single-domain table
+// (core/access::build_iteration_table) covers the five leapfrog waves; a
+// slab additionally runs, per interior boundary:
 //
 //   stage 0  pack_corner   reads the boundary plane of the six corner-force
 //                          arrays — ordered after the force tasks that write
-//                          that plane (exactly the eager-send gating of
-//                          spawn_staged, which is the *weakest* ordering any
-//                          exchange mode provides);
+//                          that plane (the eager exchange's gating, the
+//                          *weakest* ordering any exchange mode provides);
 //            unpack_corner writes the neighbor's plane into the ghost slots
 //                          — declared with NO intra-stage ordering edge, so
 //                          the audit must prove the ghost region disjoint
@@ -19,13 +17,16 @@
 //            unpack_delv   writes the delv_zeta ghost plane, again with no
 //                          edge — disjointness is the safety argument.
 //
+// dist_driver compiles exactly this table (core/compiled_iteration): each
+// pack becomes a send node, each unpack an external dependency of its
+// stage's barrier (or, bulk-synchronously, a direct exchange node).
+//
 // audit_cluster also appends the overlapped checkpoint packs dist_driver
-// spawns for a capture submitted by dist::run_resilient
+// runs for a capture submitted by dist::run_resilient
 // (graph::add_checkpoint_pack_tasks): node-field packs within stage 0
-// (joined into the slab's halo1 set, ahead of the node wave), element-field
-// packs through stage 2 (joined into its ready3 set, ahead of the region
-// wave).  The audit thus proves the packs race neither the waves nor the
-// ghost unpacks.
+// (gating the slab's B1, ahead of the node wave), element-field packs
+// through stage 2 (gating its B3, ahead of the region wave).  The audit
+// thus proves the packs race neither the waves nor the ghost unpacks.
 //
 // The audit is per-slab: slabs share no arrays (channels pass buffers by
 // value), so cross-slab ordering is the channel set→get dependency the
@@ -43,10 +44,13 @@
 
 namespace lulesh::dist {
 
-/// The declarative model of one slab's advance: the five-wave iteration
-/// model plus the halo pack/unpack tasks for each interior boundary the
-/// slab touches.  `d` must be a slab domain (cluster::slab); on a domain
-/// with no neighbors this degenerates to the plain iteration model.
+/// The compact table of one slab's advance: the five-wave iteration table
+/// plus the halo pack/unpack tasks for each interior boundary the slab
+/// touches.  `d` must be a slab domain (cluster::slab); on a domain with no
+/// neighbors this degenerates to the plain iteration table.
+graph::graph_model build_slab_table(const domain& d, partition_sizes parts);
+
+/// build_slab_table with every task's access set filled in.
 graph::graph_model build_slab_model(const domain& d, partition_sizes parts);
 
 /// One slab's audit outcome within a cluster audit.

@@ -43,7 +43,6 @@ cli_options parse_cli(int argc, const char* const* argv) {
 cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
     cli_options cli;
     bool halo_timeout_flag = false;
-    bool graph_mode_flag = false;
     bool metrics_interval_flag = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -102,12 +101,6 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
         } else if (arg == "--max-recoveries") {
             cli.max_recoveries = static_cast<int>(
                 parse_long(arg, require_value(arg, argc, argv, i)));
-        } else if (arg == "--graph-mode") {
-            cli.graph_mode = require_value(arg, argc, argv, i);
-            graph_mode_flag = true;
-        } else if (arg.rfind("--graph-mode=", 0) == 0) {
-            cli.graph_mode = arg.substr(std::string("--graph-mode=").size());
-            graph_mode_flag = true;
         } else if (arg == "--audit-graph") {
             cli.audit_graph = true;
         } else if (arg == "--trace") {
@@ -210,29 +203,6 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
             "pre-built task graph, which driver '" + cli.driver +
             "' never spawns — use taskgraph or foreach");
     }
-    // Environment twin of --graph-mode.  The explicit flag wins; either
-    // spelling must name a known mode and combines only with the taskgraph
-    // driver (serial/parallel_for run no task graph at all, and foreach
-    // rebuilds per-kernel bulk tasks with no iteration graph to compile).
-    // "" and "0" mean unset, matching the other LULESH_* twins.
-    if (const char* raw = env("LULESH_GRAPH_MODE");
-        raw != nullptr && *raw != '\0' && std::string(raw) != "0" &&
-        !graph_mode_flag) {
-        cli.graph_mode = raw;
-    }
-    if (graph_mode_flag || !cli.graph_mode.empty()) {
-        if (cli.graph_mode != "replay" && cli.graph_mode != "build") {
-            throw std::invalid_argument(
-                "lulesh: --graph-mode (or LULESH_GRAPH_MODE) must be "
-                "replay or build, got '" + cli.graph_mode + "'");
-        }
-        if (cli.driver != "taskgraph") {
-            throw std::invalid_argument(
-                "lulesh: --graph-mode (or LULESH_GRAPH_MODE) selects how "
-                "the taskgraph driver realizes its iteration graph; driver "
-                "'" + cli.driver + "' has no such graph — use taskgraph");
-        }
-    }
     // Environment twin of --halo-timeout.  The value must parse as a
     // non-negative integer (milliseconds); the explicit flag wins.
     if (const char* raw = env("LULESH_HALO_TIMEOUT");
@@ -310,12 +280,6 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
                 "iteration graph, which driver '" + cli.driver +
                 "' never compiles — use taskgraph");
         }
-        if (cli.graph_mode == "build") {
-            throw std::invalid_argument(
-                "lulesh: --critical-path-report needs the compiled replay "
-                "graph; --graph-mode build rebuilds the future web every "
-                "iteration and keeps no recycled nodes to profile");
-        }
     }
     return cli;
 }
@@ -348,14 +312,6 @@ std::string usage_text(const std::string& program) {
        << "  --max-recoveries <n>       distributed resilient mode: bound\n"
        << "                             coordinated rollback-and-replay\n"
        << "                             attempts per incident (default 3)\n"
-       << "  --graph-mode <m>           taskgraph driver only: replay\n"
-       << "                             (default — compile the iteration\n"
-       << "                             graph once, re-arm it every cycle;\n"
-       << "                             zero steady-state allocation) or\n"
-       << "                             build (reconstruct the future web\n"
-       << "                             every iteration; ablation baseline).\n"
-       << "                             Env twin: LULESH_GRAPH_MODE, flag\n"
-       << "                             wins\n"
        << "  --audit-graph   statically audit the task graph for unordered\n"
        << "                  read-write/write-write overlaps before running\n"
        << "                  (env twin: LULESH_AUDIT_GRAPH=1; needs a\n"

@@ -126,14 +126,6 @@ struct cli_options {
     /// and exit with status::hazard if an unordered overlap is found.
     bool audit_graph = false;
 
-    /// Task-graph execution mode: "" (default, resolves to replay),
-    /// "replay" (compile the iteration graph once and re-arm it every
-    /// cycle — zero steady-state allocation) or "build" (reconstruct the
-    /// future/when_all web every iteration; the ablation baseline).  Env
-    /// twin: LULESH_GRAPH_MODE (the flag wins; "" and "0" mean unset).
-    /// Only meaningful for the taskgraph driver; rejected with any other.
-    std::string graph_mode;
-
     /// Non-empty: arm the task tracer (amt/trace) and write a Chrome
     /// trace-event JSON file here after the run.
     std::string trace_file;

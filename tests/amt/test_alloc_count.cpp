@@ -6,9 +6,9 @@
 // iteration graph is compiled and warmed up, re-arming and replaying it
 // performs ZERO heap allocations — in the raw amt::static_graph engine
 // and in the full taskgraph driver's steady state.  The compile phase
-// gets a checked-in budget, and build mode serves as the positive
-// control proving the counter actually observes the allocations the
-// replay path eliminated.
+// gets a checked-in budget, and a plain async + when_all chain serves as
+// the positive control proving the counter actually observes the
+// allocations the replay path eliminated.
 //
 // Sanitizer builds interpose the allocator themselves and would fight
 // the counting definitions below, and the task pool passes through to
@@ -178,7 +178,6 @@ TEST(AllocCount, TaskgraphSteadyStateReplayIsAllocationFree) {
     lulesh::domain d(o);
     amt::runtime rt(4);
     lulesh::taskgraph_driver drv(rt, lulesh::partition_sizes::tuned_for(o.size));
-    ASSERT_EQ(drv.mode(), lulesh::graph_mode::replay);
 
     for (int warm = 0; warm < 3; ++warm) drv.advance(d);
     ASSERT_NE(drv.compiled(), nullptr);
@@ -229,32 +228,38 @@ TEST(AllocCount, CompilePhaseStaysWithinBudget) {
 #endif
 }
 
-/// Positive control: build mode re-creates the future/when_all web every
-/// iteration and therefore must allocate in steady state.  Proves the
-/// counting allocator actually observes what replay mode eliminated.
+/// Positive control: a future web built per iteration — async tasks
+/// joined by when_all_void, the shape of graph the replay path replaced —
+/// must allocate in steady state.  Proves the counting allocator actually
+/// observes what replay eliminated.
 TEST(AllocCount, BuildModeSteadyStateAllocates) {
-    lulesh::options o;
-    o.size = 8;
-    o.num_regions = 11;
-    lulesh::domain d(o);
     amt::runtime rt(4);
-    lulesh::taskgraph_driver drv(rt, lulesh::partition_sizes::tuned_for(o.size));
-    drv.set_graph_mode(lulesh::graph_mode::build);
-
-    for (int warm = 0; warm < 3; ++warm) drv.advance(d);
+    std::vector<double> cells(64, 0.0);
+    auto iteration = [&rt, &cells] {
+        std::vector<amt::future<void>> wave;
+        wave.reserve(cells.size());
+        for (double& c : cells) {
+            double* p = &c;
+            wave.push_back(amt::async(rt, [p] { *p += 1.0; }));
+        }
+        amt::when_all_void(std::move(wave)).get();
+    };
+    for (int warm = 0; warm < 3; ++warm) iteration();
 
     std::uint64_t allocs = 0;
     {
         alloc_probe probe;
-        drv.advance(d);
+        iteration();
         allocs = probe.read();
     }
 #if !AMT_TASK_POOL_PASSTHROUGH
     EXPECT_GT(allocs, 0u)
-        << "build mode allocating nothing means the counter is broken";
+        << "a per-iteration future web allocating nothing means the "
+           "counter is broken";
 #else
     (void)allocs;
 #endif
+    EXPECT_EQ(cells.front(), 4.0);
 }
 
 }  // namespace

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
+#include "amt/channel.hpp"
 #include "amt/scheduler.hpp"
 
 namespace {
@@ -176,6 +180,97 @@ TEST(StaticGraph, ExternalDependencyGatesAnInnerBarrierNode) {
     g.wait();
     EXPECT_GT(t_pre, 0);
     EXPECT_GT(t_gate, t_pre);
+}
+
+TEST(StaticGraph, WaitForTimesOutOnAPendingGateThenReportsTheDrain) {
+    using std::chrono::milliseconds;
+    amt::runtime rt(2);
+    amt::static_graph g;
+    std::atomic<int> ran{0};
+    const auto gate = g.add_node([&ran] { ran.fetch_add(1); });
+    g.seal();
+    g.set_external_deps(gate, 1);
+    g.arm(rt);
+    g.start();
+    // Nothing can complete while the external dependency is outstanding:
+    // the bounded wait returns false instead of blocking.
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(g.wait_for(milliseconds(20)));
+    EXPECT_GE(std::chrono::steady_clock::now() - t0, milliseconds(20));
+    EXPECT_EQ(ran.load(), 0);
+    g.satisfy_external(gate);
+    EXPECT_TRUE(g.wait_for(milliseconds(10000)));
+    g.wait();  // still closes the replay
+    EXPECT_EQ(ran.load(), 1);
+    // Re-armable afterwards; an ungated replay drains within the bound.
+    g.arm(rt);
+    g.start();
+    EXPECT_TRUE(g.wait_for(milliseconds(10000)));
+    g.wait();
+    EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(StaticGraph, WaitForFromWorkerThreadRunsTasks) {
+    amt::runtime rt(1);
+    amt::static_graph g;
+    std::atomic<int> runs{0};
+    for (int i = 0; i < 8; ++i) g.add_node([&runs] { runs.fetch_add(1); });
+    g.seal();
+    std::atomic<bool> drained{false};
+    rt.post_fn([&] {
+        g.arm(rt);
+        g.start();
+        // The only worker must execute the graph's tasks while it waits.
+        drained.store(g.wait_for(std::chrono::seconds(10)));
+        g.wait();
+    });
+    while (runs.load() < 8 || !drained.load()) rt.try_run_one();
+    EXPECT_TRUE(drained.load());
+}
+
+TEST(StaticGraph, ErrorHookClosesAFabricSoAPendingReceiveResolves) {
+    // The dist driver's failure cascade in miniature: a body throws, the
+    // error hook closes the channel, the receive pending on it resolves
+    // with channel_closed, files its own failure against the gate it owes
+    // and satisfies it — the replay drains instead of hanging.
+    amt::runtime rt(2);
+    amt::static_graph g;
+    amt::channel<int> ch;
+    std::atomic<int> hooked{0};
+    std::atomic<int> gate_ran{0};
+    const auto bad = g.add_node([] { throw std::runtime_error("slab 0"); });
+    const auto gate = g.add_node([&gate_ran] { gate_ran.fetch_add(1); });
+    std::vector<amt::static_graph::node_id> failed;
+    std::mutex mu;
+    g.set_error_hook([&](amt::static_graph::node_id id,
+                         const std::exception_ptr&) {
+        {
+            std::lock_guard lk(mu);
+            failed.push_back(id);
+        }
+        hooked.fetch_add(1);
+        ch.close();
+    });
+    g.seal();
+    g.set_external_deps(gate, 1);
+    g.arm(rt);
+    ch.get().then(amt::launch::sync, [&g, gate](amt::future<int>&& f) {
+        try {
+            (void)f.get();
+        } catch (...) {
+            g.fail(gate, std::current_exception());
+        }
+        g.satisfy_external(gate);
+    });
+    g.start();
+    EXPECT_TRUE(g.wait_for(std::chrono::seconds(10)))
+        << "the pending receive never resolved";
+    EXPECT_THROW(g.wait(), std::runtime_error);  // the first error wins
+    EXPECT_EQ(hooked.load(), 2);
+    EXPECT_EQ(gate_ran.load(), 0) << "stopped replay must skip the gate";
+    ASSERT_EQ(failed.size(), 2u);
+    EXPECT_EQ(failed[0], bad);
+    EXPECT_EQ(failed[1], gate);
 }
 
 TEST(StaticGraph, EmptyGraphRunsTrivially) {

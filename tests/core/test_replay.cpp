@@ -1,18 +1,17 @@
-// Replay-equivalence and fault-interplay tests for the compiled-graph
-// replay mode of the task-graph driver.
+// Replay tests for the taskgraph driver's compiled iteration graph.
 //
 // The central property: N iterations executed by re-arming the compiled
-// graph are BITWISE identical to N iterations executed by rebuilding the
-// future/when_all web every cycle (and hence, by the driver-equivalence
-// suite, to the serial reference).  Plus the compiled-form structural
-// audit, the re-arm counting invariant, and the interplay with fault
-// injection and the checkpoint chain: a replay killed mid-flight must
-// leave the graph re-armable with fresh stop state, and the resilient
-// loop must recover a faulted replay bitwise.
+// graph are BITWISE identical to N iterations of the serial reference
+// driver.  Plus the re-arm counting invariant, rebinding a replaced domain
+// of the same shape, and the interplay with fault injection and the
+// checkpoint chain: a replay killed mid-flight must leave the graph
+// re-armable with fresh stop state, and the resilient loop must recover a
+// faulted replay bitwise.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -27,7 +26,6 @@
 namespace {
 
 using lulesh::domain;
-using lulesh::graph_mode;
 using lulesh::options;
 using lulesh::partition_sizes;
 
@@ -44,13 +42,20 @@ std::string serialized(const domain& d) {
     return os.str();
 }
 
-std::unique_ptr<domain> evolve(const options& o, graph_mode mode, int iters,
+std::unique_ptr<domain> evolve(const options& o, int iters,
                                std::size_t threads = 4,
                                partition_sizes parts = {64, 64}) {
     auto d = std::make_unique<domain>(o);
     amt::runtime rt(threads);
     lulesh::taskgraph_driver drv(rt, parts);
-    drv.set_graph_mode(mode);
+    const auto rr = lulesh::run_simulation(*d, drv, iters);
+    EXPECT_EQ(rr.run_status, lulesh::status::ok);
+    return d;
+}
+
+std::unique_ptr<domain> evolve_serial(const options& o, int iters) {
+    auto d = std::make_unique<domain>(o);
+    lulesh::serial_driver drv;
     const auto rr = lulesh::run_simulation(*d, drv, iters);
     EXPECT_EQ(rr.run_status, lulesh::status::ok);
     return d;
@@ -74,11 +79,14 @@ struct ReplayParam {
 class ReplayEquivalence : public ::testing::TestWithParam<ReplayParam> {};
 
 TEST_P(ReplayEquivalence, ReplayBitwiseIdenticalToFreshBuild) {
+    // The reference is the serial driver: the futures-built graph this
+    // test used to compare against is gone, and the serial driver is what
+    // every other equivalence suite anchors on.
     const auto& p = GetParam();
     const options o = opts(p.size, p.regions);
     constexpr int iters = 4;
-    auto built = evolve(o, graph_mode::build, iters);
-    auto replayed = evolve(o, graph_mode::replay, iters);
+    auto built = evolve_serial(o, iters);
+    auto replayed = evolve(o, iters);
     EXPECT_EQ(lulesh::max_field_difference(*built, *replayed), 0.0);
     EXPECT_EQ(replayed->cycle, built->cycle);
     EXPECT_EQ(replayed->time_, built->time_);
@@ -117,7 +125,7 @@ TEST(ReplayEquivalence, OneIterationGraphIsRecompiledWhenShapeChanges) {
 
     // Reference check: d2 evolved through the shape change matches a
     // domain evolved from scratch.
-    auto fresh = evolve(opts(10, 3), graph_mode::replay, 2, 2);
+    auto fresh = evolve(opts(10, 3), 2, 2);
     EXPECT_EQ(serialized(d2), serialized(*fresh));
 }
 
@@ -129,21 +137,37 @@ TEST(ReplayEquivalence, ReplayCountMatchesCyclesRun) {
     EXPECT_EQ(rr.run_status, lulesh::status::ok);
     ASSERT_NE(drv.compiled(), nullptr);
     EXPECT_EQ(drv.compiled()->replays(), 5u);
-    // One execution per node per replay — the graph engine's invariant,
-    // re-checked end to end through the driver.
+    // The re-arm invariant, end to end through the driver: every node —
+    // tasks and barriers — executed exactly once per replay.
     const auto& g = drv.compiled()->graph();
     EXPECT_EQ(g.generation(), 5u);
+    for (amt::static_graph::node_id id = 0; id < g.node_count(); ++id) {
+        EXPECT_EQ(g.executions(id), g.generation())
+            << "node " << id << " (" << g.node_label(id) << ")";
+    }
 }
 
-TEST(ReplayEquivalence, CompiledAuditPassesOnTheRearmedGraph) {
-    // The structural audit exercised by --audit-graph: every model task,
-    // edge and barrier present in the compiled form after re-arming.
-    const std::string err =
-        lulesh::audit_compiled_replay(opts(8, 11), {64, 64}, 4);
-    EXPECT_EQ(err, "");
-    const std::string err_small =
-        lulesh::audit_compiled_replay(opts(6, 1), {32, 32}, 2);
-    EXPECT_EQ(err_small, "");
+TEST(ReplayEquivalence, ReplacedDomainOfTheSameShapeIsRebound) {
+    // The compiled graph is keyed by table shape and binds its domain when
+    // armed: a domain re-emplaced in the same storage (same address, new
+    // region lists) replays the same graph instead of running bodies
+    // against the old domain's freed lists.
+    const options o = opts(10, 11);
+    amt::runtime rt(2);
+    lulesh::taskgraph_driver drv(rt, {32, 32});
+    std::optional<domain> d;
+    d.emplace(o);
+    ASSERT_EQ(lulesh::run_simulation(*d, drv, 2).run_status,
+              lulesh::status::ok);
+    d.emplace(o);
+    ASSERT_EQ(lulesh::run_simulation(*d, drv, 4).run_status,
+              lulesh::status::ok);
+    ASSERT_NE(drv.compiled(), nullptr);
+    EXPECT_EQ(drv.compiled()->replays(), 6u) << "the graph was recompiled";
+
+    auto fresh = evolve(o, 4, 2, {32, 32});
+    EXPECT_EQ(lulesh::max_field_difference(*d, *fresh), 0.0);
+    EXPECT_EQ(serialized(*d), serialized(*fresh));
 }
 
 // ---------------- fault / cancel interplay ----------------
@@ -183,7 +207,7 @@ TEST(ReplayFault, FaultMidReplayRecoversBitwiseViaCheckpointChain) {
     const options o = opts(6, 5);
 
     // Clean baseline through the replay driver.
-    auto clean = evolve(o, graph_mode::replay, 20, 2, {32, 32});
+    auto clean = evolve(o, 20, 2, {32, 32});
 
     // Same run with a fault injected into cycle 6's EOS wave; the
     // resilient loop rolls back to the PR 5 checkpoint chain and retries.
@@ -209,26 +233,23 @@ TEST(ReplayFault, FaultMidReplayRecoversBitwiseViaCheckpointChain) {
 }
 
 TEST(ReplayFault, BuildAndReplayFaultReportsAgree) {
-    // The fault surfaces identically in both modes (same site, same cycle,
-    // same status), so tooling built on the reports is mode-agnostic.
-    for (const auto mode : {graph_mode::build, graph_mode::replay}) {
-        fault_guard guard;
-        amt::fault::plan p;
-        p.site = "force";
-        p.epoch = 2;
-        p.max_injections = 1;
-        amt::fault::arm(p);
-        domain d(opts(8, 3));
-        amt::runtime rt(2);
-        lulesh::taskgraph_driver drv(rt, {64, 64});
-        drv.set_graph_mode(mode);
-        const auto rr = lulesh::run_simulation(d, drv, 5);
-        amt::fault::disarm();
-        EXPECT_EQ(rr.run_status, lulesh::status::task_fault);
-        EXPECT_EQ(rr.cycles, 2);
-        EXPECT_NE(rr.error_message.find("cycle 2"), std::string::npos);
-        EXPECT_EQ(amt::fault::snapshot().injections, 1u);
-    }
+    // The fault surfaces with its site's cycle and status, so tooling
+    // built on the reports can rely on them.
+    fault_guard guard;
+    amt::fault::plan p;
+    p.site = "force";
+    p.epoch = 2;
+    p.max_injections = 1;
+    amt::fault::arm(p);
+    domain d(opts(8, 3));
+    amt::runtime rt(2);
+    lulesh::taskgraph_driver drv(rt, {64, 64});
+    const auto rr = lulesh::run_simulation(d, drv, 5);
+    amt::fault::disarm();
+    EXPECT_EQ(rr.run_status, lulesh::status::task_fault);
+    EXPECT_EQ(rr.cycles, 2);
+    EXPECT_NE(rr.error_message.find("cycle 2"), std::string::npos);
+    EXPECT_EQ(amt::fault::snapshot().injections, 1u);
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST(HaloAuditModel, NeighborlessDomainDegeneratesToPlainModel) {
 }
 
 TEST(HaloAuditModel, PacksAreGatedOnThePlaneProducers) {
-    // The pack's deps model spawn_staged's eager-send gating: every stage-0
+    // The pack's deps are the eager send node's gating: every stage-0
     // force task (and stage-2 elem task) whose range intersects the boundary
     // plane must be ordered before the pack that reads it.
     cluster c(opts(6), 2);
@@ -168,11 +168,12 @@ graph::graph_model slab_model_with_packs(const domain& d,
 }
 
 TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
-    // The accepted placement: dist_driver joins a slab's node-field packs
-    // into its halo1 set (stage 0 only) and its element-field packs into its
-    // ready3 set (through stage 2).  With the ghost unpacks, the waves and
-    // the packs all in one model, every slab must still audit clean — for
-    // edge and interior slabs, one-plane slabs, and a partition sweep.
+    // The accepted placement: dist_driver gates a slab's B1 barrier on its
+    // node-field packs (stage 0 only) and its B3 barrier on its
+    // element-field packs (through stage 2).  With the ghost unpacks, the
+    // waves and the packs all in one model, every slab must still audit
+    // clean — for edge and interior slabs, one-plane slabs, and a
+    // partition sweep.
     for (const index_t slabs : {1, 2, 3, 6}) {
         cluster c(opts(6), slabs);
         for (const partition_sizes parts :
@@ -220,7 +221,7 @@ TEST(HaloAuditCheckpoint, ClusterAuditCarriesThePacks) {
 
 TEST(HaloAuditCheckpoint, ElemPackSpanningTheRegionStageIsFlagged) {
     // Adversarial: an element-field pack still in flight in stage 3 — what
-    // joining it into the region wave's barrier instead of ready3 would
+    // gating the region wave's barrier B4 on it instead of B3 would
     // mean — races the region wave's writes of e.  The audit must say so.
     cluster c(opts(6), 3);
     const domain& d = c.slab(1);
@@ -303,8 +304,8 @@ TEST(HaloAuditAdversarial, DelvUnpackIntoOwnedRangeCollidesWithElemWave) {
 
 TEST(HaloAuditAdversarial, SeveredPlaneGatingIsReadWrite) {
     // Cut the pack's dependency edges: it now reads the boundary plane
-    // concurrently with the force tasks writing it — the race spawn_staged's
-    // plane gating exists to prevent.
+    // concurrently with the force tasks writing it — the race the send
+    // node's plane gating exists to prevent.
     cluster c(opts(6), 2);
     const domain& d = c.slab(0);
     auto m = build_slab_model(d, {64, 64});

@@ -167,64 +167,22 @@ TEST(CliAudit, MalformedEnvValuesAreRejected) {
     }
 }
 
-// ---------------- --graph-mode and its environment twin ----------------
+// ---------------- --graph-mode is gone ----------------
 
-TEST(CliGraphMode, DefaultsToEmptyMeaningReplay) {
-    EXPECT_EQ(parse_env({}, no_env).graph_mode, "");
-}
-
-TEST(CliGraphMode, FlagSelectsMode) {
-    EXPECT_EQ(parse_env({"--graph-mode", "replay"}, no_env).graph_mode,
-              "replay");
-    EXPECT_EQ(parse_env({"--graph-mode", "build"}, no_env).graph_mode,
-              "build");
-    EXPECT_EQ(parse_env({"--graph-mode=build"}, no_env).graph_mode, "build");
-}
-
-TEST(CliGraphMode, UnknownModeIsRejected) {
-    EXPECT_THROW(parse_env({"--graph-mode", "compiled"}, no_env),
+TEST(CliGraphMode, FlagIsRejectedAsUnknownOption) {
+    // The taskgraph driver has one execution form, the compiled graph; the
+    // flag that chose between it and a futures-built graph is gone, with
+    // its environment twin.
+    EXPECT_THROW(parse_env({"--graph-mode", "replay"}, no_env),
                  std::invalid_argument);
-    EXPECT_THROW(parse_env({"--graph-mode", ""}, no_env),
+    EXPECT_THROW(parse_env({"--graph-mode=build"}, no_env),
                  std::invalid_argument);
-    EXPECT_THROW(parse_env({"--graph-mode"}, no_env), std::invalid_argument);
-}
-
-TEST(CliGraphMode, RejectedWithNonTaskgraphDrivers) {
-    // The mode selects how the taskgraph driver realizes its iteration
-    // graph; every other driver has no such graph.
-    for (const char* drv : {"serial", "parallel_for", "foreach"}) {
-        static const char* d;
-        d = drv;
-        EXPECT_THROW(parse_env({"--graph-mode", "build", "-d", d}, no_env),
-                     std::invalid_argument)
-            << drv;
-    }
-    EXPECT_EQ(
-        parse_env({"--graph-mode", "build", "-d", "taskgraph"}, no_env)
-            .graph_mode,
-        "build");
-}
-
-TEST(CliGraphMode, EnvTwinAppliesAndFlagWins) {
     const auto env = [](const char* name) -> const char* {
         return std::string(name) == "LULESH_GRAPH_MODE" ? "build" : nullptr;
     };
-    EXPECT_EQ(parse_env({}, env).graph_mode, "build");
-    EXPECT_EQ(parse_env({"--graph-mode", "replay"}, env).graph_mode,
-              "replay");
-}
-
-TEST(CliGraphMode, MalformedEnvValueIsRejected) {
-    const auto env = [](const char* name) -> const char* {
-        return std::string(name) == "LULESH_GRAPH_MODE" ? "fast" : nullptr;
-    };
-    EXPECT_THROW(parse_env({}, env), std::invalid_argument);
-}
-
-TEST(CliGraphMode, UsageDocumentsTheFlag) {
+    EXPECT_NO_THROW(parse_env({}, env));
     const std::string text = lulesh::usage_text("prog");
-    EXPECT_NE(text.find("--graph-mode"), std::string::npos);
-    EXPECT_NE(text.find("LULESH_GRAPH_MODE"), std::string::npos);
+    EXPECT_EQ(text.find("--graph-mode"), std::string::npos);
 }
 
 TEST(CliAudit, EnvFlagHonorsTheDriverValidation) {

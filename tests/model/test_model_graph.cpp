@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "amt/atomic.hpp"
 #include "amt/model.hpp"
 
@@ -119,7 +121,63 @@ TEST(ModelGraph, RelaxedPublicationIsCaught) {
     EXPECT_NE(r.reason.find("re-arm"), std::string::npos) << r.reason;
 }
 
-// The error path: record_error stores stop_ with release before the next
+// satisfy_external() racing the last in-graph predecessor.  arm() sets
+// the gate's remaining count to its in-graph edge plus one armed external
+// dependency before the receive chains exist.  Then a worker finishes the
+// predecessor (on_complete's acq_rel decrement) while a NON-worker thread
+// — a halo receive chain that just unpacked its ghost plane — calls
+// satisfy_external (the same acq_rel decrement).  Whoever reaches zero
+// posts the gate: exactly once, and the gate must see both the
+// predecessor's output and the unpacked ghosts.
+result run_external_handoff(amt::memory_order external_mo,
+                            const options& o) {
+    return check(o, [=] {
+        amt::atomic<int> wave_out{0};
+        amt::atomic<int> ghost{0};
+        amt::atomic<std::uint32_t> remaining{2};  // arm(): 1 edge + 1
+        amt::atomic<int> posted{0};
+        auto post_gate = [&] {
+            model_assert(wave_out.load(amt::memory_order_relaxed) == 1 &&
+                             ghost.load(amt::memory_order_relaxed) == 1,
+                         "external handoff: gate ran before both sides' "
+                         "writes were visible");
+            posted.fetch_add(1, amt::memory_order_relaxed);
+        };
+        amt::model::thread receiver([&] {
+            ghost.store(1, amt::memory_order_relaxed);  // unpack
+            if (remaining.fetch_sub(1, external_mo) == 1) post_gate();
+        });
+        // Worker: the predecessor's body, then on_complete.
+        wave_out.store(1, amt::memory_order_relaxed);
+        if (remaining.fetch_sub(1, amt::memory_order_acq_rel) == 1) {
+            post_gate();
+        }
+        receiver.join();
+        model_assert(posted.load(amt::memory_order_relaxed) == 1,
+                     "external handoff: gate posted zero or two times");
+    });
+}
+
+TEST(ModelGraph, ExternalSatisfyRacingLastPredecessorPostsOnce) {
+    options o;
+    o.quiet = true;
+    const result r = run_external_handoff(amt::memory_order_acq_rel, o);
+    EXPECT_FALSE(r.failed) << r.reason << "\n" << r.trace;
+    EXPECT_TRUE(r.complete);
+}
+
+TEST(ModelGraph, RelaxedExternalSatisfyHidesTheGhostWrites) {
+    options o;
+    o.quiet = true;
+    const result r = run_external_handoff(amt::memory_order_relaxed, o);
+    ASSERT_TRUE(r.failed)
+        << "a relaxed satisfy_external must let the gate miss the ghosts";
+    EXPECT_NE(r.reason.find("external handoff"), std::string::npos)
+        << r.reason;
+    EXPECT_FALSE(r.replay.empty());
+}
+
+// The error path: fail() stores stop_ with release before the next
 // node's execute() acquires it.  If a body observes stop_ set, the first
 // error must already be visible (mirrored here with a relaxed error word
 // standing in for the err_mu_-guarded exception slot).

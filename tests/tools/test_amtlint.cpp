@@ -269,7 +269,7 @@ TEST(Amt003, SilentOnProbelessFunctions) {
 
 TEST(Amt003, SilentOnTracerProbesInProbedKernels) {
     // The task tracer's annotations (amt/trace.hpp) sit inside probed
-    // kernel bodies — graph_waves.cpp annotates every guarded task, and
+    // kernel bodies — the compiled graph annotates every task node, and
     // the dist driver wraps pack/unpack in scoped spans.  None of that is
     // a domain field access, and the probe-bearing kernel must stay clean.
     const std::string src =

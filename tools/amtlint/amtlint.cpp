@@ -284,13 +284,13 @@ std::optional<lambda_info> parse_lambda(const std::vector<token>& toks,
 /// Entry points whose callable argument becomes (or gates) a scheduled
 /// task: by-ref captures dangle (AMT001) and blocking waits starve workers
 /// (AMT002) inside any lambda in their argument list.  `then` covers
-/// continuations; `stage_after` is this tree's wave-chaining wrapper;
-/// `add_node` bodies are compiled-graph tasks recycled across replays, so
-/// a by-ref capture of a short-lived local outlives even more executions.
+/// continuations; `add_node` bodies are compiled-graph tasks recycled
+/// across replays, so a by-ref capture of a short-lived local outlives even
+/// more executions.
 bool is_task_entry(const std::string& name) {
     static const std::unordered_set<std::string> names = {
         "async", "bulk_async", "dataflow", "when_all", "when_all_void",
-        "when_any", "post", "post_fn", "then", "stage_after", "add_node"};
+        "when_any", "post", "post_fn", "then", "add_node"};
     return names.count(name) > 0;
 }
 
