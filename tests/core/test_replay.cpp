@@ -2,21 +2,25 @@
 //
 // The central property: N iterations executed by re-arming the compiled
 // graph are BITWISE identical to N iterations of the serial reference
-// driver.  Plus the re-arm counting invariant, rebinding a replaced domain
-// of the same shape, and the interplay with fault injection and the
-// checkpoint chain: a replay killed mid-flight must leave the graph
-// re-armable with fresh stop state, and the resilient loop must recover a
-// faulted replay bitwise.
+// driver.  Plus the compiled form checked against its table, the re-arm
+// counting invariant, rebinding a replaced domain of the same shape, and
+// the interplay with fault injection and the checkpoint chain: a replay
+// killed mid-flight must leave the graph re-armable with fresh stop
+// state, and the resilient loop must recover a faulted replay bitwise.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "amt/amt.hpp"
 #include "amt/fault.hpp"
+#include "core/access.hpp"
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/checkpoint.hpp"
 #include "lulesh/driver.hpp"
@@ -145,6 +149,82 @@ TEST(ReplayEquivalence, ReplayCountMatchesCyclesRun) {
         EXPECT_EQ(g.executions(id), g.generation())
             << "node " << id << " (" << g.node_label(id) << ")";
     }
+}
+
+// The compiled form after two replays, checked against the table it
+// was compiled from: every task is a node of its stage and wave site, every
+// declared edge is a graph edge, chain heads hang off the previous barrier
+// (stage 0: graph roots), chain tails feed their stage's barrier, and the
+// barriers chain B1 -> ... -> B5.
+void expect_compiled_form_matches_table(const options& o,
+                                        partition_sizes parts,
+                                        std::size_t threads) {
+    using lulesh::graph::compiled_iteration;
+    using node_id = compiled_iteration::node_id;
+    constexpr int cycles = 2;
+    domain d(o);
+    amt::runtime rt(threads);
+    lulesh::taskgraph_driver drv(rt, parts);
+    ASSERT_EQ(lulesh::run_simulation(d, drv, cycles).run_status,
+              lulesh::status::ok);
+    const compiled_iteration* ci = drv.compiled();
+    ASSERT_NE(ci, nullptr);
+    EXPECT_EQ(ci->replays(), static_cast<std::uint64_t>(cycles));
+
+    const auto table = lulesh::graph::build_iteration_table(d, parts);
+    const amt::static_graph& g = ci->graph();
+    ASSERT_FALSE(table.tasks.empty());
+    ASSERT_EQ(ci->task_count(), table.tasks.size());
+    EXPECT_EQ(ci->slot_count(), table.num_slots);
+    for (std::size_t b = 0; b + 1 < compiled_iteration::num_barriers; ++b) {
+        EXPECT_TRUE(g.has_edge(ci->barrier_id(b), ci->barrier_id(b + 1)))
+            << "missing barrier chain edge B" << b + 1 << " -> B" << b + 2;
+    }
+    std::vector<char> has_consumer(table.tasks.size(), 0);
+    for (const auto& t : table.tasks) {
+        for (int dep : t.deps) has_consumer[static_cast<std::size_t>(dep)] = 1;
+    }
+    for (std::size_t i = 0; i < table.tasks.size(); ++i) {
+        const auto& t = table.tasks[i];
+        SCOPED_TRACE(::testing::Message()
+                     << "task " << i << " (" << t.site << " partition "
+                     << t.partition << ")");
+        const node_id id = ci->node_of(0, i);
+        ASSERT_NE(id, compiled_iteration::no_node);
+        // Table sites are dotted sub-sites of the node's wave-site label
+        // ("region_eos.monoq" vs "region_eos").
+        const char* label = g.node_label(id);
+        EXPECT_EQ(std::strncmp(t.site, label, std::strlen(label)), 0)
+            << "node label " << label;
+        EXPECT_EQ(ci->node_stage(id), t.stage);
+        for (int dep : t.deps) {
+            EXPECT_TRUE(
+                g.has_edge(ci->node_of(0, static_cast<std::size_t>(dep)), id))
+                << "declared edge from task " << dep << " missing";
+        }
+        if (t.deps.empty()) {
+            if (t.stage > 0) {
+                EXPECT_TRUE(g.has_edge(
+                    ci->barrier_id(static_cast<std::size_t>(t.stage - 1)), id))
+                    << "chain head not gated on the previous barrier";
+            } else {
+                EXPECT_EQ(g.dependency_count(id), 0u)
+                    << "stage-0 task is not a graph root";
+            }
+        }
+        if (!has_consumer[i]) {
+            EXPECT_TRUE(g.has_edge(
+                id, ci->barrier_id(static_cast<std::size_t>(t.stage))))
+                << "chain tail not joined into its stage barrier";
+        }
+    }
+}
+
+TEST(ReplayEquivalence, CompiledAuditPassesOnTheRearmedGraph) {
+    // The structural audit of the re-armed graph: every table task, edge
+    // and barrier present in the compiled form after two replays.
+    expect_compiled_form_matches_table(opts(8, 11), {64, 64}, 4);
+    expect_compiled_form_matches_table(opts(6, 1), {32, 32}, 2);
 }
 
 TEST(ReplayEquivalence, ReplacedDomainOfTheSameShapeIsRebound) {
