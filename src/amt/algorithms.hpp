@@ -6,25 +6,18 @@
 // partition an index range into tasks of `chunk` consecutive elements and
 // return one future per task, leaving synchronization to the caller (chain
 // continuations, combine with when_all, ...).
-//
-// `parallel_for_each` / `parallel_reduce` are the hpx::for_each /
-// hpx::reduce analogues: they *include* the trailing barrier, which is
-// exactly the structure the paper shows to be insufficient for LULESH (the
-// prior lulesh-hpx port used them 1:1 and lost to OpenMP) — we provide them
-// both for completeness and for the ablation benchmark that reproduces that
-// observation.
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "amt/async.hpp"
 #include "amt/future.hpp"
 #include "amt/scheduler.hpp"
-#include "amt/when_all.hpp"
 
 namespace amt {
 
@@ -58,46 +51,6 @@ std::vector<future<void>> bulk_async(index_t begin, index_t end, index_t chunk,
         throw std::runtime_error("amt::bulk_async: no active amt::runtime");
     }
     return bulk_async(*rt, begin, end, chunk, std::move(body));
-}
-
-/// Parallel loop over [begin, end) calling `f(i)` for each index, blocking
-/// until completion (implicit barrier).  Equivalent in structure to
-/// hpx::for_each(hpx::execution::par, ...).
-template <class F>
-void parallel_for_each(runtime& rt, index_t begin, index_t end, index_t chunk,
-                       F f) {
-    auto futures = bulk_async(rt, begin, end, chunk,
-                              [f](index_t lo, index_t hi) mutable {
-                                  for (index_t i = lo; i < hi; ++i) f(i);
-                              });
-    wait_all(futures);
-    for (auto& fut : futures) fut.get();  // propagate exceptions
-}
-
-/// Parallel reduction: result = op(init, op(map(begin), ... map(end-1))).
-/// `op` must be associative; chunk-local partials are combined in chunk
-/// order, so results are deterministic for a fixed chunk size.
-template <class T, class Map, class Op>
-T parallel_reduce(runtime& rt, index_t begin, index_t end, index_t chunk,
-                  T init, Map map, Op op) {
-    if (begin >= end) return init;
-    if (chunk <= 0) chunk = 1;
-    const std::size_t num_chunks =
-        static_cast<std::size_t>((end - begin + chunk - 1) / chunk);
-    std::vector<future<T>> partials;
-    partials.reserve(num_chunks);
-    for (index_t i = begin; i < end; i += chunk) {
-        const index_t lo = i;
-        const index_t hi = std::min<index_t>(i + chunk, end);
-        partials.push_back(async(rt, [map, op, lo, hi]() mutable {
-            T acc = map(lo);
-            for (index_t j = lo + 1; j < hi; ++j) acc = op(acc, map(j));
-            return acc;
-        }));
-    }
-    T acc = std::move(init);
-    for (auto& p : partials) acc = op(std::move(acc), p.get());
-    return acc;
 }
 
 }  // namespace amt

@@ -10,10 +10,8 @@
 //   async       — spawn a task, get a future (hpx::async)
 //   when_all    — non-blocking barrier combinator (hpx::when_all)
 //   wait_all    — blocking barrier (hpx::wait_all)
-//   dataflow    — run-when-ready over heterogeneous futures (hpx::dataflow)
-//   bulk_async / parallel_for_each / parallel_reduce — index-space helpers
+//   bulk_async  — one task per index chunk (the paper's Figure 5)
 //   counters    — per-worker productive-time instrumentation (idle-rate)
-//   stop_token  — cooperative cancellation (stop_source / stop_token)
 //   fault       — deterministic fault injection for resilience testing
 //   trace       — task-level tracing (Chrome trace export, utilization)
 //   static_graph — compile-once, replay-N task graph (zero steady-state
@@ -26,20 +24,15 @@
 #include "amt/channel.hpp"
 #include "amt/config.hpp"
 #include "amt/counters.hpp"
-#include "amt/dataflow.hpp"
 #include "amt/deque.hpp"
 #include "amt/fault.hpp"
 #include "amt/future.hpp"
 #include "amt/graph_profile.hpp"
 #include "amt/metrics.hpp"
 #include "amt/scheduler.hpp"
-#include "amt/shared_future.hpp"
 #include "amt/static_graph.hpp"
-#include "amt/stop_token.hpp"
 #include "amt/sync_primitives.hpp"
 #include "amt/task.hpp"
 #include "amt/trace.hpp"
 #include "amt/unique_function.hpp"
-#include "amt/unwrap.hpp"
 #include "amt/when_all.hpp"
-#include "amt/when_any.hpp"

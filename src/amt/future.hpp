@@ -170,13 +170,6 @@ public:
         return v;
     }
 
-    /// Precondition: ready.  Rethrows a stored exception; otherwise returns
-    /// a reference to the value without consuming it (shared_future::get).
-    const T& peek_value() const {
-        rethrow_if_error();
-        return *value_;
-    }
-
 private:
     std::optional<T> value_;
 };
@@ -191,14 +184,13 @@ public:
     }
 
     void take_value() { rethrow_if_error(); }
-    void peek_value() const { rethrow_if_error(); }
 };
 
 template <class T>
 using state_ptr = std::shared_ptr<shared_state<T>>;
 
 /// Invokes `fn(args...)` and routes the result (value or exception) into
-/// `st`.  Central helper shared by async(), then() and dataflow().
+/// `st`.  Central helper shared by async() and then().
 template <class R, class F, class... Args>
 void fulfill(const state_ptr<R>& st, F& fn, Args&&... args) {
     try {
@@ -292,7 +284,7 @@ public:
         return then(launch::async, std::forward<F>(f));
     }
 
-    /// Internal: shared state access for combinators (when_all, dataflow).
+    /// Internal: shared state access for combinators (when_all).
     [[nodiscard]] const detail::state_ptr<T>& raw_state() const noexcept {
         return state_;
     }

@@ -14,8 +14,7 @@
 //     no schedule, however many workers it has, can finish an iteration
 //     faster than this;
 //   * ideal speedup       = work / critical_path — the graph-shape bound on
-//     parallelism (Brent's bound with p → ∞), the cost signal ROADMAP
-//     item 5's online autotuner ranks partition candidates by.
+//     parallelism (Brent's bound with p → ∞).
 //
 // Everything is O(nodes + edges) and allocation is confined to the result;
 // the hot replay path is untouched.  core/critical_path.{hpp,cpp} layers
@@ -51,7 +50,7 @@ struct graph_profile {
     double ideal_speedup = 0.0;     ///< work / critical path (1.0 if empty)
 
     /// The k most expensive nodes by mean cost, descending — the "where
-    /// would speeding up one task help" list for reports and the autotuner.
+    /// would speeding up one task help" list for reports.
     [[nodiscard]] std::vector<profiled_node> top(std::size_t k) const;
 };
 

@@ -1,10 +1,9 @@
 // amt/sync_primitives.hpp
 //
-// Cooperative synchronization primitives in the style of hpx::latch,
-// hpx::barrier, and hpx::counting_semaphore.  "Cooperative" means a worker
-// thread that would block instead executes pending tasks (via the same
-// mechanism as future::wait), so these are safe to use *inside* tasks even
-// on a single-worker runtime.
+// Cooperative countdown latch in the style of hpx::latch.  "Cooperative"
+// means a worker thread that would block instead executes pending tasks
+// (via the same mechanism as future::wait), so it is safe to wait *inside*
+// tasks even on a single-worker runtime.
 
 #pragma once
 
@@ -73,98 +72,6 @@ public:
     void arrive_and_wait(std::ptrdiff_t n = 1) {
         count_down(n);
         wait();
-    }
-
-private:
-    mutable amt::mutex mu_;
-    mutable amt::condition_variable cv_;
-    std::ptrdiff_t count_;
-};
-
-/// Reusable cyclic barrier for a fixed number of participants
-/// (hpx::barrier / std::barrier analogue, without completion functions).
-class barrier {
-public:
-    explicit barrier(std::ptrdiff_t num_participants)
-        : expected_(num_participants), remaining_(num_participants) {}
-    barrier(const barrier&) = delete;
-    barrier& operator=(const barrier&) = delete;
-
-    /// Blocks until all participants of the current phase have arrived.
-    void arrive_and_wait() {
-        std::size_t my_phase;
-        bool last;
-        {
-            std::lock_guard lk(mu_);
-            my_phase = phase_;
-            last = (--remaining_ == 0);
-            if (last) {
-                remaining_ = expected_;
-                ++phase_;
-            }
-        }
-        if (last) {
-            cv_.notify_all();
-            return;
-        }
-        detail::cooperative_wait(mu_, cv_,
-                                 [this, my_phase] { return phase_ != my_phase; });
-    }
-
-private:
-    mutable amt::mutex mu_;
-    mutable amt::condition_variable cv_;
-    std::ptrdiff_t expected_;
-    std::ptrdiff_t remaining_;
-    std::size_t phase_ = 0;
-};
-
-/// Counting semaphore (hpx::counting_semaphore analogue); useful to bound
-/// in-flight tasks when generating very large task graphs.
-class counting_semaphore {
-public:
-    explicit counting_semaphore(std::ptrdiff_t initial) : count_(initial) {}
-    counting_semaphore(const counting_semaphore&) = delete;
-    counting_semaphore& operator=(const counting_semaphore&) = delete;
-
-    void release(std::ptrdiff_t n = 1) {
-        {
-            std::lock_guard lk(mu_);
-            count_ += n;
-        }
-        if (n == 1) {
-            cv_.notify_one();
-        } else {
-            cv_.notify_all();
-        }
-    }
-
-    void acquire() {
-        // Fast path under the lock, cooperative slow path.
-        for (;;) {
-            {
-                std::lock_guard lk(mu_);
-                if (count_ > 0) {
-                    --count_;
-                    return;
-                }
-            }
-            detail::cooperative_wait(mu_, cv_, [this] { return count_ > 0; });
-        }
-    }
-
-    [[nodiscard]] bool try_acquire() {
-        std::lock_guard lk(mu_);
-        if (count_ > 0) {
-            --count_;
-            return true;
-        }
-        return false;
-    }
-
-    [[nodiscard]] std::ptrdiff_t value() const {
-        std::lock_guard lk(mu_);
-        return count_;
     }
 
 private:

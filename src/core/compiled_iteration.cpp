@@ -94,19 +94,7 @@ void compiled_iteration::arm(real_t dt) {
         sl.env.dt = dt;
         std::fill(sl.partials.begin(), sl.partials.end(),
                   k::dt_constraints{});
-        if (instrumented_) {
-            // Access sets expand against the bound domain's connectivity
-            // and region lists, so they are rebuilt for every replay.
-            const domain& d = *sl.env.dom;
-            for (std::size_t i = 0; i < sl.ctxs.size(); ++i) {
-                const task_decl& t = sl.table.tasks[i];
-                if (!is_wave_body(t.kind)) continue;
-                sl.ctxs[i].accs = accesses_of(t, d);
-                if (cfg_.track_hazards) {
-                    sl.ctxs[i].decl = expand_to_hazard_set(sl.ctxs[i].accs, d);
-                }
-            }
-        }
+        if (instrumented_) build_access_sets(sl);
         if (sl.capture != nullptr) {
             for (std::size_t i = 0; i < sl.capture->num_regions(); ++i) {
                 ++ext_[set_of(s)][pack_stage(*sl.capture, i)];
@@ -139,6 +127,28 @@ void compiled_iteration::arm(real_t dt) {
             });
         }
     }
+}
+
+// Access sets point into the bound domain's region lists and expand
+// against its connectivity, so they are built once per binding: again only
+// when a different domain, or a domain re-emplaced with new region-list
+// storage, is bound.
+void compiled_iteration::build_access_sets(slab_state& sl) {
+    const domain& d = *sl.env.dom;
+    std::vector<const void*> key{&d};
+    for (index_t r = 0; r < d.numReg(); ++r) {
+        key.push_back(d.regElemList(r).data());
+    }
+    if (key == sl.ctxs_key) return;
+    for (std::size_t i = 0; i < sl.ctxs.size(); ++i) {
+        const task_decl& t = sl.table.tasks[i];
+        if (!is_wave_body(t.kind)) continue;
+        sl.ctxs[i].accs = accesses_of(t, d);
+        if (cfg_.track_hazards) {
+            sl.ctxs[i].decl = expand_to_hazard_set(sl.ctxs[i].accs, d);
+        }
+    }
+    sl.ctxs_key = std::move(key);
 }
 
 // The one task wrapper.  What the graph engine already provides is left to

@@ -219,6 +219,9 @@ private:
         std::vector<node_id> ids;  ///< node per table task (or no_node)
         std::shared_ptr<state_capture> capture;
         std::vector<iteration_sentinel::task_ctx> ctxs;  ///< instrumented
+        /// What ctxs' access sets point into: the domain and its region
+        /// lists' storage when they were built (empty: not built yet).
+        std::vector<const void*> ctxs_key;
     };
     struct node_meta {
         std::int8_t stage;
@@ -226,6 +229,7 @@ private:
     };
 
     void compile();
+    void build_access_sets(slab_state& sl);
     node_id add_node(amt::unique_function<void()> body, const char* label,
                      index_t arg, int stage, std::size_t slab);
     void run_task(std::uint32_t slab, std::uint32_t task,

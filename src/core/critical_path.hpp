@@ -20,8 +20,7 @@
 //
 // Reported behind `lulesh_app --critical-path-report[=PATH]` as both
 // human-readable text and a JSON document (scripts/validate_critical_path.py
-// checks the two agree); core/autotune ranks partition candidates by the
-// ideal-speedup bound, closing ROADMAP item 5's measurement loop.
+// checks the two agree).
 
 #pragma once
 

@@ -13,36 +13,25 @@
 
 namespace lulesh::dist {
 
-namespace {
-
-/// Packs one record of `d` synchronously: whole-cluster chain files are
-/// saved and appended between runs, with no next cycle to overlap with.
-/// dist::run_resilient overlaps its per-cycle records with the next cycle
-/// (dist_driver::submit_overlapped_capture).
-std::string pack_record(const domain& d, bool base) {
-    state_capture cap(d, full_coverage(d), base);
-    cap.pack_remaining();
-    cap.wait_packed();
-    return cap.take_record();
-}
-
-}  // namespace
-
 std::string slab_chain_path(const std::string& path, index_t i) {
     return path + ".slab" + std::to_string(i);
 }
 
+// Whole-cluster chain files are saved and appended between runs, with no
+// next cycle to overlap with, so their records are packed synchronously;
+// dist::run_resilient overlaps its per-cycle records with the next cycle
+// (dist_driver::submit_overlapped_capture).
 void save_cluster_chains(cluster& c, const std::string& path) {
     for (index_t i = 0; i < c.num_slabs(); ++i) {
         write_chain_file(slab_chain_path(path, i),
-                         {pack_record(c.slab(i), /*base=*/true)});
+                         {pack_full_record(c.slab(i), /*base=*/true)});
     }
 }
 
 void append_cluster_deltas(cluster& c, const std::string& path) {
     for (index_t i = 0; i < c.num_slabs(); ++i) {
         append_chain_record_file(slab_chain_path(path, i),
-                                 pack_record(c.slab(i), /*base=*/false));
+                                 pack_full_record(c.slab(i), /*base=*/false));
     }
 }
 

@@ -21,9 +21,9 @@ namespace {
 // buffer for the slot up front and seals it, unpack_* verifies it: a
 // payload corrupted in transit fails the iteration through the
 // data_corruption status instead of silently skewing the neighbor's force
-// sums.  CRC-32C rather than the byte-at-a-time CRC-32 of crc32.hpp
-// because every message is checksummed twice per cycle on the critical
-// path, and CRC-32C runs in hardware (lulesh/crc32c.hpp).
+// sums.  Every message is checksummed twice per cycle on the critical
+// path, which CRC-32C affords because it runs in hardware
+// (lulesh/crc32c.hpp).
 
 /// Writes the CRC-32C of buf[0, buf.size() - 1) into the last slot.
 void seal_crc(plane_buffer& buf) {

@@ -37,13 +37,6 @@ struct chain_entry {
     std::string record;
 };
 
-std::string pack_record(const domain& d, bool base) {
-    state_capture cap(d, full_coverage(d), base);
-    cap.pack_remaining();
-    cap.wait_packed();
-    return cap.take_record();
-}
-
 }  // namespace
 
 dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
@@ -59,7 +52,7 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
     std::vector<std::string> entry_base(n);
     for (std::size_t i = 0; i < n; ++i) {
         const auto s = static_cast<index_t>(i);
-        entry_base[i] = pack_record(c.slab(s), /*base=*/true);
+        entry_base[i] = pack_full_record(c.slab(s), /*base=*/true);
         std::string rec = entry_base[i];
         if (opt.record_hook) opt.record_hook(s, rec);
         chains[i].push_back({c.slab(s).cycle, std::move(rec)});

@@ -1,232 +1,33 @@
-// lulesh/checkpoint.cpp — binary checkpoint/restart.
+// lulesh/checkpoint.cpp — standalone checkpoints as one-record chains.
 
 #include "lulesh/checkpoint.hpp"
 
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 
 #include "lulesh/checkpoint_chain.hpp"
-#include "lulesh/crc32.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define LULESH_CHECKPOINT_HAVE_FSYNC 1
-#endif
 
 namespace lulesh {
 
-namespace {
-
-constexpr std::uint64_t checkpoint_magic = 0x4C554C4553485F31ULL;  // "LULESH_1"
-// Version 2 added payload_crc: a CRC-32 over all field payload bytes, in
-// write order, so a flipped bit anywhere in the payload is detected at load
-// time instead of silently corrupting the restarted run.
-constexpr std::uint32_t checkpoint_version = 2;
-
-struct header {
-    std::uint64_t magic = checkpoint_magic;
-    std::uint32_t version = checkpoint_version;
-    std::uint32_t payload_crc = 0;
-    std::int32_t size = 0;
-    std::int32_t plane_begin = 0;
-    std::int32_t plane_end = 0;
-    std::int32_t num_elem = 0;
-    std::int32_t num_node = 0;
-    std::int32_t cycle = 0;
-    double time = 0;
-    double deltatime = 0;
-    double dtcourant = 0;
-    double dthydro = 0;
-};
-
-void write_bytes(std::ostream& out, const void* p, std::size_t n) {
-    out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+void save_checkpoint(const domain& d, std::ostream& out) {
+    const std::string record = pack_full_record(d, /*base=*/true);
+    out.write(record.data(), static_cast<std::streamsize>(record.size()));
     if (!out) throw checkpoint_error("lulesh: checkpoint write failed");
 }
 
-void read_bytes(std::istream& in, void* p, std::size_t n) {
-    in.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-    if (!in || in.gcount() != static_cast<std::streamsize>(n)) {
-        throw checkpoint_error("lulesh: checkpoint read failed (truncated?)");
-    }
-}
-
-void write_field(std::ostream& out, const std::vector<real_t>& v,
-                 std::size_t expect) {
-    write_bytes(out, v.data(), expect * sizeof(real_t));
-}
-
-void read_field(std::istream& in, std::vector<real_t>& v, std::size_t expect,
-                crc32& crc) {
-    read_bytes(in, v.data(), expect * sizeof(real_t));
-    crc.update(v.data(), expect * sizeof(real_t));
-}
-
-std::string hex32(std::uint32_t v) {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "0x%08X", v);
-    return buf;
-}
-
-/// CRC-32 over the field payload exactly as save_checkpoint writes it.
-std::uint32_t payload_crc(const domain& d) {
-    const auto nn = static_cast<std::size_t>(d.numNode());
-    const auto ne = static_cast<std::size_t>(d.numElem());
-    crc32 crc;
-    for (const auto* f : {&d.x, &d.y, &d.z, &d.xd, &d.yd, &d.zd}) {
-        crc.update(f->data(), nn * sizeof(real_t));
-    }
-    for (const auto* f : {&d.e, &d.p, &d.q, &d.v, &d.ss}) {
-        crc.update(f->data(), ne * sizeof(real_t));
-    }
-    return crc.value();
-}
-
-}  // namespace
-
-void save_checkpoint(const domain& d, std::ostream& out) {
-    header h;
-    h.size = d.size_per_edge();
-    h.plane_begin = d.slab().plane_begin;
-    h.plane_end = d.slab().plane_end;
-    h.num_elem = d.numElem();
-    h.num_node = d.numNode();
-    h.cycle = d.cycle;
-    h.time = d.time_;
-    h.deltatime = d.deltatime;
-    h.dtcourant = d.dtcourant;
-    h.dthydro = d.dthydro;
-    h.payload_crc = payload_crc(d);
-    write_bytes(out, &h, sizeof(h));
-
-    const auto nn = static_cast<std::size_t>(d.numNode());
-    const auto ne = static_cast<std::size_t>(d.numElem());
-    write_field(out, d.x, nn);
-    write_field(out, d.y, nn);
-    write_field(out, d.z, nn);
-    write_field(out, d.xd, nn);
-    write_field(out, d.yd, nn);
-    write_field(out, d.zd, nn);
-    write_field(out, d.e, ne);
-    write_field(out, d.p, ne);
-    write_field(out, d.q, ne);
-    write_field(out, d.v, ne);
-    write_field(out, d.ss, ne);
-}
-
-namespace {
-
-/// `where` names the source for error messages: "" for an anonymous stream,
-/// "in file '<path>'" for the file wrapper.
-void load_checkpoint_impl(domain& d, std::istream& in,
-                          const std::string& where) {
-    header h;
-    read_bytes(in, &h, sizeof(h));
-    if (h.magic != checkpoint_magic) {
-        throw checkpoint_error("lulesh: not a checkpoint" + where);
-    }
-    if (h.version != checkpoint_version) {
-        throw checkpoint_error("lulesh: unsupported checkpoint version" +
-                               where);
-    }
-    if (h.size != d.size_per_edge() || h.plane_begin != d.slab().plane_begin ||
-        h.plane_end != d.slab().plane_end || h.num_elem != d.numElem() ||
-        h.num_node != d.numNode()) {
-        throw checkpoint_error("lulesh: checkpoint" + where +
-                               " does not match this domain's shape");
-    }
-
-    const auto nn = static_cast<std::size_t>(d.numNode());
-    const auto ne = static_cast<std::size_t>(d.numElem());
-    crc32 crc;
-    read_field(in, d.x, nn, crc);
-    read_field(in, d.y, nn, crc);
-    read_field(in, d.z, nn, crc);
-    read_field(in, d.xd, nn, crc);
-    read_field(in, d.yd, nn, crc);
-    read_field(in, d.zd, nn, crc);
-    read_field(in, d.e, ne, crc);
-    read_field(in, d.p, ne, crc);
-    read_field(in, d.q, ne, crc);
-    read_field(in, d.v, ne, crc);
-    read_field(in, d.ss, ne, crc);
-    if (crc.value() != h.payload_crc) {
-        // The domain's field vectors already hold the corrupt bytes at this
-        // point; callers must treat the load as failed and restore from
-        // elsewhere (resilient_run falls back to an older checkpoint).
-        throw checkpoint_error(
-            "lulesh: checkpoint payload checksum mismatch" + where +
-            " (cycle " + std::to_string(h.cycle) + ", expected " +
-            hex32(h.payload_crc) + ", actual " + hex32(crc.value()) + ")");
-    }
-
-    d.cycle = h.cycle;
-    d.time_ = h.time;
-    d.deltatime = h.deltatime;
-    d.dtcourant = h.dtcourant;
-    d.dthydro = h.dthydro;
-}
-
-}  // namespace
-
 void load_checkpoint(domain& d, std::istream& in) {
-    load_checkpoint_impl(d, in, "");
+    restore_chain_stream(d, in, "stream");
 }
 
 void save_checkpoint_file(const domain& d, const std::string& path) {
-    // Atomic write protocol: stream into a sibling temp file, flush it to
-    // stable storage, then rename over the destination.  A crash at any
-    // point leaves either the old checkpoint or the new one — never a
-    // truncated file (load_checkpoint rejects torn files anyway, but the
-    // recovery loop must not lose its last good checkpoint to a crash
-    // mid-save).
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            throw checkpoint_error("lulesh: cannot open '" + tmp +
-                                   "' for writing");
-        }
-        try {
-            save_checkpoint(d, out);
-            out.flush();
-            if (!out) throw checkpoint_error("lulesh: checkpoint write failed");
-        } catch (...) {
-            out.close();
-            std::remove(tmp.c_str());
-            throw;
-        }
-    }
-#if LULESH_CHECKPOINT_HAVE_FSYNC
-    const int fd = ::open(tmp.c_str(), O_RDONLY);
-    if (fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
-    }
-#endif
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw checkpoint_error("lulesh: cannot rename '" + tmp + "' to '" +
-                               path + "'");
-    }
+    write_chain_file(path, {pack_full_record(d, /*base=*/true)});
 }
 
 void load_checkpoint_file(domain& d, const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw checkpoint_error("lulesh: cannot open '" + path + "' for reading");
-    // The resilient loop's file mirror is a v3 chain; standalone
-    // checkpoints are monolithic v2.  Both restore bitwise — dispatch on
-    // the leading magic.
-    if (stream_is_chain(in)) {
-        restore_chain_stream(d, in, "file '" + path + "'");
-    } else {
-        load_checkpoint_impl(d, in, " in file '" + path + "'");
-    }
+    restore_chain_stream(d, in, "file '" + path + "'");
 }
 
 }  // namespace lulesh

@@ -357,6 +357,13 @@ std::string state_capture::take_record() {
     return std::move(buf_);
 }
 
+std::string pack_full_record(const domain& d, bool base) {
+    state_capture cap(d, full_coverage(d), base);
+    cap.pack_remaining();
+    cap.wait_packed();
+    return cap.take_record();
+}
+
 // --- record validation + apply -------------------------------------------
 
 void apply_chain_record(domain& d, std::string_view record,
@@ -625,7 +632,7 @@ bool chain_record_is_base(std::string_view record) noexcept {
 
 void write_chain_file(const std::string& path,
                       const std::vector<std::string>& records) {
-    // Same atomic protocol as v2 checkpoints: temp file, fsync, rename.
+    // Atomic protocol: temp file, fsync, rename.
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

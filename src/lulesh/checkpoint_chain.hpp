@@ -19,10 +19,11 @@
 // The trailer is written last, so a record is *committed* only once its
 // final byte is on disk.  Restore replays the longest valid prefix of
 // committed records; a crash at any byte leaves either the previous chain
-// (torn tail ignored) or the new one — never a torn state.  Base records
-// are written with the same temp+fsync+rename protocol as v2 checkpoints;
-// delta records are appended and fsync'd in place, which is crash-safe
-// because an incomplete append simply fails trailer validation.
+// (torn tail ignored) or the new one — never a torn state.  Whole chains
+// are written atomically (temp file, fsync, rename); delta records are
+// appended and fsync'd in place, which is crash-safe because an incomplete
+// append simply fails trailer validation.  A standalone checkpoint
+// (lulesh/checkpoint.hpp) is a chain of one base record.
 //
 // Packing a record is decomposed into independent per-region copies
 // (state_capture) so the task-graph driver can run them as ordinary graph
@@ -48,7 +49,7 @@
 
 namespace lulesh {
 
-/// The 11 fields that carry state across iterations, in v2 payload order:
+/// The 11 fields that carry state across iterations, in slot order:
 /// x, y, z, xd, yd, zd (node), then e, p, q, v, ss (elem).
 inline constexpr std::size_t num_checkpoint_fields = 11;
 
@@ -73,6 +74,10 @@ struct dirty_region {
 /// record (and the conservative fallback for drivers that do not report
 /// write-sets).
 std::vector<dirty_region> full_coverage(const domain& d);
+
+/// Packs every checkpointed field of `d` into one committed record on the
+/// calling thread: a base record, or a delta covering the whole state.
+std::string pack_full_record(const domain& d, bool base);
 
 /// Accumulates the (field × index-range) write-sets the drivers report
 /// after each advance().  Marks on non-checkpointed fields are ignored;
@@ -176,8 +181,8 @@ bool stream_is_chain(std::istream& in);
 
 /// Replays the longest valid prefix of committed records from `in` into
 /// `d` (torn or corrupt tails are ignored).  Throws checkpoint_error if no
-/// valid leading base record exists.  Used by load_checkpoint_file when it
-/// detects a chain.
+/// valid leading base record exists.  The one restore path of
+/// load_checkpoint and load_checkpoint_file.
 void restore_chain_stream(domain& d, std::istream& in,
                           const std::string& context);
 

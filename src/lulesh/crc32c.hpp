@@ -1,13 +1,12 @@
 // lulesh/crc32c.hpp
 //
-// CRC-32C (Castagnoli polynomial 0x1EDC6F41, the iSCSI/ext4 variant) used
-// by the v3 checkpoint chain and the dist halo messages.  Unlike the IEEE
-// CRC-32 in crc32.hpp — kept byte-at-a-time because only the v2 monolithic
-// format, written and read outside the iteration loop, uses it — both
-// checksum data on the critical path: the chain every payload byte of every
-// capture (at checkpoint-every-1 the whole simulation state per cycle), the
-// halo layer every boundary message at pack and again at unpack (2.1 MB
-// per cycle for s=30 over four slabs).
+// CRC-32C (Castagnoli polynomial 0x1EDC6F41, the iSCSI/ext4 variant), the
+// one checksum of the repository: it guards every checkpoint record and
+// every dist halo message.  Both checksum data on the critical path: the
+// checkpoint chain every payload byte of every capture (at
+// checkpoint-every-1 the whole simulation state per cycle), the halo layer
+// every boundary message at pack and again at unpack (2.1 MB per cycle for
+// s=30 over four slabs).
 // The polynomial was chosen precisely because commodity CPUs checksum it
 // in hardware: SSE4.2 on x86-64 and the ARMv8 CRC extension both implement
 // CRC-32C (and only CRC-32C), at tens of GB/s.  A slicing-by-8 software
@@ -161,7 +160,8 @@ inline bool crc32c_hw_available() { return false; }
 
 }  // namespace detail
 
-/// Incremental CRC-32C accumulator, same shape as lulesh::crc32.
+/// Incremental CRC-32C accumulator: feed byte ranges, read `value()` at any
+/// point without consuming the state.
 class crc32c {
 public:
     void update(const void* data, std::size_t n) {

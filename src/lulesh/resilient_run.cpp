@@ -36,8 +36,7 @@ resilient_result run_resilient(domain& d, driver& drv,
 
     // The in-memory chain: a base record followed by committed deltas.
     // Rollback replays the longest valid prefix, so "fall back to the
-    // previous snapshot" is simply dropping a corrupt tail — the chain
-    // subsumes the v2 latest/previous snapshot pair.
+    // previous snapshot" is simply dropping a corrupt tail.
     std::vector<std::string> chain;
     dirty_tracker dirty;
 
@@ -110,13 +109,10 @@ resilient_result run_resilient(domain& d, driver& drv,
     } quiesce{&pending};
 
     // Entry snapshot: the chain's first base record (not counted in
-    // rr.checkpoints, like the v2 entry snapshot).  With
-    // checkpoint_every <= 0 this stays the only record — still enough to
-    // recover, just a full replay.
+    // rr.checkpoints).  With checkpoint_every <= 0 this stays the only
+    // record — still enough to recover, just a full replay.
     {
-        state_capture cap(d, full_coverage(d), /*base=*/true);
-        cap.pack_remaining();
-        std::string rec = cap.take_record();
+        std::string rec = pack_full_record(d, /*base=*/true);
         if (opt.snapshot_hook) opt.snapshot_hook(rec);
         chain.push_back(std::move(rec));
         sync_mirror();

@@ -1,12 +1,12 @@
-// Tests for bulk_async / parallel_for_each / parallel_reduce — including
-// property-style parameterized sweeps over range and chunk sizes verifying
-// that every index is covered exactly once (the invariant the LULESH task
-// partitioning relies on).
+// Tests for bulk_async — including property-style parameterized sweeps
+// over range and chunk sizes verifying that every index is covered exactly
+// once (the invariant the LULESH task partitioning relies on).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "amt/algorithms.hpp"
@@ -87,78 +87,6 @@ INSTANTIATE_TEST_SUITE_P(
         return "n" + std::to_string(pinfo.param.n) + "_c" +
                std::to_string(pinfo.param.chunk);
     });
-
-TEST(ParallelForEach, AppliesFunctionToEachIndex) {
-    amt::runtime rt(3);
-    std::vector<int> data(1000, 0);
-    amt::parallel_for_each(rt, 0, 1000, 64,
-                           [&data](index_t i) { data[static_cast<std::size_t>(i)] = static_cast<int>(i); });
-    for (int i = 0; i < 1000; ++i) EXPECT_EQ(data[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ParallelForEach, PropagatesExceptions) {
-    amt::runtime rt(2);
-    EXPECT_THROW(amt::parallel_for_each(rt, 0, 100, 10,
-                                        [](index_t i) {
-                                            if (i == 55) {
-                                                throw std::runtime_error("bad index");
-                                            }
-                                        }),
-                 std::runtime_error);
-}
-
-TEST(ParallelReduce, SumsRange) {
-    amt::runtime rt(3);
-    const long long n = 10000;
-    auto sum = amt::parallel_reduce<long long>(
-        rt, 0, n, 128, 0LL, [](index_t i) { return static_cast<long long>(i); },
-        [](long long a, long long b) { return a + b; });
-    EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-    amt::runtime rt(2);
-    auto v = amt::parallel_reduce<int>(
-        rt, 5, 5, 8, -7, [](index_t) { return 1; },
-        [](int a, int b) { return a + b; });
-    EXPECT_EQ(v, -7);
-}
-
-TEST(ParallelReduce, MinReductionMatchesSerial) {
-    amt::runtime rt(3);
-    std::vector<double> data(5000);
-    // Deterministic pseudo-random content.
-    std::uint64_t s = 12345;
-    for (auto& v : data) {
-        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-        v = static_cast<double>(s >> 11) / static_cast<double>(1ULL << 53);
-    }
-    const double serial_min = *std::min_element(data.begin(), data.end());
-    auto parallel_min = amt::parallel_reduce<double>(
-        rt, 0, static_cast<index_t>(data.size()), 97, 1e300,
-        [&data](index_t i) { return data[static_cast<std::size_t>(i)]; },
-        [](double a, double b) { return std::min(a, b); });
-    EXPECT_DOUBLE_EQ(parallel_min, serial_min);
-}
-
-class ParallelReduceChunks : public ::testing::TestWithParam<index_t> {};
-
-// Property: for an associative+commutative op the result is chunk-size
-// independent; for float sums with fixed chunking it is deterministic.
-TEST_P(ParallelReduceChunks, SumIndependentOfChunkSize) {
-    amt::runtime rt(2);
-    const index_t n = 4097;
-    auto sum = amt::parallel_reduce<long long>(
-        rt, 0, n, GetParam(), 0LL,
-        [](index_t i) { return static_cast<long long>(i * i % 97); },
-        [](long long a, long long b) { return a + b; });
-    long long expect = 0;
-    for (index_t i = 0; i < n; ++i) expect += static_cast<long long>(i * i % 97);
-    EXPECT_EQ(sum, expect);
-}
-
-INSTANTIATE_TEST_SUITE_P(ChunkSweep, ParallelReduceChunks,
-                         ::testing::Values(1, 2, 16, 100, 1000, 4096, 5000));
 
 TEST(BulkAsyncChains, ContinuationPerChunkWithoutIntermediateBarrier) {
     // The paper's Figure 6 pattern: two dependent element-wise kernels as a

@@ -1,5 +1,5 @@
-// Tests for amt::channel and amt::when_any — the communication primitives
-// the distributed LULESH extension builds its halo exchange from.
+// Tests for amt::channel — the communication primitive the distributed
+// LULESH extension builds its halo exchange from.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "amt/channel.hpp"
 #include "amt/scheduler.hpp"
 #include "amt/when_all.hpp"
-#include "amt/when_any.hpp"
 
 namespace {
 
@@ -246,60 +245,6 @@ TEST(Channel, HaloExchangePatternWithContinuations) {
     auto fb = locality(b_to_a, a_to_b, 2.0);
     EXPECT_DOUBLE_EQ(fa.get(), 8 * 3.0);
     EXPECT_DOUBLE_EQ(fb.get(), 8 * 3.0);
-}
-
-// ---------------- when_any ----------------
-
-TEST(WhenAny, EmptyInputIsReady) {
-    std::vector<future<int>> fs;
-    auto any = amt::when_any(std::move(fs));
-    ASSERT_TRUE(any.is_ready());
-    EXPECT_TRUE(any.get().futures.empty());
-}
-
-TEST(WhenAny, FiresOnFirstCompletion) {
-    amt::promise<int> p1;
-    amt::promise<int> p2;
-    std::vector<future<int>> fs;
-    fs.push_back(p1.get_future());
-    fs.push_back(p2.get_future());
-    auto any = amt::when_any(std::move(fs));
-    EXPECT_FALSE(any.is_ready());
-    p2.set_value(20);
-    ASSERT_TRUE(any.is_ready());
-    auto result = any.get();
-    EXPECT_EQ(result.index, 1u);
-    EXPECT_EQ(result.futures[1].get(), 20);
-    EXPECT_TRUE(result.futures[0].valid());  // still pending, still owned
-    p1.set_value(10);
-    EXPECT_EQ(result.futures[0].get(), 10);
-}
-
-TEST(WhenAny, AlreadyReadyInputWinsImmediately) {
-    std::vector<future<int>> fs;
-    fs.push_back(amt::make_ready_future(5));
-    amt::promise<int> p;
-    fs.push_back(p.get_future());
-    auto any = amt::when_any(std::move(fs));
-    ASSERT_TRUE(any.is_ready());
-    EXPECT_EQ(any.get().index, 0u);
-    p.set_value(0);  // avoid broken-promise noise
-}
-
-TEST(WhenAny, WithRuntimeTasks) {
-    amt::runtime rt(2);
-    std::atomic<bool> release{false};
-    std::vector<future<int>> fs;
-    fs.push_back(amt::async([&release] {
-        while (!release.load()) std::this_thread::yield();
-        return 1;
-    }));
-    fs.push_back(amt::async([] { return 2; }));
-    auto result = amt::when_any(std::move(fs)).get();
-    EXPECT_EQ(result.index, 1u);
-    release.store(true);
-    EXPECT_EQ(result.futures[0].get(), 1);
-    EXPECT_EQ(result.futures[1].get(), 2);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for when_all / when_all_void / wait_all / dataflow — the barrier
+// Tests for when_all / when_all_void / wait_all — the barrier
 // combinators the LULESH task driver builds its 7 per-iteration
 // synchronization points from.
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "amt/async.hpp"
-#include "amt/dataflow.hpp"
 #include "amt/future.hpp"
 #include "amt/scheduler.hpp"
 #include "amt/when_all.hpp"
@@ -130,71 +129,6 @@ TEST(WaitAll, DoesNotConsumeFutures) {
         ASSERT_TRUE(fs[static_cast<std::size_t>(i)].valid());
         EXPECT_EQ(fs[static_cast<std::size_t>(i)].get(), i);
     }
-}
-
-TEST(Dataflow, TwoInputs) {
-    amt::runtime rt(2);
-    auto a = amt::async([] { return 40; });
-    auto b = amt::async([] { return 2; });
-    auto c = amt::dataflow(
-        [](future<int>&& x, future<int>&& y) { return x.get() + y.get(); },
-        std::move(a), std::move(b));
-    EXPECT_EQ(c.get(), 42);
-}
-
-TEST(Dataflow, MixedTypesIncludingVoid) {
-    amt::runtime rt(2);
-    auto a = amt::async([] { return 3.5; });
-    auto b = amt::async([] {});
-    auto c = amt::dataflow(
-        [](future<double>&& x, future<void>&& y) {
-            y.get();
-            return x.get() * 2.0;
-        },
-        std::move(a), std::move(b));
-    EXPECT_DOUBLE_EQ(c.get(), 7.0);
-}
-
-TEST(Dataflow, RunsOnlyAfterAllInputsReady) {
-    promise<int> p1;
-    promise<int> p2;
-    std::atomic<bool> ran{false};
-    auto f = amt::dataflow(
-        [&ran](future<int>&& a, future<int>&& b) {
-            ran.store(true);
-            return a.get() * b.get();
-        },
-        p1.get_future(), p2.get_future());
-    EXPECT_FALSE(ran.load());
-    p1.set_value(6);
-    EXPECT_FALSE(ran.load());
-    p2.set_value(7);
-    EXPECT_EQ(f.get(), 42);
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(Dataflow, ExceptionInInputReachesFunction) {
-    auto bad = amt::make_exceptional_future<int>(
-        std::make_exception_ptr(std::runtime_error("input failed")));
-    auto ok = make_ready_future(1);
-    auto f = amt::dataflow(
-        [](future<int>&& a, future<int>&& b) {
-            (void)b.get();
-            return a.get();  // rethrows
-        },
-        std::move(bad), std::move(ok));
-    EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(Dataflow, ChainsWithThen) {
-    amt::runtime rt(2);
-    auto a = amt::async([] { return 10; });
-    auto b = amt::async([] { return 20; });
-    auto f = amt::dataflow([](future<int>&& x,
-                              future<int>&& y) { return x.get() + y.get(); },
-                           std::move(a), std::move(b))
-                 .then([](future<int>&& v) { return v.get() + 12; });
-    EXPECT_EQ(f.get(), 42);
 }
 
 TEST(WhenAllStress, LargeFanIn) {

@@ -1,128 +1,15 @@
-// Tests for the extended amt API: shared_future, unwrap, latch, barrier,
-// counting_semaphore.
+// Tests for amt::latch — the cooperative countdown latch.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
-#include <vector>
 
 #include "amt/amt.hpp"
 
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---------------- shared_future ----------------
-
-TEST(SharedFuture, DefaultConstructedIsInvalid) {
-    amt::shared_future<int> sf;
-    EXPECT_FALSE(sf.valid());
-    EXPECT_THROW(sf.get(), std::future_error);
-}
-
-TEST(SharedFuture, ConversionConsumesUniqueFuture) {
-    auto f = amt::make_ready_future(5);
-    amt::shared_future<int> sf(std::move(f));
-    EXPECT_FALSE(f.valid());  // NOLINT(bugprone-use-after-move)
-    EXPECT_TRUE(sf.valid());
-    EXPECT_EQ(sf.get(), 5);
-}
-
-TEST(SharedFuture, GetIsRepeatable) {
-    amt::shared_future<int> sf(amt::make_ready_future(7));
-    EXPECT_EQ(sf.get(), 7);
-    EXPECT_EQ(sf.get(), 7);
-    EXPECT_TRUE(sf.valid());
-}
-
-TEST(SharedFuture, CopiesShareTheResult) {
-    amt::promise<std::string> p;
-    amt::shared_future<std::string> a(p.get_future());
-    amt::shared_future<std::string> b = a;
-    p.set_value("shared");
-    EXPECT_EQ(a.get(), "shared");
-    EXPECT_EQ(b.get(), "shared");
-}
-
-TEST(SharedFuture, VoidSpecialization) {
-    amt::shared_future<void> sf(amt::make_ready_future());
-    EXPECT_NO_THROW(sf.get());
-    EXPECT_NO_THROW(sf.get());
-}
-
-TEST(SharedFuture, ExceptionRethrownOnEveryGet) {
-    amt::shared_future<int> sf(amt::make_exceptional_future<int>(
-        std::make_exception_ptr(std::runtime_error("persistent"))));
-    EXPECT_THROW(sf.get(), std::runtime_error);
-    EXPECT_THROW(sf.get(), std::runtime_error);
-}
-
-TEST(SharedFuture, MultipleContinuationsAllRun) {
-    amt::promise<int> p;
-    amt::shared_future<int> sf(p.get_future());
-    auto a = sf.then(amt::launch::sync,
-                     [](const amt::shared_future<int>& v) { return v.get() + 1; });
-    auto b = sf.then(amt::launch::sync,
-                     [](const amt::shared_future<int>& v) { return v.get() * 2; });
-    auto c = sf.then(amt::launch::sync,
-                     [](const amt::shared_future<int>& v) { return v.get() - 3; });
-    p.set_value(10);
-    EXPECT_EQ(a.get(), 11);
-    EXPECT_EQ(b.get(), 20);
-    EXPECT_EQ(c.get(), 7);
-    EXPECT_EQ(sf.get(), 10);  // source still usable
-}
-
-TEST(SharedFuture, FanOutOnRuntime) {
-    amt::runtime rt(2);
-    amt::shared_future<int> sf(amt::async([] { return 21; }));
-    std::vector<amt::future<int>> results;
-    for (int i = 0; i < 8; ++i) {
-        results.push_back(
-            sf.then([i](const amt::shared_future<int>& v) { return v.get() + i; }));
-    }
-    for (int i = 0; i < 8; ++i) {
-        EXPECT_EQ(results[static_cast<std::size_t>(i)].get(), 21 + i);
-    }
-}
-
-// ---------------- unwrap ----------------
-
-TEST(Unwrap, CollapsesReadyNesting) {
-    auto nested = amt::make_ready_future(amt::make_ready_future(42));
-    auto flat = amt::unwrap(std::move(nested));
-    EXPECT_EQ(flat.get(), 42);
-}
-
-TEST(Unwrap, WorksWithAsyncInnerLaunch) {
-    amt::runtime rt(2);
-    auto outer = amt::async([] { return amt::async([] { return 6 * 7; }); });
-    auto flat = amt::unwrap(std::move(outer));
-    EXPECT_EQ(flat.get(), 42);
-}
-
-TEST(Unwrap, VoidNesting) {
-    amt::runtime rt(2);
-    std::atomic<bool> ran{false};
-    auto outer = amt::async([&ran] { return amt::async([&ran] { ran = true; }); });
-    amt::unwrap(std::move(outer)).get();
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(Unwrap, OuterExceptionPropagates) {
-    auto outer = amt::make_exceptional_future<amt::future<int>>(
-        std::make_exception_ptr(std::runtime_error("outer")));
-    auto flat = amt::unwrap(std::move(outer));
-    EXPECT_THROW(flat.get(), std::runtime_error);
-}
-
-TEST(Unwrap, InnerExceptionPropagates) {
-    auto outer = amt::make_ready_future(amt::make_exceptional_future<int>(
-        std::make_exception_ptr(std::logic_error("inner"))));
-    auto flat = amt::unwrap(std::move(outer));
-    EXPECT_THROW(flat.get(), std::logic_error);
-}
 
 // ---------------- latch ----------------
 
@@ -166,93 +53,6 @@ TEST(Latch, CooperativeWaitInsideTasks) {
     EXPECT_EQ(waiter.get(), 1);
     a.get();
     b.get();
-}
-
-// ---------------- barrier ----------------
-
-TEST(Barrier, SynchronizesExternalThreads) {
-    constexpr int participants = 4;
-    constexpr int rounds = 25;
-    amt::barrier bar(participants);
-    std::vector<int> counters(participants, 0);
-    std::atomic<bool> skew{false};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < participants; ++t) {
-        threads.emplace_back([&, t] {
-            for (int r = 0; r < rounds; ++r) {
-                counters[static_cast<std::size_t>(t)]++;
-                bar.arrive_and_wait();
-                for (int c : counters) {
-                    if (c != r + 1) skew.store(true);
-                }
-                bar.arrive_and_wait();
-            }
-        });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_FALSE(skew.load());
-}
-
-TEST(Barrier, SingleParticipantNeverBlocks) {
-    amt::barrier bar(1);
-    for (int i = 0; i < 10; ++i) bar.arrive_and_wait();
-}
-
-// ---------------- counting_semaphore ----------------
-
-TEST(Semaphore, AcquireConsumesPermits) {
-    amt::counting_semaphore sem(2);
-    EXPECT_TRUE(sem.try_acquire());
-    EXPECT_TRUE(sem.try_acquire());
-    EXPECT_FALSE(sem.try_acquire());
-    sem.release();
-    EXPECT_TRUE(sem.try_acquire());
-    EXPECT_EQ(sem.value(), 0);
-}
-
-TEST(Semaphore, BlockingAcquireWaitsForRelease) {
-    amt::counting_semaphore sem(0);
-    std::atomic<bool> acquired{false};
-    std::thread waiter([&] {
-        sem.acquire();
-        acquired.store(true);
-    });
-    std::this_thread::sleep_for(5ms);
-    EXPECT_FALSE(acquired.load());
-    sem.release();
-    waiter.join();
-    EXPECT_TRUE(acquired.load());
-}
-
-TEST(Semaphore, ThrottlesTaskFanOut) {
-    // Bound in-flight tasks to 2 while producing 50 from a worker task —
-    // the intended use for very large task-graph generation.
-    amt::runtime rt(2);
-    amt::counting_semaphore sem(2);
-    std::atomic<int> in_flight{0};
-    std::atomic<int> max_in_flight{0};
-    std::atomic<int> done{0};
-
-    auto producer = amt::async([&] {
-        std::vector<amt::future<void>> fs;
-        for (int i = 0; i < 50; ++i) {
-            sem.acquire();
-            fs.push_back(amt::async([&] {
-                const int now = in_flight.fetch_add(1) + 1;
-                int seen = max_in_flight.load();
-                while (seen < now && !max_in_flight.compare_exchange_weak(seen, now)) {
-                }
-                std::this_thread::yield();
-                in_flight.fetch_sub(1);
-                done.fetch_add(1);
-                sem.release();
-            }));
-        }
-        amt::wait_all(fs);
-    });
-    producer.get();
-    EXPECT_EQ(done.load(), 50);
-    EXPECT_LE(max_in_flight.load(), 2);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include "amt/amt.hpp"
 #include "amt/fault.hpp"
+#include "amt/hazard.hpp"
 #include "core/access.hpp"
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/checkpoint.hpp"
@@ -244,6 +245,42 @@ TEST(ReplayEquivalence, ReplacedDomainOfTheSameShapeIsRebound) {
               lulesh::status::ok);
     ASSERT_NE(drv.compiled(), nullptr);
     EXPECT_EQ(drv.compiled()->replays(), 6u) << "the graph was recompiled";
+
+    auto fresh = evolve(o, 4, 2, {32, 32});
+    EXPECT_EQ(lulesh::max_field_difference(*d, *fresh), 0.0);
+    EXPECT_EQ(serialized(*d), serialized(*fresh));
+}
+
+TEST(ReplayEquivalence, InstrumentedReplayOfAReplacedDomainIsCleanAndBitwise) {
+    // The same sequence with the shadow tracker armed and the NaN scan on:
+    // the access sets are built once per bound domain, so the re-emplaced
+    // domain must get fresh ones — stale sets would point into the old
+    // domain's freed region lists and the tracker would report the bodies'
+    // accesses as undeclared.
+    struct tracker_guard {
+        tracker_guard() {
+            amt::hazard::clear_violations();
+            amt::hazard::arm();
+        }
+        ~tracker_guard() {
+            amt::hazard::disarm();
+            amt::hazard::clear_violations();
+        }
+    } guard;
+    const options o = opts(10, 11);
+    amt::runtime rt(2);
+    lulesh::taskgraph_driver drv(rt, {32, 32});
+    drv.enable_instrumentation(/*track_hazards=*/true, /*scan_nan=*/true);
+    std::optional<domain> d;
+    d.emplace(o);
+    ASSERT_EQ(lulesh::run_simulation(*d, drv, 2).run_status,
+              lulesh::status::ok);
+    d.emplace(o);
+    ASSERT_EQ(lulesh::run_simulation(*d, drv, 4).run_status,
+              lulesh::status::ok);
+    ASSERT_NE(drv.compiled(), nullptr);
+    EXPECT_EQ(drv.compiled()->replays(), 6u) << "the graph was recompiled";
+    EXPECT_EQ(amt::hazard::violation_count(), 0u);
 
     auto fresh = evolve(o, 4, 2, {32, 32});
     EXPECT_EQ(lulesh::max_field_difference(*d, *fresh), 0.0);

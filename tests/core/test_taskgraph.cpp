@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "amt/amt.hpp"
-#include "core/autotune.hpp"
 #include "core/driver_foreach.hpp"
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/driver.hpp"
@@ -109,7 +108,7 @@ TEST(TaskGraph, ManyIterationsRemainStable) {
     EXPECT_EQ(result.run_status, lulesh::status::ok);
     EXPECT_EQ(result.cycles, 60);
     const auto rep = lulesh::check_energy_symmetry(d);
-    EXPECT_LT(rep.max_rel_diff, 1e-8);
+    EXPECT_LT(rep.max_rel_diff, 2e-11);  // reads 4.9e-13
 }
 
 TEST(TaskGraph, WorksWhenPartitionExceedsProblem) {
@@ -197,59 +196,6 @@ TEST(TaskGraphProfile, ResetZeroes) {
     drv.reset_profile();
     EXPECT_EQ(drv.profile().iterations, 0);
     EXPECT_EQ(drv.profile().total(), 0.0);
-}
-
-TEST(Autotune, PicksACandidateAndReportsSpread) {
-    const options o = small_opts(5, 3);
-    amt::runtime rt(2);
-    lulesh::autotune_options topts;
-    topts.candidates = {16, 64, 100000};
-    topts.iterations = 2;
-    const auto result = lulesh::autotune_partitions(rt, o, topts);
-    EXPECT_EQ(result.pairs_tried, 9);
-    EXPECT_GT(result.best_seconds, 0.0);
-    EXPECT_GE(result.worst_seconds, result.best_seconds);
-    // The winner is one of the candidates.
-    bool nodal_known = false;
-    bool elems_known = false;
-    for (index_t c : topts.candidates) {
-        nodal_known = nodal_known || result.best.nodal == c;
-        elems_known = elems_known || result.best.elems == c;
-    }
-    EXPECT_TRUE(nodal_known);
-    EXPECT_TRUE(elems_known);
-}
-
-TEST(Autotune, RejectsBadInputs) {
-    const options o = small_opts(4, 2);
-    amt::runtime rt(1);
-    lulesh::autotune_options empty;
-    empty.candidates.clear();
-    EXPECT_THROW((void)lulesh::autotune_partitions(rt, o, empty),
-                 std::invalid_argument);
-    lulesh::autotune_options zero_iters;
-    zero_iters.iterations = 0;
-    EXPECT_THROW((void)lulesh::autotune_partitions(rt, o, zero_iters),
-                 std::invalid_argument);
-}
-
-TEST(Autotune, TunedConfigurationRunsCorrectly) {
-    const options o = small_opts(5, 3);
-    amt::runtime rt(2);
-    lulesh::autotune_options topts;
-    topts.candidates = {32, 128};
-    topts.iterations = 2;
-    const auto tuned = lulesh::autotune_partitions(rt, o, topts);
-
-    domain reference(o);
-    {
-        lulesh::serial_driver drv;
-        lulesh::run_simulation(reference, drv, 15);
-    }
-    domain candidate(o);
-    lulesh::taskgraph_driver drv(rt, tuned.best);
-    lulesh::run_simulation(candidate, drv, 15);
-    EXPECT_EQ(lulesh::max_field_difference(reference, candidate), 0.0);
 }
 
 TEST(Foreach, ReportsName) {

@@ -1,8 +1,12 @@
 // Integration tests: complete Sedov runs to the physical stop time across
-// all drivers, golden-value regression, and the utilization counters that
-// feed the Figure 11 benchmark.
+// all drivers, the LULESH 2.0 reference anchor, golden-value regression,
+// and the utilization counters that feed the Figure 11 benchmark.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "amt/amt.hpp"
 #include "core/driver_foreach.hpp"
@@ -11,6 +15,9 @@
 #include "lulesh/driver_parallel_for.hpp"
 #include "lulesh/validate.hpp"
 #include "ompsim/ompsim.hpp"
+#if defined(LULESH_AMT_HAVE_OPENMP)
+#include "lulesh/driver_openmp.hpp"
+#endif
 
 namespace {
 
@@ -25,6 +32,40 @@ options opts(index_t size, index_t regions = 11) {
     return o;
 }
 
+/// The origin energy as the LULESH 2.0 reference prints it (`%12.6e`).
+std::string reference_print(lulesh::real_t e) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%12.6e", e);
+    return buf;
+}
+
+/// FNV-1a over the final cycle, the final time and the 11 checkpointed
+/// fields (x, y, z, xd, yd, zd, e, p, q, v, ss) — every bit of state a run
+/// carries from one cycle to the next.
+std::uint64_t final_state_digest(const domain& d) {
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&h](const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 1099511628211ULL;
+        }
+    };
+    mix(&d.cycle, sizeof d.cycle);
+    mix(&d.time_, sizeof d.time_);
+    const auto node_bytes =
+        static_cast<std::size_t>(d.numNode()) * sizeof(lulesh::real_t);
+    const auto elem_bytes =
+        static_cast<std::size_t>(d.numElem()) * sizeof(lulesh::real_t);
+    for (const auto* f : {&d.x, &d.y, &d.z, &d.xd, &d.yd, &d.zd}) {
+        mix(f->data(), node_bytes);
+    }
+    for (const auto* f : {&d.e, &d.p, &d.q, &d.v, &d.ss}) {
+        mix(f->data(), elem_bytes);
+    }
+    return h;
+}
+
 TEST(FullRun, SerialSedovRunsToCompletion) {
     domain d(opts(8));
     lulesh::serial_driver drv;
@@ -33,26 +74,70 @@ TEST(FullRun, SerialSedovRunsToCompletion) {
     EXPECT_GE(result.final_time, d.stoptime - 1e-15);
     EXPECT_GT(result.cycles, 50);
     const auto rep = lulesh::check_energy_symmetry(d);
-    EXPECT_LT(rep.max_rel_diff, 1e-7);
+    EXPECT_LT(rep.max_rel_diff, 1e-10);  // reads 1.5e-12
+}
+
+TEST(FullRun, ReferenceProblemMatchesLulesh2PublishedOutput) {
+    // LULESH 2.0's default problem (s=30, 11 regions) run to stoptime
+    // reports 932 cycles and a final origin energy of 2.025075e+05.  The
+    // symmetry check compares every (i, j, k) permutation over the whole
+    // volume, a stricter test than the reference's plane-0 comparison.
+    domain d(opts(30));
+    amt::runtime rt(4);
+    lulesh::taskgraph_driver drv(rt, lulesh::partition_sizes::tuned_for(30));
+    const auto result = lulesh::run_simulation(d, drv);
+    ASSERT_EQ(result.run_status, lulesh::status::ok);
+    EXPECT_EQ(result.cycles, 932);
+    EXPECT_EQ(reference_print(result.final_origin_energy), "2.025075e+05");
+    EXPECT_LT(lulesh::check_energy_symmetry(d).max_rel_diff, 1e-10);
 }
 
 TEST(FullRun, GoldenRegressionSize8) {
-    // Golden values recorded from the serial driver of this implementation
-    // (they guard against unintended physics changes, not against the
-    // upstream reference, whose region PRNG differs).
-    domain d(opts(8));
-    lulesh::serial_driver drv;
-    const auto result = lulesh::run_simulation(d, drv);
-    EXPECT_EQ(result.run_status, lulesh::status::ok);
-    // Record-once values; tolerance covers compiler/arch FP variation.
-    EXPECT_GT(result.final_origin_energy, 0.0);
-    const double recorded_energy = result.final_origin_energy;
-    // A second identical run must reproduce them bitwise.
-    domain d2(opts(8));
-    lulesh::serial_driver drv2;
-    const auto r2 = lulesh::run_simulation(d2, drv2);
-    EXPECT_EQ(r2.final_origin_energy, recorded_energy);
-    EXPECT_EQ(r2.cycles, result.cycles);
+    // Every driver ends the s=8 run to stoptime in the same final state,
+    // pinned by a digest recorded from the serial driver (cycle 163,
+    // origin energy 1.788182e+04).  The digest holds for builds that do
+    // not contract a*b+c into fused multiply-adds; a -march with FMA
+    // changes the rounding, so there only the cross-driver agreement and
+    // the cycle count are checked.
+    constexpr std::uint64_t recorded_digest = 0xECFD2BB6DBCF7322ULL;
+    const options o = opts(8);
+    const auto run = [&o](lulesh::driver& drv) {
+        domain d(o);
+        const auto r = lulesh::run_simulation(d, drv);
+        EXPECT_EQ(r.run_status, lulesh::status::ok) << drv.name();
+        EXPECT_EQ(r.cycles, 163) << drv.name();
+        return final_state_digest(d);
+    };
+
+    lulesh::serial_driver serial;
+#if !defined(__FMA__)
+    const std::uint64_t expected = recorded_digest;
+    EXPECT_EQ(run(serial), expected) << serial.name();
+#else
+    (void)recorded_digest;
+    const std::uint64_t expected = run(serial);
+#endif
+    {
+        ompsim::team team(3);
+        lulesh::parallel_for_driver drv(team);
+        EXPECT_EQ(run(drv), expected) << drv.name();
+    }
+    {
+        amt::runtime rt(3);
+        lulesh::foreach_driver drv(rt);
+        EXPECT_EQ(run(drv), expected) << drv.name();
+    }
+    {
+        amt::runtime rt(3);
+        lulesh::taskgraph_driver drv(rt, {48, 48});
+        EXPECT_EQ(run(drv), expected) << drv.name();
+    }
+#if defined(LULESH_AMT_HAVE_OPENMP)
+    {
+        lulesh::openmp_driver drv(3);
+        EXPECT_EQ(run(drv), expected) << drv.name();
+    }
+#endif
 }
 
 TEST(FullRun, AllDriversAgreeOnCompleteRun) {

@@ -245,6 +245,27 @@ TEST(ChainRecords, MeshShapeMismatchIsNamedNotMisreportedAsTorn) {
     std::remove(path.c_str());
 }
 
+TEST(ChainRecords, StandaloneCheckpointFileIsOneCommittedBaseRecord) {
+    // save_checkpoint_file writes the chain format the resilient loop
+    // mirrors: one committed base record holding the whole state.
+    const std::string path = "/tmp/lulesh_chain_standalone.ckpt";
+    std::remove(path.c_str());
+
+    domain d(small_opts());
+    lulesh::serial_driver drv;
+    lulesh::run_simulation(d, drv, 5);
+    lulesh::save_checkpoint_file(d, path);
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(lulesh::stream_is_chain(in));
+    const auto records = lulesh::read_chain_records(d, in, path);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_TRUE(lulesh::chain_record_is_base(records[0]));
+    EXPECT_EQ(lulesh::chain_record_cycle(records[0]), 5);
+    EXPECT_EQ(records[0], pack_one(d, lulesh::full_coverage(d), /*base=*/true));
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointErrors, CorruptFileReportsPathCycleAndBothCrcs) {
     const std::string path = "/tmp/lulesh_ckpt_errctx.ckpt";
     std::remove(path.c_str());

@@ -195,7 +195,7 @@ TEST(Physics, SymmetryPreservedAfterManyIterations) {
     lulesh::serial_driver drv;
     lulesh::run_simulation(d, drv, 80);
     const auto rep = lulesh::check_energy_symmetry(d);
-    EXPECT_LT(rep.max_rel_diff, 1e-8);
+    EXPECT_LT(rep.max_rel_diff, 1e-10);  // reads 1.9e-12
 }
 
 TEST(Physics, SymmetryPlanesStayFixed) {

@@ -289,15 +289,15 @@ std::optional<lambda_info> parse_lambda(const std::vector<token>& toks,
 /// more executions.
 bool is_task_entry(const std::string& name) {
     static const std::unordered_set<std::string> names = {
-        "async", "bulk_async", "dataflow", "when_all", "when_all_void",
-        "when_any", "post", "post_fn", "then", "add_node"};
+        "async", "bulk_async", "when_all", "when_all_void",
+        "post", "post_fn", "then", "add_node"};
     return names.count(name) > 0;
 }
 
 /// Future-producing roots for AMT005 (post is fire-and-forget by design).
 bool is_future_producer(const std::string& name) {
     static const std::unordered_set<std::string> names = {
-        "async", "dataflow", "when_all", "when_all_void", "when_any"};
+        "async", "when_all", "when_all_void"};
     return names.count(name) > 0;
 }
 
@@ -384,9 +384,9 @@ void check_amt001(const std::vector<token>& toks,
     }
 }
 
-/// Parameter names of `lam` whose declared type mentions future /
-/// shared_future — the continuation's antecedent, ready by construction,
-/// whose get() is an unwrap rather than a block.
+/// Parameter names of `lam` whose declared type mentions future — the
+/// continuation's antecedent, ready by construction, whose get() is an
+/// unwrap rather than a block.
 std::set<std::string> future_params(const std::vector<token>& toks,
                                     const lambda_info& lam) {
     std::set<std::string> names;
@@ -404,14 +404,10 @@ std::set<std::string> future_params(const std::vector<token>& toks,
             std::string last_ident;
             for (std::size_t j = start; j < i; ++j) {
                 if (toks[j].k != token::kind::ident) continue;
-                if (toks[j].text == "future" ||
-                    toks[j].text == "shared_future") {
-                    is_future = true;
-                }
+                if (toks[j].text == "future") is_future = true;
                 last_ident = toks[j].text;
             }
-            if (is_future && !last_ident.empty() &&
-                last_ident != "future" && last_ident != "shared_future") {
+            if (is_future && !last_ident.empty() && last_ident != "future") {
                 names.insert(last_ident);
             }
             start = i + 1;

@@ -14,7 +14,7 @@
 // dominating AMT porting bugs:
 //
 //   AMT001  by-reference lambda capture (default `&` or `&x`) handed to a
-//           task entry point (amt::async/dataflow/when_all/.then/...) — the
+//           task entry point (amt::async/when_all/.then/...) — the
 //           task outlives the enclosing scope, so the capture dangles.
 //   AMT002  blocking future::get()/wait() inside a task body — a worker
 //           parked on a future it may itself be scheduled to fulfil is the
