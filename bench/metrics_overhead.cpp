@@ -52,7 +52,8 @@ double probe_cost_ns(std::uint64_t iterations) {
 }
 
 /// Disarmed probes on the path of one task: execute()'s metered check,
-/// post_raw's queue-depth check, and the worker loop's first-miss stamp.
+/// the own-deque post's queue-depth check, and the worker loop's first-miss
+/// stamp.
 constexpr double probes_per_task = 3.0;
 
 double run_once(const lulesh::options& problem, int iters) {

@@ -52,6 +52,10 @@ namespace {
 
 thread_local current_worker_info tls_worker{};
 
+/// Rounds of (full work search + yield) an idle worker performs before it
+/// parks on the wakeup condition variable.
+constexpr std::size_t spin_rounds_before_sleep = 64;
+
 /// xorshift64* — cheap thread-local PRNG for victim selection.  Quality
 /// requirements are minimal; speed and statelessness across calls matter.
 inline std::uint64_t next_rng(std::uint64_t& s) noexcept {
@@ -103,7 +107,7 @@ runtime::~runtime() {
         }
         if (!any) {
             for (auto& w : workers_) {
-                if (!w->queue.empty_approx()) {
+                if (!w->queue.empty_approx() || !w->mail.empty_approx()) {
                     any = true;
                     break;
                 }
@@ -137,11 +141,22 @@ bool runtime::on_worker_thread() const noexcept {
 
 void runtime::post(task_ptr t) {
     assert(t && "posting a null task");
-    post_raw(t.release());
+    enqueue(t.release());
+    wake_one_if_parked();
 }
 
-void runtime::post_raw(task_base* raw) {
+void runtime::post_to(task_base* raw, std::size_t home) {
     assert(raw != nullptr && "posting a null task");
+    if (home < workers_.size() &&
+        (tls_worker.rt != this || tls_worker.index != home)) {
+        workers_[home]->mail.push(raw);
+    } else {
+        enqueue(raw);
+    }
+    wake_one_if_parked();
+}
+
+void runtime::enqueue(task_base* raw) {
     if (tls_worker.rt == this) {
         auto& q = workers_[tls_worker.index]->queue;
         q.push(raw);
@@ -151,18 +166,19 @@ void runtime::post_raw(task_base* raw) {
     } else {
         if (metrics::enabled()) external_post_counter().add(1);
         std::lock_guard lk(global_mu_);
-        raw->qnext = nullptr;
+        raw->qnext.store(nullptr, amt::memory_order_relaxed);
         if (global_tail_ != nullptr) {
-            global_tail_->qnext = raw;
+            global_tail_->qnext.store(raw, amt::memory_order_relaxed);
         } else {
             global_head_ = raw;
         }
         global_tail_ = raw;
+        global_pending_.store(true, amt::memory_order_relaxed);
     }
-    notify_workers();
 }
 
-void runtime::notify_workers() {
+void runtime::wake_one_if_parked() {
+    if (!sleepers_.any_after_post()) return;
     {
         std::lock_guard lk(sleep_mu_);
         ++epoch_;
@@ -171,18 +187,35 @@ void runtime::notify_workers() {
 }
 
 task_base* runtime::try_pop_global() {
+    if (!global_pending_.load(amt::memory_order_relaxed)) return nullptr;
     std::lock_guard lk(global_mu_);
     task_base* t = global_head_;
     if (t != nullptr) {
-        global_head_ = t->qnext;
-        if (global_head_ == nullptr) global_tail_ = nullptr;
-        t->qnext = nullptr;
+        global_head_ = t->qnext.load(amt::memory_order_relaxed);
+        if (global_head_ == nullptr) {
+            global_tail_ = nullptr;
+            global_pending_.store(false, amt::memory_order_relaxed);
+        }
+        t->qnext.store(nullptr, amt::memory_order_relaxed);
     }
     return t;
 }
 
+task_base* runtime::split_chain(worker& self, task_base* chain) {
+    // The chain is newest first.  Push all but the oldest, so the owner's
+    // LIFO pops then run the rest in posting order while thieves take
+    // from the newest end; read each link before the push publishes it.
+    task_base* t = chain;
+    for (;;) {
+        task_base* next = t->qnext.load(amt::memory_order_relaxed);
+        if (next == nullptr) return t;
+        self.queue.push(t);
+        t = next;
+    }
+}
+
 task_base* runtime::try_steal(std::size_t self_index, std::uint64_t& rng_state,
-                              bool* same_domain_out) {
+                              bool* same_domain_out, bool mail) {
     const std::size_t n = workers_.size();
     if (n <= 1) return nullptr;
     // Hierarchical sweep: every same-domain victim first (cheap, shares
@@ -194,7 +227,9 @@ task_base* runtime::try_steal(std::size_t self_index, std::uint64_t& rng_state,
     bool same = false;
     for_each_steal_victim(self_index, n, domain_size_, rot_same, rot_cross,
                           [&](std::size_t v, bool same_domain) {
-                              if (task_base* t = workers_[v]->queue.steal()) {
+                              worker& w = *workers_[v];
+                              if (task_base* t = mail ? w.mail.take_all()
+                                                      : w.queue.steal()) {
                                   found = t;
                                   same = same_domain;
                                   return true;
@@ -207,9 +242,18 @@ task_base* runtime::try_steal(std::size_t self_index, std::uint64_t& rng_state,
 
 task_base* runtime::find_work(worker& self) {
     if (task_base* t = self.queue.pop()) return t;
+    if (task_base* chain = self.mail.take_all()) {
+        return split_chain(self, chain);
+    }
     self.counters.steal_attempts.add(1);
     bool same_domain = false;
-    if (task_base* t = try_steal(self.index, self.rng_state, &same_domain)) {
+    task_base* t = try_steal(self.index, self.rng_state, &same_domain);
+    if (t == nullptr) {
+        task_base* chain =
+            try_steal(self.index, self.rng_state, &same_domain, /*mail=*/true);
+        if (chain != nullptr) t = split_chain(self, chain);
+    }
+    if (t != nullptr) {
         self.counters.steals.add(1);
         (same_domain ? self.counters.steals_same_domain
                      : self.counters.steals_cross_domain)
@@ -360,26 +404,32 @@ void runtime::worker_loop(worker& self) {
         }
         if (shutdown_.load(amt::memory_order_acquire)) break;
 
-        if (++idle_rounds < opts_.spin_rounds_before_sleep) {
+        if (++idle_rounds < spin_rounds_before_sleep) {
             std::this_thread::yield();
             continue;
         }
 
-        // Park.  Sample the epoch, do one more probe, and only sleep if no
-        // post happened in between (otherwise a task may have been pushed
-        // after our probes but before the wait).
+        // Park.  Sample the epoch, enter the sleeper gate, and probe once
+        // more: a poster that published before our gate entry is seen by
+        // this probe, and one that published after it sees the gate and
+        // bumps the epoch, so the wait below is skipped or woken.
         std::uint64_t seen;
         {
             std::lock_guard lk(sleep_mu_);
             seen = epoch_;
         }
+        sleepers_.enter();
         if (task_base* t = find_work(self)) {
+            sleepers_.leave();
             note_acquired();
             run_traced(t);
             idle_rounds = 0;
             continue;
         }
-        if (shutdown_.load(amt::memory_order_acquire)) break;
+        if (shutdown_.load(amt::memory_order_acquire)) {
+            sleepers_.leave();
+            break;
+        }
         {
             std::unique_lock lk(sleep_mu_);
             if (epoch_ == seen && !shutdown_.load(amt::memory_order_acquire)) {
@@ -389,6 +439,7 @@ void runtime::worker_loop(worker& self) {
                 sleep_cv_.wait_for(lk, std::chrono::milliseconds(2));
             }
         }
+        sleepers_.leave();
         idle_rounds = 0;
     }
     if (in_gap) close_gap(trace::now_ns());

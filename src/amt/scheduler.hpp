@@ -7,6 +7,20 @@
 // back to a global injection queue that receives tasks posted from
 // non-worker threads.
 //
+// Homed posting (post_to, the compiled graph's entry point): a task may
+// carry a home worker — a pure placement hint, the worker whose cache
+// already holds the task's chunk.  Posted from its home it lands in the
+// home's own deque; from anywhere else, including non-worker threads, in
+// the home's lock-free mailbox (amt/mailbox.hpp).  Every work-finding path
+// of a worker searches, in order: own deque, own mailbox, other workers'
+// deques, other workers' mailboxes, the injection queue — so a busy home
+// never strands its mail, and stealing stays the load balancer.
+//
+// Wakeups: a post fences and reads a parked-worker count (sleeper_gate);
+// only when a worker may be parked does it take the wakeup lock and
+// notify.  A worker announces itself in that count before its last probe,
+// so either the poster sees it or its probe sees the task.
+//
 // Lifetime model: a `runtime` is an ordinary object.  Constructing one
 // registers it as the *active* runtime (an ambient pointer used by the free
 // functions amt::async / amt::post); destroying it waits for the workers to
@@ -26,6 +40,7 @@
 #include "amt/config.hpp"
 #include "amt/counters.hpp"
 #include "amt/deque.hpp"
+#include "amt/mailbox.hpp"
 #include "amt/task.hpp"
 
 namespace amt {
@@ -38,10 +53,6 @@ struct runtime_options {
     /// productive_ratio, i.e. the paper's Figure 11).  Costs two steady_clock
     /// reads per task; disable for task-spawn microbenchmarks.
     bool enable_timing = true;
-
-    /// Rounds of (local pop + full steal sweep + global poll) an idle worker
-    /// performs before parking on the wakeup condition variable.
-    std::size_t spin_rounds_before_sleep = 64;
 
     /// Locality-domain width for hierarchical work stealing: workers are
     /// grouped into consecutive domains of this many workers, and an idle
@@ -112,14 +123,16 @@ public:
     /// injection queue.
     void post(task_ptr t);
 
-    /// Submits a task the scheduler does NOT own: it is executed but never
-    /// deleted.  This is the replay fast path for compiled-graph nodes —
-    /// recycled task objects whose storage belongs to their graph.  The
-    /// caller must keep `t` alive until it has executed.  Allocation-free:
-    /// from a worker thread the task lands in that worker's deque; from any
-    /// other thread it is linked into the global injection queue through
-    /// its intrusive `qnext` field.
-    void post_raw(task_base* t);
+    /// Submits a task the scheduler does NOT own — it is executed but never
+    /// deleted — to its home worker `home`: that worker's own deque when
+    /// called from it, its mailbox from any other thread.  `home` is a
+    /// placement hint only; a home past num_workers() (static_graph's
+    /// no_home) posts like post() does.  This is the replay path of
+    /// compiled-graph nodes, recycled task objects whose storage belongs
+    /// to their graph, and static_graph is its only caller.  The caller
+    /// keeps `t` alive until it has executed.  Allocation-free: every
+    /// queue it may land in is intrusive or preallocated.
+    void post_to(task_base* t, std::size_t home);
 
     template <class F>
     void post_fn(F&& f) {
@@ -155,25 +168,38 @@ private:
     struct worker;
 
     void worker_loop(worker& self);
+    /// Own deque, own mailbox, other deques, other mailboxes, injection
+    /// queue — the one search order of every work-finding path.
     task_base* find_work(worker& self);
     task_base* try_pop_global();
-    /// Hierarchical steal sweep (same-domain victims first).  On success
-    /// `same_domain_out` (when non-null) reports which tier the victim was
-    /// found in, for the steals_same_domain / steals_cross_domain counters.
+    /// Hierarchical steal sweep (same-domain victims first) over the other
+    /// workers' deques — or, with `mail`, over their mailboxes, returning
+    /// a whole taken chain.  On success `same_domain_out` (when non-null)
+    /// reports which tier the victim was found in, for the
+    /// steals_same_domain / steals_cross_domain counters.
     task_base* try_steal(std::size_t self_index, std::uint64_t& rng_state,
-                         bool* same_domain_out = nullptr);
+                         bool* same_domain_out = nullptr, bool mail = false);
+    /// The common tail of every mailbox take: returns the oldest task of
+    /// `chain` and pushes the others onto `self`'s deque, where they stay
+    /// stealable.
+    static task_base* split_chain(worker& self, task_base* chain);
+    /// Own deque from a worker of this runtime, injection queue otherwise.
+    void enqueue(task_base* raw);
+    /// The poster's half of the wake protocol: wakes one parked worker
+    /// when the sleeper gate shows one.
+    void wake_one_if_parked();
     /// Runs one task.  `stamp` (optional, tracing only) carries the
     /// already-read task start time in and the task end time out, so the
     /// worker loop's gap spans and the task span share exact endpoints
     /// (no unattributed slivers between consecutive trace spans).
     void execute(task_base* raw, worker_counters& c,
                  clock::time_point* stamp = nullptr);
-    void notify_workers();
 
     struct alignas(cache_line_size) worker {
         explicit worker(std::size_t idx) : index(idx) {}
         std::size_t index;
         ws_deque queue;
+        mailbox mail;
         worker_counters counters;
         std::uint64_t rng_state = 0;
         std::thread thread;
@@ -186,14 +212,20 @@ private:
     // Global injection queue for tasks posted from non-worker threads:
     // an intrusive FIFO linked through task_base::qnext, so posting
     // allocates nothing (a plain container would allocate bookkeeping
-    // nodes and break the zero-allocation replay guarantee).
+    // nodes and break the zero-allocation replay guarantee).  Idle
+    // workers read `global_pending_` before taking the lock, so an empty
+    // queue costs them one shared load, not a lock round trip.
     std::mutex global_mu_;
     task_base* global_head_ = nullptr;
     task_base* global_tail_ = nullptr;
+    alignas(cache_line_size) amt::atomic<bool> global_pending_{false};
 
-    // Wakeup machinery.  `epoch_` increments on every post; a worker that is
-    // about to park re-checks the epoch it sampled before its final queue
-    // probe, which closes the lost-wakeup window.
+    // Wakeup machinery.  `epoch_` increments on every wakeup a poster
+    // sends; a worker that is about to park samples it, enters the sleeper
+    // gate, probes once more and only waits while the epoch is unchanged,
+    // which closes the lost-wakeup window.  Posters touch `sleep_mu_` only
+    // when the gate shows a sleeper.
+    sleeper_gate sleepers_;
     std::mutex sleep_mu_;
     std::condition_variable sleep_cv_;
     std::uint64_t epoch_ = 0;

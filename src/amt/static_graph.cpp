@@ -17,7 +17,8 @@ static_graph::~static_graph() {
 
 static_graph::node_id static_graph::add_node(unique_function<void()> body,
                                              const char* label,
-                                             std::int32_t arg) {
+                                             std::int32_t arg,
+                                             std::uint32_t home) {
     assert(!sealed_ && "add_node after seal()");
     const auto id = static_cast<node_id>(nodes_.size());
     node& n = nodes_.emplace_back();
@@ -26,6 +27,7 @@ static_graph::node_id static_graph::add_node(unique_function<void()> body,
     n.body = std::move(body);
     n.name = label;
     n.arg = arg;
+    n.home = home;
     return id;
 }
 
@@ -58,6 +60,7 @@ void static_graph::seal() {
     }
     for (node_id id = 0; id < nodes_.size(); ++id) {
         if (nodes_[id].init_deps == 0) roots_.push_back(id);
+        if (nodes_[id].succ_count == 0) ++sinks_;
     }
     edges_.clear();
     edges_.shrink_to_fit();
@@ -72,9 +75,7 @@ void static_graph::set_external_deps(node_id id, std::uint32_t count) {
 
 void static_graph::satisfy_external(node_id id) {
     node& n = nodes_[id];
-    if (n.remaining.fetch_sub(1, amt::memory_order_acq_rel) == 1) {
-        rt_->post_raw(&n);
-    }
+    if (n.remaining.fetch_sub(1, amt::memory_order_acq_rel) == 1) post(n);
 }
 
 void static_graph::arm(runtime& rt) {
@@ -93,9 +94,10 @@ void static_graph::arm(runtime& rt) {
         n.remaining.store(n.init_deps + n.armed_ext,
                           amt::memory_order_relaxed);
     }
-    // The release pairs with the acq_rel decrements in on_complete, making
-    // all re-arm writes visible to whichever worker finishes the graph.
-    pending_.store(nodes_.size(), amt::memory_order_release);
+    // The release pairs with the sinks' acq_rel decrements in on_complete,
+    // making all re-arm writes visible to whichever worker finishes the
+    // graph.
+    pending_.store(sinks_, amt::memory_order_release);
     {
         std::lock_guard lk(gate_mu_);
         done_ = false;
@@ -115,13 +117,13 @@ void static_graph::start() {
         // Externally-gated roots are posted by satisfy_external(); probing
         // `remaining` here instead would race with a pack task finishing
         // between our load and the post (double post).
-        if (n.armed_ext == 0) rt_->post_raw(&n);
+        if (n.armed_ext == 0) post(n);
     }
 }
 
 void static_graph::wait() {
     runtime* rt = rt_;
-    if (rt != nullptr && rt->on_worker_thread()) {
+    if (rt != nullptr && current_worker().rt == rt) {
         // A worker must not block: keep running tasks (ours or anyone's)
         // until the graph drains.
         for (;;) {
@@ -147,7 +149,7 @@ void static_graph::wait() {
 bool static_graph::wait_for(std::chrono::nanoseconds timeout) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     runtime* rt = rt_;
-    if (rt != nullptr && rt->on_worker_thread()) {
+    if (rt != nullptr && current_worker().rt == rt) {
         for (;;) {
             {
                 std::lock_guard lk(gate_mu_);
@@ -186,17 +188,20 @@ void static_graph::node::execute() noexcept {
 }
 
 void static_graph::on_complete(node& n) noexcept {
+    // Nothing of the graph is touched after the last decrement below: once
+    // every successor is released, a sink may end the replay and the owner
+    // may re-arm or destroy the graph.
     const std::uint32_t begin = n.succ_begin;
     const std::uint32_t count = n.succ_count;
     for (std::uint32_t i = 0; i < count; ++i) {
         node& s = nodes_[succ_[begin + i]];
         if (s.remaining.fetch_sub(1, amt::memory_order_acq_rel) == 1) {
-            // Worker context: lands in this worker's own deque, no lock,
-            // no allocation.
-            rt_->post_raw(&s);
+            // To the successor's home: this worker's own deque or the
+            // home's mailbox — no lock, no allocation.
+            post(s);
         }
     }
-    if (pending_.fetch_sub(1, amt::memory_order_acq_rel) == 1) {
+    if (count == 0 && pending_.fetch_sub(1, amt::memory_order_acq_rel) == 1) {
         finish_graph();
     }
 }

@@ -11,6 +11,19 @@
 // the scheduler again.  A steady-state replay iteration performs zero heap
 // allocations (tests/amt/test_alloc_count.cpp proves this end to end).
 //
+// Placement: a node may carry a home worker (add_node's `home`), a pure
+// hint naming the worker whose cache holds the node's data.  Every ready
+// node — the roots start() posts from the driver thread included — goes
+// through runtime::post_to, which lands it in its home's own deque or
+// lock-free mailbox; a node without a home is posted like any task.  The
+// home never changes what a node computes, only where it is likely to run.
+//
+// Completion is counted at the sinks (nodes without successors) only: a
+// DAG's every node has a path to a sink, and a sink cannot run before its
+// ancestors released it through their acq_rel dependency decrements, so
+// the last sink to finish ends the replay — with one shared decrement per
+// sink instead of one per node.
+//
 // Lifecycle:    compile (add_node/add_edge) → seal → [arm → start → wait]*
 //
 //   * add_node/add_edge — build the topology.  Bodies are plain nullary
@@ -19,7 +32,7 @@
 //     the CSR successor table and the root set.  No further structural
 //     changes are allowed.
 //   * arm(rt) — re-arms every node for one replay: remaining := initial
-//     deps + external deps, pending := node count, stop/error cleared,
+//     deps + external deps, pending := sink count, stop/error cleared,
 //     generation += 1.  Must only be called when the graph is quiescent
 //     (before the first start() or after wait() returned).
 //   * set_external_deps(id, n) — adds n dependencies satisfied by calls to
@@ -71,15 +84,20 @@ namespace amt {
 class static_graph {
 public:
     using node_id = std::uint32_t;
+    /// add_node's `home` for a node without a home worker.
+    static constexpr std::uint32_t no_home = ~std::uint32_t{0};
 
     static_graph() = default;
     static_graph(const static_graph&) = delete;
     static_graph& operator=(const static_graph&) = delete;
     ~static_graph();
 
-    /// Compile phase.  `label`/`arg` become the trace span annotation.
+    /// Compile phase.  `label`/`arg` become the trace span annotation;
+    /// `home` is the worker the node is posted to when it becomes ready
+    /// (see the file comment; a home past the runtime's worker count is
+    /// ignored).
     node_id add_node(unique_function<void()> body, const char* label = "node",
-                     std::int32_t arg = -1);
+                     std::int32_t arg = -1, std::uint32_t home = no_home);
     void add_edge(node_id from, node_id to);
     void seal();
 
@@ -173,6 +191,7 @@ private:
         unique_function<void()> body;
         const char* name = "node";
         std::int32_t arg = -1;
+        std::uint32_t home = no_home;  ///< post_to placement hint
         std::uint32_t init_deps = 0;   ///< edges into this node (seal())
         std::uint32_t ext_deps = 0;    ///< pending set_external_deps value
         std::uint32_t armed_ext = 0;   ///< external deps of the current replay
@@ -189,6 +208,7 @@ private:
     };
 
     void on_complete(node& n) noexcept;
+    void post(node& n) noexcept { rt_->post_to(&n, n.home); }
     void finish_graph() noexcept;
 
     // Node storage: deque for stable addresses while growing (nodes are
@@ -197,6 +217,7 @@ private:
     std::vector<std::pair<node_id, node_id>> edges_;  // pre-seal only
     std::vector<node_id> succ_;                       // CSR post-seal
     std::vector<node_id> roots_;                      // init_deps == 0
+    std::size_t sinks_ = 0;                           // succ_count == 0
     bool sealed_ = false;
     bool armed_ = false;
     bool profiling_ = false;  ///< mutated quiescent, read by node::execute
@@ -204,7 +225,7 @@ private:
     runtime* rt_ = nullptr;
 
     amt::atomic<bool> stop_{false};
-    amt::atomic<std::size_t> pending_{0};
+    amt::atomic<std::size_t> pending_{0};  ///< sinks still to complete
 
     std::mutex gate_mu_;
     std::condition_variable gate_cv_;

@@ -16,9 +16,12 @@
 //     the node's storage).
 //
 //   * `qnext` — an intrusive link used by the runtime's global injection
-//     queue, so posting from a non-worker thread needs no container node
-//     allocation.  A task is in at most one queue at a time (the Chase-Lev
-//     deques store raw pointers in ring slots and never touch qnext).
+//     queue and by the workers' mailboxes (amt/mailbox.hpp), so posting
+//     from any thread needs no container node allocation.  A task is in at
+//     most one queue at a time (the Chase-Lev deques store raw pointers in
+//     ring slots and never touch qnext).  The link is an atomic because a
+//     mailbox taker reads it without a lock; every access is relaxed and
+//     the mailbox's release/acquire pair orders it.
 
 #pragma once
 
@@ -27,6 +30,7 @@
 #include <memory>
 #include <utility>
 
+#include "amt/atomic.hpp"
 #include "amt/task_pool.hpp"
 #include "amt/unique_function.hpp"
 
@@ -52,9 +56,10 @@ public:
     /// (compiled-graph nodes) that outlive their execution.
     [[nodiscard]] bool scheduler_owned() const noexcept { return owned_; }
 
-    /// Intrusive link for the runtime's global injection queue.  Owned by
-    /// the scheduler while the task is queued; meaningless otherwise.
-    task_base* qnext = nullptr;
+    /// Intrusive link for the runtime's injection queue and mailboxes.
+    /// Owned by the scheduler while the task is queued; meaningless
+    /// otherwise.
+    amt::atomic<task_base*> qnext{nullptr};
 
     /// Scheduler-owned tasks are carved from the recycling block pool
     /// (amt/task_pool.hpp), so the steady state of a workload that posts

@@ -154,24 +154,16 @@ void compiled_iteration::build_access_sets(slab_state& sl) {
 // The one task wrapper.  What the graph engine already provides is left to
 // it: the trace annotation (node::execute annotates from the node label),
 // skipping bodies once the graph's stop flag is set, and the stop request
-// on throw.  Everything else — the fault probe at the wave site, progress
-// counters and per-worker in-flight labels for the watchdog, the optional
-// hazard scope and NaN scan — happens here.
+// on throw.  Everything else — the fault probe at the wave site, the
+// calling worker's progress slot for the watchdog, the optional hazard
+// scope and NaN scan — happens here.
 void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task,
                                   k::eos_scratch* scratch) {
     const slab_state& sl = slabs_[slab];
     const task_decl& t = sl.table.tasks[task];
     const char* site = wave_site_of(t.kind);
-    progress_state& progress = *flags_.progress;
-    const auto& wk = amt::current_worker();
-    const std::size_t slot =
-        wk.rt != nullptr
-            ? std::min<std::size_t>(wk.index + 1,
-                                    progress_state::max_tracked_workers)
-            : 0;
-    progress.site.store(site, amt::memory_order_relaxed);
-    progress.worker_site[slot].store(site, amt::memory_order_relaxed);
-    progress.started.fetch_add(1, amt::memory_order_relaxed);
+    progress_state::slot& progress = flags_.progress->this_thread_slot();
+    progress.begin(site);
     const iteration_sentinel::task_ctx* ctx =
         instrumented_ ? &sl.ctxs[task] : nullptr;
     try {
@@ -196,22 +188,40 @@ void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task,
             }
         }
     } catch (...) {
-        progress.worker_site[slot].store(nullptr, amt::memory_order_relaxed);
-        progress.finished.fetch_add(1, amt::memory_order_relaxed);
+        progress.end();
         throw;
     }
-    progress.worker_site[slot].store(nullptr, amt::memory_order_relaxed);
-    progress.finished.fetch_add(1, amt::memory_order_relaxed);
+    progress.end();
 }
 
 compiled_iteration::node_id compiled_iteration::add_node(
     amt::unique_function<void()> body, const char* label, index_t arg,
-    int stage, std::size_t slab) {
+    int stage, std::size_t slab, std::uint32_t home) {
     const node_id id = graph_.add_node(std::move(body), label,
-                                       static_cast<std::int32_t>(arg));
+                                       static_cast<std::int32_t>(arg), home);
     meta_.push_back({static_cast<std::int8_t>(stage),
                      static_cast<std::uint32_t>(slab)});
     return id;
+}
+
+// The worker whose cache a wave body's chunk lives in: the runtime's
+// workers split the slab's element (or node) range into equal contiguous
+// parts, and a chunk goes to the part holding its first element (node); a
+// region chunk uses its first list element.  Successive waves over the
+// same part of the mesh therefore share a home.
+std::uint32_t compiled_iteration::home_of(const task_decl& t,
+                                          const domain& d) const {
+    const bool nodal =
+        t.kind == body_kind::node_gather || t.kind == body_kind::node_velpos;
+    const index_t extent = nodal ? d.numNode() : d.numElem();
+    const index_t pos =
+        t.region >= 0
+            ? d.regElemList(t.region)[static_cast<std::size_t>(t.lo)]
+            : t.lo;
+    if (extent <= 0) return 0;
+    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(pos) *
+                                      rt_.num_workers() /
+                                      static_cast<std::uint64_t>(extent));
 }
 
 void compiled_iteration::compile() {
@@ -268,7 +278,8 @@ void compiled_iteration::compile() {
                     [this, slab, task, scratch] {
                         run_task(slab, task, scratch);
                     },
-                    wave_site_of(t.kind), t.partition, t.stage, s);
+                    wave_site_of(t.kind), t.partition, t.stage, s,
+                    home_of(t, *sl.env.dom));
                 ++task_count_;
             } else if (receive && !direct) {
                 ++receives_[s][static_cast<std::size_t>(t.stage)];

@@ -41,6 +41,15 @@
 // node-field packs gate B1, element-field packs B3 — the placement
 // add_checkpoint_pack_tasks models for the audit.
 //
+// Placement: every wave-body node gets a home worker at compile time —
+// the runtime's workers split the slab's element (or node) range into
+// equal contiguous parts, and a chunk's home is the part holding its first
+// element (a region chunk: its first list element).  The graph posts each
+// ready node to its home (amt::static_graph, runtime::post_to), so the
+// waves over one part of the mesh keep running on one worker's cache.  The
+// home is a hint from the table and rt.num_workers() alone: it changes
+// where a node runs, never its arithmetic, and is not part of the key.
+//
 // The graph is keyed by table shape, never by a domain's address: bodies
 // read the domain, its region lists and the step through the binding, so a
 // replaced domain of the same shape — a re-emplaced domain, a rebuilt
@@ -231,7 +240,10 @@ private:
     void compile();
     void build_access_sets(slab_state& sl);
     node_id add_node(amt::unique_function<void()> body, const char* label,
-                     index_t arg, int stage, std::size_t slab);
+                     index_t arg, int stage, std::size_t slab,
+                     std::uint32_t home = amt::static_graph::no_home);
+    [[nodiscard]] std::uint32_t home_of(const task_decl& t,
+                                        const domain& d) const;
     void run_task(std::uint32_t slab, std::uint32_t task,
                   kernels::eos_scratch* scratch);
     [[nodiscard]] std::size_t set_of(std::size_t slab) const noexcept {

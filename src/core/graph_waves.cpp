@@ -128,15 +128,8 @@ void pack_region_task(state_capture& cap, std::size_t i,
                       progress_state& progress) {
     const auto part = static_cast<std::int32_t>(i);
     amt::trace::annotate_task(ckpt_pack_site, part);
-    const auto& wk = amt::current_worker();
-    const std::size_t slot =
-        wk.rt != nullptr ? std::min<std::size_t>(
-                               wk.index + 1, progress_state::max_tracked_workers)
-                         : 0;
-    progress.site.store(ckpt_pack_site, amt::memory_order_relaxed);
-    progress.worker_site[slot].store(ckpt_pack_site,
-                                     amt::memory_order_relaxed);
-    progress.started.fetch_add(1, amt::memory_order_relaxed);
+    progress_state::slot& slot = progress.this_thread_slot();
+    slot.begin(ckpt_pack_site);
     try {
         amt::fault::probe(ckpt_pack_site);
         amt::trace::scoped_span span(amt::trace::event_kind::checkpoint_span,
@@ -145,8 +138,7 @@ void pack_region_task(state_capture& cap, std::size_t i,
     } catch (...) {
         cap.mark_failed();
     }
-    progress.worker_site[slot].store(nullptr, amt::memory_order_relaxed);
-    progress.finished.fetch_add(1, amt::memory_order_relaxed);
+    slot.end();
 }
 
 }  // namespace lulesh::graph

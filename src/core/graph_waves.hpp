@@ -4,10 +4,13 @@
 // the five leapfrog waves, the dispatcher that calls them for a table task
 // (core/access.hpp's task_decl), the wave_site labels every task reports,
 // and the per-iteration state the drivers share with their tasks (error
-// flags, progress tracker, opt-in sentinel).
+// flags, opt-in sentinel, and the progress tracker — one padded
+// single-writer slot per runtime worker, summed by its observers, so the
+// per-task bookkeeping never writes a cache line another worker writes).
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -100,37 +103,95 @@ void run_body(const task_decl& t, const body_env& env,
               kernels::eos_scratch* scratch);
 
 /// Task start/finish counters plus in-flight task labels, updated by the
-/// task wrapper around every wave body.  External observers (the watchdog)
-/// hold a shared_ptr and sample it from their own thread: a barrier that
-/// stops making `finished` progress while `started` is ahead means a task
-/// is stuck.
+/// task wrapper around every wave body and checkpoint pack.  External
+/// observers (the watchdog, the dist driver's progress deadline) hold a
+/// shared_ptr and sample it from their own thread: a barrier that stops
+/// making `finished()` progress while `started()` is ahead means a task is
+/// stuck.
 ///
-/// `site` is the label of the most recently *started* task — kept for
-/// cheap single-label reporting (exact on a 1-worker runtime).  The
-/// `worker_site` slots additionally track, per runtime worker, the label
-/// of the task it is currently inside (nullptr between tasks), so a stall
-/// report can name *every* in-flight site even when other workers started
-/// tasks after the hung one.  Slot 0 collects tasks run inline on
-/// non-worker threads; worker w uses slot w+1, saturating at the last
-/// slot for runtimes wider than max_tracked_workers.
+/// The state is a row of cache-line-padded slots, one per runtime worker,
+/// each written only by its own worker — so the per-task path never
+/// writes a line another worker writes, and needs no read-modify-write.
+/// Observers sum the slots.  A slot's `site` is the label of the task its
+/// worker is currently inside (nullptr between tasks), so a stall report
+/// names every in-flight site.  Slot 0 collects tasks run inline on
+/// non-worker threads; worker w uses slot w+1, saturating at the last slot
+/// for runtimes wider than max_tracked_workers.  Those two slots may have
+/// several writers and count with fetch_add.
 struct progress_state {
     static constexpr std::size_t max_tracked_workers = 64;
 
-    amt::atomic<std::uint64_t> started{0};
-    amt::atomic<std::uint64_t> finished{0};
-    amt::atomic<const char*> site{nullptr};
-    std::array<amt::atomic<const char*>, max_tracked_workers + 1>
-        worker_site{};
+    struct alignas(amt::cache_line_size) slot {
+        amt::atomic<std::uint64_t> started{0};
+        amt::atomic<std::uint64_t> finished{0};
+        amt::atomic<const char*> site{nullptr};
+        bool shared = false;  ///< several writers: count with fetch_add
+
+        void begin(const char* s) noexcept {
+            site.store(s, amt::memory_order_relaxed);
+            bump(started);
+        }
+        void end() noexcept {
+            site.store(nullptr, amt::memory_order_relaxed);
+            bump(finished);
+        }
+
+    private:
+        // Release, so an observer that acquires a finish also sees the
+        // start counted before it (free on x86).
+        void bump(amt::atomic<std::uint64_t>& c) const noexcept {
+            if (shared) {
+                c.fetch_add(1, amt::memory_order_release);
+            } else {
+                c.store(c.load(amt::memory_order_relaxed) + 1,
+                        amt::memory_order_release);
+            }
+        }
+    };
+
+    progress_state() {
+        slots.front().shared = true;
+        slots.back().shared = true;
+    }
+
+    /// The calling thread's slot.
+    [[nodiscard]] slot& this_thread_slot() noexcept {
+        const auto& wk = amt::current_worker();
+        return slots[wk.rt != nullptr
+                         ? std::min<std::size_t>(wk.index + 1,
+                                                 max_tracked_workers)
+                         : 0];
+    }
+
+    /// Tasks started / finished, summed over the slots.  Read finished()
+    /// first: a start is counted before its finish, so the later started()
+    /// sum covers every finish the earlier sum saw.
+    [[nodiscard]] std::uint64_t started() const noexcept {
+        std::uint64_t n = 0;
+        for (const slot& s : slots) {
+            n += s.started.load(amt::memory_order_relaxed);
+        }
+        return n;
+    }
+    [[nodiscard]] std::uint64_t finished() const noexcept {
+        std::uint64_t n = 0;
+        for (const slot& s : slots) {
+            n += s.finished.load(amt::memory_order_acquire);
+        }
+        return n;
+    }
 
     /// Labels of all tasks currently in flight (one entry per busy worker).
     [[nodiscard]] std::vector<const char*> in_flight_sites() const {
         std::vector<const char*> sites;
-        for (const auto& slot : worker_site) {
-            const char* s = slot.load(amt::memory_order_relaxed);
-            if (s != nullptr) sites.push_back(s);
+        for (const slot& s : slots) {
+            const char* site = s.site.load(amt::memory_order_relaxed);
+            if (site != nullptr) sites.push_back(site);
         }
         return sites;
     }
+
+    std::array<slot, max_tracked_workers + 1> slots{};
 };
 
 /// Opt-in per-task instrumentation: the dynamic shadow-epoch hazard

@@ -40,7 +40,7 @@ void watchdog::run() {
         amt::trace::set_thread_name("watchdog");
     }
 
-    std::uint64_t last_finished = progress_->finished.load(amt::memory_order_relaxed);
+    std::uint64_t last_finished = progress_->finished();
     clock::time_point last_advance = clock::now();
     bool reported_this_episode = false;
 
@@ -49,10 +49,10 @@ void watchdog::run() {
         cv_.wait_for(lk, poll_, [this] { return stopping_; });
         if (stopping_) break;
 
-        const std::uint64_t started =
-            progress_->started.load(amt::memory_order_relaxed);
-        const std::uint64_t finished =
-            progress_->finished.load(amt::memory_order_relaxed);
+        // Finished before started: each slot counts its start first, so
+        // the sums never show a finish whose start they missed.
+        const std::uint64_t finished = progress_->finished();
+        const std::uint64_t started = progress_->started();
         const clock::time_point now = clock::now();
 
         if (finished != last_finished) {
@@ -68,11 +68,10 @@ void watchdog::run() {
                 now - last_advance);
         if (stalled_for < deadline_) continue;
 
-        const char* site = progress_->site.load(amt::memory_order_relaxed);
-        std::vector<std::string> sites;
-        for (const char* s : progress_->in_flight_sites()) {
-            sites.emplace_back(s);
-        }
+        const std::vector<const char*> in_flight =
+            progress_->in_flight_sites();
+        const char* site = in_flight.empty() ? nullptr : in_flight.front();
+        std::vector<std::string> sites(in_flight.begin(), in_flight.end());
         // The site label has static storage (wave_site / probe contract),
         // so it is a valid trace-event name; the mark lands on this
         // monitor thread's own timeline.

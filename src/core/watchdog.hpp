@@ -3,19 +3,20 @@
 // Barrier-progress watchdog for the task-graph drivers.  A wave that stops
 // making progress — a task started but never finished within a deadline —
 // would otherwise hang the single blocking b5.get() of the iteration
-// forever.  The watchdog samples the driver's shared progress_state from
-// its own OS thread and fires a callback with a report naming the wave the
-// stuck task belongs to, so the run loop can abort, diagnose, or release
-// injected stalls instead of hanging.
+// forever.  The watchdog samples the driver's progress_state — one
+// single-writer slot per worker — from its own OS thread and fires a
+// callback with a report naming the wave the stuck task belongs to, so the
+// run loop can abort, diagnose, or release injected stalls instead of
+// hanging.
 //
-// Detection heuristic: `started > finished` (at least one task is in
-// flight) while `finished` has not advanced for `deadline`.  The report
-// carries both the single most-recently-started label (`site`, exact on a
-// 1-worker runtime) and the per-worker in-flight labels (`sites`, one per
-// busy worker), so with several workers the hung task's wave is always
-// named even when other workers started tasks after it.  The watchdog
-// fires once per stall episode and re-arms itself when `finished` moves
-// again, so a long run with several injected stalls reports each one.
+// Detection heuristic: `started > finished` summed over the slots (at
+// least one task is in flight) while `finished` has not advanced for
+// `deadline`.  Once nothing has finished for a whole deadline, every task
+// still in flight is stuck, so the report names them all: `sites` carries
+// the in-flight label of every busy worker's slot and `site` the first of
+// them.  The watchdog fires once per stall episode and re-arms itself when
+// `finished` moves again, so a long run with several injected stalls
+// reports each one.
 
 #pragma once
 
@@ -37,14 +38,12 @@ namespace lulesh {
 class watchdog {
 public:
     struct report {
-        std::string site;          ///< wave label of the stuck task ("?" if unknown)
+        std::string site;  ///< wave label of a stuck task ("?" if unknown)
         std::uint64_t started = 0;
         std::uint64_t finished = 0;
         std::chrono::milliseconds stalled_for{0};
         /// Labels of *all* in-flight tasks at detection time, one per busy
-        /// worker (progress_state::worker_site).  With several workers the
-        /// single `site` above is only the latest-started label; the hung
-        /// task's wave is always one of these.
+        /// worker (progress_state::slot::site); `site` is the first.
         std::vector<std::string> sites;
     };
 

@@ -239,13 +239,11 @@ void dist_driver::advance(cluster& c) {
         }
         poll = std::clamp(poll, std::chrono::milliseconds(1),
                           std::chrono::milliseconds(250));
-        auto last_finished =
-            flags_.progress->finished.load(amt::memory_order_relaxed);
+        auto last_finished = flags_.progress->finished();
         std::chrono::milliseconds stalled_for{0};
         while (!compiled_->wait_for(poll)) {
             if (retry_.enabled()) service_resends(c);
-            const auto now_finished =
-                flags_.progress->finished.load(amt::memory_order_relaxed);
+            const auto now_finished = flags_.progress->finished();
             if (now_finished == last_finished) {
                 stalled_for += poll;
                 if (!timed_out && stalled_for >= deadline) {

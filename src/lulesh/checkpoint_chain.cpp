@@ -470,18 +470,6 @@ void apply_chain_record(domain& d, std::string_view record,
 
 // --- stream/file restore -------------------------------------------------
 
-bool stream_is_chain(std::istream& in) {
-    const auto pos = in.tellg();
-    std::uint64_t magic = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    const bool ok =
-        in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-        magic == record_magic;
-    in.clear();
-    in.seekg(pos);
-    return ok;
-}
-
 namespace {
 
 /// Reads one record's bytes from the stream, using the (CRC-protected)

@@ -175,10 +175,6 @@ private:
 void apply_chain_record(domain& d, std::string_view record,
                         const std::string& context);
 
-/// True if the stream starts with the v3 chain record magic (peeks; the
-/// stream position is restored).
-bool stream_is_chain(std::istream& in);
-
 /// Replays the longest valid prefix of committed records from `in` into
 /// `d` (torn or corrupt tails are ignored).  Throws checkpoint_error if no
 /// valid leading base record exists.  The one restore path of

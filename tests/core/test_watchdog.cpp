@@ -1,11 +1,15 @@
 // Watchdog tests: a stalled wave task is detected within the deadline and
-// reported with the wave it belongs to; healthy runs never trip it.
+// reported with the wave it belongs to, on one worker and on four; healthy
+// runs never trip it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "amt/amt.hpp"
 #include "amt/fault.hpp"
@@ -78,6 +82,57 @@ TEST(Watchdog, DetectsStalledWaveTaskAndNamesTheWave) {
     EXPECT_EQ(rep.site, "elem");
     EXPECT_GT(rep.started, rep.finished);
     EXPECT_GE(rep.stalled_for, milliseconds(150));
+    EXPECT_EQ(amt::fault::snapshot().injections, 1u);
+}
+
+TEST(Watchdog, NamesTheStalledWaveWhileOtherWorkersFinishTheirTasks) {
+    fault_guard guard;
+    // Four workers: one sticks in an elem task, the others finish the rest
+    // of the wave and go idle at its barrier.  Progress lives in one slot
+    // per worker, so the report must come from summing the slots and from
+    // the stuck worker's in-flight label.
+    amt::runtime rt(4);
+    lulesh::taskgraph_driver drv(rt, {32, 32});
+    const auto progress = drv.progress();
+
+    std::vector<std::string> in_flight;
+    watchdog wd(
+        progress, milliseconds(150),
+        [&](const watchdog::report&) {
+            for (const char* s : progress->in_flight_sites()) {
+                in_flight.emplace_back(s);
+            }
+            amt::fault::release_stalls();
+        },
+        milliseconds(10));
+
+    amt::fault::plan p;
+    p.kind = amt::fault::action::stall;
+    p.site = "elem";
+    p.max_injections = 1;
+    p.stall_timeout = std::chrono::seconds(60);  // watchdog must beat this
+    amt::fault::arm(p);
+
+    domain d(small_opts());
+    lulesh::kernels::time_increment(d);
+    drv.advance(d);
+    amt::fault::disarm();
+    wd.stop();
+
+    ASSERT_TRUE(wd.fired());
+    const auto rep = wd.last_report();
+    EXPECT_EQ(rep.site, "elem");
+    EXPECT_GT(rep.started, rep.finished);
+    EXPECT_NE(std::find(rep.sites.begin(), rep.sites.end(), "elem"),
+              rep.sites.end());
+    EXPECT_NE(std::find(in_flight.begin(), in_flight.end(), "elem"),
+              in_flight.end());
+    std::size_t busy_slots = 0;
+    for (const auto& slot : progress->slots) {
+        if (slot.started.load(amt::memory_order_relaxed) > 0) ++busy_slots;
+    }
+    EXPECT_GE(busy_slots, 2u) << "the other workers ran the rest of the wave";
+    EXPECT_EQ(progress->started(), progress->finished());
     EXPECT_EQ(amt::fault::snapshot().injections, 1u);
 }
 

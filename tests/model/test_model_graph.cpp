@@ -1,12 +1,16 @@
 // static_graph arm/replay dependency-count handoff litmuses.  The engine
-// (amt/static_graph.cpp) hangs its whole replay design on two orderings:
+// (amt/static_graph.cpp) hangs its whole replay design on three orderings:
 //
 //   * successor handoff — predecessors finish, each does
 //     remaining.fetch_sub(1, acq_rel); whoever hits 1 posts the node and
 //     must observe every predecessor's writes;
+//   * completion at sinks — only nodes without successors decrement
+//     pending_ (acq_rel); the last one ends the replay, and the waiter
+//     must see every node's writes, carried to that sink along the
+//     acq_rel edge decrements;
 //   * re-arm publication — arm() rewrites every node's remaining with
 //     relaxed stores and publishes them with one release store to
-//     pending_, paired with the workers' acq_rel decrements.
+//     pending_, paired with the sinks' acq_rel decrements.
 //
 // These litmuses mirror exactly those protocols on the shim types the
 // engine itself uses, then break each ordering to prove the checker sees
@@ -74,9 +78,68 @@ TEST(ModelGraph, RelaxedHandoffLeaksStalePredecessorWrites) {
     EXPECT_FALSE(r.replay.empty());
 }
 
+// Completion counted at sinks: X and Y are non-sink nodes, each writing
+// its output and then releasing the one sink with an edge decrement; the
+// sink — run by whichever predecessor released it last — is the only
+// node that decrements pending_, and on reaching zero it publishes the
+// end of the replay (finish_graph's gate, a release/acquire pair here).
+// A waiter that sees the replay done must see BOTH outputs, although no
+// non-sink node ever touched pending_: the sibling's write reaches the
+// sink only through the edge decrements.
+result run_sink_completion(amt::memory_order edge_mo, const options& o) {
+    return check(o, [=] {
+        amt::atomic<int> out_x{0};
+        amt::atomic<int> out_y{0};
+        amt::atomic<std::uint32_t> sink_remaining{2};
+        amt::atomic<std::size_t> pending{1};  // one sink
+        amt::atomic<bool> done{false};
+        auto finish = [&](amt::atomic<int>& my_out) {
+            my_out.store(1, amt::memory_order_relaxed);
+            if (sink_remaining.fetch_sub(1, edge_mo) == 1) {
+                // The sink runs here; it has no successors, so it counts.
+                if (pending.fetch_sub(1, amt::memory_order_acq_rel) == 1) {
+                    done.store(true, amt::memory_order_release);
+                }
+            }
+        };
+        amt::model::thread x([&] { finish(out_x); });
+        amt::model::thread y([&] { finish(out_y); });
+        if (done.load(amt::memory_order_acquire)) {
+            model_assert(out_x.load(amt::memory_order_relaxed) == 1 &&
+                             out_y.load(amt::memory_order_relaxed) == 1,
+                         "sink completion: the waiter saw the replay done "
+                         "before a non-sink node's write");
+        }
+        x.join();
+        y.join();
+        model_assert(pending.load(amt::memory_order_relaxed) == 0,
+                     "sink completion: the sink never counted");
+    });
+}
+
+TEST(ModelGraph, SinkCountedCompletionCarriesNonSinkWrites) {
+    options o;
+    o.quiet = true;
+    const result r = run_sink_completion(amt::memory_order_acq_rel, o);
+    EXPECT_FALSE(r.failed) << r.reason << "\n" << r.trace;
+    EXPECT_TRUE(r.complete);
+}
+
+TEST(ModelGraph, RelaxedEdgeDecrementHidesANonSinkWriteFromTheWaiter) {
+    options o;
+    o.quiet = true;
+    const result r = run_sink_completion(amt::memory_order_relaxed, o);
+    ASSERT_TRUE(r.failed)
+        << "relaxed edge decrements must let the waiter miss a write";
+    EXPECT_NE(r.reason.find("sink completion"), std::string::npos)
+        << r.reason;
+    EXPECT_FALSE(r.replay.empty());
+}
+
 // arm()'s publication shape: relaxed per-node re-arm stores, one release
-// store to pending_, worker completes with an acq_rel decrement and — on
-// hitting zero — must observe the re-armed values, not last replay's.
+// store to pending_, a worker completes a sink with an acq_rel decrement
+// and — on hitting zero — must observe the re-armed values, not last
+// replay's.
 result run_rearm(amt::memory_order publish_mo, const options& o) {
     return check(o, [=] {
         amt::atomic<int> node_remaining{0};  // "stale from last replay"
