@@ -51,7 +51,7 @@ double probe_cost_ns(std::uint64_t iterations) {
     return ns;
 }
 
-/// Disarmed probes on the path of one task: execute()'s metered check,
+/// Disarmed probes on the path of one task: the task clock's metered check,
 /// the own-deque post's queue-depth check, and the worker loop's first-miss
 /// stamp.
 constexpr double probes_per_task = 3.0;

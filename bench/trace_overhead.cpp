@@ -32,20 +32,20 @@ double seconds_since(clock_type::time_point t0) {
     return std::chrono::duration<double>(clock_type::now() - t0).count();
 }
 
-/// ns per disarmed probe, averaged over a long loop.  annotate_task is the
-/// probe the kernel-side call sites pay; it reads the global armed flag, so
-/// the compiler cannot hoist it out of the loop.
+/// ns per disarmed probe, averaged over a long loop.  trace::mark has the
+/// shape of every task-path probe: it reads the global armed flag, so the
+/// compiler cannot hoist it out of the loop.
 double probe_cost_ns(std::uint64_t iterations) {
     const auto t0 = clock_type::now();
     for (std::uint64_t i = 0; i < iterations; ++i) {
-        amt::trace::annotate_task("bench", 0);
+        amt::trace::mark("bench", 0);
     }
     return seconds_since(t0) * 1e9 / static_cast<double>(iterations);
 }
 
-/// Disarmed probes on the path of one task: the graph node's
-/// annotate_task, the scheduler's pre-execute gap check, the execute()
-/// tracing check, and the post-execute anchor check.
+/// Disarmed probes on the path of one task — the scheduler's pre-execute
+/// gap check and the task clock's tracing check — rounded up to cover the
+/// steal-instant and scoped-span probes some tasks also pass.
 constexpr double probes_per_task = 4.0;
 
 }  // namespace

@@ -1,9 +1,13 @@
 // amt/counters.hpp
 //
-// Per-worker performance counters, the analogue of HPX's
-// /threads/idle-rate counter family that the paper uses for its Figure 11
-// utilization experiment.  Each worker owns one cache-line-padded
-// `worker_counters`; the runtime aggregates them into snapshots on demand.
+// Per-worker task records, the analogue of HPX's /threads/idle-rate
+// counter family that the paper uses for its Figure 11 utilization
+// experiment.  Each worker owns one cache-line-padded `worker_counters`:
+// event counts, the productive time of the tasks it ran, and the task it
+// is running now (label and clock).  runtime::execute is the only writer
+// of a record's task fields — one clock pair per task, booked once (see
+// amt/scheduler.hpp) — and the runtime aggregates the records into
+// snapshots on demand.
 
 #pragma once
 
@@ -31,10 +35,29 @@ public:
         value_.store(value_.load(amt::memory_order_relaxed) + v,
                      amt::memory_order_relaxed);
     }
+    /// add() publishing with a release store: a reader whose
+    /// load_acquire() sees the new value also sees every write the owner
+    /// made before it (free on x86).
+    void add_release(std::uint64_t v) noexcept {
+        value_.store(value_.load(amt::memory_order_relaxed) + v,
+                     model_weaken_release ? amt::memory_order_relaxed
+                                          : amt::memory_order_release);
+    }
     [[nodiscard]] std::uint64_t load() const noexcept {
         return value_.load(amt::memory_order_relaxed);
     }
+    [[nodiscard]] std::uint64_t load_acquire() const noexcept {
+        return value_.load(amt::memory_order_acquire);
+    }
     void reset() noexcept { value_.store(0, amt::memory_order_relaxed); }
+
+#if AMT_MODEL_CHECK
+    /// Model-litmus seam: demotes add_release() to a relaxed store
+    /// (tests/model/test_model_counters.cpp must catch the result).
+    static inline bool model_weaken_release = false;
+#else
+    static constexpr bool model_weaken_release = false;
+#endif
 
 private:
     amt::atomic<std::uint64_t> value_{0};
@@ -90,21 +113,55 @@ inline resilience_counters& resilience() {
     return c;
 }
 
-/// Counters owned by a single worker thread.  Only that worker writes them;
-/// snapshot readers load each field relaxed.  Padded to a cache line so
-/// counters of different workers never share one.
+/// The record of one worker thread.  Only that worker writes it;
+/// snapshot readers and the watchdog load each field without locking.
+/// Padded to a cache line so records of different workers never share
+/// one.
+///
+/// The task fields describe the innermost task the worker is running:
+/// runtime::execute opens its clock (`task_start`, tasks_started + 1) and
+/// closes it once — from the task itself through close_task_clock(), or
+/// after the body returns — booking the interval into productive_ns and
+/// publishing tasks_executed + 1 with release.  A task executed inside
+/// another task's cooperative wait saves the outer task's fields and
+/// restores them when it ends, so between tasks the record is closed and
+/// unlabelled.
 struct alignas(cache_line_size) worker_counters {
-    relaxed_counter tasks_executed;
+    relaxed_counter tasks_started;   ///< task clocks opened
+    relaxed_counter tasks_executed;  ///< task clocks closed (add_release)
     relaxed_counter steals;          ///< successful steals from a victim
     relaxed_counter steal_attempts;  ///< victim probes, successful or not
-    relaxed_counter productive_ns;   ///< time spent inside task bodies
+    relaxed_counter productive_ns;   ///< closed task intervals, summed
 
     // Split of `steals` by victim locality domain (hierarchical stealing:
     // same-domain victims are probed first, cross-domain as fallback).
     relaxed_counter steals_same_domain;
     relaxed_counter steals_cross_domain;
 
+    /// The running task's label from its first amt::annotate_task (the
+    /// wave site and partition of a graph node), nullptr until then.
+    amt::atomic<const char*> label{nullptr};
+    amt::atomic<std::int32_t> label_arg{-1};
+
+    // The running task's clock; read by the owner only.
+    clock::time_point task_start{};
+    clock::time_point task_end{};  ///< set when the clock closes
+    bool open = false;             ///< the clock is running
+
+    struct task_counts {
+        std::uint64_t started = 0;
+        std::uint64_t finished = 0;
+    };
+    /// Finished first (acquire), then started: every finish the first
+    /// load sees was preceded by its start, so an observer never counts
+    /// more finishes than starts.
+    [[nodiscard]] task_counts counts() const noexcept {
+        const std::uint64_t finished = tasks_executed.load_acquire();
+        return {tasks_started.load(), finished};
+    }
+
     void reset() noexcept {
+        tasks_started.reset();
         tasks_executed.reset();
         steals.reset();
         steal_attempts.reset();
@@ -116,6 +173,7 @@ struct alignas(cache_line_size) worker_counters {
 
 /// Aggregated view over all workers at one instant.
 struct counters_snapshot {
+    std::uint64_t tasks_started = 0;
     std::uint64_t tasks_executed = 0;
     std::uint64_t steals = 0;
     std::uint64_t steal_attempts = 0;
@@ -139,6 +197,7 @@ struct counters_snapshot {
 inline counters_snapshot delta(const counters_snapshot& begin,
                                const counters_snapshot& end) {
     counters_snapshot d;
+    d.tasks_started = end.tasks_started - begin.tasks_started;
     d.tasks_executed = end.tasks_executed - begin.tasks_executed;
     d.steals = end.steals - begin.steals;
     d.steal_attempts = end.steal_attempts - begin.steal_attempts;

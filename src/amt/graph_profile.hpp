@@ -1,9 +1,9 @@
 // amt/graph_profile.hpp
 //
-// Critical-path analysis over a sealed static_graph whose nodes carry
-// profiling accumulators (static_graph::set_profiling).  The analyzer is a
-// pure topology walk — run it while the graph is quiescent, any time after
-// one or more profiled replays:
+// Critical-path analysis over a sealed static_graph, whose nodes always
+// book their task intervals as costs (static_graph::node_time_ns).  The
+// analyzer is a pure topology walk — run it while the graph is quiescent,
+// any time after one or more replays of the profile window:
 //
 //   * per-node mean cost  = accum_ns / timed_runs (recycled nodes integrate
 //     across replays, so means tighten as iterations accumulate);

@@ -52,6 +52,10 @@ namespace {
 
 thread_local current_worker_info tls_worker{};
 
+/// The record of the task executing on this thread: its worker's own
+/// record, or a non-worker thread's local one inside try_run_one.
+thread_local worker_counters* tls_record = nullptr;
+
 /// Rounds of (full work search + yield) an idle worker performs before it
 /// parks on the wakeup condition variable.
 constexpr std::size_t spin_rounds_before_sleep = 64;
@@ -69,15 +73,56 @@ inline std::uint64_t next_rng(std::uint64_t& s) noexcept {
 
 const current_worker_info& current_worker() noexcept { return tls_worker; }
 
-runtime::runtime(runtime_options opts) : opts_(opts) {
-    std::size_t n = opts_.num_workers;
+namespace {
+
+/// Closes the open clock of record `c` and books its interval into every
+/// per-task instrument.  The finish is published last, with release, so
+/// an observer that sees it also sees the start and the booked time.
+std::uint64_t close_clock(worker_counters& c) noexcept {
+    const auto t1 = clock::now();
+    c.open = false;
+    c.task_end = t1;
+    const auto dur_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - c.task_start)
+            .count());
+    c.productive_ns.add(dur_ns);
+    if (metrics::enabled()) task_duration_hist().record(dur_ns);
+    if (trace::enabled()) {
+        const char* name = c.label.load(amt::memory_order_relaxed);
+        trace::emit_span(trace::event_kind::task_span,
+                         name != nullptr ? name : "task", c.task_start, t1,
+                         c.label_arg.load(amt::memory_order_relaxed));
+    }
+    c.tasks_executed.add_release(1);
+    return dur_ns;
+}
+
+}  // namespace
+
+void annotate_task(const char* name, std::int32_t arg) noexcept {
+    worker_counters* c = tls_record;
+    if (c == nullptr || !c->open ||
+        c->label.load(amt::memory_order_relaxed) != nullptr) {
+        return;
+    }
+    c->label_arg.store(arg, amt::memory_order_relaxed);
+    c->label.store(name, amt::memory_order_relaxed);
+}
+
+std::uint64_t close_task_clock() noexcept {
+    worker_counters* c = tls_record;
+    return c != nullptr && c->open ? close_clock(*c) : 0;
+}
+
+runtime::runtime(runtime_options opts) {
+    std::size_t n = opts.num_workers;
     if (n == 0) {
         n = std::thread::hardware_concurrency();
         if (n == 0) n = 1;
     }
     // Resolve the steal-domain width: auto groups workers four to a domain
     // once there are enough of them to make locality tiers meaningful.
-    domain_size_ = opts_.steal_domain_size;
+    domain_size_ = opts.steal_domain_size;
     if (domain_size_ == 0) domain_size_ = n > 4 ? 4 : n;
     if (domain_size_ > n) domain_size_ = n;
     workers_.reserve(n);
@@ -274,41 +319,36 @@ void runtime::execute(task_base* raw, worker_counters& c,
     // re-arm or destroy the node's storage — touching `raw` again would be
     // a use-after-free.  Owned (make_task) tasks are deleted after running.
     const bool owned = raw->scheduler_owned();
-    const bool tracing = trace::enabled();
-    const bool metered = metrics::enabled();
-    if (opts_.enable_timing || tracing || metered) {
-        const auto t0 = stamp != nullptr && *stamp != clock::time_point{}
-                            ? *stamp
-                            : clock::now();
-        raw->execute();
-        const auto t1 = clock::now();
-        if (stamp != nullptr) *stamp = t1;
-        const auto dur_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count());
-        if (opts_.enable_timing) {
-            c.productive_ns.add(dur_ns);
-        }
-        if (metered) {
-            task_duration_hist().record(dur_ns);
-        }
-        if (tracing) {
-            // One span per task execution, named by whatever annotation the
-            // body left behind (trace::annotate_task, first one wins).
-            const auto label = trace::take_task_label();
-            trace::emit_span(trace::event_kind::task_span,
-                             label.name != nullptr ? label.name : "task", t0,
-                             t1, label.arg);
-        }
-    } else {
-        raw->execute();
-    }
+    // A task run inside another task's cooperative wait nests: keep the
+    // outer task's clock and label, and hand them back when this one ends.
+    const clock::time_point outer_start = c.task_start;
+    const clock::time_point outer_end = c.task_end;
+    const bool outer_open = c.open;
+    const char* outer_label = c.label.load(amt::memory_order_relaxed);
+    const std::int32_t outer_arg = c.label_arg.load(amt::memory_order_relaxed);
+
+    c.task_start = stamp != nullptr && *stamp != clock::time_point{}
+                       ? *stamp
+                       : clock::now();
+    c.open = true;
+    c.label.store(nullptr, amt::memory_order_relaxed);
+    c.label_arg.store(-1, amt::memory_order_relaxed);
+    c.tasks_started.add(1);
+    raw->execute();
+    if (c.open) close_clock(c);
+    if (stamp != nullptr) *stamp = c.task_end;
+
+    c.task_start = outer_start;
+    c.task_end = outer_end;
+    c.open = outer_open;
+    c.label.store(outer_label, amt::memory_order_relaxed);
+    c.label_arg.store(outer_arg, amt::memory_order_relaxed);
     if (owned) delete raw;
-    c.tasks_executed.add(1);
 }
 
 void runtime::worker_loop(worker& self) {
     tls_worker = current_worker_info{this, self.index};
+    tls_record = &self.counters;
     if (trace::compiled_in) {
         trace::set_thread_name("worker" + std::to_string(self.index));
     }
@@ -362,7 +402,9 @@ void runtime::worker_loop(worker& self) {
             in_gap = false;  // disarmed mid-gap: drop the episode
         }
         execute(t, self.counters, &stamp);
-        anchor = stamp;  // t1 when traced; reset to {} when disarmed
+        // The task's clock close: a node's successor release falls in the
+        // next gap, never in the task span.
+        anchor = stamp;
     };
 
     // Steal-latency metric: the span from a worker's first empty probe to
@@ -444,6 +486,7 @@ void runtime::worker_loop(worker& self) {
     }
     if (in_gap) close_gap(trace::now_ns());
 
+    tls_record = nullptr;
     tls_worker = current_worker_info{};
 }
 
@@ -468,9 +511,13 @@ bool runtime::try_run_one() {
     }
     if (t == nullptr) return false;
     worker_counters local{};
+    worker_counters* const outer = tls_record;
+    tls_record = &local;
     execute(t, local);
+    tls_record = outer;
     {
         std::lock_guard lk(external_mu_);
+        external_counters_.tasks_started.add(local.tasks_started.load());
         external_counters_.tasks_executed.add(local.tasks_executed.load());
         external_counters_.productive_ns.add(local.productive_ns.load());
     }
@@ -481,7 +528,9 @@ counters_snapshot runtime::snapshot_counters() const {
     counters_snapshot s;
     s.num_workers = workers_.size();
     for (const auto& w : workers_) {
-        s.tasks_executed += w->counters.tasks_executed.load();
+        const worker_counters::task_counts n = w->counters.counts();
+        s.tasks_started += n.started;
+        s.tasks_executed += n.finished;
         s.steals += w->counters.steals.load();
         s.steal_attempts += w->counters.steal_attempts.load();
         s.productive_ns += w->counters.productive_ns.load();
@@ -489,7 +538,8 @@ counters_snapshot runtime::snapshot_counters() const {
         s.steals_cross_domain += w->counters.steals_cross_domain.load();
     }
     {
-        std::lock_guard lk(const_cast<std::mutex&>(external_mu_));
+        std::lock_guard lk(external_mu_);
+        s.tasks_started += external_counters_.tasks_started.load();
         s.tasks_executed += external_counters_.tasks_executed.load();
         s.productive_ns += external_counters_.productive_ns.load();
     }
@@ -498,6 +548,19 @@ counters_snapshot runtime::snapshot_counters() const {
                                                              start_time_)
             .count());
     return s;
+}
+
+std::vector<const char*> runtime::in_flight_labels() const {
+    std::vector<const char*> labels;
+    for (const auto& w : workers_) {
+        const worker_counters& c = w->counters;
+        const worker_counters::task_counts n = c.counts();
+        if (n.started > n.finished) {
+            const char* label = c.label.load(amt::memory_order_relaxed);
+            labels.push_back(label != nullptr ? label : "task");
+        }
+    }
+    return labels;
 }
 
 void runtime::reset_counters() {

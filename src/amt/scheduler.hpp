@@ -21,6 +21,18 @@
 // notify.  A worker announces itself in that count before its last probe,
 // so either the poster sees it or its probe sees the task.
 //
+// The per-task seam: execute() is the one place a task is timed.  It
+// stamps the task's start once, opens the executing worker's record
+// (amt/counters.hpp) with it, and closes it once — the task may close it
+// early through close_task_clock(), as a compiled-graph node does before
+// releasing its successors; otherwise execute() closes it when the body
+// returns.  That one interval feeds every per-task instrument: the
+// record's productive time and task counts, the amt_task_duration_ns
+// histogram, the trace's task span, and the node cost a compiled graph
+// books.  The task's label (annotate_task) lives in the same record, so
+// the watchdog names in-flight tasks whether or not the tracer is
+// compiled in.
+//
 // Lifetime model: a `runtime` is an ordinary object.  Constructing one
 // registers it as the *active* runtime (an ambient pointer used by the free
 // functions amt::async / amt::post); destroying it waits for the workers to
@@ -48,11 +60,6 @@ namespace amt {
 struct runtime_options {
     /// Number of OS worker threads.  0 selects hardware_concurrency().
     std::size_t num_workers = 0;
-
-    /// Record per-task productive time (needed for counters_snapshot::
-    /// productive_ratio, i.e. the paper's Figure 11).  Costs two steady_clock
-    /// reads per task; disable for task-spawn microbenchmarks.
-    bool enable_timing = true;
 
     /// Locality-domain width for hierarchical work stealing: workers are
     /// grouped into consecutive domains of this many workers, and an idle
@@ -157,8 +164,23 @@ public:
     bool try_run_one();
 
     /// Aggregated counters since construction or the last reset_counters().
+    /// Per worker, finished is read before started (worker_counters::
+    /// counts), so tasks_executed never exceeds tasks_started.
     [[nodiscard]] counters_snapshot snapshot_counters() const;
     void reset_counters();
+
+    /// Worker `w`'s record, for observers on other threads (w <
+    /// num_workers()).
+    [[nodiscard]] const worker_counters& worker_record(
+        std::size_t w) const noexcept {
+        return workers_[w]->counters;
+    }
+
+    /// The label of every worker's task in flight ("task" for one that
+    /// never annotated itself), in worker order — what the watchdog
+    /// names when progress stops.  Tasks run by non-worker threads are
+    /// not listed.
+    [[nodiscard]] std::vector<const char*> in_flight_labels() const;
 
     /// The most recently constructed, still-alive runtime, or nullptr.
     /// Free functions (amt::async etc.) target this runtime.
@@ -188,7 +210,8 @@ private:
     /// The poster's half of the wake protocol: wakes one parked worker
     /// when the sleeper gate shows one.
     void wake_one_if_parked();
-    /// Runs one task.  `stamp` (optional, tracing only) carries the
+    /// Runs one task on the record `c` of the calling thread (see the
+    /// file comment).  `stamp` (optional, tracing only) carries the
     /// already-read task start time in and the task end time out, so the
     /// worker loop's gap spans and the task span share exact endpoints
     /// (no unattributed slivers between consecutive trace spans).
@@ -205,7 +228,6 @@ private:
         std::thread thread;
     };
 
-    runtime_options opts_;
     std::vector<std::unique_ptr<worker>> workers_;
     std::size_t domain_size_ = 1;  ///< resolved steal_domain_size
 
@@ -234,7 +256,7 @@ private:
     // Counters not owned by a specific worker: tasks executed cooperatively
     // by external threads inside future waits.
     worker_counters external_counters_;
-    std::mutex external_mu_;
+    mutable std::mutex external_mu_;
 
     clock::time_point start_time_;
 
@@ -251,5 +273,22 @@ struct current_worker_info {
 
 /// Worker context of the calling thread (nullptr runtime if not a worker).
 const current_worker_info& current_worker() noexcept;
+
+/// Labels the task executing on the calling thread: the record's in-flight
+/// label, which names the task's trace span and the watchdog's stall
+/// report.  The first annotation wins, so a body that inlines further
+/// completions keeps its own label.  Called by compiled-graph nodes with
+/// their label and argument (the wave site and partition index), by
+/// checkpoint pack tasks and by the foreach driver's chunks.  A no-op
+/// outside runtime::execute.
+void annotate_task(const char* name, std::int32_t arg) noexcept;
+
+/// Closes the clock of the task executing on the calling thread and books
+/// the interval (see the file comment); returns it in nanoseconds.  A
+/// compiled-graph node calls this after its body, before it releases its
+/// successors, so the release counts as scheduler time.  Returns 0 when
+/// the clock is already closed or the caller runs outside
+/// runtime::execute.
+std::uint64_t close_task_clock() noexcept;
 
 }  // namespace amt

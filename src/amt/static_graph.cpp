@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "amt/trace.hpp"
-
 namespace amt {
 
 static_graph::~static_graph() {
@@ -165,25 +163,17 @@ bool static_graph::wait_for(std::chrono::nanoseconds timeout) {
 
 void static_graph::node::execute() noexcept {
     static_graph* g = graph;
-    trace::annotate_task(name, arg);
+    annotate_task(name, arg);
     if (!g->stop_.load(amt::memory_order_acquire)) {
         try {
-            if (g->profiling_) {
-                const auto t0 = std::chrono::steady_clock::now();
-                body();
-                accum_ns += static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-                ++timed_runs;
-            } else {
-                body();
-            }
+            body();
             ++execs;
         } catch (...) {
             g->fail(id, std::current_exception());
         }
     }
+    accum_ns += close_task_clock();
+    ++timed_runs;
     g->on_complete(*this);
 }
 

@@ -27,7 +27,7 @@
 // Lifecycle:    compile (add_node/add_edge) → seal → [arm → start → wait]*
 //
 //   * add_node/add_edge — build the topology.  Bodies are plain nullary
-//     callables; labels/args feed the tracer (trace::annotate_task).
+//     callables; labels/args name the node's task (amt::annotate_task).
 //   * seal() — freezes the topology: computes initial dependency counts,
 //     the CSR successor table and the root set.  No further structural
 //     changes are allowed.
@@ -57,6 +57,13 @@
 // the error hook lets the owner react to every failure on the failing
 // thread — e.g. close a message fabric so that the external dependencies a
 // stopped peer will never satisfy resolve instead of hanging the replay.
+//
+// Node costs: a node closes its task's clock (amt::close_task_clock) after
+// its body and before it releases its successors, and adds that interval
+// — the same one the runtime books as productive time, histogram sample
+// and trace span — to its own cost.  Costs are therefore always collected
+// and cost nothing beyond the task's one clock pair; successor release is
+// scheduler time, not node cost.  graph_profile reads them.
 //
 // Ownership: nodes are task_base subclasses constructed NOT scheduler-owned
 // — the scheduler executes them but never deletes them (see task.hpp).
@@ -156,20 +163,15 @@ public:
         return generation_;
     }
 
-    /// Per-node wall-time profiling for the critical-path analyzer
-    /// (amt/graph_profile.hpp).  While enabled, every profiled body run adds
-    /// its steady_clock duration to the node's accumulator; recycled nodes
-    /// therefore integrate cost across replays and the mean converges as
-    /// iterations accumulate.  Toggle and read only while quiescent (same
-    /// rule as arm()); the two clock reads per node are the entire armed
-    /// cost, priced by bench/metrics_overhead.
-    void set_profiling(bool on) noexcept { profiling_ = on; }
-    [[nodiscard]] bool profiling() const noexcept { return profiling_; }
-    /// Accumulated body nanoseconds / number of profiled runs for one node.
+    /// Per-node cost for the critical-path analyzer (amt/graph_profile.hpp;
+    /// see the file comment): accumulated task nanoseconds and the number
+    /// of runs behind them.  Recycled nodes integrate cost across replays,
+    /// so the mean converges as iterations accumulate.  Read while
+    /// quiescent (same rule as arm()).
     [[nodiscard]] std::uint64_t node_time_ns(node_id id) const;
     [[nodiscard]] std::uint64_t node_timed_runs(node_id id) const;
-    /// Zeroes every node's accumulator (quiescent only), so one profile
-    /// window can exclude warm-up replays.
+    /// Zeroes every node's cost (quiescent only): starts a profile window,
+    /// so a report can exclude warm-up replays.
     void reset_node_times();
 
     /// Introspection for audits/tests; call only while quiescent.
@@ -199,7 +201,7 @@ private:
         std::uint32_t succ_count = 0;
         amt::atomic<std::uint32_t> remaining{0};
         std::uint64_t execs = 0;  ///< successful body runs (see executions())
-        // Profiling accumulators: written only by the single worker running
+        // Cost accumulators: written only by the single worker running
         // this node (one task is never in flight twice), read quiescent.
         std::uint64_t accum_ns = 0;
         std::uint64_t timed_runs = 0;
@@ -220,7 +222,6 @@ private:
     std::size_t sinks_ = 0;                           // succ_count == 0
     bool sealed_ = false;
     bool armed_ = false;
-    bool profiling_ = false;  ///< mutated quiescent, read by node::execute
     std::uint64_t generation_ = 0;
     runtime* rt_ = nullptr;
 

@@ -67,7 +67,6 @@ amt::atomic<std::uint64_t> g_generation{1};
 struct tls_state {
     ring* r = nullptr;
     std::uint64_t generation = 0;
-    task_label label;
     std::string pending_name;
 };
 thread_local tls_state g_tls;
@@ -101,17 +100,6 @@ ring* ring_for_current_thread() {
 }  // namespace
 
 amt::atomic<bool> g_armed{env_armed()};
-
-void annotate_slow(const char* name, std::int32_t arg) noexcept {
-    task_label& l = g_tls.label;
-    if (l.name == nullptr) l = task_label{name, arg};
-}
-
-task_label take_label_slow() noexcept {
-    task_label l = g_tls.label;
-    g_tls.label = task_label{};
-    return l;
-}
 
 std::int64_t now_ns_slow() noexcept {
     return to_ns(clock::now());
@@ -255,8 +243,6 @@ trace_snapshot drain() {
 
 namespace detail {
 amt::atomic<bool> g_armed{false};
-void annotate_slow(const char*, std::int32_t) noexcept {}
-task_label take_label_slow() noexcept { return {}; }
 void emit(event_kind, const char*, std::int64_t, std::int64_t,
           std::int32_t) noexcept {}
 std::int64_t now_ns_slow() noexcept { return 0; }

@@ -3,8 +3,9 @@
 // Task-level tracing: per-thread, cache-line-padded, lock-free ring buffers
 // of fixed-size trace events, stamped with amt::clock — the analogue of
 // HPX's APEX/OTF2 task tracing, scoped to what the paper's Figure 11
-// analysis actually needs.  Workers record task spans (labelled by the
-// upper layers via annotate_task), successful steals, coalesced
+// analysis actually needs.  Workers record task spans (runtime::execute
+// emits them from its one clock pair, named by the executing worker's
+// record — amt::annotate_task), successful steals, coalesced
 // steal-search/idle gap spans and barrier waits; a writer drains every ring
 // into Chrome trace-event JSON (loadable in Perfetto / chrome://tracing)
 // and into a per-phase utilization report attributing productive / steal /
@@ -46,7 +47,7 @@ namespace amt::trace {
 /// What a trace event records.  Spans carry a duration; steal,
 /// continuation_ready and mark are instants (duration 0).
 enum class event_kind : std::uint8_t {
-    task_span,     ///< one task body execution (labelled via annotate_task)
+    task_span,     ///< one task execution (labelled via amt::annotate_task)
     halo_span,     ///< dist-driver pack/unpack, nested inside a task span
     barrier_span,  ///< a thread blocked in a barrier get()/wait
     search_span,   ///< deque empty: actively stealing (never parked)
@@ -72,12 +73,6 @@ struct event {
 
 namespace detail {
 extern amt::atomic<bool> g_armed;
-struct task_label {
-    const char* name = nullptr;
-    std::int32_t arg = -1;
-};
-void annotate_slow(const char* name, std::int32_t arg) noexcept;
-task_label take_label_slow() noexcept;
 void emit(event_kind kind, const char* name, std::int64_t ts_ns,
           std::int64_t dur_ns, std::int32_t arg) noexcept;
 std::int64_t now_ns_slow() noexcept;
@@ -88,10 +83,6 @@ std::int64_t now_ns_slow() noexcept;
 /// Compiled out: probes vanish entirely.
 inline constexpr bool compiled_in = false;
 [[nodiscard]] inline bool enabled() noexcept { return false; }
-inline void annotate_task(const char*, std::int32_t) noexcept {}
-[[nodiscard]] inline detail::task_label take_task_label() noexcept {
-    return {};
-}
 [[nodiscard]] inline std::int64_t now_ns() noexcept { return 0; }
 inline void emit_span(event_kind, const char*, std::int64_t, std::int64_t,
                       std::int32_t = -1) noexcept {}
@@ -109,20 +100,6 @@ inline constexpr bool compiled_in = true;
 /// True while tracing is armed.  The one check on every disarmed probe.
 [[nodiscard]] inline bool enabled() noexcept {
     return detail::g_armed.load(amt::memory_order_relaxed);
-}
-
-/// Labels the *currently executing* task: the scheduler emits exactly one
-/// task span per execution and names it from the last annotation the body
-/// left behind (first annotation wins, so a body that inlines further
-/// completions keeps its own label).  Called by the compiled graph's nodes
-/// with their label and argument (the wave site and partition index).
-inline void annotate_task(const char* name, std::int32_t arg) noexcept {
-    if (enabled()) detail::annotate_slow(name, arg);
-}
-
-/// Scheduler side of the handshake: takes and clears the pending label.
-[[nodiscard]] inline detail::task_label take_task_label() noexcept {
-    return detail::take_label_slow();
 }
 
 /// Nanoseconds since the trace epoch (arm time).

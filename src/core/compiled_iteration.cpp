@@ -43,7 +43,6 @@ compiled_iteration::compiled_iteration(amt::runtime& rt,
     }
     compile();
     graph_.seal();
-    graph_.set_profiling(cfg_.profile_nodes);
 }
 
 bool compiled_iteration::matches(const config& cfg, const error_flags& flags,
@@ -51,8 +50,7 @@ bool compiled_iteration::matches(const config& cfg, const error_flags& flags,
     return cfg_.parts.nodal == cfg.parts.nodal &&
            cfg_.parts.elems == cfg.parts.elems &&
            cfg_.track_hazards == cfg.track_hazards &&
-           cfg_.scan_nan == cfg.scan_nan &&
-           cfg_.profile_nodes == cfg.profile_nodes && slabs_.size() == slabs &&
+           cfg_.scan_nan == cfg.scan_nan && slabs_.size() == slabs &&
            flags_.sentinel.get() == flags.sentinel.get();
 }
 
@@ -122,7 +120,7 @@ void compiled_iteration::arm(real_t dt) {
         for (std::size_t i = 0; i < cap->num_regions(); ++i) {
             const node_id gate = barrier_[set_of(s)][pack_stage(*cap, i)];
             rt_.post_fn([this, cap, i, gate] {
-                pack_region_task(*cap, i, *flags_.progress);
+                pack_region_task(*cap, i);
                 graph_.satisfy_external(gate);
             });
         }
@@ -151,47 +149,38 @@ void compiled_iteration::build_access_sets(slab_state& sl) {
     sl.ctxs_key = std::move(key);
 }
 
-// The one task wrapper.  What the graph engine already provides is left to
-// it: the trace annotation (node::execute annotates from the node label),
+// The one task wrapper.  What the graph engine and the runtime already
+// provide is left to them: the task's label (node::execute annotates from
+// the node label), its clock and progress counts (runtime::execute),
 // skipping bodies once the graph's stop flag is set, and the stop request
 // on throw.  Everything else — the fault probe at the wave site, the
-// calling worker's progress slot for the watchdog, the optional hazard
-// scope and NaN scan — happens here.
+// optional hazard scope and NaN scan — happens here.
 void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task,
                                   k::eos_scratch* scratch) {
     const slab_state& sl = slabs_[slab];
     const task_decl& t = sl.table.tasks[task];
     const char* site = wave_site_of(t.kind);
-    progress_state::slot& progress = flags_.progress->this_thread_slot();
-    progress.begin(site);
     const iteration_sentinel::task_ctx* ctx =
         instrumented_ ? &sl.ctxs[task] : nullptr;
-    try {
-        amt::fault::probe(site);
-        {
-            std::optional<amt::hazard::task_scope> scope;
-            if (ctx != nullptr && cfg_.track_hazards) {
-                scope.emplace(static_cast<const void*>(sl.env.dom), site,
-                              t.partition, &ctx->decl);
-            }
-            run_body(t, sl.env, scratch);
+    amt::fault::probe(site);
+    {
+        std::optional<amt::hazard::task_scope> scope;
+        if (ctx != nullptr && cfg_.track_hazards) {
+            scope.emplace(static_cast<const void*>(sl.env.dom), site,
+                          t.partition, &ctx->decl);
         }
-        if (ctx != nullptr && cfg_.scan_nan) {
-            const field bad = scan_written_for_nonfinite(ctx->accs,
-                                                         *sl.env.dom);
-            if (bad != field::count) {
-                iteration_sentinel& sent = *flags_.sentinel;
-                flags_.nan_ok->store(false, amt::memory_order_relaxed);
-                sent.nan_wave_site.store(site, amt::memory_order_relaxed);
-                sent.nan_field_name.store(field_name(bad),
-                                          amt::memory_order_relaxed);
-            }
-        }
-    } catch (...) {
-        progress.end();
-        throw;
+        run_body(t, sl.env, scratch);
     }
-    progress.end();
+    if (ctx != nullptr && cfg_.scan_nan) {
+        const field bad = scan_written_for_nonfinite(ctx->accs, *sl.env.dom);
+        if (bad != field::count) {
+            iteration_sentinel& sent = *flags_.sentinel;
+            flags_.nan_ok->store(false, amt::memory_order_relaxed);
+            sent.nan_wave_site.store(site, amt::memory_order_relaxed);
+            sent.nan_field_name.store(field_name(bad),
+                                      amt::memory_order_relaxed);
+        }
+    }
 }
 
 compiled_iteration::node_id compiled_iteration::add_node(

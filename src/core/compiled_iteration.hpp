@@ -95,11 +95,6 @@ public:
         partition_sizes parts;
         bool track_hazards = false;
         bool scan_nan = false;
-        /// Accumulate per-node wall time across replays
-        /// (static_graph::set_profiling) for the critical-path analyzer
-        /// (core/critical_path.hpp).  Part of the compiled shape so toggling
-        /// it forces a recompile rather than mixing half-profiled replays.
-        bool profile_nodes = false;
     };
 
     /// Body of the driver's own nodes: sends, direct exchanges and the
@@ -126,8 +121,8 @@ public:
 
     /// Compiles, seals and binds the graph of `slabs`.  `flags` copies
     /// share state with the driver's, so the driver's volume/qstop/nan
-    /// flags and progress tracker observe the replayed tasks.  `gating`
-    /// and `halo` matter only to tables with halo tasks.
+    /// flags observe the replayed tasks.  `gating` and `halo` matter only
+    /// to tables with halo tasks.
     compiled_iteration(amt::runtime& rt, std::vector<slab_table> slabs,
                        const config& cfg, const error_flags& flags,
                        halo_gating gating = halo_gating::whole_wave,

@@ -136,7 +136,7 @@ void write_critical_path_text(std::ostream& os,
        << " profiled iterations, " << r.workers << " workers, " << r.nodes
        << " nodes\n";
     if (r.iterations == 0) {
-        os << "  (no profiled replays — run with node profiling enabled)\n";
+        os << "  (no profiled replays — the profile window is empty)\n";
         return;
     }
     os << "  iteration work:  " << ns(r.work_ns) << " ns\n";

@@ -63,9 +63,11 @@ struct critical_path_report {
     std::vector<task_stats> top;            ///< top-k by mean cost
 };
 
-/// Analyzes the profiled compiled iteration (quiescent; requires
-/// cfg.profile_nodes replays to have run — iterations == 0 means the means
-/// are empty and the report says so).  `workers` prices the slack bound.
+/// Analyzes the compiled iteration's node costs over its profile window
+/// (quiescent; the replays since the graph was compiled or since
+/// taskgraph_driver::enable_node_profiling(true) — iterations == 0 means
+/// the window is empty and the report says so).  `workers` prices the
+/// slack bound.
 [[nodiscard]] critical_path_report analyze_critical_path(
     const graph::compiled_iteration& ci, std::size_t workers,
     std::size_t top_k = 10);

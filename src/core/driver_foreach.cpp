@@ -21,7 +21,7 @@ void foreach_driver::pf(index_t n, F&& body) {
     auto wave = amt::bulk_async(
         rt_, 0, n, chunk,
         [body, site, chunk](amt::index_t lo, amt::index_t hi) mutable {
-            amt::trace::annotate_task(
+            amt::annotate_task(
                 site, static_cast<std::int32_t>(static_cast<std::int64_t>(lo) /
                                                 static_cast<std::int64_t>(
                                                     chunk)));
@@ -206,7 +206,7 @@ void foreach_driver::advance(domain& d) {
             domain* dp = &d;
             const auto part = static_cast<std::int32_t>(slot - 1);
             wave.push_back(amt::async(rt_, [dp, lp, lo, hi, out, part] {
-                amt::trace::annotate_task("foreach:constraints", part);
+                amt::annotate_task("foreach:constraints", part);
                 *out = k::calc_time_constraints(*dp, lp, lo, hi);
             }));
         }

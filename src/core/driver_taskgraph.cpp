@@ -66,7 +66,6 @@ void taskgraph_driver::advance(domain& d) {
 
     graph::compiled_iteration::config cfg;
     cfg.parts = parts_;
-    cfg.profile_nodes = profile_nodes_;
     if (flags_.sentinel) {
         cfg.track_hazards = flags_.sentinel->track_hazards;
         cfg.scan_nan = flags_.sentinel->scan_nan;

@@ -118,22 +118,13 @@ public:
     }
     void reset_profile() { profile_ = phase_profile{}; }
 
-    /// Task start/finish counters shared with a watchdog.  The object is
-    /// stable for the driver's lifetime (advance() resets the iteration
-    /// scope but keeps the tracker), so a monitor can hold this pointer
-    /// across the whole run.
-    [[nodiscard]] std::shared_ptr<const graph::progress_state> progress()
-        const noexcept {
-        return flags_.progress;
-    }
-
-    /// Enables per-node wall-time profiling on the compiled graph for
-    /// subsequent advances (part of the compiled shape, so flipping it
-    /// recompiles).  Feeds the critical-path analyzer
-    /// (core/critical_path.hpp) behind --critical-path-report.
-    void enable_node_profiling(bool on) noexcept { profile_nodes_ = on; }
-    [[nodiscard]] bool node_profiling() const noexcept {
-        return profile_nodes_;
+    /// The compiled graph's nodes always book their costs (amt::
+    /// static_graph) for the critical-path analyzer (core/critical_path.hpp)
+    /// behind --critical-path-report.  `true` starts a fresh profile window:
+    /// a report then covers only the replays since this call.  `false`
+    /// lets the costs keep accumulating.  Neither recompiles the graph.
+    void enable_node_profiling(bool on) noexcept {
+        if (on && compiled_) compiled_->graph().reset_node_times();
     }
 
     /// Enables per-task instrumentation for subsequent advances: hazard
@@ -169,7 +160,6 @@ private:
     std::size_t tasks_last_iteration_ = 0;
     phase_profile profile_{};
 
-    bool profile_nodes_ = false;
     bool instrumentation_checked_ = false;
     const domain* hazard_arena_for_ = nullptr;  ///< domain with a bound arena
 

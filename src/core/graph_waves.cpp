@@ -124,12 +124,9 @@ std::size_t constraint_slot_count(const domain& d, index_t p_elems) {
     return slots;
 }
 
-void pack_region_task(state_capture& cap, std::size_t i,
-                      progress_state& progress) {
+void pack_region_task(state_capture& cap, std::size_t i) {
     const auto part = static_cast<std::int32_t>(i);
-    amt::trace::annotate_task(ckpt_pack_site, part);
-    progress_state::slot& slot = progress.this_thread_slot();
-    slot.begin(ckpt_pack_site);
+    amt::annotate_task(ckpt_pack_site, part);
     try {
         amt::fault::probe(ckpt_pack_site);
         amt::trace::scoped_span span(amt::trace::event_kind::checkpoint_span,
@@ -138,7 +135,6 @@ void pack_region_task(state_capture& cap, std::size_t i,
     } catch (...) {
         cap.mark_failed();
     }
-    slot.end();
 }
 
 }  // namespace lulesh::graph

@@ -4,14 +4,10 @@
 // the five leapfrog waves, the dispatcher that calls them for a table task
 // (core/access.hpp's task_decl), the wave_site labels every task reports,
 // and the per-iteration state the drivers share with their tasks (error
-// flags, opt-in sentinel, and the progress tracker — one padded
-// single-writer slot per runtime worker, summed by its observers, so the
-// per-task bookkeeping never writes a cache line another worker writes).
+// flags and the opt-in sentinel).
 
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,8 +25,8 @@ class state_capture;
 
 namespace lulesh::graph {
 
-/// The site labels every wave's tasks report to fault probes, the progress
-/// tracker, and the watchdog.  Deliberately identical to the
+/// The site labels every wave's tasks report to fault probes and, as node
+/// labels, to the trace and the watchdog.  Deliberately identical to the
 /// phase_profile::name() strings so stall reports read like the profiles.
 namespace wave_site {
 inline constexpr const char* force = "force";
@@ -102,98 +98,6 @@ struct body_env {
 void run_body(const task_decl& t, const body_env& env,
               kernels::eos_scratch* scratch);
 
-/// Task start/finish counters plus in-flight task labels, updated by the
-/// task wrapper around every wave body and checkpoint pack.  External
-/// observers (the watchdog, the dist driver's progress deadline) hold a
-/// shared_ptr and sample it from their own thread: a barrier that stops
-/// making `finished()` progress while `started()` is ahead means a task is
-/// stuck.
-///
-/// The state is a row of cache-line-padded slots, one per runtime worker,
-/// each written only by its own worker — so the per-task path never
-/// writes a line another worker writes, and needs no read-modify-write.
-/// Observers sum the slots.  A slot's `site` is the label of the task its
-/// worker is currently inside (nullptr between tasks), so a stall report
-/// names every in-flight site.  Slot 0 collects tasks run inline on
-/// non-worker threads; worker w uses slot w+1, saturating at the last slot
-/// for runtimes wider than max_tracked_workers.  Those two slots may have
-/// several writers and count with fetch_add.
-struct progress_state {
-    static constexpr std::size_t max_tracked_workers = 64;
-
-    struct alignas(amt::cache_line_size) slot {
-        amt::atomic<std::uint64_t> started{0};
-        amt::atomic<std::uint64_t> finished{0};
-        amt::atomic<const char*> site{nullptr};
-        bool shared = false;  ///< several writers: count with fetch_add
-
-        void begin(const char* s) noexcept {
-            site.store(s, amt::memory_order_relaxed);
-            bump(started);
-        }
-        void end() noexcept {
-            site.store(nullptr, amt::memory_order_relaxed);
-            bump(finished);
-        }
-
-    private:
-        // Release, so an observer that acquires a finish also sees the
-        // start counted before it (free on x86).
-        void bump(amt::atomic<std::uint64_t>& c) const noexcept {
-            if (shared) {
-                c.fetch_add(1, amt::memory_order_release);
-            } else {
-                c.store(c.load(amt::memory_order_relaxed) + 1,
-                        amt::memory_order_release);
-            }
-        }
-    };
-
-    progress_state() {
-        slots.front().shared = true;
-        slots.back().shared = true;
-    }
-
-    /// The calling thread's slot.
-    [[nodiscard]] slot& this_thread_slot() noexcept {
-        const auto& wk = amt::current_worker();
-        return slots[wk.rt != nullptr
-                         ? std::min<std::size_t>(wk.index + 1,
-                                                 max_tracked_workers)
-                         : 0];
-    }
-
-    /// Tasks started / finished, summed over the slots.  Read finished()
-    /// first: a start is counted before its finish, so the later started()
-    /// sum covers every finish the earlier sum saw.
-    [[nodiscard]] std::uint64_t started() const noexcept {
-        std::uint64_t n = 0;
-        for (const slot& s : slots) {
-            n += s.started.load(amt::memory_order_relaxed);
-        }
-        return n;
-    }
-    [[nodiscard]] std::uint64_t finished() const noexcept {
-        std::uint64_t n = 0;
-        for (const slot& s : slots) {
-            n += s.finished.load(amt::memory_order_acquire);
-        }
-        return n;
-    }
-
-    /// Labels of all tasks currently in flight (one entry per busy worker).
-    [[nodiscard]] std::vector<const char*> in_flight_sites() const {
-        std::vector<const char*> sites;
-        for (const slot& s : slots) {
-            const char* site = s.site.load(amt::memory_order_relaxed);
-            if (site != nullptr) sites.push_back(site);
-        }
-        return sites;
-    }
-
-    std::array<slot, max_tracked_workers + 1> slots{};
-};
-
 /// Opt-in per-task instrumentation: the dynamic shadow-epoch hazard
 /// tracker (amt/hazard) and the NaN sentinel.  Null in error_flags by
 /// default — the compiled graph then builds no per-task access sets.
@@ -214,7 +118,7 @@ struct iteration_sentinel {
 };
 
 /// Shared per-iteration context: error flags aggregated by tasks and
-/// checked at iteration end, and the progress tracker.  Copies share state
+/// checked at iteration end.  Copies share state
 /// (everything is behind shared_ptrs), so a compiled graph holding a copy
 /// observes the driver's flags.
 struct error_flags {
@@ -235,11 +139,6 @@ struct error_flags {
     /// null by default.
     std::shared_ptr<iteration_sentinel> sentinel;
 
-    /// Stable across iterations, so a watchdog can keep observing one
-    /// shared_ptr for a whole run.
-    std::shared_ptr<progress_state> progress =
-        std::make_shared<progress_state>();
-
     void reset() {
         volume_ok->store(true, amt::memory_order_relaxed);
         qstop_ok->store(true, amt::memory_order_relaxed);
@@ -251,19 +150,18 @@ struct error_flags {
 std::size_t constraint_slot_count(const domain& d, index_t p_elems);
 
 /// Site label of the overlapped checkpoint pack tasks: their fault probe,
-/// progress/watchdog label, and tracer span.
+/// task label, and checkpoint span.
 inline constexpr const char* ckpt_pack_site = "ckpt.pack";
 
 /// The body of one overlapped checkpoint pack task, shared by every driver
 /// that packs a capture alongside the next iteration's compute: claims and
-/// packs region `i` of `cap` with the task wrapper's progress and tracing
-/// plumbing, with two deliberate differences.  It ignores the graph's stop
+/// packs region `i` of `cap` under the task wrapper's label, fault probe
+/// and tracing, with two deliberate differences.  It ignores the graph's stop
 /// flag: the capture holds the *previous* iteration's state, which stays
 /// valid when this iteration faults, and the rollback path commits it.
 /// Exceptions are swallowed into mark_failed() instead of propagating: a
 /// faulted pack must never fail the compute iteration; the resilient loop
 /// drops the capture and covers its regions at the next checkpoint.
-void pack_region_task(state_capture& cap, std::size_t i,
-                      progress_state& progress);
+void pack_region_task(state_capture& cap, std::size_t i);
 
 }  // namespace lulesh::graph

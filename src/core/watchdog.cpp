@@ -8,10 +8,9 @@
 
 namespace lulesh {
 
-watchdog::watchdog(std::shared_ptr<const graph::progress_state> progress,
-                   std::chrono::milliseconds deadline, callback on_stall,
-                   std::chrono::milliseconds poll)
-    : progress_(std::move(progress)),
+watchdog::watchdog(const amt::runtime& rt, std::chrono::milliseconds deadline,
+                   callback on_stall, std::chrono::milliseconds poll)
+    : rt_(rt),
       deadline_(deadline),
       poll_(poll),
       on_stall_(std::move(on_stall)) {
@@ -40,7 +39,7 @@ void watchdog::run() {
         amt::trace::set_thread_name("watchdog");
     }
 
-    std::uint64_t last_finished = progress_->finished();
+    std::uint64_t last_finished = rt_.snapshot_counters().tasks_executed;
     clock::time_point last_advance = clock::now();
     bool reported_this_episode = false;
 
@@ -49,10 +48,11 @@ void watchdog::run() {
         cv_.wait_for(lk, poll_, [this] { return stopping_; });
         if (stopping_) break;
 
-        // Finished before started: each slot counts its start first, so
-        // the sums never show a finish whose start they missed.
-        const std::uint64_t finished = progress_->finished();
-        const std::uint64_t started = progress_->started();
+        // The snapshot reads each worker's finished count before its
+        // started count, so it never shows a finish whose start it missed.
+        const amt::counters_snapshot counts = rt_.snapshot_counters();
+        const std::uint64_t finished = counts.tasks_executed;
+        const std::uint64_t started = counts.tasks_started;
         const clock::time_point now = clock::now();
 
         if (finished != last_finished) {
@@ -68,8 +68,7 @@ void watchdog::run() {
                 now - last_advance);
         if (stalled_for < deadline_) continue;
 
-        const std::vector<const char*> in_flight =
-            progress_->in_flight_sites();
+        const std::vector<const char*> in_flight = rt_.in_flight_labels();
         const char* site = in_flight.empty() ? nullptr : in_flight.front();
         std::vector<std::string> sites(in_flight.begin(), in_flight.end());
         // The site label has static storage (wave_site / probe contract),

@@ -3,20 +3,20 @@
 // Barrier-progress watchdog for the task-graph drivers.  A wave that stops
 // making progress — a task started but never finished within a deadline —
 // would otherwise hang the single blocking b5.get() of the iteration
-// forever.  The watchdog samples the driver's progress_state — one
-// single-writer slot per worker — from its own OS thread and fires a
-// callback with a report naming the wave the stuck task belongs to, so the
-// run loop can abort, diagnose, or release injected stalls instead of
-// hanging.
+// forever.  The watchdog samples the runtime's per-worker task records
+// (amt/counters.hpp: tasks started and finished, and the label of the task
+// in flight) from its own OS thread and fires a callback with a report
+// naming the wave the stuck task belongs to, so the run loop can abort,
+// diagnose, or release injected stalls instead of hanging.
 //
-// Detection heuristic: `started > finished` summed over the slots (at
+// Detection heuristic: `started > finished` summed over the workers (at
 // least one task is in flight) while `finished` has not advanced for
 // `deadline`.  Once nothing has finished for a whole deadline, every task
 // still in flight is stuck, so the report names them all: `sites` carries
-// the in-flight label of every busy worker's slot and `site` the first of
-// them.  The watchdog fires once per stall episode and re-arms itself when
-// `finished` moves again, so a long run with several injected stalls
-// reports each one.
+// the label of every busy worker's task (runtime::in_flight_labels) and
+// `site` the first of them.  The watchdog fires once per stall episode
+// and re-arms itself when `finished` moves again, so a long run with
+// several injected stalls reports each one.
 
 #pragma once
 
@@ -24,14 +24,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "amt/atomic.hpp"
-#include "core/graph_waves.hpp"
+#include "amt/scheduler.hpp"
 
 namespace lulesh {
 
@@ -43,17 +42,17 @@ public:
         std::uint64_t finished = 0;
         std::chrono::milliseconds stalled_for{0};
         /// Labels of *all* in-flight tasks at detection time, one per busy
-        /// worker (progress_state::slot::site); `site` is the first.
+        /// worker (runtime::in_flight_labels); `site` is the first.
         std::vector<std::string> sites;
     };
 
     using callback = std::function<void(const report&)>;
 
-    /// Starts the monitor thread immediately.  `progress` is sampled every
-    /// `poll`; `on_stall` runs on the watchdog thread when a stall episode
-    /// is detected.
-    watchdog(std::shared_ptr<const graph::progress_state> progress,
-             std::chrono::milliseconds deadline, callback on_stall,
+    /// Starts the monitor thread immediately.  `rt`'s task records are
+    /// sampled every `poll`; `on_stall` runs on the watchdog thread when a
+    /// stall episode is detected.  `rt` must outlive the watchdog.
+    watchdog(const amt::runtime& rt, std::chrono::milliseconds deadline,
+             callback on_stall,
              std::chrono::milliseconds poll = std::chrono::milliseconds(10));
 
     /// Joins the monitor thread.
@@ -77,7 +76,7 @@ public:
 private:
     void run();
 
-    std::shared_ptr<const graph::progress_state> progress_;
+    const amt::runtime& rt_;
     std::chrono::milliseconds deadline_;
     std::chrono::milliseconds poll_;
     callback on_stall_;

@@ -222,7 +222,8 @@ void dist_driver::advance(cluster& c) {
                        (halo_timeout_.count() > 0 || retry_.enabled());
     if (armed) {
         // Per-iteration progress deadline: a whole deadline's worth of
-        // polls with zero task completions while the graph is pending
+        // polls with zero task completions on the runtime (its per-worker
+        // task records) while the graph is pending
         // means a halo message is not coming (e.g. a dead peer).  Fail the
         // fabric — the channel_closed cascade satisfies every pending
         // receive, so the wait below terminates.  With retry on but no
@@ -239,11 +240,11 @@ void dist_driver::advance(cluster& c) {
         }
         poll = std::clamp(poll, std::chrono::milliseconds(1),
                           std::chrono::milliseconds(250));
-        auto last_finished = flags_.progress->finished();
+        auto last_finished = rt_.snapshot_counters().tasks_executed;
         std::chrono::milliseconds stalled_for{0};
         while (!compiled_->wait_for(poll)) {
             if (retry_.enabled()) service_resends(c);
-            const auto now_finished = flags_.progress->finished();
+            const auto now_finished = rt_.snapshot_counters().tasks_executed;
             if (now_finished == last_finished) {
                 stalled_for += poll;
                 if (!timed_out && stalled_for >= deadline) {

@@ -248,6 +248,37 @@ TEST(RuntimeCounters, ResetZeroesCounters) {
     EXPECT_EQ(s.productive_ns, 0u);
 }
 
+// The running task's label lives in its worker's record, not in the
+// tracer, so the watchdog can name it in every build; it ends with the
+// task.
+TEST(RuntimeCounters, InFlightLabelNamesTheRunningTask) {
+    amt::runtime rt(2);
+    std::atomic<bool> labelled{false};
+    std::atomic<bool> release{false};
+    rt.post_fn([&] {
+        amt::annotate_task("held", 3);
+        amt::annotate_task("later", 4);  // the first annotation wins
+        labelled.store(true);
+        while (!release.load()) std::this_thread::yield();
+    });
+    while (!labelled.load()) std::this_thread::yield();
+    const std::vector<const char*> held = rt.in_flight_labels();
+    release.store(true);
+    ASSERT_EQ(held.size(), 1u);
+    EXPECT_STREQ(held.front(), "held");
+
+    auto s = rt.snapshot_counters();
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (s.tasks_executed < 1u &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+        s = rt.snapshot_counters();
+    }
+    EXPECT_EQ(s.tasks_started, 1u);
+    EXPECT_EQ(s.tasks_executed, 1u);
+    EXPECT_TRUE(rt.in_flight_labels().empty());
+}
+
 TEST(RuntimeCounters, DeltaComputesWindow) {
     amt::runtime rt(1);
     auto a = rt.snapshot_counters();
@@ -264,24 +295,6 @@ TEST(RuntimeCounters, DeltaComputesWindow) {
     auto d = amt::delta(a, b);
     EXPECT_GE(d.tasks_executed, 1u);
     EXPECT_GT(d.wall_ns, 0u);
-}
-
-TEST(Runtime, TimingCanBeDisabled) {
-    amt::runtime rt(amt::runtime_options{.num_workers = 1,
-                                         .enable_timing = false});
-    amt::async([] {
-        volatile int x = 0;
-        for (int i = 0; i < 100000; ++i) x = x + 1;
-    }).get();
-    // Counters are published just after the future is fulfilled; poll.
-    auto s = rt.snapshot_counters();
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
-    while (s.tasks_executed < 1 && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-        s = rt.snapshot_counters();
-    }
-    EXPECT_GE(s.tasks_executed, 1u);
-    EXPECT_EQ(s.productive_ns, 0u);  // timing disabled: no productive time
 }
 
 TEST(Runtime, StealsHappenUnderImbalance) {

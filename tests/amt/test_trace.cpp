@@ -1,15 +1,21 @@
-// tests/amt/test_trace.cpp — the task tracer: arming, the label handshake,
-// ring overflow (drop-not-block), the Chrome trace writer, and the
-// per-phase utilization attribution.
+// tests/amt/test_trace.cpp — the task tracer: arming, task labels, ring
+// overflow (drop-not-block), the Chrome trace writer, the per-phase
+// utilization attribution, and the exact agreement of task spans with the
+// runtime's counters and a compiled graph's node costs, which all come
+// from runtime::execute's one clock pair.
 //
 // Each test resets the global registry; the fixture serializes them so a
 // concurrent gtest shard cannot interleave ring registrations.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "amt/amt.hpp"
 #include "amt/trace.hpp"
@@ -65,16 +71,40 @@ TEST_F(TraceTest, ArmRecordsSpansWithMonotonicEpochTimestamps) {
     EXPECT_GE(m.ts_ns, span.ts_ns);
 }
 
+/// Every task span recorded on a worker thread, in emission order.
+std::vector<trace::event> worker_task_spans(const trace::trace_snapshot& snap) {
+    std::vector<trace::event> spans;
+    for (const auto& t : snap.threads) {
+        if (t.name.rfind("worker", 0) != 0) continue;
+        for (const auto& e : t.events) {
+            if (e.kind == trace::event_kind::task_span) spans.push_back(e);
+        }
+    }
+    return spans;
+}
+
 TEST_F(TraceTest, LabelHandshakeFirstAnnotationWins) {
     trace::arm();
-    trace::annotate_task("outer", 1);
-    trace::annotate_task("inner", 2);  // inlined completion: must not win
-    const auto label = trace::take_task_label();
-    EXPECT_EQ(std::string(label.name), "outer");
-    EXPECT_EQ(label.arg, 1);
-    // The take cleared it.
-    const auto empty = trace::take_task_label();
-    EXPECT_EQ(empty.name, nullptr);
+    {
+        amt::runtime rt(1);
+        amt::async(rt, [] {
+            amt::annotate_task("outer", 1);
+            amt::annotate_task("inner", 2);  // inlined completion: must not win
+        }).get();
+        amt::async(rt, [] {}).get();
+    }
+    trace::disarm();
+    bool outer = false;
+    bool unlabelled = false;
+    for (const auto& e : worker_task_spans(trace::drain())) {
+        const std::string name(e.name);
+        EXPECT_NE(name, "inner");
+        if (name == "outer" && e.arg == 1) outer = true;
+        // The label ends with its task: the next one starts unlabelled.
+        if (name == "task" && e.arg == -1) unlabelled = true;
+    }
+    EXPECT_TRUE(outer);
+    EXPECT_TRUE(unlabelled);
 }
 
 TEST_F(TraceTest, OverflowDropsKeepsFirstAndCounts) {
@@ -243,7 +273,7 @@ TEST_F(TraceTest, SchedulerEmitsLabeledTaskSpans) {
     {
         amt::runtime rt(2);
         auto f = amt::async(rt, [] {
-            trace::annotate_task("unit-task", 42);
+            amt::annotate_task("unit-task", 42);
         });
         f.get();
     }
@@ -274,6 +304,120 @@ TEST_F(TraceTest, ResetDropsEventsAndReopensRegistration) {
     ASSERT_EQ(snap.threads.size(), 1u);
     ASSERT_EQ(snap.threads[0].events.size(), 1u);
     EXPECT_EQ(std::string(snap.threads[0].events[0].name), "after");
+}
+
+// The one-clock-pair contract: armed for the runtime's whole counter
+// window with nothing dropped, the worker task spans of a 4-worker
+// compiled-graph replay sum to the counters' productive time exactly,
+// there is one span per executed task, and every node's booked cost is
+// exactly the sum of its own spans.
+TEST_F(TraceTest, TaskSpansAgreeExactlyWithCountersAndNodeCosts) {
+    trace::arm();
+    constexpr int layers = 8;
+    constexpr int width = 8;
+    constexpr int replays = 20;
+    amt::runtime rt(4);
+    amt::static_graph g;
+    for (int i = 0; i < layers * width; ++i) {
+        g.add_node(
+            [] {
+                volatile int x = 0;
+                for (int k = 0; k < 2000; ++k) x = x + 1;
+            },
+            "exact", i, static_cast<std::uint32_t>(i % 4));
+    }
+    using node_id = amt::static_graph::node_id;
+    for (int l = 1; l < layers; ++l) {
+        for (int w = 0; w < width; ++w) {
+            const auto to = static_cast<node_id>(l * width + w);
+            g.add_edge(static_cast<node_id>((l - 1) * width + w), to);
+            g.add_edge(static_cast<node_id>((l - 1) * width + (w + 1) % width),
+                       to);
+        }
+    }
+    g.seal();
+    for (int r = 0; r < replays; ++r) g.run(rt);
+    // wait() returns after every node closed its clock, so the window is
+    // complete here.
+    const amt::counters_snapshot c = rt.snapshot_counters();
+    trace::disarm();
+    const auto snap = trace::drain();
+    ASSERT_EQ(snap.dropped, 0u);
+
+    std::uint64_t span_ns = 0;
+    std::map<std::int32_t, std::pair<std::uint64_t, std::uint64_t>> per_node;
+    const auto spans = worker_task_spans(snap);
+    for (const auto& e : spans) {
+        ASSERT_EQ(std::string(e.name), "exact");
+        span_ns += static_cast<std::uint64_t>(e.dur_ns);
+        auto& node = per_node[e.arg];
+        node.first += static_cast<std::uint64_t>(e.dur_ns);
+        node.second += 1;
+    }
+    EXPECT_EQ(span_ns, c.productive_ns);
+    EXPECT_EQ(spans.size(), c.tasks_executed);
+    EXPECT_EQ(c.tasks_started, c.tasks_executed);
+    EXPECT_EQ(c.tasks_executed,
+              static_cast<std::uint64_t>(layers * width * replays));
+    ASSERT_EQ(per_node.size(), g.node_count());
+    for (node_id id = 0; id < g.node_count(); ++id) {
+        const auto& node = per_node[static_cast<std::int32_t>(id)];
+        EXPECT_EQ(node.first, g.node_time_ns(id)) << "node " << id;
+        EXPECT_EQ(node.second, g.node_timed_runs(id)) << "node " << id;
+        EXPECT_EQ(g.node_timed_runs(id), static_cast<std::uint64_t>(replays));
+    }
+}
+
+// A worker task that runs a graph and waits on it cooperatively (the path
+// StaticGraph.WaitFromWorkerThreadCooperates takes) runs every node nested
+// inside itself.  Each node gets its own span inside the outer one, and
+// after every node the outer task's label and start are back: its span
+// keeps its name and starts before the first node, and the watchdog still
+// sees the outer label afterwards.
+TEST_F(TraceTest, NestedTasksKeepTheOuterLabelAndStart) {
+    trace::arm();
+    std::vector<const char*> in_flight;
+    {
+        amt::runtime rt(1);
+        amt::static_graph g;
+        for (int i = 0; i < 8; ++i) {
+            g.add_node(
+                [] {
+                    volatile int x = 0;
+                    for (int k = 0; k < 1000; ++k) x = x + 1;
+                },
+                "inner", i);
+        }
+        g.seal();
+        std::atomic<bool> done{false};
+        rt.post_fn([&] {
+            amt::annotate_task("outer", 99);
+            g.run(rt);
+            in_flight = rt.in_flight_labels();
+            done.store(true);
+        });
+        while (!done.load()) std::this_thread::yield();
+    }
+    trace::disarm();
+    ASSERT_EQ(in_flight.size(), 1u);
+    EXPECT_EQ(std::string(in_flight.front()), "outer");
+
+    const auto spans = worker_task_spans(trace::drain());
+    ASSERT_EQ(spans.size(), 9u);
+    const trace::event& outer = spans.back();  // closes after its nodes
+    EXPECT_EQ(std::string(outer.name), "outer");
+    EXPECT_EQ(outer.arg, 99);
+    std::vector<bool> seen(8, false);
+    for (std::size_t i = 0; i + 1 < spans.size(); ++i) {
+        const trace::event& inner = spans[i];
+        EXPECT_EQ(std::string(inner.name), "inner");
+        ASSERT_GE(inner.arg, 0);
+        ASSERT_LT(inner.arg, 8);
+        EXPECT_FALSE(seen[static_cast<std::size_t>(inner.arg)]);
+        seen[static_cast<std::size_t>(inner.arg)] = true;
+        EXPECT_GE(inner.ts_ns, outer.ts_ns);
+        EXPECT_LE(inner.ts_ns + inner.dur_ns, outer.ts_ns + outer.dur_ns);
+    }
 }
 
 }  // namespace

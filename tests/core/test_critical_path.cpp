@@ -1,6 +1,7 @@
 // tests/core/test_critical_path.cpp — the LULESH-aware critical-path
 // analyzer (core/critical_path.hpp): phase binning over a profiled
-// compiled iteration, the longest-chain / slack arithmetic, and the exact
+// compiled iteration, the longest-chain / slack arithmetic, the profile
+// window taskgraph_driver::enable_node_profiling opens, and the exact
 // text/JSON agreement the round-trip validator
 // (scripts/validate_critical_path.py) depends on.
 
@@ -16,6 +17,7 @@
 
 #include "amt/amt.hpp"
 #include "lulesh/driver.hpp"
+#include "lulesh/kernels.hpp"
 
 namespace {
 
@@ -113,15 +115,62 @@ TEST(CriticalPath, TopKIsBoundedAndSortedByMeanCost) {
     }
 }
 
+// Node costs are always collected; a window opened after the last replay
+// is empty, and the report says so.
 TEST(CriticalPath, UnprofiledRunReportsZeroIterations) {
     const auto pr = run_profiled(4, /*profile=*/false);
     ASSERT_NE(pr.drv->compiled(), nullptr);
+    pr.drv->enable_node_profiling(true);
     const critical_path_report r =
         analyze_critical_path(*pr.drv->compiled(), 2);
     EXPECT_EQ(r.iterations, 0u);
     std::ostringstream os;
     write_critical_path_text(os, r);
     EXPECT_NE(os.str().find("no profiled replays"), std::string::npos);
+}
+
+void advance_once(profiled_run& pr) {
+    lulesh::kernels::time_increment(*pr.dom);
+    pr.drv->advance(*pr.dom);
+    ++pr.iters;
+}
+
+// Toggling the profile window is not part of the compiled shape: the graph
+// object survives both directions and its replay count keeps counting.
+TEST(CriticalPath, ProfilingToggleKeepsTheCompiledGraph) {
+    auto pr = run_profiled(3);
+    const lulesh::graph::compiled_iteration* ci = pr.drv->compiled();
+    ASSERT_NE(ci, nullptr);
+    const std::uint64_t replays = ci->replays();
+
+    pr.drv->enable_node_profiling(false);
+    advance_once(pr);
+    EXPECT_EQ(pr.drv->compiled(), ci);
+    EXPECT_EQ(ci->replays(), replays + 1);
+
+    pr.drv->enable_node_profiling(true);
+    advance_once(pr);
+    EXPECT_EQ(pr.drv->compiled(), ci);
+    EXPECT_EQ(ci->replays(), replays + 2);
+}
+
+// A report covers the replays since the last enable_node_profiling(true):
+// costs accumulated before it are gone, costs after it all count, and
+// enable_node_profiling(false) keeps accumulating.
+TEST(CriticalPath, ReportCoversOnlyTheReplaysSinceTheWindowOpened) {
+    auto pr = run_profiled(4, /*profile=*/false);
+    EXPECT_EQ(analyze_critical_path(*pr.drv->compiled(), 2).iterations, 4u);
+
+    pr.drv->enable_node_profiling(true);
+    advance_once(pr);
+    advance_once(pr);
+    pr.drv->enable_node_profiling(false);
+    advance_once(pr);
+    const critical_path_report r =
+        analyze_critical_path(*pr.drv->compiled(), 2);
+    EXPECT_EQ(r.iterations, 3u);
+    for (const auto& t : r.top) EXPECT_EQ(t.runs, 3u) << t.label;
+    EXPECT_GT(r.work_ns, 0.0);
 }
 
 // The exact agreement contract: durations cross both writers as the same

@@ -1,6 +1,6 @@
-// Watchdog tests: a stalled wave task is detected within the deadline and
-// reported with the wave it belongs to, on one worker and on four; healthy
-// runs never trip it.
+// Watchdog tests: a stalled wave task is detected within the deadline from
+// the runtime's task records and reported with the wave it belongs to, on
+// one worker and on four; healthy runs never trip it.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +43,7 @@ struct fault_guard {
 TEST(Watchdog, HealthyRunNeverFires) {
     amt::runtime rt(2);
     lulesh::taskgraph_driver drv(rt, {256, 256});
-    watchdog wd(drv.progress(), milliseconds(5000), [](const auto&) {});
+    watchdog wd(rt, milliseconds(5000), [](const auto&) {});
 
     domain d(small_opts());
     lulesh::run_simulation(d, drv, 5);
@@ -60,7 +60,7 @@ TEST(Watchdog, DetectsStalledWaveTaskAndNamesTheWave) {
 
     // The callback plays the recovery role: release the stuck "worker" so
     // the iteration can complete and the test terminates cleanly.
-    watchdog wd(drv.progress(), milliseconds(150),
+    watchdog wd(rt, milliseconds(150),
                 [](const watchdog::report&) { amt::fault::release_stalls(); },
                 milliseconds(10));
 
@@ -88,18 +88,17 @@ TEST(Watchdog, DetectsStalledWaveTaskAndNamesTheWave) {
 TEST(Watchdog, NamesTheStalledWaveWhileOtherWorkersFinishTheirTasks) {
     fault_guard guard;
     // Four workers: one sticks in an elem task, the others finish the rest
-    // of the wave and go idle at its barrier.  Progress lives in one slot
-    // per worker, so the report must come from summing the slots and from
-    // the stuck worker's in-flight label.
+    // of the wave and go idle at its barrier.  Progress lives in one task
+    // record per worker, so the report must come from summing the records
+    // and from the stuck worker's in-flight label.
     amt::runtime rt(4);
     lulesh::taskgraph_driver drv(rt, {32, 32});
-    const auto progress = drv.progress();
 
     std::vector<std::string> in_flight;
     watchdog wd(
-        progress, milliseconds(150),
+        rt, milliseconds(150),
         [&](const watchdog::report&) {
-            for (const char* s : progress->in_flight_sites()) {
+            for (const char* s : rt.in_flight_labels()) {
                 in_flight.emplace_back(s);
             }
             amt::fault::release_stalls();
@@ -128,17 +127,18 @@ TEST(Watchdog, NamesTheStalledWaveWhileOtherWorkersFinishTheirTasks) {
     EXPECT_NE(std::find(in_flight.begin(), in_flight.end(), "elem"),
               in_flight.end());
     std::size_t busy_slots = 0;
-    for (const auto& slot : progress->slots) {
-        if (slot.started.load(amt::memory_order_relaxed) > 0) ++busy_slots;
+    for (std::size_t w = 0; w < rt.num_workers(); ++w) {
+        if (rt.worker_record(w).tasks_started.load() > 0) ++busy_slots;
     }
     EXPECT_GE(busy_slots, 2u) << "the other workers ran the rest of the wave";
-    EXPECT_EQ(progress->started(), progress->finished());
+    const auto counts = rt.snapshot_counters();
+    EXPECT_EQ(counts.tasks_started, counts.tasks_executed);
     EXPECT_EQ(amt::fault::snapshot().injections, 1u);
 }
 
 TEST(Watchdog, StopIsIdempotent) {
-    auto progress = std::make_shared<lulesh::graph::progress_state>();
-    watchdog wd(progress, milliseconds(50), [](const auto&) {});
+    amt::runtime rt(1);
+    watchdog wd(rt, milliseconds(50), [](const auto&) {});
     wd.stop();
     wd.stop();  // second call and the destructor are both no-ops
     EXPECT_FALSE(wd.fired());

@@ -4,7 +4,10 @@
 // values; shared_counter pays the fetch_add so any thread may bump it.
 // The checker verifies both contracts and — by violating the single-writer
 // rule on purpose — shows the lost-update that justifies shared_counter's
-// existence.
+// existence.  The task record's publication (worker_counters: a task's
+// start counted relaxed, its finish with add_release, read back by
+// counts()) gets a litmus of its own and a weakened twin that demotes the
+// release (relaxed_counter::model_weaken_release).
 
 #include <gtest/gtest.h>
 
@@ -110,6 +113,63 @@ TEST(ModelCounters, CrossFieldSnapshotIsOnlyPerFieldMonotone) {
                      "post-join totals wrong");
     });
     EXPECT_FALSE(r.failed) << r.reason << "\n" << r.trace;
+}
+
+/// Sets one model seam for a scope, restoring it even when the checked
+/// body aborts mid-execution.
+struct seam_guard {
+    explicit seam_guard(bool& seam) : seam_(seam) { seam_ = true; }
+    ~seam_guard() { seam_ = false; }
+    seam_guard(const seam_guard&) = delete;
+    seam_guard& operator=(const seam_guard&) = delete;
+
+private:
+    bool& seam_;
+};
+
+// The owner runs two tasks the way runtime::execute books them — the
+// start counted when the clock opens, the finish published when it closes
+// — while an observer (the watchdog, snapshot_counters) reads the record
+// with counts(): finished first, then started.  It may see a stale pair,
+// never more finishes than starts.
+void task_record_body() {
+    amt::worker_counters wc;
+    amt::model::thread owner([&] {
+        for (int i = 0; i < 2; ++i) {
+            wc.tasks_started.add(1);
+            wc.tasks_executed.add_release(1);
+        }
+    });
+    const amt::worker_counters::task_counts first = wc.counts();
+    const amt::worker_counters::task_counts second = wc.counts();
+    owner.join();
+    model_assert(first.finished <= first.started &&
+                     second.finished <= second.started,
+                 "task record: observer saw more finishes than starts");
+    const amt::worker_counters::task_counts last = wc.counts();
+    model_assert(last.started == 2 && last.finished == 2,
+                 "task record: post-join totals wrong");
+}
+
+TEST(ModelCounters, TaskRecordNeverShowsMoreFinishesThanStarts) {
+    options o;
+    o.quiet = true;
+    const result r = check(o, task_record_body);
+    EXPECT_FALSE(r.failed) << r.reason << "\n" << r.trace;
+    EXPECT_TRUE(r.complete);
+}
+
+// Weakened twin: with the finish published relaxed, the observer may read
+// the newest finish and a stale start.
+TEST(ModelCounters, RelaxedFinishPublicationIsCaught) {
+    seam_guard weaken(amt::relaxed_counter::model_weaken_release);
+    options o;
+    o.quiet = true;
+    const result r = check(o, task_record_body);
+    ASSERT_TRUE(r.failed) << "the model must find the stale-start read";
+    EXPECT_NE(r.reason.find("more finishes than starts"), std::string::npos)
+        << r.reason;
+    EXPECT_FALSE(r.replay.empty());
 }
 
 }  // namespace
