@@ -54,7 +54,7 @@ std::vector<double> run_dist_reps(const lulesh::options& problem,
 
 int main(int argc, char** argv) {
     // bench::parse_sweep rejects flags it does not know, so --halo-timeout
-    // (and its env twin LULESH_HALO_TIMEOUT) is peeled off the argv first.
+    // is peeled off the argv first.
     std::vector<char*> args;
     args.reserve(static_cast<std::size_t>(argc));
     for (int i = 0; i < argc; ++i) {
@@ -69,12 +69,6 @@ int main(int argc, char** argv) {
             continue;
         }
         args.push_back(argv[i]);
-    }
-    if (g_halo_timeout.count() == 0) {
-        if (const char* raw = std::getenv("LULESH_HALO_TIMEOUT");
-            raw != nullptr && *raw != '\0') {
-            g_halo_timeout = std::chrono::milliseconds(std::atol(raw));
-        }
     }
 
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());

@@ -6,13 +6,13 @@
 // barrier, per loop.  It demonstrates why 1:1 loop replacement loses to
 // OpenMP (more task-creation overhead than static work sharing, same number
 // of barriers) and serves as the ablation baseline for the paper's task-
-// chaining tricks.
+// chaining tricks.  The loop sequence is the shared fork-join step
+// (lulesh/fork_join_step.hpp) on a backend of amt waves.
 
 #pragma once
 
 #include "amt/amt.hpp"
 #include "lulesh/driver.hpp"
-#include "lulesh/kernels.hpp"
 
 namespace lulesh {
 
@@ -25,21 +25,9 @@ public:
     void advance(domain& d) override;
 
 private:
-    /// One parallel loop with an implicit barrier (the for_each pattern).
-    template <class F>
-    void pf(index_t n, F&& body);
-
     amt::runtime& rt_;
-
-    /// Trace label for the tasks of subsequent pf() loops; advance() points
-    /// it at the current algorithm section (static storage, like the wave
-    /// sites).
-    const char* trace_site_ = "foreach";
-
-    std::vector<real_t> sigxx_, sigyy_, sigzz_;
-    std::vector<real_t> dvdx_, dvdy_, dvdz_, x8n_, y8n_, z8n_;
-    std::vector<real_t> determ_;
-    kernels::eos_scratch eos_;
+    kernels::reference_scratch scratch_;
+    /// One constraint partial per chunk of the current region's reduction.
     std::vector<kernels::dt_constraints> partials_;
 };
 

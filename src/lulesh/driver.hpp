@@ -5,10 +5,13 @@
 // identical fields; they differ only in how the per-iteration work is
 // decomposed and synchronized:
 //
-//   serial_driver        — every kernel over its full range, in order.
+//   serial_driver        — every kernel over its full range, in order;
+//                          the hand-written oracle the tests compare to.
 //   parallel_for_driver  — ompsim team, one statically-scheduled parallel
 //                          loop + barrier per reference loop (the OpenMP
 //                          reference baseline).
+//   openmp_driver        — the same loops on libgomp (built when the
+//                          toolchain provides OpenMP).
 //   foreach_driver       — (src/core) amt runtime, hpx::for_each-style
 //                          parallel loops with a barrier per loop; the naive
 //                          HPX port the paper's related work shows to be
@@ -16,6 +19,9 @@
 //   taskgraph_driver     — (src/core) the paper's contribution: a
 //                          pre-created task graph per iteration with
 //                          continuation chains and few barriers.
+//
+// parallel_for, openmp and foreach run one shared loop sequence
+// (lulesh/fork_join_step.hpp) and differ only in the loop primitive.
 
 #pragma once
 
@@ -24,6 +30,7 @@
 #include <string>
 
 #include "lulesh/domain.hpp"
+#include "lulesh/kernels.hpp"
 #include "lulesh/options.hpp"
 #include "lulesh/types.hpp"
 
@@ -80,10 +87,7 @@ public:
     void advance(domain& d) override;
 
 private:
-    // Persistent scratch mirroring the reference's per-call allocations.
-    std::vector<real_t> sigxx_, sigyy_, sigzz_;
-    std::vector<real_t> dvdx_, dvdy_, dvdz_, x8n_, y8n_, z8n_;
-    std::vector<real_t> determ_;
+    kernels::reference_scratch scratch_;
 };
 
 /// Runs `drv` on `d` until stoptime or `max_cycles`, whichever comes first.

@@ -4,16 +4,15 @@
 // chunk kernel on their static slice — the same contiguous chunking the
 // ompsim driver uses, so results are bitwise identical across all drivers.
 
+#include "lulesh/driver_openmp.hpp"
+
 #include <omp.h>
 
-
-#include "amt/atomic.hpp"
-#include "lulesh/driver_openmp.hpp"
+#include "lulesh/fork_join_step.hpp"
 
 namespace lulesh {
 
 namespace {
-namespace k = kernels;
 
 /// Contiguous static chunk of [0, n) for this OpenMP thread.
 std::pair<index_t, index_t> my_chunk(index_t n) {
@@ -25,6 +24,55 @@ std::pair<index_t, index_t> my_chunk(index_t n) {
     return {lo, lo + base + (t < rem ? 1 : 0)};
 }
 
+/// libgomp backend of the fork-join step: one work-sharing region per loop;
+/// OpenMP's implicit region-end barrier supplies the synchronization.
+class omp_loops {
+public:
+    explicit omp_loops(int num_threads) : threads_(num_threads) {}
+
+    void section(step_section) {}
+
+    template <class F>
+    void loop(index_t n, F&& body) {
+#pragma omp parallel num_threads(threads_)
+        {
+            const auto [lo, hi] = my_chunk(n);
+            body(lo, hi);
+        }
+    }
+
+    template <class... Loops>
+    void nowait_loops(const Loops&... loops) {
+#pragma omp parallel num_threads(threads_)
+        {
+            (run_chunk(loops), ...);
+        }
+    }
+
+    template <class F>
+    kernels::dt_constraints reduce_min(index_t n, F&& body) {
+        real_t dtc = real_t(1.0e20);
+        real_t dth = real_t(1.0e20);
+#pragma omp parallel num_threads(threads_) reduction(min : dtc, dth)
+        {
+            const auto [lo, hi] = my_chunk(n);
+            const kernels::dt_constraints local = body(lo, hi);
+            dtc = std::min(dtc, local.dtcourant);
+            dth = std::min(dth, local.dthydro);
+        }
+        return {dtc, dth};
+    }
+
+private:
+    template <class Loop>
+    static void run_chunk(const Loop& l) {
+        const auto [lo, hi] = my_chunk(l.n);
+        l.body(lo, hi);
+    }
+
+    int threads_;
+};
+
 }  // namespace
 
 openmp_driver::openmp_driver(std::size_t num_threads) : threads_(num_threads) {
@@ -34,195 +82,8 @@ openmp_driver::openmp_driver(std::size_t num_threads) : threads_(num_threads) {
 }
 
 void openmp_driver::advance(domain& d) {
-    const index_t ne = d.numElem();
-    const index_t nn = d.numNode();
-    const real_t dt = d.deltatime;
-    const int nthreads = static_cast<int>(threads_);
-
-    const auto nes = static_cast<std::size_t>(ne);
-    sigxx_.resize(nes);
-    sigyy_.resize(nes);
-    sigzz_.resize(nes);
-    dvdx_.resize(nes * 8);
-    dvdy_.resize(nes * 8);
-    dvdz_.resize(nes * 8);
-    x8n_.resize(nes * 8);
-    y8n_.resize(nes * 8);
-    z8n_.resize(nes * 8);
-    determ_.resize(nes);
-
-    amt::atomic<bool> ok{true};
-    auto require = [&ok](status code, const char* what) {
-        if (!ok.load(amt::memory_order_relaxed)) {
-            throw simulation_error(code, what);
-        }
-    };
-    // One work-sharing loop per reference loop; OpenMP's implicit region-end
-    // barrier supplies the synchronization.
-    auto pf = [&](index_t n, auto&& body) {
-#pragma omp parallel num_threads(nthreads)
-        {
-            const auto [lo, hi] = my_chunk(n);
-            body(lo, hi);
-        }
-    };
-
-    // ---------------- LagrangeNodal ----------------
-    pf(ne, [&](index_t lo, index_t hi) {
-        k::init_stress_terms(d, lo, hi, sigxx_.data(), sigyy_.data(),
-                             sigzz_.data());
-    });
-    pf(ne, [&](index_t lo, index_t hi) {
-        if (!k::integrate_stress(d, lo, hi, sigxx_.data(), sigyy_.data(),
-                                 sigzz_.data())) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "non-positive Jacobian in stress integration");
-
-    pf(ne, [&](index_t lo, index_t hi) {
-        if (!k::calc_hourglass_control(d, lo, hi, dvdx_.data(), dvdy_.data(),
-                                       dvdz_.data(), x8n_.data(), y8n_.data(),
-                                       z8n_.data(), determ_.data())) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "non-positive volume in hourglass control");
-
-    if (d.hgcoef > real_t(0.0)) {
-        pf(ne, [&](index_t lo, index_t hi) {
-            k::calc_fb_hourglass_force(d, lo, hi, dvdx_.data(), dvdy_.data(),
-                                       dvdz_.data(), x8n_.data(), y8n_.data(),
-                                       z8n_.data(), determ_.data(), d.hgcoef);
-        });
-    }
-
-    pf(nn, [&](index_t lo, index_t hi) { k::gather_forces(d, lo, hi); });
-    pf(nn, [&](index_t lo, index_t hi) { k::calc_acceleration(d, lo, hi); });
-
-#pragma omp parallel num_threads(nthreads)
-    {
-        // One region, three nowait-style loops (reference BC structure).
-        {
-            const auto [lo, hi] = my_chunk(static_cast<index_t>(d.symmX.size()));
-            k::apply_acceleration_bc_x(d, lo, hi);
-        }
-        {
-            const auto [lo, hi] = my_chunk(static_cast<index_t>(d.symmY.size()));
-            k::apply_acceleration_bc_y(d, lo, hi);
-        }
-        {
-            const auto [lo, hi] = my_chunk(static_cast<index_t>(d.symmZ.size()));
-            k::apply_acceleration_bc_z(d, lo, hi);
-        }
-    }
-
-    pf(nn, [&](index_t lo, index_t hi) { k::calc_velocity(d, lo, hi, dt); });
-    pf(nn, [&](index_t lo, index_t hi) { k::calc_position(d, lo, hi, dt); });
-
-    // ---------------- LagrangeElements ----------------
-    pf(ne, [&](index_t lo, index_t hi) { k::calc_kinematics(d, lo, hi, dt); });
-    pf(ne, [&](index_t lo, index_t hi) {
-        if (!k::calc_lagrange_deviatoric(d, lo, hi)) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "non-positive new volume in kinematics");
-
-    pf(ne, [&](index_t lo, index_t hi) {
-        k::calc_monotonic_q_gradients(d, lo, hi);
-    });
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        pf(static_cast<index_t>(list.size()), [&](index_t lo, index_t hi) {
-            k::calc_monotonic_q_region(d, list.data(), lo, hi);
-        });
-    }
-    pf(ne, [&](index_t lo, index_t hi) {
-        if (!k::check_qstop(d, lo, hi)) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::qstop_error, "artificial viscosity exceeded qstop");
-
-    pf(ne, [&](index_t lo, index_t hi) {
-        if (!k::apply_material_vnewc(d, lo, hi)) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "relative volume out of EOS range");
-
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        const auto count = static_cast<index_t>(list.size());
-        if (count == 0) continue;
-        eos_.resize(static_cast<std::size_t>(count));
-        const index_t* lp = list.data();
-        const int rep = k::eos_rep_for_region(d, r);
-        for (int j = 0; j < rep; ++j) {
-            pf(count, [&](index_t lo, index_t hi) { k::eos_gather_e(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_gather_delv(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_gather_p(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_gather_q(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_gather_qq_ql(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_compression(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_clamp_vmin(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_clamp_vmax(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::eos_zero_work(lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::energy_step1(d, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) {
-                k::pressure_bvc(lo, hi, eos_.comp_half_step.data(),
-                                eos_.bvc.data(), eos_.pbvc.data());
-            });
-            pf(count, [&](index_t lo, index_t hi) {
-                k::pressure_p(d, lp, lo, hi, eos_.p_half_step.data(),
-                              eos_.bvc.data(), eos_.e_new.data());
-            });
-            pf(count, [&](index_t lo, index_t hi) { k::energy_q_half(d, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) { k::energy_step2(d, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) {
-                k::pressure_bvc(lo, hi, eos_.compression.data(),
-                                eos_.bvc.data(), eos_.pbvc.data());
-            });
-            pf(count, [&](index_t lo, index_t hi) {
-                k::pressure_p(d, lp, lo, hi, eos_.p_new.data(),
-                              eos_.bvc.data(), eos_.e_new.data());
-            });
-            pf(count, [&](index_t lo, index_t hi) { k::energy_step3(d, lp, lo, hi, eos_); });
-            pf(count, [&](index_t lo, index_t hi) {
-                k::pressure_bvc(lo, hi, eos_.compression.data(),
-                                eos_.bvc.data(), eos_.pbvc.data());
-            });
-            pf(count, [&](index_t lo, index_t hi) {
-                k::pressure_p(d, lp, lo, hi, eos_.p_new.data(),
-                              eos_.bvc.data(), eos_.e_new.data());
-            });
-            pf(count, [&](index_t lo, index_t hi) { k::energy_q_final(d, lp, lo, hi, eos_); });
-        }
-        pf(count, [&](index_t lo, index_t hi) { k::eos_store(d, lp, lo, hi, eos_); });
-        pf(count, [&](index_t lo, index_t hi) { k::eos_sound_speed(d, lp, lo, hi, eos_); });
-    }
-
-    pf(ne, [&](index_t lo, index_t hi) { k::update_volumes(d, lo, hi); });
-
-    // ---------------- time constraints ----------------
-    kernels::dt_constraints combined;
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        const auto count = static_cast<index_t>(list.size());
-        real_t dtc = real_t(1.0e20);
-        real_t dth = real_t(1.0e20);
-#pragma omp parallel num_threads(nthreads) reduction(min : dtc, dth)
-        {
-            const auto [lo, hi] = my_chunk(count);
-            const auto local = k::calc_time_constraints(d, list.data(), lo, hi);
-            dtc = std::min(dtc, local.dtcourant);
-            dth = std::min(dth, local.dthydro);
-        }
-        combined = k::min_constraints(combined, {dtc, dth});
-    }
-    d.dtcourant = combined.dtcourant;
-    d.dthydro = combined.dthydro;
+    omp_loops loops(static_cast<int>(threads_));
+    fork_join_step(d, loops, scratch_);
 }
 
 }  // namespace lulesh

@@ -2,15 +2,15 @@
 //
 // Optional driver using *real* OpenMP (built only when the toolchain
 // provides it; see LULESH_AMT_HAVE_OPENMP in CMake).  Identical loop and
-// barrier structure to parallel_for_driver, but with `#pragma omp` work
-// sharing instead of the ompsim team — used to cross-validate that ompsim
-// faithfully models the OpenMP reference's behaviour, both in results
-// (bitwise) and in cost structure (micro/ablation benches).
+// barrier structure to parallel_for_driver — both run the shared fork-join
+// step (lulesh/fork_join_step.hpp) — but with `#pragma omp` work sharing
+// instead of the ompsim team; used to cross-validate that ompsim faithfully
+// models the OpenMP reference's behaviour, both in results (bitwise) and in
+// cost structure (micro/ablation benches).
 
 #pragma once
 
 #include "lulesh/driver.hpp"
-#include "lulesh/kernels.hpp"
 
 namespace lulesh {
 
@@ -27,11 +27,7 @@ public:
 
 private:
     std::size_t threads_;
-
-    std::vector<real_t> sigxx_, sigyy_, sigzz_;
-    std::vector<real_t> dvdx_, dvdy_, dvdz_, x8n_, y8n_, z8n_;
-    std::vector<real_t> determ_;
-    kernels::eos_scratch eos_;
+    kernels::reference_scratch scratch_;
 };
 
 }  // namespace lulesh

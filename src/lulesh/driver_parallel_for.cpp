@@ -1,224 +1,63 @@
 // lulesh/driver_parallel_for.cpp — barrier-per-loop baseline driver.
 
-
-#include "amt/atomic.hpp"
-#include "amt/fault.hpp"
 #include "lulesh/driver_parallel_for.hpp"
+
+#include "amt/fault.hpp"
+#include "lulesh/fork_join_step.hpp"
 
 namespace lulesh {
 
+namespace {
+
+/// ompsim backend of the fork-join step: every loop is its own parallel
+/// region (`#pragma omp parallel for`), whose join is the implicit barrier.
+class team_loops {
+public:
+    explicit team_loops(ompsim::team& team) : team_(team) {}
+
+    void section(step_section) {}
+
+    template <class F>
+    void loop(index_t n, F&& body) {
+        team_.parallel_for_range(0, n, body);
+    }
+
+    template <class... Loops>
+    void nowait_loops(const Loops&... loops) {
+        team_.parallel_region([&](ompsim::region_context& ctx) {
+            (ctx.for_range(0, loops.n, loops.body), ...);
+        });
+    }
+
+    /// One region per reduction, like the reference's reduction(min:...)
+    /// loops: each thread reduces its chunk, then the team reduces the two
+    /// minima.
+    template <class F>
+    kernels::dt_constraints reduce_min(index_t n, F&& body) {
+        kernels::dt_constraints result;
+        team_.parallel_region([&](ompsim::region_context& ctx) {
+            kernels::dt_constraints local;
+            ctx.for_range(0, n,
+                          [&](index_t lo, index_t hi) { local = body(lo, hi); });
+            const real_t dtc = ctx.reduce_min(local.dtcourant);
+            const real_t dth = ctx.reduce_min(local.dthydro);
+            if (ctx.thread_id() == 0) result = {dtc, dth};
+        });
+        return result;
+    }
+
+private:
+    ompsim::team& team_;
+};
+
+}  // namespace
+
 void parallel_for_driver::advance(domain& d) {
-    namespace k = kernels;
     // One injection site per iteration — enough for epoch-targeted fault
     // plans to hit a deterministic cycle in this driver too.
     amt::fault::probe("advance");
-    const index_t ne = d.numElem();
-    const index_t nn = d.numNode();
-    const real_t dt = d.deltatime;
-
-    const auto nes = static_cast<std::size_t>(ne);
-    sigxx_.resize(nes);
-    sigyy_.resize(nes);
-    sigzz_.resize(nes);
-    dvdx_.resize(nes * 8);
-    dvdy_.resize(nes * 8);
-    dvdz_.resize(nes * 8);
-    x8n_.resize(nes * 8);
-    y8n_.resize(nes * 8);
-    z8n_.resize(nes * 8);
-    determ_.resize(nes);
-
-    amt::atomic<bool> ok{true};
-    auto require = [&ok](status code, const char* what) {
-        if (!ok.load(amt::memory_order_relaxed)) {
-            throw simulation_error(code, what);
-        }
-    };
-
-    // ---------------- LagrangeNodal ----------------
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        k::init_stress_terms(d, lo, hi, sigxx_.data(), sigyy_.data(),
-                             sigzz_.data());
-    });
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        if (!k::integrate_stress(d, lo, hi, sigxx_.data(), sigyy_.data(),
-                                 sigzz_.data())) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "non-positive Jacobian in stress integration");
-
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        if (!k::calc_hourglass_control(d, lo, hi, dvdx_.data(), dvdy_.data(),
-                                       dvdz_.data(), x8n_.data(), y8n_.data(),
-                                       z8n_.data(), determ_.data())) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "non-positive volume in hourglass control");
-
-    if (d.hgcoef > real_t(0.0)) {
-        team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-            k::calc_fb_hourglass_force(d, lo, hi, dvdx_.data(), dvdy_.data(),
-                                       dvdz_.data(), x8n_.data(), y8n_.data(),
-                                       z8n_.data(), determ_.data(), d.hgcoef);
-        });
-    }
-
-    team_.parallel_for_range(0, nn, [&](index_t lo, index_t hi) {
-        k::gather_forces(d, lo, hi);
-    });
-    team_.parallel_for_range(0, nn, [&](index_t lo, index_t hi) {
-        k::calc_acceleration(d, lo, hi);
-    });
-
-    // One region, three nowait loops (reference structure for the BCs).
-    team_.parallel_region([&](ompsim::region_context& ctx) {
-        ctx.for_range(0, static_cast<index_t>(d.symmX.size()),
-                      [&](index_t lo, index_t hi) {
-                          k::apply_acceleration_bc_x(d, lo, hi);
-                      });
-        ctx.for_range(0, static_cast<index_t>(d.symmY.size()),
-                      [&](index_t lo, index_t hi) {
-                          k::apply_acceleration_bc_y(d, lo, hi);
-                      });
-        ctx.for_range(0, static_cast<index_t>(d.symmZ.size()),
-                      [&](index_t lo, index_t hi) {
-                          k::apply_acceleration_bc_z(d, lo, hi);
-                      });
-    });
-
-    team_.parallel_for_range(0, nn, [&](index_t lo, index_t hi) {
-        k::calc_velocity(d, lo, hi, dt);
-    });
-    team_.parallel_for_range(0, nn, [&](index_t lo, index_t hi) {
-        k::calc_position(d, lo, hi, dt);
-    });
-
-    // ---------------- LagrangeElements ----------------
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        k::calc_kinematics(d, lo, hi, dt);
-    });
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        if (!k::calc_lagrange_deviatoric(d, lo, hi)) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "non-positive new volume in kinematics");
-
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        k::calc_monotonic_q_gradients(d, lo, hi);
-    });
-    // One parallel loop per region, serialized over regions (the structure
-    // the paper identifies as the baseline's region-scaling weakness).
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        team_.parallel_for_range(
-            0, static_cast<index_t>(list.size()),
-            [&](index_t lo, index_t hi) {
-                k::calc_monotonic_q_region(d, list.data(), lo, hi);
-            });
-    }
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        if (!k::check_qstop(d, lo, hi)) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::qstop_error, "artificial viscosity exceeded qstop");
-
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        if (!k::apply_material_vnewc(d, lo, hi)) {
-            ok.store(false, amt::memory_order_relaxed);
-        }
-    });
-    require(status::volume_error, "relative volume out of EOS range");
-
-    // Region-wise EOS: every phase of every repetition is its own parallel
-    // loop with an implicit barrier, as in the reference.
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        const auto count = static_cast<index_t>(list.size());
-        if (count == 0) continue;
-        eos_.resize(static_cast<std::size_t>(count));
-        const index_t* lp = list.data();
-        const int rep = k::eos_rep_for_region(d, r);
-        auto pf = [&](auto&& body) {
-            team_.parallel_for_range(0, count, body);
-        };
-        for (int j = 0; j < rep; ++j) {
-            pf([&](index_t lo, index_t hi) { k::eos_gather_e(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_gather_delv(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_gather_p(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_gather_q(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_gather_qq_ql(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_compression(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_clamp_vmin(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_clamp_vmax(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::eos_zero_work(lo, hi, eos_); });
-
-            pf([&](index_t lo, index_t hi) { k::energy_step1(d, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) {
-                k::pressure_bvc(lo, hi, eos_.comp_half_step.data(),
-                                eos_.bvc.data(), eos_.pbvc.data());
-            });
-            pf([&](index_t lo, index_t hi) {
-                k::pressure_p(d, lp, lo, hi, eos_.p_half_step.data(),
-                              eos_.bvc.data(), eos_.e_new.data());
-            });
-            pf([&](index_t lo, index_t hi) { k::energy_q_half(d, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) { k::energy_step2(d, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) {
-                k::pressure_bvc(lo, hi, eos_.compression.data(),
-                                eos_.bvc.data(), eos_.pbvc.data());
-            });
-            pf([&](index_t lo, index_t hi) {
-                k::pressure_p(d, lp, lo, hi, eos_.p_new.data(),
-                              eos_.bvc.data(), eos_.e_new.data());
-            });
-            pf([&](index_t lo, index_t hi) { k::energy_step3(d, lp, lo, hi, eos_); });
-            pf([&](index_t lo, index_t hi) {
-                k::pressure_bvc(lo, hi, eos_.compression.data(),
-                                eos_.bvc.data(), eos_.pbvc.data());
-            });
-            pf([&](index_t lo, index_t hi) {
-                k::pressure_p(d, lp, lo, hi, eos_.p_new.data(),
-                              eos_.bvc.data(), eos_.e_new.data());
-            });
-            pf([&](index_t lo, index_t hi) { k::energy_q_final(d, lp, lo, hi, eos_); });
-        }
-        pf([&](index_t lo, index_t hi) { k::eos_store(d, lp, lo, hi, eos_); });
-        pf([&](index_t lo, index_t hi) { k::eos_sound_speed(d, lp, lo, hi, eos_); });
-    }
-
-    team_.parallel_for_range(0, ne, [&](index_t lo, index_t hi) {
-        k::update_volumes(d, lo, hi);
-    });
-
-    // ---------------- time constraints ----------------
-    // Per region: one parallel region with a min-reduction per constraint,
-    // mirroring the reference's reduction(min:...) loops.
-    kernels::dt_constraints combined;
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto& list = d.regElemList(r);
-        kernels::dt_constraints region_result;
-        team_.parallel_region([&](ompsim::region_context& ctx) {
-            kernels::dt_constraints local;
-            ctx.for_range(0, static_cast<index_t>(list.size()),
-                          [&](index_t lo, index_t hi) {
-                              local = k::calc_time_constraints(d, list.data(),
-                                                               lo, hi);
-                          });
-            const real_t dtc = ctx.reduce_min(local.dtcourant);
-            const real_t dth = ctx.reduce_min(local.dthydro);
-            if (ctx.thread_id() == 0) {
-                region_result.dtcourant = dtc;
-                region_result.dthydro = dth;
-            }
-        });
-        combined = k::min_constraints(combined, region_result);
-    }
-    d.dtcourant = combined.dtcourant;
-    d.dthydro = combined.dthydro;
+    team_loops loops(team_);
+    fork_join_step(d, loops, scratch_);
 }
 
 }  // namespace lulesh

@@ -4,12 +4,12 @@
 // statically-scheduled ompsim loop with an implicit barrier — ~30 distinct
 // loops per leapfrog iteration, plus ~20 loops per region per EOS
 // repetition, exactly the synchronization structure whose overhead the
-// paper's task-based approach removes.
+// paper's task-based approach removes.  The loop sequence is the shared
+// fork-join step (lulesh/fork_join_step.hpp) on an ompsim backend.
 
 #pragma once
 
 #include "lulesh/driver.hpp"
-#include "lulesh/kernels.hpp"
 #include "ompsim/ompsim.hpp"
 
 namespace lulesh {
@@ -27,12 +27,7 @@ public:
 
 private:
     ompsim::team& team_;
-
-    // Persistent global scratch mirroring the reference's temporaries.
-    std::vector<real_t> sigxx_, sigyy_, sigzz_;
-    std::vector<real_t> dvdx_, dvdy_, dvdz_, x8n_, y8n_, z8n_;
-    std::vector<real_t> determ_;
-    kernels::eos_scratch eos_;
+    kernels::reference_scratch scratch_;
 };
 
 }  // namespace lulesh

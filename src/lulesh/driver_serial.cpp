@@ -16,34 +16,26 @@ void serial_driver::advance(domain& d) {
     const real_t dt = d.deltatime;
 
     // ---------------- LagrangeNodal ----------------
-    const auto nes = static_cast<std::size_t>(ne);
-    sigxx_.resize(nes);
-    sigyy_.resize(nes);
-    sigzz_.resize(nes);
-    dvdx_.resize(nes * 8);
-    dvdy_.resize(nes * 8);
-    dvdz_.resize(nes * 8);
-    x8n_.resize(nes * 8);
-    y8n_.resize(nes * 8);
-    z8n_.resize(nes * 8);
-    determ_.resize(nes);
+    auto& s = scratch_;
+    s.resize(ne);
 
-    k::init_stress_terms(d, 0, ne, sigxx_.data(), sigyy_.data(), sigzz_.data());
-    if (!k::integrate_stress(d, 0, ne, sigxx_.data(), sigyy_.data(),
-                             sigzz_.data())) {
+    k::init_stress_terms(d, 0, ne, s.sigxx.data(), s.sigyy.data(),
+                         s.sigzz.data());
+    if (!k::integrate_stress(d, 0, ne, s.sigxx.data(), s.sigyy.data(),
+                             s.sigzz.data())) {
         throw simulation_error(status::volume_error,
                                "non-positive Jacobian in stress integration");
     }
-    if (!k::calc_hourglass_control(d, 0, ne, dvdx_.data(), dvdy_.data(),
-                                   dvdz_.data(), x8n_.data(), y8n_.data(),
-                                   z8n_.data(), determ_.data())) {
+    if (!k::calc_hourglass_control(d, 0, ne, s.dvdx.data(), s.dvdy.data(),
+                                   s.dvdz.data(), s.x8n.data(), s.y8n.data(),
+                                   s.z8n.data(), s.determ.data())) {
         throw simulation_error(status::volume_error,
                                "non-positive volume in hourglass control");
     }
     if (d.hgcoef > real_t(0.0)) {
-        k::calc_fb_hourglass_force(d, 0, ne, dvdx_.data(), dvdy_.data(),
-                                   dvdz_.data(), x8n_.data(), y8n_.data(),
-                                   z8n_.data(), determ_.data(), d.hgcoef);
+        k::calc_fb_hourglass_force(d, 0, ne, s.dvdx.data(), s.dvdy.data(),
+                                   s.dvdz.data(), s.x8n.data(), s.y8n.data(),
+                                   s.z8n.data(), s.determ.data(), d.hgcoef);
     }
     k::gather_forces(d, 0, nn);
 
@@ -76,16 +68,13 @@ void serial_driver::advance(domain& d) {
         throw simulation_error(status::volume_error,
                                "relative volume out of EOS range");
     }
-    {
-        k::eos_scratch scratch;
-        for (index_t r = 0; r < d.numReg(); ++r) {
-            const auto& list = d.regElemList(r);
-            const auto count = static_cast<index_t>(list.size());
-            if (count == 0) continue;
-            scratch.resize(static_cast<std::size_t>(count));
-            k::eval_eos_chunk(d, list.data(), 0, count,
-                              k::eos_rep_for_region(d, r), scratch);
-        }
+    for (index_t r = 0; r < d.numReg(); ++r) {
+        const auto& list = d.regElemList(r);
+        const auto count = static_cast<index_t>(list.size());
+        if (count == 0) continue;
+        s.eos.resize(static_cast<std::size_t>(count));
+        k::eval_eos_chunk(d, list.data(), 0, count, k::eos_rep_for_region(d, r),
+                          s.eos);
     }
     k::update_volumes(d, 0, ne);
 

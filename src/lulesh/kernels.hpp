@@ -8,7 +8,8 @@
 //
 // Two granularities are provided where the paper distinguishes them:
 //  * loop-granular kernels mirror the reference's individual parallel loops
-//    (used by the serial and parallel-for drivers, which keep the
+//    (used by the serial driver and by the fork-join step behind the
+//    parallel_for, openmp and foreach drivers, which keep the
 //    barrier-after-every-loop structure of the OpenMP reference);
 //  * fused chunk kernels combine consecutive loops into one body with
 //    task-local temporaries (paper tricks T3+T5; used by the task driver).
@@ -119,16 +120,29 @@ void update_volumes(domain& d, index_t lo, index_t hi);
 
 // ===================== EOS =====================
 
-/// Region-local work arrays for the EOS pipeline.  The parallel-for driver
-/// allocates one per region (the reference allocates globally per call); the
-/// task driver allocates one per task, chunk-sized — the paper's task-local
-/// temporaries trick.
+/// Region-local work arrays for the EOS pipeline.  The loop-granular drivers
+/// size one to each region in turn (the reference allocates globally per
+/// call); the task driver allocates one per task, chunk-sized — the paper's
+/// task-local temporaries trick.
 struct eos_scratch {
     std::vector<real_t> e_old, delvc, p_old, q_old, qq_old, ql_old;
     std::vector<real_t> compression, comp_half_step, work;
     std::vector<real_t> p_new, e_new, q_new, bvc, pbvc, p_half_step;
 
     void resize(std::size_t n);
+};
+
+/// Persistent global temporaries of the loop-granular drivers, mirroring the
+/// reference's per-call allocations: the stress terms, the hourglass-control
+/// arrays (globally indexed, see calc_hourglass_control) and the EOS work
+/// arrays.
+struct reference_scratch {
+    std::vector<real_t> sigxx, sigyy, sigzz;
+    std::vector<real_t> dvdx, dvdy, dvdz, x8n, y8n, z8n, determ;
+    eos_scratch eos;
+
+    /// Sizes the stress and hourglass arrays for `num_elem` elements.
+    void resize(index_t num_elem);
 };
 
 // Loop-granular EOS phases over local indices [lo, hi) of a region element
@@ -166,6 +180,83 @@ void eos_store(domain& d, const index_t* list, index_t lo, index_t hi,
                const eos_scratch& s);
 void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
                      const eos_scratch& s);
+
+/// The reference EOS pipeline (EvalEOSForElems) as its one ordered list of
+/// phases.  Hands each phase — a callable phase(d, list, lo, hi, s) over the
+/// local indices [lo, hi) of a region element list — to `visit`: the
+/// gather / energy / pressure phases `rep` times, then the store and
+/// sound-speed phases.  eval_eos_chunk walks the list over one chunk; the
+/// fork-join step runs every phase as its own parallel loop.
+template <class Visit>
+void visit_eos_phases(int rep, Visit&& visit) {
+    for (int j = 0; j < rep; ++j) {
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_gather_e(d, l, lo, hi, s); });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_gather_delv(d, l, lo, hi, s); });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_gather_p(d, l, lo, hi, s); });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_gather_q(d, l, lo, hi, s); });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_gather_qq_ql(d, l, lo, hi, s); });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_compression(d, l, lo, hi, s); });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_clamp_vmin(d, l, lo, hi, s); });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_clamp_vmax(d, l, lo, hi, s); });
+        visit([](domain&, const index_t*, index_t lo, index_t hi,
+                 eos_scratch& s) { eos_zero_work(lo, hi, s); });
+
+        visit([](domain& d, const index_t*, index_t lo, index_t hi,
+                 eos_scratch& s) { energy_step1(d, lo, hi, s); });
+        // pHalfStep (and the bvc/pbvc consumed by energy_q_half) come from
+        // the half-step compression.
+        visit([](domain&, const index_t*, index_t lo, index_t hi,
+                 eos_scratch& s) {
+            pressure_bvc(lo, hi, s.comp_half_step.data(), s.bvc.data(),
+                         s.pbvc.data());
+        });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) {
+            pressure_p(d, l, lo, hi, s.p_half_step.data(), s.bvc.data(),
+                       s.e_new.data());
+        });
+        visit([](domain& d, const index_t*, index_t lo, index_t hi,
+                 eos_scratch& s) { energy_q_half(d, lo, hi, s); });
+        visit([](domain& d, const index_t*, index_t lo, index_t hi,
+                 eos_scratch& s) { energy_step2(d, lo, hi, s); });
+        visit([](domain&, const index_t*, index_t lo, index_t hi,
+                 eos_scratch& s) {
+            pressure_bvc(lo, hi, s.compression.data(), s.bvc.data(),
+                         s.pbvc.data());
+        });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) {
+            pressure_p(d, l, lo, hi, s.p_new.data(), s.bvc.data(),
+                       s.e_new.data());
+        });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { energy_step3(d, l, lo, hi, s); });
+        visit([](domain&, const index_t*, index_t lo, index_t hi,
+                 eos_scratch& s) {
+            pressure_bvc(lo, hi, s.compression.data(), s.bvc.data(),
+                         s.pbvc.data());
+        });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) {
+            pressure_p(d, l, lo, hi, s.p_new.data(), s.bvc.data(),
+                       s.e_new.data());
+        });
+        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+                 eos_scratch& s) { energy_q_final(d, l, lo, hi, s); });
+    }
+    visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+             eos_scratch& s) { eos_store(d, l, lo, hi, s); });
+    visit([](domain& d, const index_t* l, index_t lo, index_t hi,
+             eos_scratch& s) { eos_sound_speed(d, l, lo, hi, s); });
+}
 
 /// Fused task body: the complete EOS pipeline (gather → energy → store →
 /// sound speed), repeated `rep` times, on the slice [lo, hi) of a region's

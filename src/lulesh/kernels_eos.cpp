@@ -291,42 +291,14 @@ void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
 void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
                     int rep, eos_scratch& s) {
     // The fused task body works on scratch indices [0, hi-lo); shift the list
-    // pointer so phase kernels see local indices starting at zero.
+    // pointer so phase kernels see local indices starting at zero.  The
+    // scalars are captured by value, which keeps them in registers across
+    // the inlined phases.
     const index_t count = hi - lo;
     const index_t* chunk_list = list + lo;
-    for (int r = 0; r < rep; ++r) {
-        eos_gather_e(d, chunk_list, 0, count, s);
-        eos_gather_delv(d, chunk_list, 0, count, s);
-        eos_gather_p(d, chunk_list, 0, count, s);
-        eos_gather_q(d, chunk_list, 0, count, s);
-        eos_gather_qq_ql(d, chunk_list, 0, count, s);
-        eos_compression(d, chunk_list, 0, count, s);
-        eos_clamp_vmin(d, chunk_list, 0, count, s);
-        eos_clamp_vmax(d, chunk_list, 0, count, s);
-        eos_zero_work(0, count, s);
-
-        energy_step1(d, 0, count, s);
-        // pHalfStep (and the bvc/pbvc consumed by energy_q_half) come from
-        // the half-step compression.
-        pressure_bvc(0, count, s.comp_half_step.data(), s.bvc.data(),
-                     s.pbvc.data());
-        pressure_p(d, chunk_list, 0, count, s.p_half_step.data(), s.bvc.data(),
-                   s.e_new.data());
-        energy_q_half(d, 0, count, s);
-        energy_step2(d, 0, count, s);
-        pressure_bvc(0, count, s.compression.data(), s.bvc.data(),
-                     s.pbvc.data());
-        pressure_p(d, chunk_list, 0, count, s.p_new.data(), s.bvc.data(),
-                   s.e_new.data());
-        energy_step3(d, chunk_list, 0, count, s);
-        pressure_bvc(0, count, s.compression.data(), s.bvc.data(),
-                     s.pbvc.data());
-        pressure_p(d, chunk_list, 0, count, s.p_new.data(), s.bvc.data(),
-                   s.e_new.data());
-        energy_q_final(d, chunk_list, 0, count, s);
-    }
-    eos_store(d, chunk_list, 0, count, s);
-    eos_sound_speed(d, chunk_list, 0, count, s);
+    visit_eos_phases(rep, [&d, &s, chunk_list, count](auto phase) {
+        phase(d, chunk_list, 0, count, s);
+    });
 }
 
 }  // namespace lulesh::kernels

@@ -110,6 +110,12 @@ inline void fb_hourglass_elem(domain& d, index_t i2, const real_t* dvdx8,
 
 }  // namespace
 
+void reference_scratch::resize(index_t num_elem) {
+    const auto n = static_cast<std::size_t>(num_elem);
+    for (auto* v : {&sigxx, &sigyy, &sigzz, &determ}) v->resize(n);
+    for (auto* v : {&dvdx, &dvdy, &dvdz, &x8n, &y8n, &z8n}) v->resize(n * 8);
+}
+
 void init_stress_terms(const domain& d, index_t lo, index_t hi, real_t* sigxx,
                        real_t* sigyy, real_t* sigzz) {
     for (index_t k = lo; k < hi; ++k) {

@@ -34,15 +34,7 @@ const char* require_value(const std::string& flag, int argc,
 }  // namespace
 
 cli_options parse_cli(int argc, const char* const* argv) {
-    return parse_cli(argc, argv,
-                     [](const char* name) -> const char* {
-                         return std::getenv(name);
-                     });
-}
-
-cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
     cli_options cli;
-    bool halo_timeout_flag = false;
     bool metrics_interval_flag = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -92,12 +84,10 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
         } else if (arg == "--halo-timeout") {
             cli.halo_timeout_ms = static_cast<int>(
                 parse_long(arg, require_value(arg, argc, argv, i)));
-            halo_timeout_flag = true;
         } else if (arg.rfind("--halo-timeout=", 0) == 0) {
             cli.halo_timeout_ms = static_cast<int>(parse_long(
                 "--halo-timeout",
                 arg.substr(std::string("--halo-timeout=").size()).c_str()));
-            halo_timeout_flag = true;
         } else if (arg == "--max-recoveries") {
             cli.max_recoveries = static_cast<int>(
                 parse_long(arg, require_value(arg, argc, argv, i)));
@@ -185,101 +175,49 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
         (cli.partitions->nodal < 1 || cli.partitions->elems < 1)) {
         throw std::invalid_argument("lulesh: -p sizes must be >= 1");
     }
-    if (const char* raw = env("LULESH_AUDIT_GRAPH");
-        raw != nullptr && *raw != '\0') {
-        const std::string v = raw;
-        if (v == "1") {
-            cli.audit_graph = true;
-        } else if (v != "0") {
-            throw std::invalid_argument(
-                "lulesh: LULESH_AUDIT_GRAPH must be empty, 0, or 1, got '" +
-                v + "'");
-        }
-    }
     if (cli.audit_graph &&
         (cli.driver == "serial" || cli.driver == "parallel_for")) {
         throw std::invalid_argument(
-            "lulesh: --audit-graph (or LULESH_AUDIT_GRAPH=1) audits the "
-            "pre-built task graph, which driver '" + cli.driver +
-            "' never spawns — use taskgraph or foreach");
-    }
-    // Environment twin of --halo-timeout.  The value must parse as a
-    // non-negative integer (milliseconds); the explicit flag wins.
-    if (const char* raw = env("LULESH_HALO_TIMEOUT");
-        raw != nullptr && *raw != '\0' && !halo_timeout_flag) {
-        const long v = parse_long("LULESH_HALO_TIMEOUT", raw);
-        if (v < 0) {
-            throw std::invalid_argument(
-                "lulesh: LULESH_HALO_TIMEOUT must be >= 0, got '" +
-                std::string(raw) + "'");
-        }
-        cli.halo_timeout_ms = static_cast<int>(v);
+            "lulesh: --audit-graph audits the pre-built task graph, which "
+            "driver '" + cli.driver + "' never spawns — use taskgraph or "
+            "foreach");
     }
     if (cli.halo_timeout_ms > 0 &&
         (cli.driver == "serial" || cli.driver == "parallel_for")) {
         throw std::invalid_argument(
-            "lulesh: --halo-timeout (or LULESH_HALO_TIMEOUT) guards the "
-            "distributed halo exchange, which driver '" + cli.driver +
+            "lulesh: --halo-timeout guards the distributed halo exchange, "
+            "which driver '" + cli.driver +
             "' never performs — use taskgraph or foreach");
-    }
-    // Environment twins of --trace / --utilization-report.  A non-empty
-    // value is an output path; the explicit flag takes precedence.
-    if (const char* raw = env("LULESH_TRACE");
-        raw != nullptr && *raw != '\0' && cli.trace_file.empty()) {
-        cli.trace_file = raw;
-    }
-    if (const char* raw = env("LULESH_UTILIZATION_REPORT");
-        raw != nullptr && *raw != '\0' &&
-        cli.utilization_report_file.empty()) {
-        cli.utilization_report_file = raw;
     }
     if ((!cli.trace_file.empty() || !cli.utilization_report_file.empty()) &&
         (cli.driver == "serial" || cli.driver == "parallel_for")) {
         throw std::invalid_argument(
-            "lulesh: --trace/--utilization-report (or LULESH_TRACE/"
-            "LULESH_UTILIZATION_REPORT) observe scheduler tasks, which "
-            "driver '" + cli.driver +
+            "lulesh: --trace/--utilization-report observe scheduler tasks, "
+            "which driver '" + cli.driver +
             "' never spawns — use taskgraph or foreach");
     }
-    // Environment twin of --metrics; a non-empty value is the reporter
-    // path, the explicit flag wins.  Same driver rule as the tracer: the
-    // registry's instrumented sites live in the scheduler.
-    if (const char* raw = env("LULESH_METRICS");
-        raw != nullptr && *raw != '\0' && cli.metrics_file.empty()) {
-        cli.metrics_file = raw;
-    }
+    // Same driver rule as the tracer: the registry's instrumented sites
+    // live in the scheduler.
     if (!cli.metrics_file.empty() &&
         (cli.driver == "serial" || cli.driver == "parallel_for")) {
         throw std::invalid_argument(
-            "lulesh: --metrics (or LULESH_METRICS) samples scheduler task "
-            "metrics, which driver '" + cli.driver +
-            "' never produces — use taskgraph or foreach");
+            "lulesh: --metrics samples scheduler task metrics, which driver '" +
+            cli.driver + "' never produces — use taskgraph or foreach");
     }
     if (metrics_interval_flag && cli.metrics_file.empty()) {
         throw std::invalid_argument(
             "lulesh: --metrics-interval paces the metrics reporter — "
-            "combine it with --metrics[=PATH] or LULESH_METRICS");
+            "combine it with --metrics[=PATH]");
     }
     if (cli.metrics_interval_ms < 1) {
         throw std::invalid_argument(
             "lulesh: --metrics-interval must be >= 1 (milliseconds)");
     }
-    // Environment twin of --critical-path-report: "1" → text-only report,
-    // any other non-empty non-"0" value → JSON output path too.
-    if (const char* raw = env("LULESH_CRITICAL_PATH_REPORT");
-        raw != nullptr && *raw != '\0' && std::string(raw) != "0" &&
-        !cli.critical_path_report) {
-        cli.critical_path_report = true;
-        if (std::string(raw) != "1") cli.critical_path_json = raw;
-    }
-    if (cli.critical_path_report) {
-        if (cli.driver != "taskgraph") {
-            throw std::invalid_argument(
-                "lulesh: --critical-path-report (or "
-                "LULESH_CRITICAL_PATH_REPORT) profiles the compiled "
-                "iteration graph, which driver '" + cli.driver +
-                "' never compiles — use taskgraph");
-        }
+    if (cli.critical_path_report && cli.driver != "taskgraph") {
+        throw std::invalid_argument(
+            "lulesh: --critical-path-report profiles the compiled iteration "
+            "graph, which driver '" + cli.driver +
+            "' never compiles — use taskgraph");
     }
     return cli;
 }
@@ -306,30 +244,25 @@ std::string usage_text(const std::string& program) {
        << "  --halo-timeout <ms>        distributed runs: fail the halo\n"
        << "                             fabric after <ms> of zero progress\n"
        << "                             (status: stalled) instead of hanging\n"
-       << "                             on a dead slab (0 = no deadline; env\n"
-       << "                             twin: LULESH_HALO_TIMEOUT, flag\n"
-       << "                             wins; needs a task-spawning driver)\n"
+       << "                             on a dead slab (0 = no deadline;\n"
+       << "                             needs a task-spawning driver)\n"
        << "  --max-recoveries <n>       distributed resilient mode: bound\n"
        << "                             coordinated rollback-and-replay\n"
        << "                             attempts per incident (default 3)\n"
        << "  --audit-graph   statically audit the task graph for unordered\n"
        << "                  read-write/write-write overlaps before running\n"
-       << "                  (env twin: LULESH_AUDIT_GRAPH=1; needs a\n"
-       << "                  task-graph driver)\n"
+       << "                  (needs a task-graph driver)\n"
        << "  --trace <file>  record per-task trace events and write a Chrome\n"
        << "                  trace-event JSON (load in Perfetto / chrome://\n"
-       << "                  tracing; env twin: LULESH_TRACE=<file>; needs a\n"
-       << "                  task-spawning driver)\n"
+       << "                  tracing; needs a task-spawning driver)\n"
        << "  --utilization-report <file>\n"
        << "                  write a per-phase utilization report (.json →\n"
-       << "                  JSON, else text; env twin:\n"
-       << "                  LULESH_UTILIZATION_REPORT=<file>)\n"
+       << "                  JSON, else text)\n"
        << "  --metrics[=<file>]\n"
        << "                  arm the metrics registry and write interval\n"
        << "                  snapshots to <file> (default metrics.json;\n"
        << "                  .prom → Prometheus text rewritten per\n"
-       << "                  interval, else JSON lines; env twin:\n"
-       << "                  LULESH_METRICS=<file>, flag wins; needs a\n"
+       << "                  interval, else JSON lines; needs a\n"
        << "                  task-spawning driver)\n"
        << "  --metrics-interval <ms>    reporter snapshot cadence (default\n"
        << "                             1000; needs --metrics)\n"
@@ -337,9 +270,8 @@ std::string usage_text(const std::string& program) {
        << "                  profile compiled-graph nodes and print the\n"
        << "                  critical-path report (path length, per-phase\n"
        << "                  slack, top tasks) after the run; =<file> also\n"
-       << "                  writes it as JSON (env twin:\n"
-       << "                  LULESH_CRITICAL_PATH_REPORT=1|<file>; needs\n"
-       << "                  the taskgraph driver in replay mode)\n"
+       << "                  writes it as JSON (needs the taskgraph\n"
+       << "                  driver in replay mode)\n"
        << "  -h              this help\n"
        << "Exit codes: 0 ok, 1 usage, 2 volume error, 3 qstop exceeded,\n"
        << "            4 task fault, 5 stalled, 6 graph hazard,\n"

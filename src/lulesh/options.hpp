@@ -115,8 +115,8 @@ struct cli_options {
     /// deadline, the default).  > 0 arms the dist driver's per-slab failure
     /// detector: a deadline's worth of zero progress fails the halo fabric
     /// with status::stalled and names the suspect slab instead of hanging.
-    /// Env twin: LULESH_HALO_TIMEOUT (the flag wins).  Only meaningful for
-    /// the distributed executables; rejected with the non-tasking drivers.
+    /// Only meaningful for the distributed executables; rejected with the
+    /// non-tasking drivers.
     int halo_timeout_ms = 0;
     /// Coordinated-recovery budget per incident for the distributed
     /// resilient loop (dist/resilient_dist.hpp).
@@ -139,47 +139,30 @@ struct cli_options {
     /// suffix → Prometheus text rewritten each interval, anything else →
     /// one JSON snapshot appended per line).  `--metrics` bare defaults to
     /// "metrics.json"; `--metrics=PATH` overrides (no space-separated form
-    /// — a following argument is never consumed).  Env twin:
-    /// LULESH_METRICS=<path> (the flag wins).  Rejected with the
+    /// — a following argument is never consumed).  Rejected with the
     /// non-tasking drivers — the registry instruments scheduler tasks.
     std::string metrics_file;
     /// Reporter snapshot interval in milliseconds (--metrics-interval,
-    /// default 1000); requires --metrics/LULESH_METRICS.
+    /// default 1000); requires --metrics.
     int metrics_interval_ms = 1000;
 
     /// --critical-path-report[=PATH]: profile the compiled graph's nodes
     /// and print the critical-path report (per-iteration path length,
     /// per-phase slack, top-k tasks) after the run; with =PATH the same
-    /// report is also written as JSON.  Env twin:
-    /// LULESH_CRITICAL_PATH_REPORT ("1" → text only, other non-empty
-    /// non-"0" values → JSON path; the flag wins).  Taskgraph driver in
-    /// replay mode only — the profile lives on the compiled graph's
-    /// recycled nodes.
+    /// report is also written as JSON.  Taskgraph driver in replay mode
+    /// only — the profile lives on the compiled graph's recycled nodes.
     bool critical_path_report = false;
     std::string critical_path_json;
 };
 
-/// Environment lookup used by parse_cli — std::getenv by default, injectable
-/// so tests can exercise env-flag handling without mutating the process
-/// environment.  Returns nullptr when the variable is unset.
-using env_lookup = const char* (*)(const char* name);
-
 /// Parses argv in the style of the reference binary (`-s 30 -r 11 -i 100 -q`)
 /// extended with `-d <driver>`, `-t <threads>`, `-p <nodal> <elems>`.
-/// Also consults LULESH_AUDIT_GRAPH ("" or "0" = off, "1" = on, anything
-/// else rejected) as the environment twin of --audit-graph.  The audit
-/// models the task-graph wave structure, so either spelling combined with a
-/// driver that spawns no task graph (serial, parallel_for) is rejected.
-/// --trace / --utilization-report have environment twins LULESH_TRACE /
-/// LULESH_UTILIZATION_REPORT (non-empty value = output path; the flag wins
-/// when both are given) and are rejected with the non-tasking drivers under
-/// the same rule — the tracer observes scheduler tasks, which serial and
-/// parallel_for never spawn.
+/// --audit-graph models the task-graph wave structure, and --trace,
+/// --utilization-report, --metrics and --halo-timeout observe or guard
+/// scheduler tasks, so each is rejected with a driver that spawns none
+/// (serial, parallel_for); --critical-path-report needs taskgraph.
 /// Throws std::invalid_argument on malformed input.
 cli_options parse_cli(int argc, const char* const* argv);
-
-/// Same, with an explicit environment (tests inject lookups here).
-cli_options parse_cli(int argc, const char* const* argv, env_lookup env);
 
 /// Usage text for the executables.
 std::string usage_text(const std::string& program);

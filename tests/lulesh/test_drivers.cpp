@@ -107,8 +107,10 @@ TEST(DriverEquivalenceRegions, ManyRegionsStillBitwiseEqual) {
     auto reference = evolve(o, "serial", 30);
     auto task = evolve(o, "taskgraph", 30, 4, {50, 50});
     auto pfor = evolve(o, "parallel_for", 30, 4);
+    auto fe = evolve(o, "foreach", 30, 4);
     EXPECT_EQ(lulesh::max_field_difference(*reference, *task), 0.0);
     EXPECT_EQ(lulesh::max_field_difference(*reference, *pfor), 0.0);
+    EXPECT_EQ(lulesh::max_field_difference(*reference, *fe), 0.0);
 }
 
 TEST(DriverEquivalenceRegions, SingleRegion) {
@@ -260,6 +262,36 @@ TEST_P(DriverErrors, NegativeVolumeRaisesVolumeError) {
         lulesh::taskgraph_driver drv(rt, {16, 16});
         expect_error(drv);
     }
+}
+
+TEST_P(DriverErrors, ExcessViscosityRaisesQstopError) {
+    const std::string which = GetParam();
+    options o = small_opts(4, 2);
+    domain d(o);
+    d.qstop = 1e-30;  // any viscosity trips the check
+    d.q[5] = 1.0;
+
+    lulesh::run_result result;
+    if (which == "serial") {
+        lulesh::serial_driver drv;
+        result = lulesh::run_simulation(d, drv, 5);
+    } else if (which == "parallel_for") {
+        ompsim::team team(2);
+        lulesh::parallel_for_driver drv(team);
+        result = lulesh::run_simulation(d, drv, 5);
+    } else if (which == "foreach") {
+        amt::runtime rt(2);
+        lulesh::foreach_driver drv(rt);
+        result = lulesh::run_simulation(d, drv, 5);
+    } else {
+        amt::runtime rt(2);
+        lulesh::taskgraph_driver drv(rt, {16, 16});
+        result = lulesh::run_simulation(d, drv, 5);
+    }
+    EXPECT_EQ(result.run_status, lulesh::status::qstop_error);
+    EXPECT_NE(result.error_message.find("artificial viscosity exceeded qstop"),
+              std::string::npos)
+        << result.error_message;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, DriverErrors,

@@ -81,6 +81,19 @@ TEST(OpenMPDriver, ErrorPathRaisesVolumeError) {
     EXPECT_EQ(result.run_status, lulesh::status::volume_error);
 }
 
+TEST(OpenMPDriver, ErrorPathRaisesQstopError) {
+    options o = opts(4, 2);
+    domain d(o);
+    d.qstop = 1e-30;  // any viscosity trips the check
+    d.q[5] = 1.0;
+    lulesh::openmp_driver drv(2);
+    const auto result = lulesh::run_simulation(d, drv, 5);
+    EXPECT_EQ(result.run_status, lulesh::status::qstop_error);
+    EXPECT_NE(result.error_message.find("artificial viscosity exceeded qstop"),
+              std::string::npos)
+        << result.error_message;
+}
+
 TEST(OpenMPDriver, FullRunCompletes) {
     domain d(opts(6));
     lulesh::openmp_driver drv(2);

@@ -111,266 +111,114 @@ TEST(Cli, RejectsNonPositivePartitions) {
     EXPECT_THROW(parse({"-p", "-2048", "2048"}), std::invalid_argument);
 }
 
-// ---------------- --audit-graph and its environment twin ----------------
-
-cli_options parse_env(std::initializer_list<const char*> args,
-                      lulesh::env_lookup env) {
-    std::vector<const char*> argv{"prog"};
-    argv.insert(argv.end(), args.begin(), args.end());
-    return parse_cli(static_cast<int>(argv.size()), argv.data(), env);
-}
-
-const char* no_env(const char*) { return nullptr; }
+// ---------------- --audit-graph ----------------
 
 TEST(CliAudit, FlagEnablesAuditOnTaskGraphDrivers) {
-    EXPECT_TRUE(parse_env({"--audit-graph"}, no_env).audit_graph);
-    EXPECT_TRUE(
-        parse_env({"--audit-graph", "-d", "foreach"}, no_env).audit_graph);
-    EXPECT_FALSE(parse_env({}, no_env).audit_graph);
+    EXPECT_TRUE(parse({"--audit-graph"}).audit_graph);
+    EXPECT_TRUE(parse({"--audit-graph", "-d", "foreach"}).audit_graph);
+    EXPECT_FALSE(parse({}).audit_graph);
 }
 
 TEST(CliAudit, FlagWithGraphlessDriverIsRejected) {
     // serial and parallel_for never spawn the task graph the audit models —
     // silently auditing a graph that will not run would be a false proof.
-    EXPECT_THROW(parse_env({"--audit-graph", "-d", "serial"}, no_env),
+    EXPECT_THROW(parse({"--audit-graph", "-d", "serial"}),
                  std::invalid_argument);
-    EXPECT_THROW(parse_env({"-d", "parallel_for", "--audit-graph"}, no_env),
+    EXPECT_THROW(parse({"-d", "parallel_for", "--audit-graph"}),
                  std::invalid_argument);
-}
-
-TEST(CliAudit, EnvFlagEnablesAudit) {
-    const auto cli = parse_env({}, [](const char* name) -> const char* {
-        return std::string(name) == "LULESH_AUDIT_GRAPH" ? "1" : nullptr;
-    });
-    EXPECT_TRUE(cli.audit_graph);
-}
-
-TEST(CliAudit, UnsetEmptyAndZeroEnvLeaveAuditOff) {
-    EXPECT_FALSE(parse_env({}, no_env).audit_graph);
-    EXPECT_FALSE(parse_env({}, [](const char*) -> const char* {
-                     return "";
-                 }).audit_graph);
-    EXPECT_FALSE(parse_env({}, [](const char*) -> const char* {
-                     return "0";
-                 }).audit_graph);
-}
-
-TEST(CliAudit, MalformedEnvValuesAreRejected) {
-    for (const char* bad : {"yes", "2", "true", " 1", "on"}) {
-        static const char* value;
-        value = bad;
-        EXPECT_THROW(parse_env({}, [](const char*) -> const char* {
-                         return value;
-                     }),
-                     std::invalid_argument)
-            << "LULESH_AUDIT_GRAPH=" << bad;
-    }
 }
 
 // ---------------- --graph-mode is gone ----------------
 
 TEST(CliGraphMode, FlagIsRejectedAsUnknownOption) {
     // The taskgraph driver has one execution form, the compiled graph; the
-    // flag that chose between it and a futures-built graph is gone, with
-    // its environment twin.
-    EXPECT_THROW(parse_env({"--graph-mode", "replay"}, no_env),
-                 std::invalid_argument);
-    EXPECT_THROW(parse_env({"--graph-mode=build"}, no_env),
-                 std::invalid_argument);
-    const auto env = [](const char* name) -> const char* {
-        return std::string(name) == "LULESH_GRAPH_MODE" ? "build" : nullptr;
-    };
-    EXPECT_NO_THROW(parse_env({}, env));
+    // flag that chose between it and a futures-built graph is gone.
+    EXPECT_THROW(parse({"--graph-mode", "replay"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--graph-mode=build"}), std::invalid_argument);
     const std::string text = lulesh::usage_text("prog");
     EXPECT_EQ(text.find("--graph-mode"), std::string::npos);
-}
-
-TEST(CliAudit, EnvFlagHonorsTheDriverValidation) {
-    EXPECT_THROW(parse_env({"-d", "serial"},
-                           [](const char*) -> const char* { return "1"; }),
-                 std::invalid_argument);
-    // An explicit 0 is not a request, so any driver is fine.  (Scoped to
-    // the audit variable: for the path-valued twins "0" is a filename.)
-    EXPECT_NO_THROW(
-        parse_env({"-d", "serial"}, [](const char* name) -> const char* {
-            return std::string(name) == "LULESH_AUDIT_GRAPH" ? "0" : nullptr;
-        }));
 }
 
 TEST(CliAudit, UsageTextDocumentsBothSpellings) {
     const auto text = lulesh::usage_text("prog");
     EXPECT_NE(text.find("--audit-graph"), std::string::npos);
-    EXPECT_NE(text.find("LULESH_AUDIT_GRAPH"), std::string::npos);
 }
 
-// ---------------- --trace / --utilization-report and env twins ----------
+// ---------------- --trace / --utilization-report ----------------
 
 TEST(CliTrace, FlagsCarryPathsInBothSpellings) {
-    auto cli = parse_env({"--trace", "a.json", "--utilization-report",
-                          "u.txt"},
-                         no_env);
+    auto cli = parse({"--trace", "a.json", "--utilization-report", "u.txt"});
     EXPECT_EQ(cli.trace_file, "a.json");
     EXPECT_EQ(cli.utilization_report_file, "u.txt");
-    cli = parse_env({"--trace=b.json", "--utilization-report=v.json"},
-                    no_env);
+    cli = parse({"--trace=b.json", "--utilization-report=v.json"});
     EXPECT_EQ(cli.trace_file, "b.json");
     EXPECT_EQ(cli.utilization_report_file, "v.json");
-    EXPECT_TRUE(parse_env({}, no_env).trace_file.empty());
+    EXPECT_TRUE(parse({}).trace_file.empty());
 }
 
 TEST(CliTrace, EmptyPathsAreRejected) {
-    EXPECT_THROW(parse_env({"--trace="}, no_env), std::invalid_argument);
-    EXPECT_THROW(parse_env({"--utilization-report="}, no_env),
-                 std::invalid_argument);
-    EXPECT_THROW(parse_env({"--trace"}, no_env), std::invalid_argument);
+    EXPECT_THROW(parse({"--trace="}), std::invalid_argument);
+    EXPECT_THROW(parse({"--utilization-report="}), std::invalid_argument);
+    EXPECT_THROW(parse({"--trace"}), std::invalid_argument);
 }
 
 TEST(CliTrace, GraphlessDriversAreRejected) {
     // serial and parallel_for never spawn scheduler tasks, so a trace of
     // them would be an empty lie — same policy as --audit-graph.
-    EXPECT_THROW(parse_env({"--trace=t.json", "-d", "serial"}, no_env),
+    EXPECT_THROW(parse({"--trace=t.json", "-d", "serial"}),
                  std::invalid_argument);
-    EXPECT_THROW(parse_env({"-d", "parallel_for",
-                            "--utilization-report=u.txt"},
-                           no_env),
+    EXPECT_THROW(parse({"-d", "parallel_for", "--utilization-report=u.txt"}),
                  std::invalid_argument);
-    EXPECT_NO_THROW(parse_env({"--trace=t.json", "-d", "foreach"}, no_env));
-}
-
-TEST(CliTrace, EnvTwinsFillOnlyUnsetFlags) {
-    const auto env = [](const char* name) -> const char* {
-        if (std::string(name) == "LULESH_TRACE") return "env.json";
-        if (std::string(name) == "LULESH_UTILIZATION_REPORT") {
-            return "env.txt";
-        }
-        return nullptr;
-    };
-    auto cli = parse_env({}, env);
-    EXPECT_EQ(cli.trace_file, "env.json");
-    EXPECT_EQ(cli.utilization_report_file, "env.txt");
-    // The flag wins over the twin.
-    cli = parse_env({"--trace=cli.json"}, env);
-    EXPECT_EQ(cli.trace_file, "cli.json");
-    EXPECT_EQ(cli.utilization_report_file, "env.txt");
-    // Empty env values are not requests.
-    EXPECT_TRUE(parse_env({}, [](const char*) -> const char* {
-                    return "";
-                }).trace_file.empty());
-}
-
-TEST(CliTrace, EnvTwinsHonorTheDriverValidation) {
-    EXPECT_THROW(
-        parse_env({"-d", "serial"},
-                  [](const char* name) -> const char* {
-                      return std::string(name) == "LULESH_TRACE" ? "t.json"
-                                                                 : nullptr;
-                  }),
-        std::invalid_argument);
+    EXPECT_NO_THROW(parse({"--trace=t.json", "-d", "foreach"}));
 }
 
 TEST(CliTrace, UsageTextDocumentsAllSpellings) {
     const auto text = lulesh::usage_text("prog");
     EXPECT_NE(text.find("--trace"), std::string::npos);
     EXPECT_NE(text.find("--utilization-report"), std::string::npos);
-    EXPECT_NE(text.find("LULESH_TRACE"), std::string::npos);
-    EXPECT_NE(text.find("LULESH_UTILIZATION_REPORT"), std::string::npos);
 }
 
 // ------------- --halo-timeout / --max-recoveries (fail-soft dist) -------------
 
 TEST(CliHaloTimeout, ParsesBothSpellingsAndDefaultsToZero) {
-    EXPECT_EQ(parse_env({}, no_env).halo_timeout_ms, 0);
-    EXPECT_EQ(parse_env({"--halo-timeout", "250"}, no_env).halo_timeout_ms,
-              250);
-    EXPECT_EQ(parse_env({"--halo-timeout=1500"}, no_env).halo_timeout_ms,
-              1500);
+    EXPECT_EQ(parse({}).halo_timeout_ms, 0);
+    EXPECT_EQ(parse({"--halo-timeout", "250"}).halo_timeout_ms, 250);
+    EXPECT_EQ(parse({"--halo-timeout=1500"}).halo_timeout_ms, 1500);
 }
 
 TEST(CliHaloTimeout, RejectsMalformedValues) {
-    EXPECT_THROW(parse_env({"--halo-timeout"}, no_env),
+    EXPECT_THROW(parse({"--halo-timeout"}),
                  std::invalid_argument);  // missing value
-    EXPECT_THROW(parse_env({"--halo-timeout", "-1"}, no_env),
-                 std::invalid_argument);
-    EXPECT_THROW(parse_env({"--halo-timeout", "soon"}, no_env),
-                 std::invalid_argument);
-    EXPECT_THROW(parse_env({"--halo-timeout=-250"}, no_env),
-                 std::invalid_argument);
-}
-
-TEST(CliHaloTimeout, EnvTwinParsesAndFlagWins) {
-    const auto env = [](const char* name) -> const char* {
-        return std::string(name) == "LULESH_HALO_TIMEOUT" ? "400" : nullptr;
-    };
-    EXPECT_EQ(parse_env({}, env).halo_timeout_ms, 400);
-    EXPECT_EQ(parse_env({"--halo-timeout", "100"}, env).halo_timeout_ms, 100);
-    // The flag wins even at its default value 0 (explicit disable).
-    EXPECT_EQ(parse_env({"--halo-timeout", "0"}, env).halo_timeout_ms, 0);
-    // Empty env values are not requests.
-    EXPECT_EQ(parse_env({}, [](const char*) -> const char* {
-                  return "";
-              }).halo_timeout_ms,
-              0);
-}
-
-TEST(CliHaloTimeout, MalformedEnvTwinIsRejected) {
-    EXPECT_THROW(parse_env({},
-                           [](const char* name) -> const char* {
-                               return std::string(name) ==
-                                              "LULESH_HALO_TIMEOUT"
-                                          ? "-5"
-                                          : nullptr;
-                           }),
-                 std::invalid_argument);
-    EXPECT_THROW(parse_env({},
-                           [](const char* name) -> const char* {
-                               return std::string(name) ==
-                                              "LULESH_HALO_TIMEOUT"
-                                          ? "later"
-                                          : nullptr;
-                           }),
-                 std::invalid_argument);
+    EXPECT_THROW(parse({"--halo-timeout", "-1"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--halo-timeout", "soon"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--halo-timeout=-250"}), std::invalid_argument);
 }
 
 TEST(CliHaloTimeout, RejectedWithDriversThatNeverExchangeHalos) {
     // serial and parallel_for never perform the distributed halo exchange
     // the deadline guards — accepting the flag would silently do nothing.
-    EXPECT_THROW(parse_env({"--halo-timeout", "250", "-d", "serial"}, no_env),
+    EXPECT_THROW(parse({"--halo-timeout", "250", "-d", "serial"}),
                  std::invalid_argument);
-    EXPECT_THROW(
-        parse_env({"-d", "parallel_for", "--halo-timeout=250"}, no_env),
-        std::invalid_argument);
-    EXPECT_THROW(parse_env({"-d", "serial"},
-                           [](const char* name) -> const char* {
-                               return std::string(name) ==
-                                              "LULESH_HALO_TIMEOUT"
-                                          ? "250"
-                                          : nullptr;
-                           }),
+    EXPECT_THROW(parse({"-d", "parallel_for", "--halo-timeout=250"}),
                  std::invalid_argument);
     // Zero (disabled) stays compatible with every driver.
-    EXPECT_EQ(parse_env({"--halo-timeout", "0", "-d", "serial"}, no_env)
-                  .halo_timeout_ms,
+    EXPECT_EQ(parse({"--halo-timeout", "0", "-d", "serial"}).halo_timeout_ms,
               0);
-    EXPECT_EQ(
-        parse_env({"--halo-timeout", "250", "-d", "foreach"}, no_env)
-            .halo_timeout_ms,
-        250);
+    EXPECT_EQ(parse({"--halo-timeout", "250", "-d", "foreach"}).halo_timeout_ms,
+              250);
 }
 
 TEST(CliMaxRecoveries, ParsesAndRejectsNegative) {
-    EXPECT_EQ(parse_env({}, no_env).max_recoveries, 3);
-    EXPECT_EQ(parse_env({"--max-recoveries", "0"}, no_env).max_recoveries, 0);
-    EXPECT_EQ(parse_env({"--max-recoveries", "7"}, no_env).max_recoveries, 7);
-    EXPECT_THROW(parse_env({"--max-recoveries", "-1"}, no_env),
-                 std::invalid_argument);
-    EXPECT_THROW(parse_env({"--max-recoveries"}, no_env),
-                 std::invalid_argument);
+    EXPECT_EQ(parse({}).max_recoveries, 3);
+    EXPECT_EQ(parse({"--max-recoveries", "0"}).max_recoveries, 0);
+    EXPECT_EQ(parse({"--max-recoveries", "7"}).max_recoveries, 7);
+    EXPECT_THROW(parse({"--max-recoveries", "-1"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--max-recoveries"}), std::invalid_argument);
 }
 
 TEST(CliHaloTimeout, UsageTextDocumentsAllSpellings) {
     const auto text = lulesh::usage_text("prog");
     EXPECT_NE(text.find("--halo-timeout"), std::string::npos);
-    EXPECT_NE(text.find("LULESH_HALO_TIMEOUT"), std::string::npos);
     EXPECT_NE(text.find("--max-recoveries"), std::string::npos);
 }
 

@@ -10,10 +10,16 @@
 #include <random>
 
 #include "amt/amt.hpp"
+#include "core/driver_foreach.hpp"
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/driver.hpp"
+#include "lulesh/driver_parallel_for.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/validate.hpp"
+#include "ompsim/ompsim.hpp"
+#ifdef LULESH_AMT_HAVE_OPENMP
+#include "lulesh/driver_openmp.hpp"
+#endif
 
 namespace {
 
@@ -26,37 +32,84 @@ namespace k = lulesh::kernels;
 
 // ---------------- randomized cross-driver agreement ----------------
 
-class RandomizedEquivalence : public ::testing::TestWithParam<std::uint32_t> {};
+/// One random problem shape, drawn from a seed.  Sizes 3..10 with up to 15
+/// regions leave some regions empty.
+struct random_config {
+    options o;
+    partition_sizes parts;
+    std::size_t threads = 1;
+    int iters = 0;
+
+    explicit random_config(std::uint32_t seed) {
+        std::mt19937 rng(seed);
+        o.size = static_cast<index_t>(3 + rng() % 8);           // 3..10
+        o.num_regions = static_cast<index_t>(1 + rng() % 15);   // 1..15
+        o.cost = static_cast<int>(1 + rng() % 3);
+        o.balance = static_cast<int>(rng() % 3);
+        o.region_seed = rng();
+        parts = {static_cast<index_t>(1 + rng() % 300),
+                 static_cast<index_t>(1 + rng() % 300)};
+        threads = 1 + rng() % 4;
+        iters = static_cast<int>(5 + rng() % 20);
+    }
+};
+
+std::ostream& operator<<(std::ostream& os, const random_config& c) {
+    return os << "size=" << c.o.size << " regions=" << c.o.num_regions
+              << " cost=" << c.o.cost << " balance=" << c.o.balance
+              << " parts=" << c.parts.nodal << "/" << c.parts.elems
+              << " threads=" << c.threads << " iters=" << c.iters;
+}
+
+class RandomizedEquivalence : public ::testing::TestWithParam<std::uint32_t> {
+protected:
+    /// The serial ground truth for this seed's configuration.
+    [[nodiscard]] domain reference(const random_config& c) const {
+        domain d(c.o);
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(d, drv, c.iters);
+        return d;
+    }
+
+    /// Runs `drv` on this seed's configuration and compares it with serial.
+    void expect_matches_serial(const random_config& c, const domain& ref,
+                               lulesh::driver& drv) const {
+        domain candidate(c.o);
+        lulesh::run_simulation(candidate, drv, c.iters);
+        EXPECT_EQ(lulesh::max_field_difference(ref, candidate), 0.0)
+            << drv.name() << ": " << c;
+        EXPECT_EQ(ref.dtcourant, candidate.dtcourant) << drv.name() << ": " << c;
+        EXPECT_EQ(ref.dthydro, candidate.dthydro) << drv.name() << ": " << c;
+    }
+};
 
 TEST_P(RandomizedEquivalence, TaskgraphMatchesSerialOnRandomConfig) {
-    std::mt19937 rng(GetParam());
-    options o;
-    o.size = static_cast<index_t>(3 + rng() % 8);           // 3..10
-    o.num_regions = static_cast<index_t>(1 + rng() % 15);   // 1..15
-    o.cost = static_cast<int>(1 + rng() % 3);
-    o.balance = static_cast<int>(rng() % 3);
-    o.region_seed = rng();
-    const partition_sizes parts{static_cast<index_t>(1 + rng() % 300),
-                                static_cast<index_t>(1 + rng() % 300)};
-    const std::size_t threads = 1 + rng() % 4;
-    const int iters = static_cast<int>(5 + rng() % 20);
+    const random_config c(GetParam());
+    const domain ref = reference(c);
+    amt::runtime rt(c.threads);
+    lulesh::taskgraph_driver drv(rt, c.parts);
+    expect_matches_serial(c, ref, drv);
+}
 
-    domain reference(o);
+TEST_P(RandomizedEquivalence, ForkJoinDriversMatchSerialOnRandomConfig) {
+    const random_config c(GetParam());
+    const domain ref = reference(c);
     {
-        lulesh::serial_driver drv;
-        lulesh::run_simulation(reference, drv, iters);
+        ompsim::team team(c.threads);
+        lulesh::parallel_for_driver drv(team);
+        expect_matches_serial(c, ref, drv);
     }
-    domain candidate(o);
     {
-        amt::runtime rt(threads);
-        lulesh::taskgraph_driver drv(rt, parts);
-        lulesh::run_simulation(candidate, drv, iters);
+        amt::runtime rt(c.threads);
+        lulesh::foreach_driver drv(rt);
+        expect_matches_serial(c, ref, drv);
     }
-    EXPECT_EQ(lulesh::max_field_difference(reference, candidate), 0.0)
-        << "size=" << o.size << " regions=" << o.num_regions
-        << " cost=" << o.cost << " balance=" << o.balance
-        << " parts=" << parts.nodal << "/" << parts.elems
-        << " threads=" << threads << " iters=" << iters;
+#ifdef LULESH_AMT_HAVE_OPENMP
+    {
+        lulesh::openmp_driver drv(c.threads);
+        expect_matches_serial(c, ref, drv);
+    }
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedEquivalence,
