@@ -21,8 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "amt/metrics.hpp"
-#include "amt/trace.hpp"
+#include "amt/json.hpp"
 
 namespace bench {
 
@@ -69,25 +68,22 @@ public:
                 std::chrono::system_clock::now().time_since_epoch())
                 .count();
         os << "{\n  \"schema\": \"lulesh-bench-v1\",\n  \"name\": \""
-           << json_escape(name_) << "\",\n  \"timestamp_ms\": " << now_ms
+           << amt::json_escape(name_)
+           << "\",\n  \"timestamp_ms\": " << now_ms
            << ",\n  \"env\": {\"hardware_threads\": "
            << std::thread::hardware_concurrency() << ", \"compiler\": \""
-           << json_escape(compiler_id()) << "\", \"build\": \""
+           << amt::json_escape(compiler_id()) << "\", \"build\": \""
 #if defined(NDEBUG)
            << "release"
 #else
            << "debug"
 #endif
-           << "\", \"trace_compiled_in\": "
-           << (amt::trace::compiled_in ? "true" : "false")
-           << ", \"metrics_compiled_in\": "
-           << (amt::metrics::compiled_in ? "true" : "false")
-           << "},\n  \"policy\": {\"warmup_reps\": 1, \"summary\": \"min\"},"
+           << "\"},\n  \"policy\": {\"warmup_reps\": 1, \"summary\": \"min\"},"
            << "\n  \"config\": {";
         for (std::size_t i = 0; i < config_.size(); ++i) {
             if (i != 0) os << ", ";
-            os << '"' << json_escape(config_[i].first) << "\": \""
-               << json_escape(config_[i].second) << '"';
+            os << '"' << amt::json_escape(config_[i].first) << "\": \""
+               << amt::json_escape(config_[i].second) << '"';
         }
         os << "},\n  \"metrics\": {\n";
         os << std::setprecision(9);
@@ -97,7 +93,7 @@ public:
             std::sort(sorted.begin(), sorted.end());
             double sum = 0.0;
             for (const double v : sorted) sum += v;
-            os << "    \"" << json_escape(m.name) << "\": {\"unit\": \""
+            os << "    \"" << amt::json_escape(m.name) << "\": {\"unit\": \""
                << m.unit << "\", \"direction\": \"" << m.direction
                << "\", \"samples\": [";
             for (std::size_t j = 0; j < m.samples.size(); ++j) {
@@ -141,16 +137,6 @@ private:
         const char* direction;
         std::vector<double> samples;
     };
-
-    static std::string json_escape(const std::string& s) {
-        std::string out;
-        out.reserve(s.size());
-        for (const char c : s) {
-            if (c == '"' || c == '\\') out.push_back('\\');
-            out.push_back(c);
-        }
-        return out;
-    }
 
     static const char* compiler_id() {
 #if defined(__clang__)

@@ -62,11 +62,6 @@ constexpr double touches_per_task = 6.0;
 }  // namespace
 
 int main() {
-    if (!amt::hazard::compiled_in) {
-        std::cout << "hazard probes compiled out (AMT_HAZARD_DISABLE); "
-                     "overhead is exactly zero\n";
-        return 0;
-    }
     amt::hazard::disarm();
 
     // (1) + (2): raw disarmed probe costs.

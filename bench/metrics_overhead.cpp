@@ -15,10 +15,6 @@
 //
 // The binary exits non-zero if either budget is violated, so it doubles as
 // a regression test (ctest label "metrics").
-//
-// When metrics are compiled out (AMT_METRICS_DISABLE) the probes vanish
-// entirely and both costs are exactly zero, so the bench reports that and
-// passes trivially — the same convention as trace_overhead.
 
 #include <algorithm>
 #include <chrono>
@@ -68,11 +64,6 @@ double run_once(const lulesh::options& problem, int iters) {
 }  // namespace
 
 int main() {
-    if (!amt::metrics::compiled_in) {
-        std::cout << "metrics compiled out (AMT_METRICS_DISABLE); "
-                     "overhead is exactly zero\n";
-        return 0;
-    }
     amt::metrics::disarm();
 
     // (1) raw disarmed probe cost.

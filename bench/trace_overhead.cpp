@@ -51,11 +51,6 @@ constexpr double probes_per_task = 4.0;
 }  // namespace
 
 int main() {
-    if (!amt::trace::compiled_in) {
-        std::cout << "trace probes compiled out (AMT_TRACE_DISABLE); "
-                     "overhead is exactly zero\n";
-        return 0;
-    }
     amt::trace::disarm();
 
     // (1) raw disarmed probe cost.

@@ -134,11 +134,6 @@ int main(int argc, char** argv) {
     const bool want_trace =
         !cli.trace_file.empty() || !cli.utilization_report_file.empty();
     if (want_trace) {
-        if (!amt::trace::compiled_in) {
-            std::cerr << "lulesh: tracing was compiled out "
-                         "(AMT_TRACE_DISABLE); rebuild to use --trace\n";
-            return 1;
-        }
         // Arm before the runtime exists so every worker registers its ring
         // from the first task on.
         amt::trace::set_thread_name("main");
@@ -147,11 +142,6 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<amt::metrics::reporter> metrics_reporter;
     if (!cli.metrics_file.empty()) {
-        if (!amt::metrics::compiled_in) {
-            std::cerr << "lulesh: metrics were compiled out "
-                         "(AMT_METRICS_DISABLE); rebuild to use --metrics\n";
-            return 1;
-        }
         // Arms the registry and starts interval snapshots; stopped (with a
         // final flush) after the runtime scope closes below.
         metrics_reporter = std::make_unique<amt::metrics::reporter>(

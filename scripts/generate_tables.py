@@ -242,8 +242,6 @@ def summarize_metrics_snapshot(doc):
     counters = {k: v for k, v in doc.get("counters", {}).items() if v}
     for name in sorted(counters):
         print(f"  {name:<44} {counters[name]}")
-    for name in sorted(doc.get("gauges", {})):
-        print(f"  {name:<44} {doc['gauges'][name]} (gauge)")
     for name in sorted(doc.get("histograms", {})):
         h = doc["histograms"][name]
         if h["count"] == 0:

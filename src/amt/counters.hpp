@@ -114,7 +114,7 @@ inline resilience_counters& resilience() {
 }
 
 /// The record of one worker thread.  Only that worker writes it;
-/// snapshot readers and the watchdog load each field without locking.
+/// snapshot readers load its counters without locking.
 /// Padded to a cache line so records of different workers never share
 /// one.
 ///
@@ -138,12 +138,11 @@ struct alignas(cache_line_size) worker_counters {
     relaxed_counter steals_same_domain;
     relaxed_counter steals_cross_domain;
 
-    /// The running task's label from its first amt::annotate_task (the
-    /// wave site and partition of a graph node), nullptr until then.
-    amt::atomic<const char*> label{nullptr};
-    amt::atomic<std::int32_t> label_arg{-1};
-
-    // The running task's clock; read by the owner only.
+    // The running task's label and clock, read by the owner only.  The
+    // label is the task's first amt::annotate_task (the wave site and
+    // partition of a graph node), nullptr until then.
+    const char* label = nullptr;
+    std::int32_t label_arg = -1;
     clock::time_point task_start{};
     clock::time_point task_end{};  ///< set when the clock closes
     bool open = false;             ///< the clock is running

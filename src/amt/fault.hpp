@@ -8,12 +8,11 @@
 //
 //   * throws fault::injected_fault   (a failed task),
 //   * sleeps for a fixed delay       (a slow task / jittery worker), or
-//   * stalls until released          (a hung worker, for watchdog tests).
+//   * stalls until released          (a hung worker).
 //
 // Cost model: when no plan is armed, probe() is a single relaxed atomic
 // load and a predictable branch (measured <1% on the task-graph iteration,
-// see bench/fault_overhead).  Defining AMT_FAULT_DISABLE at compile time
-// removes even that, turning probe() into an empty inline function.
+// see bench/fault_overhead).
 //
 // Determinism: every probe that passes the site/epoch filters draws a
 // uniform [0,1) value from splitmix64(seed, probe-index); the sequence of
@@ -113,17 +112,6 @@ void probe_slow(const char* site);
 bool decide_slow(const char* site);
 }  // namespace detail
 
-#if defined(AMT_FAULT_DISABLE)
-
-/// Compiled out: calls vanish entirely.
-inline void probe(const char*) noexcept {}
-[[nodiscard]] inline bool decide(const char*) noexcept { return false; }
-inline constexpr bool compiled_in = false;
-
-[[nodiscard]] inline bool armed() noexcept { return false; }
-
-#else
-
 /// Instrumentation point for task bodies.  One relaxed-ish load + branch
 /// when disarmed.
 inline void probe(const char* site) {
@@ -146,12 +134,8 @@ inline void probe(const char* site) {
     return false;
 }
 
-inline constexpr bool compiled_in = true;
-
 [[nodiscard]] inline bool armed() noexcept {
     return detail::g_armed.load(amt::memory_order_acquire);
 }
-
-#endif
 
 }  // namespace amt::fault

@@ -108,8 +108,8 @@ public:
 
     /// Waits until ready or `deadline`, whichever comes first; returns
     /// whether the state is ready.  Cooperative on worker threads, like
-    /// wait().  The building block for watchdogs and halo-exchange
-    /// timeouts, where "still not done" is information, not a bug.
+    /// wait().  The building block for halo-exchange timeouts, where
+    /// "still not done" is information, not a bug.
     bool wait_until(std::chrono::steady_clock::time_point deadline) const {
         {
             std::lock_guard lk(mu_);

@@ -29,10 +29,10 @@
 // Cost model (the amt/fault.hpp discipline): when not armed, every probe —
 // touch(), task_scope construction — is a single relaxed atomic load and a
 // predictable branch; bench/hazard_overhead asserts <1% of a task-graph
-// iteration.  Defining AMT_HAZARD_DISABLE compiles the probes out entirely.
-// Arming (explicitly or via the AMT_HAZARD_TRACK environment variable)
-// switches to the slow path: scopes stamp and clear their whole declared
-// set, which is proportional to the data touched — debug-run pricing.
+// iteration.  Arming (explicitly or via the AMT_HAZARD_TRACK environment
+// variable) switches to the slow path: scopes stamp and clear their whole
+// declared set, which is proportional to the data touched — debug-run
+// pricing.
 //
 // Detection is *best effort* on reads: a reader's token can be displaced by
 // a concurrent reader (reader/reader sharing is not a hazard), after which
@@ -143,19 +143,6 @@ void clear_violations();
 void arm();
 void disarm();
 
-#if defined(AMT_HAZARD_DISABLE)
-
-inline constexpr bool compiled_in = false;
-[[nodiscard]] inline bool armed() noexcept { return false; }
-
-/// Instrumentation point for kernels: declares that the calling task is
-/// accessing [lo, hi) of `field`.  Compiled out.
-inline void touch(int, bool, std::int64_t, std::int64_t) noexcept {}
-
-#else
-
-inline constexpr bool compiled_in = true;
-
 [[nodiscard]] inline bool armed() noexcept {
     return detail::g_armed.load(amt::memory_order_acquire);
 }
@@ -169,7 +156,5 @@ inline void touch(int field, bool write, std::int64_t lo, std::int64_t hi) {
         detail::touch_slow(field, write, lo, hi);
     }
 }
-
-#endif
 
 }  // namespace amt::hazard

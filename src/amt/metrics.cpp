@@ -4,7 +4,6 @@
 
 #include "amt/metrics.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -15,6 +14,7 @@
 #include <utility>
 
 #include "amt/counters.hpp"
+#include "amt/json.hpp"
 
 namespace amt::metrics {
 
@@ -24,14 +24,13 @@ amt::atomic<bool> g_armed{false};
 
 namespace {
 
-enum class kind { counter, gauge, histogram };
+enum class kind { counter, histogram };
 
 struct entry {
     const char* name;
     const char* help;
     kind k;
     counter* c = nullptr;
-    gauge* g = nullptr;
     histogram* h = nullptr;
 };
 
@@ -43,7 +42,6 @@ struct entry {
 struct registry_state {
     amt::mutex mu;
     std::deque<counter> counters;
-    std::deque<gauge> gauges;
     std::deque<histogram> histograms;
     std::vector<entry> entries;
     std::chrono::steady_clock::time_point epoch =
@@ -77,26 +75,6 @@ entry* find(registry_state& s, const char* name) {
     return false;
 }();
 
-void json_escape(std::ostream& os, const char* s) {
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        switch (c) {
-            case '"': os << "\\\""; break;
-            case '\\': os << "\\\\"; break;
-            case '\n': os << "\\n"; break;
-            case '\t': os << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    os << buf;
-                } else {
-                    os << c;
-                }
-        }
-    }
-}
-
 }  // namespace
 
 counter& get_counter(const char* name, const char* help) {
@@ -107,22 +85,9 @@ counter& get_counter(const char* name, const char* help) {
         return *e->c;
     }
     s.counters.emplace_back();
-    s.entries.push_back({name, help, kind::counter, &s.counters.back(),
-                         nullptr, nullptr});
+    s.entries.push_back(
+        {name, help, kind::counter, &s.counters.back(), nullptr});
     return s.counters.back();
-}
-
-gauge& get_gauge(const char* name, const char* help) {
-    auto& s = state();
-    std::lock_guard<amt::mutex> lk(s.mu);
-    if (entry* e = find(s, name)) {
-        if (e->k != kind::gauge) kind_clash(name);
-        return *e->g;
-    }
-    s.gauges.emplace_back();
-    s.entries.push_back({name, help, kind::gauge, nullptr, &s.gauges.back(),
-                         nullptr});
-    return s.gauges.back();
 }
 
 histogram& get_histogram(const char* name, const char* help) {
@@ -133,8 +98,8 @@ histogram& get_histogram(const char* name, const char* help) {
         return *e->h;
     }
     s.histograms.emplace_back();
-    s.entries.push_back({name, help, kind::histogram, nullptr, nullptr,
-                         &s.histograms.back()});
+    s.entries.push_back(
+        {name, help, kind::histogram, nullptr, &s.histograms.back()});
     return s.histograms.back();
 }
 
@@ -150,7 +115,6 @@ void reset() {
     for (auto& e : s.entries) {
         switch (e.k) {
             case kind::counter: e.c->reset(); break;
-            case kind::gauge: e.g->reset(); break;
             case kind::histogram: e.h->reset(); break;
         }
     }
@@ -193,9 +157,6 @@ snapshot collect() {
             case kind::counter:
                 out.counters.push_back({e.name, e.help, e.c->value()});
                 break;
-            case kind::gauge:
-                out.gauges.push_back({e.name, e.help, e.g->value()});
-                break;
             case kind::histogram: {
                 histogram_value hv{e.name, e.help, 0, 0,
                                    std::vector<std::uint64_t>(num_buckets, 0)};
@@ -236,28 +197,15 @@ void write_json(std::ostream& os, const snapshot& s) {
     for (const auto& c : s.counters) {
         if (!first) os << ',';
         first = false;
-        os << '"';
-        json_escape(os, c.name);
-        os << "\":" << c.value;
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto& g : s.gauges) {
-        if (!first) os << ',';
-        first = false;
-        os << '"';
-        json_escape(os, g.name);
-        os << "\":" << g.value;
+        os << '"' << json_escape(c.name) << "\":" << c.value;
     }
     os << "},\"histograms\":{";
     first = true;
     for (const auto& h : s.histograms) {
         if (!first) os << ',';
         first = false;
-        os << '"';
-        json_escape(os, h.name);
-        os << "\":{\"count\":" << h.count << ",\"sum\":" << h.sum
-           << ",\"buckets\":[";
+        os << '"' << json_escape(h.name) << "\":{\"count\":" << h.count
+           << ",\"sum\":" << h.sum << ",\"buckets\":[";
         // Trailing zero buckets are elided; consumers pad to num_buckets.
         std::size_t last = h.buckets.size();
         while (last > 0 && h.buckets[last - 1] == 0) --last;
@@ -277,13 +225,6 @@ void write_prometheus(std::ostream& os, const snapshot& s) {
         }
         os << "# TYPE " << c.name << " counter\n";
         os << c.name << ' ' << c.value << '\n';
-    }
-    for (const auto& g : s.gauges) {
-        if (g.help[0] != '\0') {
-            os << "# HELP " << g.name << ' ' << g.help << '\n';
-        }
-        os << "# TYPE " << g.name << " gauge\n";
-        os << g.name << ' ' << g.value << '\n';
     }
     for (const auto& h : s.histograms) {
         if (h.help[0] != '\0') {

@@ -1,7 +1,7 @@
 // amt/metrics.hpp
 //
 // The quantitative metrics plane: a process-wide registry of named
-// counters, gauges and log2-bucket histograms, sharded per worker the same
+// counters and log2-bucket histograms, sharded per worker the same
 // way counters.hpp shards its per-worker blocks — the queryable complement
 // to the tracer's timelines (docs/observability.md).  Where a trace answers
 // "what happened in this run, span by span", the registry answers "what is
@@ -22,9 +22,6 @@
 //   * armed: one or two relaxed stores per update; histogram recording
 //     adds a bit-scan for the bucket.  Timed sites add the steady_clock
 //     reads they need, priced by the <3% armed budget.
-//   * AMT_METRICS_DISABLE defined: updates are empty inline functions and
-//     enabled() is constant false, so instrumented blocks compile out —
-//     mirroring AMT_TRACE_DISABLE.
 //
 // Snapshots (collect()) read every shard relaxed and sum, exactly like
 // runtime::snapshot_counters: slightly stale per shard, never torn per
@@ -68,7 +65,7 @@ namespace detail {
 
 extern amt::atomic<bool> g_armed;
 
-/// One cache-line-padded shard of a counter or gauge.
+/// One cache-line-padded shard of a counter.
 struct alignas(cache_line_size) value_shard {
     amt::atomic<std::uint64_t> v{0};
 };
@@ -110,16 +107,10 @@ inline std::size_t bucket_of(std::uint64_t v) noexcept {
 
 }  // namespace detail
 
-#if defined(AMT_METRICS_DISABLE)
-inline constexpr bool compiled_in = false;
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-#else
-inline constexpr bool compiled_in = true;
 /// True while the registry is armed.  The one check on a disarmed update.
 [[nodiscard]] inline bool enabled() noexcept {
     return detail::g_armed.load(amt::memory_order_relaxed);
 }
-#endif
 
 /// Monotonic event counter.  add() is the disarmed-cheap probe; value()
 /// sums the shards relaxed.
@@ -127,39 +118,6 @@ class counter {
 public:
     void add(std::uint64_t v = 1) noexcept {
         if (enabled()) detail::shard_add(shards_, v);
-    }
-    [[nodiscard]] std::uint64_t value() const noexcept {
-        std::uint64_t total = 0;
-        for (std::size_t i = 0; i < max_shards; ++i) {
-            total += shards_[i].v.load(amt::memory_order_relaxed);
-        }
-        return total;
-    }
-    void reset() noexcept {
-        for (std::size_t i = 0; i < max_shards; ++i) {
-            shards_[i].v.store(0, amt::memory_order_relaxed);
-        }
-    }
-
-private:
-    detail::value_shard shards_[max_shards];
-};
-
-/// Last-written value per shard; value() reports the shard sum (each worker
-/// sets its own share, e.g. its deque depth, and the sum is the process
-/// total).  set() overwrites the calling thread's shard.
-class gauge {
-public:
-    void set(std::uint64_t v) noexcept {
-        if (enabled()) {
-            shards_[detail::shard_index()].v.store(v,
-                                                   amt::memory_order_relaxed);
-        }
-    }
-    void add(std::int64_t delta) noexcept {
-        if (enabled()) {
-            detail::shard_add(shards_, static_cast<std::uint64_t>(delta));
-        }
     }
     [[nodiscard]] std::uint64_t value() const noexcept {
         std::uint64_t total = 0;
@@ -228,8 +186,7 @@ private:
 };
 
 /// RAII sample: stamps steady_clock at construction, records the elapsed
-/// nanoseconds at destruction.  Costs one relaxed load when disarmed;
-/// nothing when compiled out.
+/// nanoseconds at destruction.  Costs one relaxed load when disarmed.
 class scoped_timer {
 public:
     explicit scoped_timer(histogram& h) noexcept {
@@ -267,7 +224,6 @@ private:
 /// std::logic_error.  `name`/`help` must outlive the process (string
 /// literals).
 counter& get_counter(const char* name, const char* help = "");
-gauge& get_gauge(const char* name, const char* help = "");
 histogram& get_histogram(const char* name, const char* help = "");
 
 // ---- arming --------------------------------------------------------------
@@ -315,7 +271,6 @@ struct snapshot {
     std::int64_t wall_ms = 0;    ///< system_clock, ms since the Unix epoch
     std::int64_t uptime_ns = 0;  ///< steady_clock since process registration
     std::vector<counter_value> counters;
-    std::vector<counter_value> gauges;
     std::vector<histogram_value> histograms;
 };
 

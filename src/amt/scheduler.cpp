@@ -15,8 +15,8 @@ namespace amt {
 namespace {
 
 // Metric handles are interned once and cached; every update below is gated
-// on metrics::enabled() (one relaxed load disarmed, compiled out entirely
-// under AMT_METRICS_DISABLE).  Naming per docs/observability.md.
+// on metrics::enabled() (one relaxed load disarmed).  Naming per
+// docs/observability.md.
 metrics::histogram& task_duration_hist() {
     static auto& h = metrics::get_histogram(
         "amt_task_duration_ns", "task body execution wall time");
@@ -88,10 +88,9 @@ std::uint64_t close_clock(worker_counters& c) noexcept {
     c.productive_ns.add(dur_ns);
     if (metrics::enabled()) task_duration_hist().record(dur_ns);
     if (trace::enabled()) {
-        const char* name = c.label.load(amt::memory_order_relaxed);
         trace::emit_span(trace::event_kind::task_span,
-                         name != nullptr ? name : "task", c.task_start, t1,
-                         c.label_arg.load(amt::memory_order_relaxed));
+                         c.label != nullptr ? c.label : "task", c.task_start,
+                         t1, c.label_arg);
     }
     c.tasks_executed.add_release(1);
     return dur_ns;
@@ -101,12 +100,9 @@ std::uint64_t close_clock(worker_counters& c) noexcept {
 
 void annotate_task(const char* name, std::int32_t arg) noexcept {
     worker_counters* c = tls_record;
-    if (c == nullptr || !c->open ||
-        c->label.load(amt::memory_order_relaxed) != nullptr) {
-        return;
-    }
-    c->label_arg.store(arg, amt::memory_order_relaxed);
-    c->label.store(name, amt::memory_order_relaxed);
+    if (c == nullptr || !c->open || c->label != nullptr) return;
+    c->label = name;
+    c->label_arg = arg;
 }
 
 std::uint64_t close_task_clock() noexcept {
@@ -114,17 +110,15 @@ std::uint64_t close_task_clock() noexcept {
     return c != nullptr && c->open ? close_clock(*c) : 0;
 }
 
-runtime::runtime(runtime_options opts) {
-    std::size_t n = opts.num_workers;
+runtime::runtime(std::size_t num_workers) {
+    std::size_t n = num_workers;
     if (n == 0) {
         n = std::thread::hardware_concurrency();
         if (n == 0) n = 1;
     }
-    // Resolve the steal-domain width: auto groups workers four to a domain
-    // once there are enough of them to make locality tiers meaningful.
-    domain_size_ = opts.steal_domain_size;
-    if (domain_size_ == 0) domain_size_ = n > 4 ? 4 : n;
-    if (domain_size_ > n) domain_size_ = n;
+    // Four workers to a domain once there are enough of them to make
+    // locality tiers meaningful.
+    domain_size_ = n > 4 ? 4 : n;
     workers_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         workers_.push_back(std::make_unique<worker>(i));
@@ -324,15 +318,15 @@ void runtime::execute(task_base* raw, worker_counters& c,
     const clock::time_point outer_start = c.task_start;
     const clock::time_point outer_end = c.task_end;
     const bool outer_open = c.open;
-    const char* outer_label = c.label.load(amt::memory_order_relaxed);
-    const std::int32_t outer_arg = c.label_arg.load(amt::memory_order_relaxed);
+    const char* outer_label = c.label;
+    const std::int32_t outer_arg = c.label_arg;
 
     c.task_start = stamp != nullptr && *stamp != clock::time_point{}
                        ? *stamp
                        : clock::now();
     c.open = true;
-    c.label.store(nullptr, amt::memory_order_relaxed);
-    c.label_arg.store(-1, amt::memory_order_relaxed);
+    c.label = nullptr;
+    c.label_arg = -1;
     c.tasks_started.add(1);
     raw->execute();
     if (c.open) close_clock(c);
@@ -341,17 +335,15 @@ void runtime::execute(task_base* raw, worker_counters& c,
     c.task_start = outer_start;
     c.task_end = outer_end;
     c.open = outer_open;
-    c.label.store(outer_label, amt::memory_order_relaxed);
-    c.label_arg.store(outer_arg, amt::memory_order_relaxed);
+    c.label = outer_label;
+    c.label_arg = outer_arg;
     if (owned) delete raw;
 }
 
 void runtime::worker_loop(worker& self) {
     tls_worker = current_worker_info{this, self.index};
     tls_record = &self.counters;
-    if (trace::compiled_in) {
-        trace::set_thread_name("worker" + std::to_string(self.index));
-    }
+    trace::set_thread_name("worker" + std::to_string(self.index));
 
     // Every interval between two consecutive task executions becomes one
     // coalesced trace span (armed only): from the previous task's end
@@ -548,19 +540,6 @@ counters_snapshot runtime::snapshot_counters() const {
                                                              start_time_)
             .count());
     return s;
-}
-
-std::vector<const char*> runtime::in_flight_labels() const {
-    std::vector<const char*> labels;
-    for (const auto& w : workers_) {
-        const worker_counters& c = w->counters;
-        const worker_counters::task_counts n = c.counts();
-        if (n.started > n.finished) {
-            const char* label = c.label.load(amt::memory_order_relaxed);
-            labels.push_back(label != nullptr ? label : "task");
-        }
-    }
-    return labels;
 }
 
 void runtime::reset_counters() {

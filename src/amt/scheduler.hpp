@@ -29,9 +29,8 @@
 // returns.  That one interval feeds every per-task instrument: the
 // record's productive time and task counts, the amt_task_duration_ns
 // histogram, the trace's task span, and the node cost a compiled graph
-// books.  The task's label (annotate_task) lives in the same record, so
-// the watchdog names in-flight tasks whether or not the tracer is
-// compiled in.
+// books.  The task's label (annotate_task) lives in the same record and
+// names the task's trace span.
 //
 // Lifetime model: a `runtime` is an ordinary object.  Constructing one
 // registers it as the *active* runtime (an ambient pointer used by the free
@@ -56,19 +55,6 @@
 #include "amt/task.hpp"
 
 namespace amt {
-
-struct runtime_options {
-    /// Number of OS worker threads.  0 selects hardware_concurrency().
-    std::size_t num_workers = 0;
-
-    /// Locality-domain width for hierarchical work stealing: workers are
-    /// grouped into consecutive domains of this many workers, and an idle
-    /// worker sweeps same-domain victims before falling back to a sweep of
-    /// the remaining workers (the NUMA-aware victim policy of HPX-style
-    /// runtimes, scaled down to one process).  0 = auto: domains of 4 when
-    /// more than 4 workers exist, one flat domain otherwise.
-    std::size_t steal_domain_size = 0;
-};
 
 /// Enumerates steal victims for a thief at `self` among `n` workers grouped
 /// into consecutive locality domains of `domain_size`: every same-domain
@@ -113,10 +99,9 @@ void for_each_steal_victim(std::size_t self, std::size_t n,
 
 class runtime {
 public:
-    explicit runtime(runtime_options opts);
-    explicit runtime(std::size_t num_workers)
-        : runtime(runtime_options{.num_workers = num_workers}) {}
-    runtime() : runtime(runtime_options{}) {}
+    /// Starts `num_workers` OS worker threads; 0 selects
+    /// hardware_concurrency().
+    explicit runtime(std::size_t num_workers = 0);
 
     runtime(const runtime&) = delete;
     runtime& operator=(const runtime&) = delete;
@@ -150,7 +135,11 @@ public:
         return workers_.size();
     }
 
-    /// Resolved locality-domain width used for hierarchical stealing.
+    /// Locality-domain width for hierarchical work stealing: workers are
+    /// grouped into consecutive domains of this many, and an idle worker
+    /// sweeps same-domain victims before the rest (the NUMA-aware victim
+    /// policy of HPX-style runtimes, scaled down to one process).  Domains
+    /// of 4 when more than 4 workers exist, one flat domain otherwise.
     [[nodiscard]] std::size_t steal_domain_size() const noexcept {
         return domain_size_;
     }
@@ -168,19 +157,6 @@ public:
     /// counts), so tasks_executed never exceeds tasks_started.
     [[nodiscard]] counters_snapshot snapshot_counters() const;
     void reset_counters();
-
-    /// Worker `w`'s record, for observers on other threads (w <
-    /// num_workers()).
-    [[nodiscard]] const worker_counters& worker_record(
-        std::size_t w) const noexcept {
-        return workers_[w]->counters;
-    }
-
-    /// The label of every worker's task in flight ("task" for one that
-    /// never annotated itself), in worker order — what the watchdog
-    /// names when progress stops.  Tasks run by non-worker threads are
-    /// not listed.
-    [[nodiscard]] std::vector<const char*> in_flight_labels() const;
 
     /// The most recently constructed, still-alive runtime, or nullptr.
     /// Free functions (amt::async etc.) target this runtime.
@@ -229,7 +205,7 @@ private:
     };
 
     std::vector<std::unique_ptr<worker>> workers_;
-    std::size_t domain_size_ = 1;  ///< resolved steal_domain_size
+    std::size_t domain_size_ = 1;  ///< steal_domain_size()
 
     // Global injection queue for tasks posted from non-worker threads:
     // an intrusive FIFO linked through task_base::qnext, so posting
@@ -275,8 +251,7 @@ struct current_worker_info {
 const current_worker_info& current_worker() noexcept;
 
 /// Labels the task executing on the calling thread: the record's in-flight
-/// label, which names the task's trace span and the watchdog's stall
-/// report.  The first annotation wins, so a body that inlines further
+/// label, which names the task's trace span.  The first annotation wins, so a body that inlines further
 /// completions keeps its own label.  Called by compiled-graph nodes with
 /// their label and argument (the wave site and partition index), by
 /// checkpoint pack tasks and by the foreach driver's chunks.  A no-op

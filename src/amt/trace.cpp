@@ -13,9 +13,9 @@
 #include <ostream>
 #include <sstream>
 
-namespace amt::trace {
+#include "amt/json.hpp"
 
-#if !defined(AMT_TRACE_DISABLE)
+namespace amt::trace {
 
 namespace detail {
 
@@ -239,29 +239,7 @@ trace_snapshot drain() {
     return snap;
 }
 
-#else  // AMT_TRACE_DISABLE
-
-namespace detail {
-amt::atomic<bool> g_armed{false};
-void emit(event_kind, const char*, std::int64_t, std::int64_t,
-          std::int32_t) noexcept {}
-std::int64_t now_ns_slow() noexcept { return 0; }
-}  // namespace detail
-
-void arm() {}
-void disarm() {}
-bool armed() noexcept { return false; }
-void reset() {}
-void set_ring_capacity(std::size_t) {}
-void set_thread_name(const std::string&) {}
-std::uint64_t dropped_total() noexcept { return 0; }
-void emit_phase(const char*, std::int64_t, std::int64_t, std::int32_t) noexcept {
-}
-trace_snapshot drain() { return {}; }
-
-#endif  // AMT_TRACE_DISABLE
-
-// ---- writers (compiled in both modes: they only format snapshots) -------
+// ---- writers -------------------------------------------------------------
 
 namespace {
 
@@ -276,7 +254,6 @@ const char* category_name(event_kind k) {
         case event_kind::search_span:
         case event_kind::idle_span:
         case event_kind::steal:
-        case event_kind::continuation_ready:
             return "sched";
         case event_kind::phase_span:
             return "phase";
@@ -294,22 +271,6 @@ std::string us_fixed(std::int64_t ns) {
     os << std::fixed << std::setprecision(3)
        << static_cast<double>(ns) / 1000.0;
     return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
 }
 
 }  // namespace

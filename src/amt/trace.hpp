@@ -16,8 +16,6 @@
 //   * disarmed (default): every probe is one relaxed atomic load and a
 //     predictable branch — measured <1% on the task-graph iteration, see
 //     bench/trace_overhead.
-//   * AMT_TRACE_DISABLE defined: probes are empty inline functions, zero
-//     instructions on the task hot path.
 //   * armed: one steady_clock read per span endpoint plus a single-writer
 //     ring push (no lock prefix, no allocation).  Ring overflow drops the
 //     event and bumps a per-ring drop counter — recording never blocks.
@@ -44,8 +42,8 @@
 
 namespace amt::trace {
 
-/// What a trace event records.  Spans carry a duration; steal,
-/// continuation_ready and mark are instants (duration 0).
+/// What a trace event records.  Spans carry a duration; steal and mark
+/// are instants (duration 0).
 enum class event_kind : std::uint8_t {
     task_span,     ///< one task execution (labelled via amt::annotate_task)
     halo_span,     ///< dist-driver pack/unpack, nested inside a task span
@@ -55,8 +53,7 @@ enum class event_kind : std::uint8_t {
     phase_span,    ///< one leapfrog phase window (driver barrier stamps)
     checkpoint_span,  ///< checkpoint-pack work, nested inside a task span
     steal,         ///< successful steal from a victim deque
-    continuation_ready,  ///< a stage spawner fired (barrier became ready)
-    mark,          ///< point annotation (cycle boundaries, watchdog stalls)
+    mark,          ///< point annotation (cycle boundaries, recoveries)
 };
 
 /// Fixed-size trace record.  `name` must point to storage that outlives the
@@ -77,25 +74,6 @@ void emit(event_kind kind, const char* name, std::int64_t ts_ns,
           std::int64_t dur_ns, std::int32_t arg) noexcept;
 std::int64_t now_ns_slow() noexcept;
 }  // namespace detail
-
-#if defined(AMT_TRACE_DISABLE)
-
-/// Compiled out: probes vanish entirely.
-inline constexpr bool compiled_in = false;
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-[[nodiscard]] inline std::int64_t now_ns() noexcept { return 0; }
-inline void emit_span(event_kind, const char*, std::int64_t, std::int64_t,
-                      std::int32_t = -1) noexcept {}
-inline void emit_span(event_kind, const char*, clock::time_point,
-                      clock::time_point, std::int32_t = -1) noexcept {}
-inline void instant(event_kind, const char*, std::int32_t = -1) noexcept {}
-[[nodiscard]] inline std::int64_t to_ns(clock::time_point) noexcept {
-    return 0;
-}
-
-#else
-
-inline constexpr bool compiled_in = true;
 
 /// True while tracing is armed.  The one check on every disarmed probe.
 [[nodiscard]] inline bool enabled() noexcept {
@@ -123,10 +101,8 @@ inline void instant(event_kind kind, const char* name,
     if (enabled()) detail::emit(kind, name, detail::now_ns_slow(), 0, arg);
 }
 
-#endif  // AMT_TRACE_DISABLE
-
 /// RAII span: stamps begin at construction, emits at destruction.  Costs
-/// one relaxed load when disarmed; nothing when compiled out.
+/// one relaxed load when disarmed.
 class scoped_span {
 public:
     explicit scoped_span(event_kind kind, const char* name,
@@ -153,7 +129,7 @@ private:
     bool active_ = false;
 };
 
-/// Point annotation on the calling thread ("cycle", "stall:<site>", ...).
+/// Point annotation on the calling thread ("cycle", "halo:retry", ...).
 inline void mark(const char* name, std::int32_t arg = -1) noexcept {
     instant(event_kind::mark, name, arg);
 }

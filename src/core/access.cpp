@@ -437,16 +437,14 @@ graph_model build_iteration_model(const domain& d, partition_sizes parts) {
     return m;
 }
 
+int checkpoint_pack_last_stage(field f) noexcept {
+    return field_space(f) == space::node ? 0 : 2;
+}
+
 void add_checkpoint_pack_tasks(graph_model& m, const domain& d) {
-    // One read-only pack task per checkpointed field, spanning the stages
-    // the drivers allow it to still be in flight: node packs gate barrier
-    // B1 — before the node wave (stage 1) writes x/y/z/xd/yd/zd — so they
-    // occupy stage 0 only; elem packs gate B3, ahead of the region wave
-    // (stage 3), the first writer of e/p/q/ss/v, so they may run through
-    // stages 0-2.
     for (std::size_t s = 0; s < num_checkpoint_fields; ++s) {
-        const bool node_field =
-            field_space(checkpoint_field_at(s)) == space::node;
+        const field f = checkpoint_field_at(s);
+        const bool node_field = field_space(f) == space::node;
         task_decl t;
         t.site = node_field ? model_site::ckpt_pack_node
                             : model_site::ckpt_pack_elem;
@@ -455,7 +453,7 @@ void add_checkpoint_pack_tasks(graph_model& m, const domain& d) {
         t.lo = 0;
         t.hi = node_field ? d.numNode() : d.numElem();
         t.stage = 0;
-        t.stage_last = node_field ? 0 : 2;
+        t.stage_last = checkpoint_pack_last_stage(f);
         t.slot = static_cast<index_t>(s);
         t.accesses = accesses_of(t, d);
         m.tasks.push_back(std::move(t));

@@ -189,8 +189,8 @@ enum class body_kind : std::uint8_t {
     pack_delv,      ///< send the owned boundary plane's delv_zeta
     unpack_delv,    ///< receive the neighbor's delv_zeta ghost plane
     ckpt_pack,
-    slab_liveness   ///< the dist driver's per-slab heartbeat/kill-switch
-                    ///< node; appended to compiled slab tables only
+    slab_liveness   ///< a dist slab's heartbeat/kill-switch step, last in
+                    ///< its table (build_slab_model)
 };
 
 /// True for the kinds whose body is a wave_body:: call.
@@ -239,7 +239,7 @@ struct graph_model {
 graph_model build_iteration_table(const domain& d, partition_sizes parts);
 
 /// build_iteration_table with every task's access set filled in — the
-/// form the static audit and the checkpoint write-set derivation read.
+/// form the static audit reads.
 graph_model build_iteration_model(const domain& d, partition_sizes parts);
 
 /// The declared accesses of task `t` on `d` (region tasks expand against
@@ -249,14 +249,19 @@ std::vector<access> accesses_of(const task_decl& t, const domain& d);
 /// Fills every task's access set from accesses_of.
 void fill_accesses(graph_model& m, const domain& d);
 
+/// The last stage an overlapped checkpoint pack of field `f` may still be
+/// running in, which names the barrier it gates: 0 for node fields (B1,
+/// ahead of the node wave that writes coordinates and velocities), 2 for
+/// element fields (B3, ahead of the region/volume wave, the first writer
+/// of e/p/q/ss/v).
+[[nodiscard]] int checkpoint_pack_last_stage(field f) noexcept;
+
 /// Appends the overlapped checkpoint-packing tasks the drivers run when
 /// the resilient loop hands them a capture: one read-only task per
 /// checkpointed field, modelled conservatively over the field's full
-/// extent.  Node-field packs run within stage 0 (they gate the barrier
-/// before the node wave writes coordinates/velocities); elem-field packs
-/// span stages 0-2 (they gate the barrier before the region/volume wave
-/// writes e/p/q/ss/v).  The audit over this extended model is the proof
-/// that packing never races the compute it overlaps.
+/// extent, spanning stages 0 through checkpoint_pack_last_stage.  The
+/// audit over this extended model is the proof that packing never races
+/// the compute it overlaps.
 void add_checkpoint_pack_tasks(graph_model& m, const domain& d);
 
 // --- bridges to the dynamic tracker and the NaN sentinel -------------------

@@ -82,9 +82,10 @@ void compiled_iteration::add_capture(std::size_t slab,
 }
 
 void compiled_iteration::arm(real_t dt) {
-    // Node-field packs gate B1, element-field packs B3.
+    // A pack gates the barrier closing its last stage: node fields B1,
+    // element fields B3.
     const auto pack_stage = [](const state_capture& cap, std::size_t i) {
-        return field_space(cap.region(i).f) == space::node ? 0 : 2;
+        return checkpoint_pack_last_stage(cap.region(i).f);
     };
     ext_ = receives_;
     for (std::size_t s = 0; s < slabs_.size(); ++s) {
@@ -253,7 +254,6 @@ void compiled_iteration::compile() {
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const task_decl& t = tasks[i];
             const bool receive = is_receive(t.kind);
-            const bool send = is_send(t.kind);
             if (is_wave_body(t.kind)) {
                 for (int dep : t.deps) {
                     has_consumer[static_cast<std::size_t>(dep)] = 1;
@@ -274,7 +274,8 @@ void compiled_iteration::compile() {
                 ++receives_[s][static_cast<std::size_t>(t.stage)];
                 externals_.push_back(
                     {s, &t, bar[static_cast<std::size_t>(t.stage)]});
-            } else if (!(send && direct)) {
+            } else if (!(direct && (is_send(t.kind) ||
+                                    t.kind == body_kind::slab_liveness))) {
                 const task_decl* tp = &t;
                 sl.ids[i] = add_node([this, s, tp] { halo_(s, *tp); }, t.site,
                                      t.partition, -1, s);

@@ -33,10 +33,14 @@
 //     feeding its stage's barrier;
 //   * a receive (unpack_*) is an external dependency of its stage's
 //     barrier, satisfied by the driver's receive chain (externals());
+//   * the slab's liveness task is a stage-0 root node running the halo
+//     handler and feeding B1;
 //   * under halo_gating::direct (bulk-synchronous) one barrier per stage
-//     is shared by every slab, sends compile to nothing, and each receive
-//     is a direct exchange node between its stage's barrier and its
-//     slab's next stage.
+//     is shared by every slab, sends and the liveness task compile to
+//     nothing (a direct exchange reads the neighbor's plane in place,
+//     and a bulk-synchronous iteration arms no progress deadline), and
+//     each receive is a direct exchange node between its stage's barrier
+//     and its slab's next stage.
 // Overlapped checkpoint packs are external dependencies as well:
 // node-field packs gate B1, element-field packs B3 — the placement
 // add_checkpoint_pack_tasks models for the audit.

@@ -9,6 +9,7 @@
 #include <ostream>
 
 #include "amt/graph_profile.hpp"
+#include "amt/json.hpp"
 
 namespace lulesh {
 
@@ -19,13 +20,6 @@ namespace {
 /// fixed 4-decimal rendering for the same reason.
 std::int64_t ns(double v) { return std::llround(v); }
 
-void json_escape(std::ostream& os, const char* s) {
-    for (; *s != '\0'; ++s) {
-        if (*s == '"' || *s == '\\') os << '\\';
-        os << *s;
-    }
-}
-
 void write_ratio(std::ostream& os, double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.4f", v);
@@ -34,11 +28,9 @@ void write_ratio(std::ostream& os, double v) {
 
 void write_task_json(std::ostream& os, const char* stage_name,
                      const critical_path_report::task_stats& t) {
-    os << "{\"label\":\"";
-    json_escape(os, t.label);
-    os << "\",\"arg\":" << t.arg << ",\"stage\":\"" << stage_name
-       << "\",\"mean_ns\":" << ns(t.mean_ns) << ",\"runs\":" << t.runs
-       << ",\"critical\":" << (t.on_critical_path ? "true" : "false") << '}';
+    os << "{\"label\":\"" << amt::json_escape(t.label) << "\",\"arg\":"
+       << t.arg << ",\"stage\":\"" << stage_name << "\",\"mean_ns\":"
+       << ns(t.mean_ns) << ",\"runs\":" << t.runs << ",\"critical\":" << (t.on_critical_path ? "true" : "false") << '}';
 }
 
 const char* stage_name(int stage) {

@@ -4,11 +4,8 @@
 
 #include "core/driver_taskgraph.hpp"
 
-#include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -39,7 +36,7 @@ void taskgraph_driver::enable_instrumentation(bool track_hazards,
     if (!flags_.sentinel) {
         flags_.sentinel = std::make_shared<graph::iteration_sentinel>();
     }
-    flags_.sentinel->track_hazards = track_hazards && amt::hazard::compiled_in;
+    flags_.sentinel->track_hazards = track_hazards;
     flags_.sentinel->scan_nan = scan_nan;
 }
 
@@ -166,43 +163,6 @@ void taskgraph_driver::advance(domain& d) {
                                "shadow tracker: " + violations.front()
                                    .describe());
     }
-}
-
-void taskgraph_driver::record_dirty(dirty_tracker& t, const domain& d) const {
-    if (write_set_elems_ != d.numElem() || write_set_nodes_ != d.numNode()) {
-        // Derive once per shape: every write access of the declarative
-        // model collapses to a per-field span.  Indirect (region-list) or
-        // closure-expanded writes cover the whole field conservatively;
-        // interval writes take the union of their [lo, hi) ranges.
-        write_set_.clear();
-        const graph::graph_model m = graph::build_iteration_model(d, parts_);
-        std::array<std::pair<index_t, index_t>, num_checkpoint_fields> span;
-        span.fill({std::numeric_limits<index_t>::max(), 0});
-        for (const graph::task_decl& td : m.tasks) {
-            for (const graph::access& a : td.accesses) {
-                if (a.m != graph::mode::write) continue;
-                const int slot = checkpoint_slot(a.f);
-                if (slot < 0) continue;
-                auto& s = span[static_cast<std::size_t>(slot)];
-                if (a.list != nullptr || a.c != graph::closure::none) {
-                    s = {0, static_cast<index_t>(graph::space_extent(
-                                field_space(a.f), d, m.num_slots))};
-                } else {
-                    s.first = std::min(s.first, a.lo);
-                    s.second = std::max(s.second, a.hi);
-                }
-            }
-        }
-        for (std::size_t i = 0; i < num_checkpoint_fields; ++i) {
-            if (span[i].second > span[i].first) {
-                write_set_.push_back({checkpoint_field_at(i), span[i].first,
-                                      span[i].second});
-            }
-        }
-        write_set_elems_ = d.numElem();
-        write_set_nodes_ = d.numNode();
-    }
-    for (const dirty_region& r : write_set_) t.mark(r.f, r.lo, r.hi);
 }
 
 bool taskgraph_driver::submit_overlapped_capture(

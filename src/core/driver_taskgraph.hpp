@@ -133,12 +133,6 @@ public:
     /// by the AMT_HAZARD_TRACK / LULESH_NAN_SCAN environment variables.
     void enable_instrumentation(bool track_hazards, bool scan_nan);
 
-    /// Reports the iteration's checkpointed write-set, derived once per
-    /// domain shape from the declarative model (build_iteration_model):
-    /// each write access on a checkpointed field collapses to a per-field
-    /// span, so delta records cover exactly what an iteration can change.
-    void record_dirty(dirty_tracker& t, const domain& d) const override;
-
     /// Accepts a capture for overlapped packing.  The pack jobs become
     /// tasks of the *next* advance(), gating the compiled graph's barriers:
     /// node-field packs B1 (before the node wave writes coordinates and
@@ -166,12 +160,6 @@ private:
     /// Capture handed over by submit_overlapped_capture(), consumed (its
     /// regions gate the compiled graph) at the start of the next advance().
     std::shared_ptr<state_capture> pending_capture_;
-
-    /// Per-field write spans of one iteration, derived from the model and
-    /// cached by domain shape (record_dirty is called every iteration).
-    mutable std::vector<dirty_region> write_set_;
-    mutable index_t write_set_elems_ = -1;
-    mutable index_t write_set_nodes_ = -1;
 };
 
 }  // namespace lulesh

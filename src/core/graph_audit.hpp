@@ -10,8 +10,8 @@
 // This turns the paper's hand-reasoned barrier-elision argument (trick T2:
 // "the elided dependencies are element-local") into a property checked
 // against the actual partition bounds and region lists of a concrete
-// domain.  Autotune mutates partition sizes at runtime; every candidate
-// decomposition can be audited before it is trusted.
+// domain.  Any partitioning a run picks (`-p`, Table I's tuned sizes) can
+// be audited before it is trusted (`lulesh_app --audit-graph`).
 //
 // The proof is exact, not conservative: access sets expand through the real
 // mesh connectivity (element→node lists, node→corner lists, face

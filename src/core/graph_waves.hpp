@@ -26,8 +26,9 @@ class state_capture;
 namespace lulesh::graph {
 
 /// The site labels every wave's tasks report to fault probes and, as node
-/// labels, to the trace and the watchdog.  Deliberately identical to the
-/// phase_profile::name() strings so stall reports read like the profiles.
+/// labels, to the trace and the critical-path report.  Deliberately
+/// identical to the phase_profile::name() strings so both read like the
+/// profiles.
 namespace wave_site {
 inline constexpr const char* force = "force";
 inline constexpr const char* node = "node";

@@ -92,17 +92,9 @@ void dist_driver::prepare_graph(cluster& c) {
     if (!reuse) {
         std::vector<compiled_iteration::slab_table> tables(slabs);
         for (std::size_t s = 0; s < slabs; ++s) {
-            domain& d = c.slab(static_cast<index_t>(s));
-            tables[s] = {build_slab_table(d, parts_), &d};
-            if (mode_ != exchange_mode::bulk_synchronous) {
-                // The slab's liveness node: a stage-0 root stamping its
-                // heartbeat and passing the slab_kill:<s> fault site, the
-                // hook a fail-stop test uses to take one slab down.
-                graph::task_decl& t = tables[s].table.tasks.emplace_back();
-                t.site = "dist.liveness";
-                t.kind = graph::body_kind::slab_liveness;
-                t.partition = static_cast<index_t>(s);
-            }
+            const auto slab = static_cast<index_t>(s);
+            domain& d = c.slab(slab);
+            tables[s] = {build_slab_table(d, parts_, slab), &d};
         }
         const auto gating =
             mode_ == exchange_mode::eager

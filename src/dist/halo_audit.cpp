@@ -37,7 +37,8 @@ std::vector<int> producers_of(const graph_model& m, int stage, index_t lo,
 
 }  // namespace
 
-graph_model build_slab_table(const domain& d, partition_sizes parts) {
+graph_model build_slab_table(const domain& d, partition_sizes parts,
+                             index_t slab) {
     graph_model m = graph::build_iteration_table(d, parts);
     const index_t ep = d.elems_per_plane();
 
@@ -84,11 +85,18 @@ graph_model build_slab_table(const domain& d, partition_sizes parts) {
         add(halo_site::unpack_delv, body_kind::unpack_delv, b.ordinal,
             b.ghost_slot, 2, {});
     }
+
+    // Last, so the ids of every task above match the plain table's.
+    task_decl& live = m.tasks.emplace_back();
+    live.site = "dist.liveness";
+    live.kind = body_kind::slab_liveness;
+    live.partition = slab;
     return m;
 }
 
-graph_model build_slab_model(const domain& d, partition_sizes parts) {
-    graph_model m = build_slab_table(d, parts);
+graph_model build_slab_model(const domain& d, partition_sizes parts,
+                             index_t slab) {
+    graph_model m = build_slab_table(d, parts, slab);
     graph::fill_accesses(m, d);
     return m;
 }
@@ -101,7 +109,7 @@ std::vector<slab_audit> audit_cluster(const cluster& c,
         const domain& d = c.slab(s);
         slab_audit a;
         a.slab = s;
-        a.model = build_slab_model(d, parts);
+        a.model = build_slab_model(d, parts, s);
         graph::add_checkpoint_pack_tasks(a.model, d);
         a.result = graph::audit_graph(a.model, d);
         audits.push_back(std::move(a));

@@ -17,9 +17,16 @@
 //            unpack_delv   writes the delv_zeta ghost plane, again with no
 //                          edge — disjointness is the safety argument.
 //
+// Last in the table comes the slab's liveness task: a stage-0 root that
+// stamps the slab's heartbeat and passes its slab_kill:<slab> fault site,
+// the hook a fail-stop test uses to take one slab down.  It reads and
+// writes no field.
+//
 // dist_driver compiles exactly this table (core/compiled_iteration): each
 // pack becomes a send node, each unpack an external dependency of its
-// stage's barrier (or, bulk-synchronously, a direct exchange node).
+// stage's barrier (or, bulk-synchronously, a direct exchange node), and
+// the liveness task a node of its own — except bulk-synchronously, where
+// neither sends nor the liveness task compile to anything.
 //
 // audit_cluster also appends the overlapped checkpoint packs dist_driver
 // runs for a capture submitted by dist::run_resilient
@@ -44,14 +51,17 @@
 
 namespace lulesh::dist {
 
-/// The compact table of one slab's advance: the five-wave iteration table
-/// plus the halo pack/unpack tasks for each interior boundary the slab
-/// touches.  `d` must be a slab domain (cluster::slab); on a domain with no
-/// neighbors this degenerates to the plain iteration table.
-graph::graph_model build_slab_table(const domain& d, partition_sizes parts);
+/// The compact table of slab `slab`'s advance: the five-wave iteration
+/// table, the halo pack/unpack tasks for each interior boundary the slab
+/// touches, and the slab's liveness task (labelled with `slab`).  `d` must
+/// be a slab domain (cluster::slab); on a domain with no neighbors this is
+/// the plain iteration table plus the liveness task.
+graph::graph_model build_slab_table(const domain& d, partition_sizes parts,
+                                    index_t slab);
 
 /// build_slab_table with every task's access set filled in.
-graph::graph_model build_slab_model(const domain& d, partition_sizes parts);
+graph::graph_model build_slab_model(const domain& d, partition_sizes parts,
+                                    index_t slab);
 
 /// One slab's audit outcome within a cluster audit.
 struct slab_audit {

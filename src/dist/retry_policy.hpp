@@ -21,14 +21,14 @@ struct retry_policy {
     /// layer entirely (fail-stop, the pre-recovery behavior).
     int max_attempts = 3;
 
-    std::chrono::milliseconds initial_backoff{1};
-    double multiplier = 2.0;
-    std::chrono::milliseconds max_backoff{20};
-
-    /// Fractional jitter applied to each backoff: the wait is scaled by a
-    /// deterministic factor in [1 - jitter, 1 + jitter].
-    double jitter = 0.5;
-    std::uint64_t seed = 0;
+    /// The backoff schedule: initial_backoff, times `multiplier` per
+    /// attempt, capped at max_backoff, then scaled by a deterministic
+    /// factor in [1 - jitter, 1 + jitter] drawn from `seed`.
+    static constexpr std::chrono::milliseconds initial_backoff{1};
+    static constexpr double multiplier = 2.0;
+    static constexpr std::chrono::milliseconds max_backoff{20};
+    static constexpr double jitter = 0.5;
+    static constexpr std::uint64_t seed = 0;
 
     [[nodiscard]] static retry_policy none() {
         retry_policy p;
@@ -41,14 +41,12 @@ struct retry_policy {
     /// Backoff before delivery attempt `attempt` (0-based).  `salt`
     /// decorrelates channels retrying concurrently so their resends don't
     /// thundering-herd on the same instant.
-    [[nodiscard]] std::chrono::milliseconds backoff_for(
-        int attempt, std::uint64_t salt = 0) const {
+    [[nodiscard]] static std::chrono::milliseconds backoff_for(
+        int attempt, std::uint64_t salt = 0) {
         double ms = static_cast<double>(initial_backoff.count());
         for (int i = 0; i < attempt; ++i) ms *= multiplier;
         ms = std::min(ms, static_cast<double>(max_backoff.count()));
-        if (jitter > 0.0) {
-            ms *= 1.0 + jitter * (2.0 * uniform01(attempt, salt) - 1.0);
-        }
+        ms *= 1.0 + jitter * (2.0 * uniform01(attempt, salt) - 1.0);
         return std::chrono::milliseconds(
             std::max<std::int64_t>(0, static_cast<std::int64_t>(ms)));
     }
@@ -63,7 +61,8 @@ private:
         return x ^ (x >> 31);
     }
 
-    [[nodiscard]] double uniform01(int attempt, std::uint64_t salt) const noexcept {
+    [[nodiscard]] static double uniform01(int attempt,
+                                          std::uint64_t salt) noexcept {
         const std::uint64_t x =
             mix64(seed ^ mix64(static_cast<std::uint64_t>(attempt) ^
                                mix64(salt)));

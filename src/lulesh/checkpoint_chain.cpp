@@ -664,8 +664,8 @@ void append_chain_record_file(const std::string& path,
 // --- driver defaults -----------------------------------------------------
 //
 // Defined here (not in driver.hpp) so the driver interface only needs the
-// forward declarations: a driver that does not track write-sets dirties
-// everything, and one that cannot overlap packing declines the capture so
+// forward declarations: an iteration dirties every checkpointed field in
+// full, and a driver that cannot overlap packing declines the capture so
 // the resilient loop packs synchronously.
 
 void driver::record_dirty(dirty_tracker& t, const domain& d) const {

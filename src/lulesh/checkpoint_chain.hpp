@@ -3,8 +3,8 @@
 // Incremental, crash-consistent checkpointing (format v3).  Instead of a
 // monolithic snapshot on the critical path every K cycles, the resilient
 // loop appends *delta records* — the (field × index-range) regions the
-// declared task write-sets dirtied since the last checkpoint — over a
-// periodic full base record.  A chain is a byte sequence of records:
+// driver reports dirtied since the last checkpoint — over a periodic full
+// base record.  A chain is a byte sequence of records:
 //
 //   [base record][delta record][delta record]...
 //
@@ -71,8 +71,7 @@ struct dirty_region {
 };
 
 /// Full coverage of every checkpointed field — the region set of a base
-/// record (and the conservative fallback for drivers that do not report
-/// write-sets).
+/// record, and of every delta an iteration dirties (driver::record_dirty).
 std::vector<dirty_region> full_coverage(const domain& d);
 
 /// Packs every checkpointed field of `d` into one committed record on the

@@ -66,10 +66,11 @@ public:
     virtual void advance(domain& d) = 0;
 
     /// Reports the (field × index-range) write-sets of one advance() to the
-    /// incremental-checkpoint dirty tracker.  The default conservatively
-    /// marks every checkpointed field over its full extent; the task-graph
-    /// driver reports its declared per-task write-sets instead.
-    virtual void record_dirty(dirty_tracker& t, const domain& d) const;
+    /// incremental-checkpoint dirty tracker: every checkpointed field over
+    /// its full extent.  That is exact, not conservative — every iteration
+    /// writes every checkpointed field in full, whichever driver runs it
+    /// (the iteration table's write accesses cover [0, extent) of each).
+    void record_dirty(dirty_tracker& t, const domain& d) const;
 
     /// Offers the driver a checkpoint capture to pack as tasks overlapped
     /// with its next advance().  Returns false (the default) when the

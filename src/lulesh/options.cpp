@@ -35,6 +35,7 @@ const char* require_value(const std::string& flag, int argc,
 
 cli_options parse_cli(int argc, const char* const* argv) {
     cli_options cli;
+    long threads = 0;
     bool metrics_interval_flag = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -54,8 +55,7 @@ cli_options parse_cli(int argc, const char* const* argv) {
             cli.problem.cost =
                 static_cast<int>(parse_long(arg, require_value(arg, argc, argv, i)));
         } else if (arg == "-t" || arg == "--t" || arg == "--threads") {
-            cli.threads = static_cast<std::size_t>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
+            threads = parse_long(arg, require_value(arg, argc, argv, i));
         } else if (arg == "-d" || arg == "--d" || arg == "--driver") {
             cli.driver = require_value(arg, argc, argv, i);
             if (cli.driver != "serial" && cli.driver != "parallel_for" &&
@@ -159,6 +159,10 @@ cli_options parse_cli(int argc, const char* const* argv) {
     if (cli.problem.max_cycles < 1) {
         throw std::invalid_argument("lulesh: -i must be >= 1");
     }
+    if (threads < 0) {
+        throw std::invalid_argument("lulesh: -t must be >= 0");
+    }
+    cli.threads = static_cast<std::size_t>(threads);
     if (cli.checkpoint_every < 0) {
         throw std::invalid_argument("lulesh: --checkpoint-every must be >= 0");
     }

@@ -101,14 +101,15 @@ team::~team() {
 
 void team::run_member(std::size_t tid, bool& sense) {
     region_context ctx(*this, tid, sense);
-    (*current_fn_)(ctx);
+    current_fn_.call(current_fn_.fn, ctx);
 }
 
-void team::parallel_region(const std::function<void(region_context&)>& fn) {
-    assert(current_fn_ == nullptr && "nested parallel regions are not supported");
+void team::run_region(region_fn fn) {
+    assert(current_fn_.fn == nullptr &&
+           "nested parallel regions are not supported");
     const auto t0 = std::chrono::steady_clock::now();
 
-    current_fn_ = &fn;
+    current_fn_ = fn;
     done_count_.store(n_ - 1, amt::memory_order_relaxed);
     {
         std::lock_guard lk(fork_mu_);
@@ -121,7 +122,7 @@ void team::parallel_region(const std::function<void(region_context&)>& fn) {
     while (done_count_.load(amt::memory_order_acquire) != 0) {
         std::this_thread::yield();
     }
-    current_fn_ = nullptr;
+    current_fn_ = {};
 
     region_wall_ns_.fetch_add(
         static_cast<std::uint64_t>(

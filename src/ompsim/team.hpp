@@ -23,9 +23,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "amt/atomic.hpp"
@@ -131,8 +132,19 @@ public:
     [[nodiscard]] std::size_t num_threads() const noexcept { return n_; }
 
     /// Runs `fn(ctx)` on all team members and blocks until every member has
-    /// finished (fork-join).  Must not be called recursively.
-    void parallel_region(const std::function<void(region_context&)>& fn);
+    /// finished (fork-join).  Must not be called recursively.  The team
+    /// keeps only a reference to `fn` — the region blocks until every
+    /// member returned, so `fn` outlives every call — and therefore
+    /// allocates nothing, whatever `fn` captures.
+    template <class F>
+    void parallel_region(F&& fn) {
+        using body = std::remove_reference_t<F>;
+        run_region(region_fn{
+            const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
+            [](void* f, region_context& ctx) {
+                (*static_cast<body*>(f))(ctx);
+            }});
+    }
 
     /// Convenience: one statically-scheduled loop as its own region —
     /// `#pragma omp parallel for` — calling f(i) per index.
@@ -157,6 +169,13 @@ public:
 private:
     friend class region_context;
 
+    /// A non-owning reference to a region body.
+    struct region_fn {
+        void* fn;
+        void (*call)(void* fn, region_context& ctx);
+    };
+
+    void run_region(region_fn fn);
     void thread_loop(std::size_t tid);
     void run_member(std::size_t tid, bool& sense);
 
@@ -174,7 +193,7 @@ private:
     std::mutex fork_mu_;
     std::condition_variable fork_cv_;
     std::uint64_t generation_ = 0;
-    const std::function<void(region_context&)>* current_fn_ = nullptr;
+    region_fn current_fn_{};
     amt::atomic<std::size_t> done_count_{0};
     amt::atomic<bool> shutdown_{false};
 

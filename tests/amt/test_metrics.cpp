@@ -1,5 +1,5 @@
 // tests/amt/test_metrics.cpp — the quantitative metrics plane
-// (amt/metrics.hpp): registration, arming, sharded counter/gauge/histogram
+// (amt/metrics.hpp): registration, arming, sharded counter/histogram
 // arithmetic, snapshot aggregation across worker shards while workers are
 // still writing, and the JSON / Prometheus exporters.  The relaxed-read
 // ordering contract itself is pinned down by the model litmus
@@ -74,17 +74,6 @@ TEST(Metrics, GetInternsByNameAndChecksKind) {
     EXPECT_EQ(&a, &b);
     EXPECT_THROW(metrics::get_histogram("test_interned_total"),
                  std::logic_error);
-    EXPECT_THROW(metrics::get_gauge("test_interned_total"), std::logic_error);
-}
-
-TEST(Metrics, GaugeSumsPerThreadShares) {
-    auto& g = metrics::get_gauge("test_depth_gauge");
-    armed_scope armed;
-    g.reset();
-    g.set(5);  // external thread -> shard 0
-    EXPECT_EQ(g.value(), 5u);
-    g.set(3);  // overwrite, same shard
-    EXPECT_EQ(g.value(), 3u);
 }
 
 TEST(Metrics, HistogramBucketsFollowBitWidth) {

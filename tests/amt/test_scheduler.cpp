@@ -30,7 +30,7 @@ TEST(Runtime, ConstructsRequestedWorkerCount) {
 }
 
 TEST(Runtime, ZeroWorkersDefaultsToHardware) {
-    amt::runtime rt(amt::runtime_options{.num_workers = 0});
+    amt::runtime rt(0);
     EXPECT_GE(rt.num_workers(), 1u);
 }
 
@@ -248,37 +248,6 @@ TEST(RuntimeCounters, ResetZeroesCounters) {
     EXPECT_EQ(s.productive_ns, 0u);
 }
 
-// The running task's label lives in its worker's record, not in the
-// tracer, so the watchdog can name it in every build; it ends with the
-// task.
-TEST(RuntimeCounters, InFlightLabelNamesTheRunningTask) {
-    amt::runtime rt(2);
-    std::atomic<bool> labelled{false};
-    std::atomic<bool> release{false};
-    rt.post_fn([&] {
-        amt::annotate_task("held", 3);
-        amt::annotate_task("later", 4);  // the first annotation wins
-        labelled.store(true);
-        while (!release.load()) std::this_thread::yield();
-    });
-    while (!labelled.load()) std::this_thread::yield();
-    const std::vector<const char*> held = rt.in_flight_labels();
-    release.store(true);
-    ASSERT_EQ(held.size(), 1u);
-    EXPECT_STREQ(held.front(), "held");
-
-    auto s = rt.snapshot_counters();
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
-    while (s.tasks_executed < 1u &&
-           std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-        s = rt.snapshot_counters();
-    }
-    EXPECT_EQ(s.tasks_started, 1u);
-    EXPECT_EQ(s.tasks_executed, 1u);
-    EXPECT_TRUE(rt.in_flight_labels().empty());
-}
-
 TEST(RuntimeCounters, DeltaComputesWindow) {
     amt::runtime rt(1);
     auto a = rt.snapshot_counters();
@@ -420,11 +389,17 @@ TEST(StealVictims, RotationPermutesButNeverChangesTheVictimSets) {
 }
 
 TEST(StealVictims, ThiefNeverVisitsItself) {
-    for (std::size_t self = 0; self < 8; ++self) {
-        const auto log = steal_order::sweep(self, 8, 4, 2, 5);
-        for (std::size_t v : log.same) EXPECT_NE(v, self);
-        for (std::size_t v : log.cross) EXPECT_NE(v, self);
-        EXPECT_EQ(log.same.size() + log.cross.size(), 7u);
+    for (const std::size_t width : {4u, 1u}) {
+        for (std::size_t self = 0; self < 8; ++self) {
+            const auto log = steal_order::sweep(self, 8, width, 2, 5);
+            for (std::size_t v : log.same) EXPECT_NE(v, self);
+            for (std::size_t v : log.cross) EXPECT_NE(v, self);
+            EXPECT_EQ(log.same.size() + log.cross.size(), 7u);
+            // Singleton domains: every victim is a cross-domain one.
+            if (width == 1) {
+                EXPECT_TRUE(log.same.empty());
+            }
+        }
     }
 }
 
@@ -473,21 +448,11 @@ TEST(StealVictims, VisitorReturningTrueStopsTheSweep) {
 TEST(StealVictims, RuntimeResolvesDomainSize) {
     {
         amt::runtime rt(2);
-        EXPECT_EQ(rt.steal_domain_size(), 2u);  // auto: <= 4 workers → flat
+        EXPECT_EQ(rt.steal_domain_size(), 2u);  // <= 4 workers → flat
     }
     {
-        amt::runtime rt(amt::runtime_options{.num_workers = 6});
-        EXPECT_EQ(rt.steal_domain_size(), 4u);  // auto: > 4 workers → 4
-    }
-    {
-        amt::runtime rt(
-            amt::runtime_options{.num_workers = 6, .steal_domain_size = 2});
-        EXPECT_EQ(rt.steal_domain_size(), 2u);
-    }
-    {
-        amt::runtime rt(
-            amt::runtime_options{.num_workers = 2, .steal_domain_size = 16});
-        EXPECT_EQ(rt.steal_domain_size(), 2u);  // clamped to n
+        amt::runtime rt(6);
+        EXPECT_EQ(rt.steal_domain_size(), 4u);  // > 4 workers → 4
     }
 }
 
@@ -523,26 +488,15 @@ void run_steal_workload() {
 // deterministic rather than load-dependent.
 
 TEST(StealVictims, FlatDomainCountsEveryStealAsSameDomain) {
-    amt::runtime rt(
-        amt::runtime_options{.num_workers = 4, .steal_domain_size = 4});
+    amt::runtime rt(4);  // one flat domain of 4
     run_steal_workload();
     const auto s = rt.snapshot_counters();
     EXPECT_EQ(s.steals_cross_domain, 0u);
     EXPECT_EQ(s.steals_same_domain, s.steals);
 }
 
-TEST(StealVictims, SingletonDomainsCountEveryStealAsCrossDomain) {
-    amt::runtime rt(
-        amt::runtime_options{.num_workers = 4, .steal_domain_size = 1});
-    run_steal_workload();
-    const auto s = rt.snapshot_counters();
-    EXPECT_EQ(s.steals_same_domain, 0u);
-    EXPECT_EQ(s.steals_cross_domain, s.steals);
-}
-
 TEST(StealVictims, DomainSplitCountersSumToTotalSteals) {
-    amt::runtime rt(
-        amt::runtime_options{.num_workers = 8, .steal_domain_size = 4});
+    amt::runtime rt(8);  // two domains of 4
     run_steal_workload();
     const auto s = rt.snapshot_counters();
     EXPECT_EQ(s.steals_same_domain + s.steals_cross_domain, s.steals);
@@ -610,9 +564,6 @@ double steal_idle_bound(std::size_t workers) {
 }  // namespace
 
 TEST(CompiledGraphStealIdleShare, StaysUnderBoundAcrossWorkerCounts) {
-    if (!amt::trace::compiled_in) {
-        GTEST_SKIP() << "tracing compiled out (AMT_TRACE_DISABLE)";
-    }
     for (const std::size_t workers : {2u, 4u, 8u}) {
         const auto report = replay_utilization(workers);
         ASSERT_GT(report.accounted_s(), 0.0) << "workers=" << workers;

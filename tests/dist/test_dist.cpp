@@ -479,7 +479,7 @@ TEST(DistCompiledGraph, EagerSendNodesWaitOnExactlyTheirPackTaskDeps) {
     std::size_t receives = 0;
     for (index_t s = 0; s < c.num_slabs(); ++s) {
         const auto slab = static_cast<std::size_t>(s);
-        const auto model = lulesh::dist::build_slab_model(c.slab(s), parts);
+        const auto model = lulesh::dist::build_slab_model(c.slab(s), parts, s);
         for (std::size_t i = 0; i < model.tasks.size(); ++i) {
             const auto& t = model.tasks[i];
             if (t.kind == lulesh::graph::body_kind::unpack_corner ||

@@ -320,7 +320,6 @@ TEST(DistResilient, SlabKillRecoversBitwiseIdenticalToFaultFree) {
 }
 
 TEST(DistResilient, RecoveryIsVisibleAsTracerSpansAndMarks) {
-    if (!amt::trace::compiled_in) GTEST_SKIP() << "tracing compiled out";
     fault_guard guard;
     amt::trace::reset();
     amt::trace::arm();

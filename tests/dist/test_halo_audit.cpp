@@ -67,8 +67,8 @@ TEST(HaloAuditModel, InteriorSlabGetsFourTasksPerBoundary) {
     ASSERT_TRUE(mid.has_upper_neighbor());
 
     const auto base = graph::build_iteration_model(mid, {64, 64});
-    const auto m = build_slab_model(mid, {64, 64});
-    EXPECT_EQ(m.tasks.size(), base.tasks.size() + 8);
+    const auto m = build_slab_model(mid, {64, 64}, 1);
+    EXPECT_EQ(m.tasks.size(), base.tasks.size() + 8 + 1);  // + liveness
     for (const char* site : {"halo.pack_corner", "halo.unpack_corner",
                              "halo.pack_delv", "halo.unpack_delv"}) {
         EXPECT_EQ(count_site(m, site), 2u) << site;
@@ -77,8 +77,8 @@ TEST(HaloAuditModel, InteriorSlabGetsFourTasksPerBoundary) {
 
 TEST(HaloAuditModel, EdgeSlabsGetOneBoundaryEach) {
     cluster c(opts(6), 3);
-    const auto bottom = build_slab_model(c.slab(0), {64, 64});
-    const auto top = build_slab_model(c.slab(2), {64, 64});
+    const auto bottom = build_slab_model(c.slab(0), {64, 64}, 0);
+    const auto top = build_slab_model(c.slab(2), {64, 64}, 2);
     EXPECT_EQ(count_site(bottom, "halo.pack_corner"), 1u);
     EXPECT_EQ(count_site(top, "halo.pack_corner"), 1u);
     EXPECT_EQ(count_site(bottom, "halo.unpack_delv"), 1u);
@@ -87,8 +87,8 @@ TEST(HaloAuditModel, EdgeSlabsGetOneBoundaryEach) {
 TEST(HaloAuditModel, NeighborlessDomainDegeneratesToPlainModel) {
     const domain d(opts(6));
     const auto base = graph::build_iteration_model(d, {64, 64});
-    const auto m = build_slab_model(d, {64, 64});
-    EXPECT_EQ(m.tasks.size(), base.tasks.size());
+    const auto m = build_slab_model(d, {64, 64}, 0);
+    EXPECT_EQ(m.tasks.size(), base.tasks.size() + 1);  // + liveness
     EXPECT_EQ(std::count_if(m.tasks.begin(), m.tasks.end(), is_halo_site), 0);
 }
 
@@ -97,7 +97,7 @@ TEST(HaloAuditModel, PacksAreGatedOnThePlaneProducers) {
     // force task (and stage-2 elem task) whose range intersects the boundary
     // plane must be ordered before the pack that reads it.
     cluster c(opts(6), 2);
-    auto m = build_slab_model(c.slab(0), {64, 64});
+    auto m = build_slab_model(c.slab(0), {64, 64}, 0);
     const graph::task_decl* pack = find_halo_task(m, "halo.pack_corner");
     ASSERT_NE(pack, nullptr);
     ASSERT_FALSE(pack->deps.empty());
@@ -160,9 +160,9 @@ bool is_ckpt_pack(const graph::task_decl& t) {
 
 /// The slab model audit_cluster checks: halo tasks plus the overlapped
 /// checkpoint packs.
-graph::graph_model slab_model_with_packs(const domain& d,
-                                         partition_sizes parts) {
-    graph::graph_model m = build_slab_model(d, parts);
+graph::graph_model slab_model_with_packs(const domain& d, partition_sizes parts,
+                                         index_t slab) {
+    graph::graph_model m = build_slab_model(d, parts, slab);
     graph::add_checkpoint_pack_tasks(m, d);
     return m;
 }
@@ -180,8 +180,8 @@ TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
              {partition_sizes{16, 16}, partition_sizes{64, 64}}) {
             for (index_t s = 0; s < slabs; ++s) {
                 const domain& d = c.slab(s);
-                const auto plain = build_slab_model(d, parts);
-                const auto m = slab_model_with_packs(d, parts);
+                const auto plain = build_slab_model(d, parts, s);
+                const auto m = slab_model_with_packs(d, parts, s);
                 ASSERT_EQ(m.tasks.size(),
                           plain.tasks.size() + lulesh::num_checkpoint_fields);
                 std::size_t node_packs = 0;
@@ -225,7 +225,7 @@ TEST(HaloAuditCheckpoint, ElemPackSpanningTheRegionStageIsFlagged) {
     // mean — races the region wave's writes of e.  The audit must say so.
     cluster c(opts(6), 3);
     const domain& d = c.slab(1);
-    auto m = slab_model_with_packs(d, {64, 64});
+    auto m = slab_model_with_packs(d, {64, 64}, 1);
     const auto pack = std::find_if(
         m.tasks.begin(), m.tasks.end(), [](const graph::task_decl& t) {
             return std::string(t.site) == "ckpt.pack.elem" &&
@@ -253,7 +253,7 @@ TEST(HaloAuditAdversarial, UnpackRetargetedAtTheOwnedPlaneIsWriteWrite) {
     // collide with the force tasks writing that plane.
     cluster c(opts(6), 2);
     const domain& d = c.slab(1);
-    auto m = build_slab_model(d, {64, 64});
+    auto m = build_slab_model(d, {64, 64}, 1);
     graph::task_decl* unpack = find_halo_task(m, "halo.unpack_corner");
     ASSERT_NE(unpack, nullptr);
     const index_t plane = d.bottom_plane_elem_base();
@@ -282,7 +282,7 @@ TEST(HaloAuditAdversarial, UnpackRetargetedAtTheOwnedPlaneIsWriteWrite) {
 TEST(HaloAuditAdversarial, DelvUnpackIntoOwnedRangeCollidesWithElemWave) {
     cluster c(opts(6), 2);
     const domain& d = c.slab(0);
-    auto m = build_slab_model(d, {64, 64});
+    auto m = build_slab_model(d, {64, 64}, 0);
     graph::task_decl* unpack = find_halo_task(m, "halo.unpack_delv");
     ASSERT_NE(unpack, nullptr);
     const index_t plane = d.top_plane_elem_base();
@@ -308,7 +308,7 @@ TEST(HaloAuditAdversarial, SeveredPlaneGatingIsReadWrite) {
     // node's plane gating exists to prevent.
     cluster c(opts(6), 2);
     const domain& d = c.slab(0);
-    auto m = build_slab_model(d, {64, 64});
+    auto m = build_slab_model(d, {64, 64}, 0);
     graph::task_decl* pack = find_halo_task(m, "halo.pack_corner");
     ASSERT_NE(pack, nullptr);
     pack->deps.clear();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -14,6 +15,7 @@
 
 #include "amt/amt.hpp"
 #include "amt/fault.hpp"
+#include "core/access.hpp"
 #include "core/driver_foreach.hpp"
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/checkpoint.hpp"
@@ -112,6 +114,59 @@ TEST(DirtyTracker, ClampsToExtentAndIgnoresUntrackedFields) {
     EXPECT_EQ(regs[0].f, field::x);
     EXPECT_EQ(regs[0].lo, 0);
     EXPECT_EQ(regs[0].hi, d.numNode());
+}
+
+// ---------------- iteration write coverage ----------------
+
+// driver::record_dirty marks every checkpointed field over its full
+// extent.  That is exact, not conservative, because one iteration writes
+// every checkpointed field in full: the write accesses of the iteration
+// model, expanded index by index, cover each of the 11 fields over exactly
+// [0, extent) — no index missed, none outside.  A table that stops writing
+// a field in full fails here and names the field.
+TEST(DirtyCoverage, IterationWritesEveryCheckpointedFieldInFull) {
+    namespace graph = lulesh::graph;
+    for (const index_t size : {6, 8, 12}) {
+        for (const index_t regions : {1, 11}) {
+            options o;
+            o.size = size;
+            o.num_regions = regions;
+            const domain d(o);
+            const std::vector<dirty_region> full = lulesh::full_coverage(d);
+            ASSERT_EQ(full.size(), lulesh::num_checkpoint_fields);
+            for (const index_t p : {8, 64, 512}) {
+                const graph::graph_model m =
+                    graph::build_iteration_model(d, {p, p});
+                for (const dirty_region& r : full) {
+                    std::vector<char> written(static_cast<std::size_t>(r.hi),
+                                              0);
+                    std::size_t outside = 0;
+                    for (const graph::task_decl& t : m.tasks) {
+                        for (const graph::access& a : t.accesses) {
+                            if (a.f != r.f || a.m != graph::mode::write) {
+                                continue;
+                            }
+                            graph::expand_access(a, d, [&](index_t i) {
+                                if (i < r.lo || i >= r.hi) {
+                                    ++outside;
+                                } else {
+                                    written[static_cast<std::size_t>(i)] = 1;
+                                }
+                            });
+                        }
+                    }
+                    const auto covered = static_cast<index_t>(
+                        std::count(written.begin(), written.end(), 1));
+                    EXPECT_EQ(covered, r.hi - r.lo)
+                        << lulesh::field_name(r.f) << ": s=" << size
+                        << " r=" << regions << " p=" << p;
+                    EXPECT_EQ(outside, 0u)
+                        << lulesh::field_name(r.f) << ": s=" << size
+                        << " r=" << regions << " p=" << p;
+                }
+            }
+        }
+    }
 }
 
 // ---------------- record round trips ----------------

@@ -90,6 +90,14 @@ TEST(Cli, RejectsOutOfRangeValues) {
     EXPECT_THROW(parse({"-i", "0"}), std::invalid_argument);
 }
 
+TEST(Cli, ThreadsAcceptZeroAndRejectNegatives) {
+    // 0 means hardware concurrency; a negative count must fail here, before
+    // any caller sizes a runtime or team with it.
+    EXPECT_EQ(parse({"-t", "0"}).threads, 0u);
+    EXPECT_THROW(parse({"-t", "-1"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--threads", "-4"}), std::invalid_argument);
+}
+
 TEST(Cli, CheckpointEveryAcceptsZeroAndRejectsNegatives) {
     // k = 0 is the documented entry-snapshot-only resilient mode; anything
     // negative is meaningless and must be rejected at parse time.

@@ -129,9 +129,9 @@ private:
 
 // The owner runs two tasks the way runtime::execute books them — the
 // start counted when the clock opens, the finish published when it closes
-// — while an observer (the watchdog, snapshot_counters) reads the record
-// with counts(): finished first, then started.  It may see a stale pair,
-// never more finishes than starts.
+// — while an observer (snapshot_counters, as the dist progress deadline
+// calls it) reads the record with counts(): finished first, then started.
+// It may see a stale pair, never more finishes than starts.
 void task_record_body() {
     amt::worker_counters wc;
     amt::model::thread owner([&] {

@@ -2,7 +2,7 @@
 // snapshot readers the relaxed_counter deal — staleness, never torn or
 // invented values — and external threads the shared-shard (fetch_add)
 // deal: concurrent updates survive every interleaving.  The checker
-// explores the real counter/gauge/histogram code under the schedule
+// explores the real counter/histogram code under the schedule
 // controller and pins down exactly which cross-field guarantees collect()
 // may and may not rely on.
 

@@ -1,15 +1,53 @@
 // Tests for the ompsim fork-join runtime: region execution, static
-// scheduling, barriers, reductions, and the timing instrumentation used by
-// the Figure 11 benchmark.
+// scheduling, barriers, reductions, the timing instrumentation used by
+// the Figure 11 benchmark, and allocation-free fork-join loops.
+//
+// The binary replaces the global allocation functions with counting
+// wrappers, as tests/amt/test_alloc_count.cpp does; under a sanitizer,
+// which interposes the allocator itself, they compile out and the
+// allocation test is skipped.
 
 #include "ompsim/ompsim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <numeric>
 #include <set>
 #include <vector>
+
+#include "amt/task_pool.hpp"
+
+#if !AMT_TASK_POOL_PASSTHROUGH
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<bool> g_counting{false};
+
+void* counted_alloc(std::size_t size) {
+    if (g_counting.load(std::memory_order_relaxed)) {
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (size == 0) size = 1;
+    if (void* p = std::malloc(size)) return p;
+    throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+#endif  // !AMT_TASK_POOL_PASSTHROUGH
 
 namespace {
 
@@ -301,6 +339,77 @@ TEST(ForRange, InsideRegionComposesWithBarrier) {
         });
     });
     EXPECT_FALSE(bad.load());
+}
+
+#if !AMT_TASK_POOL_PASSTHROUGH
+
+/// Heap allocations, on any thread, while `f` runs.
+template <class F>
+std::uint64_t allocations_during(F&& f) {
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_seq_cst);
+    f();
+    g_counting.store(false, std::memory_order_seq_cst);
+    return g_allocs.load(std::memory_order_seq_cst);
+}
+
+#endif  // !AMT_TASK_POOL_PASSTHROUGH
+
+// A fork-join loop costs its barrier and nothing else: the region body is
+// passed by reference, so neither parallel_for_range (whose closure holds
+// begin, end and the body) nor a region whose callable captures three
+// references touches the heap once the team is running.
+TEST(TeamAllocations, LoopsAndCapturingRegionsAllocateNothing) {
+#if AMT_TASK_POOL_PASSTHROUGH
+    GTEST_SKIP() << "sanitizer build: the allocator is not counted";
+#else
+    team t(4);
+    std::vector<double> v(1000, 1.0);
+    const double scale = 1.0;
+    const index_t n = 1000;
+    const auto loop = [&] {
+        t.parallel_for_range(0, n, [&](index_t lo, index_t hi) {
+            for (index_t i = lo; i < hi; ++i) {
+                v[static_cast<std::size_t>(i)] *= scale;
+            }
+        });
+    };
+    const auto region = [&] {
+        t.parallel_region([&v, &scale, &n](region_context& ctx) {
+            ctx.for_range(0, n, [&](index_t lo, index_t hi) {
+                for (index_t i = lo; i < hi; ++i) {
+                    v[static_cast<std::size_t>(i)] += scale;
+                }
+            });
+        });
+    };
+    for (int i = 0; i < 10; ++i) {  // warm-up
+        loop();
+        region();
+    }
+    EXPECT_EQ(allocations_during([&] {
+                  for (int i = 0; i < 100; ++i) loop();
+              }),
+              0u);
+    EXPECT_EQ(allocations_during([&] {
+                  for (int i = 0; i < 100; ++i) region();
+              }),
+              0u);
+    // Positive control: the same closure wrapped in a std::function
+    // outgrows its small-object buffer, and the counter sees that.
+    EXPECT_GE(allocations_during([&] {
+                  const std::function<void(region_context&)> body(
+                      [&v, &scale, &n](region_context& ctx) {
+                          ctx.for_range(0, n, [&](index_t lo, index_t hi) {
+                              for (index_t i = lo; i < hi; ++i) {
+                                  v[static_cast<std::size_t>(i)] -= scale;
+                              }
+                          });
+                      });
+                  t.parallel_region(body);
+              }),
+              1u);
+#endif
 }
 
 TEST(TeamStress, SequentialTeamsWithDifferentSizes) {
