@@ -1,22 +1,17 @@
 // bench/checkpoint_overhead.cpp
 //
 // Measures what checkpointing at the harshest cadence — every cycle —
-// actually costs on the task-graph driver, in three configurations:
+// actually costs on the task-graph driver, in two configurations:
 //
-//   plain : run_simulation, no resilience wrapper at all;
-//   full  : run_resilient with checkpoint_every=1, rebase_every=1,
-//           overlap_packing=false — a full serialization of every
-//           checkpointed field sits on the critical path each cycle
-//           (the naive stop-and-copy baseline);
-//   incr  : run_resilient with checkpoint_every=1 and the defaults —
-//           delta records covering only the model-derived write-sets,
-//           packed by graph tasks overlapped with the next iteration's
-//           compute.
+//   plain     : run_simulation, no resilience wrapper at all;
+//   resilient : run_resilient with checkpoint_every=1 — a whole-state
+//               record per cycle, packed by graph tasks overlapped with
+//               the next iteration's compute, into the buffer the
+//               two-record ring retired.
 //
-// Both overheads (full vs plain, incr vs plain) are printed; the
-// acceptance bar is that the incremental+overlapped configuration costs
-// <5% of iteration time even at checkpoint-every-1.  The binary exits
-// non-zero when the bar is missed, so it doubles as a regression test.
+// The acceptance bar is that the resilient configuration costs <5% of
+// iteration time even at checkpoint-every-1.  The binary exits non-zero
+// when the bar is missed, so it doubles as a regression test.
 
 #include <algorithm>
 #include <chrono>
@@ -58,71 +53,58 @@ int main() {
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     amt::runtime rt(std::min(hw, 4u));
 
-    lulesh::resilience_options full;
-    full.checkpoint_every = 1;
-    full.rebase_every = 1;        // every record is a full base snapshot
-    full.overlap_packing = false; // packed synchronously, on the critical path
+    lulesh::resilience_options resilient;
+    resilient.checkpoint_every = 1;
 
-    lulesh::resilience_options incr;
-    incr.checkpoint_every = 1;    // deltas + overlapped packing (defaults)
-
-    // Warm-up: fault tables, allocator arenas, scheduler, recycled-buffer
-    // pools — then interleaved trials.  The overhead of each configuration
-    // is computed *within* a rep, against that same rep's plain run, so
-    // slow machine drift (frequency scaling, CPU quota on a shared box)
-    // cancels out; the configuration order rotates per rep so within-rep
-    // position bias averages out too.  Checkpoint cost is strictly
-    // additive, so noise can only inflate an overhead ratio — the minimum
-    // over reps is the fairest estimate.
+    // Warm-up: fault tables, allocator arenas, scheduler, recycled record
+    // buffers — then interleaved trials.  The overhead is computed *within*
+    // a rep, against that same rep's plain run, so slow machine drift
+    // (frequency scaling, CPU quota on a shared box) cancels out; the
+    // configuration order alternates per rep so within-rep position bias
+    // averages out too.  Checkpoint cost is strictly additive, so noise can
+    // only inflate an overhead ratio — the minimum over reps is the
+    // fairest estimate.
     run_once(rt, nullptr);
-    run_once(rt, &full);
-    run_once(rt, &incr);
+    run_once(rt, &resilient);
 
-    const lulesh::resilience_options* cfg[3] = {nullptr, &full, &incr};
-    double t[3] = {0, 0, 0};           // latest rep's times, for the report
-    double full_pct = 1e30, incr_pct = 1e30;
-    double t_plain = 1e30, t_full = 1e30, t_incr = 1e30;
+    const lulesh::resilience_options* cfg[2] = {nullptr, &resilient};
+    double t[2] = {0, 0};  // latest rep's times
+    double pct = 1e30;
+    double t_plain = 1e30, t_resilient = 1e30;
     for (int rep = 0; rep < 9; ++rep) {
-        for (int k = 0; k < 3; ++k) {
-            const int i = (rep + k) % 3;
+        for (int k = 0; k < 2; ++k) {
+            const int i = (rep + k) % 2;
             t[i] = run_once(rt, cfg[i]);
         }
-        full_pct = std::min(full_pct, (t[1] - t[0]) / t[0] * 100.0);
-        incr_pct = std::min(incr_pct, (t[2] - t[0]) / t[0] * 100.0);
+        pct = std::min(pct, (t[1] - t[0]) / t[0] * 100.0);
         t_plain = std::min(t_plain, t[0]);
-        t_full = std::min(t_full, t[1]);
-        t_incr = std::min(t_incr, t[2]);
+        t_resilient = std::min(t_resilient, t[1]);
     }
 
     std::cout << std::fixed << std::setprecision(3)
               << "plain run:                    " << t_plain * 1e3 / kCycles
               << " ms/iter\n"
-              << "full snapshot every cycle:    " << t_full * 1e3 / kCycles
-              << " ms/iter  (+" << std::setprecision(2) << full_pct
-              << " %)\n" << std::setprecision(3)
-              << "incremental + overlapped:     " << t_incr * 1e3 / kCycles
-              << " ms/iter  (+" << std::setprecision(2) << incr_pct
-              << " %)\n"
+              << "resilient, every cycle:       "
+              << t_resilient * 1e3 / kCycles << " ms/iter  (+"
+              << std::setprecision(2) << pct << " %)\n"
               << "CSV,checkpoint_overhead," << std::setprecision(6)
-              << t_plain * 1e3 / kCycles << "," << t_full * 1e3 / kCycles
-              << "," << t_incr * 1e3 / kCycles << "," << full_pct << ","
-              << incr_pct << "\n";
+              << t_plain * 1e3 / kCycles << ","
+              << t_resilient * 1e3 / kCycles << "," << pct << "\n";
 
     bench::artifact art("checkpoint_overhead");
     art.set_config("size", problem().size);
     art.set_config("cycles", kCycles);
     art.add_sample("plain_ms_per_iter", t_plain * 1e3 / kCycles, "ms");
-    art.add_sample("full_ms_per_iter", t_full * 1e3 / kCycles, "ms");
-    art.add_sample("incr_ms_per_iter", t_incr * 1e3 / kCycles, "ms");
-    art.add_sample("full_overhead_pct", full_pct, "pct");
-    art.add_sample("incr_overhead_pct", incr_pct, "pct");
+    art.add_sample("resilient_ms_per_iter", t_resilient * 1e3 / kCycles,
+                   "ms");
+    art.add_sample("resilient_overhead_pct", pct, "pct");
     art.write_file();
 
-    if (!(incr_pct < 5.0)) {
-        std::cerr << "FAIL: incremental checkpoint-every-1 overhead "
-                  << incr_pct << "% exceeds the 5% budget\n";
+    if (!(pct < 5.0)) {
+        std::cerr << "FAIL: resilient checkpoint-every-1 overhead " << pct
+                  << "% exceeds the 5% budget\n";
         return 1;
     }
-    std::cout << "PASS: incremental overhead within the 5% budget\n";
+    std::cout << "PASS: resilient overhead within the 5% budget\n";
     return 0;
 }

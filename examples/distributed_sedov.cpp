@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
     if (cli.checkpoint_every > 0) {
         // Fail-soft mode: the futurized exchange under the failure detector
         // and the channel-level retry layer, with coordinated rollback over
-        // per-slab checkpoint chains.  Fault-injection campaigns (slab_kill,
+        // per-slab checkpoint rings.  Fault-injection campaigns (slab_kill,
         // halo_drop, halo_corrupt sites — see docs/resilience.md) recover
         // bitwise-identically here instead of exiting.
         amt::resilience().reset();

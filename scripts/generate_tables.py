@@ -164,14 +164,10 @@ def summarize_table1(rows):
 
 
 def summarize_checkpoint_overhead(rows):
-    # plain_ms, full_ms, incr_ms, full_pct, incr_pct — iteration cost at
-    # checkpoint-every-1, incremental+overlapped vs full stop-and-copy.
-    table("Checkpoint overhead at every-cycle cadence (budget: incr < 5%)",
-          ["plain(ms)", "full(ms)", "incr(ms)", "full(%)", "incr(%)"], rows)
-    for plain, _, _, full_pct, incr_pct in rows:
-        saved = float(full_pct) - float(incr_pct)
-        print(f"    incremental checkpointing saves {saved:.2f}% of the "
-              f"{float(plain):.3g} ms/iter baseline vs a full snapshot")
+    # plain_ms, resilient_ms, pct — iteration cost at checkpoint-every-1,
+    # the resilient loop against the plain one.
+    table("Checkpoint overhead at every-cycle cadence (budget: < 5%)",
+          ["plain(ms)", "resilient(ms)", "overhead(%)"], rows)
 
 
 def summarize_dist_recovery(rows):

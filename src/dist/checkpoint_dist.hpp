@@ -8,9 +8,10 @@
 // lulesh/checkpoint_chain.hpp and docs/resilience.md): a torn write in any
 // slab file costs only that slab's uncommitted tail, never the set.
 //
-// The dist layer has no per-slab dirty tracking yet, so delta records are
-// conservative full-coverage captures; the chain format and the recovery
-// semantics are identical regardless.
+// One iteration writes every checkpointed field of every slab in full, so
+// each record covers the whole slab.  dist::run_resilient keeps the newest
+// two per slab and rewrites each slab's file with them at every commit;
+// append_cluster_deltas adds a full-coverage delta record in place.
 
 #pragma once
 
@@ -32,15 +33,15 @@ void append_cluster_deltas(cluster& c, const std::string& path);
 
 /// Restores every slab to the *same committed cycle* — the consistent-cycle
 /// rule.  Per-slab longest-valid-prefix replay alone is not enough for a
-/// cluster: a crash mid-append can leave slab A's chain one committed delta
-/// ahead of slab B's torn one, and restoring each slab to its own newest
-/// record would desynchronize the lockstep clock.  This loader reads every
-/// slab's committed records first, picks the newest cycle *every* slab has
-/// (the minimum of the per-slab chain heads), and replays each slab exactly
-/// to that cycle.  A corrupt delta discovered during replay truncates that
-/// slab's chain and lowers the target for everyone.  Throws
-/// checkpoint_error — naming the offending slab file — if any slab has no
-/// loadable committed base.
+/// cluster: a crash mid-append, or between two slabs' rewrites, can leave
+/// slab A's chain one committed record ahead of slab B's, and restoring
+/// each slab to its own newest record would desynchronize the lockstep
+/// clock.  This loader reads every slab's committed records first, picks
+/// the newest cycle *every* slab has (the minimum of the per-slab chain
+/// heads), and replays each slab exactly to that cycle.  A corrupt record
+/// discovered during replay truncates that slab's chain and lowers the
+/// target for everyone.  Throws checkpoint_error — naming the offending
+/// slab file — if any slab has no loadable committed base.
 void load_cluster_chains(cluster& c, const std::string& path);
 
 /// The chain file of slab `i` under `path`.

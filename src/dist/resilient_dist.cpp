@@ -2,7 +2,6 @@
 
 #include "dist/resilient_dist.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -28,15 +27,6 @@ std::string describe_failure(const char* what, int cycle, real_t dt,
     return os.str();
 }
 
-/// One committed record plus the cycle it was captured at.  The cycle is
-/// cached at capture time because the record bytes may be corrupted later
-/// (the record_hook test seam, bit rot) — the rollback target computation
-/// must not depend on re-parsing possibly-bad headers.
-struct chain_entry {
-    int cycle = 0;
-    std::string record;
-};
-
 }  // namespace
 
 dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
@@ -46,20 +36,26 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
     const auto t0 = std::chrono::steady_clock::now();
     const auto n = static_cast<std::size_t>(c.num_slabs());
 
-    // Per-slab in-memory chains (entry base + deltas, record_hook applied),
-    // plus the pristine pre-hook entry bases — the fallback of last resort.
-    std::vector<std::vector<chain_entry>> chains(n);
+    // Per-slab rings of the newest committed record and one fallback
+    // (record_hook applied), plus the pristine pre-hook entry records — the
+    // fallback of last resort.  A commit rewrites each slab's mirror with
+    // its ring's records, slab by slab: a crash between two rewrites still
+    // leaves a cycle both files hold, which load_cluster_chains restores.
+    std::vector<record_ring> rings(n);
     std::vector<std::string> entry_base(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    const auto commit = [&](std::size_t i, int cycle, std::string rec) {
         const auto s = static_cast<index_t>(i);
-        entry_base[i] = pack_full_record(c.slab(s), /*base=*/true);
-        std::string rec = entry_base[i];
         if (opt.record_hook) opt.record_hook(s, rec);
-        chains[i].push_back({c.slab(s).cycle, std::move(rec)});
+        rings[i].commit(cycle, std::move(rec));
         if (!opt.checkpoint_path.empty()) {
             write_chain_file(slab_chain_path(opt.checkpoint_path, s),
-                             {chains[i].back().record});
+                             rings[i].records());
         }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        const domain& slab = c.slab(static_cast<index_t>(i));
+        entry_base[i] = pack_full_record(slab, /*base=*/true);
+        commit(i, slab.cycle, entry_base[i]);
     }
 
     // Per-slab captures whose packing may still be overlapped with the next
@@ -67,9 +63,9 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
     // the rest packed, waited for, record_hook run, records committed in
     // slab order — before the next checkpoint, before any rebuild_slab or
     // rollback touches a slab, and before this function returns, exactly
-    // like finalize_pending in lulesh/resilient_run.cpp.  The chains stay
+    // like finalize_pending in lulesh/resilient_run.cpp.  The rings stay
     // in lockstep: if any slab's pack faulted, the whole checkpoint is
-    // dropped, so every chain head is still a cycle every chain holds.
+    // dropped, so every ring still holds the same cycles.
     std::vector<std::shared_ptr<state_capture>> pending(n);
     const auto finalize_pending = [&] {
         if (pending[0] == nullptr) return;
@@ -82,15 +78,7 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
         }
         if (failed) return;
         for (std::size_t i = 0; i < n; ++i) {
-            const auto s = static_cast<index_t>(i);
-            std::string rec = caps[i]->take_record();
-            if (opt.record_hook) opt.record_hook(s, rec);
-            chains[i].push_back({caps[i]->cycle(), std::move(rec)});
-            if (!opt.checkpoint_path.empty()) {
-                append_chain_record_file(
-                    slab_chain_path(opt.checkpoint_path, s),
-                    chains[i].back().record);
-            }
+            commit(i, caps[i]->cycle(), caps[i]->take_record());
         }
     };
 
@@ -107,65 +95,41 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
         }
     } quiesce{&pending};
 
-    // Consistent-cycle rollback over the in-memory chains: restore every
-    // slab to the newest cycle every chain holds (the on-disk loader's rule
-    // — see load_cluster_chains).  A corrupt delta truncates its chain and
-    // lowers the target for everyone; a corrupt base abandons the chains
-    // and restores the pristine entry snapshot.  Returns the restored
-    // cycle.
+    // Consistent-cycle rollback over the rings: every slab restores the
+    // newest cycle every ring holds a valid record of, else the fallback
+    // (the on-disk loader's rule — see load_cluster_chains).  restore()
+    // drops a record that fails validation, which rules its cycle out for
+    // everyone, and drops the records past the restored cycle.  If no
+    // cycle qualifies, every slab restores its pristine entry snapshot.
+    // Returns the restored cycle.
     const auto rollback = [&]() -> int {
         finalize_pending();
-        for (;;) {
-            int target = chains[0].back().cycle;
-            for (std::size_t i = 1; i < n; ++i) {
-                target = std::min(target, chains[i].back().cycle);
-            }
-            bool truncated = false;
-            bool base_corrupt = false;
-            for (std::size_t i = 0; i < n && !truncated; ++i) {
-                for (std::size_t j = 0; j < chains[i].size(); ++j) {
-                    if (chains[i][j].cycle > target) break;
-                    try {
-                        apply_chain_record(c.slab(static_cast<index_t>(i)),
-                                           chains[i][j].record,
-                                           "in-memory cluster chain");
-                    } catch (const checkpoint_error&) {
-                        if (j == 0) {
-                            base_corrupt = true;
-                        } else {
-                            chains[i].resize(j);
-                        }
-                        truncated = true;
-                        break;
-                    }
-                }
-            }
-            if (base_corrupt) {
-                // The whole chain of some slab is unusable.  Restore every
-                // slab from its pristine entry capture and reset the chains
-                // — losing history, not correctness.
-                ++rr.entry_fallbacks;
-                amt::trace::mark("dist:entry_fallback", 0);
+        // A copy: restore() drops records from the rings as it goes.
+        const std::vector<int> cycles = rings[0].cycles();
+        for (auto it = cycles.rbegin(); it != cycles.rend(); ++it) {
+            try {
                 for (std::size_t i = 0; i < n; ++i) {
-                    const auto s = static_cast<index_t>(i);
-                    apply_chain_record(c.slab(s), entry_base[i],
-                                       "entry snapshot");
-                    chains[i].assign(1, {c.slab(s).cycle, entry_base[i]});
+                    rings[i].restore(c.slab(static_cast<index_t>(i)), *it,
+                                     "in-memory cluster ring");
                 }
-                amt::resilience().entry_fallbacks.add(1);
-                return c.slab(0).cycle;
+                return *it;
+            } catch (const checkpoint_error&) {
+                // Some slab lacks a valid record of this cycle.
             }
-            if (!truncated) return target;
         }
+        // No cycle qualifies: restore every slab from its pristine entry
+        // capture and reset the rings — losing history, not correctness.
+        ++rr.entry_fallbacks;
+        amt::trace::mark("dist:entry_fallback", 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            domain& slab = c.slab(static_cast<index_t>(i));
+            apply_chain_record(slab, entry_base[i], "entry snapshot");
+            rings[i] = record_ring{};
+            rings[i].commit(slab.cycle, entry_base[i]);
+        }
+        amt::resilience().entry_fallbacks.add(1);
+        return c.slab(0).cycle;
     };
-
-    // Record buffers for the checkpoint the current cycle ends with, filled
-    // by tasks running alongside its advance.  The chains keep every
-    // record, so each checkpoint needs fresh memory; faulting its pages in
-    // (648 of them per cycle for s=30 over four slabs) on a worker keeps
-    // them off the main thread between cycles.  A failed cycle leaves them
-    // for its replay.
-    std::vector<amt::future<std::string>> fresh;
 
     int incident_cycle = -1;  // failing cycle of the open incident, or -1
     int attempts = 0;         // recoveries spent on the open incident
@@ -178,23 +142,6 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
         amt::fault::set_epoch(c.slab(0).cycle);
         const int this_cycle = c.slab(0).cycle;
         const real_t this_dt = c.slab(0).deltatime;
-        const bool checkpoint_due = opt.checkpoint_every > 0 &&
-                                    this_cycle % opt.checkpoint_every == 0;
-        if (checkpoint_due && fresh.empty()) {
-            for (std::size_t i = 0; i < n; ++i) {
-                // A full-coverage delta has the entry base record's size.
-                // Reserved here, so the chains' memory keeps coming from
-                // this thread's malloc arena; first touched by the task.
-                const std::size_t bytes = entry_base[i].size();
-                std::string buf;
-                buf.reserve(bytes);
-                fresh.push_back(amt::async(
-                    drv.runtime(), [buf = std::move(buf), bytes]() mutable {
-                        buf.resize(bytes);
-                        return std::move(buf);
-                    }));
-            }
-        }
 
         try {
             drv.advance(c);
@@ -244,7 +191,7 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
             if (failure.slab >= 0) {
                 // The driver named a dead slab: rebuild its domain from
                 // scratch (the old memory is presumed lost/poisoned); the
-                // rollback below restores it from its chain.
+                // rollback below restores it from its ring.
                 c.rebuild_slab(failure.slab);
                 ++rr.slab_rebuilds;
                 amt::trace::mark("dist:slab_rebuild",
@@ -269,23 +216,23 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
             incident_cycle = -1;
             attempts = 0;
         }
-        if (checkpoint_due) {
-            // The dist layer's deltas are conservative full-coverage
-            // captures (see dist/checkpoint_dist.hpp), appended in lockstep
-            // — which is what makes the consistent-cycle minimum a cycle
-            // every chain actually holds.  Each slab's capture is packed by
-            // the next cycle's tasks where the driver accepts it, else here.
+        if (opt.checkpoint_every > 0 &&
+            this_cycle % opt.checkpoint_every == 0) {
+            // Every slab's capture is a whole state, committed in lockstep
+            // — which is what makes a cycle one ring holds a cycle every
+            // ring holds.  Each capture reuses the buffer its ring retired
+            // and is packed by the next cycle's tasks where the driver
+            // accepts it, else here.
             finalize_pending();
             for (std::size_t i = 0; i < n; ++i) {
                 const auto s = static_cast<index_t>(i);
                 pending[i] = std::make_shared<state_capture>(
-                    c.slab(s), full_coverage(c.slab(s)), /*base=*/false,
-                    fresh[i].get());
+                    c.slab(s), full_coverage(c.slab(s)), /*base=*/true,
+                    rings[i].take_spare());
                 if (!drv.submit_overlapped_capture(s, pending[i])) {
                     pending[i]->pack_remaining();
                 }
             }
-            fresh.clear();
             ++rr.checkpoints;
         }
     }

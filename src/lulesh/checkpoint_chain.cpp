@@ -1,4 +1,4 @@
-// lulesh/checkpoint_chain.cpp — v3 incremental checkpoint chains.
+// lulesh/checkpoint_chain.cpp — v3 checkpoint records and the record ring.
 
 #include "lulesh/checkpoint_chain.hpp"
 
@@ -235,7 +235,7 @@ std::vector<dirty_region> dirty_tracker::take(const domain& d) {
 state_capture::state_capture(const domain& d, std::vector<dirty_region> regions,
                              bool base, std::string recycled)
     : d_(&d), regions_(std::move(regions)), buf_(std::move(recycled)),
-      base_(base), cycle_(d.cycle) {
+      cycle_(d.cycle) {
     record_header h;
     h.kind = base ? kind_base : kind_delta;
     h.num_regions = static_cast<std::uint32_t>(regions_.size());
@@ -466,6 +466,43 @@ void apply_chain_record(domain& d, std::string_view record,
     d.deltatime = h.deltatime;
     d.dtcourant = h.dtcourant;
     d.dthydro = h.dthydro;
+}
+
+// --- record_ring ---------------------------------------------------------
+
+void record_ring::commit(int cycle, std::string record) {
+    if (records_.size() == 2) {
+        spare_ = std::move(records_.front());
+        records_.erase(records_.begin());
+        cycles_.erase(cycles_.begin());
+    }
+    records_.push_back(std::move(record));
+    cycles_.push_back(cycle);
+}
+
+void record_ring::restore(domain& d, int cycle, const std::string& context) {
+    const auto k = static_cast<std::size_t>(
+        std::find(cycles_.begin(), cycles_.end(), cycle) - cycles_.begin());
+    if (k == cycles_.size()) {
+        throw checkpoint_error("lulesh: " + context +
+                               " holds no record of cycle " +
+                               std::to_string(cycle));
+    }
+    try {
+        apply_chain_record(d, records_[k], context);
+    } catch (const checkpoint_error&) {
+        drop_from(k);
+        throw;
+    }
+    drop_from(k + 1);
+}
+
+void record_ring::drop_from(std::size_t k) noexcept {
+    while (records_.size() > k) {
+        spare_ = std::move(records_.back());
+        records_.pop_back();
+        cycles_.pop_back();
+    }
 }
 
 // --- stream/file restore -------------------------------------------------

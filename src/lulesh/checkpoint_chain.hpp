@@ -1,12 +1,10 @@
 // lulesh/checkpoint_chain.hpp
 //
-// Incremental, crash-consistent checkpointing (format v3).  Instead of a
-// monolithic snapshot on the critical path every K cycles, the resilient
-// loop appends *delta records* — the (field × index-range) regions the
-// driver reports dirtied since the last checkpoint — over a periodic full
-// base record.  A chain is a byte sequence of records:
+// Crash-consistent checkpoint records (format v3), and the two-record ring
+// the resilient loops keep them in.  A chain file is a byte sequence of
+// records:
 //
-//   [base record][delta record][delta record]...
+//   [base record][record]...
 //
 // Every record is self-delimiting and individually verifiable:
 //
@@ -20,10 +18,17 @@
 // final byte is on disk.  Restore replays the longest valid prefix of
 // committed records; a crash at any byte leaves either the previous chain
 // (torn tail ignored) or the new one — never a torn state.  Whole chains
-// are written atomically (temp file, fsync, rename); delta records are
-// appended and fsync'd in place, which is crash-safe because an incomplete
-// append simply fails trailer validation.  A standalone checkpoint
-// (lulesh/checkpoint.hpp) is a chain of one base record.
+// are written atomically (temp file, fsync, rename); a record appended in
+// place is crash-safe too, because an incomplete append simply fails
+// trailer validation.  A standalone checkpoint (lulesh/checkpoint.hpp) is a
+// chain of one base record.
+//
+// One LULESH iteration writes every checkpointed field in full, so every
+// record the resilient loops capture is a whole state — a base record.
+// They keep the newest two per domain in a record_ring, recycle the third
+// buffer into the next capture, and roll back by applying one record.  A
+// delta record (a subset of the regions, applied over its predecessors)
+// stays readable; dirty_tracker computes the regions such a record covers.
 //
 // Packing a record is decomposed into independent per-region copies
 // (state_capture) so the task-graph driver can run them as ordinary graph
@@ -40,6 +45,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "amt/atomic.hpp"
@@ -71,7 +77,7 @@ struct dirty_region {
 };
 
 /// Full coverage of every checkpointed field — the region set of a base
-/// record, and of every delta an iteration dirties (driver::record_dirty).
+/// record, and of everything one iteration dirties (driver::record_dirty).
 std::vector<dirty_region> full_coverage(const domain& d);
 
 /// Packs every checkpointed field of `d` into one committed record on the
@@ -110,10 +116,10 @@ private:
 class state_capture {
 public:
     /// `recycled` (optional) donates its heap allocation as the record
-    /// buffer — the resilient loop feeds retired chain records back in so
-    /// steady-state checkpointing touches no fresh pages.  Every byte of
-    /// the buffer is overwritten before take_record() returns it, so stale
-    /// contents are harmless.
+    /// buffer — the resilient loops feed in the buffer their record_ring
+    /// retired, so steady-state checkpointing allocates and faults in no
+    /// fresh pages.  Every byte of the buffer is overwritten before
+    /// take_record() returns it, so stale contents are harmless.
     state_capture(const domain& d, std::vector<dirty_region> regions,
                   bool base, std::string recycled = {});
 
@@ -124,7 +130,6 @@ public:
     [[nodiscard]] const dirty_region& region(std::size_t i) const {
         return regions_[i];
     }
-    [[nodiscard]] bool is_base() const noexcept { return base_; }
     [[nodiscard]] int cycle() const noexcept { return cycle_; }
 
     /// Claims and packs region i; returns false if another packer already
@@ -158,13 +163,53 @@ private:
     std::vector<dirty_region> regions_;
     std::vector<std::size_t> payload_offset_;  // payload byte offset in buf_
     std::string buf_;
-    bool base_;
     int cycle_ = 0;
     std::unique_ptr<amt::atomic<int>[]> claims_;  // 0 free, 1 packing, 2 done
     amt::atomic<std::size_t> packed_{0};
     amt::atomic<bool> failed_{false};
     std::mutex mu_;
     std::condition_variable cv_;
+};
+
+/// The last two committed records of one domain, each with its cycle: the
+/// newest and one fallback.  The cycles are kept apart from the bytes, so
+/// a record corrupted after capture (a test hook, bit rot) cannot
+/// misdirect a rollback.  Committing a third retires the oldest, whose
+/// buffer take_spare() hands to the next state_capture as `recycled` — a
+/// loop checkpointing every cycle cycles through three record buffers.
+/// Every record is a whole state, so a rollback applies exactly one.
+class record_ring {
+public:
+    /// Makes `record`, captured at `cycle`, the newest record.
+    void commit(int cycle, std::string record);
+
+    /// The buffer the last commit or drop retired (empty if none).
+    [[nodiscard]] std::string take_spare() noexcept {
+        return std::move(spare_);
+    }
+
+    /// The records held, oldest first — the order of a chain file.
+    [[nodiscard]] const std::vector<std::string>& records() const noexcept {
+        return records_;
+    }
+    /// Their cycles, in the same order.
+    [[nodiscard]] const std::vector<int>& cycles() const noexcept {
+        return cycles_;
+    }
+
+    /// Validates the record of `cycle` and applies it to `d`, then drops
+    /// the records past it — they belong to a future the rollback
+    /// abandons.  Throws checkpoint_error, leaving `d` untouched, if there
+    /// is no such record or it fails validation; a record that fails is
+    /// dropped (with any newer one) so no later rollback trips on it.
+    void restore(domain& d, int cycle, const std::string& context);
+
+private:
+    void drop_from(std::size_t k) noexcept;
+
+    std::vector<std::string> records_;  // oldest first, at most two
+    std::vector<int> cycles_;
+    std::string spare_;
 };
 
 /// Fully validates `record` (header CRC, commit trailer, per-region

@@ -65,11 +65,11 @@ public:
     /// Throws simulation_error on a volume or qstop violation.
     virtual void advance(domain& d) = 0;
 
-    /// Reports the (field × index-range) write-sets of one advance() to the
-    /// incremental-checkpoint dirty tracker: every checkpointed field over
-    /// its full extent.  That is exact, not conservative — every iteration
-    /// writes every checkpointed field in full, whichever driver runs it
-    /// (the iteration table's write accesses cover [0, extent) of each).
+    /// Reports the (field × index-range) write-sets of one advance() to a
+    /// dirty_tracker: every checkpointed field over its full extent.  That
+    /// is exact, not conservative — every iteration writes every
+    /// checkpointed field in full, whichever driver runs it (the iteration
+    /// table's write accesses cover [0, extent) of each).
     void record_dirty(dirty_tracker& t, const domain& d) const;
 
     /// Offers the driver a checkpoint capture to pack as tasks overlapped

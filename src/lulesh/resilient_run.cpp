@@ -1,5 +1,5 @@
-// lulesh/resilient_run.cpp — rollback-and-retry iteration loop over an
-// incremental checkpoint chain.
+// lulesh/resilient_run.cpp — rollback-and-retry iteration loop over a
+// two-record checkpoint ring.
 
 #include "lulesh/resilient_run.hpp"
 
@@ -7,7 +7,6 @@
 #include <memory>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "amt/fault.hpp"
 #include "lulesh/checkpoint.hpp"
@@ -34,66 +33,32 @@ resilient_result run_resilient(domain& d, driver& drv,
     resilient_result rr;
     const auto t0 = std::chrono::steady_clock::now();
 
-    // The in-memory chain: a base record followed by committed deltas.
-    // Rollback replays the longest valid prefix, so "fall back to the
-    // previous snapshot" is simply dropping a corrupt tail.
-    std::vector<std::string> chain;
-    dirty_tracker dirty;
-
-    // Retired record buffers, recycled into new captures.  Every re-base
-    // frees a chain's worth of large allocations; without reuse each
-    // capture faults in fresh pages (the chain keeps the old ones alive),
-    // which at checkpoint-every-1 costs more than the packing itself.
-    std::vector<std::string> spare;
-    const auto spare_buffer = [&]() -> std::string {
-        if (spare.empty()) return {};
-        std::string buf = std::move(spare.back());
-        spare.pop_back();
-        return buf;
-    };
-    const auto retire = [&](std::vector<std::string>&& old) {
-        for (std::string& s : old) spare.push_back(std::move(s));
-        old.clear();
-    };
-
-    // The capture whose packing may still be overlapped with compute.  Its
-    // record is appended (and the snapshot hook run) when the next
-    // checkpoint is due, on rollback, or at loop exit — always before the
-    // domain is mutated by anything but the driver itself.
-    std::shared_ptr<state_capture> pending;
-
+    // The newest committed record and one fallback, mirrored whole to the
+    // file at every commit.
+    record_ring ring;
     const auto sync_mirror = [&] {
         if (!opt.checkpoint_path.empty()) {
-            write_chain_file(opt.checkpoint_path, chain);
+            write_chain_file(opt.checkpoint_path, ring.records());
         }
     };
+    const auto commit = [&](int cycle, std::string rec) {
+        if (opt.snapshot_hook) opt.snapshot_hook(rec);
+        ring.commit(cycle, std::move(rec));
+        sync_mirror();
+    };
 
+    // The capture whose packing may still be overlapped with compute.  It
+    // is committed when the next checkpoint is due, on rollback, or at loop
+    // exit — always before the domain is mutated by anything but the
+    // driver itself.  A capture whose pack task faulted is dropped; the
+    // ring still holds the previous records.
+    std::shared_ptr<state_capture> pending;
     const auto finalize_pending = [&] {
         if (!pending) return;
         auto cap = std::move(pending);
         cap->pack_remaining();
         cap->wait_packed();
-        if (cap->failed()) {
-            // A pack task faulted: drop the capture, but hand its regions
-            // back to the tracker so the next delta still covers them.
-            for (std::size_t i = 0; i < cap->num_regions(); ++i) {
-                const dirty_region& r = cap->region(i);
-                dirty.mark(r.f, r.lo, r.hi);
-            }
-            return;
-        }
-        std::string rec = cap->take_record();
-        if (opt.snapshot_hook) opt.snapshot_hook(rec);
-        if (cap->is_base()) retire(std::move(chain));
-        const bool rewrite = cap->is_base();
-        chain.push_back(std::move(rec));
-        if (!opt.checkpoint_path.empty()) {
-            if (rewrite) {
-                write_chain_file(opt.checkpoint_path, chain);
-            } else {
-                append_chain_record_file(opt.checkpoint_path, chain.back());
-            }
-        }
+        if (!cap->failed()) commit(cap->cycle(), cap->take_record());
     };
 
     // Whatever way this function exits, no pack task may outlive it with a
@@ -108,35 +73,27 @@ resilient_result run_resilient(domain& d, driver& drv,
         }
     } quiesce{&pending};
 
-    // Entry snapshot: the chain's first base record (not counted in
-    // rr.checkpoints).  With checkpoint_every <= 0 this stays the only
-    // record — still enough to recover, just a full replay.
-    {
-        std::string rec = pack_full_record(d, /*base=*/true);
-        if (opt.snapshot_hook) opt.snapshot_hook(rec);
-        chain.push_back(std::move(rec));
-        sync_mirror();
-    }
+    // Entry snapshot (not counted in rr.checkpoints).  With
+    // checkpoint_every <= 0 this stays the only record — still enough to
+    // recover, just a full replay.
+    commit(d.cycle, pack_full_record(d, /*base=*/true));
 
-    const auto rollback = [&](domain& dom) {
+    // Restores the newest record.  One that fails validation is dropped —
+    // from the mirror too, so a restart cannot trip on it — and the
+    // fallback restored; with no valid record left the checkpoint_error
+    // propagates.
+    const auto rollback = [&] {
         finalize_pending();
-        std::size_t applied = 0;
-        try {
-            for (const std::string& rec : chain) {
-                apply_chain_record(dom, rec, "in-memory checkpoint chain");
-                ++applied;
+        for (;;) {
+            try {
+                ring.restore(d, ring.cycles().back(),
+                             "in-memory checkpoint ring");
+                return;
+            } catch (const checkpoint_error&) {
+                if (ring.records().empty()) throw;
+                ++rr.snapshot_fallbacks;
+                sync_mirror();
             }
-        } catch (const checkpoint_error&) {
-            // A corrupt record ends the usable prefix.  If not even the
-            // base applies there is nothing valid left — propagate.
-            if (applied == 0) throw;
-        }
-        if (applied < chain.size()) {
-            // Drop the corrupt tail so later retries don't re-trip on it,
-            // and from the file mirror so a restart can't either.
-            chain.resize(applied);
-            ++rr.snapshot_fallbacks;
-            sync_mirror();
         }
     };
 
@@ -171,11 +128,11 @@ resilient_result run_resilient(domain& d, driver& drv,
                     describe_failure(e.what(), this_cycle, this_dt, retries - 1);
                 // Leave the caller the last *good* state, not the torn
                 // fields of the failed iteration.
-                rollback(d);
+                rollback();
                 break;
             }
 
-            rollback(d);
+            rollback();
             // A transient fault's first retry replays at the unchanged dt
             // (bitwise-identical recovery); deterministic physics failures
             // and repeat failures halve it — replaying those unchanged
@@ -191,27 +148,14 @@ resilient_result run_resilient(domain& d, driver& drv,
             incident_cycle = -1;
             retries = 0;
         }
-        if (opt.checkpoint_every > 0) {
-            drv.record_dirty(dirty, d);
-            if (d.cycle % opt.checkpoint_every == 0) {
-                finalize_pending();
-                // Re-base periodically so the chain (and every replay)
-                // stays bounded; otherwise append a delta of the regions
-                // dirtied since the last capture.
-                const bool base =
-                    chain.empty() ||
-                    (opt.rebase_every > 0 &&
-                     static_cast<int>(chain.size()) >= opt.rebase_every);
-                pending = std::make_shared<state_capture>(
-                    d, base ? full_coverage(d) : dirty.take(d), base,
-                    spare_buffer());
-                if (base) dirty.clear();
-                if (!opt.overlap_packing ||
-                    !drv.submit_overlapped_capture(pending)) {
-                    pending->pack_remaining();
-                }
-                ++rr.checkpoints;
+        if (opt.checkpoint_every > 0 && d.cycle % opt.checkpoint_every == 0) {
+            finalize_pending();
+            pending = std::make_shared<state_capture>(
+                d, full_coverage(d), /*base=*/true, ring.take_spare());
+            if (!drv.submit_overlapped_capture(pending)) {
+                pending->pack_remaining();
             }
+            ++rr.checkpoints;
         }
     }
 

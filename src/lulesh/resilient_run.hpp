@@ -3,9 +3,10 @@
 // Checkpoint-based recovery wrapper around the plain iteration loop: works
 // with any driver (serial, parallel_for, foreach, taskgraph).  The loop
 // snapshots the simulation state every K cycles (in memory, optionally
-// mirrored to an atomically-written file) and, when an iteration fails with
-// an injected fault or a simulation_error, rolls the domain back to the
-// last snapshot and retries:
+// mirrored to an atomically-written file), keeps the newest snapshot and
+// one fallback, and, when an iteration fails with an injected fault or a
+// simulation_error, rolls the domain back to the newest valid snapshot and
+// retries:
 //
 //   * The first retry after an *injected* (transient) fault replays at the
 //     unchanged dt.  Every driver is deterministic and checkpoints are
@@ -38,37 +39,26 @@ namespace lulesh {
 
 struct resilience_options {
     /// Checkpoint every K successful cycles.  K <= 0 is the documented
-    /// *entry-snapshot-only* mode: the chain holds just the base record
-    /// captured before the first iteration — still enough to recover from
-    /// any fault, at the cost of replaying the whole run (tested in
+    /// *entry-snapshot-only* mode: the ring holds just the record captured
+    /// before the first iteration — still enough to recover from any fault,
+    /// at the cost of replaying the whole run (tested in
     /// tests/lulesh/test_checkpoint_chain.cpp).
     int checkpoint_every = 10;
 
     /// Retry budget per incident (failing cycle); each retry rolls back to
-    /// the chain's last committed state.
+    /// the ring's newest valid record.
     int max_retries = 3;
 
-    /// Append a full base record (instead of a delta) once the chain holds
-    /// this many records, bounding chain length and replay cost.  <= 0
-    /// never re-bases (the chain grows one delta per checkpoint).
-    int rebase_every = 16;
-
-    /// When false, checkpoint regions are always packed synchronously at
-    /// capture time even if the driver could overlap them with the next
-    /// iteration's compute.  Exists so bench/checkpoint_overhead can
-    /// measure the critical-path cost the overlap removes.
-    bool overlap_packing = true;
-
-    /// When non-empty, the chain is mirrored to this file: base records
-    /// rewrite it with the atomic temp+fsync+rename protocol, deltas are
-    /// appended and fsync'd.  A crash at any byte leaves a loadable chain
-    /// (a torn appended record is simply uncommitted).
+    /// When non-empty, the ring's records (newest and fallback) are
+    /// mirrored to this file, rewritten at every commit with the atomic
+    /// temp+fsync+rename protocol.  A crash at any byte leaves a loadable
+    /// chain.
     std::string checkpoint_path;
 
     /// Test seam: invoked on each finished record's bytes just before it
-    /// is committed to the chain.  Corruption tests flip a byte here to
-    /// prove that rollback detects the invalid record and replays the
-    /// shorter prefix instead of silently restoring corrupt state.
+    /// is committed to the ring.  Corruption tests flip a byte here to
+    /// prove that rollback detects the invalid record and restores the
+    /// fallback instead of silently restoring corrupt state.
     std::function<void(std::string&)> snapshot_hook;
 };
 
@@ -78,21 +68,20 @@ struct resilient_result {
     int rollbacks = 0;            ///< rollback-and-retry attempts performed
     int checkpoints = 0;          ///< snapshots taken after the entry one
     int dt_halvings = 0;          ///< retries that reduced dt before replay
-    int snapshot_fallbacks = 0;   ///< rollbacks that found the latest snapshot
-                                  ///< corrupt and restored the previous one
+    int snapshot_fallbacks = 0;   ///< rollbacks that found the newest record
+                                  ///< corrupt and restored the fallback
 };
 
 /// Runs `drv` on `d` to stoptime / `max_cycles` with rollback recovery as
 /// described above.  Exceptions other than injected faults and
 /// simulation_error are not retryable and propagate to the caller.
 ///
-/// Checkpoints form an incremental chain (lulesh/checkpoint_chain.hpp): a
-/// base record plus per-checkpoint delta records covering the regions the
-/// driver's write-sets dirtied, each individually CRC-protected and
-/// commit-stamped.  Rollback replays the longest valid prefix, so a record
-/// corrupted after capture (bit rot, a bad copy) just shortens the replay
-/// to the previous committed state (counted in snapshot_fallbacks).  Only
-/// if the base record itself is corrupt does the checkpoint_error
+/// Checkpoints are whole-state records in a record_ring
+/// (lulesh/checkpoint_chain.hpp): the newest committed record and one
+/// fallback, each individually CRC-protected and commit-stamped.  Rollback
+/// applies the newest; one corrupted after capture (bit rot, a bad copy) is
+/// dropped and the fallback restored instead (counted in
+/// snapshot_fallbacks).  Only if both are corrupt does the checkpoint_error
 /// propagate.  Drivers that can (the task graph) pack the capture as
 /// ordinary tasks overlapped with the next iteration's compute, taking the
 /// serialization off the critical path.

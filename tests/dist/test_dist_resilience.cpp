@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "dist/driver_dist.hpp"
 #include "dist/resilient_dist.hpp"
 #include "dist/retry_policy.hpp"
+#include "lulesh/checkpoint_chain.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/validate.hpp"
 
@@ -458,6 +460,88 @@ TEST(DistResilient, CorruptChainsFallBackToTheEntrySnapshot) {
     EXPECT_EQ(rr.entry_fallbacks, 1);
     EXPECT_EQ(rr.last_rollback_cycle, 0);
     EXPECT_EQ(cluster_vs_global(c, global), 0.0);
+}
+
+TEST(DistResilient, OneSlabsCorruptNewestRecordSendsEverySlabToTheFallback) {
+    fault_guard guard;
+    const options o = opts(8);
+    const int iters = 16;
+    domain global(o);
+    {
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(global, drv, iters);
+    }
+
+    // Kill slab 1 at cycle 10.  The cycle-8 records are committed just
+    // before the rollback, and slab 1's is corrupt: cycle 8 is ruled out
+    // for everyone, so every slab restores its cycle-4 fallback — not the
+    // entry snapshot — and the replay is still bitwise.
+    amt::fault::plan p;
+    p.site = "slab_kill:1";
+    p.epoch = 10;
+    p.max_injections = 1;
+    amt::fault::arm(p);
+
+    cluster c(o, 2);
+    amt::runtime rt(2);
+    dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
+                    std::chrono::milliseconds(2000), retry_policy{});
+    dist_resilience_options ropt;
+    ropt.checkpoint_every = 4;
+    bool corrupted = false;
+    std::vector<std::vector<int>> committed(2);
+    ropt.record_hook = [&](index_t slab, std::string& rec) {
+        const int cycle = lulesh::chain_record_cycle(rec);
+        committed[static_cast<std::size_t>(slab)].push_back(cycle);
+        if (slab == 1 && cycle == 8 && !corrupted) {
+            rec[rec.size() / 2] ^= 0x01;
+            corrupted = true;
+        }
+    };
+    const auto rr = lulesh::dist::run_resilient(c, drv, ropt, iters);
+    amt::fault::disarm();
+
+    ASSERT_TRUE(corrupted);
+    EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
+    EXPECT_EQ(rr.result.cycles, iters);
+    EXPECT_EQ(rr.recoveries, 1);
+    EXPECT_EQ(rr.entry_fallbacks, 0);
+    EXPECT_EQ(rr.dt_halvings, 0);
+    EXPECT_EQ(rr.last_rollback_cycle, 4);
+    // Both slabs replayed from cycle 4 in lockstep: each re-captured cycle
+    // 8 at the same loop cycle.
+    for (const std::vector<int>& cycles : committed) {
+        EXPECT_EQ(cycles, (std::vector<int>{0, 4, 8, 8, 12, 16}));
+    }
+    EXPECT_EQ(cluster_vs_global(c, global), 0.0)
+        << "recovered run diverged from fault-free";
+}
+
+TEST(DistResilient, EveryCycleCheckpointingCyclesThroughThreeBuffersPerSlab) {
+    // Each slab's ring holds two records and hands the retired third
+    // buffer to the next capture, so the hook sees the same three buffers
+    // per slab instead of a fresh allocation per checkpoint.
+    fault_guard guard;
+    cluster c(opts(6), 2);
+    amt::runtime rt(2);
+    dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
+                    std::chrono::milliseconds(0), retry_policy{});
+    dist_resilience_options ropt;
+    ropt.checkpoint_every = 1;
+    std::vector<int> commits(2, 0);
+    std::vector<std::set<const char*>> buffers(2);
+    ropt.record_hook = [&](index_t slab, std::string& rec) {
+        const auto s = static_cast<std::size_t>(slab);
+        ++commits[s];
+        buffers[s].insert(rec.data());
+    };
+    const auto rr = lulesh::dist::run_resilient(c, drv, ropt, 12);
+    EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
+    EXPECT_EQ(rr.checkpoints, 12);
+    for (std::size_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(commits[s], 13) << "slab " << s;
+        EXPECT_LE(buffers[s].size(), 3u) << "slab " << s;
+    }
 }
 
 TEST(DistResilient, MirroredChainsSurviveForAProcessRestart) {

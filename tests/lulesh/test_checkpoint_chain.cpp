@@ -1,7 +1,8 @@
-// Tests for the v3 incremental checkpoint chain: dirty-region coalescing,
-// mixed base+delta replay, restart-from-chain bitwise identity across all
-// four drivers, the entry-snapshot-only resilient mode, periodic re-basing,
-// torn-tail tolerance, and the enriched checkpoint_error context.
+// Tests for the v3 checkpoint chain: dirty-region coalescing, mixed
+// base+delta replay, restart-from-chain bitwise identity across all four
+// drivers, the entry-snapshot-only resilient mode, the two-record ring and
+// its mirror, torn-tail tolerance, and the enriched checkpoint_error
+// context.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -353,6 +355,39 @@ TEST(CheckpointErrors, CorruptFileReportsPathCycleAndBothCrcs) {
     std::remove(path.c_str());
 }
 
+// ---------------- record ring ----------------
+
+TEST(RecordRing, KeepsTwoRecordsAndDropsWhatARestoreAbandons) {
+    domain d(small_opts());
+    lulesh::serial_driver drv;
+    lulesh::record_ring ring;
+    std::vector<std::string> states;  // the state at cycles 1, 2 and 3
+    for (int cycle = 1; cycle <= 3; ++cycle) {
+        lulesh::run_simulation(d, drv, cycle);
+        ring.commit(cycle, lulesh::pack_full_record(d, /*base=*/true));
+        states.push_back(serialized(d));
+    }
+    // The third commit retired cycle 1's buffer for the next capture.
+    EXPECT_EQ(ring.cycles(), (std::vector<int>{2, 3}));
+    EXPECT_FALSE(ring.take_spare().empty());
+
+    // Restoring the fallback drops the newer record: it belongs to the
+    // future the rollback abandons.
+    ring.restore(d, 2, "ring");
+    EXPECT_EQ(serialized(d), states[1]);
+    EXPECT_EQ(ring.cycles(), (std::vector<int>{2}));
+
+    // A record that fails validation is dropped, and the domain is left
+    // untouched; so is a restore of a cycle the ring does not hold.
+    std::string bad = lulesh::pack_full_record(d, /*base=*/true);
+    bad[bad.size() / 2] ^= 0x01;
+    ring.commit(4, std::move(bad));
+    EXPECT_THROW(ring.restore(d, 4, "ring"), lulesh::checkpoint_error);
+    EXPECT_EQ(ring.cycles(), (std::vector<int>{2}));
+    EXPECT_THROW(ring.restore(d, 3, "ring"), lulesh::checkpoint_error);
+    EXPECT_EQ(serialized(d), states[1]);
+}
+
 // ---------------- restart-from-chain, all four drivers ----------------
 
 void chain_restart_roundtrip(lulesh::driver& drv, const std::string& tag) {
@@ -369,7 +404,7 @@ void chain_restart_roundtrip(lulesh::driver& drv, const std::string& tag) {
     const auto rr = lulesh::run_resilient(res, drv, opt, 12);
     ASSERT_EQ(rr.result.run_status, lulesh::status::ok);
 
-    // The mirror is a chain (base + deltas); restoring it and resuming
+    // The mirror holds the ring's two base records; restoring it and resuming
     // with the plain loop must be bitwise identical to never stopping.
     domain resumed(small_opts());
     lulesh::load_checkpoint_file(resumed, path);
@@ -433,6 +468,8 @@ TEST(ResilientChain, EntrySnapshotOnlyModeRecoversFromStart) {
 }
 
 TEST(ResilientChain, PeriodicRebaseKeepsTheMirrorLoadable) {
+    // Every record is a base record, and every commit rewrites the mirror
+    // with the ring's two records: the newest and the fallback.
     const std::string path = "/tmp/lulesh_chain_rebase.ckpt";
     std::remove(path.c_str());
 
@@ -440,17 +477,54 @@ TEST(ResilientChain, PeriodicRebaseKeepsTheMirrorLoadable) {
     lulesh::serial_driver drv;
     resilience_options opt;
     opt.checkpoint_every = 1;
-    opt.rebase_every = 3;  // chain never grows past 3 records
     opt.checkpoint_path = path;
+    std::vector<std::string> committed;
+    opt.snapshot_hook = [&committed](std::string& rec) {
+        committed.push_back(rec);
+    };
     const auto rr = lulesh::run_resilient(res, drv, opt, 10);
     EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
     EXPECT_EQ(rr.checkpoints, 10);
+    ASSERT_EQ(committed.size(), 11u);  // the entry record plus one per cycle
+
+    std::ifstream in(path, std::ios::binary);
+    const auto records = lulesh::read_chain_records(res, in, path);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0], committed[9]);
+    EXPECT_EQ(records[1], committed[10]);
+    EXPECT_EQ(lulesh::chain_record_cycle(records[0]), 9);
+    EXPECT_EQ(lulesh::chain_record_cycle(records[1]), 10);
+    for (const std::string& rec : records) {
+        EXPECT_TRUE(lulesh::chain_record_is_base(rec));
+    }
 
     domain restored(small_opts());
     lulesh::load_checkpoint_file(restored, path);
     EXPECT_EQ(restored.cycle, 10);
     EXPECT_EQ(serialized(restored), serialized(res));
     std::remove(path.c_str());
+}
+
+TEST(ResilientChain, EveryCycleCheckpointingCyclesThroughThreeRecordBuffers) {
+    // The ring holds two records and hands the retired third buffer to the
+    // next capture, so the hook sees the same three buffers over and over
+    // instead of a fresh allocation per checkpoint.
+    domain res(small_opts());
+    amt::runtime rt(2);
+    lulesh::taskgraph_driver drv(rt, {256, 256});
+    resilience_options opt;
+    opt.checkpoint_every = 1;
+    int commits = 0;
+    std::set<const char*> buffers;
+    opt.snapshot_hook = [&](std::string& rec) {
+        ++commits;
+        buffers.insert(rec.data());
+    };
+    const auto rr = lulesh::run_resilient(res, drv, opt, 12);
+    EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
+    EXPECT_EQ(rr.checkpoints, 12);
+    EXPECT_EQ(commits, 13);
+    EXPECT_LE(buffers.size(), 3u);
 }
 
 TEST(ResilientChain, OverlappedPackingSurvivesAFaultedPackTask) {
@@ -463,8 +537,9 @@ TEST(ResilientChain, OverlappedPackingSurvivesAFaultedPackTask) {
     }
 
     // Kill one checkpoint pack task.  The iteration must still succeed
-    // (packing is off the failure path); the capture is dropped, its
-    // regions re-marked dirty, and the run stays bitwise correct.
+    // (packing is off the failure path); the capture is dropped, the ring
+    // keeps the records it already held, and the run stays bitwise
+    // correct.
     amt::fault::plan p;
     p.site = "ckpt.pack";
     p.epoch = 9;  // packs of the cycle-8 capture run inside cycle 9
