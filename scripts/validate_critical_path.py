@@ -11,7 +11,8 @@ is compared for exact equality.
 Checks (all hard failures, exit code 1):
   * the JSON parses, is the "critical_path" experiment, and carries every
     field of the report (iterations/workers/nodes/work_ns/
-    critical_path_ns/critical_path_len/ideal_speedup, 5 phases, the path
+    critical_path_ns/critical_path_len/ideal_speedup, 4 phases (the
+    graph's waves), the path
     node sequence, the top-k table);
   * internal invariants: critical path <= total work, ideal_speedup ==
     work/critical rounded to 4 decimals, critical_path_len == the path
@@ -34,7 +35,7 @@ import re
 import subprocess
 import sys
 
-NUM_PHASES = 5
+NUM_PHASES = 4
 
 
 def fail(msg):

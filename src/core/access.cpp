@@ -199,8 +199,8 @@ std::vector<access> region_monoq_accesses(const index_t* list, index_t lo,
                                           index_t hi) {
     // calc_monotonic_q_region: the velocity gradients are read at the
     // element *and* its six face neighbors (the only non-element-local read
-    // of the region wave — what makes monoq→EOS chaining per region legal
-    // is that delv_* is never written after wave 3).
+    // of the region wave — what makes one task per region chunk legal is
+    // that delv_* is never written after the element wave).
     return {
         {field::elem_bc, mode::read, lo, hi, list},
         {field::vdov, mode::read, lo, hi, list},
@@ -275,17 +275,14 @@ std::vector<access> plane_accesses(body_kind k, index_t lo, index_t hi) {
 // --- the iteration table ---------------------------------------------------
 
 namespace model_site {
-// Sub-site labels for the model's tasks: the runtime wave_site prefix plus
-// the link within the wave, so a hazard report pinpoints the exact body.
+// Sub-site labels for the model's tasks: the runtime wave_site label, plus
+// the body for the two force tasks, so a hazard report pinpoints the exact
+// task.
 inline constexpr const char* force_stress = "force.stress";
 inline constexpr const char* force_hourglass = "force.hourglass";
-inline constexpr const char* node_gather = "node.gather";
-inline constexpr const char* node_velpos = "node.velpos";
+inline constexpr const char* node = "node";
 inline constexpr const char* elem = "elem";
-inline constexpr const char* region_monoq = "region_eos.monoq";
-inline constexpr const char* region_eos = "region_eos.eos";
-inline constexpr const char* region_volume = "region_eos.volume";
-inline constexpr const char* constraints = "constraints";
+inline constexpr const char* region = "region_eos";
 inline constexpr const char* ckpt_pack_node = "ckpt.pack.node";
 inline constexpr const char* ckpt_pack_elem = "ckpt.pack.elem";
 }  // namespace model_site
@@ -297,13 +294,10 @@ graph_model build_iteration_table(const domain& d, partition_sizes parts) {
     const index_t pn = parts.nodal > 0 ? parts.nodal : ne;
     const index_t pe = parts.elems > 0 ? parts.elems : ne;
 
-    std::size_t count = 2 * static_cast<std::size_t>(wave_chunks(ne, pn) +
-                                                     wave_chunks(nn, pn)) +
-                        2 * static_cast<std::size_t>(wave_chunks(ne, pe));
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        count += 3 * static_cast<std::size_t>(wave_chunks(
-                         static_cast<index_t>(d.regElemList(r).size()), pe));
-    }
+    std::size_t count = 2 * static_cast<std::size_t>(wave_chunks(ne, pn)) +
+                        static_cast<std::size_t>(wave_chunks(nn, pn)) +
+                        static_cast<std::size_t>(wave_chunks(ne, pe)) +
+                        constraint_slot_count(d, pe);
     m.tasks.reserve(count);
 
     auto add = [&m](const char* site, body_kind kind, index_t partition,
@@ -318,10 +312,6 @@ graph_model build_iteration_table(const domain& d, partition_sizes parts) {
         t.stage = stage;
         t.region = region;
         t.slot = slot;
-        return static_cast<int>(m.tasks.size()) - 1;
-    };
-    auto chain = [&m](int before, int after) {
-        m.tasks[static_cast<std::size_t>(after)].deps.push_back(before);
     };
 
     // Stage 0 — force wave: stress ∥ hourglass per element chunk of p_nodal
@@ -335,84 +325,62 @@ graph_model build_iteration_table(const domain& d, partition_sizes parts) {
             hi, 0);
     }
 
-    // Stage 1 — node chains: gather→velpos continuation per node chunk
-    // (T2+T3).  The velpos link depends on its gather link; that edge is
-    // what orders the xdd/ydd/zdd write→read within the stage.
+    // Stage 1 — node wave per node chunk: gather + acceleration + BC, then
+    // velocity + position (T3).
     part = 0;
     for (index_t lo = 0; lo < nn; lo += pn, ++part) {
-        const index_t hi = std::min<index_t>(lo + pn, nn);
-        const int gather =
-            add(model_site::node_gather, body_kind::node_gather, part, lo, hi,
-                1);
-        chain(gather, add(model_site::node_velpos, body_kind::node_velpos,
-                          part, lo, hi, 1));
+        add(model_site::node, body_kind::node, part, lo,
+            std::min<index_t>(lo + pn, nn), 1);
     }
 
-    // Stage 2 — fused element wave per p_elems chunk (T3).
+    // Stage 2 — element wave per p_elems chunk: the fused kinematics, then
+    // the volume update (T3).
     part = 0;
     for (index_t lo = 0; lo < ne; lo += pe, ++part) {
-        const index_t hi = std::min<index_t>(lo + pe, ne);
-        add(model_site::elem, body_kind::elem_fused, part, lo, hi, 2);
+        add(model_site::elem, body_kind::elem, part, lo,
+            std::min<index_t>(lo + pe, ne), 2);
     }
 
-    // Stage 3 — per-(region, chunk) monoq→EOS chains (T2+T4+T5, all
-    // regions launched together) plus the independent volume update.
+    // Stage 3 — region wave per (region, chunk): monoq, EOS, then the
+    // chunk's dt partial in slot `part` (T3+T4+T5, all regions launched
+    // together).  The driver min-reduces the partials after B4.
     part = 0;
     for (index_t r = 0; r < d.numReg(); ++r) {
         const auto n = static_cast<index_t>(d.regElemList(r).size());
         for (index_t lo = 0; lo < n; lo += pe, ++part) {
-            const index_t hi = std::min<index_t>(lo + pe, n);
-            const int monoq = add(model_site::region_monoq,
-                                  body_kind::region_monoq, part, lo, hi, 3, r);
-            chain(monoq, add(model_site::region_eos, body_kind::region_eos,
-                             part, lo, hi, 3, r));
-        }
-    }
-    part = 0;
-    for (index_t lo = 0; lo < ne; lo += pe, ++part) {
-        const index_t hi = std::min<index_t>(lo + pe, ne);
-        add(model_site::region_volume, body_kind::volume_update, part, lo, hi,
-            3);
-    }
-
-    // Stage 4 — constraint partials, one slot per (region, chunk).
-    index_t slot = 0;
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        const auto n = static_cast<index_t>(d.regElemList(r).size());
-        for (index_t lo = 0; lo < n; lo += pe, ++slot) {
-            const index_t hi = std::min<index_t>(lo + pe, n);
-            add(model_site::constraints, body_kind::constraints, slot, lo, hi,
-                4, r, slot);
+            add(model_site::region, body_kind::region, part, lo,
+                std::min<index_t>(lo + pe, n), 3, r, part);
         }
     }
 
-    m.num_stages = 5;
-    m.num_slots = static_cast<std::size_t>(slot);
+    m.num_stages = 4;
+    m.num_slots = static_cast<std::size_t>(part);
     return m;
 }
 
 std::vector<access> accesses_of(const task_decl& t, const domain& d) {
     const index_t* list =
         t.region >= 0 ? d.regElemList(t.region).data() : nullptr;
+    // A fused task's set is the union of its bodies' sets, in body order.
+    const auto join = [](std::vector<access> a, std::vector<access> b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
     switch (t.kind) {
         case body_kind::force_stress:
             return force_stress_accesses(t.lo, t.hi);
         case body_kind::force_hourglass:
             return force_hourglass_accesses(t.lo, t.hi);
-        case body_kind::node_gather:
-            return node_gather_accesses(t.lo, t.hi);
-        case body_kind::node_velpos:
-            return node_velpos_accesses(t.lo, t.hi);
-        case body_kind::elem_fused:
-            return elem_wave_accesses(t.lo, t.hi);
-        case body_kind::region_monoq:
-            return region_monoq_accesses(list, t.lo, t.hi);
-        case body_kind::region_eos:
-            return region_eos_accesses(list, t.lo, t.hi);
-        case body_kind::volume_update:
-            return volume_update_accesses(t.lo, t.hi);
-        case body_kind::constraints:
-            return constraint_accesses(list, t.lo, t.hi, t.slot);
+        case body_kind::node:
+            return join(node_gather_accesses(t.lo, t.hi),
+                        node_velpos_accesses(t.lo, t.hi));
+        case body_kind::elem:
+            return join(elem_wave_accesses(t.lo, t.hi),
+                        volume_update_accesses(t.lo, t.hi));
+        case body_kind::region:
+            return join(join(region_monoq_accesses(list, t.lo, t.hi),
+                             region_eos_accesses(list, t.lo, t.hi)),
+                        constraint_accesses(list, t.lo, t.hi, t.slot));
         case body_kind::pack_corner:
         case body_kind::unpack_corner:
         case body_kind::pack_delv:
@@ -438,7 +406,8 @@ graph_model build_iteration_model(const domain& d, partition_sizes parts) {
 }
 
 int checkpoint_pack_last_stage(field f) noexcept {
-    return field_space(f) == space::node ? 0 : 2;
+    if (field_space(f) == space::node) return 0;
+    return f == field::v ? 1 : 2;
 }
 
 void add_checkpoint_pack_tasks(graph_model& m, const domain& d) {

@@ -4,10 +4,13 @@
 // (build_iteration_table, plus build_slab_model's halo tasks for a dist
 // slab) is the ONE description of a leapfrog iteration: each task_decl
 // names the call it makes (a body_kind plus its chunk, region and slot),
-// its stage and its continuation edges.  core/compiled_iteration compiles
-// it into the replayed static graph; the same table, with every task's
-// access set filled in from lulesh/kernels.hpp's signatures, feeds two
-// checkers:
+// its stage and its continuation edges.  Each task is one chunk of one
+// wave, running that chunk's consecutive kernels in one body (trick T3),
+// so the single-domain table needs no edges: its four barriers order the
+// waves, and only a dist slab's halo sends carry edges.
+// core/compiled_iteration compiles the table into the replayed static
+// graph; the same table, with every task's access set filled in from
+// lulesh/kernels.hpp's signatures, feeds two checkers:
 //
 //   * the static audit pass (core/graph_audit.*) walks the declarative
 //     model of one iteration and proves that every read-write and
@@ -121,69 +124,72 @@ void expand_access(const access& a, const domain& d, Visit&& visit) {
 }
 
 /// Extent of a field's index space on this domain (`slots` supplies the
-/// wave-5 partial count, which is not a domain property).
+/// dt partial count, which is not a domain property).
 std::size_t space_extent(space s, const domain& d, std::size_t slots);
 
-// --- per-task access declarations ----------------------------------------
+// --- per-body access declarations ----------------------------------------
 //
-// One function per distinct task body of the table (the wave_body:: calls
-// of graph_waves.hpp), mirroring the kernel signatures it fuses.  Ranges
-// are the same [lo, hi) the table hands the kernels; region tasks
-// additionally carry the region's element list.  Keep these in lockstep
-// with the bodies: the shadow tracker flags a body that touches outside its
-// declaration, and the adversarial audit tests flag a declaration that
-// shrinks below what the chaining needs.
+// One function per wave_body:: call of graph_waves.hpp, mirroring the
+// kernel signatures it fuses.  A table task runs one or more of these
+// bodies in sequence over one chunk, and its access set is the union of
+// theirs (accesses_of).  Ranges are the same [lo, hi) the table hands the
+// kernels; region bodies additionally carry the region's element list.
+// Keep these in lockstep with the bodies: the shadow tracker flags a body
+// that touches outside its declaration, and the adversarial audit tests
+// flag a declaration that shrinks below what the ordering needs.
 
-/// Wave 1, stress chain: force_stress_chunk(d, lo, hi).
+/// force_stress_chunk(d, lo, hi).
 std::vector<access> force_stress_accesses(index_t lo, index_t hi);
 
-/// Wave 1, hourglass chain: force_hourglass_chunk(d, lo, hi).
+/// force_hourglass_chunk(d, lo, hi).
 std::vector<access> force_hourglass_accesses(index_t lo, index_t hi);
 
-/// Wave 2, link 1: gather_forces + calc_acceleration +
-/// apply_acceleration_bc_masked over nodes [lo, hi).
+/// gather_forces + calc_acceleration + apply_acceleration_bc_masked over
+/// nodes [lo, hi).
 std::vector<access> node_gather_accesses(index_t lo, index_t hi);
 
-/// Wave 2, link 2 (continuation): velocity_position_chunk over [lo, hi).
+/// velocity_position_chunk over nodes [lo, hi).
 std::vector<access> node_velpos_accesses(index_t lo, index_t hi);
 
-/// Wave 3: calc_kinematics + calc_lagrange_deviatoric +
+/// calc_kinematics + calc_lagrange_deviatoric +
 /// calc_monotonic_q_gradients + check_qstop + apply_material_vnewc.
 std::vector<access> elem_wave_accesses(index_t lo, index_t hi);
 
-/// Wave 4, link 1: calc_monotonic_q_region over list[lo..hi).
+/// calc_monotonic_q_region over list[lo..hi).
 std::vector<access> region_monoq_accesses(const index_t* list, index_t lo,
                                           index_t hi);
 
-/// Wave 4, link 2 (continuation): eval_eos_chunk over list[lo..hi).
+/// eval_eos_chunk over list[lo..hi).
 std::vector<access> region_eos_accesses(const index_t* list, index_t lo,
                                         index_t hi);
 
-/// Wave 4, independent: update_volumes over [lo, hi).
+/// update_volumes over [lo, hi).
 std::vector<access> volume_update_accesses(index_t lo, index_t hi);
 
-/// Wave 5: calc_time_constraints over list[lo..hi) into partial `slot`.
+/// calc_time_constraints over list[lo..hi) into partial `slot`.
 std::vector<access> constraint_accesses(const index_t* list, index_t lo,
                                         index_t hi, index_t slot);
 
 // --- the iteration table ----------------------------------------------------
 
-/// The call a table task makes.  The first nine are the wave_body:: calls
-/// (graph_waves.hpp) run by the compiled graph's task nodes; the halo kinds
-/// are a dist slab's boundary steps (build_slab_model), whose bodies the
-/// dist driver supplies; ckpt_pack is an overlapped checkpoint pack
-/// (add_checkpoint_pack_tasks), which the drivers run as external
-/// dependencies of the graph rather than as nodes.
+/// The call a table task makes.  The first five run wave_body:: calls
+/// (graph_waves.hpp) in the compiled graph's task nodes, one task per
+/// chunk per wave (trick T3):
+///   force_stress, force_hourglass  one body each (stage 0, T4);
+///   node    node_gather, then node_velpos (stage 1);
+///   elem    elem_fused, then volume_update (stage 2);
+///   region  region_monoq, region_eos, then the chunk's constraints
+///           partial (stage 3).
+/// The halo kinds are a dist slab's boundary steps (build_slab_model),
+/// whose bodies the dist driver supplies; ckpt_pack is an overlapped
+/// checkpoint pack (add_checkpoint_pack_tasks), which the drivers run as
+/// external dependencies of the graph rather than as nodes.
 enum class body_kind : std::uint8_t {
     force_stress,
     force_hourglass,
-    node_gather,
-    node_velpos,
-    elem_fused,
-    region_monoq,
-    region_eos,
-    volume_update,
-    constraints,
+    node,
+    elem,
+    region,
     pack_corner,    ///< send the owned boundary plane's corner forces
     unpack_corner,  ///< receive the neighbor's plane into the ghost slots
     pack_delv,      ///< send the owned boundary plane's delv_zeta
@@ -193,20 +199,20 @@ enum class body_kind : std::uint8_t {
                     ///< its table (build_slab_model)
 };
 
-/// True for the kinds whose body is a wave_body:: call.
+/// True for the kinds whose body runs wave_body:: calls.
 [[nodiscard]] constexpr bool is_wave_body(body_kind k) noexcept {
-    return k <= body_kind::constraints;
+    return k <= body_kind::region;
 }
 
 /// One task of the modelled iteration.
 struct task_decl {
-    const char* site = nullptr;  ///< sub-site label, e.g. "region_eos.monoq"
+    const char* site = nullptr;  ///< sub-site label, e.g. "force.stress"
     index_t partition = 0;       ///< partition ordinal within the wave; for
                                  ///< halo tasks 0 = lower, 1 = upper boundary
     index_t lo = 0;              ///< the chunk the body runs over: element or
     index_t hi = 0;              ///< node range, region-list positions, or
                                  ///< the halo plane
-    int stage = 0;               ///< barrier interval the task runs in (0-4)
+    int stage = 0;               ///< barrier interval the task runs in (0-3)
     std::vector<access> accesses;  ///< empty in a compact table
     std::vector<int> deps;       ///< tasks ordered *before* this one by a
                                  ///< declared continuation edge (task ids)
@@ -218,8 +224,8 @@ struct task_decl {
                                  ///< writes their field.
     body_kind kind = body_kind::force_stress;
     index_t region = -1;  ///< region whose element list [lo, hi) indexes
-    index_t slot = -1;    ///< dt partial slot (constraints) or checkpoint
-                          ///< field slot (ckpt_pack)
+    index_t slot = -1;    ///< dt partial slot (region) or checkpoint field
+                          ///< slot (ckpt_pack)
 };
 
 /// The pre-built graph of one leapfrog iteration: tasks grouped into
@@ -251,9 +257,9 @@ void fill_accesses(graph_model& m, const domain& d);
 
 /// The last stage an overlapped checkpoint pack of field `f` may still be
 /// running in, which names the barrier it gates: 0 for node fields (B1,
-/// ahead of the node wave that writes coordinates and velocities), 2 for
-/// element fields (B3, ahead of the region/volume wave, the first writer
-/// of e/p/q/ss/v).
+/// ahead of the node wave that writes coordinates and velocities), 1 for
+/// v (B2, ahead of the element wave's volume update), 2 for the other
+/// element fields (B3, ahead of the region wave that writes e/p/q/ss).
 [[nodiscard]] int checkpoint_pack_last_stage(field f) noexcept;
 
 /// Appends the overlapped checkpoint-packing tasks the drivers run when

@@ -82,8 +82,8 @@ void compiled_iteration::add_capture(std::size_t slab,
 }
 
 void compiled_iteration::arm(real_t dt) {
-    // A pack gates the barrier closing its last stage: node fields B1,
-    // element fields B3.
+    // A pack gates the barrier closing its last stage: node fields B1, v
+    // B2, the other element fields B3.
     const auto pack_stage = [](const state_capture& cap, std::size_t i) {
         return checkpoint_pack_last_stage(cap.region(i).f);
     };
@@ -156,10 +156,12 @@ void compiled_iteration::build_access_sets(slab_state& sl) {
 // skipping bodies once the graph's stop flag is set, and the stop request
 // on throw.  Everything else — the fault probe at the wave site, the
 // optional hazard scope and NaN scan — happens here.
-void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task,
-                                  k::eos_scratch* scratch) {
+void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task) {
     const slab_state& sl = slabs_[slab];
     const task_decl& t = sl.table.tasks[task];
+    k::eos_scratch* scratch = t.kind == body_kind::region
+                                  ? &eos_scratch_[amt::current_worker().index]
+                                  : nullptr;
     const char* site = wave_site_of(t.kind);
     const iteration_sentinel::task_ctx* ctx =
         instrumented_ ? &sl.ctxs[task] : nullptr;
@@ -201,9 +203,8 @@ compiled_iteration::node_id compiled_iteration::add_node(
 // same part of the mesh therefore share a home.
 std::uint32_t compiled_iteration::home_of(const task_decl& t,
                                           const domain& d) const {
-    const bool nodal =
-        t.kind == body_kind::node_gather || t.kind == body_kind::node_velpos;
-    const index_t extent = nodal ? d.numNode() : d.numElem();
+    const index_t extent =
+        t.kind == body_kind::node ? d.numNode() : d.numElem();
     const index_t pos =
         t.region >= 0
             ? d.regElemList(t.region)[static_cast<std::size_t>(t.lo)]
@@ -223,6 +224,7 @@ void compiled_iteration::compile() {
     };
     const bool direct = gating_ == halo_gating::direct;
     const std::size_t sets = direct ? 1 : slabs_.size();
+    index_t max_region_chunk = 0;
     barrier_.resize(sets);
     stamps_.resize(sets);
     receives_.assign(sets, {});
@@ -247,26 +249,20 @@ void compiled_iteration::compile() {
         sl.ids.assign(tasks.size(), no_node);
         if (instrumented_) sl.ctxs.resize(tasks.size());
 
-        // Nodes.  A task some wave body of its stage chains after is not a
-        // tail; direct exchanges become the gate of their slab's next stage.
-        std::vector<char> has_consumer(tasks.size(), 0);
+        // Nodes.  Direct exchanges become the gate of their slab's next
+        // stage.
         std::array<std::vector<node_id>, num_barriers> exchanges;
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const task_decl& t = tasks[i];
             const bool receive = is_receive(t.kind);
             if (is_wave_body(t.kind)) {
-                for (int dep : t.deps) {
-                    has_consumer[static_cast<std::size_t>(dep)] = 1;
+                if (t.kind == body_kind::region) {
+                    max_region_chunk = std::max(max_region_chunk, t.hi - t.lo);
                 }
-                k::eos_scratch* scratch = t.kind == body_kind::region_eos
-                                              ? &eos_scratch_.emplace_back()
-                                              : nullptr;
                 const auto slab = static_cast<std::uint32_t>(s);
                 const auto task = static_cast<std::uint32_t>(i);
                 sl.ids[i] = add_node(
-                    [this, slab, task, scratch] {
-                        run_task(slab, task, scratch);
-                    },
+                    [this, slab, task] { run_task(slab, task); },
                     wave_site_of(t.kind), t.partition, t.stage, s,
                     home_of(t, *sl.env.dom));
                 ++task_count_;
@@ -313,8 +309,13 @@ void compiled_iteration::compile() {
                     for (node_id g : gate) graph_.add_edge(g, id);
                 }
             }
-            if (!has_consumer[i]) graph_.add_edge(id, bar[stage]);
+            graph_.add_edge(id, bar[stage]);
         }
+    }
+
+    eos_scratch_.resize(rt_.num_workers());
+    for (k::eos_scratch& scratch : eos_scratch_) {
+        scratch.resize(static_cast<std::size_t>(max_region_chunk));
     }
 }
 

@@ -12,19 +12,20 @@
 // scheduler again.  Steady-state replay iterations perform zero heap
 // allocations (tests/amt/test_alloc_count.cpp).
 //
-// Per slab (the taskgraph driver compiles exactly one):
+// Per slab (the taskgraph driver compiles exactly one), one task per chunk
+// per wave (T3), each running its chunk's kernels in sequence:
 //
 //   wave 1  force:       stress ∥ hourglass per element chunk    → B1
-//   wave 2  node:        gather → velpos chains per node chunk   → B2
-//   wave 3  elem:        fused kinematics per element chunk      → B3
-//   wave 4  region_eos:  monoq → EOS chains per (region, chunk)
-//                        ∥ volume update per element chunk       → B4
-//   wave 5  constraints: dt partials, one slot per (region,chunk)→ B5
+//   wave 2  node:        gather + velpos per node chunk          → B2
+//   wave 3  elem:        kinematics + volume update per chunk    → B3
+//   wave 4  region_eos:  monoq + EOS + dt partial per
+//                        (region, chunk), one slot each          → B4
 //
-// A task with no in-stage predecessor hangs off the previous barrier, a
-// task nothing in its stage depends on feeds its own barrier, and the
-// barriers chain B1 → … → B5.  Barrier bodies stamp the phase-completion
-// instants (phase_profile, the tracer's phase windows).
+// The driver min-reduces the dt partials after B4.  A task with no
+// in-stage predecessor hangs off the previous barrier, every node feeds
+// its own stage's barrier, and the barriers chain B1 → … → B4.  Barrier
+// bodies stamp the phase-completion instants (phase_profile, the tracer's
+// phase windows).
 //
 // The halo tasks of a dist slab table:
 //   * a send (pack_corner, pack_delv) is a node running the driver's halo
@@ -42,8 +43,8 @@
 //     each receive is a direct exchange node between its stage's barrier
 //     and its slab's next stage.
 // Overlapped checkpoint packs are external dependencies as well:
-// node-field packs gate B1, element-field packs B3 — the placement
-// add_checkpoint_pack_tasks models for the audit.
+// node-field packs gate B1, the v pack B2 and the other element-field
+// packs B3 — the placement add_checkpoint_pack_tasks models for the audit.
 //
 // Placement: every wave-body node gets a home worker at compile time —
 // the runtime's workers split the slab's element (or node) range into
@@ -59,17 +60,20 @@
 // replaced domain of the same shape — a re-emplaced domain, a rebuilt
 // slab, the next cluster of a benchmark — replays the same graph.
 //
-// EOS scratch (T5): each EOS node owns a persistent eos_scratch recycled
-// across replays.  Every eval_eos_chunk writes each scratch array before
-// reading it, so recycling is bitwise-equivalent to task-local vectors and
-// saves 14 vector allocations per EOS task per iteration.
+// EOS scratch (T5): one eos_scratch per worker, sized at compile time to
+// the largest region chunk and recycled across replays, so a replay
+// allocates nothing.  A region task takes its worker's scratch
+// (amt::current_worker().index).  That is safe because a region body
+// never waits: at most one runs on a worker at a time, and only the
+// runtime's workers run graph nodes.  Every eval_eos_chunk writes each
+// scratch array before reading it, so recycling is bitwise-equivalent to
+// task-local vectors.
 
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -89,7 +93,7 @@ namespace lulesh::graph {
 
 class compiled_iteration {
 public:
-    static constexpr std::size_t num_barriers = 5;
+    static constexpr std::size_t num_barriers = 4;
     using node_id = amt::static_graph::node_id;
 
     /// How a slab table's halo tasks compile (see the file comment).
@@ -146,7 +150,8 @@ public:
     /// Replay protocol (one iteration):
     ///   bind (every slab) → [add_capture] → arm(dt) → start → wait.
     /// arm() posts the pack tasks of the captures added since the last
-    /// arm, each gating its slab's B1 (node fields) or B3 (element fields).
+    /// arm, each gating its slab's B1 (node fields), B2 (v) or B3 (the
+    /// other element fields).
     void bind(std::size_t slab, domain& d);
     void add_capture(std::size_t slab, std::shared_ptr<state_capture> cap);
     void arm(real_t dt);
@@ -172,7 +177,7 @@ public:
         std::size_t slab = 0) const noexcept {
         return slabs_[slab].partials.data();
     }
-    /// Barrier-completion stamps of the last replay (B1..B5 of slab 0, or
+    /// Barrier-completion stamps of the last replay (B1..B4 of slab 0, or
     /// of the shared barriers).
     [[nodiscard]] const std::array<amt::clock::time_point, num_barriers>&
     stamps() const noexcept {
@@ -184,7 +189,7 @@ public:
     }
 
     /// Stage of a wave-body node (the phase_profile index, 0 = force …
-    /// 4 = constraints), or -1 for barriers and halo nodes — the phase
+    /// 3 = region_eos), or -1 for barriers and halo nodes — the phase
     /// attribution the critical-path report groups by.
     [[nodiscard]] int node_stage(node_id id) const noexcept {
         return meta_[id].stage;
@@ -193,7 +198,7 @@ public:
     [[nodiscard]] std::size_t slab_of(node_id id) const noexcept {
         return meta_[id].slab;
     }
-    /// Barrier node id for wave `i` (0-based, B1..B5) of slab 0.
+    /// Barrier node id for wave `i` (0-based, B1..B4) of slab 0.
     [[nodiscard]] node_id barrier_id(std::size_t i) const noexcept {
         return barrier_.front()[i];
     }
@@ -243,8 +248,7 @@ private:
                      std::uint32_t home = amt::static_graph::no_home);
     [[nodiscard]] std::uint32_t home_of(const task_decl& t,
                                         const domain& d) const;
-    void run_task(std::uint32_t slab, std::uint32_t task,
-                  kernels::eos_scratch* scratch);
+    void run_task(std::uint32_t slab, std::uint32_t task);
     [[nodiscard]] std::size_t set_of(std::size_t slab) const noexcept {
         return barrier_.size() == 1 ? 0 : slab;
     }
@@ -265,7 +269,7 @@ private:
     std::vector<std::array<std::uint32_t, num_barriers>> ext_;
     std::vector<external> externals_;
     std::vector<node_meta> meta_;
-    std::deque<kernels::eos_scratch> eos_scratch_;  ///< one per EOS node
+    std::vector<kernels::eos_scratch> eos_scratch_;  ///< one per worker
     std::size_t task_count_ = 0;
 };
 

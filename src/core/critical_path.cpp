@@ -78,7 +78,7 @@ critical_path_report analyze_critical_path(
         chain[i] = prof.nodes[i].mean_ns;
         if (indeg[i] == 0) ready.push_back(id);
     }
-    for (std::size_t p = 0; p < phase_profile::num_phases; ++p) {
+    for (std::size_t p = 0; p < r.phases.size(); ++p) {
         r.phases[p].name = phase_profile::name(p);
     }
     for (std::size_t head = 0; head < ready.size(); ++head) {

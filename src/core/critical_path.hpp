@@ -5,7 +5,8 @@
 // (per-node means, whole-iteration critical path, ideal speedup); this
 // layer adds the leapfrog phase semantics — every compute node is binned
 // into its wave (phase_profile::name order) via compiled_iteration's
-// stage table, and each phase gets
+// stage table, and each of the four graph waves gets (the fifth profile
+// phase, constraints, is the driver's dt reduction and has no nodes)
 //
 //   work        Σ mean node cost of the phase (one iteration);
 //   chain       the longest dependency chain *within* the phase (edges
@@ -46,7 +47,7 @@ struct critical_path_report {
     struct task_stats {
         const char* label = "";
         std::int32_t arg = -1;
-        int stage = -1;  ///< phase_profile index 0..4; -1 for barriers
+        int stage = -1;  ///< phase_profile index 0..3; -1 for barriers
         double mean_ns = 0.0;
         std::uint64_t runs = 0;
         bool on_critical_path = false;
@@ -58,7 +59,9 @@ struct critical_path_report {
     double work_ns = 0.0;           ///< one iteration's total compute
     double critical_path_ns = 0.0;  ///< longest mean-weighted chain
     double ideal_speedup = 0.0;     ///< work / critical path
-    std::array<phase_stats, phase_profile::num_phases> phases{};
+    /// One per graph wave, in phase_profile order.
+    std::array<phase_stats, graph::compiled_iteration::num_barriers>
+        phases{};
     std::vector<task_stats> critical_path;  ///< root → sink node sequence
     std::vector<task_stats> top;            ///< top-k by mean cost
 };

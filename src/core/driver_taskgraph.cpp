@@ -83,9 +83,10 @@ void taskgraph_driver::advance(domain& d) {
 
     // Overlapped checkpoint packing: a capture handed over by the resilient
     // loop (the previous iteration's state) is packed by tasks running
-    // concurrently with this iteration's compute, gating B1 (node fields)
-    // and B3 (element fields) — the placement add_checkpoint_pack_tasks
-    // models, so the graph audit is the proof the overlap cannot race.
+    // concurrently with this iteration's compute, gating B1 (node fields),
+    // B2 (v) and B3 (the other element fields) — the placement
+    // add_checkpoint_pack_tasks models, so the graph audit is the proof the
+    // overlap cannot race.
     std::size_t packs = 0;
     if (std::shared_ptr<state_capture> cap = std::move(pending_capture_)) {
         if (cap->source() == &d) {
@@ -108,26 +109,6 @@ void taskgraph_driver::advance(domain& d) {
                               static_cast<std::int32_t>(tasks_last_iteration_));
     }
 
-    // Per-phase durations from the barrier-completion stamps.  The tracer
-    // gets the same windows as retroactive phase spans (on a dedicated
-    // pseudo-thread, so they cannot break nesting on this thread's
-    // timeline) — the per-phase utilization report attributes worker time
-    // to these windows.
-    const auto& stamps = compiled_->stamps();
-    auto prev = t0;
-    for (std::size_t ph = 0; ph < phase_profile::num_phases; ++ph) {
-        profile_.seconds[ph] +=
-            std::chrono::duration<double>(stamps[ph] - prev).count();
-        if (tracing) {
-            const std::int64_t b = amt::trace::to_ns(prev);
-            const std::int64_t e = amt::trace::to_ns(stamps[ph]);
-            amt::trace::emit_phase(phase_profile::name(ph), b, e - b,
-                                   d.cycle);
-        }
-        prev = stamps[ph];
-    }
-    ++profile_.iterations;
-
     k::dt_constraints combined;
     const k::dt_constraints* partials = compiled_->partials();
     for (std::size_t s = 0; s < compiled_->slot_count(); ++s) {
@@ -135,6 +116,29 @@ void taskgraph_driver::advance(domain& d) {
     }
     d.dtcourant = combined.dtcourant;
     d.dthydro = combined.dthydro;
+
+    // Per-phase durations from the barrier-completion stamps; the last
+    // phase (constraints) ends with the reduction above.  The tracer gets
+    // the same windows as retroactive phase spans (on a dedicated
+    // pseudo-thread, so they cannot break nesting on this thread's
+    // timeline) — the per-phase utilization report attributes worker time
+    // to these windows.
+    const auto& stamps = compiled_->stamps();
+    const auto reduced = amt::clock::now();
+    auto prev = t0;
+    for (std::size_t ph = 0; ph < phase_profile::num_phases; ++ph) {
+        const auto end = ph < stamps.size() ? stamps[ph] : reduced;
+        profile_.seconds[ph] +=
+            std::chrono::duration<double>(end - prev).count();
+        if (tracing) {
+            const std::int64_t b = amt::trace::to_ns(prev);
+            const std::int64_t e = amt::trace::to_ns(end);
+            amt::trace::emit_phase(phase_profile::name(ph), b, e - b,
+                                   d.cycle);
+        }
+        prev = end;
+    }
+    ++profile_.iterations;
 
     if (!flags_.volume_ok->load(amt::memory_order_relaxed)) {
         throw simulation_error(status::volume_error,

@@ -6,31 +6,37 @@
 //
 //   T1  loops are manually partitioned into tasks of P consecutive
 //       elements/nodes (partition_sizes, the Table I knobs);
-//   T2  element-wise dependent kernels are chained per-partition with
-//       continuations instead of global barriers (gather→accel→BC and
-//       velocity→position chains; monotonic-Q→EOS chains per region);
+//   T2  element-wise dependent kernels are ordered within a partition's
+//       task instead of by global barriers, so only the waves' barriers
+//       remain (a dist slab's halo sends add continuation edges);
 //   T3  consecutive small kernels are fused into single task bodies,
-//       keeping their loops separate inside the body;
+//       keeping their loops separate inside the body: one task per chunk
+//       per wave (gather + accel + BC + velocity + position per node
+//       chunk; kinematics + volume update per element chunk; monotonic Q
+//       + EOS + dt partial per region chunk);
 //   T4  independent kernel groups run concurrently: stress-force and
 //       hourglass-force tasks are launched together, and all regions' EOS
 //       pipelines are launched together (this is where the region load
 //       imbalance gets absorbed by work stealing);
 //   T5  temporaries are task-local (sigma values, hourglass scratch, EOS
-//       work arrays) instead of mesh-sized global buffers;
+//       work arrays in one scratch per worker) instead of mesh-sized
+//       global buffers;
 //   T6  all tasks of an iteration are created up front: the iteration
 //       table (core/access) is compiled once into a static graph
 //       (core/compiled_iteration) that every advance() re-arms and replays,
 //       and the driver blocks exactly once per iteration, at the end.
 //
-// The iteration has 5 internal barrier nodes (the paper reports 7 for its
-// decomposition; our slightly more aggressive fusion of the
-// kinematics/gradients/clamp wave and of the error checks removes two
-// without changing any dependence):
+// The iteration has 4 internal barrier nodes (the paper reports 7 for its
+// decomposition; fusing the kinematics/gradients/clamp wave with the
+// volume update, the error checks into their waves, and each region
+// chunk's dt partial into its EOS task removes three without changing any
+// dependence):
 //   B1  after stress+hourglass corner forces (element → node transition)
 //   B2  after position update (node → element transition)
-//   B3  after kinematics/gradients (face-neighbor delv exchange)
-//   B4  after region EOS chains + volume update (state complete)
-//   B5  after constraint partials (min-reduction input complete)
+//   B3  after kinematics/gradients and volume update (face-neighbor delv
+//       exchange)
+//   B4  after the region tasks' EOS and dt partials (state complete;
+//       the driver min-reduces the partials)
 
 #pragma once
 
@@ -51,16 +57,19 @@ namespace lulesh {
 
 /// Accumulated wall time per iteration phase of the task graph, measured at
 /// the barrier-completion instants (so a phase's time includes its tasks
-/// plus any scheduling gaps before the barrier resolves).  Supports the
+/// plus any scheduling gaps before the barrier resolves); the last phase
+/// runs from B4 to the end of the driver's dt reduction.  Supports the
 /// per-phase analysis behind the paper's Table I (separate partition sizes
 /// for LagrangeNodal vs LagrangeElements).
 struct phase_profile {
     enum phase : std::size_t {
         force = 0,        ///< wave 1: stress + hourglass corner forces
         node = 1,         ///< wave 2: gather/accel/BC + velocity/position
-        elem = 2,         ///< wave 3: kinematics + gradients + clamps
-        region_eos = 3,   ///< wave 4: monotonic Q + EOS + volume update
-        constraints = 4,  ///< wave 5: dt constraint partials
+        elem = 2,         ///< wave 3: kinematics + gradients + clamps +
+                          ///< volume update
+        region_eos = 3,   ///< wave 4: monotonic Q + EOS + dt partials
+        constraints = 4,  ///< after B4: the driver's min-reduction of the
+                          ///< dt partials
         num_phases = 5
     };
 
@@ -95,7 +104,7 @@ public:
     void advance(domain& d) override;
 
     /// Number of internal barriers per iteration.
-    static constexpr int num_barriers = 5;
+    static constexpr int num_barriers = 4;
 
     [[nodiscard]] amt::runtime& runtime() noexcept { return rt_; }
     [[nodiscard]] partition_sizes partitions() const noexcept { return parts_; }
@@ -136,8 +145,9 @@ public:
     /// Accepts a capture for overlapped packing.  The pack jobs become
     /// tasks of the *next* advance(), gating the compiled graph's barriers:
     /// node-field packs B1 (before the node wave writes coordinates and
-    /// velocities), element-field packs B3 (waves 1-3 write no
-    /// checkpointed element field).  Declines (returns false, the caller
+    /// velocities), the v pack B2 (before the element wave's volume
+    /// update), the other element-field packs B3 (waves 1-3 write no
+    /// other checkpointed element field).  Declines (returns false, the caller
     /// packs synchronously) on a single-worker runtime; if the next
     /// advance() runs on a different domain the capture is packed
     /// synchronously on the spot instead.

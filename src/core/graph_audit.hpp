@@ -4,7 +4,7 @@
 // model of one leapfrog iteration (core/access.hpp) and proves that every
 // read–write and write–write overlap between tasks is ordered — either by a
 // declared continuation edge within a barrier interval, or by one of the
-// five surviving barriers (tasks of different stages are totally
+// four surviving barriers (tasks of different stages are totally
 // ordered by construction, so only same-stage overlaps need an edge).
 //
 // This turns the paper's hand-reasoned barrier-elision argument (trick T2:
@@ -43,8 +43,8 @@ struct hazard_report {
     std::int64_t lo = 0;  ///< offending range [lo, hi) of f's index space
     std::int64_t hi = 0;
 
-    /// "write-write hazard on qq [128, 256): region_eos.monoq[3] vs
-    ///  region_eos.eos[5] (stage 3, no ordering edge)"
+    /// "write-write hazard on v [64, 65): elem[0] vs elem[1]
+    ///  (stage 2, no ordering edge)"
     [[nodiscard]] std::string describe(const graph_model& m) const;
 };
 

@@ -76,8 +76,6 @@ void constraints(domain& d, const index_t* list, index_t lo, index_t hi,
 void run_body(const task_decl& t, const body_env& env,
               kernels::eos_scratch* scratch) {
     domain& d = *env.dom;
-    const index_t* list =
-        t.region >= 0 ? d.regElemList(t.region).data() : nullptr;
     switch (t.kind) {
         case body_kind::force_stress:
             wave_body::force_stress(d, t.lo, t.hi, *env.volume_ok);
@@ -85,31 +83,25 @@ void run_body(const task_decl& t, const body_env& env,
         case body_kind::force_hourglass:
             wave_body::force_hourglass(d, t.lo, t.hi, *env.volume_ok);
             break;
-        case body_kind::node_gather:
+        case body_kind::node:
             wave_body::node_gather(d, t.lo, t.hi);
-            break;
-        case body_kind::node_velpos:
             wave_body::node_velpos(d, t.lo, t.hi, env.dt);
             break;
-        case body_kind::elem_fused:
+        case body_kind::elem:
             wave_body::elem_fused(d, t.lo, t.hi, env.dt, *env.volume_ok,
                                   *env.qstop_ok);
+            wave_body::volume_update(d, t.lo, t.hi);
             break;
-        case body_kind::region_monoq:
+        case body_kind::region: {
+            const index_t* list = d.regElemList(t.region).data();
             wave_body::region_monoq(d, list, t.lo, t.hi);
-            break;
-        case body_kind::region_eos:
             wave_body::region_eos(d, list, t.lo, t.hi,
                                   kernels::eos_rep_for_region(d, t.region),
                                   *scratch);
-            break;
-        case body_kind::volume_update:
-            wave_body::volume_update(d, t.lo, t.hi);
-            break;
-        case body_kind::constraints:
             wave_body::constraints(d, list, t.lo, t.hi,
                                    env.partials[t.slot]);
             break;
+        }
         default:
             break;  // halo and checkpoint steps run driver code
     }

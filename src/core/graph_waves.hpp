@@ -1,10 +1,10 @@
 // core/graph_waves.hpp
 //
-// What the nodes of a compiled iteration run: the wave_body:: kernels of
-// the five leapfrog waves, the dispatcher that calls them for a table task
-// (core/access.hpp's task_decl), the wave_site labels every task reports,
-// and the per-iteration state the drivers share with their tasks (error
-// flags and the opt-in sentinel).
+// What the nodes of a compiled iteration run: the nine wave_body::
+// kernels, the dispatcher that runs a table task's bodies in sequence
+// (core/access.hpp's task_decl: one task per chunk per wave), the
+// wave_site labels every task reports, and the per-iteration state the
+// drivers share with their tasks (error flags and the opt-in sentinel).
 
 #pragma once
 
@@ -27,14 +27,14 @@ namespace lulesh::graph {
 
 /// The site labels every wave's tasks report to fault probes and, as node
 /// labels, to the trace and the critical-path report.  Deliberately
-/// identical to the phase_profile::name() strings so both read like the
-/// profiles.
+/// identical to the phase_profile::name() strings of the four graph waves
+/// so both read like the profiles (the fifth phase, constraints, is the
+/// driver's reduction of the region tasks' dt partials).
 namespace wave_site {
 inline constexpr const char* force = "force";
 inline constexpr const char* node = "node";
 inline constexpr const char* elem = "elem";
 inline constexpr const char* region_eos = "region_eos";
-inline constexpr const char* constraints = "constraints";
 }  // namespace wave_site
 
 /// The wave_site label of a wave_body kind.
@@ -43,17 +43,12 @@ inline constexpr const char* constraints = "constraints";
         case body_kind::force_stress:
         case body_kind::force_hourglass:
             return wave_site::force;
-        case body_kind::node_gather:
-        case body_kind::node_velpos:
+        case body_kind::node:
             return wave_site::node;
-        case body_kind::elem_fused:
+        case body_kind::elem:
             return wave_site::elem;
-        case body_kind::region_monoq:
-        case body_kind::region_eos:
-        case body_kind::volume_update:
-            return wave_site::region_eos;
         default:
-            return wave_site::constraints;
+            return wave_site::region_eos;
     }
 }
 
@@ -62,7 +57,7 @@ inline constexpr const char* constraints = "constraints";
     return p > 0 ? (n + p - 1) / p : n;
 }
 
-/// The fused kernel bodies of the five waves.  Every driver that runs the
+/// The kernel bodies the waves' tasks run.  Every driver that runs the
 /// task graph reaches them through run_body(), so the taskgraph and dist
 /// drivers run identical floating-point operations in identical order.
 namespace wave_body {
@@ -92,10 +87,10 @@ struct body_env {
     kernels::dt_constraints* partials = nullptr;
 };
 
-/// The dispatcher: runs the wave_body:: call that task `t` describes
-/// (is_wave_body(t.kind)) against `env`.  Region lists and EOS repetition
-/// counts are read from the bound domain; `scratch` is the EOS task's
-/// work arrays (region_eos only).
+/// The dispatcher: runs the wave_body:: calls that task `t` describes
+/// (is_wave_body(t.kind)) against `env`, in body order over t's chunk.
+/// Region lists and EOS repetition counts are read from the bound domain;
+/// `scratch` is the EOS work arrays (region tasks only).
 void run_body(const task_decl& t, const body_env& env,
               kernels::eos_scratch* scratch);
 
@@ -147,7 +142,8 @@ struct error_flags {
     }
 };
 
-/// Number of constraint partial slots wave 5 fills for this domain.
+/// Number of dt partial slots the region wave fills for this domain: one
+/// per (region, chunk).
 std::size_t constraint_slot_count(const domain& d, index_t p_elems);
 
 /// Site label of the overlapped checkpoint pack tasks: their fault probe,

@@ -52,13 +52,14 @@ void load_cluster_chains(cluster& c, const std::string& path) {
         }
     }
 
-    // Consistent-cycle replay: the target is the newest cycle every slab
-    // has (min of the chain heads — the chains append in lockstep, so that
-    // cycle exists in every chain).  A delta that fails full validation
-    // during replay truncates its slab's chain and lowers the target; the
-    // replay restarts from the bases, which is idempotent because
-    // apply_chain_record never partially mutates and a base record fully
-    // overwrites the restored state.
+    // Consistent-cycle restore: the target is the newest cycle every slab
+    // has (min of the chain heads — the chains are written in lockstep, so
+    // that cycle exists in every chain).  Each slab applies its newest base
+    // record at or before the target, then the deltas after it up to the
+    // target.  A record that fails full validation truncates its slab's
+    // chain there and lowers the target; the restore starts over, which is
+    // idempotent because apply_chain_record never partially mutates and a
+    // base record fully overwrites the restored state.
     for (;;) {
         int target = chain_record_cycle(records[0].back());
         for (std::size_t i = 1; i < n; ++i) {
@@ -68,14 +69,26 @@ void load_cluster_chains(cluster& c, const std::string& path) {
         for (std::size_t i = 0; i < n && !truncated; ++i) {
             const std::string file =
                 slab_chain_path(path, static_cast<index_t>(i));
-            for (std::size_t j = 0; j < records[i].size(); ++j) {
-                if (chain_record_cycle(records[i][j]) > target) break;
+            std::vector<std::string>& recs = records[i];
+            std::size_t end = 0;  // one past the last record <= target
+            while (end < recs.size() &&
+                   chain_record_cycle(recs[end]) <= target) {
+                ++end;
+            }
+            std::size_t base = end;
+            while (base > 0 && !chain_record_is_base(recs[base - 1])) --base;
+            if (base == 0) {
+                throw checkpoint_error("checkpoint chain has no base record at "
+                                       "or before cycle " +
+                                       std::to_string(target) + ": " + file);
+            }
+            for (std::size_t j = base - 1; j < end; ++j) {
                 try {
                     apply_chain_record(c.slab(static_cast<index_t>(i)),
-                                       records[i][j], file);
+                                       recs[j], file);
                 } catch (const checkpoint_error&) {
-                    if (j == 0) throw;  // base itself is corrupt
-                    records[i].resize(j);
+                    if (j == 0) throw;  // the oldest base itself is corrupt
+                    recs.resize(j);
                     truncated = true;
                     break;
                 }

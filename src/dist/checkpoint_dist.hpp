@@ -32,15 +32,17 @@ void save_cluster_chains(cluster& c, const std::string& path);
 void append_cluster_deltas(cluster& c, const std::string& path);
 
 /// Restores every slab to the *same committed cycle* — the consistent-cycle
-/// rule.  Per-slab longest-valid-prefix replay alone is not enough for a
-/// cluster: a crash mid-append, or between two slabs' rewrites, can leave
-/// slab A's chain one committed record ahead of slab B's, and restoring
-/// each slab to its own newest record would desynchronize the lockstep
-/// clock.  This loader reads every slab's committed records first, picks
-/// the newest cycle *every* slab has (the minimum of the per-slab chain
-/// heads), and replays each slab exactly to that cycle.  A corrupt record
-/// discovered during replay truncates that slab's chain and lowers the
-/// target for everyone.  Throws checkpoint_error — naming the offending
+/// rule.  Restoring each slab on its own is not enough for a cluster: a
+/// crash mid-append, or between two slabs' rewrites, can leave slab A's
+/// chain one committed record ahead of slab B's, and restoring each slab
+/// to its own newest record would desynchronize the lockstep clock.  This
+/// loader reads every slab's committed records first, picks the newest
+/// cycle *every* slab has (the minimum of the per-slab chain heads), and
+/// restores each slab to exactly that cycle: its newest base record at or
+/// before the target, then the deltas after it up to the target.  A
+/// corrupt record discovered while applying truncates that slab's chain
+/// and lowers the target for everyone, so an older record is applied only
+/// when a newer one fails.  Throws checkpoint_error — naming the offending
 /// slab file — if any slab has no loadable committed base.
 void load_cluster_chains(cluster& c, const std::string& path);
 

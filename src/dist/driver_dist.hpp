@@ -121,8 +121,9 @@ public:
     /// packing — the per-slab form of
     /// taskgraph_driver::submit_overlapped_capture.  The pack jobs become
     /// tasks of the *next* advance(): node-field packs gate the slab's B1
-    /// (before its node wave writes x..zd), element-field packs its B3
-    /// (before its region wave writes e/p/q/v/ss) — the placement
+    /// (before its node wave writes x..zd), the v pack its B2 (before its
+    /// element wave writes v), the other element-field packs its B3
+    /// (before its region wave writes e/p/q/ss) — the placement
     /// audit_cluster audits.  The driver holds the capture
     /// only weakly: the caller keeps it and finalizes it (pack_remaining,
     /// wait_packed) before it touches the slab; a capture finalized and

@@ -78,7 +78,8 @@ graph_model build_slab_table(const domain& d, partition_sizes parts,
             b.ghost_slot, 0, {});
 
         // Stage 2: delv_zeta exchange feeding the monotonic-Q stencil of
-        // wave 4 (stage 3 reads the ghosts through face_neighbors).
+        // the region wave (stage 3 reads the ghosts through
+        // face_neighbors).
         add(halo_site::pack_delv, body_kind::pack_delv, b.ordinal,
             b.plane_base, 2,
             producers_of(m, 2, b.plane_base, b.plane_base + ep));

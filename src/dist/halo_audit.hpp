@@ -1,7 +1,7 @@
 // dist/halo_audit.hpp
 //
 // The dist slab's table and its audit.  The single-domain table
-// (core/access::build_iteration_table) covers the five leapfrog waves; a
+// (core/access::build_iteration_table) covers the four leapfrog waves; a
 // slab additionally runs, per interior boundary:
 //
 //   stage 0  pack_corner   reads the boundary plane of the six corner-force
@@ -31,8 +31,10 @@
 // audit_cluster also appends the overlapped checkpoint packs dist_driver
 // runs for a capture submitted by dist::run_resilient
 // (graph::add_checkpoint_pack_tasks): node-field packs within stage 0
-// (gating the slab's B1, ahead of the node wave), element-field packs
-// through stage 2 (gating its B3, ahead of the region wave).  The audit
+// (gating the slab's B1, ahead of the node wave), the v pack through
+// stage 1 (gating its B2, ahead of the element wave's volume update), the
+// other element-field packs through stage 2 (gating its B3, ahead of the
+// region wave).  The audit
 // thus proves the packs race neither the waves nor the ghost unpacks.
 //
 // The audit is per-slab: slabs share no arrays (channels pass buffers by
@@ -51,7 +53,7 @@
 
 namespace lulesh::dist {
 
-/// The compact table of slab `slab`'s advance: the five-wave iteration
+/// The compact table of slab `slab`'s advance: the four-wave iteration
 /// table, the halo pack/unpack tasks for each interior boundary the slab
 /// touches, and the slab's liveness task (labelled with `slab`).  `d` must
 /// be a slab domain (cluster::slab); on a domain with no neighbors this is

@@ -558,56 +558,12 @@ bool extract_record(std::istream& in, const domain& d, std::string& out) {
 
 }  // namespace
 
-void restore_chain_stream(domain& d, std::istream& in,
-                          const std::string& context) {
+std::vector<std::string> read_chain_records(const domain& d, std::istream& in,
+                                            const std::string& context) {
     // A committed chain for a *different mesh* must say so.  Without this
     // peek it would be misreported: extract_record bounds every region by
     // this domain's extents, so a shape-mismatched record looks torn and
-    // the error would claim no committed base record exists.
-    {
-        const auto start = in.tellg();
-        record_header h;
-        in.read(reinterpret_cast<char*>(&h), sizeof(h));
-        if (in.gcount() == static_cast<std::streamsize>(sizeof(h)) &&
-            h.magic == record_magic && h.version == chain_version &&
-            header_crc_of(h) == h.header_crc &&
-            (h.size != d.size_per_edge() ||
-             h.plane_begin != d.slab().plane_begin ||
-             h.plane_end != d.slab().plane_end ||
-             h.num_elem != d.numElem() || h.num_node != d.numNode())) {
-            throw checkpoint_error("lulesh: chain record in " + context +
-                                   " does not match this domain's shape");
-        }
-        in.clear();
-        in.seekg(start);
-    }
-    std::size_t applied = 0;
-    std::string record;
-    while (extract_record(in, d, record)) {
-        if (applied == 0) {
-            record_header h;
-            std::memcpy(&h, record.data(), sizeof(h));
-            if (h.kind != kind_base) {
-                record_fail(context, "chain does not start with a base record");
-            }
-        }
-        try {
-            apply_chain_record(d, record, context);
-        } catch (const checkpoint_error&) {
-            if (applied == 0) throw;
-            break;  // corrupt tail: keep the longest valid prefix
-        }
-        ++applied;
-    }
-    if (applied == 0) {
-        record_fail(context, "no committed base record found");
-    }
-}
-
-std::vector<std::string> read_chain_records(const domain& d, std::istream& in,
-                                            const std::string& context) {
-    // Same shape peek as restore_chain_stream: a committed chain for a
-    // different mesh must be reported as such, not as "no records".
+    // the chain would read as holding no committed record.
     {
         const auto start = in.tellg();
         record_header h;
@@ -631,6 +587,41 @@ std::vector<std::string> read_chain_records(const domain& d, std::istream& in,
         records.push_back(record);
     }
     return records;
+}
+
+void restore_chain_stream(domain& d, std::istream& in,
+                          const std::string& context) {
+    const std::vector<std::string> records =
+        read_chain_records(d, in, context);
+    if (records.empty()) {
+        record_fail(context, "no committed base record found");
+    }
+    if (!chain_record_is_base(records.front())) {
+        record_fail(context, "chain does not start with a base record");
+    }
+    // Start from the newest base record and apply the deltas after it up
+    // to the first that fails validation.  Only a base that fails sends the
+    // restore back to the next older base, whose deltas then run up to the
+    // failed one.
+    std::size_t end = records.size();
+    for (std::size_t b = end; b-- > 0;) {
+        if (!chain_record_is_base(records[b])) continue;
+        try {
+            apply_chain_record(d, records[b], context);
+        } catch (const checkpoint_error&) {
+            if (b == 0) throw;
+            end = b;
+            continue;
+        }
+        for (std::size_t j = b + 1; j < end; ++j) {
+            try {
+                apply_chain_record(d, records[j], context);
+            } catch (const checkpoint_error&) {
+                break;  // corrupt tail: keep the longest valid prefix
+            }
+        }
+        return;
+    }
 }
 
 int chain_record_cycle(std::string_view record) noexcept {

@@ -15,13 +15,13 @@
 //   commit trailer  magic + header-CRC echo + CRC-32C over region entries
 //
 // The trailer is written last, so a record is *committed* only once its
-// final byte is on disk.  Restore replays the longest valid prefix of
-// committed records; a crash at any byte leaves either the previous chain
-// (torn tail ignored) or the new one — never a torn state.  Whole chains
-// are written atomically (temp file, fsync, rename); a record appended in
-// place is crash-safe too, because an incomplete append simply fails
-// trailer validation.  A standalone checkpoint (lulesh/checkpoint.hpp) is a
-// chain of one base record.
+// final byte is on disk.  Restore applies the newest valid base record and
+// the valid deltas after it; a crash at any byte leaves either the
+// previous chain (torn tail ignored) or the new one — never a torn state.
+// Whole chains are written atomically (temp file, fsync, rename); a record
+// appended in place is crash-safe too, because an incomplete append simply
+// fails trailer validation.  A standalone checkpoint (lulesh/checkpoint.hpp)
+// is a chain of one base record.
 //
 // One LULESH iteration writes every checkpointed field in full, so every
 // record the resilient loops capture is a whole state — a base record.
@@ -219,20 +219,22 @@ private:
 void apply_chain_record(domain& d, std::string_view record,
                         const std::string& context);
 
-/// Replays the longest valid prefix of committed records from `in` into
-/// `d` (torn or corrupt tails are ignored).  Throws checkpoint_error if no
-/// valid leading base record exists.  The one restore path of
-/// load_checkpoint and load_checkpoint_file.
+/// Restores `d` from the committed records of `in`: the newest base
+/// record, then the deltas after it up to the first that fails validation
+/// (torn or corrupt tails are ignored).  A base record that fails sends the
+/// restore back to the next older base.  Throws checkpoint_error if the
+/// chain does not start with a base record or no base record is valid.
+/// The one restore path of load_checkpoint and load_checkpoint_file.
 void restore_chain_stream(domain& d, std::istream& in,
                           const std::string& context);
 
 /// Splits the longest validly *framed* prefix of `in` into individual
 /// record byte strings without applying them (payload CRCs are validated
-/// later, by apply_chain_record).  Torn or invalid framing ends the list,
-/// exactly like restore_chain_stream; a committed leading record for a
-/// different mesh shape throws checkpoint_error.  The distributed
-/// consistent-cycle loader uses this to inspect every slab's chain before
-/// deciding which cycle to restore.
+/// later, by apply_chain_record).  Torn or invalid framing ends the list;
+/// a committed leading record for a different mesh shape throws
+/// checkpoint_error.  restore_chain_stream and the distributed
+/// consistent-cycle loader read their chains through this before deciding
+/// which records to apply.
 std::vector<std::string> read_chain_records(const domain& d, std::istream& in,
                                             const std::string& context);
 

@@ -17,8 +17,8 @@
 //                          HPX port the paper's related work shows to be
 //                          slower than OpenMP.
 //   taskgraph_driver     — (src/core) the paper's contribution: a
-//                          pre-created task graph per iteration with
-//                          continuation chains and few barriers.
+//                          pre-created task graph per iteration with one
+//                          fused task per chunk per wave and 4 barriers.
 //
 // parallel_for, openmp and foreach run one shared loop sequence
 // (lulesh/fork_join_step.hpp) and differ only in the loop primitive.

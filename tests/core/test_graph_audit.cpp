@@ -1,8 +1,9 @@
 // tests/core/test_graph_audit.cpp — the static hazard auditor: the real
 // iteration model must be proven race-free on concrete meshes, and
-// adversarial mutations of the model (a deleted continuation edge, a write
-// range grown past its partition) must be flagged as exactly the hazard the
-// mutation introduces, with the offending tasks, field, and range named.
+// adversarial mutations of the model (a write range grown past its
+// partition, a checkpoint pack held past its barrier) must be flagged as
+// exactly the hazard the mutation introduces, with the offending tasks,
+// field, and range named.
 
 #include "core/graph_audit.hpp"
 
@@ -37,7 +38,9 @@ TEST(GraphAudit, RealIterationModelIsProvenRaceFree) {
     const auto res = graph::audit_graph(model, d);
     EXPECT_TRUE(res.ok()) << graph::format_audit(res, model);
     EXPECT_GT(res.tasks, 0u);
-    EXPECT_GT(res.edges, 0u);  // the node and region chains contribute edges
+    // One task per chunk per wave: the barriers order everything, so the
+    // single-domain table declares no in-stage edges.
+    EXPECT_EQ(res.edges, 0u);
     EXPECT_GT(res.accesses, 0u);
     EXPECT_GT(res.indices_stamped, 0u);
     EXPECT_NE(graph::format_audit(res, model).find("PASS"), std::string::npos);
@@ -73,81 +76,43 @@ TEST(GraphAudit, PassesOnMultiRegionAndSlabDomains) {
     }
 }
 
-TEST(GraphAuditAdversarial, DeletedNodeChainEdgeIsFlaggedAsReadWrite) {
-    const domain d(small_opts());
-    auto model = graph::build_iteration_model(d, {64, 64});
-
-    // Cut the gather→velpos continuation edge of one node chunk: velpos
-    // reads the accelerations its gather writes, so without the edge the
-    // pair is an unordered read-write overlap.
-    const auto velpos = std::find_if(
-        model.tasks.begin(), model.tasks.end(), [](const graph::task_decl& t) {
-            return std::string(t.site) == "node.velpos" && t.partition == 1;
-        });
-    ASSERT_NE(velpos, model.tasks.end());
-    ASSERT_FALSE(velpos->deps.empty());
-    const auto& gather =
-        model.tasks[static_cast<std::size_t>(velpos->deps.front())];
-    EXPECT_STREQ(gather.site, "node.gather");
-    velpos->deps.clear();
-
-    const auto res = graph::audit_graph(model, d);
-    ASSERT_FALSE(res.ok());
-    for (const auto& h : res.hazards) {
-        EXPECT_EQ(h.k, graph::hazard_report::kind::read_write);
-        // Exactly the accelerations flow across the cut edge.
-        EXPECT_TRUE(h.f == field::xdd || h.f == field::ydd || h.f == field::zdd);
-        const auto& a = model.tasks[static_cast<std::size_t>(h.task_a)];
-        const auto& b = model.tasks[static_cast<std::size_t>(h.task_b)];
-        EXPECT_TRUE((std::string(a.site) == "node.gather" &&
-                     std::string(b.site) == "node.velpos") ||
-                    (std::string(a.site) == "node.velpos" &&
-                     std::string(b.site) == "node.gather"));
-        // The offending range is the severed chunk, not the whole mesh.
-        EXPECT_EQ(h.lo, velpos->lo);
-        EXPECT_EQ(h.hi, velpos->hi);
-        const std::string line = h.describe(model);
-        EXPECT_NE(line.find("node.gather"), std::string::npos) << line;
-        EXPECT_NE(line.find("node.velpos"), std::string::npos) << line;
-        EXPECT_NE(line.find("[1]"), std::string::npos) << line;
-    }
-    // One hazard per severed acceleration component, coalesced by range.
-    EXPECT_EQ(res.hazards.size(), 3u);
-}
-
 TEST(GraphAuditAdversarial, WriteRangeGrownPastItsPartitionIsWriteWrite) {
     const domain d(small_opts());
     auto model = graph::build_iteration_model(d, {64, 64});
 
-    // Grow one volume-update task's write range by one element: it now
-    // writes v into the next chunk's territory with no ordering edge.
-    const auto vol = std::find_if(
+    // Grow one element task's write of v (its volume update) by one
+    // element: it now writes v into the next chunk's territory with no
+    // ordering edge, where the next task both reads and writes v.
+    const auto elem = std::find_if(
         model.tasks.begin(), model.tasks.end(), [](const graph::task_decl& t) {
-            return std::string(t.site) == "region_eos.volume" &&
-                   t.partition == 0;
+            return std::string(t.site) == "elem" && t.partition == 0;
         });
-    ASSERT_NE(vol, model.tasks.end());
-    for (auto& a : vol->accesses) {
+    ASSERT_NE(elem, model.tasks.end());
+    for (auto& a : elem->accesses) {
         if (a.f == field::v && a.m == graph::mode::write) a.hi += 1;
     }
 
     const auto res = graph::audit_graph(model, d);
     ASSERT_FALSE(res.ok());
-    ASSERT_EQ(res.hazards.size(), 1u);
-    const auto& h = res.hazards.front();
-    EXPECT_EQ(h.k, graph::hazard_report::kind::write_write);
-    EXPECT_EQ(h.f, field::v);
-    EXPECT_EQ(h.hi - h.lo, 1);  // exactly the one stolen element
-    const std::string line = h.describe(model);
-    EXPECT_NE(line.find("region_eos.volume"), std::string::npos) << line;
-    EXPECT_NE(line.find("write-write"), std::string::npos) << line;
+    ASSERT_EQ(res.hazards.size(), 2u);
+    EXPECT_EQ(res.hazards[0].k, graph::hazard_report::kind::write_write);
+    EXPECT_EQ(res.hazards[1].k, graph::hazard_report::kind::read_write);
+    for (const auto& h : res.hazards) {
+        EXPECT_EQ(h.f, field::v);
+        EXPECT_EQ(h.lo, elem->hi);  // exactly the one stolen element
+        EXPECT_EQ(h.hi, elem->hi + 1);
+        const std::string line = h.describe(model);
+        EXPECT_NE(line.find("elem[0] vs elem[1]"), std::string::npos) << line;
+    }
+    EXPECT_NE(res.hazards[0].describe(model).find("write-write"),
+              std::string::npos);
 }
 
 TEST(GraphAuditCheckpoint, PackExtendedModelIsProvenRaceFree) {
     // The overlapped-packing proof: the iteration model plus the pack tasks
     // the task-graph driver actually spawns (one read-only task per
-    // checkpointed field, node packs in stage 0, elem packs spanning stages
-    // 0-2) must still audit clean.
+    // checkpointed field, node packs in stage 0, the v pack spanning stages
+    // 0-1, the other elem packs 0-2) must still audit clean.
     const domain d(small_opts());
     auto model = graph::build_iteration_model(d, {64, 64});
     const std::size_t before = model.tasks.size();
@@ -163,7 +128,10 @@ TEST(GraphAuditCheckpoint, PackExtendedModelIsProvenRaceFree) {
         } else if (std::string(t.site) == "ckpt.pack.elem") {
             ++elem_packs;
             EXPECT_EQ(t.stage, 0);
-            EXPECT_EQ(t.stage_last, 2);
+            // The element wave (stage 2) writes v; the region wave (stage
+            // 3) writes the other element fields.
+            EXPECT_EQ(t.stage_last, t.accesses.front().f == field::v ? 1 : 2)
+                << graph::field_name(t.accesses.front().f);
         }
     }
     EXPECT_EQ(node_packs, 6u);  // x y z xd yd zd
@@ -175,7 +143,7 @@ TEST(GraphAuditCheckpoint, PackExtendedModelIsProvenRaceFree) {
 
 TEST(GraphAuditCheckpoint, ElemPackHeldIntoRegionStageIsFlagged) {
     // Adversarial: let one element-field pack stay in flight one barrier
-    // too long — through stage 3, where the region wave writes e/p/q/ss/v.
+    // too long — through stage 3, where the region wave writes e/p/q/ss.
     // The audit must flag the unordered read-write overlap; this is what
     // would happen if the driver joined elem packs into B4 instead of B3.
     const domain d(small_opts());
@@ -195,6 +163,43 @@ TEST(GraphAuditCheckpoint, ElemPackHeldIntoRegionStageIsFlagged) {
     for (const auto& h : res.hazards) {
         EXPECT_EQ(h.k, graph::hazard_report::kind::read_write);
         EXPECT_EQ(h.f, field::e);
+        const std::string line = h.describe(model);
+        EXPECT_NE(line.find("ckpt.pack.elem"), std::string::npos) << line;
+    }
+}
+
+TEST(GraphAuditCheckpoint, VPackHeldIntoElemStageIsFlagged) {
+    // The v pack gates B2, because the element wave's volume update writes
+    // v in stage 2.  Held one barrier longer, into B3 with the other
+    // element packs, it races every element task's write of v.
+    const domain d(small_opts());
+    auto model = graph::build_iteration_model(d, {64, 64});
+    graph::add_checkpoint_pack_tasks(model, d);
+
+    const auto pack = std::find_if(
+        model.tasks.begin(), model.tasks.end(), [](const graph::task_decl& t) {
+            return std::string(t.site) == "ckpt.pack.elem" &&
+                   t.accesses.front().f == field::v;
+        });
+    ASSERT_NE(pack, model.tasks.end());
+    ASSERT_EQ(pack->stage_last, 1);
+    pack->stage_last = 2;
+
+    const auto res = graph::audit_graph(model, d);
+    ASSERT_FALSE(res.ok());
+    const auto elem_tasks = static_cast<std::size_t>(std::count_if(
+        model.tasks.begin(), model.tasks.end(), [](const graph::task_decl& t) {
+            return std::string(t.site) == "elem";
+        }));
+    EXPECT_EQ(res.hazards.size(), elem_tasks);
+    for (const auto& h : res.hazards) {
+        EXPECT_EQ(h.k, graph::hazard_report::kind::read_write);
+        EXPECT_EQ(h.f, field::v);
+        const auto& elem =
+            model.tasks[static_cast<std::size_t>(std::min(h.task_a, h.task_b))];
+        EXPECT_STREQ(elem.site, "elem");
+        EXPECT_EQ(h.lo, elem.lo);  // the whole chunk the element task writes
+        EXPECT_EQ(h.hi, elem.hi);
         const std::string line = h.describe(model);
         EXPECT_NE(line.find("ckpt.pack.elem"), std::string::npos) << line;
     }

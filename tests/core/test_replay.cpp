@@ -156,7 +156,7 @@ TEST(ReplayEquivalence, ReplayCountMatchesCyclesRun) {
 // was compiled from: every task is a node of its stage and wave site, every
 // declared edge is a graph edge, chain heads hang off the previous barrier
 // (stage 0: graph roots), chain tails feed their stage's barrier, and the
-// barriers chain B1 -> ... -> B5.
+// barriers chain B1 -> ... -> B4.
 void expect_compiled_form_matches_table(const options& o,
                                         partition_sizes parts,
                                         std::size_t threads) {
@@ -193,7 +193,7 @@ void expect_compiled_form_matches_table(const options& o,
         const node_id id = ci->node_of(0, i);
         ASSERT_NE(id, compiled_iteration::no_node);
         // Table sites are dotted sub-sites of the node's wave-site label
-        // ("region_eos.monoq" vs "region_eos").
+        // ("force.stress" vs "force").
         const char* label = g.node_label(id);
         EXPECT_EQ(std::strncmp(t.site, label, std::strlen(label)), 0)
             << "node label " << label;

@@ -35,7 +35,7 @@ TEST(TaskGraph, ReportsName) {
 }
 
 TEST(TaskGraph, BarrierCountIsDocumented) {
-    EXPECT_EQ(lulesh::taskgraph_driver::num_barriers, 5);
+    EXPECT_EQ(lulesh::taskgraph_driver::num_barriers, 4);
 }
 
 TEST(TaskGraph, TaskCountMatchesPartitioning) {
@@ -52,14 +52,11 @@ TEST(TaskGraph, TaskCountMatchesPartitioning) {
     const std::size_t expected =
         // wave 1: stress + hourglass per nodal-partition chunk of elements
         2 * static_cast<std::size_t>(chunks(ne, parts.nodal)) +
-        // wave 2: two chained tasks per node chunk
-        2 * static_cast<std::size_t>(chunks(nn, parts.nodal)) +
-        // wave 3: one task per element chunk
+        // wave 2: one gather + velpos task per node chunk
+        static_cast<std::size_t>(chunks(nn, parts.nodal)) +
+        // wave 3: one kinematics + volume-update task per element chunk
         static_cast<std::size_t>(chunks(ne, parts.elems)) +
-        // wave 4: (monoq + eos) per region chunk + volume updates
-        2 * static_cast<std::size_t>(chunks(ne, parts.elems)) +
-        static_cast<std::size_t>(chunks(ne, parts.elems)) +
-        // wave 5: constraints per region chunk
+        // wave 4: one monoq + EOS + constraints task per region chunk
         static_cast<std::size_t>(chunks(ne, parts.elems));
     EXPECT_EQ(drv.tasks_last_iteration(), expected);
 }

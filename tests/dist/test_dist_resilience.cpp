@@ -687,6 +687,97 @@ TEST(DistConsistentCycle, CommittedButCorruptDeltaAlsoLowersTheTarget) {
     }
 }
 
+TEST(DistConsistentCycle, CorruptFallbackRecordDoesNotBlockTheNewest) {
+    // Each slab starts from its newest record at or before the target and
+    // falls back only if that record fails: a corrupt cycle-9 fallback in
+    // one slab's mirror must not keep every slab's intact cycle-10 record
+    // from loading.
+    fault_guard guard;
+    const options o = opts(6);
+    const std::string path = "/tmp/lulesh_dist_newest_first.ckpt";
+    for (index_t s = 0; s < 2; ++s) {
+        std::remove(lulesh::dist::slab_chain_path(path, s).c_str());
+    }
+
+    cluster c(o, 2);
+    amt::runtime rt(2);
+    dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
+                    std::chrono::milliseconds(0), retry_policy{});
+    dist_resilience_options ropt;
+    ropt.checkpoint_every = 1;
+    ropt.checkpoint_path = path;
+    const auto rr = lulesh::dist::run_resilient(c, drv, ropt, 10);
+    ASSERT_EQ(rr.result.run_status, lulesh::status::ok);
+
+    const std::string victim = lulesh::dist::slab_chain_path(path, 0);
+    std::vector<std::string> records;
+    {
+        std::ifstream in(victim, std::ios::binary);
+        records = lulesh::read_chain_records(c.slab(0), in, victim);
+    }
+    ASSERT_EQ(records.size(), 2u);
+    ASSERT_EQ(lulesh::chain_record_cycle(records[0]), 9);
+    {
+        // Flip a payload byte in the middle of the cycle-9 record.
+        const auto at = static_cast<std::streamoff>(records[0].size() / 2);
+        std::fstream f(victim, std::ios::binary | std::ios::in | std::ios::out);
+        ASSERT_TRUE(f.good());
+        char b = 0;
+        f.seekg(at);
+        f.read(&b, 1);
+        b = static_cast<char>(b ^ 0x01);
+        f.seekp(at);
+        f.write(&b, 1);
+    }
+
+    cluster loaded(o, 2);
+    lulesh::dist::load_cluster_chains(loaded, path);
+    EXPECT_EQ(loaded.cycle(), 10);
+    for (index_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(loaded.slab(s).cycle, 10) << "slab " << s;
+        EXPECT_EQ(lulesh::max_field_difference(c.slab(s), loaded.slab(s)),
+                  0.0)
+            << "slab " << s;
+        std::remove(lulesh::dist::slab_chain_path(path, s).c_str());
+    }
+}
+
+TEST(DistConsistentCycle, SlabWithNoRecordAtTheTargetIsNamed) {
+    // Slab 0's file holds cycle 5 and slab 1's only cycle 10, so slab 1
+    // holds no record of the target cycle 5: the loader must say so rather
+    // than leave slab 1 unrestored.
+    const options o = opts(6);
+    amt::runtime rt(2);
+    const std::string path = "/tmp/lulesh_dist_no_target.ckpt";
+    const std::string later = "/tmp/lulesh_dist_no_target_later.ckpt";
+    cluster run(o, 2);
+    {
+        dist_driver drv(rt, {48, 48});
+        lulesh::dist::run_simulation(run, drv, 5);
+        lulesh::dist::save_cluster_chains(run, path);
+        lulesh::dist::run_simulation(run, drv, 10);
+        lulesh::dist::save_cluster_chains(run, later);
+    }
+    const std::string victim = lulesh::dist::slab_chain_path(path, 1);
+    ASSERT_EQ(std::rename(lulesh::dist::slab_chain_path(later, 1).c_str(),
+                          victim.c_str()),
+              0);
+
+    cluster loaded(o, 2);
+    try {
+        lulesh::dist::load_cluster_chains(loaded, path);
+        FAIL() << "expected checkpoint_error";
+    } catch (const lulesh::checkpoint_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(victim), std::string::npos) << msg;
+        EXPECT_NE(msg.find("cycle 5"), std::string::npos) << msg;
+    }
+    for (index_t s = 0; s < 2; ++s) {
+        std::remove(lulesh::dist::slab_chain_path(path, s).c_str());
+        std::remove(lulesh::dist::slab_chain_path(later, s).c_str());
+    }
+}
+
 // ---------------- fabric re-wiring primitives ----------------
 
 TEST(DistFabric, ReopenedChannelsCarryMessagesAgain) {

@@ -169,8 +169,9 @@ graph::graph_model slab_model_with_packs(const domain& d, partition_sizes parts,
 
 TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
     // The accepted placement: dist_driver gates a slab's B1 barrier on its
-    // node-field packs (stage 0 only) and its B3 barrier on its
-    // element-field packs (through stage 2).  With the ghost unpacks, the
+    // node-field packs (stage 0 only), its B2 barrier on its v pack
+    // (through stage 1) and its B3 barrier on its other element-field packs
+    // (through stage 2).  With the ghost unpacks, the
     // waves and the packs all in one model, every slab must still audit
     // clean — for edge and interior slabs, one-plane slabs, and a
     // partition sweep.
@@ -191,7 +192,8 @@ TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
                     const bool node = std::string(t.site) == "ckpt.pack.node";
                     (node ? node_packs : elem_packs) += 1;
                     EXPECT_EQ(t.stage, 0);
-                    EXPECT_EQ(t.stage_last, node ? 0 : 2);
+                    const bool v = t.accesses.front().f == graph::field::v;
+                    EXPECT_EQ(t.stage_last, node ? 0 : v ? 1 : 2);
                 }
                 EXPECT_EQ(node_packs, 6u);  // x y z xd yd zd
                 EXPECT_EQ(elem_packs, 5u);  // e p q v ss

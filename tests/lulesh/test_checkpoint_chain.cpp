@@ -505,6 +505,70 @@ TEST(ResilientChain, PeriodicRebaseKeepsTheMirrorLoadable) {
     std::remove(path.c_str());
 }
 
+/// XORs one byte of `path` at `offset`.
+void flip_byte(const std::string& path, std::streamoff offset) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good()) << path;
+    char b = 0;
+    f.seekg(offset);
+    f.get(b);
+    f.seekp(offset);
+    f.put(static_cast<char>(b ^ 0x10));
+}
+
+TEST(ResilientChain, MirrorRestoreStartsFromItsNewestRecord) {
+    // A restore starts from the mirror's newest record and falls back to
+    // the older one only if the newest fails: a corrupt fallback must not
+    // keep an intact newest record from loading.
+    const std::string path = "/tmp/lulesh_chain_newest_first.ckpt";
+    std::remove(path.c_str());
+
+    domain res(small_opts());
+    lulesh::serial_driver drv;
+    resilience_options opt;
+    opt.checkpoint_every = 1;
+    opt.checkpoint_path = path;
+    const auto rr = lulesh::run_resilient(res, drv, opt, 10);
+    ASSERT_EQ(rr.result.run_status, lulesh::status::ok);
+
+    std::vector<std::string> records;
+    {
+        std::ifstream in(path, std::ios::binary);
+        records = lulesh::read_chain_records(res, in, path);
+    }
+    ASSERT_EQ(records.size(), 2u);
+    ASSERT_EQ(lulesh::chain_record_cycle(records[0]), 9);
+    const std::string intact = serialized(res);
+    domain at9(small_opts());
+    lulesh::apply_chain_record(at9, records[0], path);
+
+    // Flip a payload byte in the middle of the cycle-9 record.
+    const auto first = static_cast<std::streamoff>(records[0].size());
+    flip_byte(path, first / 2);
+    {
+        std::ifstream in(path, std::ios::binary);
+        const auto flipped = lulesh::read_chain_records(res, in, path);
+        ASSERT_EQ(flipped.size(), 2u);
+        domain probe(small_opts());
+        EXPECT_THROW(lulesh::apply_chain_record(probe, flipped[0], path),
+                     lulesh::checkpoint_error);
+    }
+    domain restored(small_opts());
+    lulesh::load_checkpoint_file(restored, path);
+    EXPECT_EQ(restored.cycle, 10);
+    EXPECT_EQ(serialized(restored), intact);
+
+    // Mend the fallback and corrupt the newest record instead: the restore
+    // falls back to cycle 9.
+    flip_byte(path, first / 2);
+    flip_byte(path, first + static_cast<std::streamoff>(records[1].size()) / 2);
+    domain fallback(small_opts());
+    lulesh::load_checkpoint_file(fallback, path);
+    EXPECT_EQ(fallback.cycle, 9);
+    EXPECT_EQ(serialized(fallback), serialized(at9));
+    std::remove(path.c_str());
+}
+
 TEST(ResilientChain, EveryCycleCheckpointingCyclesThroughThreeRecordBuffers) {
     // The ring holds two records and hands the retired third buffer to the
     // next capture, so the hook sees the same three buffers over and over
