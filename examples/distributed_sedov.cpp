@@ -153,9 +153,13 @@ int main(int argc, char** argv) {
     const auto parts = cli.partitions.value_or(
         lulesh::partition_sizes::tuned_for(cli.problem.size));
 
-    std::cout << "Distributed Sedov: size " << cli.problem.size << "^3 over "
-              << num_slabs << " slabs, " << threads << " worker threads, "
-              << cli.problem.max_cycles << " iterations\n\n";
+    // -q keeps errors and the audit verdict and drops the rest.
+    if (!cli.quiet) {
+        std::cout << "Distributed Sedov: size " << cli.problem.size
+                  << "^3 over " << num_slabs << " slabs, " << threads
+                  << " worker threads, " << cli.problem.max_cycles
+                  << " iterations\n\n";
+    }
 
     if (cli.audit_graph) {
         // Prove each slab's wave graph *plus* its halo pack/unpack tasks
@@ -167,7 +171,7 @@ int main(int argc, char** argv) {
         if (!lulesh::dist::cluster_audit_ok(audits)) {
             return lulesh::exit_code_for(lulesh::status::hazard);
         }
-        std::cout << "\n";
+        if (!cli.quiet) std::cout << "\n";
     }
 
     // Ground truth: single-domain serial run.
@@ -207,11 +211,14 @@ int main(int argc, char** argv) {
 
         // Validate every slab slice against the single-domain solution.
         const lulesh::real_t max_diff = max_energy_diff(c, global);
-        std::cout << drv.name() << ": " << result.cycles << " cycles in "
-                  << result.elapsed_seconds << " s, origin energy "
-                  << result.final_origin_energy
-                  << ", max |e - single-domain| = " << max_diff
-                  << (max_diff == 0.0 ? "  (bitwise identical)" : "") << "\n";
+        if (!cli.quiet) {
+            std::cout << drv.name() << ": " << result.cycles << " cycles in "
+                      << result.elapsed_seconds << " s, origin energy "
+                      << result.final_origin_energy
+                      << ", max |e - single-domain| = " << max_diff
+                      << (max_diff == 0.0 ? "  (bitwise identical)" : "")
+                      << "\n";
+        }
     }
 
     int exit_status = 0;
@@ -234,20 +241,24 @@ int main(int argc, char** argv) {
         const auto rr =
             lulesh::dist::run_resilient(c, drv, ropt, cli.problem.max_cycles);
         const auto& rc = amt::resilience();
-        std::cout << "dist_resilient: " << rr.result.cycles << " cycles in "
-                  << rr.result.elapsed_seconds << " s, origin energy "
-                  << rr.result.final_origin_energy
-                  << ", max |e - single-domain| = " << max_energy_diff(c, global)
-                  << "\n  recoveries " << rr.recoveries << " (slab rebuilds "
-                  << rr.slab_rebuilds << ", entry fallbacks "
-                  << rr.entry_fallbacks << ", dt halvings " << rr.dt_halvings
-                  << "), checkpoints " << rr.checkpoints
-                  << "\n  counters: crc_failures " << rc.halo_crc_failures.load()
-                  << ", retries " << rc.halo_retries.load() << ", resends "
-                  << rc.halo_resends.load() << ", drops "
-                  << rc.halo_drops.load() << ", slab_deaths "
-                  << rc.slab_deaths.load() << ", heartbeats "
-                  << rc.heartbeats.load() << "\n";
+        if (!cli.quiet) {
+            std::cout << "dist_resilient: " << rr.result.cycles
+                      << " cycles in " << rr.result.elapsed_seconds
+                      << " s, origin energy " << rr.result.final_origin_energy
+                      << ", max |e - single-domain| = "
+                      << max_energy_diff(c, global) << "\n  recoveries "
+                      << rr.recoveries << " (slab rebuilds "
+                      << rr.slab_rebuilds << ", entry fallbacks "
+                      << rr.entry_fallbacks << ", dt halvings "
+                      << rr.dt_halvings << "), checkpoints " << rr.checkpoints
+                      << "\n  counters: crc_failures "
+                      << rc.halo_crc_failures.load() << ", retries "
+                      << rc.halo_retries.load() << ", resends "
+                      << rc.halo_resends.load() << ", drops "
+                      << rc.halo_drops.load() << ", slab_deaths "
+                      << rc.slab_deaths.load() << ", heartbeats "
+                      << rc.heartbeats.load() << "\n";
+        }
         if (rr.result.run_status != lulesh::status::ok) {
             std::cerr << "dist_resilient: " << rr.result.error_message << "\n";
             exit_status = lulesh::exit_code_for(rr.result.run_status);
@@ -266,7 +277,9 @@ int main(int argc, char** argv) {
                           << cli.trace_file << "'\n";
                 return 1;
             }
-            std::cout << "Trace written to '" << cli.trace_file << "'\n";
+            if (!cli.quiet) {
+                std::cout << "Trace written to '" << cli.trace_file << "'\n";
+            }
         }
         if (!cli.utilization_report_file.empty()) {
             const auto report = amt::trace::build_utilization(snap);
@@ -277,8 +290,10 @@ int main(int argc, char** argv) {
                           << cli.utilization_report_file << "'\n";
                 return 1;
             }
-            std::cout << "Utilization report written to '"
-                      << cli.utilization_report_file << "'\n";
+            if (!cli.quiet) {
+                std::cout << "Utilization report written to '"
+                          << cli.utilization_report_file << "'\n";
+            }
         }
     }
 
@@ -290,11 +305,14 @@ int main(int argc, char** argv) {
                       << cli.metrics_file << "'\n";
             return 1;
         }
-        std::cout << "Metrics snapshots ("
-                  << metrics_reporter->snapshots_written()
-                  << ") written to '" << cli.metrics_file << "'\n";
+        if (!cli.quiet) {
+            std::cout << "Metrics snapshots ("
+                      << metrics_reporter->snapshots_written()
+                      << ") written to '" << cli.metrics_file << "'\n";
+        }
     }
 
+    if (cli.quiet) return exit_status;
     std::cout << "\nper-slab plane ranges:\n";
     lulesh::dist::cluster census(cli.problem, num_slabs);
     for (lulesh::index_t s = 0; s < census.num_slabs(); ++s) {

@@ -17,6 +17,11 @@
 // Kernels that can detect an error condition (non-positive volumes, q
 // exceeding qstop) return `true` on success instead of aborting like the
 // reference; drivers aggregate the flags at their synchronization points.
+//
+// The stress, hourglass, kinematics and monotonic-Q gradient kernels run
+// simd::width consecutive elements per SIMD vector and the rest of their
+// range one element at a time (lulesh/simd.hpp); either way each element's
+// results are bitwise those of the scalar evaluation.
 
 #pragma once
 

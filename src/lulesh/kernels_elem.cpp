@@ -6,6 +6,7 @@
 #include "lulesh/elem_geometry.hpp"
 #include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
+#include "lulesh/simd.hpp"
 
 namespace lulesh::kernels {
 
@@ -25,38 +26,33 @@ void calc_kinematics(domain& d, index_t lo, index_t hi, real_t dt) {
     hazard_covers(field::yd);
     hazard_covers(field::zd);
     const real_t dt2 = real_t(0.5) * dt;
-    for (index_t k = lo; k < hi; ++k) {
-        real_t B[3][8];
-        real_t D[6];
-        real_t x_local[8], y_local[8], z_local[8];
-        real_t xd_local[8], yd_local[8], zd_local[8];
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t k) {
+        using T = decltype(lane);
+        T B[3][8];
+        T D[6];
+        T x_local[8], y_local[8], z_local[8];
+        T xd_local[8], yd_local[8], zd_local[8];
 
         const index_t* nl = d.nodelist(k);
-        for (int c = 0; c < 8; ++c) {
-            const auto n = static_cast<std::size_t>(nl[c]);
-            x_local[c] = d.x[n];
-            y_local[c] = d.y[n];
-            z_local[c] = d.z[n];
-        }
+        simd::gather_corners(&d.x[0], nl, x_local);
+        simd::gather_corners(&d.y[0], nl, y_local);
+        simd::gather_corners(&d.z[0], nl, z_local);
 
         const auto i = static_cast<std::size_t>(k);
 
         // New relative volume and volume change.
-        const real_t volume = geom::calc_elem_volume(x_local, y_local, z_local);
-        const real_t relative_volume = volume / d.volo[i];
-        d.vnew[i] = relative_volume;
-        d.delv[i] = relative_volume - d.v[i];
+        const T volume = geom::calc_elem_volume(x_local, y_local, z_local);
+        const T relative_volume = volume / simd::load<T>(&d.volo[i]);
+        simd::store(&d.vnew[i], relative_volume);
+        simd::store(&d.delv[i], relative_volume - simd::load<T>(&d.v[i]));
 
-        d.arealg[i] =
-            geom::calc_elem_characteristic_length(x_local, y_local, z_local,
-                                                  volume);
+        simd::store(&d.arealg[i],
+                    geom::calc_elem_characteristic_length(x_local, y_local,
+                                                          z_local, volume));
 
-        for (int c = 0; c < 8; ++c) {
-            const auto n = static_cast<std::size_t>(nl[c]);
-            xd_local[c] = d.xd[n];
-            yd_local[c] = d.yd[n];
-            zd_local[c] = d.zd[n];
-        }
+        simd::gather_corners(&d.xd[0], nl, xd_local);
+        simd::gather_corners(&d.yd[0], nl, yd_local);
+        simd::gather_corners(&d.zd[0], nl, zd_local);
 
         // Evaluate the velocity gradient at the half step: move the corner
         // coordinates back by dt/2.
@@ -66,16 +62,16 @@ void calc_kinematics(domain& d, index_t lo, index_t hi, real_t dt) {
             z_local[c] -= dt2 * zd_local[c];
         }
 
-        real_t det_j = real_t(0.0);
+        T det_j{};
         geom::calc_elem_shape_function_derivatives(x_local, y_local, z_local,
                                                    B, &det_j);
         geom::calc_elem_velocity_gradient(xd_local, yd_local, zd_local, B,
                                           det_j, D);
 
-        d.dxx[i] = D[0];
-        d.dyy[i] = D[1];
-        d.dzz[i] = D[2];
-    }
+        simd::store(&d.dxx[i], D[0]);
+        simd::store(&d.dyy[i], D[1]);
+        simd::store(&d.dzz[i], D[2]);
+    });
 }
 
 bool calc_lagrange_deviatoric(domain& d, index_t lo, index_t hi) {

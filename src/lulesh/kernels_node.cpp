@@ -7,78 +7,68 @@
 #include "lulesh/elem_geometry.hpp"
 #include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
+#include "lulesh/simd.hpp"
 
 namespace lulesh::kernels {
 
 namespace {
 
-/// Corner forces of one element from its stress state; writes
-/// d.fx_elem[k*8 .. k*8+7] (and y/z).  Returns the Jacobian determinant.
-inline real_t stress_corner_forces_elem(domain& d, index_t k, real_t sxx,
-                                        real_t syy, real_t szz) {
-    real_t B[3][8];
-    real_t x_local[8], y_local[8], z_local[8];
+/// Corner forces of the elements of the block at k from their stress
+/// state; writes d.fx_elem[k*8 ..] (and y/z), eight corners per element.
+/// Returns the Jacobian determinants.
+template <class T>
+inline T stress_corner_forces(domain& d, index_t k, T sxx, T syy, T szz) {
+    T B[3][8];
+    T x_local[8], y_local[8], z_local[8];
     const index_t* nl = d.nodelist(k);
-    for (int i = 0; i < 8; ++i) {
-        const auto n = static_cast<std::size_t>(nl[i]);
-        x_local[i] = d.x[n];
-        y_local[i] = d.y[n];
-        z_local[i] = d.z[n];
-    }
-    real_t determ;
+    simd::gather_corners(&d.x[0], nl, x_local);
+    simd::gather_corners(&d.y[0], nl, y_local);
+    simd::gather_corners(&d.z[0], nl, z_local);
+    T determ;
     geom::calc_elem_shape_function_derivatives(x_local, y_local, z_local, B,
                                                &determ);
     geom::calc_elem_node_normals(B[0], B[1], B[2], x_local, y_local, z_local);
+    T fx[8], fy[8], fz[8];
+    geom::sum_elem_stresses_to_node_forces(B, sxx, syy, szz, fx, fy, fz);
     const auto base = static_cast<std::size_t>(k) * 8;
-    geom::sum_elem_stresses_to_node_forces(B, sxx, syy, szz,
-                                           &d.fx_elem[base], &d.fy_elem[base],
-                                           &d.fz_elem[base]);
+    simd::store_corners(&d.fx_elem[base], fx);
+    simd::store_corners(&d.fy_elem[base], fy);
+    simd::store_corners(&d.fz_elem[base], fz);
     return determ;
 }
 
-/// Hourglass control of one element: volume derivatives and corner
-/// coordinates.  Returns volo * v (the hourglass "determ").
-inline real_t hourglass_control_elem(const domain& d, index_t i, real_t* dvdx8,
-                                     real_t* dvdy8, real_t* dvdz8, real_t* x8,
-                                     real_t* y8, real_t* z8) {
-    real_t x1[8], y1[8], z1[8];
-    real_t pfx[8], pfy[8], pfz[8];
+/// Hourglass control of the elements of the block at i: volume derivatives
+/// and corner coordinates.  Returns volo * v (the hourglass "determ").
+template <class T>
+inline T hourglass_control(const domain& d, index_t i, T dvdx8[8],
+                           T dvdy8[8], T dvdz8[8], T x8[8], T y8[8],
+                           T z8[8]) {
     const index_t* nl = d.nodelist(i);
-    for (int c = 0; c < 8; ++c) {
-        const auto n = static_cast<std::size_t>(nl[c]);
-        x1[c] = d.x[n];
-        y1[c] = d.y[n];
-        z1[c] = d.z[n];
-    }
-    geom::calc_elem_volume_derivative(pfx, pfy, pfz, x1, y1, z1);
-    for (int c = 0; c < 8; ++c) {
-        dvdx8[c] = pfx[c];
-        dvdy8[c] = pfy[c];
-        dvdz8[c] = pfz[c];
-        x8[c] = x1[c];
-        y8[c] = y1[c];
-        z8[c] = z1[c];
-    }
-    return d.volo[static_cast<std::size_t>(i)] *
-           d.v[static_cast<std::size_t>(i)];
+    simd::gather_corners(&d.x[0], nl, x8);
+    simd::gather_corners(&d.y[0], nl, y8);
+    simd::gather_corners(&d.z[0], nl, z8);
+    geom::calc_elem_volume_derivative(dvdx8, dvdy8, dvdz8, x8, y8, z8);
+    const auto k = static_cast<std::size_t>(i);
+    return simd::load<T>(&d.volo[k]) * simd::load<T>(&d.v[k]);
 }
 
-/// FB hourglass force of one element; writes d.fx_elem_hg[i2*8..] (and y/z).
-inline void fb_hourglass_elem(domain& d, index_t i2, const real_t* dvdx8,
-                              const real_t* dvdy8, const real_t* dvdz8,
-                              const real_t* x8, const real_t* y8,
-                              const real_t* z8, real_t determ,
-                              real_t hourg) {
-    real_t hourgam[8][4];
+/// FB hourglass force of the elements of the block at i2; writes
+/// d.fx_elem_hg[i2*8 ..] (and y/z).
+template <class T>
+inline void fb_hourglass(domain& d, index_t i2, const T dvdx8[8],
+                         const T dvdy8[8], const T dvdz8[8], const T x8[8],
+                         const T y8[8], const T z8[8], T determ,
+                         real_t hourg) {
+    T hourgam[8][4];
     for (int i1 = 0; i1 < 4; ++i1) {
         const real_t* gam = geom::hourglass_gamma[i1];
-        real_t hourmodx = 0, hourmody = 0, hourmodz = 0;
+        T hourmodx{}, hourmody{}, hourmodz{};
         for (int c = 0; c < 8; ++c) {
             hourmodx += x8[c] * gam[c];
             hourmody += y8[c] * gam[c];
             hourmodz += z8[c] * gam[c];
         }
-        const real_t volinv = real_t(1.0) / determ;
+        const T volinv = real_t(1.0) / determ;
         for (int c = 0; c < 8; ++c) {
             hourgam[c][i1] =
                 gam[c] - volinv * (dvdx8[c] * hourmodx + dvdy8[c] * hourmody +
@@ -87,25 +77,23 @@ inline void fb_hourglass_elem(domain& d, index_t i2, const real_t* dvdx8,
     }
 
     const auto k = static_cast<std::size_t>(i2);
-    const real_t ss1 = d.ss[k];
-    const real_t mass1 = d.elemMass[k];
-    const real_t volume13 = std::cbrt(determ);
-    const real_t coefficient =
-        -hourg * real_t(0.01) * ss1 * mass1 / volume13;
+    const T ss1 = simd::load<T>(&d.ss[k]);
+    const T mass1 = simd::load<T>(&d.elemMass[k]);
+    const T volume13 = simd::cbrt(determ);
+    const T coefficient = -hourg * real_t(0.01) * ss1 * mass1 / volume13;
 
-    real_t xd1[8], yd1[8], zd1[8];
+    T xd1[8], yd1[8], zd1[8];
     const index_t* nl = d.nodelist(i2);
-    for (int c = 0; c < 8; ++c) {
-        const auto n = static_cast<std::size_t>(nl[c]);
-        xd1[c] = d.xd[n];
-        yd1[c] = d.yd[n];
-        zd1[c] = d.zd[n];
-    }
-    const auto base = k * 8;
+    simd::gather_corners(&d.xd[0], nl, xd1);
+    simd::gather_corners(&d.yd[0], nl, yd1);
+    simd::gather_corners(&d.zd[0], nl, zd1);
+    T hgfx[8], hgfy[8], hgfz[8];
     geom::calc_elem_fb_hourglass_force(xd1, yd1, zd1, hourgam, coefficient,
-                                       &d.fx_elem_hg[base],
-                                       &d.fy_elem_hg[base],
-                                       &d.fz_elem_hg[base]);
+                                       hgfx, hgfy, hgfz);
+    const auto base = k * 8;
+    simd::store_corners(&d.fx_elem_hg[base], hgfx);
+    simd::store_corners(&d.fy_elem_hg[base], hgfy);
+    simd::store_corners(&d.fz_elem_hg[base], hgfz);
 }
 
 }  // namespace
@@ -127,11 +115,13 @@ void init_stress_terms(const domain& d, index_t lo, index_t hi, real_t* sigxx,
 bool integrate_stress(domain& d, index_t lo, index_t hi, const real_t* sigxx,
                       const real_t* sigyy, const real_t* sigzz) {
     bool ok = true;
-    for (index_t k = lo; k < hi; ++k) {
-        const real_t determ =
-            stress_corner_forces_elem(d, k, sigxx[k], sigyy[k], sigzz[k]);
-        if (determ <= real_t(0.0)) ok = false;
-    }
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t k) {
+        using T = decltype(lane);
+        const T determ = stress_corner_forces(d, k, simd::load<T>(sigxx + k),
+                                              simd::load<T>(sigyy + k),
+                                              simd::load<T>(sigzz + k));
+        if (simd::any(determ <= real_t(0.0))) ok = false;
+    });
     return ok;
 }
 
@@ -139,13 +129,21 @@ bool calc_hourglass_control(domain& d, index_t lo, index_t hi, real_t* dvdx,
                             real_t* dvdy, real_t* dvdz, real_t* x8n,
                             real_t* y8n, real_t* z8n, real_t* determ) {
     bool ok = true;
-    for (index_t i = lo; i < hi; ++i) {
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
+        using T = decltype(lane);
+        T dvdx8[8], dvdy8[8], dvdz8[8], x8[8], y8[8], z8[8];
+        simd::store(determ + i, hourglass_control(d, i, dvdx8, dvdy8, dvdz8,
+                                                  x8, y8, z8));
         const auto base = static_cast<std::size_t>(i) * 8;
-        determ[i] = hourglass_control_elem(d, i, &dvdx[base], &dvdy[base],
-                                           &dvdz[base], &x8n[base], &y8n[base],
-                                           &z8n[base]);
-        if (d.v[static_cast<std::size_t>(i)] <= real_t(0.0)) ok = false;
-    }
+        simd::store_corners(dvdx + base, dvdx8);
+        simd::store_corners(dvdy + base, dvdy8);
+        simd::store_corners(dvdz + base, dvdz8);
+        simd::store_corners(x8n + base, x8);
+        simd::store_corners(y8n + base, y8);
+        simd::store_corners(z8n + base, z8);
+        const auto k = static_cast<std::size_t>(i);
+        if (simd::any(simd::load<T>(&d.v[k]) <= real_t(0.0))) ok = false;
+    });
     return ok;
 }
 
@@ -154,12 +152,19 @@ void calc_fb_hourglass_force(domain& d, index_t lo, index_t hi,
                              const real_t* dvdz, const real_t* x8n,
                              const real_t* y8n, const real_t* z8n,
                              const real_t* determ, real_t hgcoef) {
-    for (index_t i = lo; i < hi; ++i) {
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
+        using T = decltype(lane);
+        T dvdx8[8], dvdy8[8], dvdz8[8], x8[8], y8[8], z8[8];
         const auto base = static_cast<std::size_t>(i) * 8;
-        fb_hourglass_elem(d, i, &dvdx[base], &dvdy[base], &dvdz[base],
-                          &x8n[base], &y8n[base], &z8n[base], determ[i],
-                          hgcoef);
-    }
+        simd::load_corners(dvdx + base, dvdx8);
+        simd::load_corners(dvdy + base, dvdy8);
+        simd::load_corners(dvdz + base, dvdz8);
+        simd::load_corners(x8n + base, x8);
+        simd::load_corners(y8n + base, y8);
+        simd::load_corners(z8n + base, z8);
+        fb_hourglass(d, i, dvdx8, dvdy8, dvdz8, x8, y8, z8,
+                     simd::load<T>(determ + i), hgcoef);
+    });
 }
 
 bool force_stress_chunk(domain& d, index_t lo, index_t hi) {
@@ -174,18 +179,19 @@ bool force_stress_chunk(domain& d, index_t lo, index_t hi) {
     hazard_covers(field::y);
     hazard_covers(field::z);
     bool ok = true;
-    for (index_t k = lo; k < hi; ++k) {
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t k) {
+        using T = decltype(lane);
         const auto i = static_cast<std::size_t>(k);
-        const real_t sig = -d.p[i] - d.q[i];
-        const real_t determ = stress_corner_forces_elem(d, k, sig, sig, sig);
-        if (determ <= real_t(0.0)) ok = false;
-    }
+        const T sig = -simd::load<T>(&d.p[i]) - simd::load<T>(&d.q[i]);
+        const T determ = stress_corner_forces(d, k, sig, sig, sig);
+        if (simd::any(determ <= real_t(0.0))) ok = false;
+    });
     return ok;
 }
 
 bool force_hourglass_chunk(domain& d, index_t lo, index_t hi) {
-    // Fuses hourglass control and FB force per element with stack-local
-    // temporaries (tricks T3+T5).
+    // Fuses hourglass control and FB force per element block with
+    // stack-local temporaries (tricks T3+T5).
     hazard_touch(field::v, false, lo, hi);
     hazard_touch(field::ss, false, lo, hi);
     hazard_touch(field::volo, false, lo, hi);
@@ -200,16 +206,18 @@ bool force_hourglass_chunk(domain& d, index_t lo, index_t hi) {
     hazard_covers(field::yd);
     hazard_covers(field::zd);
     bool ok = true;
-    for (index_t i = lo; i < hi; ++i) {
-        real_t dvdx8[8], dvdy8[8], dvdz8[8], x8[8], y8[8], z8[8];
-        const real_t determ =
-            hourglass_control_elem(d, i, dvdx8, dvdy8, dvdz8, x8, y8, z8);
-        if (d.v[static_cast<std::size_t>(i)] <= real_t(0.0)) ok = false;
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
+        using T = decltype(lane);
+        T dvdx8[8], dvdy8[8], dvdz8[8], x8[8], y8[8], z8[8];
+        const T determ =
+            hourglass_control(d, i, dvdx8, dvdy8, dvdz8, x8, y8, z8);
+        const auto k = static_cast<std::size_t>(i);
+        if (simd::any(simd::load<T>(&d.v[k]) <= real_t(0.0))) ok = false;
         if (d.hgcoef > real_t(0.0)) {
-            fb_hourglass_elem(d, i, dvdx8, dvdy8, dvdz8, x8, y8, z8, determ,
-                              d.hgcoef);
+            fb_hourglass(d, i, dvdx8, dvdy8, dvdz8, x8, y8, z8, determ,
+                         d.hgcoef);
         }
-    }
+    });
     return ok;
 }
 

@@ -1,116 +1,132 @@
 // lulesh/kernels_q.cpp — artificial viscosity: monotonic Q gradients and the
 // per-region monotonic Q evaluation.
 
-#include <cmath>
+#include <cstddef>
 
+#include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
+#include "lulesh/simd.hpp"
 
 namespace lulesh::kernels {
 
 void calc_monotonic_q_gradients(domain& d, index_t lo, index_t hi) {
+    hazard_touch(field::volo, false, lo, hi);
+    hazard_touch(field::vnew, false, lo, hi);
+    hazard_touch(field::delx_xi, true, lo, hi);
+    hazard_touch(field::delx_eta, true, lo, hi);
+    hazard_touch(field::delx_zeta, true, lo, hi);
+    hazard_touch(field::delv_xi, true, lo, hi);
+    hazard_touch(field::delv_eta, true, lo, hi);
+    hazard_touch(field::delv_zeta, true, lo, hi);
+    hazard_covers(field::x);   // corner gather through nodelist (elem_nodes)
+    hazard_covers(field::y);
+    hazard_covers(field::z);
+    hazard_covers(field::xd);
+    hazard_covers(field::yd);
+    hazard_covers(field::zd);
     constexpr real_t ptiny = real_t(1.e-36);
 
-    for (index_t i = lo; i < hi; ++i) {
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
+        using T = decltype(lane);
+        T x[8], y[8], z[8], xv[8], yv[8], zv[8];
         const index_t* nl = d.nodelist(i);
-        const auto n0 = static_cast<std::size_t>(nl[0]);
-        const auto n1 = static_cast<std::size_t>(nl[1]);
-        const auto n2 = static_cast<std::size_t>(nl[2]);
-        const auto n3 = static_cast<std::size_t>(nl[3]);
-        const auto n4 = static_cast<std::size_t>(nl[4]);
-        const auto n5 = static_cast<std::size_t>(nl[5]);
-        const auto n6 = static_cast<std::size_t>(nl[6]);
-        const auto n7 = static_cast<std::size_t>(nl[7]);
+        simd::gather_corners(&d.x[0], nl, x);
+        simd::gather_corners(&d.y[0], nl, y);
+        simd::gather_corners(&d.z[0], nl, z);
+        simd::gather_corners(&d.xd[0], nl, xv);
+        simd::gather_corners(&d.yd[0], nl, yv);
+        simd::gather_corners(&d.zd[0], nl, zv);
 
-        const real_t x0 = d.x[n0], x1 = d.x[n1], x2 = d.x[n2], x3 = d.x[n3];
-        const real_t x4 = d.x[n4], x5 = d.x[n5], x6 = d.x[n6], x7 = d.x[n7];
-        const real_t y0 = d.y[n0], y1 = d.y[n1], y2 = d.y[n2], y3 = d.y[n3];
-        const real_t y4 = d.y[n4], y5 = d.y[n5], y6 = d.y[n6], y7 = d.y[n7];
-        const real_t z0 = d.z[n0], z1 = d.z[n1], z2 = d.z[n2], z3 = d.z[n3];
-        const real_t z4 = d.z[n4], z5 = d.z[n5], z6 = d.z[n6], z7 = d.z[n7];
+        const T x0 = x[0], x1 = x[1], x2 = x[2], x3 = x[3];
+        const T x4 = x[4], x5 = x[5], x6 = x[6], x7 = x[7];
+        const T y0 = y[0], y1 = y[1], y2 = y[2], y3 = y[3];
+        const T y4 = y[4], y5 = y[5], y6 = y[6], y7 = y[7];
+        const T z0 = z[0], z1 = z[1], z2 = z[2], z3 = z[3];
+        const T z4 = z[4], z5 = z[5], z6 = z[6], z7 = z[7];
 
-        const real_t xv0 = d.xd[n0], xv1 = d.xd[n1], xv2 = d.xd[n2],
-                     xv3 = d.xd[n3], xv4 = d.xd[n4], xv5 = d.xd[n5],
-                     xv6 = d.xd[n6], xv7 = d.xd[n7];
-        const real_t yv0 = d.yd[n0], yv1 = d.yd[n1], yv2 = d.yd[n2],
-                     yv3 = d.yd[n3], yv4 = d.yd[n4], yv5 = d.yd[n5],
-                     yv6 = d.yd[n6], yv7 = d.yd[n7];
-        const real_t zv0 = d.zd[n0], zv1 = d.zd[n1], zv2 = d.zd[n2],
-                     zv3 = d.zd[n3], zv4 = d.zd[n4], zv5 = d.zd[n5],
-                     zv6 = d.zd[n6], zv7 = d.zd[n7];
+        const T xv0 = xv[0], xv1 = xv[1], xv2 = xv[2], xv3 = xv[3];
+        const T xv4 = xv[4], xv5 = xv[5], xv6 = xv[6], xv7 = xv[7];
+        const T yv0 = yv[0], yv1 = yv[1], yv2 = yv[2], yv3 = yv[3];
+        const T yv4 = yv[4], yv5 = yv[5], yv6 = yv[6], yv7 = yv[7];
+        const T zv0 = zv[0], zv1 = zv[1], zv2 = zv[2], zv3 = zv[3];
+        const T zv4 = zv[4], zv5 = zv[5], zv6 = zv[6], zv7 = zv[7];
 
         const auto k = static_cast<std::size_t>(i);
-        const real_t vol = d.volo[k] * d.vnew[k];
-        const real_t norm = real_t(1.0) / (vol + ptiny);
+        const T vol = simd::load<T>(&d.volo[k]) * simd::load<T>(&d.vnew[k]);
+        const T norm = real_t(1.0) / (vol + ptiny);
 
-        const real_t dxj = real_t(-0.25) * ((x0 + x1 + x5 + x4) - (x3 + x2 + x6 + x7));
-        const real_t dyj = real_t(-0.25) * ((y0 + y1 + y5 + y4) - (y3 + y2 + y6 + y7));
-        const real_t dzj = real_t(-0.25) * ((z0 + z1 + z5 + z4) - (z3 + z2 + z6 + z7));
+        const T dxj = real_t(-0.25) * ((x0 + x1 + x5 + x4) - (x3 + x2 + x6 + x7));
+        const T dyj = real_t(-0.25) * ((y0 + y1 + y5 + y4) - (y3 + y2 + y6 + y7));
+        const T dzj = real_t(-0.25) * ((z0 + z1 + z5 + z4) - (z3 + z2 + z6 + z7));
 
-        const real_t dxi = real_t(0.25) * ((x1 + x2 + x6 + x5) - (x0 + x3 + x7 + x4));
-        const real_t dyi = real_t(0.25) * ((y1 + y2 + y6 + y5) - (y0 + y3 + y7 + y4));
-        const real_t dzi = real_t(0.25) * ((z1 + z2 + z6 + z5) - (z0 + z3 + z7 + z4));
+        const T dxi = real_t(0.25) * ((x1 + x2 + x6 + x5) - (x0 + x3 + x7 + x4));
+        const T dyi = real_t(0.25) * ((y1 + y2 + y6 + y5) - (y0 + y3 + y7 + y4));
+        const T dzi = real_t(0.25) * ((z1 + z2 + z6 + z5) - (z0 + z3 + z7 + z4));
 
-        const real_t dxk = real_t(0.25) * ((x4 + x5 + x6 + x7) - (x0 + x1 + x2 + x3));
-        const real_t dyk = real_t(0.25) * ((y4 + y5 + y6 + y7) - (y0 + y1 + y2 + y3));
-        const real_t dzk = real_t(0.25) * ((z4 + z5 + z6 + z7) - (z0 + z1 + z2 + z3));
+        const T dxk = real_t(0.25) * ((x4 + x5 + x6 + x7) - (x0 + x1 + x2 + x3));
+        const T dyk = real_t(0.25) * ((y4 + y5 + y6 + y7) - (y0 + y1 + y2 + y3));
+        const T dzk = real_t(0.25) * ((z4 + z5 + z6 + z7) - (z0 + z1 + z2 + z3));
 
         // zeta direction: i cross j
         {
-            real_t ax = dyi * dzj - dzi * dyj;
-            real_t ay = dzi * dxj - dxi * dzj;
-            real_t az = dxi * dyj - dyi * dxj;
+            T ax = dyi * dzj - dzi * dyj;
+            T ay = dzi * dxj - dxi * dzj;
+            T az = dxi * dyj - dyi * dxj;
 
-            d.delx_zeta[k] = vol / std::sqrt(ax * ax + ay * ay + az * az + ptiny);
+            simd::store(&d.delx_zeta[k],
+                        vol / simd::sqrt(ax * ax + ay * ay + az * az + ptiny));
 
             ax *= norm;
             ay *= norm;
             az *= norm;
 
-            const real_t dxv = real_t(0.25) * ((xv4 + xv5 + xv6 + xv7) - (xv0 + xv1 + xv2 + xv3));
-            const real_t dyv = real_t(0.25) * ((yv4 + yv5 + yv6 + yv7) - (yv0 + yv1 + yv2 + yv3));
-            const real_t dzv = real_t(0.25) * ((zv4 + zv5 + zv6 + zv7) - (zv0 + zv1 + zv2 + zv3));
+            const T dxv = real_t(0.25) * ((xv4 + xv5 + xv6 + xv7) - (xv0 + xv1 + xv2 + xv3));
+            const T dyv = real_t(0.25) * ((yv4 + yv5 + yv6 + yv7) - (yv0 + yv1 + yv2 + yv3));
+            const T dzv = real_t(0.25) * ((zv4 + zv5 + zv6 + zv7) - (zv0 + zv1 + zv2 + zv3));
 
-            d.delv_zeta[k] = ax * dxv + ay * dyv + az * dzv;
+            simd::store(&d.delv_zeta[k], ax * dxv + ay * dyv + az * dzv);
         }
 
         // xi direction: j cross k
         {
-            real_t ax = dyj * dzk - dzj * dyk;
-            real_t ay = dzj * dxk - dxj * dzk;
-            real_t az = dxj * dyk - dyj * dxk;
+            T ax = dyj * dzk - dzj * dyk;
+            T ay = dzj * dxk - dxj * dzk;
+            T az = dxj * dyk - dyj * dxk;
 
-            d.delx_xi[k] = vol / std::sqrt(ax * ax + ay * ay + az * az + ptiny);
+            simd::store(&d.delx_xi[k],
+                        vol / simd::sqrt(ax * ax + ay * ay + az * az + ptiny));
 
             ax *= norm;
             ay *= norm;
             az *= norm;
 
-            const real_t dxv = real_t(0.25) * ((xv1 + xv2 + xv6 + xv5) - (xv0 + xv3 + xv7 + xv4));
-            const real_t dyv = real_t(0.25) * ((yv1 + yv2 + yv6 + yv5) - (yv0 + yv3 + yv7 + yv4));
-            const real_t dzv = real_t(0.25) * ((zv1 + zv2 + zv6 + zv5) - (zv0 + zv3 + zv7 + zv4));
+            const T dxv = real_t(0.25) * ((xv1 + xv2 + xv6 + xv5) - (xv0 + xv3 + xv7 + xv4));
+            const T dyv = real_t(0.25) * ((yv1 + yv2 + yv6 + yv5) - (yv0 + yv3 + yv7 + yv4));
+            const T dzv = real_t(0.25) * ((zv1 + zv2 + zv6 + zv5) - (zv0 + zv3 + zv7 + zv4));
 
-            d.delv_xi[k] = ax * dxv + ay * dyv + az * dzv;
+            simd::store(&d.delv_xi[k], ax * dxv + ay * dyv + az * dzv);
         }
 
         // eta direction: k cross i
         {
-            real_t ax = dyk * dzi - dzk * dyi;
-            real_t ay = dzk * dxi - dxk * dzi;
-            real_t az = dxk * dyi - dyk * dxi;
+            T ax = dyk * dzi - dzk * dyi;
+            T ay = dzk * dxi - dxk * dzi;
+            T az = dxk * dyi - dyk * dxi;
 
-            d.delx_eta[k] = vol / std::sqrt(ax * ax + ay * ay + az * az + ptiny);
+            simd::store(&d.delx_eta[k],
+                        vol / simd::sqrt(ax * ax + ay * ay + az * az + ptiny));
 
             ax *= norm;
             ay *= norm;
             az *= norm;
 
-            const real_t dxv = real_t(-0.25) * ((xv0 + xv1 + xv5 + xv4) - (xv3 + xv2 + xv6 + xv7));
-            const real_t dyv = real_t(-0.25) * ((yv0 + yv1 + yv5 + yv4) - (yv3 + yv2 + yv6 + yv7));
-            const real_t dzv = real_t(-0.25) * ((zv0 + zv1 + zv5 + zv4) - (zv3 + zv2 + zv6 + zv7));
+            const T dxv = real_t(-0.25) * ((xv0 + xv1 + xv5 + xv4) - (xv3 + xv2 + xv6 + xv7));
+            const T dyv = real_t(-0.25) * ((yv0 + yv1 + yv5 + yv4) - (yv3 + yv2 + yv6 + yv7));
+            const T dzv = real_t(-0.25) * ((zv0 + zv1 + zv5 + zv4) - (zv3 + zv2 + zv6 + zv7));
 
-            d.delv_eta[k] = ax * dxv + ay * dyv + az * dzv;
+            simd::store(&d.delv_eta[k], ax * dxv + ay * dyv + az * dzv);
         }
-    }
+    });
 }
 
 void calc_monotonic_q_region(domain& d, const index_t* reg_elem_list,

@@ -95,11 +95,10 @@ TEST(FullRun, ReferenceProblemMatchesLulesh2PublishedOutput) {
 TEST(FullRun, GoldenRegressionSize8) {
     // Every driver ends the s=8 run to stoptime in the same final state,
     // pinned by a digest recorded from the serial driver (cycle 163,
-    // origin energy 1.788182e+04).  The digest holds for builds that do
-    // not contract a*b+c into fused multiply-adds; a -march with FMA
-    // changes the rounding, so there only the cross-driver agreement and
-    // the cycle count are checked.
-    constexpr std::uint64_t recorded_digest = 0xECFD2BB6DBCF7322ULL;
+    // origin energy 1.788182e+04).  The build passes -ffp-contract=off to
+    // every target, so no a*b+c is fused into a multiply-add whatever the
+    // target ISA, and the digest holds in every build, SIMD lanes included.
+    constexpr std::uint64_t expected = 0xECFD2BB6DBCF7322ULL;
     const options o = opts(8);
     const auto run = [&o](lulesh::driver& drv) {
         domain d(o);
@@ -110,13 +109,7 @@ TEST(FullRun, GoldenRegressionSize8) {
     };
 
     lulesh::serial_driver serial;
-#if !defined(__FMA__)
-    const std::uint64_t expected = recorded_digest;
     EXPECT_EQ(run(serial), expected) << serial.name();
-#else
-    (void)recorded_digest;
-    const std::uint64_t expected = run(serial);
-#endif
     {
         ompsim::team team(3);
         lulesh::parallel_for_driver drv(team);

@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "lulesh/domain.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/kernels.hpp"
+#include "lulesh/simd.hpp"
 
 namespace {
 
@@ -152,6 +159,211 @@ TEST(ForceKernels, GatherSumsStressAndHourglass) {
     d.fx_elem_hg[0] = 0.25;
     k::gather_forces(d, 0, 1);
     EXPECT_DOUBLE_EQ(d.fx[0], 1.75);
+}
+
+// ---------------- SIMD lanes ----------------
+
+/// The domain and global temporaries one lane kernel reads and writes.
+struct lane_state {
+    domain d;
+    k::reference_scratch s;
+};
+
+/// Every real-valued array of a lane_state, by name.
+std::vector<std::pair<const char*, const std::vector<real_t>*>> arrays_of(
+    const lane_state& st) {
+    const domain& d = st.d;
+    const k::reference_scratch& s = st.s;
+    return {{"x", &d.x},           {"y", &d.y},
+            {"z", &d.z},           {"xd", &d.xd},
+            {"yd", &d.yd},         {"zd", &d.zd},
+            {"p", &d.p},           {"q", &d.q},
+            {"v", &d.v},           {"volo", &d.volo},
+            {"delv", &d.delv},     {"arealg", &d.arealg},
+            {"ss", &d.ss},         {"elemMass", &d.elemMass},
+            {"fx_elem", &d.fx_elem}, {"fy_elem", &d.fy_elem},
+            {"fz_elem", &d.fz_elem}, {"fx_elem_hg", &d.fx_elem_hg},
+            {"fy_elem_hg", &d.fy_elem_hg}, {"fz_elem_hg", &d.fz_elem_hg},
+            {"dxx", &d.dxx},       {"dyy", &d.dyy},
+            {"dzz", &d.dzz},       {"delv_xi", &d.delv_xi},
+            {"delv_eta", &d.delv_eta}, {"delv_zeta", &d.delv_zeta},
+            {"delx_xi", &d.delx_xi}, {"delx_eta", &d.delx_eta},
+            {"delx_zeta", &d.delx_zeta}, {"vnew", &d.vnew},
+            {"sigxx", &s.sigxx},   {"sigyy", &s.sigyy},
+            {"sigzz", &s.sigzz},   {"dvdx", &s.dvdx},
+            {"dvdy", &s.dvdy},     {"dvdz", &s.dvdz},
+            {"x8n", &s.x8n},       {"y8n", &s.y8n},
+            {"z8n", &s.z8n},       {"determ", &s.determ}};
+}
+
+/// An s=10 mesh with randomly perturbed coordinates, velocities and element
+/// state, so that no two lanes of a block see the same element.  Element
+/// `bad` is inverted (non-positive Jacobian determinant) by moving its one
+/// unshared corner node through the element center, and gets a negative
+/// relative volume.  The hourglass-control temporaries are filled from the
+/// perturbed mesh, as calc_fb_hourglass_force's input.
+lane_state perturbed_state(index_t& bad) {
+    lane_state st{domain(small_opts(10, 3)), {}};
+    domain& d = st.d;
+    std::mt19937_64 rng(20240917);
+    const real_t h = real_t(1.125) / 10;
+    std::uniform_real_distribution<real_t> jitter(-0.1 * h, 0.1 * h);
+    std::uniform_real_distribution<real_t> unit(-1.0, 1.0);
+    std::uniform_real_distribution<real_t> near_one(0.8, 1.2);
+    for (std::size_t n = 0; n < d.x.size(); ++n) {
+        d.x[n] += jitter(rng);
+        d.y[n] += jitter(rng);
+        d.z[n] += jitter(rng);
+        d.xd[n] = unit(rng);
+        d.yd[n] = unit(rng);
+        d.zd[n] = unit(rng);
+    }
+    const index_t ne = d.numElem();
+    st.s.resize(ne);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(ne); ++i) {
+        d.p[i] = unit(rng);
+        d.q[i] = unit(rng);
+        d.v[i] = near_one(rng);
+        d.vnew[i] = near_one(rng);
+        d.ss[i] = near_one(rng);
+        st.s.sigxx[i] = unit(rng);
+        st.s.sigyy[i] = unit(rng);
+        st.s.sigzz[i] = unit(rng);
+    }
+
+    // The first element past the first few that owns a node no other
+    // element shares (a mesh corner): moving that node inverts it alone.
+    bad = -1;
+    for (index_t n = 0; n < d.numNode() && bad < 0; ++n) {
+        const index_t e = d.nodeElemCornerList(n)[0] / 8;
+        if (d.nodeElemCount(n) == 1 && e >= 3) {
+            const index_t* nl = d.nodelist(e);
+            for (auto* f : {&d.x, &d.y, &d.z}) {
+                real_t center = 0;
+                for (int c = 0; c < 8; ++c) {
+                    center += (*f)[static_cast<std::size_t>(nl[c])];
+                }
+                center /= 8;
+                real_t& node = (*f)[static_cast<std::size_t>(n)];
+                node = 4 * center - 3 * node;
+            }
+            d.v[static_cast<std::size_t>(e)] = -0.5;
+            bad = e;
+        }
+    }
+    // Element `bad`'s negative volume makes this flag false.
+    (void)k::calc_hourglass_control(
+        d, 0, ne, st.s.dvdx.data(), st.s.dvdy.data(), st.s.dvdz.data(),
+        st.s.x8n.data(), st.s.y8n.data(), st.s.z8n.data(),
+        st.s.determ.data());
+    return st;
+}
+
+/// One vectorized kernel over [lo, hi) and whether it returns an ok flag
+/// (the others return true).
+struct lane_kernel {
+    const char* name;
+    bool (*run)(lane_state&, index_t, index_t);
+    bool flags;
+};
+
+const lane_kernel lane_kernels[] = {
+    {"force_stress_chunk",
+     [](lane_state& st, index_t lo, index_t hi) {
+         return k::force_stress_chunk(st.d, lo, hi);
+     },
+     true},
+    {"force_hourglass_chunk",
+     [](lane_state& st, index_t lo, index_t hi) {
+         return k::force_hourglass_chunk(st.d, lo, hi);
+     },
+     true},
+    {"integrate_stress",
+     [](lane_state& st, index_t lo, index_t hi) {
+         return k::integrate_stress(st.d, lo, hi, st.s.sigxx.data(),
+                                    st.s.sigyy.data(), st.s.sigzz.data());
+     },
+     true},
+    {"calc_hourglass_control",
+     [](lane_state& st, index_t lo, index_t hi) {
+         return k::calc_hourglass_control(
+             st.d, lo, hi, st.s.dvdx.data(), st.s.dvdy.data(),
+             st.s.dvdz.data(), st.s.x8n.data(), st.s.y8n.data(),
+             st.s.z8n.data(), st.s.determ.data());
+     },
+     true},
+    {"calc_fb_hourglass_force",
+     [](lane_state& st, index_t lo, index_t hi) {
+         k::calc_fb_hourglass_force(
+             st.d, lo, hi, st.s.dvdx.data(), st.s.dvdy.data(),
+             st.s.dvdz.data(), st.s.x8n.data(), st.s.y8n.data(),
+             st.s.z8n.data(), st.s.determ.data(), st.d.hgcoef);
+         return true;
+     },
+     false},
+    {"calc_kinematics",
+     [](lane_state& st, index_t lo, index_t hi) {
+         k::calc_kinematics(st.d, lo, hi, 1e-3);
+         return true;
+     },
+     false},
+    {"calc_monotonic_q_gradients",
+     [](lane_state& st, index_t lo, index_t hi) {
+         k::calc_monotonic_q_gradients(st.d, lo, hi);
+         return true;
+     },
+     false},
+};
+
+TEST(SimdLanes, EveryKernelMatchesItsScalarInstantiationBytewise) {
+    // Each chunk runs once through the kernel (simd::width elements per
+    // vector, the remainder as real_t) and once one element at a time: a
+    // one-element range runs only the real_t instantiation, the oracle.
+    // Whole arrays are compared, so a write outside the chunk shows too.
+    index_t bad = -1;
+    const lane_state base = perturbed_state(bad);
+    ASSERT_GE(bad, 3);
+    constexpr index_t w = lulesh::simd::width;
+    std::vector<std::pair<index_t, index_t>> chunks;
+    for (const index_t len : {index_t(1), w - 1, w, w + 3, index_t(512)}) {
+        if (len > 0) chunks.emplace_back(5, 5 + len);
+    }
+    // A block whose lane 3 (lane 0 without SIMD) is the inverted element.
+    const index_t bad_lo = w >= 4 ? bad - 3 : bad;
+    chunks.emplace_back(bad_lo, bad_lo + std::max<index_t>(w, 1));
+
+    for (const lane_kernel& kernel : lane_kernels) {
+        for (const auto& [lo, hi] : chunks) {
+            const std::string where = std::string(kernel.name) + " on [" +
+                                      std::to_string(lo) + ", " +
+                                      std::to_string(hi) + ")";
+            lane_state lanes = base;
+            lane_state scalar = base;
+            const bool lanes_ok = kernel.run(lanes, lo, hi);
+            bool scalar_ok = true;
+            for (index_t e = lo; e < hi; ++e) {
+                scalar_ok = kernel.run(scalar, e, e + 1) && scalar_ok;
+            }
+            EXPECT_EQ(scalar_ok, !(kernel.flags && lo <= bad && bad < hi))
+                << where;
+            EXPECT_EQ(lanes_ok, scalar_ok) << where;
+            const auto got = arrays_of(lanes);
+            const auto want = arrays_of(scalar);
+            for (std::size_t a = 0; a < got.size(); ++a) {
+                const auto& g = *got[a].second;
+                const auto& x = *want[a].second;
+                ASSERT_EQ(g.size(), x.size());
+                if (std::memcmp(g.data(), x.data(),
+                                g.size() * sizeof(real_t)) == 0) {
+                    continue;
+                }
+                std::size_t i = 0;
+                while (std::memcmp(&g[i], &x[i], sizeof(real_t)) == 0) ++i;
+                ADD_FAILURE() << where << ": " << got[a].first << "[" << i
+                              << "] is " << g[i] << ", scalar " << x[i];
+            }
+        }
+    }
 }
 
 // ---------------- EOS phases ----------------

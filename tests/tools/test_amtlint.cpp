@@ -224,6 +224,27 @@ TEST(Amt003, ReadOnlyProbeDoesNotCoverWrite) {
     EXPECT_EQ(ds[0].line, 3);
 }
 
+TEST(Amt003, SimdStoresAreWrites) {
+    const std::string src =
+        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"   // 1
+        "    hazard_touch(field::vnew, false, lo, hi);\n"         // 2
+        "    hazard_covers(field::x);\n"                          // 3
+        "    T x[8];\n"                                           // 4
+        "    simd::gather_corners(&d.x[0], d.nodelist(lo), x);\n" // 5
+        "    simd::store(&d.vnew[lo], x[0]);\n"                   // 6
+        "    simd::store_corners(&d.fx_elem[lo * 8], x);\n"       // 7
+        "}\n";
+    const auto ds = lint(src);
+    ASSERT_EQ(ds.size(), 2u) << rules_of(ds);
+    EXPECT_EQ(ds[0].line, 6);
+    EXPECT_NE(ds[0].message.find("writes field 'vnew'"), std::string::npos)
+        << ds[0].message;
+    EXPECT_EQ(ds[1].line, 7);
+    EXPECT_NE(ds[1].message.find("writes field 'fx_elem'"),
+              std::string::npos)
+        << ds[1].message;
+}
+
 TEST(Amt003, FollowsProbelessHelpersInSameFile) {
     const std::string src =
         "static void helper(domain& d, index_t i) {\n"           // 1

@@ -615,6 +615,13 @@ void collect_function_facts(const std::vector<token>& toks,
                     write = nxt == "=" || nxt == "+=" || nxt == "-=" ||
                             nxt == "*=" || nxt == "/=";
                 }
+                // The SIMD lane stores (lulesh/simd.hpp) take the address
+                // of the first slot they write: store(&d.f[i], v).
+                if (i >= 5 && is(toks[i - 3], "&") && is(toks[i - 4], "(") &&
+                    (toks[i - 5].text == "store" ||
+                     toks[i - 5].text == "store_corners")) {
+                    write = true;
+                }
                 fn.accesses.push_back({it->second, write, toks[i].line});
             }
         }
