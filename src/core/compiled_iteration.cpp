@@ -159,9 +159,6 @@ void compiled_iteration::build_access_sets(slab_state& sl) {
 void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task) {
     const slab_state& sl = slabs_[slab];
     const task_decl& t = sl.table.tasks[task];
-    k::eos_scratch* scratch = t.kind == body_kind::region
-                                  ? &eos_scratch_[amt::current_worker().index]
-                                  : nullptr;
     const char* site = wave_site_of(t.kind);
     const iteration_sentinel::task_ctx* ctx =
         instrumented_ ? &sl.ctxs[task] : nullptr;
@@ -172,7 +169,7 @@ void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task) {
             scope.emplace(static_cast<const void*>(sl.env.dom), site,
                           t.partition, &ctx->decl);
         }
-        run_body(t, sl.env, scratch);
+        run_body(t, sl.env);
     }
     if (ctx != nullptr && cfg_.scan_nan) {
         const field bad = scan_written_for_nonfinite(ctx->accs, *sl.env.dom);
@@ -224,7 +221,6 @@ void compiled_iteration::compile() {
     };
     const bool direct = gating_ == halo_gating::direct;
     const std::size_t sets = direct ? 1 : slabs_.size();
-    index_t max_region_chunk = 0;
     barrier_.resize(sets);
     stamps_.resize(sets);
     receives_.assign(sets, {});
@@ -256,9 +252,6 @@ void compiled_iteration::compile() {
             const task_decl& t = tasks[i];
             const bool receive = is_receive(t.kind);
             if (is_wave_body(t.kind)) {
-                if (t.kind == body_kind::region) {
-                    max_region_chunk = std::max(max_region_chunk, t.hi - t.lo);
-                }
                 const auto slab = static_cast<std::uint32_t>(s);
                 const auto task = static_cast<std::uint32_t>(i);
                 sl.ids[i] = add_node(
@@ -311,11 +304,6 @@ void compiled_iteration::compile() {
             }
             graph_.add_edge(id, bar[stage]);
         }
-    }
-
-    eos_scratch_.resize(rt_.num_workers());
-    for (k::eos_scratch& scratch : eos_scratch_) {
-        scratch.resize(static_cast<std::size_t>(max_region_chunk));
     }
 }
 

@@ -60,14 +60,9 @@
 // replaced domain of the same shape — a re-emplaced domain, a rebuilt
 // slab, the next cluster of a benchmark — replays the same graph.
 //
-// EOS scratch (T5): one eos_scratch per worker, sized at compile time to
-// the largest region chunk and recycled across replays, so a replay
-// allocates nothing.  A region task takes its worker's scratch
-// (amt::current_worker().index).  That is safe because a region body
-// never waits: at most one runs on a worker at a time, and only the
-// runtime's workers run graph nodes.  Every eval_eos_chunk writes each
-// scratch array before reading it, so recycling is bitwise-equivalent to
-// task-local vectors.
+// Task-local temporaries (T5): a region task's EOS keeps its work values in
+// registers (kernels::eval_eos_chunk), so the graph holds no EOS scratch
+// and a replay allocates nothing.
 
 #pragma once
 
@@ -269,7 +264,6 @@ private:
     std::vector<std::array<std::uint32_t, num_barriers>> ext_;
     std::vector<external> externals_;
     std::vector<node_meta> meta_;
-    std::vector<kernels::eos_scratch> eos_scratch_;  ///< one per worker
     std::size_t task_count_ = 0;
 };
 

@@ -103,9 +103,10 @@ void taskgraph_driver::advance(domain& d) {
     const bool tracing = amt::trace::enabled();
     const auto wait0 = tracing ? amt::clock::now() : amt::clock::time_point{};
     compiled_->wait();
+    const auto resumed = amt::clock::now();
     if (tracing) {
         amt::trace::emit_span(amt::trace::event_kind::barrier_span,
-                              "iteration_barrier", wait0, amt::clock::now(),
+                              "iteration_barrier", wait0, resumed,
                               static_cast<std::int32_t>(tasks_last_iteration_));
     }
 
@@ -117,21 +118,24 @@ void taskgraph_driver::advance(domain& d) {
     d.dtcourant = combined.dtcourant;
     d.dthydro = combined.dthydro;
 
-    // Per-phase durations from the barrier-completion stamps; the last
-    // phase (constraints) ends with the reduction above.  The tracer gets
-    // the same windows as retroactive phase spans (on a dedicated
-    // pseudo-thread, so they cannot break nesting on this thread's
-    // timeline) — the per-phase utilization report attributes worker time
-    // to these windows.
+    // Per-phase durations from the barrier-completion stamps.  The last
+    // phase (constraints) is the reduction above: it starts when this
+    // thread resumes from wait(), so the latency of waking it after B4 is
+    // booked to no phase.  The tracer gets the same windows as retroactive
+    // phase spans (on a dedicated pseudo-thread, so they cannot break
+    // nesting on this thread's timeline) — the per-phase utilization report
+    // attributes worker time to these windows.
     const auto& stamps = compiled_->stamps();
     const auto reduced = amt::clock::now();
     auto prev = t0;
     for (std::size_t ph = 0; ph < phase_profile::num_phases; ++ph) {
-        const auto end = ph < stamps.size() ? stamps[ph] : reduced;
+        const bool waves = ph < stamps.size();
+        const auto begin = waves ? prev : resumed;
+        const auto end = waves ? stamps[ph] : reduced;
         profile_.seconds[ph] +=
-            std::chrono::duration<double>(end - prev).count();
+            std::chrono::duration<double>(end - begin).count();
         if (tracing) {
-            const std::int64_t b = amt::trace::to_ns(prev);
+            const std::int64_t b = amt::trace::to_ns(begin);
             const std::int64_t e = amt::trace::to_ns(end);
             amt::trace::emit_phase(phase_profile::name(ph), b, e - b,
                                    d.cycle);

@@ -58,9 +58,10 @@ namespace lulesh {
 /// Accumulated wall time per iteration phase of the task graph, measured at
 /// the barrier-completion instants (so a phase's time includes its tasks
 /// plus any scheduling gaps before the barrier resolves); the last phase
-/// runs from B4 to the end of the driver's dt reduction.  Supports the
-/// per-phase analysis behind the paper's Table I (separate partition sizes
-/// for LagrangeNodal vs LagrangeElements).
+/// runs from the driver thread's resume after B4 to the end of its dt
+/// reduction, so the latency of waking the driver is in no phase.  Supports
+/// the per-phase analysis behind the paper's Table I (separate partition
+/// sizes for LagrangeNodal vs LagrangeElements).
 struct phase_profile {
     enum phase : std::size_t {
         force = 0,        ///< wave 1: stress + hourglass corner forces
@@ -68,8 +69,8 @@ struct phase_profile {
         elem = 2,         ///< wave 3: kinematics + gradients + clamps +
                           ///< volume update
         region_eos = 3,   ///< wave 4: monotonic Q + EOS + dt partials
-        constraints = 4,  ///< after B4: the driver's min-reduction of the
-                          ///< dt partials
+        constraints = 4,  ///< the driver's min-reduction of the dt
+                          ///< partials, from its resume after B4
         num_phases = 5
     };
 

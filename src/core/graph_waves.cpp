@@ -57,9 +57,13 @@ void region_monoq(domain& d, const index_t* list, index_t lo, index_t hi) {
 }
 
 void region_eos(domain& d, const index_t* list, index_t lo, index_t hi,
-                int rep, kernels::eos_scratch& scratch) {
-    scratch.resize(static_cast<std::size_t>(hi - lo));
-    k::eval_eos_chunk(d, list, lo, hi, rep, scratch);
+                int rep) {
+    k::eval_eos_chunk(d, list, lo, hi, rep);
+}
+
+void region_eos(domain& d, const index_t* list, index_t lo, index_t hi,
+                int rep, kernels::eos_scratch& /*unused*/) {
+    region_eos(d, list, lo, hi, rep);
 }
 
 void volume_update(domain& d, index_t lo, index_t hi) {
@@ -73,8 +77,7 @@ void constraints(domain& d, const index_t* list, index_t lo, index_t hi,
 
 }  // namespace wave_body
 
-void run_body(const task_decl& t, const body_env& env,
-              kernels::eos_scratch* scratch) {
+void run_body(const task_decl& t, const body_env& env) {
     domain& d = *env.dom;
     switch (t.kind) {
         case body_kind::force_stress:
@@ -96,8 +99,7 @@ void run_body(const task_decl& t, const body_env& env,
             const index_t* list = d.regElemList(t.region).data();
             wave_body::region_monoq(d, list, t.lo, t.hi);
             wave_body::region_eos(d, list, t.lo, t.hi,
-                                  kernels::eos_rep_for_region(d, t.region),
-                                  *scratch);
+                                  kernels::eos_rep_for_region(d, t.region));
             wave_body::constraints(d, list, t.lo, t.hi,
                                    env.partials[t.slot]);
             break;

@@ -71,6 +71,11 @@ void elem_fused(domain& d, index_t lo, index_t hi, real_t dt,
                 amt::atomic<bool>& vol_ok, amt::atomic<bool>& q_ok);
 void region_monoq(domain& d, const index_t* list, index_t lo, index_t hi);
 void region_eos(domain& d, const index_t* list, index_t lo, index_t hi,
+                int rep);
+/// The same body; `scratch` is unused (the EOS body keeps its values in
+/// registers).  perfbench still calls this form, so it stays until the
+/// benchmark's next change.
+void region_eos(domain& d, const index_t* list, index_t lo, index_t hi,
                 int rep, kernels::eos_scratch& scratch);
 void volume_update(domain& d, index_t lo, index_t hi);
 void constraints(domain& d, const index_t* list, index_t lo, index_t hi,
@@ -89,10 +94,8 @@ struct body_env {
 
 /// The dispatcher: runs the wave_body:: calls that task `t` describes
 /// (is_wave_body(t.kind)) against `env`, in body order over t's chunk.
-/// Region lists and EOS repetition counts are read from the bound domain;
-/// `scratch` is the EOS work arrays (region tasks only).
-void run_body(const task_decl& t, const body_env& env,
-              kernels::eos_scratch* scratch);
+/// Region lists and EOS repetition counts are read from the bound domain.
+void run_body(const task_decl& t, const body_env& env);
 
 /// Opt-in per-task instrumentation: the dynamic shadow-epoch hazard
 /// tracker (amt/hazard) and the NaN sentinel.  Null in error_flags by

@@ -72,9 +72,8 @@ void serial_driver::advance(domain& d) {
         const auto& list = d.regElemList(r);
         const auto count = static_cast<index_t>(list.size());
         if (count == 0) continue;
-        s.eos.resize(static_cast<std::size_t>(count));
-        k::eval_eos_chunk(d, list.data(), 0, count, k::eos_rep_for_region(d, r),
-                          s.eos);
+        k::eval_eos_chunk(d, list.data(), 0, count,
+                          k::eos_rep_for_region(d, r));
     }
     k::update_volumes(d, 0, ne);
 

@@ -19,12 +19,14 @@
 // reference; drivers aggregate the flags at their synchronization points.
 //
 // The stress, hourglass, kinematics and monotonic-Q gradient kernels run
-// simd::width consecutive elements per SIMD vector and the rest of their
-// range one element at a time (lulesh/simd.hpp); either way each element's
-// results are bitwise those of the scalar evaluation.
+// simd::width consecutive elements per SIMD vector, and the EOS
+// simd::width entries of a region list, with the rest of their range one
+// element at a time (lulesh/simd.hpp); either way each element's results
+// are bitwise those of the scalar evaluation.
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "lulesh/domain.hpp"
@@ -124,11 +126,15 @@ bool apply_material_vnewc(domain& d, index_t lo, index_t hi);
 void update_volumes(domain& d, index_t lo, index_t hi);
 
 // ===================== EOS =====================
+//
+// The EOS arithmetic is written once, per element, in lulesh/eos.hpp.  The
+// task driver runs it through eval_eos_chunk, the fork-join step through
+// visit_eos_phases; both give bitwise the same p, e, q and ss.
 
-/// Region-local work arrays for the EOS pipeline.  The loop-granular drivers
-/// size one to each region in turn (the reference allocates globally per
-/// call); the task driver allocates one per task, chunk-sized — the paper's
-/// task-local temporaries trick.
+/// The reference's EOS work arrays, for the fork-join step's loops over one
+/// region at a time (reference_scratch::eos, sized to each region in turn,
+/// as the reference allocates per call).  The task body holds its values in
+/// registers and allocates none.
 struct eos_scratch {
     std::vector<real_t> e_old, delvc, p_old, q_old, qq_old, ql_old;
     std::vector<real_t> compression, comp_half_step, work;
@@ -150,126 +156,43 @@ struct reference_scratch {
     void resize(index_t num_elem);
 };
 
-// Loop-granular EOS phases over local indices [lo, hi) of a region element
-// list, mirroring the reference's individual parallel loops.
-void eos_gather_e(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s);
-void eos_gather_delv(const domain& d, const index_t* list, index_t lo,
-                     index_t hi, eos_scratch& s);
-void eos_gather_p(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s);
-void eos_gather_q(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s);
-void eos_gather_qq_ql(const domain& d, const index_t* list, index_t lo,
-                      index_t hi, eos_scratch& s);
-void eos_compression(const domain& d, const index_t* list, index_t lo,
-                     index_t hi, eos_scratch& s);
-void eos_clamp_vmin(const domain& d, const index_t* list, index_t lo,
-                    index_t hi, eos_scratch& s);
-void eos_clamp_vmax(const domain& d, const index_t* list, index_t lo,
-                    index_t hi, eos_scratch& s);
-void eos_zero_work(index_t lo, index_t hi, eos_scratch& s);
+/// One EOS phase as one loop over the local indices [lo, hi) of a region
+/// element list, its work arrays in `s` at those indices.
+using eos_phase = void (*)(domain& d, const index_t* list, index_t lo,
+                           index_t hi, eos_scratch& s);
 
-void energy_step1(const domain& d, index_t lo, index_t hi, eos_scratch& s);
-void pressure_bvc(index_t lo, index_t hi, const real_t* compression,
-                  real_t* bvc, real_t* pbvc);
-void pressure_p(const domain& d, const index_t* list, index_t lo, index_t hi,
-                real_t* p_out, const real_t* bvc, const real_t* e);
-void energy_q_half(const domain& d, index_t lo, index_t hi, eos_scratch& s);
-void energy_step2(const domain& d, index_t lo, index_t hi, eos_scratch& s);
-void energy_step3(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s);
-void energy_q_final(const domain& d, const index_t* list, index_t lo,
-                    index_t hi, eos_scratch& s);
+/// The phases of one repetition (gathers, compression and clamps, energy,
+/// pressure and viscosity), in the reference's order
+/// (eos::visit_eos_repetition).
+std::span<const eos_phase> eos_repetition_phases();
+
+/// Writes p_new, e_new and q_new to the region's p, e and q.
 void eos_store(domain& d, const index_t* list, index_t lo, index_t hi,
-               const eos_scratch& s);
-void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
-                     const eos_scratch& s);
+               eos_scratch& s);
 
-/// The reference EOS pipeline (EvalEOSForElems) as its one ordered list of
-/// phases.  Hands each phase — a callable phase(d, list, lo, hi, s) over the
-/// local indices [lo, hi) of a region element list — to `visit`: the
-/// gather / energy / pressure phases `rep` times, then the store and
-/// sound-speed phases.  eval_eos_chunk walks the list over one chunk; the
-/// fork-join step runs every phase as its own parallel loop.
+/// Writes the sound speed of the final values to the region's ss.
+void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
+                     eos_scratch& s);
+
+/// The reference EOS pipeline (EvalEOSForElems) as its ordered list of
+/// loops: hands each phase to `visit` — the repetition's phases `rep`
+/// times, then the store and sound-speed phases.  The fork-join step runs
+/// every phase as its own parallel loop.
 template <class Visit>
 void visit_eos_phases(int rep, Visit&& visit) {
     for (int j = 0; j < rep; ++j) {
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_gather_e(d, l, lo, hi, s); });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_gather_delv(d, l, lo, hi, s); });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_gather_p(d, l, lo, hi, s); });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_gather_q(d, l, lo, hi, s); });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_gather_qq_ql(d, l, lo, hi, s); });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_compression(d, l, lo, hi, s); });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_clamp_vmin(d, l, lo, hi, s); });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_clamp_vmax(d, l, lo, hi, s); });
-        visit([](domain&, const index_t*, index_t lo, index_t hi,
-                 eos_scratch& s) { eos_zero_work(lo, hi, s); });
-
-        visit([](domain& d, const index_t*, index_t lo, index_t hi,
-                 eos_scratch& s) { energy_step1(d, lo, hi, s); });
-        // pHalfStep (and the bvc/pbvc consumed by energy_q_half) come from
-        // the half-step compression.
-        visit([](domain&, const index_t*, index_t lo, index_t hi,
-                 eos_scratch& s) {
-            pressure_bvc(lo, hi, s.comp_half_step.data(), s.bvc.data(),
-                         s.pbvc.data());
-        });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) {
-            pressure_p(d, l, lo, hi, s.p_half_step.data(), s.bvc.data(),
-                       s.e_new.data());
-        });
-        visit([](domain& d, const index_t*, index_t lo, index_t hi,
-                 eos_scratch& s) { energy_q_half(d, lo, hi, s); });
-        visit([](domain& d, const index_t*, index_t lo, index_t hi,
-                 eos_scratch& s) { energy_step2(d, lo, hi, s); });
-        visit([](domain&, const index_t*, index_t lo, index_t hi,
-                 eos_scratch& s) {
-            pressure_bvc(lo, hi, s.compression.data(), s.bvc.data(),
-                         s.pbvc.data());
-        });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) {
-            pressure_p(d, l, lo, hi, s.p_new.data(), s.bvc.data(),
-                       s.e_new.data());
-        });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { energy_step3(d, l, lo, hi, s); });
-        visit([](domain&, const index_t*, index_t lo, index_t hi,
-                 eos_scratch& s) {
-            pressure_bvc(lo, hi, s.compression.data(), s.bvc.data(),
-                         s.pbvc.data());
-        });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) {
-            pressure_p(d, l, lo, hi, s.p_new.data(), s.bvc.data(),
-                       s.e_new.data());
-        });
-        visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-                 eos_scratch& s) { energy_q_final(d, l, lo, hi, s); });
+        for (const eos_phase phase : eos_repetition_phases()) visit(phase);
     }
-    visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-             eos_scratch& s) { eos_store(d, l, lo, hi, s); });
-    visit([](domain& d, const index_t* l, index_t lo, index_t hi,
-             eos_scratch& s) { eos_sound_speed(d, l, lo, hi, s); });
+    visit(eos_store);
+    visit(eos_sound_speed);
 }
 
-/// Fused task body: the complete EOS pipeline (gather → energy → store →
-/// sound speed), repeated `rep` times, on the slice [lo, hi) of a region's
-/// element list, with task-local scratch (paper tricks T3+T5).  `s` must be
-/// resized to at least hi-lo by the caller (tasks reuse a scratch sized to
-/// the partition).
+/// Fused task body: the complete EOS pipeline, repeated `rep` times, on the
+/// slice [lo, hi) of a region's element list (paper tricks T3+T5).  Runs
+/// simd::width entries of the slice per vector, the rest one at a time;
+/// each block's work values stay in registers, so it needs no scratch.
 void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
-                    int rep, eos_scratch& s);
+                    int rep);
 
 /// Returns the reference's EOS repetition count for region r: 1x for the
 /// cheap half, (1+cost)x for the mid tier, 10*(1+cost)x for the top ~5%.

@@ -1,6 +1,7 @@
 // lulesh/kernels_eos.cpp — equation of state: the region-wise energy /
 // pressure / viscosity update pipeline (reference EvalEOSForElems /
-// CalcEnergyForElems / CalcPressureForElems / CalcSoundSpeedForElems).
+// CalcEnergyForElems / CalcPressureForElems / CalcSoundSpeedForElems), run
+// over a region list by the two walkers of the phases in lulesh/eos.hpp.
 //
 // Region cost imbalance is modelled exactly as in the reference: the cheap
 // half of the regions evaluates the pipeline once, the middle tier
@@ -9,28 +10,81 @@
 // computation for 45% of the regions, and increases it even by twenty times
 // for 5%".
 
-#include <cmath>
+#include <array>
+#include <cstddef>
 
+#include "lulesh/eos.hpp"
+#include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
+#include "lulesh/simd.hpp"
 
 namespace lulesh::kernels {
 
+namespace {
+
+/// The inputs of the block at l, read through the region list; the lane
+/// argument gives their type.
+template <class T>
+inline eos::inputs<T> gather_inputs(const domain& d, const index_t* l, T) {
+    return {simd::gather<T>(&d.e[0], l),  simd::gather<T>(&d.delv[0], l),
+            simd::gather<T>(&d.p[0], l),  simd::gather<T>(&d.q[0], l),
+            simd::gather<T>(&d.qq[0], l), simd::gather<T>(&d.ql[0], l),
+            simd::gather<T>(&d.vnewc[0], l)};
+}
+
+/// The work values at local index i of `s`, lanes<T> entries each.
+template <class T>
+eos::values<T, simd::lvalue<simd::lanes<T>>> work_at(eos_scratch& s,
+                                                      index_t i) {
+    const auto j = static_cast<std::size_t>(i);
+    return {
+        simd::at<T>(&s.e_old[j]),       simd::at<T>(&s.delvc[j]),
+        simd::at<T>(&s.p_old[j]),       simd::at<T>(&s.q_old[j]),
+        simd::at<T>(&s.qq_old[j]),      simd::at<T>(&s.ql_old[j]),
+        simd::at<T>(&s.compression[j]), simd::at<T>(&s.comp_half_step[j]),
+        simd::at<T>(&s.work[j]),        simd::at<T>(&s.p_new[j]),
+        simd::at<T>(&s.e_new[j]),       simd::at<T>(&s.q_new[j]),
+        simd::at<T>(&s.bvc[j]),         simd::at<T>(&s.pbvc[j]),
+        simd::at<T>(&s.p_half_step[j])};
+}
+
+/// The fork-join walker: one phase as one loop over the local indices
+/// [lo, hi) of a region list, its values in the work arrays of `s`.  Each
+/// phase reads and writes exactly the arrays and inputs it names; the
+/// inputs it does not read are never gathered.
+template <class Phase>
+void phase_loop(domain& d, const index_t* list, index_t lo, index_t hi,
+                eos_scratch& s) {
+    const eos::constants c(d);
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
+        using T = decltype(lane);
+        auto w = work_at<T>(s, i);
+        Phase{}(w, gather_inputs(d, list + i, lane), c);
+    });
+}
+
+constexpr std::size_t repetition_length = [] {
+    std::size_t n = 0;
+    eos::visit_eos_repetition([&](auto) { ++n; });
+    return n;
+}();
+
+constexpr std::array<eos_phase, repetition_length> repetition_loops = [] {
+    std::array<eos_phase, repetition_length> loops{};
+    std::size_t n = 0;
+    eos::visit_eos_repetition(
+        [&](auto phase) { loops[n++] = &phase_loop<decltype(phase)>; });
+    return loops;
+}();
+
+}  // namespace
+
 void eos_scratch::resize(std::size_t n) {
-    e_old.resize(n);
-    delvc.resize(n);
-    p_old.resize(n);
-    q_old.resize(n);
-    qq_old.resize(n);
-    ql_old.resize(n);
-    compression.resize(n);
-    comp_half_step.resize(n);
-    work.resize(n);
-    p_new.resize(n);
-    e_new.resize(n);
-    q_new.resize(n);
-    bvc.resize(n);
-    pbvc.resize(n);
-    p_half_step.resize(n);
+    for (auto* a : {&e_old, &delvc, &p_old, &q_old, &qq_old, &ql_old,
+                    &compression, &comp_half_step, &work, &p_new, &e_new,
+                    &q_new, &bvc, &pbvc, &p_half_step}) {
+        a->resize(n);
+    }
 }
 
 int eos_rep_for_region(const domain& d, index_t r) {
@@ -40,264 +94,62 @@ int eos_rep_for_region(const domain& d, index_t r) {
     return 10 * (1 + d.cost());
 }
 
-void eos_gather_e(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
-        s.e_old[static_cast<std::size_t>(i)] =
-            d.e[static_cast<std::size_t>(list[i])];
-    }
-}
-
-void eos_gather_delv(const domain& d, const index_t* list, index_t lo,
-                     index_t hi, eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
-        s.delvc[static_cast<std::size_t>(i)] =
-            d.delv[static_cast<std::size_t>(list[i])];
-    }
-}
-
-void eos_gather_p(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
-        s.p_old[static_cast<std::size_t>(i)] =
-            d.p[static_cast<std::size_t>(list[i])];
-    }
-}
-
-void eos_gather_q(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
-        s.q_old[static_cast<std::size_t>(i)] =
-            d.q[static_cast<std::size_t>(list[i])];
-    }
-}
-
-void eos_gather_qq_ql(const domain& d, const index_t* list, index_t lo,
-                      index_t hi, eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
-        const auto z = static_cast<std::size_t>(list[i]);
-        const auto j = static_cast<std::size_t>(i);
-        s.qq_old[j] = d.qq[z];
-        s.ql_old[j] = d.ql[z];
-    }
-}
-
-void eos_compression(const domain& d, const index_t* list, index_t lo,
-                     index_t hi, eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
-        const auto z = static_cast<std::size_t>(list[i]);
-        const auto j = static_cast<std::size_t>(i);
-        const real_t vnewc = d.vnewc[z];
-        s.compression[j] = real_t(1.0) / vnewc - real_t(1.0);
-        const real_t vchalf = vnewc - s.delvc[j] * real_t(0.5);
-        s.comp_half_step[j] = real_t(1.0) / vchalf - real_t(1.0);
-    }
-}
-
-void eos_clamp_vmin(const domain& d, const index_t* list, index_t lo,
-                    index_t hi, eos_scratch& s) {
-    const real_t eosvmin = d.eosvmin;
-    if (eosvmin == real_t(0.0)) return;
-    for (index_t i = lo; i < hi; ++i) {
-        const auto z = static_cast<std::size_t>(list[i]);
-        const auto j = static_cast<std::size_t>(i);
-        if (d.vnewc[z] <= eosvmin) {  // impossible due to prior clamp, but...
-            s.comp_half_step[j] = s.compression[j];
-        }
-    }
-}
-
-void eos_clamp_vmax(const domain& d, const index_t* list, index_t lo,
-                    index_t hi, eos_scratch& s) {
-    const real_t eosvmax = d.eosvmax;
-    if (eosvmax == real_t(0.0)) return;
-    for (index_t i = lo; i < hi; ++i) {
-        const auto z = static_cast<std::size_t>(list[i]);
-        const auto j = static_cast<std::size_t>(i);
-        if (d.vnewc[z] >= eosvmax) {  // impossible due to prior clamp, but...
-            s.p_old[j] = real_t(0.0);
-            s.compression[j] = real_t(0.0);
-            s.comp_half_step[j] = real_t(0.0);
-        }
-    }
-}
-
-void eos_zero_work(index_t lo, index_t hi, eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
-        s.work[static_cast<std::size_t>(i)] = real_t(0.0);
-    }
-}
-
-void energy_step1(const domain& d, index_t lo, index_t hi, eos_scratch& s) {
-    const real_t emin = d.emin;
-    for (index_t i = lo; i < hi; ++i) {
-        const auto j = static_cast<std::size_t>(i);
-        s.e_new[j] = s.e_old[j] -
-                     real_t(0.5) * s.delvc[j] * (s.p_old[j] + s.q_old[j]) +
-                     real_t(0.5) * s.work[j];
-        if (s.e_new[j] < emin) s.e_new[j] = emin;
-    }
-}
-
-void pressure_bvc(index_t lo, index_t hi, const real_t* compression,
-                  real_t* bvc, real_t* pbvc) {
-    const real_t c1s = real_t(2.0) / real_t(3.0);
-    for (index_t i = lo; i < hi; ++i) {
-        bvc[i] = c1s * (compression[i] + real_t(1.0));
-        pbvc[i] = c1s;
-    }
-}
-
-void pressure_p(const domain& d, const index_t* list, index_t lo, index_t hi,
-                real_t* p_out, const real_t* bvc, const real_t* e) {
-    const real_t p_cut = d.p_cut;
-    const real_t eosvmax = d.eosvmax;
-    const real_t pmin = d.pmin;
-    for (index_t i = lo; i < hi; ++i) {
-        p_out[i] = bvc[i] * e[i];
-        if (std::fabs(p_out[i]) < p_cut) p_out[i] = real_t(0.0);
-        if (d.vnewc[static_cast<std::size_t>(list[i])] >= eosvmax) {
-            p_out[i] = real_t(0.0);
-        }
-        if (p_out[i] < pmin) p_out[i] = pmin;
-    }
-}
-
-void energy_q_half(const domain& d, index_t lo, index_t hi, eos_scratch& s) {
-    const real_t rho0 = d.refdens;
-    for (index_t i = lo; i < hi; ++i) {
-        const auto j = static_cast<std::size_t>(i);
-        const real_t vhalf = real_t(1.0) / (real_t(1.0) + s.comp_half_step[j]);
-
-        if (s.delvc[j] > real_t(0.0)) {
-            s.q_new[j] = real_t(0.0);
-        } else {
-            real_t ssc = (s.pbvc[j] * s.e_new[j] +
-                          vhalf * vhalf * s.bvc[j] * s.p_half_step[j]) /
-                         rho0;
-            if (ssc <= real_t(.1111111e-36)) {
-                ssc = real_t(.3333333e-18);
-            } else {
-                ssc = std::sqrt(ssc);
-            }
-            s.q_new[j] = ssc * s.ql_old[j] + s.qq_old[j];
-        }
-
-        s.e_new[j] = s.e_new[j] +
-                     real_t(0.5) * s.delvc[j] *
-                         (real_t(3.0) * (s.p_old[j] + s.q_old[j]) -
-                          real_t(4.0) * (s.p_half_step[j] + s.q_new[j]));
-    }
-}
-
-void energy_step2(const domain& d, index_t lo, index_t hi, eos_scratch& s) {
-    const real_t e_cut = d.e_cut;
-    const real_t emin = d.emin;
-    for (index_t i = lo; i < hi; ++i) {
-        const auto j = static_cast<std::size_t>(i);
-        s.e_new[j] += real_t(0.5) * s.work[j];
-        if (std::fabs(s.e_new[j]) < e_cut) s.e_new[j] = real_t(0.0);
-        if (s.e_new[j] < emin) s.e_new[j] = emin;
-    }
-}
-
-void energy_step3(const domain& d, const index_t* list, index_t lo, index_t hi,
-                  eos_scratch& s) {
-    const real_t rho0 = d.refdens;
-    const real_t e_cut = d.e_cut;
-    const real_t emin = d.emin;
-    const real_t sixth = real_t(1.0) / real_t(6.0);
-    for (index_t i = lo; i < hi; ++i) {
-        const auto j = static_cast<std::size_t>(i);
-        const auto z = static_cast<std::size_t>(list[i]);
-        real_t q_tilde;
-
-        if (s.delvc[j] > real_t(0.0)) {
-            q_tilde = real_t(0.0);
-        } else {
-            real_t ssc = (s.pbvc[j] * s.e_new[j] +
-                          d.vnewc[z] * d.vnewc[z] * s.bvc[j] * s.p_new[j]) /
-                         rho0;
-            if (ssc <= real_t(.1111111e-36)) {
-                ssc = real_t(.3333333e-18);
-            } else {
-                ssc = std::sqrt(ssc);
-            }
-            q_tilde = ssc * s.ql_old[j] + s.qq_old[j];
-        }
-
-        s.e_new[j] = s.e_new[j] -
-                     (real_t(7.0) * (s.p_old[j] + s.q_old[j]) -
-                      real_t(8.0) * (s.p_half_step[j] + s.q_new[j]) +
-                      (s.p_new[j] + q_tilde)) *
-                         s.delvc[j] * sixth;
-
-        if (std::fabs(s.e_new[j]) < e_cut) s.e_new[j] = real_t(0.0);
-        if (s.e_new[j] < emin) s.e_new[j] = emin;
-    }
-}
-
-void energy_q_final(const domain& d, const index_t* list, index_t lo,
-                    index_t hi, eos_scratch& s) {
-    const real_t rho0 = d.refdens;
-    const real_t q_cut = d.q_cut;
-    for (index_t i = lo; i < hi; ++i) {
-        const auto j = static_cast<std::size_t>(i);
-        const auto z = static_cast<std::size_t>(list[i]);
-        if (s.delvc[j] <= real_t(0.0)) {
-            real_t ssc = (s.pbvc[j] * s.e_new[j] +
-                          d.vnewc[z] * d.vnewc[z] * s.bvc[j] * s.p_new[j]) /
-                         rho0;
-            if (ssc <= real_t(.1111111e-36)) {
-                ssc = real_t(.3333333e-18);
-            } else {
-                ssc = std::sqrt(ssc);
-            }
-            s.q_new[j] = ssc * s.ql_old[j] + s.qq_old[j];
-            if (std::fabs(s.q_new[j]) < q_cut) s.q_new[j] = real_t(0.0);
-        }
-    }
-}
+std::span<const eos_phase> eos_repetition_phases() { return repetition_loops; }
 
 void eos_store(domain& d, const index_t* list, index_t lo, index_t hi,
-               const eos_scratch& s) {
-    for (index_t i = lo; i < hi; ++i) {
+               eos_scratch& s) {
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
+        using T = decltype(lane);
         const auto j = static_cast<std::size_t>(i);
-        const auto z = static_cast<std::size_t>(list[i]);
-        d.p[z] = s.p_new[j];
-        d.e[z] = s.e_new[j];
-        d.q[z] = s.q_new[j];
-    }
+        simd::scatter(&d.p[0], list + i, simd::load<T>(&s.p_new[j]));
+        simd::scatter(&d.e[0], list + i, simd::load<T>(&s.e_new[j]));
+        simd::scatter(&d.q[0], list + i, simd::load<T>(&s.q_new[j]));
+    });
 }
 
 void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
-                     const eos_scratch& s) {
-    const real_t rho0 = d.refdens;
-    for (index_t i = lo; i < hi; ++i) {
-        const auto j = static_cast<std::size_t>(i);
-        const auto z = static_cast<std::size_t>(list[i]);
-        real_t ss_tmp = (s.pbvc[j] * s.e_new[j] +
-                         d.vnewc[z] * d.vnewc[z] * s.bvc[j] * s.p_new[j]) /
-                        rho0;
-        if (ss_tmp <= real_t(1.111111e-36)) {
-            ss_tmp = real_t(.3333333e-18);
-        } else {
-            ss_tmp = std::sqrt(ss_tmp);
-        }
-        d.ss[z] = ss_tmp;
-    }
+                     eos_scratch& s) {
+    const eos::constants c(d);
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
+        using T = decltype(lane);
+        simd::scatter(&d.ss[0], list + i,
+                      eos::sound_speed(work_at<T>(s, i),
+                                       gather_inputs(d, list + i, lane), c));
+    });
 }
 
 void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
-                    int rep, eos_scratch& s) {
-    // The fused task body works on scratch indices [0, hi-lo); shift the list
-    // pointer so phase kernels see local indices starting at zero.  The
-    // scalars are captured by value, which keeps them in registers across
-    // the inlined phases.
-    const index_t count = hi - lo;
-    const index_t* chunk_list = list + lo;
-    visit_eos_phases(rep, [&d, &s, chunk_list, count](auto phase) {
-        phase(d, chunk_list, 0, count, s);
+                    int rep) {
+    hazard_covers(field::e, true);  // gathered and scattered through list
+    hazard_covers(field::delv);
+    hazard_covers(field::p, true);
+    hazard_covers(field::q, true);
+    hazard_covers(field::qq);
+    hazard_covers(field::ql);
+    hazard_covers(field::vnewc);
+    hazard_covers(field::ss, true);
+    const eos::constants c(d);
+
+    // The task-body walker: each block's values stay in registers through
+    // all `rep` repetitions.  Each repetition gathers its inputs afresh, as
+    // the reference does, and the repetition barrier keeps every one of
+    // them real work (simd::opaque, simd::keep).
+    simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t k) {
+        using T = decltype(lane);
+        const index_t* l = list + k;
+        eos::values<T> s{};
+        eos::inputs<T> in{};
+        int j = 0;
+        do {
+            in = gather_inputs(d, l, lane);
+            simd::opaque(in.e, in.delv, in.p, in.q, in.qq, in.ql, in.vnewc);
+            eos::visit_eos_repetition([&](auto phase) { phase(s, in, c); });
+            simd::keep(s.p_new, s.e_new, s.q_new);
+        } while (++j < rep);
+        simd::scatter(&d.p[0], l, s.p_new);
+        simd::scatter(&d.e[0], l, s.e_new);
+        simd::scatter(&d.q[0], l, s.q_new);
+        simd::scatter(&d.ss[0], l, eos::sound_speed(s, in, c));
     });
 }
 

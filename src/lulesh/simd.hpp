@@ -15,6 +15,11 @@
 // `vec` and the rest of its range one element at a time as real_t
 // (for_blocks); the real_t instantiation is also the oracle the lane tests
 // compare against.
+//
+// The EOS (lulesh/eos.hpp) reaches its elements through a region list:
+// gather and scatter address a block's lanes through the list, at() lets
+// its fork-join loops address the reference's work arrays as lanes, and
+// opaque() and keep() keep each of its repetitions real work.
 
 #pragma once
 
@@ -32,12 +37,15 @@ namespace lulesh::simd {
 #if defined(__AVX512F__)
 inline constexpr int width = 8;
 using vec = __m512d;
+using vec_u = __m512d_u;  ///< vec at any alignment
 #elif defined(__AVX__)
 inline constexpr int width = 4;
 using vec = __m256d;
+using vec_u = __m256d_u;
 #else
 inline constexpr int width = 1;
 using vec = real_t;
+using vec_u = real_t;
 #endif
 
 /// Elements per value of type T: width for vec, 1 for real_t.
@@ -67,6 +75,68 @@ inline T load(const real_t* p) {
 template <class T>
 inline void store(real_t* p, const T& v) {
     std::memcpy(p, &v, sizeof v);
+}
+
+/// The type of an lvalue of `Lanes` consecutive real_t at any alignment:
+/// real_t& for one, vec_u& for a vector.  It is keyed by the lane count
+/// because GCC drops vec_u's alignment from a template argument, and a
+/// vec_u& that lost it would make every access an aligned one.
+template <int Lanes>
+struct lvalue {
+    using type = vec_u&;
+};
+
+template <>
+struct lvalue<1> {
+    using type = real_t&;
+};
+
+/// p[0 .. lanes<T>) as one lvalue: reads and writes through it are loads
+/// and stores of those entries.
+template <class T>
+inline typename lvalue<lanes<T>>::type at(real_t* p) {
+    if constexpr (lanes<T> == 1) {
+        return *p;
+    } else {
+        // vec_u is declared may_alias, as the unaligned load and store
+        // intrinsics that access memory through it require.
+        return *reinterpret_cast<vec_u*>(p);
+    }
+}
+
+/// Lane l is base[idx[l]]: a block's values of an element field, read
+/// through a region element list.
+template <class T>
+inline T gather(const real_t* base, const index_t* idx) {
+    if constexpr (lanes<T> == 1) {
+        return base[idx[0]];
+    } else {
+        T v{};
+        for (int l = 0; l < lanes<T>; ++l) v[l] = base[idx[l]];
+        return v;
+    }
+}
+
+/// The inverse of gather: stores lane l of v at base[idx[l]].
+template <class T>
+inline void scatter(real_t* base, const index_t* idx, const T& v) {
+    if constexpr (lanes<T> == 1) {
+        base[idx[0]] = v;
+    } else {
+        for (int l = 0; l < lanes<T>; ++l) base[idx[l]] = v[l];
+    }
+}
+
+/// x in every lane.
+template <class T>
+inline T splat(real_t x) {
+    if constexpr (lanes<T> == 1) {
+        return x;
+    } else {
+        T v{};
+        for (int l = 0; l < lanes<T>; ++l) v[l] = x;
+        return v;
+    }
 }
 
 /// Lane l of out[c] is base[nl[8 * l + c]]: with nl = d.nodelist(k), the
@@ -118,6 +188,14 @@ inline bool any(const M& m) {
     return false;
 }
 
+inline real_t abs(real_t x) { return std::fabs(x); }
+
+#if defined(__AVX512F__)
+inline vec abs(vec x) { return _mm512_abs_pd(x); }
+#elif defined(__AVX__)
+inline vec abs(vec x) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), x); }
+#endif
+
 inline real_t sqrt(real_t x) { return std::sqrt(x); }
 
 #if defined(__AVX512F__)
@@ -136,6 +214,48 @@ inline T cbrt(T x) {
         for (int l = 0; l < lanes<T>; ++l) x[l] = std::cbrt(x[l]);
         return x;
     }
+}
+
+// Repetition barrier.  The EOS evaluates its pipeline `rep` times over the
+// same inputs: that is how the reference makes some regions 2x and 20x
+// costlier than others, and the paper's region imbalance rests on it.  Once
+// a block's values live in registers, the compiler sees that every
+// repetition computes the same results and deletes all but the last, which
+// silently removes the imbalance.  These empty asm statements keep every
+// repetition real work without changing a bit: opaque(v...) makes the
+// compiler assume each v was rewritten here, so each repetition's inputs
+// are new to it, and keep(v...) makes it assume each v is read here, so no
+// repetition's results are dead.  Neither emits an instruction.
+namespace detail {
+
+template <class T>
+inline void opaque_one(T& v) {
+#if defined(__x86_64__)
+    asm volatile("" : "+v"(v));
+#else
+    asm volatile("" : "+m"(v));
+#endif
+}
+
+template <class T>
+inline void keep_one(const T& v) {
+#if defined(__x86_64__)
+    asm volatile("" : : "v"(v));
+#else
+    asm volatile("" : : "m"(v));
+#endif
+}
+
+}  // namespace detail
+
+template <class... T>
+inline void opaque(T&... v) {
+    (detail::opaque_one(v), ...);
+}
+
+template <class... T>
+inline void keep(const T&... v) {
+    (detail::keep_one(v), ...);
 }
 
 }  // namespace lulesh::simd

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 
 #include "lulesh/domain.hpp"
 #include "lulesh/driver.hpp"
+#include "lulesh/eos.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/simd.hpp"
 
@@ -163,10 +166,12 @@ TEST(ForceKernels, GatherSumsStressAndHourglass) {
 
 // ---------------- SIMD lanes ----------------
 
-/// The domain and global temporaries one lane kernel reads and writes.
+/// The domain and global temporaries one lane kernel reads and writes, and
+/// the shuffled element list the EOS rows walk.
 struct lane_state {
     domain d;
     k::reference_scratch s;
+    std::vector<index_t> list;
 };
 
 /// Every real-valued array of a lane_state, by name.
@@ -177,7 +182,9 @@ std::vector<std::pair<const char*, const std::vector<real_t>*>> arrays_of(
     return {{"x", &d.x},           {"y", &d.y},
             {"z", &d.z},           {"xd", &d.xd},
             {"yd", &d.yd},         {"zd", &d.zd},
-            {"p", &d.p},           {"q", &d.q},
+            {"e", &d.e},           {"p", &d.p},
+            {"q", &d.q},           {"qq", &d.qq},
+            {"ql", &d.ql},         {"vnewc", &d.vnewc},
             {"v", &d.v},           {"volo", &d.volo},
             {"delv", &d.delv},     {"arealg", &d.arealg},
             {"ss", &d.ss},         {"elemMass", &d.elemMass},
@@ -202,8 +209,16 @@ std::vector<std::pair<const char*, const std::vector<real_t>*>> arrays_of(
 /// unshared corner node through the element center, and gets a negative
 /// relative volume.  The hourglass-control temporaries are filled from the
 /// perturbed mesh, as calc_fb_hourglass_force's input.
+///
+/// The EOS state mixes expanding and compressing elements, and the list is
+/// a shuffled permutation of the elements, so a block's lanes gather
+/// elements that are not adjacent.  The first block of the chunks at list
+/// position 5 holds, in order, an element at vnewc = eosvmin, one at
+/// eosvmax, one whose energy drops below emin, one whose sound speed is
+/// under the floor (zero pressure and a negative energy) and one whose delv
+/// is NaN.
 lane_state perturbed_state(index_t& bad) {
-    lane_state st{domain(small_opts(10, 3)), {}};
+    lane_state st{domain(small_opts(10, 3)), {}, {}};
     domain& d = st.d;
     std::mt19937_64 rng(20240917);
     const real_t h = real_t(1.125) / 10;
@@ -229,7 +244,26 @@ lane_state perturbed_state(index_t& bad) {
         st.s.sigxx[i] = unit(rng);
         st.s.sigyy[i] = unit(rng);
         st.s.sigzz[i] = unit(rng);
+        d.e[i] = near_one(rng);
+        d.delv[i] = 0.1 * unit(rng);
+        d.qq[i] = near_one(rng);
+        d.ql[i] = near_one(rng);
+        d.vnewc[i] = near_one(rng);
     }
+    st.list.resize(static_cast<std::size_t>(ne));
+    std::iota(st.list.begin(), st.list.end(), index_t(0));
+    std::shuffle(st.list.begin(), st.list.end(), rng);
+    const auto entry = [&](std::size_t pos) {
+        return static_cast<std::size_t>(st.list[pos]);
+    };
+    d.vnewc[entry(5)] = d.eosvmin;
+    d.vnewc[entry(6)] = d.eosvmax;
+    d.e[entry(7)] = 2 * d.emin;
+    d.e[entry(8)] = -1.0;
+    d.p[entry(8)] = 0.0;
+    d.q[entry(8)] = 0.0;
+    d.delv[entry(8)] = -0.05;
+    d.delv[entry(9)] = std::numeric_limits<real_t>::quiet_NaN();
 
     // The first element past the first few that owns a node no other
     // element shares (a mesh corner): moving that node inverts it alone.
@@ -259,13 +293,31 @@ lane_state perturbed_state(index_t& bad) {
     return st;
 }
 
-/// One vectorized kernel over [lo, hi) and whether it returns an ok flag
-/// (the others return true).
+/// One vectorized kernel over [lo, hi), whether it returns an ok flag (the
+/// others return true), and, for the EOS, the fork-join step's phase loops
+/// over the same range.
 struct lane_kernel {
     const char* name;
     bool (*run)(lane_state&, index_t, index_t);
     bool flags;
+    void (*fork_join)(lane_state&, index_t, index_t) = nullptr;
 };
+
+/// The EOS over list positions [lo, hi) of st.list: the task body, and
+/// the fork-join step's phase loops.
+template <int Rep>
+bool eos_chunk(lane_state& st, index_t lo, index_t hi) {
+    k::eval_eos_chunk(st.d, st.list.data(), lo, hi, Rep);
+    return true;
+}
+
+template <int Rep>
+void eos_phase_loops(lane_state& st, index_t lo, index_t hi) {
+    st.s.eos.resize(st.list.size());
+    k::visit_eos_phases(Rep, [&](k::eos_phase phase) {
+        phase(st.d, st.list.data(), lo, hi, st.s.eos);
+    });
+}
 
 const lane_kernel lane_kernels[] = {
     {"force_stress_chunk",
@@ -313,13 +365,35 @@ const lane_kernel lane_kernels[] = {
          return true;
      },
      false},
+    {"eval_eos_chunk rep 1", eos_chunk<1>, false, eos_phase_loops<1>},
+    {"eval_eos_chunk rep 20", eos_chunk<20>, false, eos_phase_loops<20>},
 };
+
+/// Reports every array of `got` that differs bytewise from `want`.
+void expect_same_arrays(const lane_state& got, const lane_state& want,
+                        const std::string& where) {
+    const auto g_arrays = arrays_of(got);
+    const auto w_arrays = arrays_of(want);
+    for (std::size_t a = 0; a < g_arrays.size(); ++a) {
+        const auto& g = *g_arrays[a].second;
+        const auto& x = *w_arrays[a].second;
+        ASSERT_EQ(g.size(), x.size());
+        if (std::memcmp(g.data(), x.data(), g.size() * sizeof(real_t)) == 0) {
+            continue;
+        }
+        std::size_t i = 0;
+        while (std::memcmp(&g[i], &x[i], sizeof(real_t)) == 0) ++i;
+        ADD_FAILURE() << where << ": " << g_arrays[a].first << "[" << i
+                      << "] is " << g[i] << ", scalar " << x[i];
+    }
+}
 
 TEST(SimdLanes, EveryKernelMatchesItsScalarInstantiationBytewise) {
     // Each chunk runs once through the kernel (simd::width elements per
     // vector, the remainder as real_t) and once one element at a time: a
     // one-element range runs only the real_t instantiation, the oracle.
     // Whole arrays are compared, so a write outside the chunk shows too.
+    // The EOS rows also run the fork-join step's loops over the chunk.
     index_t bad = -1;
     const lane_state base = perturbed_state(bad);
     ASSERT_GE(bad, 3);
@@ -347,20 +421,11 @@ TEST(SimdLanes, EveryKernelMatchesItsScalarInstantiationBytewise) {
             EXPECT_EQ(scalar_ok, !(kernel.flags && lo <= bad && bad < hi))
                 << where;
             EXPECT_EQ(lanes_ok, scalar_ok) << where;
-            const auto got = arrays_of(lanes);
-            const auto want = arrays_of(scalar);
-            for (std::size_t a = 0; a < got.size(); ++a) {
-                const auto& g = *got[a].second;
-                const auto& x = *want[a].second;
-                ASSERT_EQ(g.size(), x.size());
-                if (std::memcmp(g.data(), x.data(),
-                                g.size() * sizeof(real_t)) == 0) {
-                    continue;
-                }
-                std::size_t i = 0;
-                while (std::memcmp(&g[i], &x[i], sizeof(real_t)) == 0) ++i;
-                ADD_FAILURE() << where << ": " << got[a].first << "[" << i
-                              << "] is " << g[i] << ", scalar " << x[i];
+            expect_same_arrays(lanes, scalar, where);
+            if (kernel.fork_join != nullptr) {
+                lane_state fork_join = base;
+                kernel.fork_join(fork_join, lo, hi);
+                expect_same_arrays(fork_join, scalar, where + " (fork-join)");
             }
         }
     }
@@ -368,89 +433,130 @@ TEST(SimdLanes, EveryKernelMatchesItsScalarInstantiationBytewise) {
 
 // ---------------- EOS phases ----------------
 
+namespace eos = lulesh::kernels::eos;
+
 TEST(Eos, PressureIsTwoThirdsCompressedEnergy) {
     domain d(small_opts(2, 1));
-    const index_t list[1] = {0};
-    d.vnewc[0] = 1.0;
-    real_t compression[1] = {0.5};
-    real_t bvc[1], pbvc[1], p_out[1];
-    real_t e[1] = {3.0};
-    k::pressure_bvc(0, 1, compression, bvc, pbvc);
-    EXPECT_DOUBLE_EQ(bvc[0], (2.0 / 3.0) * 1.5);
-    EXPECT_DOUBLE_EQ(pbvc[0], 2.0 / 3.0);
-    k::pressure_p(d, list, 0, 1, p_out, bvc, e);
-    EXPECT_DOUBLE_EQ(p_out[0], 3.0);
+    const eos::constants c(d);
+    eos::values<real_t> s{};
+    eos::inputs<real_t> in{};
+    in.vnewc = 1.0;
+    s.compression = 0.5;
+    s.e_new = 3.0;
+    eos::bvc_of_compression(s, in, c);
+    EXPECT_DOUBLE_EQ(s.bvc, (2.0 / 3.0) * 1.5);
+    EXPECT_DOUBLE_EQ(s.pbvc, 2.0 / 3.0);
+    eos::pressure_new(s, in, c);
+    EXPECT_DOUBLE_EQ(s.p_new, 3.0);
 }
 
 TEST(Eos, PressureCutSnapsToZero) {
     domain d(small_opts(2, 1));
-    const index_t list[1] = {0};
-    d.vnewc[0] = 1.0;
-    real_t bvc[1] = {2.0 / 3.0};
-    real_t e[1] = {1e-8};  // below p_cut
-    real_t p_out[1];
-    k::pressure_p(d, list, 0, 1, p_out, bvc, e);
-    EXPECT_EQ(p_out[0], 0.0);
+    const real_t vnewc = 1.0;
+    const real_t bvc = 2.0 / 3.0;
+    const real_t e = 1e-8;  // below p_cut
+    EXPECT_EQ(eos::pressure(bvc, e, vnewc, eos::constants(d)), 0.0);
 }
 
 TEST(Eos, PressureClampedToPmin) {
     domain d(small_opts(2, 1));
-    const index_t list[1] = {0};
-    d.vnewc[0] = 1.0;
-    real_t bvc[1] = {2.0 / 3.0};
-    real_t e[1] = {-5.0};
-    real_t p_out[1];
-    k::pressure_p(d, list, 0, 1, p_out, bvc, e);
-    EXPECT_EQ(p_out[0], d.pmin);
+    const real_t vnewc = 1.0;
+    const real_t bvc = 2.0 / 3.0;
+    const real_t e = -5.0;
+    EXPECT_EQ(eos::pressure(bvc, e, vnewc, eos::constants(d)), d.pmin);
 }
 
 TEST(Eos, EnergyStep1ClampsToEmin) {
     domain d(small_opts(2, 1));
-    k::eos_scratch s;
-    s.resize(1);
-    s.e_old[0] = -1e20;
-    s.delvc[0] = 0.0;
-    s.p_old[0] = 0.0;
-    s.q_old[0] = 0.0;
-    s.work[0] = 0.0;
-    k::energy_step1(d, 0, 1, s);
-    EXPECT_EQ(s.e_new[0], d.emin);
+    eos::values<real_t> s{};
+    s.e_old = -1e20;
+    s.delvc = 0.0;
+    s.p_old = 0.0;
+    s.q_old = 0.0;
+    s.work = 0.0;
+    eos::energy_step1(s, eos::inputs<real_t>{}, eos::constants(d));
+    EXPECT_EQ(s.e_new, d.emin);
 }
 
 TEST(Eos, ExpansionZeroesViscosity) {
     domain d(small_opts(2, 1));
-    k::eos_scratch s;
-    s.resize(1);
-    s.delvc[0] = 0.5;  // expanding: q_new must be zero
-    s.comp_half_step[0] = 0.0;
-    s.e_new[0] = 1.0;
-    s.pbvc[0] = 2.0 / 3.0;
-    s.bvc[0] = 2.0 / 3.0;
-    s.p_half_step[0] = 1.0;
-    s.p_old[0] = 0.0;
-    s.q_old[0] = 0.0;
-    s.ql_old[0] = 5.0;
-    s.qq_old[0] = 7.0;
-    k::energy_q_half(d, 0, 1, s);
-    EXPECT_EQ(s.q_new[0], 0.0);
+    eos::values<real_t> s{};
+    s.delvc = 0.5;  // expanding: q_new must be zero
+    s.comp_half_step = 0.0;
+    s.e_new = 1.0;
+    s.pbvc = 2.0 / 3.0;
+    s.bvc = 2.0 / 3.0;
+    s.p_half_step = 1.0;
+    s.p_old = 0.0;
+    s.q_old = 0.0;
+    s.ql_old = 5.0;
+    s.qq_old = 7.0;
+    eos::energy_q_half(s, eos::inputs<real_t>{}, eos::constants(d));
+    EXPECT_EQ(s.q_new, 0.0);
 }
 
 TEST(Eos, CompressionViscosityUsesSoundSpeed) {
     domain d(small_opts(2, 1));
-    k::eos_scratch s;
-    s.resize(1);
-    s.delvc[0] = -0.1;  // compressing
-    s.comp_half_step[0] = 0.0;
-    s.e_new[0] = 0.0;
-    s.pbvc[0] = 0.0;
-    s.bvc[0] = 1.0;
-    s.p_half_step[0] = 1.0;  // ssc = sqrt(1 * 1 / 1) = 1
-    s.p_old[0] = 0.0;
-    s.q_old[0] = 0.0;
-    s.ql_old[0] = 5.0;
-    s.qq_old[0] = 7.0;
-    k::energy_q_half(d, 0, 1, s);
-    EXPECT_DOUBLE_EQ(s.q_new[0], 12.0);  // ssc * ql + qq
+    eos::values<real_t> s{};
+    s.delvc = -0.1;  // compressing
+    s.comp_half_step = 0.0;
+    s.e_new = 0.0;
+    s.pbvc = 0.0;
+    s.bvc = 1.0;
+    s.p_half_step = 1.0;  // ssc = sqrt(1 * 1 / 1) = 1
+    s.p_old = 0.0;
+    s.q_old = 0.0;
+    s.ql_old = 5.0;
+    s.qq_old = 7.0;
+    eos::energy_q_half(s, eos::inputs<real_t>{}, eos::constants(d));
+    EXPECT_DOUBLE_EQ(s.q_new, 12.0);  // ssc * ql + qq
+}
+
+/// The viscosity selects of one block whose lane 0 has a NaN delv, lane 1
+/// expands and the others compress, against the reference's branches:
+/// `if (delvc > 0) q = 0; else q = ...` at the half step and
+/// `if (delvc <= 0) q = ...` at the end, so a NaN delv computes the
+/// half-step q and keeps it.
+template <class T>
+void check_viscosity_selects_follow_the_branches(const domain& d) {
+    constexpr int n = lulesh::simd::lanes<T>;
+    real_t delv[n];
+    for (int l = 0; l < n; ++l) delv[l] = -0.1;
+    delv[0] = std::numeric_limits<real_t>::quiet_NaN();
+    if (n > 1) delv[1] = 0.1;
+    auto splat = [](real_t x) { return lulesh::simd::splat<T>(x); };
+    eos::values<T> s{};
+    s.delvc = lulesh::simd::load<T>(delv);
+    s.pbvc = splat(0.0);
+    s.e_new = splat(0.0);
+    s.bvc = splat(1.0);
+    s.p_half_step = splat(1.0);  // ssc = 1 at the half step
+    s.ql_old = splat(5.0);
+    s.qq_old = splat(7.0);
+    eos::inputs<T> in{};
+    in.vnewc = splat(1.0);
+    const eos::constants c(d);
+    eos::energy_q_half(s, in, c);
+    real_t q[n];
+    lulesh::simd::store(q, s.q_new);
+    for (int l = 0; l < n; ++l) {
+        EXPECT_EQ(q[l], delv[l] > 0 ? 0.0 : 12.0) << "half step, lane " << l;
+    }
+
+    s.q_new = splat(42.0);
+    s.e_new = splat(0.0);
+    s.p_new = splat(1.0);  // ssc = vnewc^2 bvc p_new = 1 at the end
+    eos::energy_q_final(s, in, c);
+    lulesh::simd::store(q, s.q_new);
+    for (int l = 0; l < n; ++l) {
+        EXPECT_EQ(q[l], delv[l] <= 0 ? 12.0 : 42.0) << "final, lane " << l;
+    }
+}
+
+TEST(Eos, ViscositySelectsFollowTheScalarBranchesOnNaN) {
+    domain d(small_opts(2, 1));
+    check_viscosity_selects_follow_the_branches<real_t>(d);
+    check_viscosity_selects_follow_the_branches<lulesh::simd::vec>(d);
 }
 
 TEST(Eos, GatherPhasesReadRegionElements) {
@@ -464,11 +570,11 @@ TEST(Eos, GatherPhasesReadRegionElements) {
     const index_t list[2] = {5, 0};
     k::eos_scratch s;
     s.resize(2);
-    k::eos_gather_e(d, list, 0, 2, s);
-    k::eos_gather_delv(d, list, 0, 2, s);
-    k::eos_gather_p(d, list, 0, 2, s);
-    k::eos_gather_q(d, list, 0, 2, s);
-    k::eos_gather_qq_ql(d, list, 0, 2, s);
+    // One repetition's loops; its gathers fill the *_old arrays and
+    // delvc, which the later phases only read.
+    for (const k::eos_phase phase : k::eos_repetition_phases()) {
+        phase(d, list, 0, 2, s);
+    }
     EXPECT_EQ(s.e_old[0], 42.0);
     EXPECT_EQ(s.delvc[0], -0.25);
     EXPECT_EQ(s.p_old[0], 3.0);
@@ -480,14 +586,13 @@ TEST(Eos, GatherPhasesReadRegionElements) {
 
 TEST(Eos, CompressionFormula) {
     domain d(small_opts(2, 1));
-    d.vnewc[0] = 0.8;
-    const index_t list[1] = {0};
-    k::eos_scratch s;
-    s.resize(1);
-    s.delvc[0] = -0.2;
-    k::eos_compression(d, list, 0, 1, s);
-    EXPECT_NEAR(s.compression[0], 1.0 / 0.8 - 1.0, 1e-15);
-    EXPECT_NEAR(s.comp_half_step[0], 1.0 / 0.9 - 1.0, 1e-15);
+    eos::values<real_t> s{};
+    eos::inputs<real_t> in{};
+    in.vnewc = 0.8;
+    s.delvc = -0.2;
+    eos::compression(s, in, eos::constants(d));
+    EXPECT_NEAR(s.compression, 1.0 / 0.8 - 1.0, 1e-15);
+    EXPECT_NEAR(s.comp_half_step, 1.0 / 0.9 - 1.0, 1e-15);
 }
 
 TEST(Eos, EvalChunkRepeatsAreIdempotentOnStore) {
@@ -505,10 +610,8 @@ TEST(Eos, EvalChunkRepeatsAreIdempotentOnStore) {
     }
     const auto& list = a.regElemList(0);
     const auto count = static_cast<index_t>(list.size());
-    k::eos_scratch s;
-    s.resize(static_cast<std::size_t>(count));
-    k::eval_eos_chunk(a, list.data(), 0, count, 1, s);
-    k::eval_eos_chunk(b, b.regElemList(0).data(), 0, count, 20, s);
+    k::eval_eos_chunk(a, list.data(), 0, count, 1);
+    k::eval_eos_chunk(b, b.regElemList(0).data(), 0, count, 20);
     for (std::size_t i = 0; i < a.e.size(); ++i) {
         ASSERT_EQ(a.e[i], b.e[i]) << "elem " << i;
         ASSERT_EQ(a.p[i], b.p[i]);

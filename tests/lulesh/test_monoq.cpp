@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "lulesh/domain.hpp"
+#include "lulesh/eos.hpp"
 #include "lulesh/kernels.hpp"
 
 namespace {
@@ -162,24 +163,26 @@ TEST(MonotonicQ, EosClampBranchesFireAtExactBounds) {
     o.size = 2;
     o.num_regions = 1;
     domain d(o);
-    const index_t list[2] = {0, 1};
-    k::eos_scratch s;
-    s.resize(2);
-    s.delvc[0] = s.delvc[1] = -0.1;
-    s.p_old[0] = s.p_old[1] = 3.0;
-
+    namespace eos = k::eos;
+    const eos::constants c(d);
     // Element 0 exactly at eosvmin, element 1 exactly at eosvmax.
-    d.vnewc[0] = d.eosvmin;
-    d.vnewc[1] = d.eosvmax;
-    k::eos_compression(d, list, 0, 2, s);
-    const real_t comp0_before = s.compression[0];
-    k::eos_clamp_vmin(d, list, 0, 2, s);
-    EXPECT_EQ(s.comp_half_step[0], comp0_before);  // vmin: half = full step
-    k::eos_clamp_vmax(d, list, 0, 2, s);
-    EXPECT_EQ(s.p_old[1], 0.0);
-    EXPECT_EQ(s.compression[1], 0.0);
-    EXPECT_EQ(s.comp_half_step[1], 0.0);
-    EXPECT_EQ(s.p_old[0], 3.0);  // element 0 untouched by vmax clamp
+    eos::values<real_t> s[2] = {};
+    eos::inputs<real_t> in[2] = {};
+    in[0].vnewc = d.eosvmin;
+    in[1].vnewc = d.eosvmax;
+    for (int i = 0; i < 2; ++i) {
+        s[i].delvc = -0.1;
+        s[i].p_old = 3.0;
+        eos::compression(s[i], in[i], c);
+    }
+    const real_t comp0_before = s[0].compression;
+    for (int i = 0; i < 2; ++i) eos::clamp_vmin(s[i], in[i], c);
+    EXPECT_EQ(s[0].comp_half_step, comp0_before);  // vmin: half = full step
+    for (int i = 0; i < 2; ++i) eos::clamp_vmax(s[i], in[i], c);
+    EXPECT_EQ(s[1].p_old, 0.0);
+    EXPECT_EQ(s[1].compression, 0.0);
+    EXPECT_EQ(s[1].comp_half_step, 0.0);
+    EXPECT_EQ(s[0].p_old, 3.0);  // element 0 untouched by vmax clamp
 }
 
 }  // namespace

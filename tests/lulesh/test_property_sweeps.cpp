@@ -141,12 +141,10 @@ TEST_P(EosPathEquivalence, FusedChunkMatchesLoopGranularPhases) {
 
     // Path A: fused chunk, several chunks.
     {
-        k::eos_scratch s;
         const index_t chunk = 37;
         for (index_t lo = 0; lo < count; lo += chunk) {
             const index_t hi = std::min<index_t>(lo + chunk, count);
-            s.resize(static_cast<std::size_t>(hi - lo));
-            k::eval_eos_chunk(a, lp, lo, hi, rep, s);
+            k::eval_eos_chunk(a, lp, lo, hi, rep);
         }
     }
     // Path B: loop-granular phases over the full region, rep times.
@@ -154,36 +152,9 @@ TEST_P(EosPathEquivalence, FusedChunkMatchesLoopGranularPhases) {
         k::eos_scratch s;
         s.resize(static_cast<std::size_t>(count));
         const index_t* blp = b.regElemList(0).data();
-        for (int j = 0; j < rep; ++j) {
-            k::eos_gather_e(b, blp, 0, count, s);
-            k::eos_gather_delv(b, blp, 0, count, s);
-            k::eos_gather_p(b, blp, 0, count, s);
-            k::eos_gather_q(b, blp, 0, count, s);
-            k::eos_gather_qq_ql(b, blp, 0, count, s);
-            k::eos_compression(b, blp, 0, count, s);
-            k::eos_clamp_vmin(b, blp, 0, count, s);
-            k::eos_clamp_vmax(b, blp, 0, count, s);
-            k::eos_zero_work(0, count, s);
-            k::energy_step1(b, 0, count, s);
-            k::pressure_bvc(0, count, s.comp_half_step.data(), s.bvc.data(),
-                            s.pbvc.data());
-            k::pressure_p(b, blp, 0, count, s.p_half_step.data(), s.bvc.data(),
-                          s.e_new.data());
-            k::energy_q_half(b, 0, count, s);
-            k::energy_step2(b, 0, count, s);
-            k::pressure_bvc(0, count, s.compression.data(), s.bvc.data(),
-                            s.pbvc.data());
-            k::pressure_p(b, blp, 0, count, s.p_new.data(), s.bvc.data(),
-                          s.e_new.data());
-            k::energy_step3(b, blp, 0, count, s);
-            k::pressure_bvc(0, count, s.compression.data(), s.bvc.data(),
-                            s.pbvc.data());
-            k::pressure_p(b, blp, 0, count, s.p_new.data(), s.bvc.data(),
-                          s.e_new.data());
-            k::energy_q_final(b, blp, 0, count, s);
-        }
-        k::eos_store(b, blp, 0, count, s);
-        k::eos_sound_speed(b, blp, 0, count, s);
+        k::visit_eos_phases(rep, [&](k::eos_phase phase) {
+            phase(b, blp, 0, count, s);
+        });
     }
 
     for (std::size_t i = 0; i < a.e.size(); ++i) {

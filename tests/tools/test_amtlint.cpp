@@ -245,6 +245,23 @@ TEST(Amt003, SimdStoresAreWrites) {
         << ds[1].message;
 }
 
+TEST(Amt003, ListScattersAreWrites) {
+    const std::string src =
+        "void my_kernel(domain& d, const index_t* l) {\n"      // 1
+        "    hazard_covers(field::e, true);\n"                  // 2
+        "    hazard_covers(field::ss);\n"                       // 3
+        "    const T e = simd::gather<T>(&d.e[0], l);\n"        // 4
+        "    const T ss = simd::gather<T>(&d.ss[0], l);\n"      // 5
+        "    simd::scatter(&d.e[0], l, e);\n"                   // 6
+        "    simd::scatter(&d.ss[0], l, ss);\n"                 // 7
+        "}\n";
+    const auto ds = lint(src);
+    ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
+    EXPECT_EQ(ds[0].line, 7);
+    EXPECT_NE(ds[0].message.find("writes field 'ss'"), std::string::npos)
+        << ds[0].message;
+}
+
 TEST(Amt003, FollowsProbelessHelpersInSameFile) {
     const std::string src =
         "static void helper(domain& d, index_t i) {\n"           // 1

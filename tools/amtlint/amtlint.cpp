@@ -616,10 +616,13 @@ void collect_function_facts(const std::vector<token>& toks,
                             nxt == "*=" || nxt == "/=";
                 }
                 // The SIMD lane stores (lulesh/simd.hpp) take the address
-                // of the first slot they write: store(&d.f[i], v).
+                // of the first slot they write: store(&d.f[i], v), and the
+                // region-list scatter its field's base: scatter(&d.f[0],
+                // list, v).
                 if (i >= 5 && is(toks[i - 3], "&") && is(toks[i - 4], "(") &&
                     (toks[i - 5].text == "store" ||
-                     toks[i - 5].text == "store_corners")) {
+                     toks[i - 5].text == "store_corners" ||
+                     toks[i - 5].text == "scatter")) {
                     write = true;
                 }
                 fn.accesses.push_back({it->second, write, toks[i].line});
