@@ -394,7 +394,7 @@ int run_replay_gate() {
     amt::static_graph g;
     build_replay_graph(g, cells);
 
-    // Warm up both paths (compile cost, task-pool population, branch
+    // Warm up both paths (compile cost, allocator arenas, branch
     // predictors) before any timed rep.
     for (int i = 0; i < 5; ++i) {
         g.run(rt);

@@ -26,12 +26,10 @@
 #pragma once
 
 #include <cassert>
-#include <cstddef>
 #include <memory>
 #include <utility>
 
 #include "amt/atomic.hpp"
-#include "amt/task_pool.hpp"
 #include "amt/unique_function.hpp"
 
 namespace amt {
@@ -60,19 +58,6 @@ public:
     /// Owned by the scheduler while the task is queued; meaningless
     /// otherwise.
     amt::atomic<task_base*> qnext{nullptr};
-
-    /// Scheduler-owned tasks are carved from the recycling block pool
-    /// (amt/task_pool.hpp), so the steady state of a workload that posts
-    /// and finishes tasks at a constant rate performs no global-heap
-    /// allocation.  Oversized tasks fall through to ::operator new inside
-    /// the pool.  Derived classes inherit these.
-    static void* operator new(std::size_t size) {
-        return detail::task_alloc(size);
-    }
-    static void operator delete(void* p) noexcept { detail::task_free(p); }
-    static void operator delete(void* p, std::size_t) noexcept {
-        detail::task_free(p);
-    }
 
 protected:
     /// For subclasses whose instances the scheduler must not delete

@@ -18,9 +18,9 @@
 //       hourglass-force tasks are launched together, and all regions' EOS
 //       pipelines are launched together (this is where the region load
 //       imbalance gets absorbed by work stealing);
-//   T5  temporaries are task-local (sigma values, hourglass scratch, EOS
-//       work arrays in one scratch per worker) instead of mesh-sized
-//       global buffers;
+//   T5  temporaries are task-local (sigma values and hourglass scratch
+//       per element block, EOS values in registers, so the graph holds no
+//       EOS scratch) instead of mesh-sized global buffers;
 //   T6  all tasks of an iteration are created up front: the iteration
 //       table (core/access) is compiled once into a static graph
 //       (core/compiled_iteration) that every advance() re-arms and replays,

@@ -3,7 +3,9 @@
 
 #include "lulesh/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,14 +14,23 @@ namespace lulesh {
 
 namespace {
 
-long parse_long(const std::string& flag, const char* text) {
+/// Reads `text` as a base-10 integer of the flag's own type T; a value T
+/// cannot hold is rejected, never wrapped.
+template <class T>
+T parse_int(const std::string& flag, const char* text) {
     char* end = nullptr;
-    const long v = std::strtol(text, &end, 10);
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
     if (end == text || *end != '\0') {
         throw std::invalid_argument("lulesh: flag " + flag +
                                     " expects an integer, got '" + text + "'");
     }
-    return v;
+    if (errno == ERANGE || v < std::numeric_limits<T>::min() ||
+        v > std::numeric_limits<T>::max()) {
+        throw std::invalid_argument("lulesh: flag " + flag + " value '" +
+                                    text + "' is out of range");
+    }
+    return static_cast<T>(v);
 }
 
 const char* require_value(const std::string& flag, int argc,
@@ -41,21 +52,21 @@ cli_options parse_cli(int argc, const char* const* argv) {
         const std::string arg = argv[i];
         if (arg == "-s" || arg == "--s") {
             cli.problem.size =
-                static_cast<index_t>(parse_long(arg, require_value(arg, argc, argv, i)));
+                parse_int<index_t>(arg, require_value(arg, argc, argv, i));
         } else if (arg == "-r" || arg == "--r") {
             cli.problem.num_regions =
-                static_cast<index_t>(parse_long(arg, require_value(arg, argc, argv, i)));
+                parse_int<index_t>(arg, require_value(arg, argc, argv, i));
         } else if (arg == "-i" || arg == "--i") {
             cli.problem.max_cycles =
-                static_cast<int>(parse_long(arg, require_value(arg, argc, argv, i)));
+                parse_int<int>(arg, require_value(arg, argc, argv, i));
         } else if (arg == "-b" || arg == "--b") {
             cli.problem.balance =
-                static_cast<int>(parse_long(arg, require_value(arg, argc, argv, i)));
+                parse_int<int>(arg, require_value(arg, argc, argv, i));
         } else if (arg == "-c" || arg == "--c") {
             cli.problem.cost =
-                static_cast<int>(parse_long(arg, require_value(arg, argc, argv, i)));
+                parse_int<int>(arg, require_value(arg, argc, argv, i));
         } else if (arg == "-t" || arg == "--t" || arg == "--threads") {
-            threads = parse_long(arg, require_value(arg, argc, argv, i));
+            threads = parse_int<long>(arg, require_value(arg, argc, argv, i));
         } else if (arg == "-d" || arg == "--d" || arg == "--driver") {
             cli.driver = require_value(arg, argc, argv, i);
             if (cli.driver != "serial" && cli.driver != "parallel_for" &&
@@ -66,31 +77,31 @@ cli_options parse_cli(int argc, const char* const* argv) {
             }
         } else if (arg == "-p" || arg == "--p" || arg == "--partitions") {
             partition_sizes p;
-            p.nodal = static_cast<index_t>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
-            p.elems = static_cast<index_t>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
+            p.nodal = parse_int<index_t>(
+                arg, require_value(arg, argc, argv, i));
+            p.elems = parse_int<index_t>(
+                arg, require_value(arg, argc, argv, i));
             cli.partitions = p;
         } else if (arg == "--checkpoint-save") {
             cli.checkpoint_save = require_value(arg, argc, argv, i);
         } else if (arg == "--checkpoint-load") {
             cli.checkpoint_load = require_value(arg, argc, argv, i);
         } else if (arg == "--checkpoint-every") {
-            cli.checkpoint_every = static_cast<int>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
+            cli.checkpoint_every = parse_int<int>(
+                arg, require_value(arg, argc, argv, i));
         } else if (arg == "--retries") {
-            cli.max_retries = static_cast<int>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
+            cli.max_retries = parse_int<int>(
+                arg, require_value(arg, argc, argv, i));
         } else if (arg == "--halo-timeout") {
-            cli.halo_timeout_ms = static_cast<int>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
+            cli.halo_timeout_ms = parse_int<int>(
+                arg, require_value(arg, argc, argv, i));
         } else if (arg.rfind("--halo-timeout=", 0) == 0) {
-            cli.halo_timeout_ms = static_cast<int>(parse_long(
+            cli.halo_timeout_ms = parse_int<int>(
                 "--halo-timeout",
-                arg.substr(std::string("--halo-timeout=").size()).c_str()));
+                arg.substr(std::string("--halo-timeout=").size()).c_str());
         } else if (arg == "--max-recoveries") {
-            cli.max_recoveries = static_cast<int>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
+            cli.max_recoveries = parse_int<int>(
+                arg, require_value(arg, argc, argv, i));
         } else if (arg == "--audit-graph") {
             cli.audit_graph = true;
         } else if (arg == "--trace") {
@@ -121,14 +132,14 @@ cli_options parse_cli(int argc, const char* const* argv) {
                     "(bare --metrics defaults to metrics.json)");
             }
         } else if (arg == "--metrics-interval") {
-            cli.metrics_interval_ms = static_cast<int>(
-                parse_long(arg, require_value(arg, argc, argv, i)));
+            cli.metrics_interval_ms = parse_int<int>(
+                arg, require_value(arg, argc, argv, i));
             metrics_interval_flag = true;
         } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-            cli.metrics_interval_ms = static_cast<int>(parse_long(
+            cli.metrics_interval_ms = parse_int<int>(
                 "--metrics-interval",
                 arg.substr(std::string("--metrics-interval=").size())
-                    .c_str()));
+                    .c_str());
             metrics_interval_flag = true;
         } else if (arg == "--critical-path-report") {
             cli.critical_path_report = true;

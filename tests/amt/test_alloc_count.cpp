@@ -6,16 +6,16 @@
 // iteration graph is compiled and warmed up, re-arming and replaying it
 // performs ZERO heap allocations — in the raw amt::static_graph engine
 // and in the full taskgraph driver's steady state.  The compile phase
-// gets a checked-in budget, and a plain async + when_all chain serves as
-// the positive control proving the counter actually observes the
-// allocations the replay path eliminated.
+// gets a checked-in budget.  Two positive controls prove the counter
+// observes what the replay path eliminated: every task posted through
+// runtime::post comes from the global heap, and so does a plain async +
+// when_all chain.
 //
 // Sanitizer builds interpose the allocator themselves and would fight
-// the counting definitions below, and the task pool passes through to
-// plain new/delete there anyway (AMT_TASK_POOL_PASSTHROUGH) — so under a
-// sanitizer the counting apparatus compiles out and the zero-allocation
-// EXPECTs are skipped: the suite still replays the compiled graph under
-// ThreadSanitizer (ctest -L tsan) purely for race coverage.
+// the counting definitions below, so under a sanitizer the counting
+// apparatus compiles out and the allocation EXPECTs are skipped: the
+// suite still replays the compiled graph under ThreadSanitizer (ctest -L
+// tsan) purely for race coverage.
 
 #include <gtest/gtest.h>
 
@@ -23,12 +23,20 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "amt/amt.hpp"
-#include "amt/task_pool.hpp"
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/domain.hpp"
+
+// 1 when the counting allocator below is compiled in; sanitizers interpose
+// the allocator themselves.
+#if AMT_TSAN || defined(__SANITIZE_ADDRESS__)
+#define COUNTING_ALLOCATOR 0
+#else
+#define COUNTING_ALLOCATOR 1
+#endif
 
 // ---------------------------------------------------------------------------
 // Counting global allocator.  Counts only while a probe window is open so
@@ -36,7 +44,7 @@
 
 namespace {
 
-#if !AMT_TASK_POOL_PASSTHROUGH
+#if COUNTING_ALLOCATOR
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<bool> g_counting{false};
@@ -61,12 +69,12 @@ void* counted_alloc(std::size_t size, std::align_val_t align) {
     throw std::bad_alloc();
 }
 
-#endif  // !AMT_TASK_POOL_PASSTHROUGH
+#endif  // COUNTING_ALLOCATOR
 
 /// RAII window over the counted region; read() gives allocations so far.
-/// In passthrough (sanitizer) builds the window is inert and reads 0.
+/// In sanitizer builds the window is inert and reads 0.
 class alloc_probe {
-#if AMT_TASK_POOL_PASSTHROUGH
+#if !COUNTING_ALLOCATOR
 public:
     [[nodiscard]] std::uint64_t read() const { return 0; }
 #else
@@ -82,12 +90,12 @@ public:
     [[nodiscard]] std::uint64_t read() const {
         return g_allocs.load(std::memory_order_seq_cst);
     }
-#endif  // AMT_TASK_POOL_PASSTHROUGH
+#endif  // COUNTING_ALLOCATOR
 };
 
 }  // namespace
 
-#if !AMT_TASK_POOL_PASSTHROUGH
+#if COUNTING_ALLOCATOR
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
@@ -129,14 +137,14 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
     std::free(p);
 }
 
-#endif  // !AMT_TASK_POOL_PASSTHROUGH
+#endif  // COUNTING_ALLOCATOR
 
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /// The engine alone: replaying a sealed static_graph allocates nothing.
-/// Nodes are owned by the graph (no pooled task blocks), posting goes
+/// Nodes are owned by the graph (no heap task objects), posting goes
 /// through the intrusive raw queue, and completion is a counter + futex
 /// wait — nothing on this path touches the heap.
 TEST(AllocCount, StaticGraphReplayIsAllocationFree) {
@@ -160,7 +168,7 @@ TEST(AllocCount, StaticGraphReplayIsAllocationFree) {
         for (int r = 0; r < 10; ++r) g.run(rt);
         allocs = probe.read();
     }
-#if !AMT_TASK_POOL_PASSTHROUGH
+#if COUNTING_ALLOCATOR
     EXPECT_EQ(allocs, 0u) << "static_graph replay must not allocate";
 #else
     (void)allocs;
@@ -190,7 +198,7 @@ TEST(AllocCount, TaskgraphSteadyStateReplayIsAllocationFree) {
         for (int i = 0; i < window; ++i) drv.advance(d);
         allocs = probe.read();
     }
-#if !AMT_TASK_POOL_PASSTHROUGH
+#if COUNTING_ALLOCATOR
     EXPECT_EQ(allocs, 0u)
         << "steady-state replay iterations must not allocate";
 #else
@@ -218,7 +226,7 @@ TEST(AllocCount, CompilePhaseStaysWithinBudget) {
         allocs = probe.read();
     }
     ASSERT_NE(drv.compiled(), nullptr);
-#if !AMT_TASK_POOL_PASSTHROUGH
+#if COUNTING_ALLOCATOR
     EXPECT_GT(allocs, 0u);
     EXPECT_LT(allocs, 50'000u)
         << "compile-phase allocation budget exceeded — did per-iteration "
@@ -252,7 +260,7 @@ TEST(AllocCount, BuildModeSteadyStateAllocates) {
         iteration();
         allocs = probe.read();
     }
-#if !AMT_TASK_POOL_PASSTHROUGH
+#if COUNTING_ALLOCATOR
     EXPECT_GT(allocs, 0u)
         << "a per-iteration future web allocating nothing means the "
            "counter is broken";
@@ -260,6 +268,37 @@ TEST(AllocCount, BuildModeSteadyStateAllocates) {
     (void)allocs;
 #endif
     EXPECT_EQ(cells.front(), 4.0);
+}
+
+/// Positive control for the replay tests' zero: runtime::post takes every
+/// task object from the global heap, so the probe counts each posted task.
+TEST(AllocCount, PostedHeapTasksAreCounted) {
+    amt::runtime rt(4);
+    constexpr int tasks = 64;
+    std::atomic<int> done{0};
+    auto post_and_wait = [&rt, &done] {
+        done.store(0);
+        for (int i = 0; i < tasks; ++i) {
+            rt.post_fn([&done] { done.fetch_add(1); });
+        }
+        while (done.load() < tasks) std::this_thread::yield();
+    };
+    for (int warm = 0; warm < 3; ++warm) post_and_wait();
+
+    std::uint64_t allocs = 0;
+    {
+        alloc_probe probe;
+        post_and_wait();
+        allocs = probe.read();
+    }
+#if COUNTING_ALLOCATOR
+    EXPECT_GE(allocs, static_cast<std::uint64_t>(tasks))
+        << "a posted task the probe does not see would make the replay "
+           "tests' zero meaningless";
+#else
+    (void)allocs;
+#endif
+    EXPECT_EQ(done.load(), tasks);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "lulesh/options.hpp"
 
 namespace {
@@ -88,6 +92,42 @@ TEST(Cli, RejectsOutOfRangeValues) {
     EXPECT_THROW(parse({"-s", "0"}), std::invalid_argument);
     EXPECT_THROW(parse({"-r", "0"}), std::invalid_argument);
     EXPECT_THROW(parse({"-i", "0"}), std::invalid_argument);
+}
+
+// A value the flag's type cannot hold is rejected, never wrapped: cast to
+// int32, 4294967304 (2^32 + 8) reads as 8 and 4294967297 as 1.
+TEST(Cli, RejectsValuesThatDoNotFitTheFlagsType) {
+    const auto rejects = [](std::initializer_list<const char*> args,
+                            const std::string& flag) {
+        try {
+            parse(args);
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+                << e.what();
+            return;
+        }
+        ADD_FAILURE() << flag << " accepted a value past its type";
+    };
+    rejects({"-s", "4294967304"}, "-s");
+    rejects({"-i", "4294967297"}, "-i");
+    rejects({"-p", "4294967304", "8"}, "-p");
+    rejects({"-p", "8", "4294967304"}, "-p");
+    rejects({"-s", "99999999999999999999"}, "-s");
+    rejects({"-r", "4294967297"}, "-r");
+    rejects({"-b", "-2147483649"}, "-b");
+    rejects({"-c", "4294967297"}, "-c");
+    rejects({"-t", "99999999999999999999"}, "-t");
+    rejects({"--checkpoint-every", "4294967297"}, "--checkpoint-every");
+    rejects({"--retries", "4294967297"}, "--retries");
+    rejects({"--halo-timeout", "4294967296"}, "--halo-timeout");
+    rejects({"--halo-timeout=4294967296"}, "--halo-timeout");
+    rejects({"--max-recoveries", "4294967297"}, "--max-recoveries");
+    rejects({"--metrics=m.json", "--metrics-interval", "4294967297"},
+            "--metrics-interval");
+    // The type's own bounds still parse.
+    EXPECT_EQ(parse({"-i", "2147483647"}).problem.max_cycles, 2147483647);
+    EXPECT_EQ(parse({"-b", "-2147483648"}).problem.balance,
+              std::numeric_limits<int>::min());
 }
 
 TEST(Cli, ThreadsAcceptZeroAndRejectNegatives) {

@@ -20,9 +20,17 @@
 #include <set>
 #include <vector>
 
-#include "amt/task_pool.hpp"
+#include "amt/config.hpp"
 
-#if !AMT_TASK_POOL_PASSTHROUGH
+// 1 when the counting allocator below is compiled in; sanitizers interpose
+// the allocator themselves.
+#if AMT_TSAN || defined(__SANITIZE_ADDRESS__)
+#define COUNTING_ALLOCATOR 0
+#else
+#define COUNTING_ALLOCATOR 1
+#endif
+
+#if COUNTING_ALLOCATOR
 
 namespace {
 
@@ -47,7 +55,7 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
-#endif  // !AMT_TASK_POOL_PASSTHROUGH
+#endif  // COUNTING_ALLOCATOR
 
 namespace {
 
@@ -341,7 +349,7 @@ TEST(ForRange, InsideRegionComposesWithBarrier) {
     EXPECT_FALSE(bad.load());
 }
 
-#if !AMT_TASK_POOL_PASSTHROUGH
+#if COUNTING_ALLOCATOR
 
 /// Heap allocations, on any thread, while `f` runs.
 template <class F>
@@ -353,14 +361,14 @@ std::uint64_t allocations_during(F&& f) {
     return g_allocs.load(std::memory_order_seq_cst);
 }
 
-#endif  // !AMT_TASK_POOL_PASSTHROUGH
+#endif  // COUNTING_ALLOCATOR
 
 // A fork-join loop costs its barrier and nothing else: the region body is
 // passed by reference, so neither parallel_for_range (whose closure holds
 // begin, end and the body) nor a region whose callable captures three
 // references touches the heap once the team is running.
 TEST(TeamAllocations, LoopsAndCapturingRegionsAllocateNothing) {
-#if AMT_TASK_POOL_PASSTHROUGH
+#if !COUNTING_ALLOCATOR
     GTEST_SKIP() << "sanitizer build: the allocator is not counted";
 #else
     team t(4);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amtlint.hpp"
@@ -263,23 +264,32 @@ TEST(Amt003, ListScattersAreWrites) {
 }
 
 TEST(Amt003, FollowsProbelessHelpersInSameFile) {
-    const std::string src =
-        "static void helper(domain& d, index_t i) {\n"           // 1
-        "    d.ss[i] = 0.0;\n"                                   // 2
-        "}\n"                                                    // 3
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"  // 4
-        "    hazard_touch(field::vnew, true, lo, hi);\n"         // 5
-        "    for (index_t i = lo; i < hi; ++i) {\n"              // 6
-        "        d.vnew[i] = 1.0;\n"                             // 7
-        "        helper(d, i);\n"                                // 8
-        "    }\n"                                                // 9
-        "}\n";
-    const auto ds = lint(src);
-    ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
-    EXPECT_EQ(ds[0].rule, "AMT003");
-    EXPECT_EQ(ds[0].line, 2);  // reported at the helper's access site
-    EXPECT_NE(ds[0].message.find("'my_kernel'"), std::string::npos)
-        << ds[0].message;
+    // The helper is called plainly, with explicit template arguments, and
+    // with a nested argument list whose `>>` closes both levels.
+    const std::pair<const char*, const char*> inputs[] = {
+        {"static void", "helper(d, i)"},
+        {"template <class T> void", "helper<double>(d, i)"},
+        {"template <class T> void", "helper<std::array<double, 2>>(d, i)"},
+    };
+    for (const auto& [decl, call] : inputs) {
+        const std::string src =
+            std::string(decl) + " helper(domain& d, index_t i) {\n"  // 1
+            "    d.ss[i] = 0.0;\n"                                   // 2
+            "}\n"                                                    // 3
+            "void my_kernel(domain& d, index_t lo, index_t hi) {\n"  // 4
+            "    hazard_touch(field::vnew, true, lo, hi);\n"         // 5
+            "    for (index_t i = lo; i < hi; ++i) {\n"              // 6
+            "        d.vnew[i] = 1.0;\n"                             // 7
+            "        " + call + ";\n"                                // 8
+            "    }\n"                                                // 9
+            "}\n";
+        const auto ds = lint(src);
+        ASSERT_EQ(ds.size(), 1u) << call << ": " << rules_of(ds);
+        EXPECT_EQ(ds[0].rule, "AMT003") << call;
+        EXPECT_EQ(ds[0].line, 2) << call;  // at the helper's access site
+        EXPECT_NE(ds[0].message.find("'my_kernel'"), std::string::npos)
+            << call << ": " << ds[0].message;
+    }
 }
 
 TEST(Amt003, HazardCoversSatisfiesIndirectAccess) {

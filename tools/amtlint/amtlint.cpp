@@ -566,6 +566,27 @@ std::vector<function_info> find_functions(const std::vector<token>& toks) {
     return fns;
 }
 
+/// Index just past the explicit template argument list opening at
+/// toks[i] (`helper<double>`; `>>` closes two levels), or i itself when
+/// toks[i] opens none or the `<` is a comparison the statement never closes.
+std::size_t skip_template_args(const std::vector<token>& toks, std::size_t i,
+                               std::size_t end) {
+    if (i >= end || !is(toks[i], "<")) return i;
+    int angles = 0;
+    int parens = 0;
+    for (std::size_t k = i; k < end; ++k) {
+        const std::string& t = toks[k].text;
+        if (t == "<") ++angles;
+        if (t == ">") --angles;
+        if (t == ">>") angles -= 2;
+        if (t == "(") ++parens;
+        if (t == ")" && --parens < 0) return i;
+        if (t == ";" || t == "{" || t == "}") return i;
+        if (angles <= 0) return k + 1;
+    }
+    return i;
+}
+
 void collect_function_facts(const std::vector<token>& toks,
                             std::vector<function_info>& fns) {
     std::unordered_set<std::string> names;
@@ -595,11 +616,15 @@ void collect_function_facts(const std::vector<token>& toks,
                 continue;
             }
 
-            // Same-file call: known function name followed by '('.
-            if (names.count(t) > 0 && i + 1 < toks.size() &&
-                is(toks[i + 1], "(") && t != fn.name) {
-                fn.callees.push_back(t);
-                continue;
+            // Same-file call: known function name, then any explicit
+            // template arguments, then '('.
+            if (names.count(t) > 0 && t != fn.name) {
+                const std::size_t j = skip_template_args(toks, i + 1,
+                                                         fn.body_hi);
+                if (j < fn.body_hi && is(toks[j], "(")) {
+                    fn.callees.push_back(t);
+                    continue;
+                }
             }
 
             // Domain field access: recv . member [ ... ] (also ->).
