@@ -162,16 +162,6 @@ void BM_ChannelHaloPattern(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelHaloPattern);
 
-void BM_LatchCountdown(benchmark::State& state) {
-    for (auto _ : state) {
-        amt::latch l(64);
-        for (int i = 0; i < 64; ++i) l.count_down();
-        l.wait();
-    }
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LatchCountdown);
-
 // ---------- ompsim primitives ----------
 
 void BM_OmpsimForkJoin(benchmark::State& state) {

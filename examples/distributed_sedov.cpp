@@ -199,13 +199,11 @@ int main(int argc, char** argv) {
     }
 
     amt::runtime rt(threads);
-    for (const auto mode : {lulesh::dist::dist_driver::exchange_mode::eager,
-                            lulesh::dist::dist_driver::exchange_mode::futurized,
-                            lulesh::dist::dist_driver::exchange_mode::bulk_synchronous}) {
+    using mode = lulesh::dist::dist_driver::exchange_mode;
+    for (const mode m : {mode::futurized, mode::bulk_synchronous}) {
         lulesh::dist::cluster c(cli.problem, num_slabs);
         lulesh::dist::dist_driver drv(
-            rt, parts, mode,
-            std::chrono::milliseconds(cli.halo_timeout_ms));
+            rt, parts, m, std::chrono::milliseconds(cli.halo_timeout_ms));
         const auto result =
             lulesh::dist::run_simulation(c, drv, cli.problem.max_cycles);
 
@@ -231,7 +229,7 @@ int main(int argc, char** argv) {
         amt::resilience().reset();
         lulesh::dist::cluster c(cli.problem, num_slabs);
         lulesh::dist::dist_driver drv(
-            rt, parts, lulesh::dist::dist_driver::exchange_mode::futurized,
+            rt, parts, mode::futurized,
             std::chrono::milliseconds(cli.halo_timeout_ms),
             lulesh::dist::retry_policy{});
         lulesh::dist::dist_resilience_options ropt;

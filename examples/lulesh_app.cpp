@@ -130,6 +130,13 @@ int main(int argc, char** argv) {
         std::cout << lulesh::usage_text(argv[0]);
         return 0;
     }
+    if (cli.halo_timeout_ms != 0) {
+        std::cerr << "lulesh: --halo-timeout guards the distributed halo "
+                     "exchange, which lulesh_app never performs — use "
+                     "distributed_sedov\n"
+                  << lulesh::usage_text(argv[0]);
+        return 1;
+    }
 
     const bool want_trace =
         !cli.trace_file.empty() || !cli.utilization_report_file.empty();

@@ -31,7 +31,6 @@
 #include "amt/metrics.hpp"
 #include "amt/scheduler.hpp"
 #include "amt/static_graph.hpp"
-#include "amt/sync_primitives.hpp"
 #include "amt/task.hpp"
 #include "amt/trace.hpp"
 #include "amt/unique_function.hpp"

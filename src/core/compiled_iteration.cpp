@@ -17,10 +17,11 @@ compiled_iteration::compiled_iteration(amt::runtime& rt,
                                        std::vector<slab_table> slabs,
                                        const config& cfg,
                                        const error_flags& flags,
-                                       halo_gating gating, halo_handler halo)
+                                       bool shared_barriers,
+                                       halo_handler halo)
     : rt_(rt),
       cfg_(cfg),
-      gating_(gating),
+      shared_barriers_(shared_barriers),
       flags_(flags),
       halo_(std::move(halo)),
       instrumented_(flags.sentinel != nullptr &&
@@ -213,14 +214,7 @@ std::uint32_t compiled_iteration::home_of(const task_decl& t,
 }
 
 void compiled_iteration::compile() {
-    const auto is_send = [](body_kind k) {
-        return k == body_kind::pack_corner || k == body_kind::pack_delv;
-    };
-    const auto is_receive = [](body_kind k) {
-        return k == body_kind::unpack_corner || k == body_kind::unpack_delv;
-    };
-    const bool direct = gating_ == halo_gating::direct;
-    const std::size_t sets = direct ? 1 : slabs_.size();
+    const std::size_t sets = shared_barriers_ ? 1 : slabs_.size();
     barrier_.resize(sets);
     stamps_.resize(sets);
     receives_.assign(sets, {});
@@ -245,13 +239,16 @@ void compiled_iteration::compile() {
         sl.ids.assign(tasks.size(), no_node);
         if (instrumented_) sl.ctxs.resize(tasks.size());
 
-        // Nodes.  Direct exchanges become the gate of their slab's next
-        // stage.
-        std::array<std::vector<node_id>, num_barriers> exchanges;
+        // Nodes: wave bodies run through run_task, sends and the liveness
+        // task through the driver's handler; receives are external.
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const task_decl& t = tasks[i];
-            const bool receive = is_receive(t.kind);
-            if (is_wave_body(t.kind)) {
+            if (t.kind == body_kind::unpack_corner ||
+                t.kind == body_kind::unpack_delv) {
+                const auto stage = static_cast<std::size_t>(t.stage);
+                ++receives_[set_of(s)][stage];
+                externals_.push_back({s, &t, bar[stage]});
+            } else if (is_wave_body(t.kind)) {
                 const auto slab = static_cast<std::uint32_t>(s);
                 const auto task = static_cast<std::uint32_t>(i);
                 sl.ids[i] = add_node(
@@ -259,48 +256,25 @@ void compiled_iteration::compile() {
                     wave_site_of(t.kind), t.partition, t.stage, s,
                     home_of(t, *sl.env.dom));
                 ++task_count_;
-            } else if (receive && !direct) {
-                ++receives_[s][static_cast<std::size_t>(t.stage)];
-                externals_.push_back(
-                    {s, &t, bar[static_cast<std::size_t>(t.stage)]});
-            } else if (!(direct && (is_send(t.kind) ||
-                                    t.kind == body_kind::slab_liveness))) {
+            } else {
                 const task_decl* tp = &t;
                 sl.ids[i] = add_node([this, s, tp] { halo_(s, *tp); }, t.site,
                                      t.partition, -1, s);
-                if (receive) {
-                    graph_.add_edge(bar[static_cast<std::size_t>(t.stage)],
-                                    sl.ids[i]);
-                    exchanges[static_cast<std::size_t>(t.stage)].push_back(
-                        sl.ids[i]);
-                }
             }
         }
 
-        // Edges (direct exchanges were wired above).
+        // Edges: the table's own, the previous barrier for a task with no
+        // in-stage predecessor, and the task's stage barrier.
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             const task_decl& t = tasks[i];
             const node_id id = sl.ids[i];
-            if (id == no_node || is_receive(t.kind)) continue;
+            if (id == no_node) continue;
             const auto stage = static_cast<std::size_t>(t.stage);
-            if (is_send(t.kind) && gating_ == halo_gating::whole_wave) {
-                for (std::size_t j = 0; j < tasks.size(); ++j) {
-                    if (is_wave_body(tasks[j].kind) &&
-                        tasks[j].stage == t.stage) {
-                        graph_.add_edge(sl.ids[j], id);
-                    }
-                }
-            } else {
-                for (int dep : t.deps) {
-                    graph_.add_edge(sl.ids[static_cast<std::size_t>(dep)], id);
-                }
-                if (t.deps.empty() && stage > 0) {
-                    const auto& gate = exchanges[stage - 1];
-                    if (gate.empty()) {
-                        graph_.add_edge(bar[stage - 1], id);
-                    }
-                    for (node_id g : gate) graph_.add_edge(g, id);
-                }
+            for (int dep : t.deps) {
+                graph_.add_edge(sl.ids[static_cast<std::size_t>(dep)], id);
+            }
+            if (t.deps.empty() && stage > 0) {
+                graph_.add_edge(bar[stage - 1], id);
             }
             graph_.add_edge(id, bar[stage]);
         }

@@ -27,21 +27,19 @@
 // bodies stamp the phase-completion instants (phase_profile, the tracer's
 // phase windows).
 //
-// The halo tasks of a dist slab table:
+// The halo tasks of a dist slab table compile by one rule:
 //   * a send (pack_corner, pack_delv) is a node running the driver's halo
-//     handler, gated on the producers of its plane (halo_gating::plane,
-//     the eager exchange) or on every task of its wave (whole_wave), and
-//     feeding its stage's barrier;
+//     handler, gated on exactly its table deps — the producers of its
+//     plane — and feeding its stage's barrier;
 //   * a receive (unpack_*) is an external dependency of its stage's
 //     barrier, satisfied by the driver's receive chain (externals());
 //   * the slab's liveness task is a stage-0 root node running the halo
-//     handler and feeding B1;
-//   * under halo_gating::direct (bulk-synchronous) one barrier per stage
-//     is shared by every slab, sends and the liveness task compile to
-//     nothing (a direct exchange reads the neighbor's plane in place,
-//     and a bulk-synchronous iteration arms no progress deadline), and
-//     each receive is a direct exchange node between its stage's barrier
-//     and its slab's next stage.
+//     handler and feeding B1.
+// The dist exchange modes differ only in the number of barrier sets: one
+// per slab (futurized), or one set shared by every slab (bulk-synchronous),
+// so a wave starts only once every slab finished the previous one and
+// every message of that stage arrived.
+//
 // Overlapped checkpoint packs are external dependencies as well:
 // node-field packs gate B1, the v pack B2 and the other element-field
 // packs B3 — the placement add_checkpoint_pack_tasks models for the audit.
@@ -91,17 +89,14 @@ public:
     static constexpr std::size_t num_barriers = 4;
     using node_id = amt::static_graph::node_id;
 
-    /// How a slab table's halo tasks compile (see the file comment).
-    enum class halo_gating : std::uint8_t { whole_wave, plane, direct };
-
     struct config {
         partition_sizes parts;
         bool track_hazards = false;
         bool scan_nan = false;
     };
 
-    /// Body of the driver's own nodes: sends, direct exchanges and the
-    /// slab_liveness node, called with the slab and its table task.
+    /// Body of the driver's own nodes: sends and the slab_liveness node,
+    /// called with the slab and its table task.
     using halo_handler =
         std::function<void(std::size_t slab, const task_decl& t)>;
 
@@ -124,19 +119,19 @@ public:
 
     /// Compiles, seals and binds the graph of `slabs`.  `flags` copies
     /// share state with the driver's, so the driver's volume/qstop/nan
-    /// flags observe the replayed tasks.  `gating` and `halo` matter only
-    /// to tables with halo tasks.
+    /// flags observe the replayed tasks.  `shared_barriers` compiles one
+    /// barrier set for every slab instead of one per slab; `halo` runs the
+    /// halo tasks' nodes.
     compiled_iteration(amt::runtime& rt, std::vector<slab_table> slabs,
                        const config& cfg, const error_flags& flags,
-                       halo_gating gating = halo_gating::whole_wave,
-                       halo_handler halo = {});
+                       bool shared_barriers = false, halo_handler halo = {});
 
     compiled_iteration(const compiled_iteration&) = delete;
     compiled_iteration& operator=(const compiled_iteration&) = delete;
 
     /// True when the graph was compiled for `slabs` tables under `cfg`
     /// and the same sentinel; shape_matches() checks each slab's domain.
-    /// (A driver's halo gating never changes, so it is not compared.)
+    /// (A driver's barrier sharing never changes, so it is not compared.)
     [[nodiscard]] bool matches(const config& cfg, const error_flags& flags,
                                std::size_t slabs) const noexcept;
     [[nodiscard]] bool shape_matches(std::size_t slab,
@@ -189,7 +184,7 @@ public:
     [[nodiscard]] int node_stage(node_id id) const noexcept {
         return meta_[id].stage;
     }
-    /// The slab a node belongs to (0 for the shared direct-mode barriers).
+    /// The slab a node belongs to (0 for shared barriers).
     [[nodiscard]] std::size_t slab_of(node_id id) const noexcept {
         return meta_[id].slab;
     }
@@ -198,7 +193,7 @@ public:
         return barrier_.front()[i];
     }
     /// The node compiled from task `task` of slab `slab`'s table, or
-    /// no_node when the task compiled to an external dependency or nothing.
+    /// no_node when the task compiled to an external dependency.
     static constexpr node_id no_node = ~node_id{0};
     [[nodiscard]] node_id node_of(std::size_t slab,
                                   std::size_t task) const noexcept {
@@ -250,14 +245,14 @@ private:
 
     amt::runtime& rt_;
     config cfg_;
-    halo_gating gating_;
+    bool shared_barriers_;
     error_flags flags_;  ///< shares state with the driver's flags
     halo_handler halo_;
     bool instrumented_ = false;
     amt::static_graph graph_;
     std::vector<slab_state> slabs_;
     /// Barriers and their stamps per barrier set: one set per slab, or a
-    /// single shared set under halo_gating::direct.
+    /// single set shared by every slab.
     std::vector<std::array<node_id, num_barriers>> barrier_;
     std::vector<std::array<amt::clock::time_point, num_barriers>> stamps_;
     std::vector<std::array<std::uint32_t, num_barriers>> receives_;

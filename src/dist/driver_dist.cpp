@@ -96,15 +96,10 @@ void dist_driver::prepare_graph(cluster& c) {
             domain& d = c.slab(slab);
             tables[s] = {build_slab_table(d, parts_, slab), &d};
         }
-        const auto gating =
-            mode_ == exchange_mode::eager
-                ? compiled_iteration::halo_gating::plane
-            : mode_ == exchange_mode::bulk_synchronous
-                ? compiled_iteration::halo_gating::direct
-                : compiled_iteration::halo_gating::whole_wave;
         compiled_.reset();
         compiled_ = std::make_unique<compiled_iteration>(
-            rt_, std::move(tables), cfg, flags_, gating,
+            rt_, std::move(tables), cfg, flags_,
+            mode_ == exchange_mode::bulk_synchronous,
             [this](std::size_t s, const graph::task_decl& t) {
                 halo_step(s, t);
             });
@@ -129,47 +124,14 @@ void dist_driver::prepare_graph(cluster& c) {
 }
 
 void dist_driver::halo_step(std::size_t slab, const graph::task_decl& t) {
-    cluster& c = *bound_;
     const auto s = static_cast<index_t>(slab);
-    const bool upper = t.partition == 1;
-    const bool corner = t.kind == graph::body_kind::pack_corner ||
-                        t.kind == graph::body_kind::unpack_corner;
-    switch (t.kind) {
-        case graph::body_kind::pack_corner:
-        case graph::body_kind::pack_delv:
-            send_halo(c, s, upper, corner);
-            return;
-        case graph::body_kind::unpack_corner:
-        case graph::body_kind::unpack_delv: {
-            // Bulk-synchronous direct exchange: every slab finished the
-            // wave (shared barrier), so the neighbor's plane is read in
-            // place — no channel, no copy held in flight.
-            const index_t b = upper ? s : s - 1;
-            amt::trace::scoped_span halo(
-                amt::trace::event_kind::halo_span,
-                corner ? "halo:exchange_corner" : "halo:exchange_delv",
-                static_cast<std::int32_t>(b));
-            domain& me = c.slab(s);
-            const domain& nb = c.slab(upper ? s + 1 : s - 1);
-            const index_t base = upper ? nb.bottom_plane_elem_base()
-                                       : nb.top_plane_elem_base();
-            const index_t ghost =
-                upper ? me.ghost_upper_slot() : me.ghost_lower_slot();
-            const halo_message_info info{
-                b, halo_stream_name(stream_of(corner, !upper))};
-            if (corner) {
-                unpack_corner_ghosts(me, ghost, pack_corner_plane(nb, base),
-                                     info);
-            } else {
-                unpack_delv_ghosts(me, ghost, pack_delv_plane(nb, base), info);
-            }
-            return;
-        }
-        default:
-            if (detector_) detector_->heartbeat(s);
-            amt::fault::probe(kill_labels_[slab].c_str());
-            return;
+    if (t.kind == graph::body_kind::slab_liveness) {
+        if (detector_) detector_->heartbeat(s);
+        amt::fault::probe(kill_labels_[slab].c_str());
+        return;
     }
+    send_halo(*bound_, s, t.partition == 1,
+              t.kind == graph::body_kind::pack_corner);
 }
 
 void dist_driver::advance(cluster& c) {
@@ -210,9 +172,7 @@ void dist_driver::advance(cluster& c) {
                                       static_cast<std::int32_t>(num_slabs));
     bool timed_out = false;
     index_t suspect_slab = -1;
-    const bool armed = mode_ != exchange_mode::bulk_synchronous &&
-                       (halo_timeout_.count() > 0 || retry_.enabled());
-    if (armed) {
+    if (halo_timeout_.count() > 0 || retry_.enabled()) {
         // Per-iteration progress deadline: a whole deadline's worth of
         // polls with zero task completions on the runtime (its per-worker
         // task records) while the graph is pending
@@ -456,9 +416,7 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
 
 bool dist_driver::submit_overlapped_capture(
     index_t slab, std::shared_ptr<state_capture> cap) {
-    if (mode_ == exchange_mode::bulk_synchronous || rt_.num_workers() <= 1) {
-        return false;
-    }
+    if (rt_.num_workers() <= 1) return false;
     const auto i = static_cast<std::size_t>(slab);
     if (pending_captures_.size() <= i) pending_captures_.resize(i + 1);
     pending_captures_[i] = cap;

@@ -5,24 +5,26 @@
 // table (dist/halo_audit: the iteration waves plus its halo tasks) is
 // compiled into ONE static graph per cluster shape (core/compiled_iteration)
 // and replayed every advance; a new cluster of the same shape rebinds it.
-// Three exchange modes contrast the paper's future-work hypothesis:
+// Two exchange modes contrast the paper's future-work hypothesis; they
+// compile the same slab tables by the same rule and differ only in
+// synchronization:
 //
-//   futurized        — per-slab barriers; a send node fires once its wave
-//                      has finished, and each slab's next wave is gated on
-//                      its own barrier plus its neighbors' messages
-//                      (external dependencies satisfied by the channel
-//                      receive chains), so slabs overlap freely (the
-//                      "asynchronous mechanisms of HPX" style).
-//   eager            — futurized, but a send node is gated only on the
-//                      tasks producing *its plane*, so a neighbor unblocks
-//                      while this slab's interior is still computing —
-//                      maximal communication/computation overlap.
-//   bulk_synchronous — one barrier per wave shared by all slabs, with
-//                      direct exchange nodes between the barriers (the
+//   futurized        — per-slab barriers: a send node fires once the tasks
+//                      producing its plane finish, and each slab's next
+//                      wave is gated on its own barrier plus its neighbors'
+//                      messages (external dependencies satisfied by the
+//                      channel receive chains), so slabs overlap freely
+//                      (the "asynchronous mechanisms of HPX" style).
+//   bulk_synchronous — one barrier per wave shared by all slabs: no slab
+//                      starts a wave before every slab finished the
+//                      previous one and every message of it arrived (the
 //                      "mostly synchronous data exchange mechanisms of
 //                      MPI" style).
 //
-// All modes produce results bitwise identical to the single-domain drivers.
+// Both modes exchange through the same channels, run under the same
+// progress deadline and retry layer, and accept overlapped checkpoint
+// packs; both produce results bitwise identical to the single-domain
+// drivers.
 
 #pragma once
 
@@ -58,19 +60,19 @@ struct slab_failure {
 
 class dist_driver {
 public:
-    enum class exchange_mode { futurized, eager, bulk_synchronous };
+    enum class exchange_mode { futurized, bulk_synchronous };
 
-    /// `halo_timeout` > 0 arms a progress deadline on the futurized
-    /// exchanges: if no task of the iteration finishes for a whole timeout
-    /// window while the final barrier is pending, the halo fabric is failed
-    /// (channels closed) and the iteration aborts with status::stalled
-    /// instead of waiting forever on a peer that will never send.  With a
-    /// timeout armed the failure detector's per-slab heartbeats name the
-    /// suspect slab in last_failure().
+    /// `halo_timeout` > 0 arms a progress deadline on the exchanges: if no
+    /// task of the iteration finishes for a whole timeout window while the
+    /// final barrier is pending, the halo fabric is failed (channels
+    /// closed) and the iteration aborts with status::stalled instead of
+    /// waiting forever on a peer that will never send.  With a timeout
+    /// armed the failure detector's per-slab heartbeats name the suspect
+    /// slab in last_failure().
     ///
     /// `retry` (when enabled) arms the transient-fault retry layer on the
-    /// futurized exchanges: every boundary send parks a pristine copy in
-    /// the boundary's retransmit cache, a CRC-corrupt delivery triggers a
+    /// exchanges: every boundary send parks a pristine copy in the
+    /// boundary's retransmit cache, a CRC-corrupt delivery triggers a
     /// backed-off resend-request round-trip, and a dropped (fault-injected)
     /// message is re-delivered by the driver's wait loop — bounded by
     /// retry_policy::max_attempts before the failure escalates.  Disabled
@@ -91,16 +93,9 @@ public:
     dist_driver& operator=(const dist_driver&) = delete;
 
     [[nodiscard]] std::string name() const {
-        switch (mode_) {
-            case exchange_mode::futurized:
-                return "dist_futurized";
-            case exchange_mode::eager:
-                return "dist_eager";
-            default:
-                return "dist_bsp";
-        }
+        return mode_ == exchange_mode::futurized ? "dist_futurized"
+                                                 : "dist_bsp";
     }
-    [[nodiscard]] exchange_mode mode() const noexcept { return mode_; }
     [[nodiscard]] amt::runtime& runtime() noexcept { return rt_; }
 
     /// One global leapfrog iteration: all slabs advance, constraints are
@@ -128,9 +123,8 @@ public:
     /// only weakly: the caller keeps it and finalizes it (pack_remaining,
     /// wait_packed) before it touches the slab; a capture finalized and
     /// released before the next advance() is simply skipped.  Declines
-    /// (returns false, the caller packs synchronously) in the
-    /// bulk-synchronous mode and on single-worker runtimes, where there is
-    /// no idle worker to overlap with.
+    /// (returns false, the caller packs synchronously) on single-worker
+    /// runtimes, where there is no idle worker to overlap with.
     bool submit_overlapped_capture(index_t slab,
                                    std::shared_ptr<state_capture> cap);
 
@@ -155,8 +149,8 @@ private:
     /// Compiles the cluster's slab tables unless the graph already matches
     /// their shape, and binds every slab.
     void prepare_graph(cluster& c);
-    /// Body of the compiled graph's driver nodes: sends, bulk-synchronous
-    /// direct exchanges and the per-slab liveness node.
+    /// Body of the compiled graph's driver nodes: sends and the per-slab
+    /// liveness node.
     void halo_step(std::size_t slab, const graph::task_decl& t);
     void reduce_constraints(cluster& c);
 

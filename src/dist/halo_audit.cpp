@@ -22,8 +22,8 @@ inline constexpr const char* unpack_delv = "halo.unpack_delv";
 }  // namespace halo_site
 
 /// Task ids of stage `stage` whose chunk intersects [lo, hi) — the tasks
-/// that produce the plane a pack task reads, i.e. the orderings the eager
-/// exchange guarantees before a send fires.
+/// that produce the plane a pack task reads, i.e. the orderings every
+/// exchange mode guarantees before a send fires.
 std::vector<int> producers_of(const graph_model& m, int stage, index_t lo,
                               index_t hi) {
     std::vector<int> deps;

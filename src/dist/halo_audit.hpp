@@ -5,9 +5,9 @@
 // slab additionally runs, per interior boundary:
 //
 //   stage 0  pack_corner   reads the boundary plane of the six corner-force
-//                          arrays — ordered after the force tasks that write
-//                          that plane (the eager exchange's gating, the
-//                          *weakest* ordering any exchange mode provides);
+//                          arrays — ordered after exactly the force tasks
+//                          that write that plane, the gating every exchange
+//                          mode compiles;
 //            unpack_corner writes the neighbor's plane into the ghost slots
 //                          — declared with NO intra-stage ordering edge, so
 //                          the audit must prove the ghost region disjoint
@@ -22,11 +22,12 @@
 // the hook a fail-stop test uses to take one slab down.  It reads and
 // writes no field.
 //
-// dist_driver compiles exactly this table (core/compiled_iteration): each
-// pack becomes a send node, each unpack an external dependency of its
-// stage's barrier (or, bulk-synchronously, a direct exchange node), and
-// the liveness task a node of its own — except bulk-synchronously, where
-// neither sends nor the liveness task compile to anything.
+// dist_driver compiles exactly this table, in both exchange modes, by one
+// rule (core/compiled_iteration): each pack becomes a send node gated on
+// its deps, each unpack an external dependency of its stage's barrier, and
+// the liveness task a stage-0 root node.  The modes differ only in whether
+// the slabs share one barrier set, and a shared barrier only adds
+// ordering, so this per-slab audit covers both.
 //
 // audit_cluster also appends the overlapped checkpoint packs dist_driver
 // runs for a capture submitted by dist::run_resilient

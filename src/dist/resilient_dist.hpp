@@ -89,9 +89,8 @@ struct dist_resilient_result {
 /// Runs `drv` on `c` to stoptime / `max_cycles` with coordinated rollback
 /// recovery as described above.  Exceptions other than simulation_error,
 /// injected faults, and the halo-fabric channel_closed cascade are not
-/// retryable and propagate.  Works with the futurized and eager exchange
-/// modes (the bulk-synchronous mode has no channel fabric to re-wire, but
-/// rollback and replay still apply).
+/// retryable and propagate.  Works with both exchange modes: they share
+/// the channel fabric, the failure detector and the overlapped packs.
 dist_resilient_result run_resilient(
     cluster& c, dist_driver& drv, const dist_resilience_options& opt,
     int max_cycles = std::numeric_limits<int>::max());

@@ -31,6 +31,7 @@ domain::domain(const options& opts, const slab_extent& slab) : slab_(slab) {
     const index_t planes = slab.local_planes();
     num_elem_ = edge_elems_ * edge_elems_ * planes;
     num_node_ = edge_nodes_ * edge_nodes_ * (planes + 1);
+    check_region_cost(opts.cost);
     cost_ = opts.cost;
 
     const auto ne = static_cast<std::size_t>(num_elem_);

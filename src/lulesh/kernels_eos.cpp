@@ -12,11 +12,29 @@
 
 #include <array>
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "lulesh/eos.hpp"
 #include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/simd.hpp"
+
+namespace lulesh {
+
+// A negative cost drops a tier's repetition count below 1, which the EOS
+// loop runs once all the same, so the imbalance silently disappears; a top
+// tier past INT_MAX overflows.
+void check_region_cost(int cost) {
+    constexpr int max_cost = std::numeric_limits<int>::max() / 10 - 1;
+    if (cost < 0 || cost > max_cost) {
+        throw std::invalid_argument("lulesh: region cost (-c) must be in [0, " +
+                                    std::to_string(max_cost) + "]");
+    }
+}
+
+}  // namespace lulesh
 
 namespace lulesh::kernels {
 

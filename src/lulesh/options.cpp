@@ -167,6 +167,8 @@ cli_options parse_cli(int argc, const char* const* argv) {
     if (cli.problem.num_regions < 1) {
         throw std::invalid_argument("lulesh: -r must be >= 1");
     }
+    check_region_balance(cli.problem.num_regions, cli.problem.balance);
+    check_region_cost(cli.problem.cost);
     if (cli.problem.max_cycles < 1) {
         throw std::invalid_argument("lulesh: -i must be >= 1");
     }
@@ -196,13 +198,6 @@ cli_options parse_cli(int argc, const char* const* argv) {
             "lulesh: --audit-graph audits the pre-built task graph, which "
             "driver '" + cli.driver + "' never spawns — use taskgraph or "
             "foreach");
-    }
-    if (cli.halo_timeout_ms > 0 &&
-        (cli.driver == "serial" || cli.driver == "parallel_for")) {
-        throw std::invalid_argument(
-            "lulesh: --halo-timeout guards the distributed halo exchange, "
-            "which driver '" + cli.driver +
-            "' never performs — use taskgraph or foreach");
     }
     if ((!cli.trace_file.empty() || !cli.utilization_report_file.empty()) &&
         (cli.driver == "serial" || cli.driver == "parallel_for")) {
@@ -260,7 +255,7 @@ std::string usage_text(const std::string& program) {
        << "                             fabric after <ms> of zero progress\n"
        << "                             (status: stalled) instead of hanging\n"
        << "                             on a dead slab (0 = no deadline;\n"
-       << "                             needs a task-spawning driver)\n"
+       << "                             distributed_sedov only)\n"
        << "  --max-recoveries <n>       distributed resilient mode: bound\n"
        << "                             coordinated rollback-and-replay\n"
        << "                             attempts per incident (default 3)\n"

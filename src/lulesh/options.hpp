@@ -25,13 +25,14 @@ struct options {
     index_t num_regions = 11;
 
     /// Load-imbalance weighting between regions (`-b`): region selection
-    /// probability is proportional to (region_index+1)^balance.
+    /// probability is proportional to (region_index+1)^balance.  Checked
+    /// by check_region_balance.
     int balance = 1;
 
     /// Extra-cost multiplier for expensive regions (`-c`): mid-tier regions
     /// repeat the EOS evaluation (1 + cost) times, the top ~5% of regions
     /// 10*(1 + cost) times.  Default 1 → 2x and 20x as described in the
-    /// paper.
+    /// paper.  Checked by check_region_cost.
     int cost = 1;
 
     /// Iteration cap (`-i`); the run stops at whichever of stoptime /
@@ -43,6 +44,18 @@ struct options {
     /// uses srand(0); any fixed value gives reproducible region maps.
     std::uint64_t region_seed = 0;
 };
+
+/// Throws std::invalid_argument unless `balance` gives each of
+/// `num_regions` regions a selection weight: balance >= 0, and every
+/// weight (i+1)^balance and the running weight sum fit std::uint64_t.
+/// build_regions applies it before drawing a region (regions.cpp).
+void check_region_balance(index_t num_regions, int balance);
+
+/// Throws std::invalid_argument unless `cost` keeps every EOS repetition
+/// count of eos_rep_for_region at least 1 and within int: cost >= 0 and
+/// 10 * (1 + cost) <= INT_MAX.  The domain applies it to the cost it
+/// stores (kernels_eos.cpp).
+void check_region_cost(int cost);
 
 /// Task partition sizes for the task-graph driver: elements (or nodes) per
 /// task in each phase of the leapfrog algorithm, i.e. the paper's Table I
@@ -115,8 +128,8 @@ struct cli_options {
     /// deadline, the default).  > 0 arms the dist driver's per-slab failure
     /// detector: a deadline's worth of zero progress fails the halo fabric
     /// with status::stalled and names the suspect slab instead of hanging.
-    /// Only meaningful for the distributed executables; rejected with the
-    /// non-tasking drivers.
+    /// Read only by distributed_sedov, which ignores -d; lulesh_app, which
+    /// exchanges no halos, rejects a non-zero value.
     int halo_timeout_ms = 0;
     /// Coordinated-recovery budget per incident for the distributed
     /// resilient loop (dist/resilient_dist.hpp).
@@ -158,10 +171,11 @@ struct cli_options {
 /// Parses argv in the style of the reference binary (`-s 30 -r 11 -i 100 -q`)
 /// extended with `-d <driver>`, `-t <threads>`, `-p <nodal> <elems>`.
 /// --audit-graph models the task-graph wave structure, and --trace,
-/// --utilization-report, --metrics and --halo-timeout observe or guard
-/// scheduler tasks, so each is rejected with a driver that spawns none
-/// (serial, parallel_for); --critical-path-report needs taskgraph.
-/// Throws std::invalid_argument on malformed input.
+/// --utilization-report and --metrics observe scheduler tasks, so each is
+/// rejected with a driver that spawns none (serial, parallel_for);
+/// --critical-path-report needs taskgraph.  -b and -c must pass
+/// check_region_balance and check_region_cost.  Throws
+/// std::invalid_argument on malformed input.
 cli_options parse_cli(int argc, const char* const* argv);
 
 /// Usage text for the executables.

@@ -9,6 +9,9 @@
 // statistics).
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "lulesh/domain.hpp"
 
@@ -32,9 +35,39 @@ private:
     std::uint64_t state_;
 };
 
+/// Selection weight of region i, (i+1)^balance, computed as the reference
+/// does.
+double region_weight(index_t i, int balance) {
+    return std::pow(static_cast<double>(i + 1), static_cast<double>(balance));
+}
+
 }  // namespace
 
+// A negative balance truncates every weight but region 0's to 0, so the
+// never-the-same-region-twice draw below could never end; a weight or sum
+// past 2^64 has no defined integer value.
+void check_region_balance(index_t num_regions, int balance) {
+    if (balance < 0) {
+        throw std::invalid_argument("lulesh: region balance (-b) must be >= 0");
+    }
+    constexpr double two_to_64 = 18446744073709551616.0;
+    std::uint64_t sum = 0;
+    for (index_t i = 0; i < num_regions; ++i) {
+        const double w = region_weight(i, balance);
+        if (w >= two_to_64 ||
+            static_cast<std::uint64_t>(w) >
+                std::numeric_limits<std::uint64_t>::max() - sum) {
+            throw std::invalid_argument(
+                "lulesh: region balance (-b) " + std::to_string(balance) +
+                " gives " + std::to_string(num_regions) +
+                " regions weights past 2^64");
+        }
+        sum += static_cast<std::uint64_t>(w);
+    }
+}
+
 void build_regions(domain& d, const options& opts) {
+    check_region_balance(opts.num_regions, opts.balance);
     const index_t num_reg = opts.num_regions;
     const index_t num_elem = d.num_elem_;
     // The assignment is always generated for the *global* problem and then
@@ -58,8 +91,8 @@ void build_regions(domain& d, const options& opts) {
     std::vector<std::uint64_t> bin_end(static_cast<std::size_t>(num_reg));
     std::uint64_t cost_denominator = 0;
     for (index_t i = 0; i < num_reg; ++i) {
-        cost_denominator += static_cast<std::uint64_t>(
-            std::pow(static_cast<double>(i + 1), static_cast<double>(opts.balance)));
+        cost_denominator +=
+            static_cast<std::uint64_t>(region_weight(i, opts.balance));
         bin_end[static_cast<std::size_t>(i)] = cost_denominator;
     }
 

@@ -373,28 +373,25 @@ INSTANTIATE_TEST_SUITE_P(
         DistParam{2, dist_driver::exchange_mode::futurized, 3},
         DistParam{3, dist_driver::exchange_mode::futurized, 2},
         DistParam{4, dist_driver::exchange_mode::futurized, 4},
+        // 1-plane slabs:
         DistParam{8, dist_driver::exchange_mode::futurized, 2},
-        DistParam{2, dist_driver::exchange_mode::eager, 2},
-        DistParam{3, dist_driver::exchange_mode::eager, 3},
-        DistParam{4, dist_driver::exchange_mode::eager, 1},
-        DistParam{8, dist_driver::exchange_mode::eager, 2},  // 1-plane slabs
+        DistParam{2, dist_driver::exchange_mode::futurized, 2},
+        DistParam{3, dist_driver::exchange_mode::futurized, 3},
+        DistParam{4, dist_driver::exchange_mode::futurized, 1},
         DistParam{2, dist_driver::exchange_mode::bulk_synchronous, 2},
         DistParam{3, dist_driver::exchange_mode::bulk_synchronous, 3},
         DistParam{8, dist_driver::exchange_mode::bulk_synchronous, 2},
         // Partitions that do not divide a 64-element plane, so boundary
         // planes split across chunks, and one larger than a whole plane:
-        // the eager sends wait on exactly the chunks overlapping their
-        // plane.
-        DistParam{3, dist_driver::exchange_mode::eager, 2, 7, 13},
-        DistParam{2, dist_driver::exchange_mode::eager, 3, 100, 100},
-        DistParam{4, dist_driver::exchange_mode::eager, 2, 48, 80},
+        // the sends wait on exactly the chunks overlapping their plane.
         DistParam{3, dist_driver::exchange_mode::futurized, 2, 7, 13},
+        DistParam{2, dist_driver::exchange_mode::futurized, 3, 100, 100},
+        DistParam{4, dist_driver::exchange_mode::futurized, 2, 48, 80},
         DistParam{3, dist_driver::exchange_mode::bulk_synchronous, 2, 7,
                   13}),
     [](const ::testing::TestParamInfo<DistParam>& pinfo) {
         const char* mode_name =
             pinfo.param.mode == dist_driver::exchange_mode::futurized ? "fut"
-            : pinfo.param.mode == dist_driver::exchange_mode::eager   ? "eager"
                                                                       : "bsp";
         std::string name = std::string(mode_name) + "_s" +
                            std::to_string(pinfo.param.slabs) + "_t" +
@@ -456,63 +453,68 @@ TEST(DistRun, SecondClusterOfTheSameShapeReusesTheCompiledGraph) {
     }
 }
 
-TEST(DistCompiledGraph, EagerSendNodesWaitOnExactlyTheirPackTaskDeps) {
-    // Eager mode runs the audited table: every send node's predecessors
-    // are exactly the plane producers build_slab_model declares for its
-    // pack task, and every unpack task is one receive gate.
-    const options o = opts(8);
-    const lulesh::partition_sizes parts{7, 13};
-    cluster c(o, 3);
-    amt::runtime rt(2);
-    dist_driver drv(rt, parts, dist_driver::exchange_mode::eager);
-    ASSERT_EQ(lulesh::dist::run_simulation(c, drv, 1).run_status,
-              lulesh::status::ok);
-    const auto* ci = drv.compiled();
-    ASSERT_NE(ci, nullptr);
-    using node_id = amt::static_graph::node_id;
-    const amt::static_graph& g = ci->graph();
-    std::vector<std::vector<node_id>> preds(g.node_count());
-    for (node_id id = 0; id < g.node_count(); ++id) {
-        for (node_id succ : g.successors(id)) preds[succ].push_back(id);
-    }
-    std::size_t sends = 0;
-    std::size_t receives = 0;
-    for (index_t s = 0; s < c.num_slabs(); ++s) {
-        const auto slab = static_cast<std::size_t>(s);
-        const auto model = lulesh::dist::build_slab_model(c.slab(s), parts, s);
-        for (std::size_t i = 0; i < model.tasks.size(); ++i) {
-            const auto& t = model.tasks[i];
-            if (t.kind == lulesh::graph::body_kind::unpack_corner ||
-                t.kind == lulesh::graph::body_kind::unpack_delv) {
-                EXPECT_EQ(ci->node_of(slab, i),
-                          lulesh::graph::compiled_iteration::no_node);
-                ++receives;
-                continue;
-            }
-            if (t.kind != lulesh::graph::body_kind::pack_corner &&
-                t.kind != lulesh::graph::body_kind::pack_delv) {
-                continue;
-            }
-            const node_id send = ci->node_of(slab, i);
-            ASSERT_NE(send, lulesh::graph::compiled_iteration::no_node);
-            std::vector<node_id> expected;
-            for (int dep : t.deps) {
-                expected.push_back(
-                    ci->node_of(slab, static_cast<std::size_t>(dep)));
-            }
-            std::vector<node_id> got = preds[send];
-            std::sort(expected.begin(), expected.end());
-            std::sort(got.begin(), got.end());
-            EXPECT_FALSE(expected.empty());
-            EXPECT_EQ(got, expected) << "slab " << s << " " << t.site
-                                     << " partition " << t.partition;
-            ++sends;
+TEST(DistCompiledGraph, SendNodesWaitOnExactlyTheirPackTaskDepsInBothModes) {
+    // Both modes run the audited table: every send node's predecessors are
+    // exactly the plane producers build_slab_model declares for its pack
+    // task, and every unpack task is one receive gate.
+    for (const auto mode : {dist_driver::exchange_mode::futurized,
+                            dist_driver::exchange_mode::bulk_synchronous}) {
+        const options o = opts(8);
+        const lulesh::partition_sizes parts{7, 13};
+        cluster c(o, 3);
+        amt::runtime rt(2);
+        dist_driver drv(rt, parts, mode);
+        SCOPED_TRACE(drv.name());
+        ASSERT_EQ(lulesh::dist::run_simulation(c, drv, 1).run_status,
+                  lulesh::status::ok);
+        const auto* ci = drv.compiled();
+        ASSERT_NE(ci, nullptr);
+        using node_id = amt::static_graph::node_id;
+        const amt::static_graph& g = ci->graph();
+        std::vector<std::vector<node_id>> preds(g.node_count());
+        for (node_id id = 0; id < g.node_count(); ++id) {
+            for (node_id succ : g.successors(id)) preds[succ].push_back(id);
         }
+        std::size_t sends = 0;
+        std::size_t receives = 0;
+        for (index_t s = 0; s < c.num_slabs(); ++s) {
+            const auto slab = static_cast<std::size_t>(s);
+            const auto model =
+                lulesh::dist::build_slab_model(c.slab(s), parts, s);
+            for (std::size_t i = 0; i < model.tasks.size(); ++i) {
+                const auto& t = model.tasks[i];
+                if (t.kind == lulesh::graph::body_kind::unpack_corner ||
+                    t.kind == lulesh::graph::body_kind::unpack_delv) {
+                    EXPECT_EQ(ci->node_of(slab, i),
+                              lulesh::graph::compiled_iteration::no_node);
+                    ++receives;
+                    continue;
+                }
+                if (t.kind != lulesh::graph::body_kind::pack_corner &&
+                    t.kind != lulesh::graph::body_kind::pack_delv) {
+                    continue;
+                }
+                const node_id send = ci->node_of(slab, i);
+                ASSERT_NE(send, lulesh::graph::compiled_iteration::no_node);
+                std::vector<node_id> expected;
+                for (int dep : t.deps) {
+                    expected.push_back(
+                        ci->node_of(slab, static_cast<std::size_t>(dep)));
+                }
+                std::vector<node_id> got = preds[send];
+                std::sort(expected.begin(), expected.end());
+                std::sort(got.begin(), got.end());
+                EXPECT_FALSE(expected.empty());
+                EXPECT_EQ(got, expected) << "slab " << s << " " << t.site
+                                         << " partition " << t.partition;
+                ++sends;
+            }
+        }
+        // 3 slabs: 2 boundaries x 2 directions x (corner + delv).
+        EXPECT_EQ(sends, 8u);
+        EXPECT_EQ(receives, 8u);
+        EXPECT_EQ(ci->externals().size(), receives);
     }
-    // 3 slabs: 2 boundaries x 2 directions x (corner + delv).
-    EXPECT_EQ(sends, 8u);
-    EXPECT_EQ(receives, 8u);
-    EXPECT_EQ(ci->externals().size(), receives);
 }
 
 TEST(DistRun, SharedNodePlanesStayConsistentBetweenSlabs) {
@@ -631,18 +633,13 @@ TEST(DistRun, ModesProduceIdenticalResults) {
     const options o = opts(7);
     cluster a(o, 3);
     cluster b(o, 3);
-    cluster e(o, 3);
     amt::runtime rt(2);
     dist_driver fut(rt, {40, 40}, dist_driver::exchange_mode::futurized);
     dist_driver bsp(rt, {40, 40}, dist_driver::exchange_mode::bulk_synchronous);
-    dist_driver egr(rt, {40, 40}, dist_driver::exchange_mode::eager);
     lulesh::dist::run_simulation(a, fut, 20);
     lulesh::dist::run_simulation(b, bsp, 20);
-    lulesh::dist::run_simulation(e, egr, 20);
     for (index_t s = 0; s < 3; ++s) {
         EXPECT_EQ(lulesh::max_field_difference(a.slab(s), b.slab(s)), 0.0)
-            << "slab " << s;
-        EXPECT_EQ(lulesh::max_field_difference(a.slab(s), e.slab(s)), 0.0)
             << "slab " << s;
     }
 }
@@ -679,27 +676,31 @@ TEST(DistFault, InjectedFaultSurfacesRootCauseWithoutHanging) {
 }
 
 TEST(DistFault, StalledSlabTimesOutWithStatusStalled) {
-    fault_guard guard;
-    // A slab task parks forever (simulated hung worker).  The halo timeout
-    // notices that the iteration stopped making progress, fails the fabric,
-    // and the run ends with status::stalled instead of hanging.
-    amt::fault::plan p;
-    p.kind = amt::fault::action::stall;
-    p.site = "force";
-    p.max_injections = 1;
-    p.stall_timeout = std::chrono::seconds(60);  // timeout path must win
-    amt::fault::arm(p);
+    // A slab task parks forever (simulated hung worker).  In either mode the
+    // halo timeout notices that the iteration stopped making progress,
+    // fails the fabric, and the run ends with status::stalled instead of
+    // hanging.
+    for (const auto mode : {dist_driver::exchange_mode::futurized,
+                            dist_driver::exchange_mode::bulk_synchronous}) {
+        fault_guard guard;
+        amt::fault::plan p;
+        p.kind = amt::fault::action::stall;
+        p.site = "force";
+        p.max_injections = 1;
+        p.stall_timeout = std::chrono::seconds(60);  // timeout path must win
+        amt::fault::arm(p);
 
-    cluster c(opts(6), 3);
-    amt::runtime rt(2);
-    dist_driver drv(rt, {40, 40}, dist_driver::exchange_mode::futurized,
-                    std::chrono::milliseconds(150));
-    const auto result = lulesh::dist::run_simulation(c, drv, 5);
-    amt::fault::disarm();
+        cluster c(opts(6), 3);
+        amt::runtime rt(2);
+        dist_driver drv(rt, {40, 40}, mode, std::chrono::milliseconds(150));
+        SCOPED_TRACE(drv.name());
+        const auto result = lulesh::dist::run_simulation(c, drv, 5);
+        amt::fault::disarm();
 
-    EXPECT_EQ(result.run_status, lulesh::status::stalled);
-    EXPECT_EQ(lulesh::exit_code_for(result.run_status), 5);
-    EXPECT_FALSE(result.error_message.empty());
+        EXPECT_EQ(result.run_status, lulesh::status::stalled);
+        EXPECT_EQ(lulesh::exit_code_for(result.run_status), 5);
+        EXPECT_FALSE(result.error_message.empty());
+    }
 }
 
 TEST(DistFault, BulkSynchronousFaultAbortsCleanly) {
@@ -722,10 +723,8 @@ TEST(DistFault, BulkSynchronousFaultAbortsCleanly) {
 TEST(DistRun, DriverNamesReflectMode) {
     amt::runtime rt(1);
     dist_driver fut(rt, {8, 8}, dist_driver::exchange_mode::futurized);
-    dist_driver egr(rt, {8, 8}, dist_driver::exchange_mode::eager);
     dist_driver bsp(rt, {8, 8}, dist_driver::exchange_mode::bulk_synchronous);
     EXPECT_EQ(fut.name(), "dist_futurized");
-    EXPECT_EQ(egr.name(), "dist_eager");
     EXPECT_EQ(bsp.name(), "dist_bsp");
 }
 

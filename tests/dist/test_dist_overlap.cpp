@@ -12,8 +12,8 @@
 //     that checkpoint, bitwise identical to a fault-free run;
 //   * a faulted pack drops the whole checkpoint, keeping the chains in
 //     lockstep;
-//   * the bulk-synchronous mode and single-worker runtimes decline the
-//     overlap and still pack synchronously.
+//   * both exchange modes accept the overlap; single-worker runtimes
+//     decline it and still pack synchronously.
 
 #include <gtest/gtest.h>
 
@@ -161,7 +161,7 @@ TEST(DistHaloCrc, TrailingSlotIsCrc32cOfThePayload) {
 
 // ---------------- overlapped checkpoint packing ----------------
 
-TEST(DistOverlap, FuturizedDriverAcceptsAndTheOthersDecline) {
+TEST(DistOverlap, BothModesAcceptAndASingleWorkerRuntimeDeclines) {
     cluster c(opts(6), 2);
     auto capture = [&c] {
         return std::make_shared<lulesh::state_capture>(
@@ -170,12 +170,10 @@ TEST(DistOverlap, FuturizedDriverAcceptsAndTheOthersDecline) {
     amt::runtime rt2(2);
     amt::runtime rt1(1);
     dist_driver futurized(rt2, {48, 48}, mode::futurized);
-    dist_driver eager(rt2, {48, 48}, mode::eager);
     dist_driver bsp(rt2, {48, 48}, mode::bulk_synchronous);
     dist_driver one_worker(rt1, {48, 48}, mode::futurized);
     EXPECT_TRUE(futurized.submit_overlapped_capture(0, capture()));
-    EXPECT_TRUE(eager.submit_overlapped_capture(0, capture()));
-    EXPECT_FALSE(bsp.submit_overlapped_capture(0, capture()));
+    EXPECT_TRUE(bsp.submit_overlapped_capture(0, capture()));
     EXPECT_FALSE(one_worker.submit_overlapped_capture(0, capture()));
 }
 
@@ -194,7 +192,7 @@ TEST(DistOverlap, RecordsMatchASynchronouslyPackingRuntimeByteForByte) {
     ASSERT_EQ(want.rr.result.run_status, lulesh::status::ok);
 
     amt::runtime rt3(3);
-    for (const mode m : {mode::futurized, mode::eager}) {
+    for (const mode m : {mode::futurized, mode::bulk_synchronous}) {
         cluster overlapped(o, 3);
         dist_driver drv3(rt3, {64, 64}, m, std::chrono::milliseconds(0),
                          retry_policy{});
@@ -298,27 +296,6 @@ TEST(DistOverlap, FaultedPackDropsTheWholeCheckpoint) {
         EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 5, 6, 7, 8}))
             << "slab " << s;
     }
-    EXPECT_EQ(cluster_vs_global(c, serial_reference(o, cycles)), 0.0);
-}
-
-TEST(DistOverlap, BulkSynchronousModeStillPacksSynchronously) {
-    fault_guard guard;
-    const options o = opts(8);
-    const int cycles = 6;
-
-    cluster c(o, 3);
-    amt::runtime rt(3);
-    dist_driver drv(rt, {64, 64}, mode::bulk_synchronous);
-    const recorded_run bsp = run_recorded(c, drv, 1, cycles);
-
-    cluster ref(o, 3);
-    dist_driver fut(rt, {64, 64}, mode::futurized);
-    const recorded_run overlapped = run_recorded(ref, fut, 1, cycles);
-
-    ASSERT_EQ(bsp.rr.result.run_status, lulesh::status::ok);
-    EXPECT_EQ(bsp.rr.result.cycles, cycles);
-    EXPECT_EQ(bsp.rr.checkpoints, cycles);
-    EXPECT_EQ(bsp.records, overlapped.records);
     EXPECT_EQ(cluster_vs_global(c, serial_reference(o, cycles)), 0.0);
 }
 

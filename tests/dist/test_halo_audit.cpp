@@ -93,7 +93,7 @@ TEST(HaloAuditModel, NeighborlessDomainDegeneratesToPlainModel) {
 }
 
 TEST(HaloAuditModel, PacksAreGatedOnThePlaneProducers) {
-    // The pack's deps are the eager send node's gating: every stage-0
+    // The pack's deps are every send node's gating: every stage-0
     // force task (and stage-2 elem task) whose range intersects the boundary
     // plane must be ordered before the pack that reads it.
     cluster c(opts(6), 2);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "lulesh/domain.hpp"
 #include "lulesh/kernels.hpp"
@@ -124,6 +126,23 @@ TEST(RegionCost, CostFlagScalesExpensiveTiers) {
     EXPECT_EQ(k::eos_rep_for_region(d, 10), 40);  // 10 * (1 + cost)
 }
 
+TEST(RegionCost, RejectsCostsThatCollapseOrOverflowTheTiers) {
+    // A negative cost puts a tier's repetition count below 1, which the EOS
+    // loop runs once anyway; past INT_MAX / 10 - 1 the top tier overflows.
+    // Either way the region imbalance would silently disappear.
+    for (int cost : {-1, -5, std::numeric_limits<int>::min(), 214748364,
+                     std::numeric_limits<int>::max()}) {
+        EXPECT_THROW(domain(opts(4, 11, cost)), std::invalid_argument)
+            << "cost " << cost;
+    }
+    namespace k = lulesh::kernels;
+    const domain zero(opts(4, 11, /*cost=*/0));
+    EXPECT_EQ(k::eos_rep_for_region(zero, 7), 1);
+    EXPECT_EQ(k::eos_rep_for_region(zero, 10), 10);
+    const domain top(opts(4, 11, /*cost=*/214748363));
+    EXPECT_EQ(k::eos_rep_for_region(top, 10), 2147483640);
+}
+
 TEST(RegionCost, TwentyOneRegions) {
     const domain d(opts(6, 21));
     namespace k = lulesh::kernels;
@@ -153,6 +172,27 @@ TEST(RegionBalance, HigherBalanceSkewsSizes) {
     // Skewed distribution should have a wider size range than flat.
     EXPECT_GT(smx - smn, (fmx - fmn) / 2);
     EXPECT_GT(smx, fmx / 2);
+}
+
+TEST(RegionBalance, RejectsBalancesWithoutIntegerWeights) {
+    // A negative balance truncates every weight but region 0's to 0, so
+    // the never-the-same-region-twice draw could never end; 11^19 and
+    // 11^40 are past 2^64.  The domain refuses them before any draw.
+    for (int balance : {-1, -5, std::numeric_limits<int>::min(), 19, 40}) {
+        EXPECT_THROW(domain(opts(4, 11, 1, balance)), std::invalid_argument)
+            << "balance " << balance;
+    }
+    // The largest balance whose 11 weights and their sum fit uint64_t.
+    const domain d(opts(4, 11, 1, /*balance=*/18));
+    EXPECT_EQ(d.numReg(), 11);
+    // One region draws nothing, so any non-negative balance is fine.
+    EXPECT_NO_THROW(lulesh::check_region_balance(1, 40));
+    EXPECT_THROW(lulesh::check_region_balance(1, -1), std::invalid_argument);
+    // Every weight i^2 fits; the running sum n^3/3 passes 2^64 between
+    // three and four million regions.
+    EXPECT_NO_THROW(lulesh::check_region_balance(3'000'000, 2));
+    EXPECT_THROW(lulesh::check_region_balance(4'000'000, 2),
+                 std::invalid_argument);
 }
 
 }  // namespace
