@@ -69,7 +69,7 @@ resilient_timing run_resilient_timed(const lulesh::options& problem,
     lulesh::dist::dist_driver drv(
         rt, parts, lulesh::dist::dist_driver::exchange_mode::futurized,
         kTimeout, lulesh::dist::retry_policy{});
-    lulesh::dist::dist_resilience_options opt;
+    lulesh::resilience_options opt;
     opt.checkpoint_every = 5;
     opt.max_recoveries = 3;
     if (inject_kill) {

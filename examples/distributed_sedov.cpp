@@ -142,6 +142,24 @@ int main(int argc, char** argv) {
                      "here)\n";
         return 0;
     }
+    // Flags parse_cli accepts that this program would otherwise ignore.
+    const char* unread = nullptr;
+    if (!cli.checkpoint_load.empty()) {
+        unread = "--checkpoint-load restores a single domain, which "
+                 "distributed_sedov never does — use lulesh_app";
+    } else if (cli.critical_path_report) {
+        unread = "--critical-path-report profiles the single-domain "
+                 "compiled graph, which distributed_sedov never runs — use "
+                 "lulesh_app";
+    } else if (!cli.checkpoint_save.empty() && cli.checkpoint_every <= 0) {
+        unread = "--checkpoint-save names the resilient loop's per-slab "
+                 "mirror files here — combine it with --checkpoint-every";
+    }
+    if (unread != nullptr) {
+        std::cerr << "lulesh: " << unread << "\n"
+                  << lulesh::usage_text(argv[0]);
+        return 1;
+    }
     if (cli.problem.max_cycles == std::numeric_limits<int>::max()) {
         cli.problem.max_cycles = 50;
     }
@@ -232,7 +250,7 @@ int main(int argc, char** argv) {
             rt, parts, mode::futurized,
             std::chrono::milliseconds(cli.halo_timeout_ms),
             lulesh::dist::retry_policy{});
-        lulesh::dist::dist_resilience_options ropt;
+        lulesh::resilience_options ropt;
         ropt.checkpoint_every = cli.checkpoint_every;
         ropt.max_recoveries = cli.max_recoveries;
         ropt.checkpoint_path = cli.checkpoint_save;

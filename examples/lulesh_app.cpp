@@ -37,11 +37,12 @@ lulesh::run_result run_with(lulesh::domain& dom, lulesh::driver& drv,
     }
     lulesh::resilience_options ropt;
     ropt.checkpoint_every = cli.checkpoint_every;
-    ropt.max_retries = cli.max_retries;
+    ropt.max_recoveries = cli.max_recoveries;
     ropt.checkpoint_path = cli.checkpoint_save;
     auto rr = lulesh::run_resilient(dom, drv, ropt, cli.problem.max_cycles);
-    if (!cli.quiet && rr.rollbacks > 0) {
-        std::cout << "Resilient loop: " << rr.rollbacks << " rollback(s), "
+    if (!cli.quiet && rr.last_rollback_cycle >= 0) {
+        std::cout << "Resilient loop: " << rr.recoveries << " recovery(ies), "
+                  << rr.entry_fallbacks << " entry fallback(s), "
                   << rr.dt_halvings << " dt halving(s), " << rr.checkpoints
                   << " checkpoint(s)\n";
     }

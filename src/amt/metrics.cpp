@@ -4,7 +4,6 @@
 
 #include "amt/metrics.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -64,16 +63,6 @@ entry* find(registry_state& s, const char* name) {
     throw std::logic_error(std::string("amt::metrics: metric '") + name +
                            "' re-registered with a different kind");
 }
-
-/// Arm at process start when AMT_METRICS is set (mirrors AMT_TRACE).
-[[maybe_unused]] const bool g_env_armed = [] {
-    const char* v = std::getenv("AMT_METRICS");
-    if (v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0) {
-        arm();
-        return true;
-    }
-    return false;
-}();
 
 }  // namespace
 

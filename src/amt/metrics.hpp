@@ -33,9 +33,8 @@
 // literals or otherwise outlive the process — the registry stores the
 // pointer, the same contract as trace/fault site labels.
 //
-// Arming: metrics::arm() / disarm(), or the AMT_METRICS environment
-// variable at process start (any value other than "" or "0"), mirroring
-// AMT_TRACE / AMT_HAZARD_TRACK.
+// Arming: metrics::arm() / disarm() — the executables' --metrics flag
+// arms the registry through metrics::reporter.
 
 #pragma once
 
@@ -228,9 +227,8 @@ histogram& get_histogram(const char* name, const char* help = "");
 
 // ---- arming --------------------------------------------------------------
 
-/// Starts recording.  Also armed at process start by AMT_METRICS (any value
-/// other than "" or "0").  Safe to call at any time; updates race with it
-/// only benignly (an update may land in either window).
+/// Starts recording.  Safe to call at any time; updates race with it only
+/// benignly (an update may land in either window).
 void arm();
 void disarm();
 [[nodiscard]] bool armed() noexcept;

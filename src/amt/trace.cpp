@@ -4,7 +4,6 @@
 #include "amt/trace.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <map>
@@ -71,11 +70,6 @@ struct tls_state {
 };
 thread_local tls_state g_tls;
 
-bool env_armed() {
-    const char* v = std::getenv("AMT_TRACE");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 /// The calling thread's ring, registering it on first use (or after a
 /// reset invalidated the cached pointer).  Registration takes the registry
 /// mutex once per thread per generation; emission itself never locks.
@@ -99,7 +93,7 @@ ring* ring_for_current_thread() {
 
 }  // namespace
 
-amt::atomic<bool> g_armed{env_armed()};
+amt::atomic<bool> g_armed{false};
 
 std::int64_t now_ns_slow() noexcept {
     return to_ns(clock::now());

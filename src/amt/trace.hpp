@@ -20,10 +20,10 @@
 //     ring push (no lock prefix, no allocation).  Ring overflow drops the
 //     event and bumps a per-ring drop counter — recording never blocks.
 //
-// Arming: trace::arm() / trace::disarm(), or the AMT_TRACE environment
-// variable at process start (any value other than "" or "0"), mirroring
-// AMT_HAZARD_TRACK.  arm()/disarm() must not race with in-flight tasks of
-// a running graph — quiesce first, exactly like fault::arm().
+// Arming: trace::arm() / trace::disarm() — the executables' --trace and
+// --utilization-report flags call them.  arm()/disarm() must not race with
+// in-flight tasks of a running graph — quiesce first, exactly like
+// fault::arm().
 //
 // Overflow semantics: rings keep the *first* capacity events (a
 // deterministic prefix of the run) and count the rest in dropped(); the
@@ -137,8 +137,7 @@ inline void mark(const char* name, std::int32_t arg = -1) noexcept {
 // ---- arming and ring management -----------------------------------------
 
 /// Starts recording.  Establishes the trace epoch when the rings are empty
-/// (so a reset() + arm() restarts time at zero).  Also armed at process
-/// start by AMT_TRACE (any value other than "" or "0").
+/// (so a reset() + arm() restarts time at zero).
 void arm();
 
 /// Stops recording.  Already-recorded events stay drainable.

@@ -4,14 +4,14 @@
 // its own v3 chain file — `path + ".slab" + i` — so a future multi-node
 // deployment can write every slab's chain from the node that owns it with
 // no global serialization point.  The records themselves are the same
-// crash-consistent format as the single-domain chains (see
-// lulesh/checkpoint_chain.hpp and docs/resilience.md): a torn write in any
-// slab file costs only that slab's uncommitted tail, never the set.
+// crash-consistent whole-state records as the single-domain chains (see
+// lulesh/checkpoint_chain.hpp and docs/resilience.md), and every file is
+// written whole and atomically.
 //
-// One iteration writes every checkpointed field of every slab in full, so
-// each record covers the whole slab.  dist::run_resilient keeps the newest
-// two per slab and rewrites each slab's file with them at every commit;
-// append_cluster_deltas adds a full-coverage delta record in place.
+// The resilient loop mirrors slab i's two-record ring to slab i's file at
+// every commit (lulesh/resilient_run.hpp); save_cluster_chains writes a
+// one-record file per slab.  load_cluster_chains restores either by the
+// one restore rule, restore_common_cycle.
 
 #pragma once
 
@@ -25,25 +25,16 @@ namespace lulesh::dist {
 /// temp+fsync+rename protocol.  Throws checkpoint_error on I/O failure.
 void save_cluster_chains(cluster& c, const std::string& path);
 
-/// Appends one committed delta record to every slab's chain file.  The
-/// files must already exist (save_cluster_chains first).  A crash
-/// mid-append leaves at most one slab with a torn tail, which restore
-/// ignores.
-void append_cluster_deltas(cluster& c, const std::string& path);
-
-/// Restores every slab to the *same committed cycle* — the consistent-cycle
-/// rule.  Restoring each slab on its own is not enough for a cluster: a
-/// crash mid-append, or between two slabs' rewrites, can leave slab A's
-/// chain one committed record ahead of slab B's, and restoring each slab
-/// to its own newest record would desynchronize the lockstep clock.  This
-/// loader reads every slab's committed records first, picks the newest
-/// cycle *every* slab has (the minimum of the per-slab chain heads), and
-/// restores each slab to exactly that cycle: its newest base record at or
-/// before the target, then the deltas after it up to the target.  A
-/// corrupt record discovered while applying truncates that slab's chain
-/// and lowers the target for everyone, so an older record is applied only
-/// when a newer one fails.  Throws checkpoint_error — naming the offending
-/// slab file — if any slab has no loadable committed base.
+/// Restores every slab to the *same committed cycle* — the newest cycle
+/// every slab's file holds a valid record of (restore_common_cycle).
+/// Restoring each slab on its own is not enough for a cluster: a crash
+/// between two slabs' rewrites can leave slab A's file one record ahead of
+/// slab B's, and restoring each slab to its own newest record would
+/// desynchronize the lockstep clock.  A record that fails validation
+/// lowers the target for everyone, so an older record is applied only when
+/// a newer one fails.  Throws checkpoint_error — naming the offending slab
+/// file — if a file is missing or holds no committed record, or if no
+/// cycle can be restored in every slab.
 void load_cluster_chains(cluster& c, const std::string& path);
 
 /// The chain file of slab `i` under `path`.

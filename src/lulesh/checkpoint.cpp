@@ -11,7 +11,7 @@
 namespace lulesh {
 
 void save_checkpoint(const domain& d, std::ostream& out) {
-    const std::string record = pack_full_record(d, /*base=*/true);
+    const std::string record = pack_full_record(d);
     out.write(record.data(), static_cast<std::streamsize>(record.size()));
     if (!out) throw checkpoint_error("lulesh: checkpoint write failed");
 }
@@ -21,7 +21,7 @@ void load_checkpoint(domain& d, std::istream& in) {
 }
 
 void save_checkpoint_file(const domain& d, const std::string& path) {
-    write_chain_file(path, {pack_full_record(d, /*base=*/true)});
+    write_chain_file(path, {pack_full_record(d)});
 }
 
 void load_checkpoint_file(domain& d, const std::string& path) {

@@ -9,9 +9,9 @@
 // tests), for any driver.
 //
 // Format: a standalone checkpoint is a one-record chain — a single
-// committed v3 base record (lulesh/checkpoint_chain.hpp), the format the
-// resilient loops' checkpoint files use too, so every checkpoint file has
-// one format and one loader.  Checkpoints are only loadable into a domain
+// committed v3 record of the whole state (lulesh/checkpoint_chain.hpp), the
+// format the resilient loop's checkpoint files use too, so every
+// checkpoint file has one format and one loader.  Checkpoints are only loadable into a domain
 // built with the same problem shape (size and slab extent); mismatches
 // throw, and so does a payload whose bytes no longer match their stored
 // CRC-32C — a bit flipped on disk is reported as checkpoint_error instead
@@ -33,13 +33,12 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// Writes the domain's simulation state to `out` as one committed base
-/// record.
+/// Writes the domain's simulation state to `out` as one committed record.
 void save_checkpoint(const domain& d, std::ostream& out);
 
-/// Restores state saved by save_checkpoint — or any chain, replayed
-/// base-plus-committed-deltas — into `d`, which must have been constructed
-/// with the same problem shape.
+/// Restores state saved by save_checkpoint — or the newest valid record of
+/// any chain (restore_chain_stream) — into `d`, which must have been
+/// constructed with the same problem shape.
 void load_checkpoint(domain& d, std::istream& in);
 
 /// File convenience wrappers; throw checkpoint_error on I/O failure.

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <utility>
 
 #include "amt/metrics.hpp"
@@ -26,8 +27,7 @@ namespace {
 constexpr std::uint64_t record_magic = 0x4C554C4553485F33ULL;   // "LULESH_3"
 constexpr std::uint64_t commit_magic = 0x434F4D4D49545F33ULL;   // "COMMIT_3"
 constexpr std::uint32_t chain_version = 3;
-constexpr std::uint32_t kind_base = 0;
-constexpr std::uint32_t kind_delta = 1;
+constexpr std::uint32_t kind_base = 0;  // a whole state: every record's kind
 
 struct record_header {
     std::uint64_t magic = record_magic;
@@ -232,12 +232,18 @@ std::vector<dirty_region> dirty_tracker::take(const domain& d) {
 
 // --- state_capture -------------------------------------------------------
 
+state_capture::state_capture(const domain& d, std::string recycled)
+    : state_capture(d, full_coverage(d), std::move(recycled)) {}
+
 state_capture::state_capture(const domain& d, std::vector<dirty_region> regions,
-                             bool base, std::string recycled)
+                             bool /*base*/, std::string recycled)
+    : state_capture(d, std::move(regions), std::move(recycled)) {}
+
+state_capture::state_capture(const domain& d, std::vector<dirty_region> regions,
+                             std::string recycled)
     : d_(&d), regions_(std::move(regions)), buf_(std::move(recycled)),
       cycle_(d.cycle) {
     record_header h;
-    h.kind = base ? kind_base : kind_delta;
     h.num_regions = static_cast<std::uint32_t>(regions_.size());
     h.size = d.size_per_edge();
     h.plane_begin = d.slab().plane_begin;
@@ -357,8 +363,8 @@ std::string state_capture::take_record() {
     return std::move(buf_);
 }
 
-std::string pack_full_record(const domain& d, bool base) {
-    state_capture cap(d, full_coverage(d), base);
+std::string pack_full_record(const domain& d) {
+    state_capture cap(d);
     cap.pack_remaining();
     cap.wait_packed();
     return cap.take_record();
@@ -383,6 +389,11 @@ void apply_chain_record(domain& d, std::string_view record,
         record_fail(context, "header checksum mismatch (expected " +
                                  hex32(header_crc_of(h)) + ", actual " +
                                  hex32(h.header_crc) + ")");
+    }
+    if (h.kind != kind_base) {
+        record_fail(context, "record of cycle " + std::to_string(h.cycle) +
+                                 " is not a whole state (kind " +
+                                 std::to_string(h.kind) + ")");
     }
     if (h.size != d.size_per_edge() || h.plane_begin != d.slab().plane_begin ||
         h.plane_end != d.slab().plane_end || h.num_elem != d.numElem() ||
@@ -470,6 +481,14 @@ void apply_chain_record(domain& d, std::string_view record,
 
 // --- record_ring ---------------------------------------------------------
 
+record_ring::record_ring(std::vector<std::string> records)
+    : records_(std::move(records)) {
+    cycles_.reserve(records_.size());
+    for (const std::string& r : records_) {
+        cycles_.push_back(chain_record_cycle(r));
+    }
+}
+
 void record_ring::commit(int cycle, std::string record) {
     if (records_.size() == 2) {
         spare_ = std::move(records_.front());
@@ -505,6 +524,58 @@ void record_ring::drop_from(std::size_t k) noexcept {
     }
 }
 
+// --- the restore rule ----------------------------------------------------
+
+int restore_common_cycle(std::span<domain* const> domains,
+                         std::span<record_ring> rings,
+                         std::span<const std::string> contexts) {
+    // The newest cycle of `ring` at or before `cycle`, or -1.
+    const auto newest_by = [](const record_ring& ring, int cycle) {
+        int best = -1;
+        for (const int c : ring.cycles()) {
+            if (c <= cycle) best = std::max(best, c);
+        }
+        return best;
+    };
+    constexpr int any = std::numeric_limits<int>::max();
+    int target = any;
+    for (const record_ring& ring : rings) {
+        target = std::min(target, newest_by(ring, any));
+    }
+    for (;;) {
+        // Lower the target until every ring holds a record of it.
+        for (bool lowered = true; lowered;) {
+            lowered = false;
+            for (std::size_t i = 0; i < rings.size(); ++i) {
+                const int c = newest_by(rings[i], target);
+                if (c < 0) {
+                    throw checkpoint_error(
+                        "lulesh: " + contexts[i] +
+                        " holds no record at or before cycle " +
+                        std::to_string(target));
+                }
+                lowered = lowered || c < target;
+                target = c;
+            }
+        }
+        // Apply each ring's record of the target.  restore() drops a record
+        // that fails, with any newer one, so the next pass lowers the
+        // target for every domain; a domain already restored is simply
+        // overwritten, because every record is a whole state.
+        bool dropped = false;
+        for (std::size_t i = 0; i < rings.size() && !dropped; ++i) {
+            try {
+                rings[i].restore(*domains[i], target, contexts[i]);
+            } catch (const checkpoint_error&) {
+                if (rings[i].cycles().empty()) throw;
+                dropped = true;
+            }
+        }
+        if (!dropped) return target;
+        --target;
+    }
+}
+
 // --- stream/file restore -------------------------------------------------
 
 namespace {
@@ -523,9 +594,6 @@ bool extract_record(std::istream& in, const domain& d, std::string& out) {
     // Bound each region by the domain's extents before trusting its size;
     // a corrupt entry fails here or at trailer validation, never causes an
     // unbounded read.
-    std::size_t total = sizeof(record_header) + sizeof(commit_trailer);
-    std::vector<char> entry_buf(static_cast<std::size_t>(h.num_regions) *
-                                sizeof(region_entry));
     out.assign(reinterpret_cast<const char*>(&h), sizeof(h));
     for (std::uint32_t i = 0; i < h.num_regions; ++i) {
         region_entry e;
@@ -546,13 +614,11 @@ bool extract_record(std::istream& in, const domain& d, std::string& out) {
         out.resize(old + bytes);
         in.read(out.data() + old, static_cast<std::streamsize>(bytes));
         if (in.gcount() != static_cast<std::streamsize>(bytes)) return false;
-        total += sizeof(region_entry) + bytes;
     }
     commit_trailer t;
     in.read(reinterpret_cast<char*>(&t), sizeof(t));
     if (in.gcount() != static_cast<std::streamsize>(sizeof(t))) return false;
     out.append(reinterpret_cast<const char*>(&t), sizeof(t));
-    (void)total;
     return true;
 }
 
@@ -584,44 +650,19 @@ std::vector<std::string> read_chain_records(const domain& d, std::istream& in,
     std::vector<std::string> records;
     std::string record;
     while (extract_record(in, d, record)) {
-        records.push_back(record);
+        records.push_back(std::move(record));
     }
     return records;
 }
 
 void restore_chain_stream(domain& d, std::istream& in,
                           const std::string& context) {
-    const std::vector<std::string> records =
-        read_chain_records(d, in, context);
-    if (records.empty()) {
+    record_ring ring(read_chain_records(d, in, context));
+    if (ring.records().empty()) {
         record_fail(context, "no committed base record found");
     }
-    if (!chain_record_is_base(records.front())) {
-        record_fail(context, "chain does not start with a base record");
-    }
-    // Start from the newest base record and apply the deltas after it up
-    // to the first that fails validation.  Only a base that fails sends the
-    // restore back to the next older base, whose deltas then run up to the
-    // failed one.
-    std::size_t end = records.size();
-    for (std::size_t b = end; b-- > 0;) {
-        if (!chain_record_is_base(records[b])) continue;
-        try {
-            apply_chain_record(d, records[b], context);
-        } catch (const checkpoint_error&) {
-            if (b == 0) throw;
-            end = b;
-            continue;
-        }
-        for (std::size_t j = b + 1; j < end; ++j) {
-            try {
-                apply_chain_record(d, records[j], context);
-            } catch (const checkpoint_error&) {
-                break;  // corrupt tail: keep the longest valid prefix
-            }
-        }
-        return;
-    }
+    domain* const domains[] = {&d};
+    restore_common_cycle(domains, {&ring, 1}, {&context, 1});
 }
 
 int chain_record_cycle(std::string_view record) noexcept {
@@ -633,17 +674,6 @@ int chain_record_cycle(std::string_view record) noexcept {
         return -1;
     }
     return h.cycle;
-}
-
-bool chain_record_is_base(std::string_view record) noexcept {
-    record_header h;
-    if (record.size() < sizeof(h)) return false;
-    std::memcpy(&h, record.data(), sizeof(h));
-    if (h.magic != record_magic || h.version != chain_version ||
-        header_crc_of(h) != h.header_crc) {
-        return false;
-    }
-    return h.kind == kind_base;
 }
 
 void write_chain_file(const std::string& path,
@@ -672,21 +702,6 @@ void write_chain_file(const std::string& path,
         throw checkpoint_error("lulesh: cannot rename '" + tmp + "' to '" +
                                path + "'");
     }
-}
-
-void append_chain_record_file(const std::string& path,
-                              std::string_view record) {
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::app);
-        if (!out) {
-            throw checkpoint_error("lulesh: cannot open '" + path +
-                                   "' for appending");
-        }
-        chain_write(out, record.data(), record.size());
-        out.flush();
-        if (!out) throw checkpoint_error("lulesh: chain append failed");
-    }
-    fsync_path(path);
 }
 
 // --- driver defaults -----------------------------------------------------

@@ -1,34 +1,36 @@
 // lulesh/checkpoint_chain.hpp
 //
-// Crash-consistent checkpoint records (format v3), and the two-record ring
-// the resilient loops keep them in.  A chain file is a byte sequence of
-// records:
+// Crash-consistent checkpoint records (format v3), the two-record ring the
+// resilient loop keeps them in, and the one rule that restores a set of
+// rings.  A chain file is a byte sequence of records, oldest first:
 //
-//   [base record][record]...
+//   [record][record]...
 //
-// Every record is self-delimiting and individually verifiable:
+// Every record is a whole state, self-delimiting and individually
+// verifiable:
 //
-//   record_header   magic, version, kind (base/delta), region count,
+//   record_header   magic, version, kind (0: a whole state), region count,
 //                   a CRC-32C over the header itself, the problem shape,
 //                   and the scalar time/cycle controls
 //   region × N      {slot, payload CRC-32C, lo, hi} + payload doubles
 //   commit trailer  magic + header-CRC echo + CRC-32C over region entries
 //
 // The trailer is written last, so a record is *committed* only once its
-// final byte is on disk.  Restore applies the newest valid base record and
-// the valid deltas after it; a crash at any byte leaves either the
-// previous chain (torn tail ignored) or the new one — never a torn state.
-// Whole chains are written atomically (temp file, fsync, rename); a record
-// appended in place is crash-safe too, because an incomplete append simply
-// fails trailer validation.  A standalone checkpoint (lulesh/checkpoint.hpp)
-// is a chain of one base record.
+// final byte is on disk.  A chain file is always written whole and
+// atomically (temp file, fsync, rename): a crash at any byte leaves the
+// previous file or the new one, and bytes after the last committed record
+// (a torn tail) are ignored on read.  A standalone checkpoint
+// (lulesh/checkpoint.hpp) is a chain of one record.
 //
 // One LULESH iteration writes every checkpointed field in full, so every
-// record the resilient loops capture is a whole state — a base record.
-// They keep the newest two per domain in a record_ring, recycle the third
-// buffer into the next capture, and roll back by applying one record.  A
-// delta record (a subset of the regions, applied over its predecessors)
-// stays readable; dirty_tracker computes the regions such a record covers.
+// record covers every field and a restore applies exactly one per domain.
+// The resilient loop (lulesh/resilient_run.hpp) keeps the newest two per
+// domain in a record_ring and recycles the third buffer into the next
+// capture.  restore_common_cycle is the one restore rule, for the loop's
+// rings and for the files of a restart, of one domain or of a cluster:
+// every domain restores the newest cycle every ring holds a valid record
+// of.  The delta records (kind 1) an earlier version of the format wrote
+// fail validation like any corrupt record.
 //
 // Packing a record is decomposed into independent per-region copies
 // (state_capture) so the task-graph driver can run them as ordinary graph
@@ -43,6 +45,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -76,19 +79,19 @@ struct dirty_region {
     index_t hi = 0;
 };
 
-/// Full coverage of every checkpointed field — the region set of a base
+/// Full coverage of every checkpointed field — the region set of every
 /// record, and of everything one iteration dirties (driver::record_dirty).
 std::vector<dirty_region> full_coverage(const domain& d);
 
 /// Packs every checkpointed field of `d` into one committed record on the
-/// calling thread: a base record, or a delta covering the whole state.
-std::string pack_full_record(const domain& d, bool base);
+/// calling thread.
+std::string pack_full_record(const domain& d);
 
 /// Accumulates the (field × index-range) write-sets the drivers report
 /// after each advance().  Marks on non-checkpointed fields are ignored;
 /// take() clamps to the domain's extents and coalesces overlapping or
-/// adjacent intervals per field.  Not thread-safe: the resilient loop
-/// feeds it between iterations.
+/// adjacent intervals per field.  Not thread-safe.  No resilient loop
+/// feeds it; perfbench's checkpoint probe does (perfbench/layers.cpp).
 class dirty_tracker {
 public:
     void mark(field f, index_t lo, index_t hi);
@@ -115,11 +118,17 @@ private:
 /// packs into the barrier *before* the wave that first writes that field.
 class state_capture {
 public:
+    /// Captures every checkpointed field of `d` (full_coverage).
     /// `recycled` (optional) donates its heap allocation as the record
-    /// buffer — the resilient loops feed in the buffer their record_ring
+    /// buffer — the resilient loop feeds in the buffer its record_ring
     /// retired, so steady-state checkpointing allocates and faults in no
     /// fresh pages.  Every byte of the buffer is overwritten before
     /// take_record() returns it, so stale contents are harmless.
+    explicit state_capture(const domain& d, std::string recycled = {});
+
+    /// perfbench's form (perfbench/layers.cpp, perfbench/ledger.cpp), which
+    /// passes full_coverage(d) as `regions`.  `base` is unused: every
+    /// record is a whole state.
     state_capture(const domain& d, std::vector<dirty_region> regions,
                   bool base, std::string recycled = {});
 
@@ -159,6 +168,9 @@ public:
     [[nodiscard]] std::string take_record();
 
 private:
+    state_capture(const domain& d, std::vector<dirty_region> regions,
+                  std::string recycled);
+
     const domain* d_;
     std::vector<dirty_region> regions_;
     std::vector<std::size_t> payload_offset_;  // payload byte offset in buf_
@@ -180,6 +192,12 @@ private:
 /// Every record is a whole state, so a rollback applies exactly one.
 class record_ring {
 public:
+    record_ring() = default;
+
+    /// A ring holding a chain file's records (read_chain_records), oldest
+    /// first, each with the cycle its header records.
+    explicit record_ring(std::vector<std::string> records);
+
     /// Makes `record`, captured at `cycle`, the newest record.
     void commit(int cycle, std::string record);
 
@@ -212,19 +230,30 @@ private:
     std::string spare_;
 };
 
-/// Fully validates `record` (header CRC, commit trailer, per-region
-/// payload CRCs, shape) and only then applies it to `d`.  Throws
-/// checkpoint_error — with `context`, the record's cycle, and
+/// Fully validates `record` (header CRC, whole-state kind, commit
+/// trailer, per-region payload CRCs, shape) and only then applies it to
+/// `d`.  Throws checkpoint_error — with `context`, the record's cycle, and
 /// expected-vs-actual CRCs where applicable — without having modified `d`.
 void apply_chain_record(domain& d, std::string_view record,
                         const std::string& context);
 
-/// Restores `d` from the committed records of `in`: the newest base
-/// record, then the deltas after it up to the first that fails validation
-/// (torn or corrupt tails are ignored).  A base record that fails sends the
-/// restore back to the next older base.  Throws checkpoint_error if the
-/// chain does not start with a base record or no base record is valid.
-/// The one restore path of load_checkpoint and load_checkpoint_file.
+/// The one restore rule.  Restores `domains[i]` from `rings[i]`, every
+/// domain to the same cycle: the newest cycle every ring holds.  A record
+/// that fails validation is dropped and the target lowers for every
+/// domain; if it was its ring's last record, its own checkpoint_error
+/// (context, cycle, both CRCs) is rethrown.  A ring holding only records
+/// newer than the target throws checkpoint_error naming `contexts[i]` and
+/// the cycle.  On return every ring's newest record is of the restored
+/// cycle, which is returned.  Every ring must hold a record on entry.
+int restore_common_cycle(std::span<domain* const> domains,
+                         std::span<record_ring> rings,
+                         std::span<const std::string> contexts);
+
+/// Restores `d` from the committed records of `in` by the one restore rule
+/// (restore_common_cycle): the newest valid record; torn tails are
+/// ignored.  Throws checkpoint_error if no record is committed or none is
+/// valid.  The one restore path of load_checkpoint and
+/// load_checkpoint_file.
 void restore_chain_stream(domain& d, std::istream& in,
                           const std::string& context);
 
@@ -232,9 +261,8 @@ void restore_chain_stream(domain& d, std::istream& in,
 /// record byte strings without applying them (payload CRCs are validated
 /// later, by apply_chain_record).  Torn or invalid framing ends the list;
 /// a committed leading record for a different mesh shape throws
-/// checkpoint_error.  restore_chain_stream and the distributed
-/// consistent-cycle loader read their chains through this before deciding
-/// which records to apply.
+/// checkpoint_error.  restore_chain_stream and load_cluster_chains read
+/// their files through this into record_rings.
 std::vector<std::string> read_chain_records(const domain& d, std::istream& in,
                                             const std::string& context);
 
@@ -242,19 +270,10 @@ std::vector<std::string> read_chain_records(const domain& d, std::istream& in,
 /// fails its CRC.  Cheap (header-only); does not validate payloads.
 int chain_record_cycle(std::string_view record) noexcept;
 
-/// True if `record`'s (CRC-valid) header marks a base record; false for a
-/// delta or an invalid header.
-bool chain_record_is_base(std::string_view record) noexcept;
-
 /// Writes a whole chain atomically: temp file, fsync, rename — a crash
 /// leaves the previous file intact.
 void write_chain_file(const std::string& path,
                       const std::vector<std::string>& records);
-
-/// Appends one committed record to an existing chain file and fsyncs.  A
-/// crash mid-append leaves a torn tail that restore_chain_stream ignores.
-void append_chain_record_file(const std::string& path,
-                              std::string_view record);
 
 /// Test seam for the crash-consistency torture harness: after `n` more
 /// bytes of chain-file writes, the process _exit()s mid-write.  Negative

@@ -89,9 +89,6 @@ cli_options parse_cli(int argc, const char* const* argv) {
         } else if (arg == "--checkpoint-every") {
             cli.checkpoint_every = parse_int<int>(
                 arg, require_value(arg, argc, argv, i));
-        } else if (arg == "--retries") {
-            cli.max_retries = parse_int<int>(
-                arg, require_value(arg, argc, argv, i));
         } else if (arg == "--halo-timeout") {
             cli.halo_timeout_ms = parse_int<int>(
                 arg, require_value(arg, argc, argv, i));
@@ -179,9 +176,6 @@ cli_options parse_cli(int argc, const char* const* argv) {
     if (cli.checkpoint_every < 0) {
         throw std::invalid_argument("lulesh: --checkpoint-every must be >= 0");
     }
-    if (cli.max_retries < 0) {
-        throw std::invalid_argument("lulesh: --retries must be >= 0");
-    }
     if (cli.halo_timeout_ms < 0) {
         throw std::invalid_argument("lulesh: --halo-timeout must be >= 0");
     }
@@ -250,15 +244,14 @@ std::string usage_text(const std::string& program) {
        << "                             cycles, roll back + retry on faults\n"
        << "                             (k = 0: entry-snapshot-only — faults\n"
        << "                             roll back to the run's start state)\n"
-       << "  --retries <n>   retry budget per incident (default 3)\n"
+       << "  --max-recoveries <n>       resilient mode: bound rollback-and-\n"
+       << "                             replay attempts per incident\n"
+       << "                             (default 3; 0 = stop at the first)\n"
        << "  --halo-timeout <ms>        distributed runs: fail the halo\n"
        << "                             fabric after <ms> of zero progress\n"
        << "                             (status: stalled) instead of hanging\n"
        << "                             on a dead slab (0 = no deadline;\n"
        << "                             distributed_sedov only)\n"
-       << "  --max-recoveries <n>       distributed resilient mode: bound\n"
-       << "                             coordinated rollback-and-replay\n"
-       << "                             attempts per incident (default 3)\n"
        << "  --audit-graph   statically audit the task graph for unordered\n"
        << "                  read-write/write-write overlaps before running\n"
        << "                  (needs a task-graph driver)\n"

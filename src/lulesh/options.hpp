@@ -46,8 +46,10 @@ struct options {
 };
 
 /// Throws std::invalid_argument unless `balance` gives each of
-/// `num_regions` regions a selection weight: balance >= 0, and every
-/// weight (i+1)^balance and the running weight sum fit std::uint64_t.
+/// `num_regions` regions a selection weight the region draw can finish
+/// with: balance >= 0; every weight (i+1)^balance and the running weight
+/// sum fit std::uint64_t; and, with more than one region, no region's
+/// bins cover all but fewer than R / 2^20 of the R values a draw spans.
 /// build_regions applies it before drawing a region (regions.cpp).
 void check_region_balance(index_t num_regions, int balance);
 
@@ -119,10 +121,11 @@ struct cli_options {
     std::string checkpoint_load;  ///< restore from here before the run
 
     /// > 0 enables the resilient run loop (lulesh/resilient_run.hpp):
-    /// checkpoint every K cycles and roll back + retry on failures.
+    /// checkpoint every K cycles and roll back + replay on failures.
     int checkpoint_every = 0;
-    /// Retry budget per incident for the resilient loop.
-    int max_retries = 3;
+    /// Recovery budget per incident for the resilient loop, in both
+    /// executables.
+    int max_recoveries = 3;
 
     /// Distributed halo-exchange progress deadline in milliseconds (0 = no
     /// deadline, the default).  > 0 arms the dist driver's per-slab failure
@@ -131,9 +134,6 @@ struct cli_options {
     /// Read only by distributed_sedov, which ignores -d; lulesh_app, which
     /// exchanges no halos, rejects a non-zero value.
     int halo_timeout_ms = 0;
-    /// Coordinated-recovery budget per incident for the distributed
-    /// resilient loop (dist/resilient_dist.hpp).
-    int max_recoveries = 3;
 
     /// Run the static task-graph hazard audit at startup (core/graph_audit)
     /// and exit with status::hazard if an unordered overlap is found.

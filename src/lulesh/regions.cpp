@@ -8,6 +8,7 @@
 // substitution only changes *which* deterministic map is produced, not its
 // statistics).
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -45,7 +46,11 @@ double region_weight(index_t i, int balance) {
 
 // A negative balance truncates every weight but region 0's to 0, so the
 // never-the-same-region-twice draw below could never end; a weight or sum
-// past 2^64 has no defined integer value.
+// past 2^64 has no defined integer value.  lcg::next draws
+// (state >> 33) % sum, so its draws span only R = min(sum, 2^31) values; a
+// region whose bins cover all but fewer than R / 2^20 of them needs more
+// than 2^20 draws on average to be left, every time the map enters it.
+// Rejecting those caps the expected redraws per run at 2^20.
 void check_region_balance(index_t num_regions, int balance) {
     if (balance < 0) {
         throw std::invalid_argument("lulesh: region balance (-b) must be >= 0");
@@ -63,6 +68,23 @@ void check_region_balance(index_t num_regions, int balance) {
                 " regions weights past 2^64");
         }
         sum += static_cast<std::uint64_t>(w);
+    }
+    if (num_regions == 1) return;  // one region draws nothing
+    const std::uint64_t drawn = std::min<std::uint64_t>(sum, 1ULL << 31);
+    std::uint64_t lo = 0;
+    for (index_t i = 0; i < num_regions; ++i) {
+        const std::uint64_t hi =
+            lo + static_cast<std::uint64_t>(region_weight(i, balance));
+        const std::uint64_t others =
+            drawn - (std::min(hi, drawn) - std::min(lo, drawn));
+        if (others << 20 < drawn) {
+            throw std::invalid_argument(
+                "lulesh: region balance (-b) " + std::to_string(balance) +
+                " leaves region " + std::to_string(i) + " of " +
+                std::to_string(num_regions) +
+                " too rarely to finish the region map");
+        }
+        lo = hi;
     }
 }
 

@@ -1,36 +1,33 @@
 // lulesh/resilient_run.hpp
 //
-// Checkpoint-based recovery wrapper around the plain iteration loop: works
-// with any driver (serial, parallel_for, foreach, taskgraph).  The loop
-// snapshots the simulation state every K cycles (in memory, optionally
-// mirrored to an atomically-written file), keeps the newest snapshot and
-// one fallback, and, when an iteration fails with an injected fault or a
-// simulation_error, rolls the domain back to the newest valid snapshot and
-// retries:
+// The rollback-and-replay loop, written once for one domain under any
+// driver and for a cluster of slabs (dist/resilient_dist.hpp).  It
+// checkpoints every K cycles into a two-record ring per slab.  When an
+// iteration fails recoverably it commits any overlapped capture, runs the
+// system's before_rollback hook (the cluster rebuilds a dead slab and
+// re-wires its halo fabric), restores every slab to the newest cycle every
+// ring holds a valid record of (restore_common_cycle) — else to the
+// pristine entry snapshot — and replays:
 //
-//   * The first retry after an *injected* (transient) fault replays at the
-//     unchanged dt.  Every driver is deterministic and checkpoints are
-//     bitwise, so the recovered trajectory — and the final state — is
-//     bitwise identical to a fault-free run (tests verify this).
-//   * A repeat failure of the same incident, or any deterministic physics
-//     failure (volume/qstop), halves dt before replaying; the reference's
-//     dt-growth bound (deltatimemultub) restores the step size over the
-//     following cycles once the run is healthy again.
-//   * Retries are bounded per incident; exhausting them ends the run with
-//     the mapped failure status instead of looping forever.
+//   * A transient fault's first replay runs at the unchanged dt.  Drivers
+//     are deterministic and records bitwise, so the recovered run is
+//     bitwise identical to a fault-free one (tests verify this).
+//   * A repeat failure of the same cycle, or a deterministic physics
+//     failure (volume/qstop), halves dt first; the reference's dt-growth
+//     bound (deltatimemultub) restores the step size afterwards.
+//   * Recoveries are bounded per incident (one failing cycle; the budget
+//     re-arms once the run advances past it).  Exhausting the budget ends
+//     the run with the status the plain loop would have produced, every
+//     slab rolled back to its last good state.
 //
-// An incident is one failing cycle: it ends when the run advances past it,
-// at which point the retry budget re-arms for future faults.
-//
-// The multi-slab analogue is dist::run_resilient (dist/resilient_dist.hpp):
-// same incident/budget/dt rules, but the rollback is coordinated — every
-// slab restores to one consistent cycle and the halo fabric is re-wired.
-// docs/resilience.md covers both and the distributed recovery matrix.
+// docs/resilience.md has the recovery matrix.
 
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "lulesh/driver.hpp"
@@ -39,54 +36,95 @@ namespace lulesh {
 
 struct resilience_options {
     /// Checkpoint every K successful cycles.  K <= 0 is the documented
-    /// *entry-snapshot-only* mode: the ring holds just the record captured
-    /// before the first iteration — still enough to recover from any fault,
-    /// at the cost of replaying the whole run (tested in
-    /// tests/lulesh/test_checkpoint_chain.cpp).
+    /// *entry-snapshot-only* mode: the rings hold just the records captured
+    /// before the first iteration — still enough to recover from any
+    /// fault, at the cost of replaying the whole run.
     int checkpoint_every = 10;
 
-    /// Retry budget per incident (failing cycle); each retry rolls back to
-    /// the ring's newest valid record.
-    int max_retries = 3;
+    /// Recovery budget per incident (failing cycle).  0 disables recovery:
+    /// the first failure ends the run like the plain loop.
+    int max_recoveries = 3;
 
-    /// When non-empty, the ring's records (newest and fallback) are
-    /// mirrored to this file, rewritten at every commit with the atomic
-    /// temp+fsync+rename protocol.  A crash at any byte leaves a loadable
-    /// chain.
+    /// When non-empty, slab i's ring (newest record and fallback) is
+    /// mirrored to the system's mirror_path(checkpoint_path, i), rewritten
+    /// at every commit with the atomic temp+fsync+rename protocol.  A crash
+    /// at any byte leaves a loadable chain.
     std::string checkpoint_path;
 
-    /// Test seam: invoked on each finished record's bytes just before it
-    /// is committed to the ring.  Corruption tests flip a byte here to
-    /// prove that rollback detects the invalid record and restores the
-    /// fallback instead of silently restoring corrupt state.
-    std::function<void(std::string&)> snapshot_hook;
+    /// Test seam: invoked on each slab's finished record bytes just before
+    /// the record is committed to that slab's ring — once per slab at
+    /// entry, then once per slab per committed checkpoint, in slab order.
+    /// Corruption tests flip bytes here to prove that a rollback rules the
+    /// bad record's cycle out instead of restoring corrupt state.
+    std::function<void(index_t slab, std::string&)> record_hook;
 };
 
 struct resilient_result {
     run_result result;
 
-    int rollbacks = 0;            ///< rollback-and-retry attempts performed
-    int checkpoints = 0;          ///< snapshots taken after the entry one
-    int dt_halvings = 0;          ///< retries that reduced dt before replay
-    int snapshot_fallbacks = 0;   ///< rollbacks that found the newest record
-                                  ///< corrupt and restored the fallback
+    int recoveries = 0;         ///< rollback-and-replay attempts
+    int checkpoints = 0;        ///< checkpoints after the entry snapshot
+    int dt_halvings = 0;        ///< replays that reduced dt first
+    int entry_fallbacks = 0;    ///< rollbacks that found no valid ring cycle
+                                ///< and restored the pristine entry snapshot
+    int slab_rebuilds = 0;      ///< rollbacks whose failure named a dead slab
+    int last_rollback_cycle = -1;  ///< cycle the last rollback restored
 };
 
-/// Runs `drv` on `d` to stoptime / `max_cycles` with rollback recovery as
-/// described above.  Exceptions other than injected faults and
-/// simulation_error are not retryable and propagate to the caller.
-///
-/// Checkpoints are whole-state records in a record_ring
-/// (lulesh/checkpoint_chain.hpp): the newest committed record and one
-/// fallback, each individually CRC-protected and commit-stamped.  Rollback
-/// applies the newest; one corrupted after capture (bit rot, a bad copy) is
-/// dropped and the fallback restored instead (counted in
-/// snapshot_fallbacks).  Only if both are corrupt does the checkpoint_error
-/// propagate.  Drivers that can (the task graph) pack the capture as
-/// ordinary tasks overlapped with the next iteration's compute, taking the
-/// serialization off the critical path.
-resilient_result run_resilient(domain& d, driver& drv,
-                               const resilience_options& opt,
-                               int max_cycles = std::numeric_limits<int>::max());
+/// How a system reads a failed advance().
+struct failure_diagnosis {
+    bool retryable = false;  ///< false: the exception propagates
+    bool transient = false;  ///< the first replay may keep dt unchanged
+    status code = status::task_fault;  ///< the run's status if exhausted
+    index_t slab = -1;       ///< a dead slab before_rollback rebuilds, or -1
+};
+
+/// What run_resilient drives: a fixed set of slabs that advance together.
+class resilient_system {
+public:
+    virtual ~resilient_system() = default;
+
+    [[nodiscard]] virtual index_t num_slabs() const = 0;
+    /// Slab `i`'s domain.  before_rollback may replace it, so the loop
+    /// asks again after every rollback.
+    virtual domain& slab(index_t i) = 0;
+
+    /// One iteration of every slab (time_increment already applied).
+    virtual void advance() = 0;
+
+    /// Offers slab `i`'s capture for packing overlapped with the next
+    /// advance(); false makes the loop pack it synchronously.
+    virtual bool submit_capture(index_t i,
+                                std::shared_ptr<state_capture> cap) = 0;
+
+    /// The default: a simulation_error (its status) or an injected fault
+    /// (task_fault, transient) is retryable, anything else propagates.
+    [[nodiscard]] virtual failure_diagnosis diagnose(
+        const std::exception& e) const;
+
+    /// Runs before every rollback, once the failed iteration settled and
+    /// pending captures are committed.  The default does nothing.
+    virtual void before_rollback(const failure_diagnosis& /*failure*/) {}
+
+    /// The file slab `i`'s ring is mirrored to under `path`.
+    [[nodiscard]] virtual std::string mirror_path(const std::string& path,
+                                                  index_t /*i*/) const {
+        return path;
+    }
+};
+
+/// Runs `sys` to stoptime / `max_cycles` with rollback recovery as
+/// described above.  Drivers that can pack a capture as ordinary tasks of
+/// the next iteration (the task graph, the dist driver) take the copy off
+/// the critical path; a capture is always committed before anything but
+/// the driver touches a slab again.
+resilient_result run_resilient(
+    resilient_system& sys, const resilience_options& opt,
+    int max_cycles = std::numeric_limits<int>::max());
+
+/// One domain under any driver (serial, parallel_for, foreach, taskgraph).
+resilient_result run_resilient(
+    domain& d, driver& drv, const resilience_options& opt,
+    int max_cycles = std::numeric_limits<int>::max());
 
 }  // namespace lulesh

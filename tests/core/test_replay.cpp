@@ -343,7 +343,7 @@ TEST(ReplayFault, FaultMidReplayRecoversBitwiseViaCheckpointChain) {
     amt::fault::disarm();
 
     EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-    EXPECT_EQ(rr.rollbacks, 1);
+    EXPECT_EQ(rr.recoveries, 1);
     EXPECT_EQ(amt::fault::snapshot().injections, 1u);
     EXPECT_EQ(lulesh::max_field_difference(*clean, d), 0.0);
     EXPECT_EQ(serialized(d), serialized(*clean));

@@ -12,6 +12,8 @@
 #include <cstring>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "amt/amt.hpp"
 #include "amt/fault.hpp"
@@ -20,6 +22,7 @@
 #include "dist/driver_dist.hpp"
 #include "dist/halo_audit.hpp"
 #include "lulesh/checkpoint.hpp"
+#include "lulesh/checkpoint_chain.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/validate.hpp"
@@ -590,10 +593,9 @@ TEST(DistRun, PerSlabCheckpointRestartIsBitwise) {
 }
 
 TEST(DistRun, PerSlabChainFilesRoundTripBitwise) {
-    // Per-slab v3 chains: a base record per slab at cycle 10, then delta
-    // appends at 15 and 20.  Replaying every slab's chain into a fresh
-    // cluster reproduces the cycle-20 state bitwise — and a torn tail in
-    // one slab file would cost only that slab's last delta, not the set.
+    // Per-slab v3 chains, two records each as the ring mirror writes them:
+    // cycles 15 and 20.  Restoring every slab's file into a fresh cluster
+    // reproduces the cycle-20 state bitwise.
     const options o = opts(6);
     amt::runtime rt(2);
     const std::string path = "/tmp/lulesh_dist_chain.ckpt";
@@ -602,21 +604,24 @@ TEST(DistRun, PerSlabChainFilesRoundTripBitwise) {
     }
 
     cluster run(o, 3);
-    {
-        dist_driver drv(rt, {48, 48});
-        lulesh::dist::run_simulation(run, drv, 10);
-    }
-    lulesh::dist::save_cluster_chains(run, path);
+    std::vector<std::string> at15;
     {
         dist_driver drv(rt, {48, 48});
         lulesh::dist::run_simulation(run, drv, 15);
     }
-    lulesh::dist::append_cluster_deltas(run, path);
+    for (index_t s = 0; s < 3; ++s) {
+        at15.push_back(lulesh::pack_full_record(run.slab(s)));
+    }
     {
         dist_driver drv(rt, {48, 48});
         lulesh::dist::run_simulation(run, drv, 20);
     }
-    lulesh::dist::append_cluster_deltas(run, path);
+    for (index_t s = 0; s < 3; ++s) {
+        lulesh::write_chain_file(
+            lulesh::dist::slab_chain_path(path, s),
+            {at15[static_cast<std::size_t>(s)],
+             lulesh::pack_full_record(run.slab(s))});
+    }
 
     cluster loaded(o, 3);
     lulesh::dist::load_cluster_chains(loaded, path);

@@ -44,7 +44,6 @@ using lulesh::options;
 using lulesh::real_t;
 using lulesh::dist::cluster;
 using lulesh::dist::dist_driver;
-using lulesh::dist::dist_resilience_options;
 using lulesh::dist::plane_buffer;
 using lulesh::dist::retry_policy;
 using mode = dist_driver::exchange_mode;
@@ -111,7 +110,7 @@ domain serial_reference(const options& o, int cycles) {
 /// Every record run_resilient commits, per slab, in commit order, plus the
 /// slab sequence of the record_hook calls.
 struct recorded_run {
-    lulesh::dist::dist_resilient_result rr;
+    lulesh::resilient_result rr;
     std::vector<std::vector<std::string>> records;
     std::vector<index_t> hook_order;
 };
@@ -120,7 +119,7 @@ recorded_run run_recorded(cluster& c, dist_driver& drv, int every,
                           int cycles) {
     recorded_run out;
     out.records.resize(static_cast<std::size_t>(c.num_slabs()));
-    dist_resilience_options ropt;
+    lulesh::resilience_options ropt;
     ropt.checkpoint_every = every;
     ropt.record_hook = [&out](index_t slab, std::string& rec) {
         out.records[static_cast<std::size_t>(slab)].push_back(rec);
@@ -164,8 +163,7 @@ TEST(DistHaloCrc, TrailingSlotIsCrc32cOfThePayload) {
 TEST(DistOverlap, BothModesAcceptAndASingleWorkerRuntimeDeclines) {
     cluster c(opts(6), 2);
     auto capture = [&c] {
-        return std::make_shared<lulesh::state_capture>(
-            c.slab(0), lulesh::full_coverage(c.slab(0)), /*base=*/false);
+        return std::make_shared<lulesh::state_capture>(c.slab(0));
     };
     amt::runtime rt2(2);
     amt::runtime rt1(1);
@@ -249,7 +247,7 @@ TEST(DistOverlap, SlabKillRightAfterACheckpointRollsBackToIt) {
         amt::runtime rt(3);
         dist_driver drv(rt, {64, 64}, mode::futurized,
                         std::chrono::milliseconds(2000), retry_policy{});
-        dist_resilience_options ropt;
+        lulesh::resilience_options ropt;
         ropt.checkpoint_every = sc.every;
         const auto rr = lulesh::dist::run_resilient(c, drv, ropt, cycles);
         amt::fault::disarm();

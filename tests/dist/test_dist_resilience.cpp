@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -42,9 +43,9 @@ using lulesh::domain;
 using lulesh::index_t;
 using lulesh::options;
 using lulesh::real_t;
+using lulesh::resilience_options;
 using lulesh::dist::cluster;
 using lulesh::dist::dist_driver;
-using lulesh::dist::dist_resilience_options;
 using lulesh::dist::plane_buffer;
 using lulesh::dist::retry_policy;
 
@@ -305,7 +306,7 @@ TEST(DistResilient, SlabKillRecoversBitwiseIdenticalToFaultFree) {
     amt::runtime rt(2);
     dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(2000), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 4;
     const auto rr = lulesh::dist::run_resilient(c, drv, ropt, iters);
     amt::fault::disarm();
@@ -336,7 +337,7 @@ TEST(DistResilient, RecoveryIsVisibleAsTracerSpansAndMarks) {
         amt::runtime rt(2);
         dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
                         std::chrono::milliseconds(2000), retry_policy{});
-        dist_resilience_options ropt;
+        resilience_options ropt;
         ropt.checkpoint_every = 3;
         const auto rr = lulesh::dist::run_resilient(c, drv, ropt, 12);
         EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
@@ -352,12 +353,12 @@ TEST(DistResilient, RecoveryIsVisibleAsTracerSpansAndMarks) {
         for (const auto& ev : t.events) {
             if (ev.name == nullptr) continue;
             const std::string name = ev.name;
-            saw_recovery = saw_recovery || name == "dist:recovery";
+            saw_recovery = saw_recovery || name == "recovery";
             saw_rebuild = saw_rebuild || name == "dist:slab_rebuild";
         }
     }
     amt::trace::reset();
-    EXPECT_TRUE(saw_recovery) << "no dist:recovery span in the trace";
+    EXPECT_TRUE(saw_recovery) << "no recovery span in the trace";
     EXPECT_TRUE(saw_rebuild) << "no dist:slab_rebuild mark in the trace";
 }
 
@@ -376,7 +377,7 @@ TEST(DistResilient, RecoveriesExhaustedDegradeToTaskFaultExitCode) {
     amt::runtime rt(2);
     dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(2000), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 2;
     ropt.max_recoveries = 2;
     const auto rr = lulesh::dist::run_resilient(c, drv, ropt, 12);
@@ -410,7 +411,7 @@ TEST(DistResilient, StalledSlabIsSuspectedRebuiltAndTheRunCompletes) {
     amt::runtime rt(2);
     dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(150), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 3;
     const auto rr = lulesh::dist::run_resilient(c, drv, ropt, 12);
     amt::fault::disarm();
@@ -442,7 +443,7 @@ TEST(DistResilient, CorruptChainsFallBackToTheEntrySnapshot) {
     amt::runtime rt(2);
     dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(2000), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 4;
     // Corrupt every record of slab 0's chain (including its copy of the
     // entry base).  Rollback finds the whole chain unusable and restores
@@ -486,7 +487,7 @@ TEST(DistResilient, OneSlabsCorruptNewestRecordSendsEverySlabToTheFallback) {
     amt::runtime rt(2);
     dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(2000), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 4;
     bool corrupted = false;
     std::vector<std::vector<int>> committed(2);
@@ -526,7 +527,7 @@ TEST(DistResilient, EveryCycleCheckpointingCyclesThroughThreeBuffersPerSlab) {
     amt::runtime rt(2);
     dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(0), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 1;
     std::vector<int> commits(2, 0);
     std::vector<std::set<const char*>> buffers(2);
@@ -556,7 +557,7 @@ TEST(DistResilient, MirroredChainsSurviveForAProcessRestart) {
     amt::runtime rt(2);
     dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(0), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 5;
     ropt.checkpoint_path = path;
     const auto rr = lulesh::dist::run_resilient(c, drv, ropt, 15);
@@ -576,35 +577,43 @@ TEST(DistResilient, MirroredChainsSurviveForAProcessRestart) {
 
 // ---------------- consistent-cycle rule (on-disk loader) ----------------
 
+/// Runs a fresh `slabs`-slab cluster to cycle 10 and on to 15, and writes
+/// each slab's file with its cycle-10 and cycle-15 records, as the ring
+/// mirror does.  Returns the cluster at cycle 10.
+std::unique_ptr<cluster> write_two_record_files(const options& o,
+                                                index_t slabs,
+                                                amt::runtime& rt,
+                                                const std::string& path) {
+    auto at10 = std::make_unique<cluster>(o, slabs);
+    {
+        dist_driver drv(rt, {48, 48});
+        lulesh::dist::run_simulation(*at10, drv, 10);
+    }
+    cluster run(o, slabs);
+    dist_driver drv(rt, {48, 48});
+    lulesh::dist::run_simulation(run, drv, 10);
+    std::vector<std::string> older;
+    for (index_t s = 0; s < slabs; ++s) {
+        older.push_back(lulesh::pack_full_record(run.slab(s)));
+    }
+    lulesh::dist::run_simulation(run, drv, 15);
+    for (index_t s = 0; s < slabs; ++s) {
+        lulesh::write_chain_file(lulesh::dist::slab_chain_path(path, s),
+                                 {older[static_cast<std::size_t>(s)],
+                                  lulesh::pack_full_record(run.slab(s))});
+    }
+    return at10;
+}
+
 TEST(DistConsistentCycle, TornTailInOneSlabLowersEveryonesTarget) {
     const options o = opts(6);
     amt::runtime rt(2);
     const std::string path = "/tmp/lulesh_dist_consistent.ckpt";
-    for (index_t s = 0; s < 3; ++s) {
-        std::remove(lulesh::dist::slab_chain_path(path, s).c_str());
-    }
+    const auto at10 = write_two_record_files(o, 3, rt, path);
 
-    cluster run(o, 3);
-    {
-        dist_driver drv(rt, {48, 48});
-        lulesh::dist::run_simulation(run, drv, 10);
-    }
-    lulesh::dist::save_cluster_chains(run, path);
-    // Reference state at cycle 10 for the post-load comparison.
-    cluster at10(o, 3);
-    {
-        dist_driver drv(rt, {48, 48});
-        lulesh::dist::run_simulation(at10, drv, 10);
-    }
-    {
-        dist_driver drv(rt, {48, 48});
-        lulesh::dist::run_simulation(run, drv, 15);
-    }
-    lulesh::dist::append_cluster_deltas(run, path);
-
-    // Tear slab 1's cycle-15 delta: truncate its file mid-record, as a
-    // crash between the per-slab appends would.  Slabs 0 and 2 still hold
-    // committed cycle-15 records — but the cluster must not restore a mix.
+    // Tear slab 1's cycle-15 record: truncate its file mid-record.  Slabs 0
+    // and 2 still hold committed cycle-15 records — but the cluster must
+    // not restore a mix.
     const std::string victim = lulesh::dist::slab_chain_path(path, 1);
     std::string bytes;
     {
@@ -626,42 +635,22 @@ TEST(DistConsistentCycle, TornTailInOneSlabLowersEveryonesTarget) {
     for (index_t s = 0; s < 3; ++s) {
         EXPECT_EQ(loaded.slab(s).cycle, 10)
             << "slab " << s << " restored past the consistent cycle";
-        EXPECT_EQ(lulesh::max_field_difference(loaded.slab(s), at10.slab(s)),
+        EXPECT_EQ(lulesh::max_field_difference(loaded.slab(s), at10->slab(s)),
                   0.0)
             << "slab " << s;
         std::remove(lulesh::dist::slab_chain_path(path, s).c_str());
     }
 }
 
-TEST(DistConsistentCycle, CommittedButCorruptDeltaAlsoLowersTheTarget) {
+TEST(DistConsistentCycle, CommittedButCorruptNewestRecordAlsoLowersTheTarget) {
     const options o = opts(6);
     amt::runtime rt(2);
-    const std::string path = "/tmp/lulesh_dist_corrupt_delta.ckpt";
-    for (index_t s = 0; s < 2; ++s) {
-        std::remove(lulesh::dist::slab_chain_path(path, s).c_str());
-    }
+    const std::string path = "/tmp/lulesh_dist_corrupt_newest.ckpt";
+    const auto at10 = write_two_record_files(o, 2, rt, path);
 
-    cluster run(o, 2);
-    {
-        dist_driver drv(rt, {48, 48});
-        lulesh::dist::run_simulation(run, drv, 10);
-    }
-    lulesh::dist::save_cluster_chains(run, path);
-    cluster at10(o, 2);
-    {
-        dist_driver drv(rt, {48, 48});
-        lulesh::dist::run_simulation(at10, drv, 10);
-    }
-    {
-        dist_driver drv(rt, {48, 48});
-        lulesh::dist::run_simulation(run, drv, 15);
-    }
-    lulesh::dist::append_cluster_deltas(run, path);
-
-    // Flip one payload byte inside slab 0's cycle-15 delta.  Whether the
-    // flip is caught at read time (record framing) or during replay (full
-    // validation before mutation), the loader must truncate slab 0's chain
-    // and land every slab on cycle 10.
+    // Flip one payload byte inside slab 0's committed cycle-15 record.
+    // The record still frames; full validation fails before it mutates
+    // anything, so the loader drops it and lands every slab on cycle 10.
     const std::string victim = lulesh::dist::slab_chain_path(path, 0);
     std::fstream f(victim, std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.good());
@@ -680,7 +669,7 @@ TEST(DistConsistentCycle, CommittedButCorruptDeltaAlsoLowersTheTarget) {
     lulesh::dist::load_cluster_chains(loaded, path);
     for (index_t s = 0; s < 2; ++s) {
         EXPECT_EQ(loaded.slab(s).cycle, 10) << "slab " << s;
-        EXPECT_EQ(lulesh::max_field_difference(loaded.slab(s), at10.slab(s)),
+        EXPECT_EQ(lulesh::max_field_difference(loaded.slab(s), at10->slab(s)),
                   0.0)
             << "slab " << s;
         std::remove(lulesh::dist::slab_chain_path(path, s).c_str());
@@ -703,7 +692,7 @@ TEST(DistConsistentCycle, CorruptFallbackRecordDoesNotBlockTheNewest) {
     amt::runtime rt(2);
     dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(0), retry_policy{});
-    dist_resilience_options ropt;
+    resilience_options ropt;
     ropt.checkpoint_every = 1;
     ropt.checkpoint_path = path;
     const auto rr = lulesh::dist::run_resilient(c, drv, ropt, 10);

@@ -1,13 +1,13 @@
 // Crash-consistency torture test for the *cluster* checkpoint chains: a
-// forked child writes every slab's chain (base + two delta appends each, in
-// the same interleaved slab-major order the live appenders use) with a
-// crash injected at a randomized cumulative byte offset; the parent then
-// restores through load_cluster_chains.  The invariant is the
-// consistent-cycle rule end to end: whatever byte the writer died at, the
-// restart either reports an unusable chain set (crash before some slab's
-// base committed) or lands *every* slab on the same committed cycle — even
-// when the crash left one slab's chain a full committed delta ahead of its
-// neighbor's.
+// forked child rewrites every slab's file the way the resilient loop's
+// ring mirrors do — {r4}, then {r4, r8}, then {r8, r12}, slab by slab at
+// each commit — with a crash injected at a randomized cumulative byte
+// offset; the parent then restores through load_cluster_chains.  The
+// invariant is the consistent-cycle rule end to end: whatever byte the
+// writer died at, the restart either reports an unusable chain set (crash
+// before some slab's first file committed) or lands *every* slab on the
+// same committed cycle — even when the crash left one slab's file a
+// committed record ahead of its neighbor's.
 
 #include <gtest/gtest.h>
 
@@ -54,13 +54,6 @@ std::string serialized(const domain& d) {
     return os.str();
 }
 
-std::string pack_full(const domain& d, bool base) {
-    lulesh::state_capture cap(d, lulesh::full_coverage(d), base);
-    cap.pack_remaining();
-    cap.wait_packed();
-    return cap.take_record();
-}
-
 /// One committed cluster-wide state: per-slab records plus the per-slab
 /// serialized snapshots the parent compares restores against.
 struct committed_state {
@@ -87,17 +80,21 @@ TEST(DistTorture, CrashAtAnyByteRestoresAConsistentCycle) {
             states[static_cast<std::size_t>(k)].cycle = cycles[k];
             for (index_t s = 0; s < kSlabs; ++s) {
                 states[static_cast<std::size_t>(k)].records.push_back(
-                    pack_full(c.slab(s), /*base=*/k == 0));
+                    lulesh::pack_full_record(c.slab(s)));
                 states[static_cast<std::size_t>(k)].snapshots.push_back(
                     serialized(c.slab(s)));
             }
         }
     }
 
+    // The states each commit leaves in a slab's file, oldest record first.
+    const std::vector<std::vector<std::size_t>> files = {{0}, {0, 1}, {1, 2}};
     long long total = 0;
-    for (const auto& st : states) {
-        for (const auto& r : st.records) {
-            total += static_cast<long long>(r.size());
+    for (const auto& file : files) {
+        for (const std::size_t k : file) {
+            for (const auto& r : states[k].records) {
+                total += static_cast<long long>(r.size());
+            }
         }
     }
 
@@ -116,21 +113,20 @@ TEST(DistTorture, CrashAtAnyByteRestoresAConsistentCycle) {
         const pid_t pid = fork();
         ASSERT_GE(pid, 0) << "fork failed";
         if (pid == 0) {
-            // Child: replay the committed writes in the live appenders'
-            // slab-major order with the crash seam armed; report via the
+            // Child: replay the mirrors' rewrites in the loop's commit
+            // order, slab by slab, with the crash seam armed; report via the
             // exit code (42 = injected crash, set by the seam itself).
             lulesh::set_chain_crash_after_bytes(crash_at);
             try {
-                for (index_t s = 0; s < kSlabs; ++s) {
-                    lulesh::write_chain_file(
-                        slab_chain_path(path, s),
-                        {states[0].records[static_cast<std::size_t>(s)]});
-                }
-                for (std::size_t k = 1; k < 3; ++k) {
+                for (const auto& file : files) {
                     for (index_t s = 0; s < kSlabs; ++s) {
-                        lulesh::append_chain_record_file(
-                            slab_chain_path(path, s),
-                            states[k].records[static_cast<std::size_t>(s)]);
+                        std::vector<std::string> records;
+                        for (const std::size_t k : file) {
+                            records.push_back(states[k].records[
+                                static_cast<std::size_t>(s)]);
+                        }
+                        lulesh::write_chain_file(slab_chain_path(path, s),
+                                                 records);
                     }
                 }
             } catch (...) {
@@ -150,15 +146,16 @@ TEST(DistTorture, CrashAtAnyByteRestoresAConsistentCycle) {
             ASSERT_GE(crash_at, total);
         }
 
-        // Detect the interesting case before restoring: chains whose heads
-        // disagree (the crash landed between one slab's append and the
-        // next's).  Restoring a mix would desynchronize the lockstep clock;
-        // the loader must pick the minimum instead.
+        // Detect the interesting case before restoring: files whose newest
+        // records disagree (the crash landed between one slab's rewrite and
+        // the next's).  Restoring a mix would desynchronize the lockstep
+        // clock; the loader must pick the cycle both files hold instead.
         cluster restored(o, kSlabs);
         try {
             lulesh::dist::load_cluster_chains(restored, path);
         } catch (const lulesh::checkpoint_error&) {
-            // Legal only if the writer died before every base committed.
+            // Legal only if the writer died before every slab's first file
+            // committed.
             ASSERT_EQ(code, 42) << "trial " << trial;
             continue;
         }
@@ -196,9 +193,9 @@ TEST(DistTorture, CrashAtAnyByteRestoresAConsistentCycle) {
         }
         if (torn_between_slabs) ++mixed_head_restores;
     }
-    // Harness sanity: most offsets land after every base committed, and the
-    // between-slab seams are wide enough that some trials actually exercise
-    // the mixed-head case.
+    // Harness sanity: most offsets land after every slab's first file
+    // committed, and the between-slab seams are wide enough that some
+    // trials actually exercise the mixed-head case.
     EXPECT_GT(survived_loads, 60);
     EXPECT_GT(mixed_head_restores, 0);
 

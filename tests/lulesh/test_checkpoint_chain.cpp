@@ -1,5 +1,5 @@
-// Tests for the v3 checkpoint chain: dirty-region coalescing, mixed
-// base+delta replay, restart-from-chain bitwise identity across all four
+// Tests for the v3 checkpoint chain: dirty-region coalescing, whole-state
+// records only, restart-from-chain bitwise identity across all four
 // drivers, the entry-snapshot-only resilient mode, the two-record ring and
 // its mirror, torn-tail tolerance, and the enriched checkpoint_error
 // context.
@@ -7,9 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/checkpoint.hpp"
 #include "lulesh/checkpoint_chain.hpp"
+#include "lulesh/crc32c.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/driver_parallel_for.hpp"
 #include "lulesh/resilient_run.hpp"
@@ -35,7 +37,6 @@ using lulesh::domain;
 using lulesh::field;
 using lulesh::index_t;
 using lulesh::options;
-using lulesh::real_t;
 using lulesh::resilience_options;
 
 options small_opts() {
@@ -57,30 +58,6 @@ std::string serialized(const domain& d) {
     std::ostringstream os;
     lulesh::save_checkpoint(d, os);
     return os.str();
-}
-
-std::vector<real_t>& field_ref(domain& d, field f) {
-    switch (f) {
-        case field::x: return d.x;
-        case field::y: return d.y;
-        case field::z: return d.z;
-        case field::xd: return d.xd;
-        case field::yd: return d.yd;
-        case field::zd: return d.zd;
-        case field::e: return d.e;
-        case field::p: return d.p;
-        case field::q: return d.q;
-        case field::v: return d.v;
-        default: return d.ss;
-    }
-}
-
-std::string pack_one(const domain& d, std::vector<dirty_region> regions,
-                     bool base) {
-    lulesh::state_capture cap(d, std::move(regions), base);
-    cap.pack_remaining();
-    cap.wait_packed();
-    return cap.take_record();
 }
 
 // ---------------- dirty_tracker ----------------
@@ -173,71 +150,23 @@ TEST(DirtyCoverage, IterationWritesEveryCheckpointedFieldInFull) {
 
 // ---------------- record round trips ----------------
 
-TEST(ChainRecords, MixedBaseAndDeltaReplayIsBitwise) {
-    const std::string path = "/tmp/lulesh_chain_mixed.ckpt";
-    std::remove(path.c_str());
-
-    domain d(small_opts());
-    lulesh::serial_driver drv;
-    lulesh::run_simulation(d, drv, 5);  // non-trivial state for the base
-
-    std::vector<std::string> records;
-    records.push_back(pack_one(d, lulesh::full_coverage(d), /*base=*/true));
-
-    // Random partial-coverage deltas: poke values, capture exactly the
-    // poked regions, append.  Replay must land bitwise on the final state.
-    std::mt19937 rng(1234);
-    for (int n = 0; n < 6; ++n) {
-        std::vector<dirty_region> regs;
-        for (int r = 0; r < 3; ++r) {
-            const field f = lulesh::checkpoint_field_at(
-                rng() % lulesh::num_checkpoint_fields);
-            auto& vec = field_ref(d, f);
-            const auto extent = static_cast<index_t>(vec.size());
-            const index_t lo = static_cast<index_t>(
-                rng() % static_cast<std::uint32_t>(extent));
-            const index_t hi =
-                std::min<index_t>(extent, lo + 1 + static_cast<index_t>(
-                                                       rng() % 17));
-            for (index_t i = lo; i < hi; ++i) {
-                vec[static_cast<std::size_t>(i)] +=
-                    real_t(1e-3) * real_t(n + 1);
-            }
-            regs.push_back({f, lo, hi});
-        }
-        d.cycle += 1;  // deltas may carry scalar changes too
-        records.push_back(pack_one(d, std::move(regs), /*base=*/false));
-    }
-    lulesh::write_chain_file(path, records);
-
-    domain replayed(small_opts());
-    lulesh::load_checkpoint_file(replayed, path);
-    EXPECT_EQ(lulesh::max_field_difference(d, replayed), 0.0);
-    EXPECT_EQ(replayed.cycle, d.cycle);
-    EXPECT_EQ(serialized(replayed), serialized(d));
-    std::remove(path.c_str());
-}
-
 TEST(ChainRecords, TornTailAppendIsIgnoredOnRestore) {
     const std::string path = "/tmp/lulesh_chain_torn.ckpt";
     std::remove(path.c_str());
 
+    // A two-record file, as the ring mirror writes it.
     domain d(small_opts());
     lulesh::serial_driver drv;
     lulesh::run_simulation(d, drv, 4);
-    lulesh::write_chain_file(
-        path, {pack_one(d, lulesh::full_coverage(d), /*base=*/true)});
-
+    const std::string at4 = lulesh::pack_full_record(d);
     lulesh::run_simulation(d, drv, 8);
-    lulesh::append_chain_record_file(
-        path, pack_one(d, lulesh::full_coverage(d), /*base=*/false));
+    lulesh::write_chain_file(path, {at4, lulesh::pack_full_record(d)});
     const std::string committed = serialized(d);
 
-    // A crash mid-append leaves a torn tail: only half of the next record's
-    // bytes made it to disk.  Restore must land on the committed state.
+    // Half of a third record's bytes appended in place leave a torn tail.
+    // Restore must land on the newest committed state.
     lulesh::run_simulation(d, drv, 12);
-    const std::string torn =
-        pack_one(d, lulesh::full_coverage(d), /*base=*/false);
+    const std::string torn = lulesh::pack_full_record(d);
     {
         std::ofstream out(path, std::ios::binary | std::ios::app);
         out.write(torn.data(),
@@ -256,7 +185,7 @@ TEST(ChainRecords, FileWithNoCommittedBaseThrowsWithContext) {
     std::remove(path.c_str());
 
     domain d(small_opts());
-    std::string rec = pack_one(d, lulesh::full_coverage(d), /*base=*/true);
+    std::string rec = lulesh::pack_full_record(d);
     rec.resize(rec.size() - 8);  // chop through the commit trailer
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -281,8 +210,7 @@ TEST(ChainRecords, MeshShapeMismatchIsNamedNotMisreportedAsTorn) {
     std::remove(path.c_str());
 
     domain d(small_opts());
-    lulesh::write_chain_file(
-        path, {pack_one(d, lulesh::full_coverage(d), /*base=*/true)});
+    lulesh::write_chain_file(path, {lulesh::pack_full_record(d)});
 
     // Loading into a differently-sized mesh must say "shape", not claim
     // the (perfectly committed) base record is missing.
@@ -304,7 +232,7 @@ TEST(ChainRecords, MeshShapeMismatchIsNamedNotMisreportedAsTorn) {
 
 TEST(ChainRecords, StandaloneCheckpointFileIsOneCommittedBaseRecord) {
     // save_checkpoint_file writes the chain format the resilient loop
-    // mirrors: one committed base record holding the whole state.
+    // mirrors: one committed record holding the whole state.
     const std::string path = "/tmp/lulesh_chain_standalone.ckpt";
     std::remove(path.c_str());
 
@@ -316,9 +244,50 @@ TEST(ChainRecords, StandaloneCheckpointFileIsOneCommittedBaseRecord) {
     std::ifstream in(path, std::ios::binary);
     const auto records = lulesh::read_chain_records(d, in, path);
     ASSERT_EQ(records.size(), 1u);
-    EXPECT_TRUE(lulesh::chain_record_is_base(records[0]));
     EXPECT_EQ(lulesh::chain_record_cycle(records[0]), 5);
-    EXPECT_EQ(records[0], pack_one(d, lulesh::full_coverage(d), /*base=*/true));
+    EXPECT_EQ(records[0], lulesh::pack_full_record(d));
+    std::remove(path.c_str());
+}
+
+TEST(ChainRecords, DeltaRecordOfTheEarlierFormatFailsAndTheRestoreFallsBack) {
+    // An earlier version of the format also wrote delta records (header
+    // kind 1) after a base record.  Such a record fails validation like a
+    // corrupt one, and the restore falls back to the record before it.
+    const std::string path = "/tmp/lulesh_chain_old_delta.ckpt";
+    std::remove(path.c_str());
+
+    domain d(small_opts());
+    lulesh::serial_driver drv;
+    lulesh::run_simulation(d, drv, 4);
+    const std::string at4 = lulesh::pack_full_record(d);
+    const std::string state4 = serialized(d);
+    lulesh::run_simulation(d, drv, 8);
+    std::string delta = lulesh::pack_full_record(d);
+    // Re-stamp the header as a delta: kind at byte 12, the header CRC at
+    // byte 20 (computed with itself zeroed) and its echo in the trailer.
+    constexpr std::size_t header_bytes = 80;
+    const std::uint32_t delta_kind = 1;
+    std::uint32_t crc = 0;
+    std::memcpy(delta.data() + 12, &delta_kind, sizeof(delta_kind));
+    std::memcpy(delta.data() + 20, &crc, sizeof(crc));
+    crc = lulesh::crc32c_of(delta.data(), header_bytes);
+    std::memcpy(delta.data() + 20, &crc, sizeof(crc));
+    std::memcpy(delta.data() + delta.size() - 8, &crc, sizeof(crc));
+    lulesh::write_chain_file(path, {at4, delta});
+
+    domain probe(small_opts());
+    try {
+        lulesh::apply_chain_record(probe, delta, path);
+        FAIL() << "expected checkpoint_error";
+    } catch (const lulesh::checkpoint_error& e) {
+        EXPECT_NE(std::string(e.what()).find("not a whole state"),
+                  std::string::npos)
+            << e.what();
+    }
+    domain restored(small_opts());
+    lulesh::load_checkpoint_file(restored, path);
+    EXPECT_EQ(restored.cycle, 4);
+    EXPECT_EQ(serialized(restored), state4);
     std::remove(path.c_str());
 }
 
@@ -364,7 +333,7 @@ TEST(RecordRing, KeepsTwoRecordsAndDropsWhatARestoreAbandons) {
     std::vector<std::string> states;  // the state at cycles 1, 2 and 3
     for (int cycle = 1; cycle <= 3; ++cycle) {
         lulesh::run_simulation(d, drv, cycle);
-        ring.commit(cycle, lulesh::pack_full_record(d, /*base=*/true));
+        ring.commit(cycle, lulesh::pack_full_record(d));
         states.push_back(serialized(d));
     }
     // The third commit retired cycle 1's buffer for the next capture.
@@ -379,7 +348,7 @@ TEST(RecordRing, KeepsTwoRecordsAndDropsWhatARestoreAbandons) {
 
     // A record that fails validation is dropped, and the domain is left
     // untouched; so is a restore of a cycle the ring does not hold.
-    std::string bad = lulesh::pack_full_record(d, /*base=*/true);
+    std::string bad = lulesh::pack_full_record(d);
     bad[bad.size() / 2] ^= 0x01;
     ring.commit(4, std::move(bad));
     EXPECT_THROW(ring.restore(d, 4, "ring"), lulesh::checkpoint_error);
@@ -404,7 +373,7 @@ void chain_restart_roundtrip(lulesh::driver& drv, const std::string& tag) {
     const auto rr = lulesh::run_resilient(res, drv, opt, 12);
     ASSERT_EQ(rr.result.run_status, lulesh::status::ok);
 
-    // The mirror holds the ring's two base records; restoring it and resuming
+    // The mirror holds the ring's two records; restoring it and resuming
     // with the plain loop must be bitwise identical to never stopping.
     domain resumed(small_opts());
     lulesh::load_checkpoint_file(resumed, path);
@@ -460,7 +429,8 @@ TEST(ResilientChain, EntrySnapshotOnlyModeRecoversFromStart) {
     amt::fault::disarm();
 
     EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-    EXPECT_EQ(rr.rollbacks, 1);
+    EXPECT_EQ(rr.recoveries, 1);
+    EXPECT_EQ(rr.last_rollback_cycle, 0);
     EXPECT_EQ(rr.checkpoints, 0);  // only the (uncounted) entry snapshot
     EXPECT_EQ(rr.dt_halvings, 0);
     EXPECT_EQ(lulesh::max_field_difference(plain, res), 0.0);
@@ -468,7 +438,7 @@ TEST(ResilientChain, EntrySnapshotOnlyModeRecoversFromStart) {
 }
 
 TEST(ResilientChain, PeriodicRebaseKeepsTheMirrorLoadable) {
-    // Every record is a base record, and every commit rewrites the mirror
+    // Every record is a whole state, and every commit rewrites the mirror
     // with the ring's two records: the newest and the fallback.
     const std::string path = "/tmp/lulesh_chain_rebase.ckpt";
     std::remove(path.c_str());
@@ -479,7 +449,7 @@ TEST(ResilientChain, PeriodicRebaseKeepsTheMirrorLoadable) {
     opt.checkpoint_every = 1;
     opt.checkpoint_path = path;
     std::vector<std::string> committed;
-    opt.snapshot_hook = [&committed](std::string& rec) {
+    opt.record_hook = [&committed](index_t, std::string& rec) {
         committed.push_back(rec);
     };
     const auto rr = lulesh::run_resilient(res, drv, opt, 10);
@@ -494,9 +464,6 @@ TEST(ResilientChain, PeriodicRebaseKeepsTheMirrorLoadable) {
     EXPECT_EQ(records[1], committed[10]);
     EXPECT_EQ(lulesh::chain_record_cycle(records[0]), 9);
     EXPECT_EQ(lulesh::chain_record_cycle(records[1]), 10);
-    for (const std::string& rec : records) {
-        EXPECT_TRUE(lulesh::chain_record_is_base(rec));
-    }
 
     domain restored(small_opts());
     lulesh::load_checkpoint_file(restored, path);
@@ -580,7 +547,7 @@ TEST(ResilientChain, EveryCycleCheckpointingCyclesThroughThreeRecordBuffers) {
     opt.checkpoint_every = 1;
     int commits = 0;
     std::set<const char*> buffers;
-    opt.snapshot_hook = [&](std::string& rec) {
+    opt.record_hook = [&](index_t, std::string& rec) {
         ++commits;
         buffers.insert(rec.data());
     };
@@ -618,7 +585,7 @@ TEST(ResilientChain, OverlappedPackingSurvivesAFaultedPackTask) {
         opt.checkpoint_every = 4;
         const auto rr = lulesh::run_resilient(res, drv, opt, 20);
         EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-        EXPECT_EQ(rr.rollbacks, 0);
+        EXPECT_EQ(rr.recoveries, 0);
     }
     amt::fault::disarm();
 

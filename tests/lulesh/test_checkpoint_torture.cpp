@@ -1,9 +1,10 @@
 // Crash-consistency torture test for the v3 checkpoint chain: a forked
-// child writes a chain (base + two delta appends) with a crash injected at
-// a randomized byte offset; the parent then checks the surviving file.  The
-// invariant under test is the commit-record protocol's whole promise:
-// whatever byte the writer died at, the file either does not exist yet
-// (crash before the base rename) or restores bitwise to one of the three
+// child rewrites a chain file the way the resilient loop's ring mirror does
+// — {r4}, then {r4, r8}, then {r8, r12} — with a crash injected at a
+// randomized byte offset; the parent then checks the surviving file.  The
+// invariant under test is the write protocol's whole promise: whatever
+// byte the writer died at, the file either does not exist yet (crash
+// before the first rename) or restores bitwise to one of the three
 // committed states — never to a torn in-between.
 
 #include <gtest/gtest.h>
@@ -42,13 +43,6 @@ std::string serialized(const domain& d) {
     return os.str();
 }
 
-std::string pack_full(const domain& d, bool base) {
-    lulesh::state_capture cap(d, lulesh::full_coverage(d), base);
-    cap.pack_remaining();
-    cap.wait_packed();
-    return cap.take_record();
-}
-
 bool file_exists(const std::string& path) {
     return std::ifstream(path).good();
 }
@@ -56,21 +50,28 @@ bool file_exists(const std::string& path) {
 TEST(CheckpointTorture, CrashAtAnyByteLeavesALoadableChain) {
     const std::string path = "/tmp/lulesh_chain_torture.ckpt";
 
-    // The three committed states: base at cycle 4, deltas at 8 and 12.
+    // The three committed states, at cycles 4, 8 and 12, and the files the
+    // ring mirror holds after each commit.
     domain d(small_opts());
     lulesh::serial_driver drv;
     lulesh::run_simulation(d, drv, 4);
-    const std::string base = pack_full(d, /*base=*/true);
+    const std::string r4 = lulesh::pack_full_record(d);
     const std::string s0 = serialized(d);
     lulesh::run_simulation(d, drv, 8);
-    const std::string delta1 = pack_full(d, /*base=*/false);
+    const std::string r8 = lulesh::pack_full_record(d);
     const std::string s1 = serialized(d);
     lulesh::run_simulation(d, drv, 12);
-    const std::string delta2 = pack_full(d, /*base=*/false);
+    const std::string r12 = lulesh::pack_full_record(d);
     const std::string s2 = serialized(d);
+    const std::vector<std::vector<std::string>> files = {
+        {r4}, {r4, r8}, {r8, r12}};
 
-    const long long total =
-        static_cast<long long>(base.size() + delta1.size() + delta2.size());
+    long long total = 0;
+    for (const auto& file : files) {
+        for (const std::string& r : file) {
+            total += static_cast<long long>(r.size());
+        }
+    }
 
     std::mt19937 rng(20260808);
     std::uniform_int_distribution<long long> pick(0, total + 64);
@@ -88,9 +89,9 @@ TEST(CheckpointTorture, CrashAtAnyByteLeavesALoadableChain) {
             // with the crash seam armed and report via the exit code.
             lulesh::set_chain_crash_after_bytes(crash_at);
             try {
-                lulesh::write_chain_file(path, {base});
-                lulesh::append_chain_record_file(path, delta1);
-                lulesh::append_chain_record_file(path, delta2);
+                for (const auto& file : files) {
+                    lulesh::write_chain_file(path, file);
+                }
             } catch (...) {
                 ::_exit(3);
             }
@@ -110,9 +111,9 @@ TEST(CheckpointTorture, CrashAtAnyByteLeavesALoadableChain) {
         }
 
         if (!file_exists(path)) {
-            // Only legal if the writer died before the base rename.
+            // Only legal if the writer died before the first rename.
             ASSERT_EQ(code, 42) << "trial " << trial;
-            ASSERT_LT(crash_at, static_cast<long long>(base.size()))
+            ASSERT_LE(crash_at, static_cast<long long>(r4.size()))
                 << "trial " << trial;
             continue;
         }

@@ -72,6 +72,15 @@ TEST(Cli, HelpFlagSetsShowHelp) {
 
 TEST(Cli, RejectsUnknownFlag) {
     EXPECT_THROW(parse({"--bogus"}), std::invalid_argument);
+    // --max-recoveries is the one recovery budget, for both executables.
+    try {
+        parse({"--retries", "3"});
+        ADD_FAILURE() << "--retries parsed";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown flag '--retries'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Cli, RejectsMissingValue) {
@@ -117,7 +126,6 @@ TEST(Cli, RejectsValuesThatDoNotFitTheFlagsType) {
     rejects({"-c", "4294967297"}, "-c");
     rejects({"-t", "99999999999999999999"}, "-t");
     rejects({"--checkpoint-every", "4294967297"}, "--checkpoint-every");
-    rejects({"--retries", "4294967297"}, "--retries");
     rejects({"--halo-timeout", "4294967296"}, "--halo-timeout");
     rejects({"--halo-timeout=4294967296"}, "--halo-timeout");
     rejects({"--max-recoveries", "4294967297"}, "--max-recoveries");
@@ -138,6 +146,10 @@ TEST(Cli, RejectsRegionBalanceAndCostTheDomainRejects) {
     }
     EXPECT_THROW(parse({"-r", "2", "-b", "64"}), std::invalid_argument);
     EXPECT_THROW(parse({"-r", "4000000", "-b", "2"}), std::invalid_argument);
+    // Weights that fit but leave region 1 too rarely to ever finish a map.
+    EXPECT_THROW(parse({"-r", "2", "-b", "40"}), std::invalid_argument);
+    EXPECT_THROW(parse({"-r", "2", "-b", "20"}), std::invalid_argument);
+    EXPECT_EQ(parse({"-r", "2", "-b", "19"}).problem.balance, 19);
     EXPECT_EQ(parse({"-b", "0"}).problem.balance, 0);
     EXPECT_EQ(parse({"-b", "18"}).problem.balance, 18);
     EXPECT_EQ(parse({"-r", "1", "-b", "40"}).problem.balance, 40);

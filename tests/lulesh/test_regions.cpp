@@ -195,4 +195,19 @@ TEST(RegionBalance, RejectsBalancesWithoutIntegerWeights) {
                  std::invalid_argument);
 }
 
+TEST(RegionBalance, RejectsMapsThatCanNeverLeaveARegion) {
+    // A draw spans R = min(weight sum, 2^31) values.  With two regions,
+    // region 1 covers all of them but one, so the draw that must leave it
+    // succeeds once in R tries: -b 40 never finished a map, -b 20 is past
+    // the 2^20 cap and -b 19 is under it.
+    EXPECT_THROW(lulesh::check_region_balance(2, 40), std::invalid_argument);
+    EXPECT_THROW(lulesh::check_region_balance(2, 20), std::invalid_argument);
+    EXPECT_THROW(domain(opts(4, 2, 1, /*balance=*/40)), std::invalid_argument);
+    EXPECT_NO_THROW(lulesh::check_region_balance(2, 19));
+    EXPECT_EQ(domain(opts(4, 2, 1, /*balance=*/19)).numReg(), 2);
+    // Eleven regions: region 3's bins cover most of [0, 2^31), and the
+    // others still hold 387,682,634 of those values.
+    EXPECT_NO_THROW(lulesh::check_region_balance(11, 18));
+}
+
 }  // namespace

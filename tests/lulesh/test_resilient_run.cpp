@@ -1,8 +1,9 @@
-// Tests for the checkpoint-based recovery loop: transient injected faults
-// recover bitwise identically to a fault-free run (for both the
+// Tests for the rollback-and-replay loop on one domain: transient injected
+// faults recover bitwise identically to a fault-free run (for both the
 // parallel-for and task-graph drivers), persistent faults exhaust the
-// bounded retry budget with the mapped status, deterministic physics
-// failures halve dt immediately, and the optional file mirror follows the
+// bounded recovery budget with the mapped status, deterministic physics
+// failures halve dt immediately, corrupt records fall back to an older
+// record or the entry snapshot, and the optional file mirror follows the
 // atomic write protocol.
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 namespace {
 
 using lulesh::domain;
+using lulesh::index_t;
 using lulesh::options;
 using lulesh::resilience_options;
 
@@ -65,7 +67,7 @@ TEST(ResilientRun, FaultFreeRunMatchesPlainLoop) {
     const auto rr = lulesh::run_resilient(res, d2, opt, 20);
 
     EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-    EXPECT_EQ(rr.rollbacks, 0);
+    EXPECT_EQ(rr.recoveries, 0);
     EXPECT_EQ(rr.dt_halvings, 0);
     EXPECT_GT(rr.checkpoints, 0);
     EXPECT_EQ(rr.result.cycles, base.cycles);
@@ -97,7 +99,7 @@ TEST(ResilientRun, TransientFaultRecoversBitwiseParallelFor) {
         opt.checkpoint_every = 4;
         const auto rr = lulesh::run_resilient(res, drv, opt, 20);
         EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-        EXPECT_EQ(rr.rollbacks, 1);
+        EXPECT_EQ(rr.recoveries, 1);
         EXPECT_EQ(rr.dt_halvings, 0);  // transient: first retry keeps dt
         EXPECT_EQ(rr.result.final_origin_energy, plain.e[0]);
     }
@@ -134,7 +136,7 @@ TEST(ResilientRun, TransientFaultRecoversBitwiseTaskGraph) {
         opt.checkpoint_every = 4;
         const auto rr = lulesh::run_resilient(res, drv, opt, 20);
         EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-        EXPECT_EQ(rr.rollbacks, 1);
+        EXPECT_EQ(rr.recoveries, 1);
         EXPECT_EQ(rr.dt_halvings, 0);
     }
     amt::fault::disarm();
@@ -156,14 +158,14 @@ TEST(ResilientRun, PersistentFaultExhaustsBoundedRetries) {
     lulesh::serial_driver drv;
     resilience_options opt;
     opt.checkpoint_every = 2;
-    opt.max_retries = 2;
+    opt.max_recoveries = 2;
     const auto rr = lulesh::run_resilient(res, drv, opt, 20);
     amt::fault::disarm();
 
     EXPECT_EQ(rr.result.run_status, lulesh::status::task_fault);
     EXPECT_EQ(lulesh::exit_code_for(rr.result.run_status), 4);
-    EXPECT_EQ(rr.rollbacks, opt.max_retries + 1);
-    EXPECT_EQ(rr.dt_halvings, 1);  // first retry keeps dt, second halves
+    EXPECT_EQ(rr.recoveries, opt.max_recoveries);  // replays only
+    EXPECT_EQ(rr.dt_halvings, 1);  // first replay keeps dt, second halves
     EXPECT_NE(rr.result.error_message.find("cycle 5"), std::string::npos);
     // The domain is left at the last good snapshot, not mid-cycle.
     EXPECT_LT(res.cycle, 5);
@@ -193,7 +195,7 @@ TEST(ResilientRun, SimulationErrorHalvesDtImmediately) {
     const auto rr = lulesh::run_resilient(res, drv, opt, 12);
 
     EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-    EXPECT_EQ(rr.rollbacks, 1);
+    EXPECT_EQ(rr.recoveries, 1);
     EXPECT_EQ(rr.dt_halvings, 1);
     EXPECT_EQ(rr.result.cycles, 12);
 }
@@ -232,39 +234,54 @@ TEST(ResilientRun, CorruptSnapshotFallsBackToThePreviousOne) {
     resilience_options opt;
     opt.checkpoint_every = 2;
     int snaps = 0;
-    opt.snapshot_hook = [&snaps](std::string& bytes) {
+    opt.record_hook = [&snaps](index_t, std::string& bytes) {
         if (++snaps == 3) bytes[bytes.size() - 9] ^= 0x10;
     };
     const auto rr = lulesh::run_resilient(res, drv, opt, 20);
     amt::fault::disarm();
 
     EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
-    EXPECT_EQ(rr.rollbacks, 1);
-    EXPECT_EQ(rr.snapshot_fallbacks, 1);
+    EXPECT_EQ(rr.recoveries, 1);
+    EXPECT_EQ(rr.last_rollback_cycle, 2);
+    EXPECT_EQ(rr.entry_fallbacks, 0);
     EXPECT_EQ(rr.dt_halvings, 0);  // transient: the replay keeps dt
     // The longer replay (from cycle 2 instead of 4) is still bitwise exact.
     EXPECT_EQ(lulesh::max_field_difference(plain, res), 0.0);
     EXPECT_EQ(serialized(res), serialized(plain));
 }
 
-TEST(ResilientRun, BothSnapshotsCorruptPropagatesCheckpointError) {
+TEST(ResilientRun, BothSnapshotsCorruptRestoreTheEntrySnapshot) {
     fault_guard guard;
+    domain plain(small_opts());
+    lulesh::serial_driver d0;
+    lulesh::run_simulation(plain, d0, 20);
+
     amt::fault::plan p;
     p.site = "advance";
     p.epoch = 6;
     p.max_injections = 1;
     amt::fault::arm(p);
 
+    // Every record the ring holds is corrupt, its copy of the entry record
+    // included.  The rollback finds no valid cycle and restores the
+    // pristine pre-hook entry snapshot, then replays the whole run —
+    // bitwise, since the fault budget is spent.
     domain res(small_opts());
     lulesh::serial_driver drv;
     resilience_options opt;
     opt.checkpoint_every = 2;
-    opt.snapshot_hook = [](std::string& bytes) {
+    opt.record_hook = [](index_t, std::string& bytes) {
         bytes[bytes.size() - 9] ^= 0x10;  // corrupt *every* snapshot
     };
-    EXPECT_THROW(lulesh::run_resilient(res, drv, opt, 20),
-                 lulesh::checkpoint_error);
+    const auto rr = lulesh::run_resilient(res, drv, opt, 20);
     amt::fault::disarm();
+
+    EXPECT_EQ(rr.result.run_status, lulesh::status::ok);
+    EXPECT_EQ(rr.recoveries, 1);
+    EXPECT_EQ(rr.entry_fallbacks, 1);
+    EXPECT_EQ(rr.last_rollback_cycle, 0);
+    EXPECT_EQ(lulesh::max_field_difference(plain, res), 0.0);
+    EXPECT_EQ(serialized(res), serialized(plain));
 }
 
 TEST(ResilientRun, FileMirrorIsAtomicAndLoadable) {
