@@ -154,6 +154,10 @@ int main(int argc, char** argv) {
     } else if (!cli.checkpoint_save.empty() && cli.checkpoint_every <= 0) {
         unread = "--checkpoint-save names the resilient loop's per-slab "
                  "mirror files here — combine it with --checkpoint-every";
+    } else if (cli.driver != "taskgraph") {
+        unread = "-d selects a single-domain driver; distributed_sedov runs "
+                 "the task graph on every slab (-d taskgraph) — use "
+                 "lulesh_app";
     }
     if (unread != nullptr) {
         std::cerr << "lulesh: " << unread << "\n"

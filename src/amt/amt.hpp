@@ -27,7 +27,6 @@
 #include "amt/deque.hpp"
 #include "amt/fault.hpp"
 #include "amt/future.hpp"
-#include "amt/graph_profile.hpp"
 #include "amt/metrics.hpp"
 #include "amt/scheduler.hpp"
 #include "amt/static_graph.hpp"

@@ -63,7 +63,8 @@
 // — the same one the runtime books as productive time, histogram sample
 // and trace span — to its own cost.  Costs are therefore always collected
 // and cost nothing beyond the task's one clock pair; successor release is
-// scheduler time, not node cost.  graph_profile reads them.
+// scheduler time, not node cost.  The critical-path report
+// (core/critical_path.hpp) reads them.
 //
 // Ownership: nodes are task_base subclasses constructed NOT scheduler-owned
 // — the scheduler executes them but never deletes them (see task.hpp).
@@ -163,7 +164,7 @@ public:
         return generation_;
     }
 
-    /// Per-node cost for the critical-path analyzer (amt/graph_profile.hpp;
+    /// Per-node cost for the critical-path analyzer (core/critical_path.hpp;
     /// see the file comment): accumulated task nanoseconds and the number
     /// of runs behind them.  Recycled nodes integrate cost across replays,
     /// so the mean converges as iterations accumulate.  Read while

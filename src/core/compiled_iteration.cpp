@@ -1,34 +1,32 @@
 // core/compiled_iteration.cpp — compiles slab tables into one replayable
-// static graph, and the task wrapper every wave-body node runs through.
+// static graph, the task wrapper every wave-body node runs through, and
+// the replay every graph driver runs it by.
 
 #include "core/compiled_iteration.hpp"
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "lulesh/checkpoint_chain.hpp"
+#include "lulesh/driver.hpp"
 
 namespace lulesh::graph {
 
 namespace k = kernels;
 
 compiled_iteration::compiled_iteration(amt::runtime& rt,
-                                       std::vector<slab_table> slabs,
-                                       const config& cfg,
-                                       const error_flags& flags,
-                                       bool shared_barriers,
-                                       halo_handler halo)
+                                       std::span<domain* const> slabs,
+                                       const table_builder& table,
+                                       const config& cfg, fabric fab)
     : rt_(rt),
       cfg_(cfg),
-      shared_barriers_(shared_barriers),
-      flags_(flags),
-      halo_(std::move(halo)),
-      instrumented_(flags.sentinel != nullptr &&
-                    (cfg.track_hazards || cfg.scan_nan)),
+      fabric_(std::move(fab)),
+      instrumented_(cfg.track_hazards || cfg.scan_nan),
       slabs_(slabs.size()) {
     for (std::size_t s = 0; s < slabs.size(); ++s) {
-        const domain& d = *slabs[s].dom;
+        const domain& d = *slabs[s];
         table_shape& shape = slabs_[s].shape;
         shape.elems = d.numElem();
         shape.nodes = d.numNode();
@@ -39,42 +37,45 @@ compiled_iteration::compiled_iteration(amt::runtime& rt,
             shape.region_sizes.push_back(
                 static_cast<index_t>(d.regElemList(r).size()));
         }
-        slabs_[s].table = std::move(slabs[s].table);
-        slabs_[s].env.dom = slabs[s].dom;
+        slabs_[s].table = table(d, s);
+        slabs_[s].env.dom = slabs[s];
     }
     compile();
     graph_.seal();
+    if (fabric_.on_failure) {
+        graph_.set_error_hook(
+            [this](node_id id, const std::exception_ptr& e) {
+                fabric_.on_failure(meta_[id].slab, e);
+            });
+    }
 }
 
-bool compiled_iteration::matches(const config& cfg, const error_flags& flags,
-                                 std::size_t slabs) const noexcept {
-    return cfg_.parts.nodal == cfg.parts.nodal &&
-           cfg_.parts.elems == cfg.parts.elems &&
-           cfg_.track_hazards == cfg.track_hazards &&
-           cfg_.scan_nan == cfg.scan_nan && slabs_.size() == slabs &&
-           flags_.sentinel.get() == flags.sentinel.get();
-}
-
-bool compiled_iteration::shape_matches(std::size_t slab,
-                                       const domain& d) const noexcept {
-    const table_shape& s = slabs_[slab].shape;
-    if (s.elems != d.numElem() || s.nodes != d.numNode() ||
-        s.plane != d.elems_per_plane() || s.lower != d.has_lower_neighbor() ||
-        s.upper != d.has_upper_neighbor() ||
-        s.region_sizes.size() != static_cast<std::size_t>(d.numReg())) {
+bool compiled_iteration::fits(std::span<domain* const> slabs,
+                              const config& cfg) const noexcept {
+    if (cfg_.parts.nodal != cfg.parts.nodal ||
+        cfg_.parts.elems != cfg.parts.elems ||
+        cfg_.track_hazards != cfg.track_hazards ||
+        cfg_.scan_nan != cfg.scan_nan || slabs_.size() != slabs.size()) {
         return false;
     }
-    for (index_t r = 0; r < d.numReg(); ++r) {
-        if (s.region_sizes[static_cast<std::size_t>(r)] !=
-            static_cast<index_t>(d.regElemList(r).size())) {
+    for (std::size_t i = 0; i < slabs.size(); ++i) {
+        const table_shape& s = slabs_[i].shape;
+        const domain& d = *slabs[i];
+        if (s.elems != d.numElem() || s.nodes != d.numNode() ||
+            s.plane != d.elems_per_plane() ||
+            s.lower != d.has_lower_neighbor() ||
+            s.upper != d.has_upper_neighbor() ||
+            s.region_sizes.size() != static_cast<std::size_t>(d.numReg())) {
             return false;
+        }
+        for (index_t r = 0; r < d.numReg(); ++r) {
+            if (s.region_sizes[static_cast<std::size_t>(r)] !=
+                static_cast<index_t>(d.regElemList(r).size())) {
+                return false;
+            }
         }
     }
     return true;
-}
-
-void compiled_iteration::bind(std::size_t slab, domain& d) {
-    slabs_[slab].env.dom = &d;
 }
 
 void compiled_iteration::add_capture(std::size_t slab,
@@ -82,20 +83,27 @@ void compiled_iteration::add_capture(std::size_t slab,
     slabs_[slab].capture = std::move(cap);
 }
 
-void compiled_iteration::arm(real_t dt) {
+void compiled_iteration::arm(std::span<domain* const> slabs) {
     // A pack gates the barrier closing its last stage: node fields B1, v
     // B2, the other element fields B3.
     const auto pack_stage = [](const state_capture& cap, std::size_t i) {
         return checkpoint_pack_last_stage(cap.region(i).f);
     };
     ext_ = receives_;
+    pack_count_ = 0;
+    volume_ok_.store(true, amt::memory_order_relaxed);
+    qstop_ok_.store(true, amt::memory_order_relaxed);
+    nan_field_.store(nullptr, amt::memory_order_relaxed);
+    nan_wave_.store(nullptr, amt::memory_order_relaxed);
     for (std::size_t s = 0; s < slabs_.size(); ++s) {
         slab_state& sl = slabs_[s];
-        sl.env.dt = dt;
+        sl.env.dom = slabs[s];
+        sl.env.dt = slabs.front()->deltatime;
         std::fill(sl.partials.begin(), sl.partials.end(),
                   k::dt_constraints{});
         if (instrumented_) build_access_sets(sl);
         if (sl.capture != nullptr) {
+            pack_count_ += sl.capture->num_regions();
             for (std::size_t i = 0; i < sl.capture->num_regions(); ++i) {
                 ++ext_[set_of(s)][pack_stage(*sl.capture, i)];
             }
@@ -126,6 +134,42 @@ void compiled_iteration::arm(real_t dt) {
                 graph_.satisfy_external(gate);
             });
         }
+    }
+}
+
+void compiled_iteration::reduce_constraints() {
+    k::dt_constraints combined;
+    for (const slab_state& sl : slabs_) {
+        for (const k::dt_constraints& p : sl.partials) {
+            combined = k::min_constraints(combined, p);
+        }
+    }
+    for (slab_state& sl : slabs_) {
+        sl.env.dom->dtcourant = combined.dtcourant;
+        sl.env.dom->dthydro = combined.dthydro;
+    }
+}
+
+void compiled_iteration::check() const {
+    if (!volume_ok_.load(amt::memory_order_relaxed)) {
+        throw simulation_error(status::volume_error,
+                               "non-positive volume detected");
+    }
+    if (!qstop_ok_.load(amt::memory_order_relaxed)) {
+        throw simulation_error(status::qstop_error,
+                               "artificial viscosity exceeded qstop");
+    }
+    if (const char* fname = nan_field_.load(amt::memory_order_relaxed)) {
+        throw simulation_error(
+            status::data_corruption,
+            std::string("non-finite field value detected in ") + fname +
+                " at wave " + nan_wave_.load(amt::memory_order_relaxed));
+    }
+    if (cfg_.track_hazards && amt::hazard::violation_count() > 0) {
+        const auto violations = amt::hazard::take_violations();
+        throw simulation_error(status::hazard,
+                               "shadow tracker: " +
+                                   violations.front().describe());
     }
 }
 
@@ -161,8 +205,7 @@ void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task) {
     const slab_state& sl = slabs_[slab];
     const task_decl& t = sl.table.tasks[task];
     const char* site = wave_site_of(t.kind);
-    const iteration_sentinel::task_ctx* ctx =
-        instrumented_ ? &sl.ctxs[task] : nullptr;
+    const task_ctx* ctx = instrumented_ ? &sl.ctxs[task] : nullptr;
     amt::fault::probe(site);
     {
         std::optional<amt::hazard::task_scope> scope;
@@ -175,11 +218,8 @@ void compiled_iteration::run_task(std::uint32_t slab, std::uint32_t task) {
     if (ctx != nullptr && cfg_.scan_nan) {
         const field bad = scan_written_for_nonfinite(ctx->accs, *sl.env.dom);
         if (bad != field::count) {
-            iteration_sentinel& sent = *flags_.sentinel;
-            flags_.nan_ok->store(false, amt::memory_order_relaxed);
-            sent.nan_wave_site.store(site, amt::memory_order_relaxed);
-            sent.nan_field_name.store(field_name(bad),
-                                      amt::memory_order_relaxed);
+            nan_wave_.store(site, amt::memory_order_relaxed);
+            nan_field_.store(field_name(bad), amt::memory_order_relaxed);
         }
     }
 }
@@ -214,7 +254,7 @@ std::uint32_t compiled_iteration::home_of(const task_decl& t,
 }
 
 void compiled_iteration::compile() {
-    const std::size_t sets = shared_barriers_ ? 1 : slabs_.size();
+    const std::size_t sets = fabric_.shared_barriers ? 1 : slabs_.size();
     barrier_.resize(sets);
     stamps_.resize(sets);
     receives_.assign(sets, {});
@@ -232,8 +272,8 @@ void compiled_iteration::compile() {
         slab_state& sl = slabs_[s];
         const std::vector<task_decl>& tasks = sl.table.tasks;
         const auto& bar = barrier_[set_of(s)];
-        sl.env.volume_ok = flags_.volume_ok.get();
-        sl.env.qstop_ok = flags_.qstop_ok.get();
+        sl.env.volume_ok = &volume_ok_;
+        sl.env.qstop_ok = &qstop_ok_;
         sl.partials.assign(sl.table.num_slots, k::dt_constraints{});
         sl.env.partials = sl.partials.data();
         sl.ids.assign(tasks.size(), no_node);
@@ -258,8 +298,8 @@ void compiled_iteration::compile() {
                 ++task_count_;
             } else {
                 const task_decl* tp = &t;
-                sl.ids[i] = add_node([this, s, tp] { halo_(s, *tp); }, t.site,
-                                     t.partition, -1, s);
+                sl.ids[i] = add_node([this, s, tp] { fabric_.halo(s, *tp); },
+                                     t.site, t.partition, -1, s);
             }
         }
 
@@ -279,6 +319,41 @@ void compiled_iteration::compile() {
             graph_.add_edge(id, bar[stage]);
         }
     }
+}
+
+bool replay::submit_capture(std::size_t slab,
+                            std::shared_ptr<state_capture> cap) {
+    // Overlap pays only when a worker can pack while another computes; on
+    // one worker the pack tasks would just interleave with compute, at a
+    // worse cache footprint than a synchronous pack of still-warm fields.
+    if (rt_.num_workers() <= 1) return false;
+    if (captures_.size() <= slab) captures_.resize(slab + 1);
+    captures_[slab] = cap;
+    return true;
+}
+
+compiled_iteration& replay::arm(
+    std::span<domain* const> slabs,
+    const compiled_iteration::table_builder& table,
+    const compiled_iteration::config& cfg,
+    const compiled_iteration::fabric& fab) {
+    if (compiled_ == nullptr || !compiled_->fits(slabs, cfg)) {
+        compiled_.reset();
+        compiled_ =
+            std::make_unique<compiled_iteration>(rt_, slabs, table, cfg, fab);
+    }
+    for (std::size_t s = 0; s < captures_.size(); ++s) {
+        const std::shared_ptr<state_capture> cap =
+            std::exchange(captures_[s], {}).lock();
+        if (cap == nullptr) continue;
+        if (s < slabs.size() && cap->source() == slabs[s]) {
+            compiled_->add_capture(s, cap);
+        } else {
+            cap->pack_remaining();  // another domain's: pack on the spot
+        }
+    }
+    compiled_->arm(slabs);
+    return *compiled_;
 }
 
 }  // namespace lulesh::graph

@@ -3,14 +3,20 @@
 // One leapfrog iteration compiled into a reusable amt::static_graph — the
 // end point of the paper's T6 trick.  The compiler walks a list of slab
 // tables (core/access.hpp: build_iteration_table for the taskgraph
-// driver, one build_slab_model table per slab for the dist driver) and
-// turns every task into a node, its edges, or an external dependency; it
-// is the only place the iteration's graph is wired.  The graph is compiled
-// ONCE per table shape and then *replayed*: bind() points each slab at its
-// domain, arm() re-arms the generation counters, resets the constraint
-// partials and stamps, and the very same node objects flow through the
-// scheduler again.  Steady-state replay iterations perform zero heap
-// allocations (tests/amt/test_alloc_count.cpp).
+// driver, one build_slab_table per slab for the dist driver) and turns
+// every task into a node, its edges, or an external dependency; it is the
+// only place the iteration's graph is wired.  The graph is compiled ONCE
+// per table shape and then *replayed*: arm() points each slab at its
+// domain, re-arms the generation counters, resets the constraint partials,
+// the error flags and the stamps, and the very same node objects flow
+// through the scheduler again.  Steady-state replay iterations perform
+// zero heap allocations (tests/amt/test_alloc_count.cpp).
+//
+// graph::replay (below) is what every graph driver does around that graph,
+// written once: it keeps the compiled iteration, recompiles it when the
+// slabs or the config no longer fit, binds the slabs, hands each slab its
+// pending checkpoint capture and arms the graph.  The taskgraph driver
+// replays one slab through it, the dist driver a cluster's slabs.
 //
 // Per slab (the taskgraph driver compiles exactly one), one task per chunk
 // per wave (T3), each running its chunk's kernels in sequence:
@@ -21,7 +27,9 @@
 //   wave 4  region_eos:  monoq + EOS + dt partial per
 //                        (region, chunk), one slot each          → B4
 //
-// The driver min-reduces the dt partials after B4.  A task with no
+// After B4, reduce_constraints() min-reduces the dt partials of every
+// slab and writes the result to every bound slab, and check() turns the
+// flags the tasks raised into the iteration's verdict.  A task with no
 // in-stage predecessor hangs off the previous barrier, every node feeds
 // its own stage's barrier, and the barriers chain B1 → … → B4.  Barrier
 // bodies stamp the phase-completion instants (phase_profile, the tracer's
@@ -67,11 +75,15 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "amt/amt.hpp"
+#include "amt/atomic.hpp"
+#include "amt/hazard.hpp"
 #include "core/access.hpp"
 #include "core/graph_waves.hpp"
 #include "lulesh/domain.hpp"
@@ -89,16 +101,31 @@ public:
     static constexpr std::size_t num_barriers = 4;
     using node_id = amt::static_graph::node_id;
 
+    /// What keys the graph besides the slabs' shapes: the partition sizes
+    /// and the opt-in per-task instrumentation (the hazard tracker's scopes,
+    /// the NaN scan of every written range).
     struct config {
         partition_sizes parts;
         bool track_hazards = false;
         bool scan_nan = false;
     };
 
-    /// Body of the driver's own nodes: sends and the slab_liveness node,
-    /// called with the slab and its table task.
-    using halo_handler =
-        std::function<void(std::size_t slab, const task_decl& t)>;
+    /// What a driver adds to its slabs' graph: whether every slab shares
+    /// one barrier set (bulk-synchronous) instead of one set per slab, the
+    /// body of its own nodes (sends and the slab_liveness node, called with
+    /// the slab and its table task), and the hook called on the failing
+    /// thread with the slab of every node that threw or was failed.
+    struct fabric {
+        bool shared_barriers = false;
+        std::function<void(std::size_t slab, const task_decl& t)> halo;
+        std::function<void(std::size_t slab, const std::exception_ptr& e)>
+            on_failure;
+    };
+
+    /// Builds the table of slab `i`, domain `d` (access sets are built
+    /// only when instrumented).
+    using table_builder =
+        std::function<graph_model(const domain& d, std::size_t i)>;
 
     /// A receive owed to the graph every replay: once the message of
     /// table task `task` of slab `slab` is unpacked — or has failed, after
@@ -109,47 +136,42 @@ public:
         node_id gate;
     };
 
-    /// One slab's input: its compact table (access sets are built only
-    /// when the sentinel is on) and the domain it is first bound to, whose
-    /// shape keys the compiled graph.
-    struct slab_table {
-        graph_model table;
-        domain* dom = nullptr;
-    };
-
-    /// Compiles, seals and binds the graph of `slabs`.  `flags` copies
-    /// share state with the driver's, so the driver's volume/qstop/nan
-    /// flags observe the replayed tasks.  `shared_barriers` compiles one
-    /// barrier set for every slab instead of one per slab; `halo` runs the
-    /// halo tasks' nodes.
-    compiled_iteration(amt::runtime& rt, std::vector<slab_table> slabs,
-                       const config& cfg, const error_flags& flags,
-                       bool shared_barriers = false, halo_handler halo = {});
+    /// Compiles and seals the graph of `table` over `slabs`, whose shapes
+    /// key it.
+    compiled_iteration(amt::runtime& rt, std::span<domain* const> slabs,
+                       const table_builder& table, const config& cfg,
+                       fabric fab);
 
     compiled_iteration(const compiled_iteration&) = delete;
     compiled_iteration& operator=(const compiled_iteration&) = delete;
 
-    /// True when the graph was compiled for `slabs` tables under `cfg`
-    /// and the same sentinel; shape_matches() checks each slab's domain.
-    /// (A driver's barrier sharing never changes, so it is not compared.)
-    [[nodiscard]] bool matches(const config& cfg, const error_flags& flags,
-                               std::size_t slabs) const noexcept;
-    [[nodiscard]] bool shape_matches(std::size_t slab,
-                                     const domain& d) const noexcept;
+    /// True when the graph was compiled under `cfg` for slabs of these
+    /// shapes.  (A driver's fabric never changes, so it is not compared.)
+    [[nodiscard]] bool fits(std::span<domain* const> slabs,
+                            const config& cfg) const noexcept;
 
-    /// Replay protocol (one iteration):
-    ///   bind (every slab) → [add_capture] → arm(dt) → start → wait.
-    /// arm() posts the pack tasks of the captures added since the last
-    /// arm, each gating its slab's B1 (node fields), B2 (v) or B3 (the
-    /// other element fields).
-    void bind(std::size_t slab, domain& d);
+    /// Replay protocol (one iteration; graph::replay runs the first two):
+    ///   [add_capture] → arm(slabs) → start → wait → reduce_constraints
+    ///   → check.
+    /// arm() binds slab i to slabs[i], runs the step at slab 0's deltatime
+    /// and posts the pack tasks of the captures added since the last arm,
+    /// each gating its slab's B1 (node fields), B2 (v) or B3 (the other
+    /// element fields).
     void add_capture(std::size_t slab, std::shared_ptr<state_capture> cap);
-    void arm(real_t dt);
+    void arm(std::span<domain* const> slabs);
     void start() { graph_.start(); }
     void wait() { graph_.wait(); }
     [[nodiscard]] bool wait_for(std::chrono::nanoseconds timeout) {
         return graph_.wait_for(timeout);
     }
+
+    /// Min-reduces every slab's dt partials and writes the result
+    /// (dtcourant, dthydro) to every bound slab.
+    void reduce_constraints();
+    /// The iteration's verdict: throws simulation_error on a non-positive
+    /// volume, on q over qstop, on a non-finite write the NaN scan found
+    /// (naming its field and wave) and on a hazard-tracker violation.
+    void check() const;
 
     [[nodiscard]] amt::static_graph& graph() noexcept { return graph_; }
     [[nodiscard]] const amt::static_graph& graph() const noexcept {
@@ -160,12 +182,13 @@ public:
     [[nodiscard]] std::size_t task_count() const noexcept {
         return task_count_;
     }
+    /// dt partial slots of slab `slab` (one per region chunk).
     [[nodiscard]] std::size_t slot_count(std::size_t slab = 0) const noexcept {
         return slabs_[slab].partials.size();
     }
-    [[nodiscard]] const kernels::dt_constraints* partials(
-        std::size_t slab = 0) const noexcept {
-        return slabs_[slab].partials.data();
+    /// Checkpoint pack tasks the last arm() posted.
+    [[nodiscard]] std::size_t pack_count() const noexcept {
+        return pack_count_;
     }
     /// Barrier-completion stamps of the last replay (B1..B4 of slab 0, or
     /// of the shared barriers).
@@ -183,10 +206,6 @@ public:
     /// attribution the critical-path report groups by.
     [[nodiscard]] int node_stage(node_id id) const noexcept {
         return meta_[id].stage;
-    }
-    /// The slab a node belongs to (0 for shared barriers).
-    [[nodiscard]] std::size_t slab_of(node_id id) const noexcept {
-        return meta_[id].slab;
     }
     /// Barrier node id for wave `i` (0-based, B1..B4) of slab 0.
     [[nodiscard]] node_id barrier_id(std::size_t i) const noexcept {
@@ -214,6 +233,12 @@ private:
         bool upper = false;
         std::vector<index_t> region_sizes;
     };
+    /// One task's declared accesses, built for the bound domain when the
+    /// graph is instrumented.
+    struct task_ctx {
+        std::vector<access> accs;
+        amt::hazard::access_set decl;  ///< accs expanded for the tracker
+    };
     struct slab_state {
         graph_model table;
         body_env env;
@@ -221,7 +246,7 @@ private:
         table_shape shape;
         std::vector<node_id> ids;  ///< node per table task (or no_node)
         std::shared_ptr<state_capture> capture;
-        std::vector<iteration_sentinel::task_ctx> ctxs;  ///< instrumented
+        std::vector<task_ctx> ctxs;  ///< instrumented only
         /// What ctxs' access sets point into: the domain and its region
         /// lists' storage when they were built (empty: not built yet).
         std::vector<const void*> ctxs_key;
@@ -245,9 +270,7 @@ private:
 
     amt::runtime& rt_;
     config cfg_;
-    bool shared_barriers_;
-    error_flags flags_;  ///< shares state with the driver's flags
-    halo_handler halo_;
+    fabric fabric_;
     bool instrumented_ = false;
     amt::static_graph graph_;
     std::vector<slab_state> slabs_;
@@ -260,6 +283,57 @@ private:
     std::vector<external> externals_;
     std::vector<node_meta> meta_;
     std::size_t task_count_ = 0;
+    std::size_t pack_count_ = 0;
+
+    /// The flags the tasks raise, reset by arm() and read by check():
+    /// cleared by a volume or qstop violation, and where the NaN scan
+    /// found a non-finite write (static strings; any offender will do).
+    amt::atomic<bool> volume_ok_{true};
+    amt::atomic<bool> qstop_ok_{true};
+    amt::atomic<const char*> nan_field_{nullptr};
+    amt::atomic<const char*> nan_wave_{nullptr};
+};
+
+/// What every graph driver does around its compiled iteration.  The
+/// iteration is compiled on the first arm() and again whenever the slabs'
+/// shapes or the config stop fitting it; each slab's pending capture joins
+/// the next replay.
+class replay {
+public:
+    /// The runtime is borrowed; it must outlive the replay.
+    explicit replay(amt::runtime& rt) : rt_(rt) {}
+
+    /// Offers slab `slab`'s capture for packing by tasks of the next arm():
+    /// node-field packs gate the slab's B1, the v pack its B2, the other
+    /// element-field packs its B3.  Declines (false: the caller packs
+    /// synchronously) on a one-worker runtime, where no idle worker can
+    /// pack while another computes.  The capture is held weakly: the
+    /// caller keeps it alive until it finalizes it (pack_remaining,
+    /// wait_packed), and a capture released before the next arm() is
+    /// simply skipped.
+    bool submit_capture(std::size_t slab, std::shared_ptr<state_capture> cap);
+
+    /// Compiles `table(*slabs[i], i)` for every slab unless the graph
+    /// already fits them, binds every slab, gives each slab its pending
+    /// capture — a capture of another domain is packed on the spot — and
+    /// arms the graph at slab 0's deltatime.
+    compiled_iteration& arm(std::span<domain* const> slabs,
+                            const compiled_iteration::table_builder& table,
+                            const compiled_iteration::config& cfg,
+                            const compiled_iteration::fabric& fab = {});
+
+    /// The compiled iteration (null before the first arm()).
+    [[nodiscard]] compiled_iteration* compiled() noexcept {
+        return compiled_.get();
+    }
+    [[nodiscard]] const compiled_iteration* compiled() const noexcept {
+        return compiled_.get();
+    }
+
+private:
+    amt::runtime& rt_;
+    std::unique_ptr<compiled_iteration> compiled_;
+    std::vector<std::weak_ptr<state_capture>> captures_;
 };
 
 }  // namespace lulesh::graph

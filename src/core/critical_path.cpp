@@ -1,5 +1,6 @@
-// core/critical_path.cpp — phase binning and report writers on top of
-// amt::profile_graph.  Cold path, allocation unconstrained.
+// core/critical_path.cpp — the longest-path analysis of a profiled
+// compiled iteration and the report writers.  Cold path, allocation
+// unconstrained.
 
 #include "core/critical_path.hpp"
 
@@ -8,7 +9,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "amt/graph_profile.hpp"
 #include "amt/json.hpp"
 
 namespace lulesh {
@@ -44,55 +44,72 @@ const char* stage_name(int stage) {
 critical_path_report analyze_critical_path(
     const graph::compiled_iteration& ci, std::size_t workers,
     std::size_t top_k) {
+    using node_id = amt::static_graph::node_id;
     const amt::static_graph& g = ci.graph();
-    const amt::graph_profile prof = amt::profile_graph(g);
     const std::size_t n = g.node_count();
 
     critical_path_report r;
     r.workers = workers > 0 ? workers : 1;
     r.nodes = n;
-    r.work_ns = prof.work_ns;
-    r.critical_path_ns = prof.critical_path_ns;
-    r.ideal_speedup = prof.ideal_speedup;
     // One barrier executes exactly once per replay, so its timed-run count
     // IS the number of profiled iterations behind every mean.
     r.iterations = g.node_timed_runs(
         ci.barrier_id(graph::compiled_iteration::num_barriers - 1));
 
-    std::vector<int> stage(n, 0);
+    // Per-node means (nodes never timed weigh zero; their edges still
+    // count) and the iteration's work, summed in node order.
+    std::vector<critical_path_report::task_stats> node(n);
     for (std::size_t i = 0; i < n; ++i) {
-        stage[i] =
-            ci.node_stage(static_cast<amt::static_graph::node_id>(i));
+        const auto id = static_cast<node_id>(i);
+        auto& t = node[i];
+        t.label = g.node_label(id);
+        t.arg = g.node_arg(id);
+        t.stage = ci.node_stage(id);
+        t.runs = g.node_timed_runs(id);
+        t.mean_ns = t.runs > 0 ? static_cast<double>(g.node_time_ns(id)) /
+                                     static_cast<double>(t.runs)
+                               : 0.0;
+        r.work_ns += t.mean_ns;
     }
 
-    // Per-phase work and within-phase longest chain: one more Kahn pass,
-    // propagating chain length only along edges that stay inside a phase
-    // (barrier-crossing edges belong to the global critical path).
-    std::vector<double> chain(n, 0.0);
+    // One Kahn-order pass over the sealed CSR topology computes both
+    // longest paths: `dist`, the longest mean-weighted chain ending at a
+    // node (its argmax edge in `best_pred`), and `chain`, the longest one
+    // that stays inside the node's phase — edges crossing a barrier belong
+    // to the global path only.  A phase's chain is its longest `chain`.
+    constexpr auto no_pred = ~node_id{0};
+    std::vector<double> dist(n);
+    std::vector<double> chain(n);
+    std::vector<node_id> best_pred(n, no_pred);
     std::vector<std::uint32_t> indeg(n);
-    std::vector<amt::static_graph::node_id> ready;
+    std::vector<node_id> ready;
     ready.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto id = static_cast<amt::static_graph::node_id>(i);
+        const auto id = static_cast<node_id>(i);
         indeg[i] = g.dependency_count(id);
-        chain[i] = prof.nodes[i].mean_ns;
+        dist[i] = chain[i] = node[i].mean_ns;
         if (indeg[i] == 0) ready.push_back(id);
     }
     for (std::size_t p = 0; p < r.phases.size(); ++p) {
         r.phases[p].name = phase_profile::name(p);
     }
     for (std::size_t head = 0; head < ready.size(); ++head) {
-        const auto v = ready[head];
-        if (stage[v] >= 0) {
-            auto& ph = r.phases[static_cast<std::size_t>(stage[v])];
+        const node_id v = ready[head];
+        const int stage = node[v].stage;
+        if (stage >= 0) {
+            auto& ph = r.phases[static_cast<std::size_t>(stage)];
             ph.tasks += 1;
-            ph.work_ns += prof.nodes[v].mean_ns;
+            ph.work_ns += node[v].mean_ns;
             ph.chain_ns = std::max(ph.chain_ns, chain[v]);
         }
-        for (const auto s : g.successors(v)) {
-            if (stage[s] == stage[v] && stage[v] >= 0) {
-                chain[s] = std::max(chain[s],
-                                    chain[v] + prof.nodes[s].mean_ns);
+        for (const node_id s : g.successors(v)) {
+            const double through = dist[v] + node[s].mean_ns;
+            if (through > dist[s]) {
+                dist[s] = through;
+                best_pred[s] = v;
+            }
+            if (stage >= 0 && node[s].stage == stage) {
+                chain[s] = std::max(chain[s], chain[v] + node[s].mean_ns);
             }
             if (--indeg[s] == 0) ready.push_back(s);
         }
@@ -103,22 +120,28 @@ critical_path_report analyze_critical_path(
             0.0, ph.chain_ns - ph.work_ns / static_cast<double>(r.workers));
     }
 
-    auto to_stats = [&](const amt::profiled_node& pn) {
-        critical_path_report::task_stats t;
-        t.label = pn.label;
-        t.arg = pn.arg;
-        t.stage = stage[pn.id];
-        t.mean_ns = pn.mean_ns;
-        t.runs = pn.runs;
-        t.on_critical_path = pn.on_critical_path;
-        return t;
-    };
-    for (const auto id : prof.critical_path) {
-        r.critical_path.push_back(to_stats(prof.nodes[id]));
+    // The critical path ends at the first node with the longest `dist`.
+    node_id sink = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+        if (dist[i] > dist[sink]) sink = static_cast<node_id>(i);
     }
-    for (const auto& pn : prof.top(top_k)) {
-        r.top.push_back(to_stats(pn));
+    r.critical_path_ns = dist[sink];
+    r.ideal_speedup =
+        r.critical_path_ns > 0.0 ? r.work_ns / r.critical_path_ns : 1.0;
+    for (node_id v = sink; v != no_pred; v = best_pred[v]) {
+        node[v].on_critical_path = true;
+        r.critical_path.push_back(node[v]);
     }
+    std::reverse(r.critical_path.begin(), r.critical_path.end());
+
+    // Top-k by mean cost, descending; the stable sort leaves ties in node
+    // order.
+    r.top = std::move(node);
+    std::stable_sort(r.top.begin(), r.top.end(),
+                     [](const auto& a, const auto& b) {
+                         return a.mean_ns > b.mean_ns;
+                     });
+    if (r.top.size() > top_k) r.top.resize(top_k);
     return r;
 }
 

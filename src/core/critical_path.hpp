@@ -1,12 +1,22 @@
 // core/critical_path.hpp
 //
-// LULESH-aware critical-path report over a profiled compiled iteration:
-// amt::profile_graph supplies the runtime-generic longest-path analysis
-// (per-node means, whole-iteration critical path, ideal speedup); this
-// layer adds the leapfrog phase semantics — every compute node is binned
-// into its wave (phase_profile::name order) via compiled_iteration's
-// stage table, and each of the four graph waves gets (the fifth profile
-// phase, constraints, is the driver's dt reduction and has no nodes)
+// Critical-path report over a profiled compiled iteration, whose graph
+// nodes always book their task intervals as costs
+// (amt::static_graph::node_time_ns).  One Kahn-order pass over the sealed
+// graph yields the whole report:
+//
+//   mean          a node's accumulated cost / its timed runs (recycled
+//                 nodes integrate across replays, so means tighten as
+//                 iterations accumulate);
+//   work          Σ mean over all nodes — one iteration's total compute;
+//   critical path the longest mean-weighted dependency chain; no schedule,
+//                 however many workers it has, finishes an iteration
+//                 faster, so work / critical path is the ideal speedup.
+//
+// Every compute node is binned into its wave (phase_profile::name order)
+// via compiled_iteration's stage table, and each of the four graph waves
+// gets (the fifth profile phase, constraints, is the dt reduction and has
+// no nodes)
 //
 //   work        Σ mean node cost of the phase (one iteration);
 //   chain       the longest dependency chain *within* the phase (edges

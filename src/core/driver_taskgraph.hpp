@@ -23,8 +23,14 @@
 //       EOS scratch) instead of mesh-sized global buffers;
 //   T6  all tasks of an iteration are created up front: the iteration
 //       table (core/access) is compiled once into a static graph
-//       (core/compiled_iteration) that every advance() re-arms and replays,
-//       and the driver blocks exactly once per iteration, at the end.
+//       (core/compiled_iteration) that every advance() replays through
+//       graph::replay — the same replay the dist driver runs a cluster
+//       by — and the driver blocks exactly once per iteration, at the end.
+//
+// Around the replay the driver keeps only what is single-domain: the
+// opt-in per-task instrumentation (AMT_HAZARD_TRACK, LULESH_NAN_SCAN) and
+// its hazard arena, the iteration_barrier span, node profiling, and the
+// per-phase profile with the tracer's phase windows.
 //
 // The iteration has 4 internal barrier nodes (the paper reports 7 for its
 // decomposition; fusing the kinematics/gradients/clamp wave with the
@@ -36,7 +42,7 @@
 //   B3  after kinematics/gradients and volume update (face-neighbor delv
 //       exchange)
 //   B4  after the region tasks' EOS and dt partials (state complete;
-//       the driver min-reduces the partials)
+//       compiled_iteration::reduce_constraints min-reduces the partials)
 
 #pragma once
 
@@ -99,7 +105,7 @@ class taskgraph_driver final : public driver {
 public:
     /// The runtime is borrowed; it must outlive the driver.
     taskgraph_driver(amt::runtime& rt, partition_sizes parts)
-        : rt_(rt), parts_(parts) {}
+        : rt_(rt), cfg_{parts} {}
 
     [[nodiscard]] std::string name() const override { return "taskgraph"; }
     void advance(domain& d) override;
@@ -108,13 +114,15 @@ public:
     static constexpr int num_barriers = 4;
 
     [[nodiscard]] amt::runtime& runtime() noexcept { return rt_; }
-    [[nodiscard]] partition_sizes partitions() const noexcept { return parts_; }
+    [[nodiscard]] partition_sizes partitions() const noexcept {
+        return cfg_.parts;
+    }
 
     /// The compiled iteration (null until the first advance compiled
     /// it).  Exposed for the critical-path analyzer and the regression
     /// tests.
     [[nodiscard]] const graph::compiled_iteration* compiled() const noexcept {
-        return compiled_.get();
+        return replay_.compiled();
     }
 
     /// Tasks created during the most recent advance() (for tests/benches).
@@ -134,7 +142,9 @@ public:
     /// a report then covers only the replays since this call.  `false`
     /// lets the costs keep accumulating.  Neither recompiles the graph.
     void enable_node_profiling(bool on) noexcept {
-        if (on && compiled_) compiled_->graph().reset_node_times();
+        if (on && replay_.compiled() != nullptr) {
+            replay_.compiled()->graph().reset_node_times();
+        }
     }
 
     /// Enables per-task instrumentation for subsequent advances: hazard
@@ -143,15 +153,14 @@ public:
     /// by the AMT_HAZARD_TRACK / LULESH_NAN_SCAN environment variables.
     void enable_instrumentation(bool track_hazards, bool scan_nan);
 
-    /// Accepts a capture for overlapped packing.  The pack jobs become
-    /// tasks of the *next* advance(), gating the compiled graph's barriers:
-    /// node-field packs B1 (before the node wave writes coordinates and
-    /// velocities), the v pack B2 (before the element wave's volume
-    /// update), the other element-field packs B3 (waves 1-3 write no
-    /// other checkpointed element field).  Declines (returns false, the caller
-    /// packs synchronously) on a single-worker runtime; if the next
-    /// advance() runs on a different domain the capture is packed
-    /// synchronously on the spot instead.
+    /// Accepts a capture for overlapped packing by tasks of the *next*
+    /// advance() (graph::replay::submit_capture): node-field packs gate
+    /// B1 (before the node wave writes coordinates and velocities), the v
+    /// pack B2 (before the element wave's volume update), the other
+    /// element-field packs B3 (waves 1-3 write no other checkpointed
+    /// element field).  Declines (returns false, the caller packs
+    /// synchronously) on a single-worker runtime; if the next advance()
+    /// runs on a different domain the capture is packed on the spot.
     bool submit_overlapped_capture(
         std::shared_ptr<state_capture> cap) override;
 
@@ -159,18 +168,16 @@ private:
     void prepare_instrumentation(domain& d);
 
     amt::runtime& rt_;
-    partition_sizes parts_;
-    std::unique_ptr<graph::compiled_iteration> compiled_;
-    graph::error_flags flags_;
-    std::size_t tasks_last_iteration_ = 0;
-    phase_profile profile_{};
-
+    graph::replay replay_{rt_};
+    /// The partitions and the instrumentation, which is resolved from the
+    /// environment at the first advance() unless enable_instrumentation()
+    /// decided first.
+    graph::compiled_iteration::config cfg_;
     bool instrumentation_checked_ = false;
     const domain* hazard_arena_for_ = nullptr;  ///< domain with a bound arena
 
-    /// Capture handed over by submit_overlapped_capture(), consumed (its
-    /// regions gate the compiled graph) at the start of the next advance().
-    std::shared_ptr<state_capture> pending_capture_;
+    std::size_t tasks_last_iteration_ = 0;
+    phase_profile profile_{};
 };
 
 }  // namespace lulesh

@@ -3,18 +3,15 @@
 // What the nodes of a compiled iteration run: the nine wave_body::
 // kernels, the dispatcher that runs a table task's bodies in sequence
 // (core/access.hpp's task_decl: one task per chunk per wave), the
-// wave_site labels every task reports, and the per-iteration state the
-// drivers share with their tasks (error flags and the opt-in sentinel).
+// wave_site labels every task reports, and the body of the overlapped
+// checkpoint pack tasks.  The error flags the bodies raise belong to the
+// compiled iteration (core/compiled_iteration.hpp), which reads them into
+// its verdict.
 
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include "amt/amt.hpp"
 #include "amt/atomic.hpp"
-#include "amt/hazard.hpp"
 #include "core/access.hpp"
 #include "lulesh/domain.hpp"
 #include "lulesh/kernels.hpp"
@@ -96,54 +93,6 @@ struct body_env {
 /// (is_wave_body(t.kind)) against `env`, in body order over t's chunk.
 /// Region lists and EOS repetition counts are read from the bound domain.
 void run_body(const task_decl& t, const body_env& env);
-
-/// Opt-in per-task instrumentation: the dynamic shadow-epoch hazard
-/// tracker (amt/hazard) and the NaN sentinel.  Null in error_flags by
-/// default — the compiled graph then builds no per-task access sets.
-struct iteration_sentinel {
-    /// One task's declared accesses, built for the bound domain.
-    struct task_ctx {
-        std::vector<access> accs;          ///< declared accesses of the task
-        amt::hazard::access_set decl;      ///< accs expanded for the tracker
-    };
-
-    bool track_hazards = false;
-    bool scan_nan = false;
-
-    /// Where the NaN scan found trouble (static strings; set once per
-    /// episode, first writer wins is not needed — any site will do).
-    amt::atomic<const char*> nan_wave_site{nullptr};
-    amt::atomic<const char*> nan_field_name{nullptr};
-};
-
-/// Shared per-iteration context: error flags aggregated by tasks and
-/// checked at iteration end.  Copies share state
-/// (everything is behind shared_ptrs), so a compiled graph holding a copy
-/// observes the driver's flags.
-struct error_flags {
-    std::shared_ptr<amt::atomic<bool>> volume_ok =
-        std::make_shared<amt::atomic<bool>>(true);
-    std::shared_ptr<amt::atomic<bool>> qstop_ok =
-        std::make_shared<amt::atomic<bool>>(true);
-
-    /// Cleared by a task whose NaN scan (sentinel->scan_nan) found a
-    /// non-finite value in a field it had just written; checked at the
-    /// barrier so a blow-up is reported with its wave site instead of
-    /// surfacing as a wrong answer many iterations later.  Always true
-    /// when the sentinel is off.
-    std::shared_ptr<amt::atomic<bool>> nan_ok =
-        std::make_shared<amt::atomic<bool>>(true);
-
-    /// Opt-in dynamic instrumentation (hazard tracking, NaN scanning);
-    /// null by default.
-    std::shared_ptr<iteration_sentinel> sentinel;
-
-    void reset() {
-        volume_ok->store(true, amt::memory_order_relaxed);
-        qstop_ok->store(true, amt::memory_order_relaxed);
-        nan_ok->store(true, amt::memory_order_relaxed);
-    }
-};
 
 /// Number of dt partial slots the region wave fills for this domain: one
 /// per (region, chunk).

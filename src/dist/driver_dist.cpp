@@ -8,7 +8,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -18,13 +17,6 @@
 namespace lulesh::dist {
 
 namespace {
-namespace k = kernels;
-
-std::string describe_failure(const char* what, int cycle, real_t dt) {
-    std::ostringstream os;
-    os << what << " (cycle " << cycle << ", dt " << dt << ")";
-    return os.str();
-}
 
 /// Progress deadline used when the retry layer is on but no explicit
 /// halo_timeout was given: exhausted resends must escalate, never hang.
@@ -47,6 +39,32 @@ halo_stream stream_of(bool corner, bool up) {
 }
 
 }  // namespace
+
+dist_driver::dist_driver(amt::runtime& rt, partition_sizes parts,
+                         exchange_mode mode,
+                         std::chrono::milliseconds halo_timeout,
+                         retry_policy retry)
+    : rt_(rt),
+      parts_(parts),
+      mode_(mode),
+      halo_timeout_(halo_timeout),
+      retry_(retry) {
+    fabric_.shared_barriers = mode == exchange_mode::bulk_synchronous;
+    fabric_.halo = [this](std::size_t s, const graph::task_decl& t) {
+        halo_step(s, t);
+    };
+    // Failed-slab propagation: every failure is filed under its slab, and
+    // the first one closes *all* channels, so every peer's pending receive
+    // resolves with channel_closed and satisfies its gate — the replay can
+    // never hang on a dead neighbor.
+    fabric_.on_failure = [this](std::size_t s, const std::exception_ptr& e) {
+        {
+            std::lock_guard lk(errors_mu_);
+            if (errors_[s] == nullptr) errors_[s] = e;
+        }
+        bound_->close_channels();
+    };
+}
 
 void dist_driver::ensure_fabric(cluster& c) {
     // The label strings are stable for the cluster's topology: fault plans
@@ -80,49 +98,6 @@ void dist_driver::ensure_fabric(cluster& c) {
     }
 }
 
-void dist_driver::prepare_graph(cluster& c) {
-    using graph::compiled_iteration;
-    const auto slabs = static_cast<std::size_t>(c.num_slabs());
-    compiled_iteration::config cfg;
-    cfg.parts = parts_;
-    bool reuse = compiled_ != nullptr && compiled_->matches(cfg, flags_, slabs);
-    for (std::size_t s = 0; reuse && s < slabs; ++s) {
-        reuse = compiled_->shape_matches(s, c.slab(static_cast<index_t>(s)));
-    }
-    if (!reuse) {
-        std::vector<compiled_iteration::slab_table> tables(slabs);
-        for (std::size_t s = 0; s < slabs; ++s) {
-            const auto slab = static_cast<index_t>(s);
-            domain& d = c.slab(slab);
-            tables[s] = {build_slab_table(d, parts_, slab), &d};
-        }
-        compiled_.reset();
-        compiled_ = std::make_unique<compiled_iteration>(
-            rt_, std::move(tables), cfg, flags_,
-            mode_ == exchange_mode::bulk_synchronous,
-            [this](std::size_t s, const graph::task_decl& t) {
-                halo_step(s, t);
-            });
-        // Failed-slab propagation: every failure is filed under its slab,
-        // and the first one closes *all* channels, so every peer's pending
-        // receive resolves with channel_closed and satisfies its gate —
-        // the replay can never hang on a dead neighbor.
-        compiled_->graph().set_error_hook(
-            [this](compiled_iteration::node_id id,
-                   const std::exception_ptr& e) {
-                {
-                    std::lock_guard lk(errors_mu_);
-                    std::exception_ptr& slot = errors_[compiled_->slab_of(id)];
-                    if (slot == nullptr) slot = e;
-                }
-                bound_->close_channels();
-            });
-    }
-    for (std::size_t s = 0; s < slabs; ++s) {
-        compiled_->bind(s, c.slab(static_cast<index_t>(s)));
-    }
-}
-
 void dist_driver::halo_step(std::size_t slab, const graph::task_decl& t) {
     const auto s = static_cast<index_t>(slab);
     if (t.kind == graph::body_kind::slab_liveness) {
@@ -145,25 +120,19 @@ void dist_driver::advance(cluster& c) {
         errors_.assign(slabs, nullptr);
     }
     bound_ = &c;
-    prepare_graph(c);
-    flags_.reset();
-
-    // Overlapped checkpoint packing of each slab's previous state (see
-    // submit_overlapped_capture).
-    pending_captures_.resize(slabs);
-    for (std::size_t s = 0; s < slabs; ++s) {
-        const std::shared_ptr<state_capture> cap =
-            std::exchange(pending_captures_[s], {}).lock();
-        if (cap == nullptr) continue;
-        if (cap->source() == &c.slab(static_cast<index_t>(s))) {
-            compiled_->add_capture(s, cap);
-        } else {
-            cap->pack_remaining();  // different domain: pack on the spot
-        }
-    }
-    compiled_->arm(c.slab(0).deltatime);
-    for (const auto& e : compiled_->externals()) receive_halo(c, e);
-    compiled_->start();
+    slabs_.clear();
+    for (index_t s = 0; s < num_slabs; ++s) slabs_.push_back(&c.slab(s));
+    // Compiles the slab tables unless the graph fits the cluster, binds
+    // every slab and lets each slab's previous state be packed by tasks of
+    // this iteration (see submit_overlapped_capture).
+    graph::compiled_iteration& ci = replay_.arm(
+        slabs_,
+        [this](const domain& d, std::size_t s) {
+            return build_slab_table(d, parts_, static_cast<index_t>(s));
+        },
+        {parts_}, fabric_);
+    for (const auto& e : ci.externals()) receive_halo(c, e);
+    ci.start();
 
     // The iteration's one blocking wait: every slab's graph plus the halo
     // messages feeding it.  The span closes (RAII) even when it throws.
@@ -194,7 +163,7 @@ void dist_driver::advance(cluster& c) {
                           std::chrono::milliseconds(250));
         auto last_finished = rt_.snapshot_counters().tasks_executed;
         std::chrono::milliseconds stalled_for{0};
-        while (!compiled_->wait_for(poll)) {
+        while (!ci.wait_for(poll)) {
             if (retry_.enabled()) service_resends(c);
             const auto now_finished = rt_.snapshot_counters().tasks_executed;
             if (now_finished == last_finished) {
@@ -226,7 +195,7 @@ void dist_driver::advance(cluster& c) {
         }
     }
     try {
-        compiled_->wait();
+        ci.wait();
     } catch (...) {
         // Already filed under its slab by the error hook; the root cause
         // is picked below.
@@ -294,19 +263,12 @@ void dist_driver::advance(cluster& c) {
         std::rethrow_exception(cascade);
     }
 
-    reduce_constraints(c);
-
-    if (!flags_.volume_ok->load(amt::memory_order_relaxed)) {
-        last_failure_ = {-1, status::volume_error, false,
-                         "non-positive volume detected"};
-        throw simulation_error(status::volume_error,
-                               "non-positive volume detected");
-    }
-    if (!flags_.qstop_ok->load(amt::memory_order_relaxed)) {
-        last_failure_ = {-1, status::qstop_error, false,
-                         "artificial viscosity exceeded qstop"};
-        throw simulation_error(status::qstop_error,
-                               "artificial viscosity exceeded qstop");
+    ci.reduce_constraints();
+    try {
+        ci.check();
+    } catch (const simulation_error& e) {
+        last_failure_ = {-1, e.code(), false, e.what()};  // unattributable
+        throw;
     }
 }
 
@@ -416,11 +378,8 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
 
 bool dist_driver::submit_overlapped_capture(
     index_t slab, std::shared_ptr<state_capture> cap) {
-    if (rt_.num_workers() <= 1) return false;
-    const auto i = static_cast<std::size_t>(slab);
-    if (pending_captures_.size() <= i) pending_captures_.resize(i + 1);
-    pending_captures_[i] = cap;
-    return true;
+    return replay_.submit_capture(static_cast<std::size_t>(slab),
+                                  std::move(cap));
 }
 
 void dist_driver::service_resends(cluster& c) {
@@ -542,7 +501,7 @@ void dist_driver::receive_halo(
     ctx->info = {b, halo_stream_name(which)};
     ctx->slab = s;
     ctx->det = detector_;
-    ctx->graph = &compiled_->graph();
+    ctx->graph = &replay_.compiled()->graph();
     ctx->gate = e.gate;
     if (amt::metrics::enabled()) {
         ctx->metrics_t0 = std::chrono::steady_clock::now();
@@ -554,60 +513,6 @@ void dist_driver::receive_halo(
         };
     }
     chain_receive(ctx, 0);
-}
-
-void dist_driver::reduce_constraints(cluster& c) {
-    k::dt_constraints combined;
-    for (index_t s = 0; s < c.num_slabs(); ++s) {
-        const auto slab = static_cast<std::size_t>(s);
-        const k::dt_constraints* partials = compiled_->partials(slab);
-        for (std::size_t i = 0; i < compiled_->slot_count(slab); ++i) {
-            combined = k::min_constraints(combined, partials[i]);
-        }
-    }
-    for (index_t s = 0; s < c.num_slabs(); ++s) {
-        c.slab(s).dtcourant = combined.dtcourant;
-        c.slab(s).dthydro = combined.dthydro;
-    }
-}
-
-run_result run_simulation(cluster& c, dist_driver& drv, int max_cycles) {
-    run_result result;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-        while (c.slab(0).time_ < c.slab(0).stoptime &&
-               c.slab(0).cycle < max_cycles) {
-            // TimeIncrement runs on every slab with identical inputs
-            // (constraints were reduced globally), so dt and time stay in
-            // lockstep across the cluster.
-            for (index_t s = 0; s < c.num_slabs(); ++s) {
-                kernels::time_increment(c.slab(s));
-            }
-            amt::fault::set_epoch(c.slab(0).cycle);
-            drv.advance(c);
-        }
-    } catch (const simulation_error& err) {
-        result.run_status = err.code();
-        result.error_message = describe_failure(err.what(), c.slab(0).cycle,
-                                                c.slab(0).deltatime);
-    } catch (const amt::fault::injected_fault& err) {
-        result.run_status = status::task_fault;
-        result.error_message = describe_failure(err.what(), c.slab(0).cycle,
-                                                c.slab(0).deltatime);
-    } catch (const amt::channel_closed& err) {
-        // A peer died and took the halo fabric down; the root cause was
-        // surfaced on its own slab, this run observed the cascade.
-        result.run_status = status::stalled;
-        result.error_message = describe_failure(err.what(), c.slab(0).cycle,
-                                                c.slab(0).deltatime);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    result.cycles = c.slab(0).cycle;
-    result.final_time = c.slab(0).time_;
-    result.final_dt = c.slab(0).deltatime;
-    result.final_origin_energy = c.slab(0).e[0];
-    result.elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
-    return result;
 }
 
 }  // namespace lulesh::dist

@@ -3,8 +3,13 @@
 // Multi-domain leapfrog driver: advances every slab of a cluster by one
 // iteration, inserting halo exchanges between the task waves.  Every slab's
 // table (dist/halo_audit: the iteration waves plus its halo tasks) is
-// compiled into ONE static graph per cluster shape (core/compiled_iteration)
-// and replayed every advance; a new cluster of the same shape rebinds it.
+// compiled into ONE static graph per cluster shape and replayed every
+// advance through graph::replay (core/compiled_iteration), the same replay
+// the taskgraph driver runs one domain by; a new cluster of the same shape
+// rebinds it.  The driver keeps the halo fabric: the fault-site labels and
+// the failure detector, the send and liveness nodes and the receive
+// chains, the progress deadline and the retry wait, and the error hook
+// with its root-cause selection.
 // Two exchange modes contrast the paper's future-work hypothesis; they
 // compile the same slab tables by the same rule and differ only in
 // synchronization:
@@ -82,12 +87,7 @@ public:
                 exchange_mode mode = exchange_mode::futurized,
                 std::chrono::milliseconds halo_timeout =
                     std::chrono::milliseconds(0),
-                retry_policy retry = retry_policy::none())
-        : rt_(rt),
-          parts_(parts),
-          mode_(mode),
-          halo_timeout_(halo_timeout),
-          retry_(retry) {}
+                retry_policy retry = retry_policy::none());
 
     dist_driver(const dist_driver&) = delete;
     dist_driver& operator=(const dist_driver&) = delete;
@@ -99,8 +99,9 @@ public:
     [[nodiscard]] amt::runtime& runtime() noexcept { return rt_; }
 
     /// One global leapfrog iteration: all slabs advance, constraints are
-    /// min-reduced across slabs and written back to every slab.  Throws
-    /// simulation_error on volume/qstop violations in any slab.
+    /// min-reduced across slabs and written back to every slab
+    /// (compiled_iteration::reduce_constraints).  Throws simulation_error
+    /// on volume/qstop violations in any slab (compiled_iteration::check).
     void advance(cluster& c);
 
     /// The retry policy the exchange layer runs under.
@@ -113,18 +114,15 @@ public:
     }
 
     /// Accepts `cap`, a capture of slab `slab`'s state, for overlapped
-    /// packing — the per-slab form of
-    /// taskgraph_driver::submit_overlapped_capture.  The pack jobs become
-    /// tasks of the *next* advance(): node-field packs gate the slab's B1
-    /// (before its node wave writes x..zd), the v pack its B2 (before its
-    /// element wave writes v), the other element-field packs its B3
+    /// packing by tasks of the *next* advance()
+    /// (graph::replay::submit_capture): node-field packs gate the slab's
+    /// B1 (before its node wave writes x..zd), the v pack its B2 (before
+    /// its element wave writes v), the other element-field packs its B3
     /// (before its region wave writes e/p/q/ss) — the placement
-    /// audit_cluster audits.  The driver holds the capture
-    /// only weakly: the caller keeps it and finalizes it (pack_remaining,
-    /// wait_packed) before it touches the slab; a capture finalized and
-    /// released before the next advance() is simply skipped.  Declines
-    /// (returns false, the caller packs synchronously) on single-worker
-    /// runtimes, where there is no idle worker to overlap with.
+    /// audit_cluster audits.  The capture is held only weakly: the caller
+    /// keeps it and finalizes it (pack_remaining, wait_packed) before it
+    /// touches the slab.  Declines (returns false, the caller packs
+    /// synchronously) on single-worker runtimes.
     bool submit_overlapped_capture(index_t slab,
                                    std::shared_ptr<state_capture> cap);
 
@@ -142,17 +140,13 @@ public:
 
     /// The compiled cluster iteration (null before the first advance).
     [[nodiscard]] const graph::compiled_iteration* compiled() const noexcept {
-        return compiled_.get();
+        return replay_.compiled();
     }
 
 private:
-    /// Compiles the cluster's slab tables unless the graph already matches
-    /// their shape, and binds every slab.
-    void prepare_graph(cluster& c);
     /// Body of the compiled graph's driver nodes: sends and the per-slab
     /// liveness node.
     void halo_step(std::size_t slab, const graph::task_decl& t);
-    void reduce_constraints(cluster& c);
 
     /// Packs and sends one boundary plane, routing through the retransmit
     /// cache and the halo_drop/halo_corrupt fault sites when retry is on.
@@ -193,10 +187,12 @@ private:
     std::vector<std::string> kill_labels_;  ///< "slab_kill:<s>" per slab
     std::shared_ptr<failure_detector> detector_;
     slab_failure last_failure_;
-    std::vector<std::weak_ptr<state_capture>> pending_captures_;
 
-    graph::error_flags flags_;
-    std::unique_ptr<graph::compiled_iteration> compiled_;
+    graph::replay replay_{rt_};
+    /// What the driver adds to the slabs' graph: its barrier sharing, the
+    /// halo nodes' body (halo_step) and the error hook below.
+    graph::compiled_iteration::fabric fabric_;
+    std::vector<domain*> slabs_;  ///< the bound cluster's slabs
     cluster* bound_ = nullptr;  ///< the cluster of the running advance()
     /// First failure of each slab in the running advance(), filed by the
     /// graph's error hook.
@@ -204,10 +200,12 @@ private:
     std::vector<std::exception_ptr> errors_;
 };
 
-/// Iteration loop over a cluster, mirroring lulesh::run_simulation: shared
-/// TimeIncrement (identical on every slab), then dist_driver::advance, until
-/// stoptime or the cycle cap.  The reported final origin energy comes from
-/// the slab owning the global origin element (slab 0).
+/// The plain loop (lulesh::run_simulation over the cluster's
+/// resilient_system, dist/resilient_dist.cpp): TimeIncrement on every slab
+/// (identical inputs, so dt and time stay in lockstep), then
+/// dist_driver::advance, until stoptime or the cycle cap.  A channel_closed
+/// cascade ends the run as stalled.  The reported final origin energy
+/// comes from the slab owning the global origin element (slab 0).
 run_result run_simulation(cluster& c, dist_driver& drv,
                           int max_cycles = std::numeric_limits<int>::max());
 

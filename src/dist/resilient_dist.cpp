@@ -1,4 +1,5 @@
-// dist/resilient_dist.cpp — the cluster as a resilient_system.
+// dist/resilient_dist.cpp — the cluster as a resilient_system, and the
+// two run loops over it.
 
 #include "dist/resilient_dist.hpp"
 
@@ -73,6 +74,11 @@ resilient_result run_resilient(cluster& c, dist_driver& drv,
                                int max_cycles) {
     cluster_system sys(c, drv);
     return lulesh::run_resilient(sys, opt, max_cycles);
+}
+
+run_result run_simulation(cluster& c, dist_driver& drv, int max_cycles) {
+    cluster_system sys(c, drv);
+    return lulesh::run_simulation(sys, max_cycles);
 }
 
 }  // namespace lulesh::dist

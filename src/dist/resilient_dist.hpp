@@ -2,7 +2,8 @@
 //
 // Fail-soft distributed runs: the cluster as a resilient_system, driven by
 // the one rollback-and-replay loop (lulesh::run_resilient,
-// lulesh/resilient_run.hpp).  The fail-stop dist layer turns any slab
+// lulesh/resilient_run.hpp) — and, for dist::run_simulation, by the one
+// plain loop, whose failures end the run with the same diagnosis.  The fail-stop dist layer turns any slab
 // failure into a terminal exit; under the loop the *recoverable* ones — an
 // injected task fault, a slab death flagged by the failure detector, a halo
 // CRC failure that exhausted its channel-level retries, and the

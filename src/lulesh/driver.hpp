@@ -78,6 +78,8 @@ public:
     /// synchronously.  A driver that accepts must guarantee every region is
     /// packed from the pre-advance state (the task-graph driver joins packs
     /// into the barrier before the first wave that writes each field).
+    /// The caller keeps the capture alive until it has finalized it
+    /// (pack_remaining, wait_packed): a driver may hold it only weakly.
     virtual bool submit_overlapped_capture(std::shared_ptr<state_capture> cap);
 };
 
@@ -93,7 +95,7 @@ private:
 
 /// Runs `drv` on `d` until stoptime or `max_cycles`, whichever comes first.
 /// The iteration loop matches the reference main(): TimeIncrement, then
-/// LagrangeLeapFrog.
+/// LagrangeLeapFrog (the plain loop of lulesh/resilient_run.hpp).
 run_result run_simulation(domain& d, driver& drv,
                           int max_cycles = std::numeric_limits<int>::max());
 

@@ -1,5 +1,6 @@
-// lulesh/resilient_run.cpp — the rollback-and-replay loop over per-slab
-// two-record checkpoint rings, and its one-domain system.
+// lulesh/resilient_run.cpp — the plain run loop and the rollback-and-replay
+// loop over per-slab two-record checkpoint rings, and their one-domain
+// system.
 
 #include "lulesh/resilient_run.hpp"
 
@@ -19,12 +20,27 @@ namespace lulesh {
 
 namespace {
 
+/// The run's error message: the failure, where it struck, and — under the
+/// resilient loop (`recoveries` >= 0) — the recoveries it exhausted.
 std::string describe_failure(const char* what, int cycle, real_t dt,
-                             int recoveries) {
+                             int recoveries = -1) {
     std::ostringstream os;
-    os << what << " (cycle " << cycle << ", dt " << dt << "; " << recoveries
-       << " recoveries exhausted)";
+    os << what << " (cycle " << cycle << ", dt " << dt;
+    if (recoveries >= 0) os << "; " << recoveries << " recoveries exhausted";
+    os << ")";
     return os.str();
+}
+
+/// Fills the run's end state from slab 0 (the slab owning the global
+/// origin element) and its wall time since `t0`.
+void finish(run_result& r, const domain& d0,
+            std::chrono::steady_clock::time_point t0) {
+    const auto t1 = std::chrono::steady_clock::now();
+    r.cycles = d0.cycle;
+    r.final_time = d0.time_;
+    r.final_dt = d0.deltatime;
+    r.final_origin_energy = d0.e[0];
+    r.elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
 }
 
 /// One domain under any driver.
@@ -229,13 +245,7 @@ resilient_result run_resilient(resilient_system& sys,
     }
 
     finalize_pending();
-
-    const auto t1 = std::chrono::steady_clock::now();
-    rr.result.cycles = slab(0).cycle;
-    rr.result.final_time = slab(0).time_;
-    rr.result.final_dt = slab(0).deltatime;
-    rr.result.final_origin_energy = slab(0).e[0];
-    rr.result.elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
+    finish(rr.result, slab(0), t0);
     return rr;
 }
 
@@ -244,6 +254,37 @@ resilient_result run_resilient(domain& d, driver& drv,
                                int max_cycles) {
     domain_system sys(d, drv);
     return run_resilient(sys, opt, max_cycles);
+}
+
+run_result run_simulation(resilient_system& sys, int max_cycles) {
+    run_result result;
+    const auto t0 = std::chrono::steady_clock::now();
+    const index_t n = sys.num_slabs();
+    try {
+        while (sys.slab(0).time_ < sys.slab(0).stoptime &&
+               sys.slab(0).cycle < max_cycles) {
+            for (index_t i = 0; i < n; ++i) {
+                kernels::time_increment(sys.slab(i));
+            }
+            // Publish the cycle being computed so an epoch-targeted fault
+            // plan fires in exactly one deterministic iteration.
+            amt::fault::set_epoch(sys.slab(0).cycle);
+            sys.advance();
+        }
+    } catch (const std::exception& e) {
+        const failure_diagnosis failure = sys.diagnose(e);
+        if (!failure.retryable) throw;
+        result.run_status = failure.code;
+        result.error_message = describe_failure(e.what(), sys.slab(0).cycle,
+                                                sys.slab(0).deltatime);
+    }
+    finish(result, sys.slab(0), t0);
+    return result;
+}
+
+run_result run_simulation(domain& d, driver& drv, int max_cycles) {
+    domain_system sys(d, drv);
+    return run_simulation(sys, max_cycles);
 }
 
 }  // namespace lulesh

@@ -1,8 +1,17 @@
 // lulesh/resilient_run.hpp
 //
-// The rollback-and-replay loop, written once for one domain under any
-// driver and for a cluster of slabs (dist/resilient_dist.hpp).  It
-// checkpoints every K cycles into a two-record ring per slab.  When an
+// The two run loops, each written once for one domain under any driver and
+// for a cluster of slabs (dist/resilient_dist.hpp), over one interface:
+// resilient_system, a fixed set of slabs that advance together and
+// diagnose their own failures.
+//
+// run_simulation is the plain loop of the reference main(): TimeIncrement
+// on every slab, then one iteration, until stoptime or the cycle cap.  A
+// failure the system diagnoses as retryable ends the run with the
+// diagnosed status; any other propagates.
+//
+// run_resilient is the rollback-and-replay loop.  It checkpoints every K
+// cycles into a two-record ring per slab.  When an
 // iteration fails recoverably it commits any overlapped capture, runs the
 // system's before_rollback hook (the cluster rebuilds a dead slab and
 // re-wires its halo fabric), restores every slab to the newest cycle every
@@ -79,7 +88,7 @@ struct failure_diagnosis {
     index_t slab = -1;       ///< a dead slab before_rollback rebuilds, or -1
 };
 
-/// What run_resilient drives: a fixed set of slabs that advance together.
+/// What both loops drive: a fixed set of slabs that advance together.
 class resilient_system {
 public:
     virtual ~resilient_system() = default;
@@ -93,12 +102,14 @@ public:
     virtual void advance() = 0;
 
     /// Offers slab `i`'s capture for packing overlapped with the next
-    /// advance(); false makes the loop pack it synchronously.
+    /// advance(); false makes the loop pack it synchronously.  The loop
+    /// keeps the capture alive until it finalizes it.
     virtual bool submit_capture(index_t i,
                                 std::shared_ptr<state_capture> cap) = 0;
 
     /// The default: a simulation_error (its status) or an injected fault
-    /// (task_fault, transient) is retryable, anything else propagates.
+    /// (task_fault, transient) is retryable — it ends a plain run with
+    /// that status — and anything else propagates.
     [[nodiscard]] virtual failure_diagnosis diagnose(
         const std::exception& e) const;
 
@@ -112,6 +123,12 @@ public:
         return path;
     }
 };
+
+/// Runs `sys` to stoptime / `max_cycles` without recovery: the plain loop
+/// described above.  lulesh::run_simulation (lulesh/driver.hpp) and
+/// dist::run_simulation run it for a domain and a cluster.
+run_result run_simulation(resilient_system& sys,
+                          int max_cycles = std::numeric_limits<int>::max());
 
 /// Runs `sys` to stoptime / `max_cycles` with rollback recovery as
 /// described above.  Drivers that can pack a capture as ordinary tasks of

@@ -80,6 +80,26 @@ TEST(CriticalPath, AnalyzeProfiledCompiledIteration) {
                 1e-6 * std::max(1.0, r.critical_path_ns));
 }
 
+// The reported path is the longest one.  Every node of the one-slab
+// iteration feeds its wave's barrier and the barriers chain B1 → … → B4,
+// so the longest path passes all four; and the phases' longest chains,
+// strung together through the barriers, form one path it cannot be
+// shorter than.
+TEST(CriticalPath, ReportedPathIsTheLongestPath) {
+    const auto pr = run_profiled(6);
+    const critical_path_report r =
+        analyze_critical_path(*pr.drv->compiled(), 2);
+
+    std::size_t barriers = 0;
+    for (const auto& t : r.critical_path) {
+        if (std::string(t.label) == "graph:barrier") ++barriers;
+    }
+    EXPECT_EQ(barriers, lulesh::graph::compiled_iteration::num_barriers);
+    double chains = 0.0;
+    for (const auto& ph : r.phases) chains += ph.chain_ns;
+    EXPECT_GE(r.critical_path_ns * (1.0 + 1e-9), chains);
+}
+
 TEST(CriticalPath, PhaseBinningCoversEveryComputePhase) {
     const auto pr = run_profiled(6);
     const critical_path_report r =

@@ -363,9 +363,15 @@ TEST_P(DistEquivalence, BitwiseIdenticalToSingleDomain) {
     EXPECT_EQ(result.cycles, 30);
     EXPECT_EQ(cluster_vs_global(c, global), 0.0)
         << param.slabs << " slabs diverged from the single-domain run";
-    EXPECT_EQ(c.slab(0).deltatime, global.deltatime);
-    EXPECT_EQ(c.slab(0).dtcourant, global.dtcourant);
-    EXPECT_EQ(c.slab(0).dthydro, global.dthydro);
+    // Every slab carries the cluster's clock, not only slab 0, whose
+    // deltatime the graph runs at.
+    for (index_t s = 0; s < c.num_slabs(); ++s) {
+        const domain& d = c.slab(s);
+        EXPECT_EQ(d.deltatime, global.deltatime) << "slab " << s;
+        EXPECT_EQ(d.dtcourant, global.dtcourant) << "slab " << s;
+        EXPECT_EQ(d.dthydro, global.dthydro) << "slab " << s;
+        EXPECT_EQ(d.time_, global.time_) << "slab " << s;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -548,6 +554,23 @@ TEST(DistRun, ErrorInOneSlabAbortsTheCluster) {
     dist_driver drv(rt, {32, 32});
     const auto result = lulesh::dist::run_simulation(c, drv, 5);
     EXPECT_EQ(result.run_status, lulesh::status::volume_error);
+}
+
+// The qstop twin of ErrorInOneSlabAbortsTheCluster: one slab's viscosity
+// over its qstop ends the cluster's run with the single-domain verdict.
+TEST(DistRun, ExcessViscosityInOneSlabEndsWithQstopError) {
+    const options o = opts(6);
+    cluster c(o, 3);
+    c.slab(1).qstop = 1e-30;  // any viscosity trips the check
+    c.slab(1).q[5] = 1.0;
+    amt::runtime rt(2);
+    dist_driver drv(rt, {32, 32});
+    const auto result = lulesh::dist::run_simulation(c, drv, 5);
+    EXPECT_EQ(result.run_status, lulesh::status::qstop_error);
+    EXPECT_NE(result.error_message.find("artificial viscosity exceeded qstop"),
+              std::string::npos)
+        << result.error_message;
+    EXPECT_EQ(drv.last_failure().code, lulesh::status::qstop_error);
 }
 
 TEST(DistRun, PerSlabCheckpointRestartIsBitwise) {
