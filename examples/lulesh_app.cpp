@@ -4,21 +4,29 @@
 // reference's flags plus the driver/thread/partition knobs, prints the
 // classic end-of-run block (energy, symmetry diffs, grind time, FOM), emits
 // the CSV line the artifact-evaluation appendix asks for, and supports
-// checkpoint/restart.
+// checkpoint/restart.  `--slabs n` splits the mesh into n z-slabs that
+// exchange halos through channels — the paper's future-work direction — and
+// runs them on the taskgraph driver.
 //
 //   ./lulesh_app -s 30 -r 11 -i 500 -d taskgraph -t 4
 //   ./lulesh_app -s 20 -i 100 --checkpoint-save half.ckpt
 //   ./lulesh_app -s 20 -i 200 --checkpoint-load half.ckpt
+//   ./lulesh_app -s 30 -i 100 -t 4 --slabs 4
 
+#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "amt/amt.hpp"
 #include "core/critical_path.hpp"
 #include "core/driver_foreach.hpp"
 #include "core/driver_taskgraph.hpp"
 #include "core/graph_audit.hpp"
+#include "dist/checkpoint_dist.hpp"
+#include "dist/resilient_dist.hpp"
 #include "lulesh/checkpoint.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/driver_parallel_for.hpp"
@@ -29,17 +37,19 @@
 namespace {
 
 /// Plain loop, or the checkpoint/rollback loop when --checkpoint-every is
-/// given.
-lulesh::run_result run_with(lulesh::domain& dom, lulesh::driver& drv,
+/// given, over a domain or a cluster (argument-dependent lookup picks the
+/// loops of its namespace).
+template <class Mesh, class Driver>
+lulesh::run_result run_with(Mesh& mesh, Driver& drv,
                             const lulesh::cli_options& cli) {
     if (cli.checkpoint_every <= 0) {
-        return lulesh::run_simulation(dom, drv, cli.problem.max_cycles);
+        return run_simulation(mesh, drv, cli.problem.max_cycles);
     }
     lulesh::resilience_options ropt;
     ropt.checkpoint_every = cli.checkpoint_every;
     ropt.max_recoveries = cli.max_recoveries;
     ropt.checkpoint_path = cli.checkpoint_save;
-    auto rr = lulesh::run_resilient(dom, drv, ropt, cli.problem.max_cycles);
+    auto rr = run_resilient(mesh, drv, ropt, cli.problem.max_cycles);
     if (!cli.quiet && rr.last_rollback_cycle >= 0) {
         std::cout << "Resilient loop: " << rr.recoveries << " recovery(ies), "
                   << rr.entry_fallbacks << " entry fallback(s), "
@@ -131,13 +141,6 @@ int main(int argc, char** argv) {
         std::cout << lulesh::usage_text(argv[0]);
         return 0;
     }
-    if (cli.halo_timeout_ms != 0) {
-        std::cerr << "lulesh: --halo-timeout guards the distributed halo "
-                     "exchange, which lulesh_app never performs — use "
-                     "distributed_sedov\n"
-                  << lulesh::usage_text(argv[0]);
-        return 1;
-    }
 
     const bool want_trace =
         !cli.trace_file.empty() || !cli.utilization_report_file.empty();
@@ -164,14 +167,28 @@ int main(int argc, char** argv) {
     const auto parts = cli.partitions.value_or(
         lulesh::partition_sizes::tuned_for(cli.problem.size));
 
-    lulesh::domain dom(cli.problem);
+    // The mesh: one domain, or a cluster of --slabs z-slabs (taskgraph
+    // only, which parse_cli enforces).
+    std::optional<lulesh::domain> dom;
+    std::optional<lulesh::dist::cluster> cluster;
+    if (cli.slabs == 1) {
+        dom.emplace(cli.problem);
+    } else {
+        cluster.emplace(cli.problem, cli.slabs);
+    }
     if (!cli.checkpoint_load.empty()) {
         try {
-            lulesh::load_checkpoint_file(dom, cli.checkpoint_load);
+            if (cluster) {
+                lulesh::dist::load_cluster_chains(*cluster,
+                                                  cli.checkpoint_load);
+            } else {
+                lulesh::load_checkpoint_file(*dom, cli.checkpoint_load);
+            }
+            const lulesh::domain& first = dom ? *dom : cluster->slab(0);
             if (!cli.quiet) {
                 std::cout << "Restored checkpoint '" << cli.checkpoint_load
-                          << "' at cycle " << dom.cycle << ", t = " << dom.time_
-                          << "\n";
+                          << "' at cycle " << first.cycle << ", t = "
+                          << first.time_ << "\n";
             }
         } catch (const lulesh::checkpoint_error& err) {
             std::cerr << err.what() << "\n";
@@ -179,28 +196,33 @@ int main(int argc, char** argv) {
         }
     }
 
+    const lulesh::index_t size = cli.problem.size;
     if (!cli.quiet) {
-        std::cout << "Running problem size " << cli.problem.size
+        std::cout << "Running problem size " << size
                   << "^3 per domain until completion\n"
                   << "Num regions: " << cli.problem.num_regions << "\n"
-                  << "Num elements: " << dom.numElem() << "\n"
-                  << "Num nodes: " << dom.numNode() << "\n"
+                  << "Num elements: " << size * size * size << "\n"
+                  << "Num nodes: " << (size + 1) * (size + 1) * (size + 1)
+                  << "\n"
                   << "Driver: " << cli.driver << ", threads: " << threads
-                  << ", partitions: " << parts.nodal << "/" << parts.elems
-                  << "\n\n";
+                  << ", partitions: " << parts.nodal << "/" << parts.elems;
+        if (cluster) std::cout << ", slabs: " << cli.slabs;
+        std::cout << "\n\n";
     }
 
     if (cli.audit_graph) {
         // Prove the barrier elision race-free for this exact mesh and
-        // partition decomposition before trusting it with a run.  The
-        // model includes the overlapped checkpoint-pack tasks the
-        // resilient loop can inject, so the audit also proves packing
-        // never races the compute it overlaps.
-        auto model = lulesh::graph::build_iteration_model(dom, parts);
-        lulesh::graph::add_checkpoint_pack_tasks(model, dom);
-        const auto audit = lulesh::graph::audit_graph(model, dom);
-        std::cout << lulesh::graph::format_audit(audit, model);
-        if (!audit.ok()) {
+        // partition decomposition before trusting it with a run, for every
+        // slab with its halo tasks.  The model includes the overlapped
+        // checkpoint-pack tasks the resilient loop can inject, so the audit
+        // also proves packing never races the compute it overlaps.
+        std::vector<const lulesh::domain*> slabs;
+        for (lulesh::index_t s = 0; s < cli.slabs; ++s) {
+            slabs.push_back(dom ? &*dom : &cluster->slab(s));
+        }
+        const auto audits = lulesh::graph::audit_slabs(slabs, parts);
+        std::cout << lulesh::graph::format_audits(audits);
+        if (!lulesh::graph::audits_ok(audits)) {
             return lulesh::exit_code_for(lulesh::status::hazard);
         }
     }
@@ -208,20 +230,27 @@ int main(int argc, char** argv) {
     lulesh::run_result result;
     if (cli.driver == "serial") {
         lulesh::serial_driver drv;
-        result = run_with(dom, drv, cli);
+        result = run_with(*dom, drv, cli);
     } else if (cli.driver == "parallel_for") {
         ompsim::team team(threads);
         lulesh::parallel_for_driver drv(team);
-        result = run_with(dom, drv, cli);
+        result = run_with(*dom, drv, cli);
     } else if (cli.driver == "foreach") {
         amt::runtime rt(threads);
         lulesh::foreach_driver drv(rt);
-        result = run_with(dom, drv, cli);
+        result = run_with(*dom, drv, cli);
     } else {
+        // Slabs exchange as the performance ledger's dist30 workload does:
+        // futurized, under the retry layer and its 2 s progress deadline.
         amt::runtime rt(threads);
-        lulesh::taskgraph_driver drv(rt, parts);
+        lulesh::taskgraph_driver drv(
+            rt, parts, lulesh::taskgraph_driver::exchange_mode::futurized,
+            std::chrono::milliseconds(0),
+            cluster ? lulesh::dist::retry_policy{}
+                    : lulesh::dist::retry_policy::none());
         drv.enable_node_profiling(cli.critical_path_report);
-        result = run_with(dom, drv, cli);
+        result = cluster ? run_with(*cluster, drv, cli)
+                         : run_with(*dom, drv, cli);
         if (cli.critical_path_report) {
             if (const int rc = write_critical_path_outputs(drv, threads, cli);
                 rc != 0) {
@@ -253,7 +282,12 @@ int main(int argc, char** argv) {
 
     if (!cli.checkpoint_save.empty()) {
         try {
-            lulesh::save_checkpoint_file(dom, cli.checkpoint_save);
+            if (cluster) {
+                lulesh::dist::save_cluster_chains(*cluster,
+                                                  cli.checkpoint_save);
+            } else {
+                lulesh::save_checkpoint_file(*dom, cli.checkpoint_save);
+            }
             if (!cli.quiet) {
                 std::cout << "Checkpoint written to '" << cli.checkpoint_save
                           << "'\n";
@@ -264,8 +298,16 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (!cli.quiet) {
-        std::cout << lulesh::final_report(dom, result);
+    if (!cli.quiet && dom) {
+        std::cout << lulesh::final_report(*dom, result);
+    } else if (!cli.quiet) {
+        // The whole mesh's energy: the slabs' element planes in z order.
+        std::vector<lulesh::real_t> e;
+        for (lulesh::index_t s = 0; s < cluster->num_slabs(); ++s) {
+            const lulesh::domain& d = cluster->slab(s);
+            e.insert(e.end(), d.e.begin(), d.e.begin() + d.numElem());
+        }
+        std::cout << lulesh::final_report(e, size, result);
     }
     // CSV line per the artifact appendix: size, regions, iterations,
     // threads, runtime, result.

@@ -51,8 +51,8 @@ scripts/lint.sh | tee results/amtlint.txt
 # Static graph audit: prove the barrier-elision is race-free for every
 # driver/size the reduced suite exercises (the run itself is one cycle; the
 # audit happens at startup and fails the command with exit code 6 on any
-# unordered overlap).  The dist invocations additionally audit every slab's
-# halo pack/unpack tasks (src/dist/halo_audit.*).
+# unordered overlap).  The --slabs invocations audit every slab with its
+# halo pack/unpack tasks.
 echo "== Graph hazard audit =="
 {
   for s in 10 16 24; do
@@ -60,8 +60,8 @@ echo "== Graph hazard audit =="
   done
   ./build/examples/lulesh_app --audit-graph -s 16 -i 1 -d taskgraph -p 64 64
   ./build/examples/lulesh_app --audit-graph -s 16 -i 1 -d taskgraph -p 512 512
-  ./build/examples/distributed_sedov --audit-graph -s 8 -i 2 -t 3
-  ./build/examples/distributed_sedov --audit-graph -s 8 -i 2 -t 8 -p 64 64
+  ./build/examples/lulesh_app --audit-graph -s 8 -i 2 -t 3 --slabs 3
+  ./build/examples/lulesh_app --audit-graph -s 8 -i 2 -t 8 --slabs 8 -p 64 64
 } | tee results/graph_audit.txt
 
 # Resilience/fault suite under ASan+UBSan, when the sanitize preset has been

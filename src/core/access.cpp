@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/graph_waves.hpp"
 #include "lulesh/checkpoint_chain.hpp"
@@ -285,7 +286,30 @@ inline constexpr const char* elem = "elem";
 inline constexpr const char* region = "region_eos";
 inline constexpr const char* ckpt_pack_node = "ckpt.pack.node";
 inline constexpr const char* ckpt_pack_elem = "ckpt.pack.elem";
+inline constexpr const char* pack_corner = "halo.pack_corner";
+inline constexpr const char* unpack_corner = "halo.unpack_corner";
+inline constexpr const char* pack_delv = "halo.pack_delv";
+inline constexpr const char* unpack_delv = "halo.unpack_delv";
+inline constexpr const char* liveness = "dist.liveness";
 }  // namespace model_site
+
+namespace {
+
+/// Wave-body task ids of stage `stage` whose chunk intersects [lo, hi) —
+/// the tasks that produce the plane a pack task reads, i.e. the orderings
+/// every exchange mode guarantees before a send fires.
+std::vector<int> producers_of(const graph_model& m, int stage, index_t lo,
+                              index_t hi) {
+    std::vector<int> deps;
+    for (std::size_t t = 0; t < m.tasks.size(); ++t) {
+        const task_decl& td = m.tasks[t];
+        if (td.stage != stage || !is_wave_body(td.kind)) continue;
+        if (td.lo < hi && lo < td.hi) deps.push_back(static_cast<int>(t));
+    }
+    return deps;
+}
+
+}  // namespace
 
 graph_model build_iteration_table(const domain& d, partition_sizes parts) {
     graph_model m;
@@ -294,15 +318,18 @@ graph_model build_iteration_table(const domain& d, partition_sizes parts) {
     const index_t pn = parts.nodal > 0 ? parts.nodal : ne;
     const index_t pe = parts.elems > 0 ? parts.elems : ne;
 
+    const int neighbours =
+        int{d.has_lower_neighbor()} + int{d.has_upper_neighbor()};
     std::size_t count = 2 * static_cast<std::size_t>(wave_chunks(ne, pn)) +
                         static_cast<std::size_t>(wave_chunks(nn, pn)) +
                         static_cast<std::size_t>(wave_chunks(ne, pe)) +
-                        constraint_slot_count(d, pe);
+                        constraint_slot_count(d, pe) +
+                        static_cast<std::size_t>(4 * neighbours + 1);
     m.tasks.reserve(count);
 
     auto add = [&m](const char* site, body_kind kind, index_t partition,
                     index_t lo, index_t hi, int stage, index_t region = -1,
-                    index_t slot = -1) {
+                    index_t slot = -1) -> task_decl& {
         task_decl& t = m.tasks.emplace_back();
         t.site = site;
         t.kind = kind;
@@ -312,6 +339,7 @@ graph_model build_iteration_table(const domain& d, partition_sizes parts) {
         t.stage = stage;
         t.region = region;
         t.slot = slot;
+        return t;
     };
 
     // Stage 0 — force wave: stress ∥ hourglass per element chunk of p_nodal
@@ -355,6 +383,34 @@ graph_model build_iteration_table(const domain& d, partition_sizes parts) {
 
     m.num_stages = 4;
     m.num_slots = static_cast<std::size_t>(part);
+    if (neighbours == 0) return m;
+
+    // The halo tasks of each boundary: the corner forces feed the node
+    // gather of stage 1, delv_zeta the monotonic-Q stencil of stage 3
+    // (which reads the ghosts through face_neighbors).
+    const index_t ep = d.elems_per_plane();
+    for (const bool upper : {false, true}) {
+        if (!(upper ? d.has_upper_neighbor() : d.has_lower_neighbor())) {
+            continue;
+        }
+        const index_t plane =
+            upper ? d.top_plane_elem_base() : d.bottom_plane_elem_base();
+        const index_t ghost =
+            upper ? d.ghost_upper_slot() : d.ghost_lower_slot();
+        const index_t side = upper ? 1 : 0;
+        for (const int stage : {0, 2}) {
+            const bool corner = stage == 0;
+            std::vector<int> deps = producers_of(m, stage, plane, plane + ep);
+            add(corner ? model_site::pack_corner : model_site::pack_delv,
+                corner ? body_kind::pack_corner : body_kind::pack_delv, side,
+                plane, plane + ep, stage)
+                .deps = std::move(deps);
+            add(corner ? model_site::unpack_corner : model_site::unpack_delv,
+                corner ? body_kind::unpack_corner : body_kind::unpack_delv,
+                side, ghost, ghost + ep, stage);
+        }
+    }
+    add(model_site::liveness, body_kind::slab_liveness, 0, 0, 0, 0);
     return m;
 }
 

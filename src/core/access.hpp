@@ -1,13 +1,13 @@
 // core/access.hpp
 //
 // The iteration table and its declarative access sets.  The table
-// (build_iteration_table, plus build_slab_model's halo tasks for a dist
-// slab) is the ONE description of a leapfrog iteration: each task_decl
-// names the call it makes (a body_kind plus its chunk, region and slot),
-// its stage and its continuation edges.  Each task is one chunk of one
-// wave, running that chunk's consecutive kernels in one body (trick T3),
-// so the single-domain table needs no edges: its four barriers order the
-// waves, and only a dist slab's halo sends carry edges.
+// (build_iteration_table) is the ONE description of a leapfrog iteration
+// of one slab: each task_decl names the call it makes (a body_kind plus
+// its chunk, region and slot), its stage and its continuation edges.  Each
+// task is one chunk of one wave, running that chunk's consecutive kernels
+// in one body (trick T3), so the waves need no edges: the four barriers
+// order them, and only a slab's halo sends carry edges.  A lone domain has
+// no neighbour, so its table is the four waves alone.
 // core/compiled_iteration compiles the table into the replayed static
 // graph; the same table, with every task's access set filled in from
 // lulesh/kernels.hpp's signatures, feeds two checkers:
@@ -180,9 +180,9 @@ std::vector<access> constraint_accesses(const index_t* list, index_t lo,
 ///   elem    elem_fused, then volume_update (stage 2);
 ///   region  region_monoq, region_eos, then the chunk's constraints
 ///           partial (stage 3).
-/// The halo kinds are a dist slab's boundary steps (build_slab_model),
-/// whose bodies the dist driver supplies; ckpt_pack is an overlapped
-/// checkpoint pack (add_checkpoint_pack_tasks), which the drivers run as
+/// The halo kinds are a slab's boundary steps, one set per neighbour,
+/// whose bodies the driver supplies; ckpt_pack is an overlapped
+/// checkpoint pack (add_checkpoint_pack_tasks), which the driver runs as
 /// external dependencies of the graph rather than as nodes.
 enum class body_kind : std::uint8_t {
     force_stress,
@@ -195,8 +195,8 @@ enum class body_kind : std::uint8_t {
     pack_delv,      ///< send the owned boundary plane's delv_zeta
     unpack_delv,    ///< receive the neighbor's delv_zeta ghost plane
     ckpt_pack,
-    slab_liveness   ///< a dist slab's heartbeat/kill-switch step, last in
-                    ///< its table (build_slab_model)
+    slab_liveness   ///< the heartbeat/kill-switch step of a slab with a
+                    ///< neighbour, last in its table
 };
 
 /// True for the kinds whose body runs wave_body:: calls.
@@ -238,10 +238,30 @@ struct graph_model {
     std::size_t num_slots = 0;  ///< extent of the dt_partial space
 };
 
-/// The compact table of one taskgraph iteration on `d` with partition
-/// sizes `parts`: every task's body, stage and edges, no access sets.
-/// Region contents and the domain's address are not part of it — task
-/// bodies read the region lists from the domain they are bound to.
+/// The compact table of one iteration of slab `d` with partition sizes
+/// `parts`: every task's body, stage and edges, no access sets.  Region
+/// contents and the domain's address are not part of it — task bodies
+/// read the region lists from the domain they are bound to.
+///
+/// After the four waves come the halo tasks of each boundary `d` has a
+/// neighbour across (partition 0 = lower, 1 = upper):
+///
+///   stage 0  pack_corner   reads the owned boundary plane of the six
+///                          corner-force arrays — ordered after exactly the
+///                          force tasks that write that plane;
+///            unpack_corner writes the neighbour's plane into the ghost
+///                          slots — with NO ordering edge, so the audit
+///                          must prove the ghost region disjoint from every
+///                          owned-plane access of the wave;
+///   stage 2  pack_delv     reads the owned boundary plane of delv_zeta
+///                          (same gating as pack_corner);
+///            unpack_delv   writes the delv_zeta ghost plane, again with no
+///                          edge.
+///
+/// Last, when `d` has any neighbour, comes its liveness task: a stage-0
+/// root that stamps the slab's heartbeat and passes its slab_kill:<slab>
+/// fault site.  It reads and writes no field.  A neighbourless domain gets
+/// the four waves alone.
 graph_model build_iteration_table(const domain& d, partition_sizes parts);
 
 /// build_iteration_table with every task's access set filled in — the

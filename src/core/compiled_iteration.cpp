@@ -18,7 +18,6 @@ namespace k = kernels;
 
 compiled_iteration::compiled_iteration(amt::runtime& rt,
                                        std::span<domain* const> slabs,
-                                       const table_builder& table,
                                        const config& cfg, fabric fab)
     : rt_(rt),
       cfg_(cfg),
@@ -37,7 +36,7 @@ compiled_iteration::compiled_iteration(amt::runtime& rt,
             shape.region_sizes.push_back(
                 static_cast<index_t>(d.regElemList(r).size()));
         }
-        slabs_[s].table = table(d, s);
+        slabs_[s].table = build_iteration_table(d, cfg.parts);
         slabs_[s].env.dom = slabs[s];
     }
     compile();
@@ -176,7 +175,8 @@ void compiled_iteration::check() const {
 // Access sets point into the bound domain's region lists and expand
 // against its connectivity, so they are built once per binding: again only
 // when a different domain, or a domain re-emplaced with new region-list
-// storage, is bound.
+// storage, is bound.  The domain's hazard arena is bound with them, so no
+// tracked slab can lack one (a scope over an unbound arena stays inert).
 void compiled_iteration::build_access_sets(slab_state& sl) {
     const domain& d = *sl.env.dom;
     std::vector<const void*> key{&d};
@@ -184,6 +184,9 @@ void compiled_iteration::build_access_sets(slab_state& sl) {
         key.push_back(d.regElemList(r).data());
     }
     if (key == sl.ctxs_key) return;
+    if (cfg_.track_hazards) {
+        amt::hazard::bind_arena(&d, arena_extents(d, sl.table.num_slots));
+    }
     for (std::size_t i = 0; i < sl.ctxs.size(); ++i) {
         const task_decl& t = sl.table.tasks[i];
         if (!is_wave_body(t.kind)) continue;
@@ -332,15 +335,12 @@ bool replay::submit_capture(std::size_t slab,
     return true;
 }
 
-compiled_iteration& replay::arm(
-    std::span<domain* const> slabs,
-    const compiled_iteration::table_builder& table,
-    const compiled_iteration::config& cfg,
-    const compiled_iteration::fabric& fab) {
+compiled_iteration& replay::arm(std::span<domain* const> slabs,
+                                const compiled_iteration::config& cfg,
+                                const compiled_iteration::fabric& fab) {
     if (compiled_ == nullptr || !compiled_->fits(slabs, cfg)) {
         compiled_.reset();
-        compiled_ =
-            std::make_unique<compiled_iteration>(rt_, slabs, table, cfg, fab);
+        compiled_ = std::make_unique<compiled_iteration>(rt_, slabs, cfg, fab);
     }
     for (std::size_t s = 0; s < captures_.size(); ++s) {
         const std::shared_ptr<state_capture> cap =

@@ -1,25 +1,24 @@
 // core/compiled_iteration.hpp
 //
 // One leapfrog iteration compiled into a reusable amt::static_graph — the
-// end point of the paper's T6 trick.  The compiler walks a list of slab
-// tables (core/access.hpp: build_iteration_table for the taskgraph
-// driver, one build_slab_table per slab for the dist driver) and turns
-// every task into a node, its edges, or an external dependency; it is the
-// only place the iteration's graph is wired.  The graph is compiled ONCE
-// per table shape and then *replayed*: arm() points each slab at its
-// domain, re-arms the generation counters, resets the constraint partials,
-// the error flags and the stamps, and the very same node objects flow
-// through the scheduler again.  Steady-state replay iterations perform
+// end point of the paper's T6 trick.  The compiler walks the table of
+// every slab of a slab set (core/access.hpp: build_iteration_table; a
+// lone domain is the set of one) and turns every task into a node, its
+// edges, or an external dependency; it is the only place the iteration's
+// graph is wired.  The graph is compiled ONCE per table shape and then
+// *replayed*: arm() points each slab at its domain, re-arms the generation
+// counters, resets the constraint partials, the error flags and the
+// stamps, and the very same node objects flow through the scheduler
+// again.  Steady-state replay iterations perform
 // zero heap allocations (tests/amt/test_alloc_count.cpp).
 //
-// graph::replay (below) is what every graph driver does around that graph,
-// written once: it keeps the compiled iteration, recompiles it when the
-// slabs or the config no longer fit, binds the slabs, hands each slab its
-// pending checkpoint capture and arms the graph.  The taskgraph driver
-// replays one slab through it, the dist driver a cluster's slabs.
+// graph::replay (below) is what the taskgraph driver does around that
+// graph: it keeps the compiled iteration, recompiles it when the slabs or
+// the config no longer fit, binds the slabs, hands each slab its pending
+// checkpoint capture and arms the graph.
 //
-// Per slab (the taskgraph driver compiles exactly one), one task per chunk
-// per wave (T3), each running its chunk's kernels in sequence:
+// Per slab, one task per chunk per wave (T3), each running its chunk's
+// kernels in sequence:
 //
 //   wave 1  force:       stress ∥ hourglass per element chunk    → B1
 //   wave 2  node:        gather + velpos per node chunk          → B2
@@ -35,7 +34,7 @@
 // bodies stamp the phase-completion instants (phase_profile, the tracer's
 // phase windows).
 //
-// The halo tasks of a dist slab table compile by one rule:
+// The halo tasks of a slab with neighbours compile by one rule:
 //   * a send (pack_corner, pack_delv) is a node running the driver's halo
 //     handler, gated on exactly its table deps — the producers of its
 //     plane — and feeding its stage's barrier;
@@ -43,8 +42,8 @@
 //     barrier, satisfied by the driver's receive chain (externals());
 //   * the slab's liveness task is a stage-0 root node running the halo
 //     handler and feeding B1.
-// The dist exchange modes differ only in the number of barrier sets: one
-// per slab (futurized), or one set shared by every slab (bulk-synchronous),
+// The exchange modes differ only in the number of barrier sets: one per
+// slab (futurized), or one set shared by every slab (bulk-synchronous),
 // so a wave starts only once every slab finished the previous one and
 // every message of that stage arrived.
 //
@@ -103,7 +102,7 @@ public:
 
     /// What keys the graph besides the slabs' shapes: the partition sizes
     /// and the opt-in per-task instrumentation (the hazard tracker's scopes,
-    /// the NaN scan of every written range).
+    /// the NaN scan of every written range), for every slab.
     struct config {
         partition_sizes parts;
         bool track_hazards = false;
@@ -122,11 +121,6 @@ public:
             on_failure;
     };
 
-    /// Builds the table of slab `i`, domain `d` (access sets are built
-    /// only when instrumented).
-    using table_builder =
-        std::function<graph_model(const domain& d, std::size_t i)>;
-
     /// A receive owed to the graph every replay: once the message of
     /// table task `task` of slab `slab` is unpacked — or has failed, after
     /// graph().fail(gate, e) — the driver calls satisfy_external(gate).
@@ -136,11 +130,10 @@ public:
         node_id gate;
     };
 
-    /// Compiles and seals the graph of `table` over `slabs`, whose shapes
-    /// key it.
+    /// Compiles and seals the graph of every slab's build_iteration_table,
+    /// whose shapes key it.
     compiled_iteration(amt::runtime& rt, std::span<domain* const> slabs,
-                       const table_builder& table, const config& cfg,
-                       fabric fab);
+                       const config& cfg, fabric fab);
 
     compiled_iteration(const compiled_iteration&) = delete;
     compiled_iteration& operator=(const compiled_iteration&) = delete;
@@ -170,7 +163,8 @@ public:
     void reduce_constraints();
     /// The iteration's verdict: throws simulation_error on a non-positive
     /// volume, on q over qstop, on a non-finite write the NaN scan found
-    /// (naming its field and wave) and on a hazard-tracker violation.
+    /// (naming its field and wave) and on a hazard-tracker violation, in
+    /// any slab.
     void check() const;
 
     [[nodiscard]] amt::static_graph& graph() noexcept { return graph_; }
@@ -234,7 +228,8 @@ private:
         std::vector<index_t> region_sizes;
     };
     /// One task's declared accesses, built for the bound domain when the
-    /// graph is instrumented.
+    /// graph is instrumented (with the domain's hazard arena when tracking
+    /// hazards).
     struct task_ctx {
         std::vector<access> accs;
         amt::hazard::access_set decl;  ///< accs expanded for the tracker
@@ -313,14 +308,13 @@ public:
     /// simply skipped.
     bool submit_capture(std::size_t slab, std::shared_ptr<state_capture> cap);
 
-    /// Compiles `table(*slabs[i], i)` for every slab unless the graph
-    /// already fits them, binds every slab, gives each slab its pending
-    /// capture — a capture of another domain is packed on the spot — and
-    /// arms the graph at slab 0's deltatime.
+    /// Compiles every slab's table unless the graph already fits them,
+    /// binds every slab, gives each slab its pending capture — a capture of
+    /// another domain is packed on the spot — and arms the graph at slab
+    /// 0's deltatime.
     compiled_iteration& arm(std::span<domain* const> slabs,
-                            const compiled_iteration::table_builder& table,
                             const compiled_iteration::config& cfg,
-                            const compiled_iteration::fabric& fab = {});
+                            const compiled_iteration::fabric& fab);
 
     /// The compiled iteration (null before the first arm()).
     [[nodiscard]] compiled_iteration* compiled() noexcept {

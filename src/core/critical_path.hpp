@@ -29,6 +29,12 @@
 //               does.  0 means the phase is work-bound at this worker
 //               count and partition splitting cannot help.
 //
+// On a cluster (`--slabs`) the one graph holds every slab's nodes, and a
+// slab's halo send is a node (stage -1, in no phase).  A halo message is
+// an external dependency of its receiver's barrier, not an edge, so the
+// reported path leaves out message waits: it is the longest chain of
+// compute, never of communication.
+//
 // Reported behind `lulesh_app --critical-path-report[=PATH]` as both
 // human-readable text and a JSON document (scripts/validate_critical_path.py
 // checks the two agree).

@@ -218,4 +218,31 @@ std::string format_audit(const audit_result& res, const graph_model& m) {
     return os.str();
 }
 
+std::vector<slab_audit> audit_slabs(std::span<const domain* const> slabs,
+                                    partition_sizes parts) {
+    std::vector<slab_audit> audits;
+    audits.reserve(slabs.size());
+    for (const domain* d : slabs) {
+        slab_audit& a = audits.emplace_back();
+        a.model = build_iteration_model(*d, parts);
+        add_checkpoint_pack_tasks(a.model, *d);
+        a.result = audit_graph(a.model, *d);
+    }
+    return audits;
+}
+
+bool audits_ok(const std::vector<slab_audit>& audits) {
+    return std::all_of(audits.begin(), audits.end(),
+                       [](const slab_audit& a) { return a.result.ok(); });
+}
+
+std::string format_audits(const std::vector<slab_audit>& audits) {
+    std::string out;
+    for (std::size_t i = 0; i < audits.size(); ++i) {
+        if (audits.size() > 1) out += "slab " + std::to_string(i) + ": ";
+        out += format_audit(audits[i].result, audits[i].model);
+    }
+    return out;
+}
+
 }  // namespace lulesh::graph

@@ -18,10 +18,22 @@
 // adjacency), so a pass means *no* unordered overlap exists for this mesh,
 // and a failure names the two tasks, the field, and the offending index
 // range.
+//
+// audit_slabs is the one audit of what the taskgraph driver runs: per slab
+// of a slab set (a lone domain, or a cluster's z-slabs), the iteration
+// table with its halo tasks plus the overlapped checkpoint packs.  The
+// audit is per slab: slabs share no arrays (channels pass buffers by
+// value), so cross-slab ordering is the channel set→get dependency the
+// runtime enforces by construction, while every intra-slab hazard — ghost
+// slots colliding with owned ranges, a send racing the plane it reads, a
+// checkpoint pack outliving its barrier — is in scope.  The exchange modes
+// differ only in whether the slabs share one barrier set, and a shared
+// barrier only adds ordering, so the audit covers both.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,5 +77,23 @@ audit_result audit_graph(const graph_model& m, const domain& d);
 /// Multi-line human-readable summary: "graph audit: PASS (N tasks, ...)" or
 /// the hazard list, one describe() line each.
 std::string format_audit(const audit_result& res, const graph_model& m);
+
+/// One slab's audit: its model and the verdict.
+struct slab_audit {
+    graph_model model;
+    audit_result result;
+};
+
+/// Audits every slab of a slab set: build_iteration_model plus
+/// add_checkpoint_pack_tasks, against the slab's own connectivity.
+std::vector<slab_audit> audit_slabs(std::span<const domain* const> slabs,
+                                    partition_sizes parts);
+
+/// True when every slab passed.
+[[nodiscard]] bool audits_ok(const std::vector<slab_audit>& audits);
+
+/// format_audit per slab, each prefixed "slab <i>: " when there is more
+/// than one.
+std::string format_audits(const std::vector<slab_audit>& audits);
 
 }  // namespace lulesh::graph

@@ -18,7 +18,7 @@ std::string slab_chain_path(const std::string& path, index_t i) {
 // Whole-cluster chain files are saved between runs, with no next cycle to
 // overlap with, so their records are packed synchronously; the resilient
 // loop overlaps its per-cycle records with the next cycle
-// (dist_driver::submit_overlapped_capture).
+// (taskgraph_driver::submit_overlapped_capture).
 void save_cluster_chains(cluster& c, const std::string& path) {
     for (index_t i = 0; i < c.num_slabs(); ++i) {
         write_chain_file(slab_chain_path(path, i),

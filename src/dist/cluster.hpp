@@ -79,6 +79,15 @@ struct boundary_channels {
     retransmit_slot corner_down_tx;
     retransmit_slot delv_up_tx;
     retransmit_slot delv_down_tx;
+
+    /// Closes the four channels: every pending and future get() resolves
+    /// with amt::channel_closed.  Idempotent and thread-safe.
+    void close() {
+        corner_up.close();
+        corner_down.close();
+        delv_up.close();
+        delv_down.close();
+    }
 };
 
 /// The four directed message streams of a boundary, in the order the
@@ -128,12 +137,7 @@ public:
     /// final barrier cannot hang.  Idempotent and thread-safe; the cluster
     /// is not reusable for further iterations afterwards.
     void close_channels() {
-        for (auto& b : channels_) {
-            b->corner_up.close();
-            b->corner_down.close();
-            b->delv_up.close();
-            b->delv_down.close();
-        }
+        for (auto& b : channels_) b->close();
     }
 
     /// Re-wires a halo fabric failed by close_channels(): every channel is

@@ -17,9 +17,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "amt/atomic.hpp"
@@ -27,6 +28,18 @@
 #include "lulesh/types.hpp"
 
 namespace lulesh::dist {
+
+/// What the driver learned about the last failed iteration: which slab
+/// failed (-1 when unattributable — e.g. a global volume error), the status
+/// the failure maps to, and whether it was transient (an injected/dropped
+/// fault that a replay at unchanged dt can clear).  The recovery layer
+/// (dist/resilient_dist) uses this to decide which slab to rebuild.
+struct slab_failure {
+    index_t slab = -1;
+    status code = status::ok;
+    bool transient = false;
+    std::string message;
+};
 
 class failure_detector {
 public:

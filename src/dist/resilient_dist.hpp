@@ -10,7 +10,7 @@
 // channel_closed cascade they cause — become a cluster-wide rollback.
 //
 // What the cluster adds to the loop:
-//   * diagnosis from dist_driver::last_failure: the slab it names, its
+//   * diagnosis from taskgraph_driver::last_failure: the slab it names, its
 //     transience, and the status the fail-stop path maps it to (a cascade
 //     with no named slab ends as stalled);
 //   * before each rollback, the named slab's domain is rebuilt from
@@ -20,7 +20,7 @@
 //   * slab i's ring is mirrored to slab_chain_path(checkpoint_path, i), so
 //     a process restart resumes through load_cluster_chains.
 //
-// Each slab's capture is handed to dist_driver::submit_overlapped_capture
+// Each slab's capture is handed to the driver's submit_overlapped_capture
 // and packed by the next cycle's tasks, in either exchange mode.  See
 // docs/resilience.md for the recovery matrix.
 

@@ -89,13 +89,9 @@ cli_options parse_cli(int argc, const char* const* argv) {
         } else if (arg == "--checkpoint-every") {
             cli.checkpoint_every = parse_int<int>(
                 arg, require_value(arg, argc, argv, i));
-        } else if (arg == "--halo-timeout") {
-            cli.halo_timeout_ms = parse_int<int>(
-                arg, require_value(arg, argc, argv, i));
-        } else if (arg.rfind("--halo-timeout=", 0) == 0) {
-            cli.halo_timeout_ms = parse_int<int>(
-                "--halo-timeout",
-                arg.substr(std::string("--halo-timeout=").size()).c_str());
+        } else if (arg == "--slabs") {
+            cli.slabs =
+                parse_int<index_t>(arg, require_value(arg, argc, argv, i));
         } else if (arg == "--max-recoveries") {
             cli.max_recoveries = parse_int<int>(
                 arg, require_value(arg, argc, argv, i));
@@ -176,8 +172,15 @@ cli_options parse_cli(int argc, const char* const* argv) {
     if (cli.checkpoint_every < 0) {
         throw std::invalid_argument("lulesh: --checkpoint-every must be >= 0");
     }
-    if (cli.halo_timeout_ms < 0) {
-        throw std::invalid_argument("lulesh: --halo-timeout must be >= 0");
+    if (cli.slabs < 1 || cli.slabs > cli.problem.size) {
+        throw std::invalid_argument(
+            "lulesh: --slabs must be >= 1 and at most -s (one element plane "
+            "per slab)");
+    }
+    if (cli.slabs > 1 && cli.driver != "taskgraph") {
+        throw std::invalid_argument(
+            "lulesh: --slabs runs the slabs on the task graph, which driver '" +
+            cli.driver + "' never compiles — use taskgraph");
     }
     if (cli.max_recoveries < 0) {
         throw std::invalid_argument("lulesh: --max-recoveries must be >= 0");
@@ -186,12 +189,10 @@ cli_options parse_cli(int argc, const char* const* argv) {
         (cli.partitions->nodal < 1 || cli.partitions->elems < 1)) {
         throw std::invalid_argument("lulesh: -p sizes must be >= 1");
     }
-    if (cli.audit_graph &&
-        (cli.driver == "serial" || cli.driver == "parallel_for")) {
+    if (cli.audit_graph && cli.driver != "taskgraph") {
         throw std::invalid_argument(
-            "lulesh: --audit-graph audits the pre-built task graph, which "
-            "driver '" + cli.driver + "' never spawns — use taskgraph or "
-            "foreach");
+            "lulesh: --audit-graph audits the compiled iteration graph, "
+            "which driver '" + cli.driver + "' never runs — use taskgraph");
     }
     if ((!cli.trace_file.empty() || !cli.utilization_report_file.empty()) &&
         (cli.driver == "serial" || cli.driver == "parallel_for")) {
@@ -247,14 +248,12 @@ std::string usage_text(const std::string& program) {
        << "  --max-recoveries <n>       resilient mode: bound rollback-and-\n"
        << "                             replay attempts per incident\n"
        << "                             (default 3; 0 = stop at the first)\n"
-       << "  --halo-timeout <ms>        distributed runs: fail the halo\n"
-       << "                             fabric after <ms> of zero progress\n"
-       << "                             (status: stalled) instead of hanging\n"
-       << "                             on a dead slab (0 = no deadline;\n"
-       << "                             distributed_sedov only)\n"
-       << "  --audit-graph   statically audit the task graph for unordered\n"
-       << "                  read-write/write-write overlaps before running\n"
-       << "                  (needs a task-graph driver)\n"
+       << "  --slabs <n>     split the mesh into n z-slabs exchanging halos\n"
+       << "                  through channels (default 1; 1 <= n <= -s;\n"
+       << "                  n > 1 needs the taskgraph driver)\n"
+       << "  --audit-graph   statically audit the task graph of every slab\n"
+       << "                  for unordered read-write/write-write overlaps\n"
+       << "                  before running (needs the taskgraph driver)\n"
        << "  --trace <file>  record per-task trace events and write a Chrome\n"
        << "                  trace-event JSON (load in Perfetto / chrome://\n"
        << "                  tracing; needs a task-spawning driver)\n"
@@ -274,7 +273,7 @@ std::string usage_text(const std::string& program) {
        << "                  critical-path report (path length, per-phase\n"
        << "                  slack, top tasks) after the run; =<file> also\n"
        << "                  writes it as JSON (needs the taskgraph\n"
-       << "                  driver in replay mode)\n"
+       << "                  driver)\n"
        << "  -h              this help\n"
        << "Exit codes: 0 ok, 1 usage, 2 volume error, 3 qstop exceeded,\n"
        << "            4 task fault, 5 stalled, 6 graph hazard,\n"

@@ -123,17 +123,13 @@ struct cli_options {
     /// > 0 enables the resilient run loop (lulesh/resilient_run.hpp):
     /// checkpoint every K cycles and roll back + replay on failures.
     int checkpoint_every = 0;
-    /// Recovery budget per incident for the resilient loop, in both
-    /// executables.
+    /// Recovery budget per incident for the resilient loop.
     int max_recoveries = 3;
 
-    /// Distributed halo-exchange progress deadline in milliseconds (0 = no
-    /// deadline, the default).  > 0 arms the dist driver's per-slab failure
-    /// detector: a deadline's worth of zero progress fails the halo fabric
-    /// with status::stalled and names the suspect slab instead of hanging.
-    /// Read only by distributed_sedov, which ignores -d; lulesh_app, which
-    /// exchanges no halos, rejects a non-zero value.
-    int halo_timeout_ms = 0;
+    /// z-slabs the mesh is split into (`--slabs`, default 1: one domain).
+    /// More than one runs a dist::cluster whose slabs exchange halos
+    /// through channels, on the taskgraph driver only.
+    index_t slabs = 1;
 
     /// Run the static task-graph hazard audit at startup (core/graph_audit)
     /// and exit with status::hazard if an unordered overlap is found.
@@ -162,20 +158,20 @@ struct cli_options {
     /// --critical-path-report[=PATH]: profile the compiled graph's nodes
     /// and print the critical-path report (per-iteration path length,
     /// per-phase slack, top-k tasks) after the run; with =PATH the same
-    /// report is also written as JSON.  Taskgraph driver in replay mode
-    /// only — the profile lives on the compiled graph's recycled nodes.
+    /// report is also written as JSON.  Taskgraph driver only — the
+    /// profile lives on the compiled graph's recycled nodes.
     bool critical_path_report = false;
     std::string critical_path_json;
 };
 
 /// Parses argv in the style of the reference binary (`-s 30 -r 11 -i 100 -q`)
 /// extended with `-d <driver>`, `-t <threads>`, `-p <nodal> <elems>`.
-/// --audit-graph models the task-graph wave structure, and --trace,
-/// --utilization-report and --metrics observe scheduler tasks, so each is
-/// rejected with a driver that spawns none (serial, parallel_for);
-/// --critical-path-report needs taskgraph.  -b and -c must pass
-/// check_region_balance and check_region_cost.  Throws
-/// std::invalid_argument on malformed input.
+/// --trace, --utilization-report and --metrics observe scheduler tasks, so
+/// each is rejected with a driver that spawns none (serial, parallel_for);
+/// --audit-graph and --critical-path-report read the compiled graph, and
+/// --slabs above 1 runs it, so each needs taskgraph.  --slabs must lie in
+/// [1, -s].  -b and -c must pass check_region_balance and
+/// check_region_cost.  Throws std::invalid_argument on malformed input.
 cli_options parse_cli(int argc, const char* const* argv);
 
 /// Usage text for the executables.

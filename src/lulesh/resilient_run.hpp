@@ -131,10 +131,10 @@ run_result run_simulation(resilient_system& sys,
                           int max_cycles = std::numeric_limits<int>::max());
 
 /// Runs `sys` to stoptime / `max_cycles` with rollback recovery as
-/// described above.  Drivers that can pack a capture as ordinary tasks of
-/// the next iteration (the task graph, the dist driver) take the copy off
-/// the critical path; a capture is always committed before anything but
-/// the driver touches a slab again.
+/// described above.  A driver that can pack a capture as ordinary tasks of
+/// the next iteration (the task graph, for a domain or a cluster) takes
+/// the copy off the critical path; a capture is always committed before
+/// anything but the driver touches a slab again.
 resilient_result run_resilient(
     resilient_system& sys, const resilience_options& opt,
     int max_cycles = std::numeric_limits<int>::max());

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "lulesh/domain.hpp"
@@ -26,6 +27,11 @@ struct symmetry_report {
 /// Checks e(i,j,k) against all index permutations.
 symmetry_report check_energy_symmetry(const domain& d);
 
+/// The same over `e`, the energy field of a whole size^3 mesh (a cluster's
+/// slab fields concatenated in z order).
+symmetry_report check_energy_symmetry(std::span<const real_t> e,
+                                      index_t size);
+
 /// Field-by-field comparison of two domains (same problem size required).
 /// Returns the maximum absolute difference over the primary state fields
 /// (x, y, z, xd, yd, zd, e, p, q, v, ss); 0.0 means bitwise identical.
@@ -33,5 +39,9 @@ real_t max_field_difference(const domain& a, const domain& b);
 
 /// Human-readable end-of-run report in the style of the reference output.
 std::string final_report(const domain& d, const run_result& result);
+
+/// The same for the whole size^3 mesh whose energy field is `e`.
+std::string final_report(std::span<const real_t> e, index_t size,
+                         const run_result& result);
 
 }  // namespace lulesh

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include <sstream>
 #include <string>
@@ -17,10 +18,11 @@
 
 #include "amt/amt.hpp"
 #include "amt/fault.hpp"
+#include "amt/hazard.hpp"
+#include "core/access.hpp"
 #include "dist/checkpoint_dist.hpp"
 #include "dist/cluster.hpp"
 #include "dist/driver_dist.hpp"
-#include "dist/halo_audit.hpp"
 #include "lulesh/checkpoint.hpp"
 #include "lulesh/checkpoint_chain.hpp"
 #include "lulesh/driver.hpp"
@@ -464,7 +466,7 @@ TEST(DistRun, SecondClusterOfTheSameShapeReusesTheCompiledGraph) {
 
 TEST(DistCompiledGraph, SendNodesWaitOnExactlyTheirPackTaskDepsInBothModes) {
     // Both modes run the audited table: every send node's predecessors are
-    // exactly the plane producers build_slab_model declares for its pack
+    // exactly the plane producers build_iteration_model declares for its pack
     // task, and every unpack task is one receive gate.
     for (const auto mode : {dist_driver::exchange_mode::futurized,
                             dist_driver::exchange_mode::bulk_synchronous}) {
@@ -489,7 +491,7 @@ TEST(DistCompiledGraph, SendNodesWaitOnExactlyTheirPackTaskDepsInBothModes) {
         for (index_t s = 0; s < c.num_slabs(); ++s) {
             const auto slab = static_cast<std::size_t>(s);
             const auto model =
-                lulesh::dist::build_slab_model(c.slab(s), parts, s);
+                lulesh::graph::build_iteration_model(c.slab(s), parts);
             for (std::size_t i = 0; i < model.tasks.size(); ++i) {
                 const auto& t = model.tasks[i];
                 if (t.kind == lulesh::graph::body_kind::unpack_corner ||
@@ -571,6 +573,53 @@ TEST(DistRun, ExcessViscosityInOneSlabEndsWithQstopError) {
               std::string::npos)
         << result.error_message;
     EXPECT_EQ(drv.last_failure().code, lulesh::status::qstop_error);
+}
+
+// The cluster twin of ReplayEquivalence.
+// InstrumentedReplayOfAReplacedDomainIsCleanAndBitwise: the opt-in
+// instrumentation reaches every slab, in both modes.  A scope over a slab
+// whose hazard arena was never bound stays inert, so zero violations alone
+// would not show that the slab was tracked; the NaN planted in the last
+// slab, caught on the next cycle, shows it was instrumented.
+TEST(DistInstrumented, EverySlabIsHazardTrackedAndNaNScanned) {
+    struct tracker_guard {
+        tracker_guard() {
+            amt::hazard::clear_violations();
+            amt::hazard::arm();
+        }
+        ~tracker_guard() {
+            amt::hazard::disarm();
+            amt::hazard::clear_violations();
+        }
+    } guard;
+    const options o = opts(10);
+    domain global(o);
+    {
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(global, drv, 4);
+    }
+    for (const auto mode : {dist_driver::exchange_mode::futurized,
+                            dist_driver::exchange_mode::bulk_synchronous}) {
+        cluster c(o, 3);
+        amt::runtime rt(2);
+        dist_driver drv(rt, {32, 32}, mode);
+        SCOPED_TRACE(drv.name());
+        drv.enable_instrumentation(/*track_hazards=*/true, /*scan_nan=*/true);
+        ASSERT_EQ(lulesh::dist::run_simulation(c, drv, 4).run_status,
+                  lulesh::status::ok);
+        EXPECT_EQ(amt::hazard::violation_count(), 0u);
+        EXPECT_EQ(cluster_vs_global(c, global), 0.0);
+
+        c.slab(2).xd[5] = std::numeric_limits<real_t>::quiet_NaN();
+        const auto poisoned = lulesh::dist::run_simulation(c, drv, 5);
+        EXPECT_EQ(poisoned.run_status, lulesh::status::data_corruption);
+        EXPECT_NE(poisoned.error_message.find("non-finite field value "
+                                              "detected in "),
+                  std::string::npos)
+            << poisoned.error_message;
+        EXPECT_NE(poisoned.error_message.find(" at wave "), std::string::npos)
+            << poisoned.error_message;
+    }
 }
 
 TEST(DistRun, PerSlabCheckpointRestartIsBitwise) {
@@ -752,8 +801,8 @@ TEST(DistRun, DriverNamesReflectMode) {
     amt::runtime rt(1);
     dist_driver fut(rt, {8, 8}, dist_driver::exchange_mode::futurized);
     dist_driver bsp(rt, {8, 8}, dist_driver::exchange_mode::bulk_synchronous);
-    EXPECT_EQ(fut.name(), "dist_futurized");
-    EXPECT_EQ(bsp.name(), "dist_bsp");
+    EXPECT_EQ(fut.name(), "taskgraph");
+    EXPECT_EQ(bsp.name(), "taskgraph_bsp");
 }
 
 }  // namespace

@@ -1,19 +1,19 @@
-// tests/dist/test_halo_audit.cpp — the halo-exchange extension of the
-// static graph audit.  The slab model (iteration waves + pack/unpack tasks
-// per interior boundary + overlapped checkpoint packs) must be proven
-// race-free for real clusters, and adversarial mutations — an unpack
-// retargeted at the owned plane, a pack whose plane gating is severed, a
-// checkpoint pack held into the region stage — must surface as exactly the
-// hazard the mutation introduces.
-
-#include "dist/halo_audit.hpp"
+// tests/dist/test_halo_audit.cpp — the halo-exchange half of the static
+// graph audit.  A slab's model (iteration waves + pack/unpack tasks per
+// neighbour + overlapped checkpoint packs) must be proven race-free for
+// real clusters, and adversarial mutations — an unpack retargeted at the
+// owned plane, a pack whose plane gating is severed, a checkpoint pack
+// held into the region stage — must surface as exactly the hazard the
+// mutation introduces.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/access.hpp"
+#include "core/graph_audit.hpp"
 #include "dist/cluster.hpp"
 #include "lulesh/checkpoint_chain.hpp"
 #include "lulesh/domain.hpp"
@@ -24,11 +24,10 @@ using lulesh::domain;
 using lulesh::index_t;
 using lulesh::options;
 using lulesh::partition_sizes;
-using lulesh::dist::audit_cluster;
-using lulesh::dist::build_slab_model;
 using lulesh::dist::cluster;
-using lulesh::dist::cluster_audit_ok;
-using lulesh::dist::format_cluster_audit;
+using lulesh::graph::audits_ok;
+using lulesh::graph::build_iteration_model;
+using lulesh::graph::format_audits;
 namespace graph = lulesh::graph;
 
 options opts(index_t size, index_t regions = 11) {
@@ -36,6 +35,21 @@ options opts(index_t size, index_t regions = 11) {
     o.size = size;
     o.num_regions = regions;
     return o;
+}
+
+/// The one audit over every slab of `c`.
+std::vector<graph::slab_audit> audit_cluster(const cluster& c,
+                                             partition_sizes parts) {
+    std::vector<const domain*> slabs;
+    for (index_t s = 0; s < c.num_slabs(); ++s) slabs.push_back(&c.slab(s));
+    return graph::audit_slabs(slabs, parts);
+}
+
+std::size_t count_waves(const graph::graph_model& m) {
+    return static_cast<std::size_t>(std::count_if(
+        m.tasks.begin(), m.tasks.end(), [](const graph::task_decl& t) {
+            return graph::is_wave_body(t.kind);
+        }));
 }
 
 bool is_halo_site(const graph::task_decl& t) {
@@ -66,9 +80,9 @@ TEST(HaloAuditModel, InteriorSlabGetsFourTasksPerBoundary) {
     ASSERT_TRUE(mid.has_lower_neighbor());
     ASSERT_TRUE(mid.has_upper_neighbor());
 
-    const auto base = graph::build_iteration_model(mid, {64, 64});
-    const auto m = build_slab_model(mid, {64, 64}, 1);
-    EXPECT_EQ(m.tasks.size(), base.tasks.size() + 8 + 1);  // + liveness
+    const auto m = build_iteration_model(mid, {64, 64});
+    EXPECT_EQ(m.tasks.size(), count_waves(m) + 8 + 1);  // + liveness
+    EXPECT_EQ(m.tasks.back().kind, graph::body_kind::slab_liveness);
     for (const char* site : {"halo.pack_corner", "halo.unpack_corner",
                              "halo.pack_delv", "halo.unpack_delv"}) {
         EXPECT_EQ(count_site(m, site), 2u) << site;
@@ -77,19 +91,26 @@ TEST(HaloAuditModel, InteriorSlabGetsFourTasksPerBoundary) {
 
 TEST(HaloAuditModel, EdgeSlabsGetOneBoundaryEach) {
     cluster c(opts(6), 3);
-    const auto bottom = build_slab_model(c.slab(0), {64, 64}, 0);
-    const auto top = build_slab_model(c.slab(2), {64, 64}, 2);
+    const auto bottom = build_iteration_model(c.slab(0), {64, 64});
+    const auto top = build_iteration_model(c.slab(2), {64, 64});
     EXPECT_EQ(count_site(bottom, "halo.pack_corner"), 1u);
     EXPECT_EQ(count_site(top, "halo.pack_corner"), 1u);
     EXPECT_EQ(count_site(bottom, "halo.unpack_delv"), 1u);
 }
 
 TEST(HaloAuditModel, NeighborlessDomainDegeneratesToPlainModel) {
+    // A lone domain, and the one slab of a one-slab cluster, get the four
+    // waves alone: no halo task and no liveness task.
     const domain d(opts(6));
-    const auto base = graph::build_iteration_model(d, {64, 64});
-    const auto m = build_slab_model(d, {64, 64}, 0);
-    EXPECT_EQ(m.tasks.size(), base.tasks.size() + 1);  // + liveness
-    EXPECT_EQ(std::count_if(m.tasks.begin(), m.tasks.end(), is_halo_site), 0);
+    const cluster one(opts(6), 1);
+    for (const domain* dom : {&d, &one.slab(0)}) {
+        const auto m = build_iteration_model(*dom, {64, 64});
+        EXPECT_EQ(m.tasks.size(), count_waves(m));
+        EXPECT_EQ(std::count_if(m.tasks.begin(), m.tasks.end(), is_halo_site),
+                  0);
+    }
+    EXPECT_EQ(build_iteration_model(one.slab(0), {64, 64}).tasks.size(),
+              build_iteration_model(d, {64, 64}).tasks.size());
 }
 
 TEST(HaloAuditModel, PacksAreGatedOnThePlaneProducers) {
@@ -97,7 +118,7 @@ TEST(HaloAuditModel, PacksAreGatedOnThePlaneProducers) {
     // force task (and stage-2 elem task) whose range intersects the boundary
     // plane must be ordered before the pack that reads it.
     cluster c(opts(6), 2);
-    auto m = build_slab_model(c.slab(0), {64, 64}, 0);
+    auto m = build_iteration_model(c.slab(0), {64, 64});
     const graph::task_decl* pack = find_halo_task(m, "halo.pack_corner");
     ASSERT_NE(pack, nullptr);
     ASSERT_FALSE(pack->deps.empty());
@@ -123,8 +144,8 @@ TEST(HaloAudit, RealClustersAreProvenRaceFree) {
         cluster c(opts(6), slabs);
         const auto audits = audit_cluster(c, {64, 64});
         ASSERT_EQ(audits.size(), static_cast<std::size_t>(slabs));
-        EXPECT_TRUE(cluster_audit_ok(audits))
-            << slabs << " slabs:\n" << format_cluster_audit(audits);
+        EXPECT_TRUE(audits_ok(audits))
+            << slabs << " slabs:\n" << format_audits(audits);
     }
 }
 
@@ -137,19 +158,23 @@ TEST(HaloAudit, OnePlaneSlabsAndPartitionSweepStayRaceFree) {
          {partition_sizes{16, 16}, partition_sizes{64, 64},
           partition_sizes{1024, 1024}}) {
         const auto audits = audit_cluster(c, parts);
-        EXPECT_TRUE(cluster_audit_ok(audits))
+        EXPECT_TRUE(audits_ok(audits))
             << "parts {" << parts.nodal << ", " << parts.elems << "}:\n"
-            << format_cluster_audit(audits);
+            << format_audits(audits);
     }
 }
 
 TEST(HaloAudit, FormatNamesEverySlab) {
     cluster c(opts(6), 3);
     const auto audits = audit_cluster(c, {64, 64});
-    const std::string text = format_cluster_audit(audits);
+    const std::string text = format_audits(audits);
     EXPECT_NE(text.find("slab 0: "), std::string::npos) << text;
     EXPECT_NE(text.find("slab 2: "), std::string::npos) << text;
     EXPECT_NE(text.find("PASS"), std::string::npos) << text;
+    // A lone domain's verdict is format_audit's own line.
+    const std::string lone = format_audits(audit_cluster(cluster(opts(6), 1),
+                                                         {64, 64}));
+    EXPECT_EQ(lone.rfind("graph audit: PASS", 0), 0u) << lone;
 }
 
 // ---------------- overlapped checkpoint packs ----------------
@@ -158,17 +183,17 @@ bool is_ckpt_pack(const graph::task_decl& t) {
     return std::string(t.site).rfind("ckpt.pack.", 0) == 0;
 }
 
-/// The slab model audit_cluster checks: halo tasks plus the overlapped
+/// The slab model audit_slabs checks: halo tasks plus the overlapped
 /// checkpoint packs.
-graph::graph_model slab_model_with_packs(const domain& d, partition_sizes parts,
-                                         index_t slab) {
-    graph::graph_model m = build_slab_model(d, parts, slab);
+graph::graph_model slab_model_with_packs(const domain& d,
+                                         partition_sizes parts) {
+    graph::graph_model m = build_iteration_model(d, parts);
     graph::add_checkpoint_pack_tasks(m, d);
     return m;
 }
 
 TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
-    // The accepted placement: dist_driver gates a slab's B1 barrier on its
+    // The accepted placement: the driver gates a slab's B1 barrier on its
     // node-field packs (stage 0 only), its B2 barrier on its v pack
     // (through stage 1) and its B3 barrier on its other element-field packs
     // (through stage 2).  With the ghost unpacks, the
@@ -181,8 +206,8 @@ TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
              {partition_sizes{16, 16}, partition_sizes{64, 64}}) {
             for (index_t s = 0; s < slabs; ++s) {
                 const domain& d = c.slab(s);
-                const auto plain = build_slab_model(d, parts, s);
-                const auto m = slab_model_with_packs(d, parts, s);
+                const auto plain = build_iteration_model(d, parts);
+                const auto m = slab_model_with_packs(d, parts);
                 ASSERT_EQ(m.tasks.size(),
                           plain.tasks.size() + lulesh::num_checkpoint_fields);
                 std::size_t node_packs = 0;
@@ -207,18 +232,18 @@ TEST(HaloAuditCheckpoint, PackPlacementIsProvenRaceFree) {
 }
 
 TEST(HaloAuditCheckpoint, ClusterAuditCarriesThePacks) {
-    // audit_cluster (and distributed_sedov --audit-graph) audits the model
-    // with the packs in it, not the pack-free one.
+    // audit_slabs (and lulesh_app --audit-graph) audits the model with the
+    // packs in it, not the pack-free one.
     cluster c(opts(6), 3);
     const auto audits = audit_cluster(c, {64, 64});
-    for (const auto& a : audits) {
-        EXPECT_EQ(static_cast<std::size_t>(std::count_if(
-                      a.model.tasks.begin(), a.model.tasks.end(),
-                      is_ckpt_pack)),
+    for (std::size_t s = 0; s < audits.size(); ++s) {
+        const auto& tasks = audits[s].model.tasks;
+        EXPECT_EQ(static_cast<std::size_t>(
+                      std::count_if(tasks.begin(), tasks.end(), is_ckpt_pack)),
                   lulesh::num_checkpoint_fields)
-            << "slab " << a.slab;
+            << "slab " << s;
     }
-    EXPECT_TRUE(cluster_audit_ok(audits)) << format_cluster_audit(audits);
+    EXPECT_TRUE(audits_ok(audits)) << format_audits(audits);
 }
 
 TEST(HaloAuditCheckpoint, ElemPackSpanningTheRegionStageIsFlagged) {
@@ -227,7 +252,7 @@ TEST(HaloAuditCheckpoint, ElemPackSpanningTheRegionStageIsFlagged) {
     // mean — races the region wave's writes of e.  The audit must say so.
     cluster c(opts(6), 3);
     const domain& d = c.slab(1);
-    auto m = slab_model_with_packs(d, {64, 64}, 1);
+    auto m = slab_model_with_packs(d, {64, 64});
     const auto pack = std::find_if(
         m.tasks.begin(), m.tasks.end(), [](const graph::task_decl& t) {
             return std::string(t.site) == "ckpt.pack.elem" &&
@@ -255,7 +280,7 @@ TEST(HaloAuditAdversarial, UnpackRetargetedAtTheOwnedPlaneIsWriteWrite) {
     // collide with the force tasks writing that plane.
     cluster c(opts(6), 2);
     const domain& d = c.slab(1);
-    auto m = build_slab_model(d, {64, 64}, 1);
+    auto m = build_iteration_model(d, {64, 64});
     graph::task_decl* unpack = find_halo_task(m, "halo.unpack_corner");
     ASSERT_NE(unpack, nullptr);
     const index_t plane = d.bottom_plane_elem_base();
@@ -284,7 +309,7 @@ TEST(HaloAuditAdversarial, UnpackRetargetedAtTheOwnedPlaneIsWriteWrite) {
 TEST(HaloAuditAdversarial, DelvUnpackIntoOwnedRangeCollidesWithElemWave) {
     cluster c(opts(6), 2);
     const domain& d = c.slab(0);
-    auto m = build_slab_model(d, {64, 64}, 0);
+    auto m = build_iteration_model(d, {64, 64});
     graph::task_decl* unpack = find_halo_task(m, "halo.unpack_delv");
     ASSERT_NE(unpack, nullptr);
     const index_t plane = d.top_plane_elem_base();
@@ -310,7 +335,7 @@ TEST(HaloAuditAdversarial, SeveredPlaneGatingIsReadWrite) {
     // node's plane gating exists to prevent.
     cluster c(opts(6), 2);
     const domain& d = c.slab(0);
-    auto m = build_slab_model(d, {64, 64}, 0);
+    auto m = build_iteration_model(d, {64, 64});
     graph::task_decl* pack = find_halo_task(m, "halo.pack_corner");
     ASSERT_NE(pack, nullptr);
     pack->deps.clear();

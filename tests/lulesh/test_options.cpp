@@ -126,8 +126,7 @@ TEST(Cli, RejectsValuesThatDoNotFitTheFlagsType) {
     rejects({"-c", "4294967297"}, "-c");
     rejects({"-t", "99999999999999999999"}, "-t");
     rejects({"--checkpoint-every", "4294967297"}, "--checkpoint-every");
-    rejects({"--halo-timeout", "4294967296"}, "--halo-timeout");
-    rejects({"--halo-timeout=4294967296"}, "--halo-timeout");
+    rejects({"--slabs", "4294967297"}, "--slabs");
     rejects({"--max-recoveries", "4294967297"}, "--max-recoveries");
     rejects({"--metrics=m.json", "--metrics-interval", "4294967297"},
             "--metrics-interval");
@@ -193,16 +192,20 @@ TEST(Cli, RejectsNonPositivePartitions) {
 
 TEST(CliAudit, FlagEnablesAuditOnTaskGraphDrivers) {
     EXPECT_TRUE(parse({"--audit-graph"}).audit_graph);
-    EXPECT_TRUE(parse({"--audit-graph", "-d", "foreach"}).audit_graph);
+    EXPECT_TRUE(parse({"--audit-graph", "-d", "taskgraph"}).audit_graph);
+    EXPECT_TRUE(parse({"--audit-graph", "--slabs", "4"}).audit_graph);
     EXPECT_FALSE(parse({}).audit_graph);
 }
 
 TEST(CliAudit, FlagWithGraphlessDriverIsRejected) {
-    // serial and parallel_for never spawn the task graph the audit models —
+    // Only taskgraph runs the compiled graph the audit models: serial and
+    // parallel_for spawn no tasks, and foreach runs fork-join waves —
     // silently auditing a graph that will not run would be a false proof.
     EXPECT_THROW(parse({"--audit-graph", "-d", "serial"}),
                  std::invalid_argument);
     EXPECT_THROW(parse({"-d", "parallel_for", "--audit-graph"}),
+                 std::invalid_argument);
+    EXPECT_THROW(parse({"--audit-graph", "-d", "foreach"}),
                  std::invalid_argument);
 }
 
@@ -256,25 +259,31 @@ TEST(CliTrace, UsageTextDocumentsAllSpellings) {
     EXPECT_NE(text.find("--utilization-report"), std::string::npos);
 }
 
-// ------------- --halo-timeout / --max-recoveries (fail-soft dist) -------------
+// ------------- --slabs / --max-recoveries -------------
 
-TEST(CliHaloTimeout, ParsesBothSpellingsAndDefaultsToZero) {
-    EXPECT_EQ(parse({}).halo_timeout_ms, 0);
-    EXPECT_EQ(parse({"--halo-timeout", "250"}).halo_timeout_ms, 250);
-    EXPECT_EQ(parse({"--halo-timeout=1500"}).halo_timeout_ms, 1500);
-    // distributed_sedov, the one reader, ignores -d, so -d never rejects
-    // it; lulesh_app rejects the flag itself (ctest
-    // lulesh_app_rejects_halo_timeout).
-    EXPECT_EQ(parse({"--halo-timeout", "250", "-d", "serial"}).halo_timeout_ms,
-              250);
+TEST(CliSlabs, ParsesAndDefaultsToOne) {
+    EXPECT_EQ(parse({}).slabs, 1);
+    EXPECT_EQ(parse({"--slabs", "4"}).slabs, 4);
+    // One element plane per slab is the finest split.
+    EXPECT_EQ(parse({"-s", "6", "--slabs", "6"}).slabs, 6);
+    // One slab is the single domain, on any driver.
+    EXPECT_EQ(parse({"--slabs", "1", "-d", "serial"}).slabs, 1);
 }
 
-TEST(CliHaloTimeout, RejectsMalformedValues) {
-    EXPECT_THROW(parse({"--halo-timeout"}),
-                 std::invalid_argument);  // missing value
-    EXPECT_THROW(parse({"--halo-timeout", "-1"}), std::invalid_argument);
-    EXPECT_THROW(parse({"--halo-timeout", "soon"}), std::invalid_argument);
-    EXPECT_THROW(parse({"--halo-timeout=-250"}), std::invalid_argument);
+TEST(CliSlabs, RejectsMalformedValues) {
+    EXPECT_THROW(parse({"--slabs"}), std::invalid_argument);  // no value
+    EXPECT_THROW(parse({"--slabs", "soon"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--slabs", "0"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--slabs", "-2"}), std::invalid_argument);
+    EXPECT_THROW(parse({"-s", "6", "--slabs", "7"}), std::invalid_argument);
+    // More than one slab runs the compiled task graph only.
+    for (const char* d : {"serial", "parallel_for", "foreach"}) {
+        EXPECT_THROW(parse({"--slabs", "2", "-d", d}), std::invalid_argument)
+            << d;
+    }
+    // The halo deadline flag is gone: the retry layer's deadline ends a
+    // hung exchange.
+    EXPECT_THROW(parse({"--halo-timeout", "250"}), std::invalid_argument);
 }
 
 TEST(CliMaxRecoveries, ParsesAndRejectsNegative) {
@@ -285,10 +294,11 @@ TEST(CliMaxRecoveries, ParsesAndRejectsNegative) {
     EXPECT_THROW(parse({"--max-recoveries"}), std::invalid_argument);
 }
 
-TEST(CliHaloTimeout, UsageTextDocumentsAllSpellings) {
+TEST(CliSlabs, UsageTextDocumentsTheFlag) {
     const auto text = lulesh::usage_text("prog");
-    EXPECT_NE(text.find("--halo-timeout"), std::string::npos);
+    EXPECT_NE(text.find("--slabs"), std::string::npos);
     EXPECT_NE(text.find("--max-recoveries"), std::string::npos);
+    EXPECT_EQ(text.find("--halo-timeout"), std::string::npos);
 }
 
 TEST(Cli, UsageTextMentionsAllFlags) {
