@@ -4,7 +4,7 @@
 //
 //   (1) disarmed (the default): every probe on the task hot path is one
 //       relaxed load of the global armed flag plus a predictable branch —
-//       the same shape as the trace/fault/hazard probes.  A calibration
+//       the same shape as the trace and fault probes.  A calibration
 //       loop prices the probe, the task-graph iteration provides
 //       tasks/iter, and the projected bill must stay under 1%.
 //   (2) armed: the scheduler records a task-duration histogram sample and

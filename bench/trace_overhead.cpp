@@ -6,7 +6,7 @@
 //       relaxed atomic load plus a predictable branch.  A calibration loop
 //       prices the probe, the task-graph iteration provides tasks/iter, and
 //       the projected bill (probes/task × ns/probe ÷ ns/iter) must stay
-//       under 1% — the same bar fault_overhead and hazard_overhead set.
+//       under 1% — the same bar fault_overhead sets.
 //   (2) armed with a deliberately tiny ring: recording drops events rather
 //       than blocking, so the run completes at full task throughput, the
 //       drop counter reports what was lost, and the kept prefix is still a

@@ -22,8 +22,6 @@ echo "== Phase breakdown =="
 ./build/bench/phase_breakdown | tee results/phase.txt
 echo "== Fault-probe overhead (<1% budget) =="
 ./build/bench/fault_overhead | tee results/fault_overhead.txt
-echo "== Hazard-probe overhead (<1% budget) =="
-./build/bench/hazard_overhead | tee results/hazard_overhead.txt
 echo "== Trace-probe overhead (<1% budget, drop-not-block) =="
 ./build/bench/trace_overhead | tee results/trace_overhead.txt
 echo "== Checkpoint overhead at every-cycle cadence (<5% budget) =="
@@ -43,7 +41,7 @@ python3 scripts/validate_trace.py results/trace_smoke.json \
   --report results/utilization_phase.json
 
 # Source-level lint: task/future misuse (dangling captures, blocking gets,
-# undeclared kernel accesses, mutable statics, discarded futures) against
+# undeclared wave-body accesses, mutable statics, discarded futures) against
 # the checked-in empty baseline — docs/static-analysis.md.
 echo "== amtlint (task/future misuse) =="
 scripts/lint.sh | tee results/amtlint.txt

@@ -101,8 +101,6 @@ scope_info lookup_live(token_t serial) {
     return it != r.live.end() ? it->second : scope_info{};
 }
 
-thread_local task_scope* t_current = nullptr;
-
 }  // namespace
 
 std::string violation::describe() const {
@@ -114,15 +112,10 @@ std::string violation::describe() const {
         case kind::conflict_rw:
             os << "read-write conflict";
             break;
-        case kind::undeclared_access:
-            os << "undeclared access";
-            break;
     }
     os << ": field " << field << " [" << lo << ", " << hi << ") at " << site
-       << "[" << partition << "]";
-    if (k != kind::undeclared_access) {
-        os << " vs in-flight " << other_site << "[" << other_partition << "]";
-    }
+       << "[" << partition << "] vs in-flight " << other_site << "["
+       << other_partition << "]";
     return os.str();
 }
 
@@ -152,28 +145,6 @@ void access_set::normalize() {
     intervals = std::move(merged);
 }
 
-bool access_set::covers(int field, bool write, std::int64_t lo,
-                        std::int64_t hi) const {
-    if (lo >= hi) return true;
-    // Writes must be covered by write intervals; reads accept read or write
-    // intervals (possibly piecewise across both kinds).
-    std::vector<std::pair<std::int64_t, std::int64_t>> usable;
-    for (const interval& iv : intervals) {
-        if (iv.field == field && (iv.write || !write)) {
-            usable.emplace_back(iv.lo, iv.hi);
-        }
-    }
-    std::sort(usable.begin(), usable.end());
-    std::int64_t have = lo;
-    for (const auto& [l, h] : usable) {
-        if (h <= have) continue;
-        if (l > have) return false;
-        have = h;
-        if (have >= hi) return true;
-    }
-    return false;
-}
-
 void bind_arena(const void* key, const std::vector<std::size_t>& extents) {
     auto& r = reg();
     std::lock_guard lk(r.mu);
@@ -199,8 +170,6 @@ void release_arena(const void* key) {
 struct task_scope::impl {
     arena* a = nullptr;
     const access_set* decl = nullptr;
-    const char* site = "?";
-    std::int64_t partition = -1;
     token_t serial = 0;
 };
 
@@ -217,7 +186,7 @@ task_scope::task_scope(const void* arena_key, const char* site,
         a = &it->second;
     }
 
-    impl_ = new impl{a, decl, site, partition,
+    impl_ = new impl{a, decl,
                      r.next_serial.fetch_add(1, amt::memory_order_relaxed)};
     {
         std::lock_guard lk(r.mu);
@@ -261,14 +230,10 @@ task_scope::task_scope(const void* arena_key, const char* site,
             }
         }
     }
-
-    prev_ = t_current;
-    t_current = this;
 }
 
 task_scope::~task_scope() {
     if (impl_ == nullptr) return;
-    t_current = prev_;
 
     const token_t rtok = impl_->serial << 1;
     const token_t wtok = rtok | write_bit;
@@ -296,20 +261,6 @@ task_scope::~task_scope() {
     }
     delete impl_;
 }
-
-namespace detail {
-
-void touch_slow(int field, bool write, std::int64_t lo, std::int64_t hi) {
-    const task_scope* scope = t_current;
-    if (scope == nullptr || scope->impl_ == nullptr) return;
-    const task_scope::impl& im = *scope->impl_;
-    if (!im.decl->covers(field, write, lo, hi)) {
-        record({violation::kind::undeclared_access, field, lo, hi, im.site,
-                im.partition, "?", -1});
-    }
-}
-
-}  // namespace detail
 
 std::vector<violation> take_violations() {
     auto& r = reg();

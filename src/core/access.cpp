@@ -1,15 +1,16 @@
 // core/access.cpp — the iteration table builder and the declarative access
 // sets of its tasks.
 //
-// Every declaration below is derived from the kernel bodies
-// (lulesh/kernels_*.cpp); the dynamic shadow tracker cross-checks them at
-// runtime (a kernel touching outside its declaration is an error), and the
-// adversarial audit tests check that weakening them is caught.
+// Each wave body's declaration below lists the fields its kernels
+// (lulesh/kernels_*.cpp) use; amtlint's AMT003 checks it against their
+// source, and the adversarial audit tests check that weakening it is
+// caught.
 
 #include "core/access.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "core/graph_waves.hpp"
@@ -91,168 +92,160 @@ const real_t* field_data(const domain& d, field f) noexcept {
     return nullptr;
 }
 
-// --- per-task access declarations ----------------------------------------
-
-std::vector<access> force_stress_accesses(index_t lo, index_t hi) {
-    // force_stress_chunk: stress terms from p and q, integrated over the
-    // element's 8 corner nodes' coordinates, into the stress corner forces.
-    return {
-        {field::p, mode::read, lo, hi},
-        {field::q, mode::read, lo, hi},
-        {field::x, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::y, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::z, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::fx_elem, mode::write, lo, hi},
-        {field::fy_elem, mode::write, lo, hi},
-        {field::fz_elem, mode::write, lo, hi},
-    };
-}
-
-std::vector<access> force_hourglass_accesses(index_t lo, index_t hi) {
-    return {
-        {field::volo, mode::read, lo, hi},
-        {field::v, mode::read, lo, hi},
-        {field::ss, mode::read, lo, hi},
-        {field::elem_mass, mode::read, lo, hi},
-        {field::x, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::y, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::z, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::xd, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::yd, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::zd, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::fx_elem_hg, mode::write, lo, hi},
-        {field::fy_elem_hg, mode::write, lo, hi},
-        {field::fz_elem_hg, mode::write, lo, hi},
-    };
-}
-
-std::vector<access> node_gather_accesses(index_t lo, index_t hi) {
-    // gather_forces sums both corner-force components over each node's
-    // element-corner list; calc_acceleration divides by nodalMass;
-    // apply_acceleration_bc_masked zeroes accelerations on symmetry planes
-    // (read-modify-write of xdd/ydd/zdd, covered by the write declaration).
-    return {
-        {field::fx_elem, mode::read, lo, hi, nullptr, closure::node_corners},
-        {field::fy_elem, mode::read, lo, hi, nullptr, closure::node_corners},
-        {field::fz_elem, mode::read, lo, hi, nullptr, closure::node_corners},
-        {field::fx_elem_hg, mode::read, lo, hi, nullptr,
-         closure::node_corners},
-        {field::fy_elem_hg, mode::read, lo, hi, nullptr,
-         closure::node_corners},
-        {field::fz_elem_hg, mode::read, lo, hi, nullptr,
-         closure::node_corners},
-        {field::fx, mode::write, lo, hi},
-        {field::fy, mode::write, lo, hi},
-        {field::fz, mode::write, lo, hi},
-        {field::nodal_mass, mode::read, lo, hi},
-        {field::symm_mask, mode::read, lo, hi},
-        {field::xdd, mode::write, lo, hi},
-        {field::ydd, mode::write, lo, hi},
-        {field::zdd, mode::write, lo, hi},
-    };
-}
-
-std::vector<access> node_velpos_accesses(index_t lo, index_t hi) {
-    return {
-        {field::xdd, mode::read, lo, hi},
-        {field::ydd, mode::read, lo, hi},
-        {field::zdd, mode::read, lo, hi},
-        {field::xd, mode::write, lo, hi},
-        {field::yd, mode::write, lo, hi},
-        {field::zd, mode::write, lo, hi},
-        {field::x, mode::write, lo, hi},
-        {field::y, mode::write, lo, hi},
-        {field::z, mode::write, lo, hi},
-    };
-}
-
-std::vector<access> elem_wave_accesses(index_t lo, index_t hi) {
-    // calc_kinematics + calc_lagrange_deviatoric + calc_monotonic_q_gradients
-    // + check_qstop + apply_material_vnewc, fused.
-    return {
-        {field::x, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::y, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::z, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::xd, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::yd, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::zd, mode::read, lo, hi, nullptr, closure::elem_nodes},
-        {field::v, mode::read, lo, hi},
-        {field::volo, mode::read, lo, hi},
-        {field::q, mode::read, lo, hi},  // check_qstop (previous EOS pass)
-        {field::vnew, mode::write, lo, hi},
-        {field::delv, mode::write, lo, hi},
-        {field::arealg, mode::write, lo, hi},
-        {field::dxx, mode::write, lo, hi},
-        {field::dyy, mode::write, lo, hi},
-        {field::dzz, mode::write, lo, hi},
-        {field::vdov, mode::write, lo, hi},
-        {field::delx_xi, mode::write, lo, hi},
-        {field::delx_eta, mode::write, lo, hi},
-        {field::delx_zeta, mode::write, lo, hi},
-        {field::delv_xi, mode::write, lo, hi},
-        {field::delv_eta, mode::write, lo, hi},
-        {field::delv_zeta, mode::write, lo, hi},
-        {field::vnewc, mode::write, lo, hi},
-    };
-}
-
-std::vector<access> region_monoq_accesses(const index_t* list, index_t lo,
-                                          index_t hi) {
-    // calc_monotonic_q_region: the velocity gradients are read at the
-    // element *and* its six face neighbors (the only non-element-local read
-    // of the region wave — what makes one task per region chunk legal is
-    // that delv_* is never written after the element wave).
-    return {
-        {field::elem_bc, mode::read, lo, hi, list},
-        {field::vdov, mode::read, lo, hi, list},
-        {field::elem_mass, mode::read, lo, hi, list},
-        {field::volo, mode::read, lo, hi, list},
-        {field::vnew, mode::read, lo, hi, list},
-        {field::delx_xi, mode::read, lo, hi, list},
-        {field::delx_eta, mode::read, lo, hi, list},
-        {field::delx_zeta, mode::read, lo, hi, list},
-        {field::delv_xi, mode::read, lo, hi, list, closure::face_neighbors},
-        {field::delv_eta, mode::read, lo, hi, list, closure::face_neighbors},
-        {field::delv_zeta, mode::read, lo, hi, list, closure::face_neighbors},
-        {field::qq, mode::write, lo, hi, list},
-        {field::ql, mode::write, lo, hi, list},
-    };
-}
-
-std::vector<access> region_eos_accesses(const index_t* list, index_t lo,
-                                        index_t hi) {
-    // eval_eos_chunk re-reads p/e/q of the previous step and overwrites
-    // them (RMW, covered by the write declarations).
-    return {
-        {field::delv, mode::read, lo, hi, list},
-        {field::qq, mode::read, lo, hi, list},
-        {field::ql, mode::read, lo, hi, list},
-        {field::vnewc, mode::read, lo, hi, list},
-        {field::p, mode::write, lo, hi, list},
-        {field::e, mode::write, lo, hi, list},
-        {field::q, mode::write, lo, hi, list},
-        {field::ss, mode::write, lo, hi, list},
-    };
-}
-
-std::vector<access> volume_update_accesses(index_t lo, index_t hi) {
-    return {
-        {field::vnew, mode::read, lo, hi},
-        {field::v, mode::write, lo, hi},
-    };
-}
-
-std::vector<access> constraint_accesses(const index_t* list, index_t lo,
-                                        index_t hi, index_t slot) {
-    return {
-        {field::arealg, mode::read, lo, hi, list},
-        {field::ss, mode::read, lo, hi, list},
-        {field::vdov, mode::read, lo, hi, list},
-        {field::dt_partial, mode::write, slot, slot + 1},
-    };
-}
+// --- per-body access declarations ----------------------------------------
 
 namespace {
+
+/// One declared field use of a wave body: the field, its mode and the
+/// closure the body reaches it through.  It carries no bounds; accesses_of
+/// supplies them (see access.hpp).
+struct field_use {
+    field f;
+    mode m;
+    closure c = closure::none;
+};
+
+/// One array per wave_body:: function, named like it.  tools/amtlint
+/// (AMT003) checks each against every field access of the kernels its body
+/// reaches.
+namespace declared {
+
+// Stress terms from p and q, integrated over the element's 8 corner nodes'
+// coordinates, into the stress corner forces.
+constexpr field_use force_stress[] = {
+    {field::p, mode::read},
+    {field::q, mode::read},
+    {field::x, mode::read, closure::elem_nodes},
+    {field::y, mode::read, closure::elem_nodes},
+    {field::z, mode::read, closure::elem_nodes},
+    {field::fx_elem, mode::write},
+    {field::fy_elem, mode::write},
+    {field::fz_elem, mode::write},
+};
+
+constexpr field_use force_hourglass[] = {
+    {field::volo, mode::read},
+    {field::v, mode::read},
+    {field::ss, mode::read},
+    {field::elem_mass, mode::read},
+    {field::x, mode::read, closure::elem_nodes},
+    {field::y, mode::read, closure::elem_nodes},
+    {field::z, mode::read, closure::elem_nodes},
+    {field::xd, mode::read, closure::elem_nodes},
+    {field::yd, mode::read, closure::elem_nodes},
+    {field::zd, mode::read, closure::elem_nodes},
+    {field::fx_elem_hg, mode::write},
+    {field::fy_elem_hg, mode::write},
+    {field::fz_elem_hg, mode::write},
+};
+
+// gather_forces sums both corner-force components over each node's
+// element-corner list; calc_acceleration divides by nodalMass;
+// apply_acceleration_bc_masked zeroes accelerations on symmetry planes
+// (read-modify-write of xdd/ydd/zdd, covered by the write declaration).
+constexpr field_use node_gather[] = {
+    {field::fx_elem, mode::read, closure::node_corners},
+    {field::fy_elem, mode::read, closure::node_corners},
+    {field::fz_elem, mode::read, closure::node_corners},
+    {field::fx_elem_hg, mode::read, closure::node_corners},
+    {field::fy_elem_hg, mode::read, closure::node_corners},
+    {field::fz_elem_hg, mode::read, closure::node_corners},
+    {field::fx, mode::write},
+    {field::fy, mode::write},
+    {field::fz, mode::write},
+    {field::nodal_mass, mode::read},
+    {field::symm_mask, mode::read},
+    {field::xdd, mode::write},
+    {field::ydd, mode::write},
+    {field::zdd, mode::write},
+};
+
+constexpr field_use node_velpos[] = {
+    {field::xdd, mode::read},
+    {field::ydd, mode::read},
+    {field::zdd, mode::read},
+    {field::xd, mode::write},
+    {field::yd, mode::write},
+    {field::zd, mode::write},
+    {field::x, mode::write},
+    {field::y, mode::write},
+    {field::z, mode::write},
+};
+
+// calc_kinematics + calc_lagrange_deviatoric + calc_monotonic_q_gradients
+// + check_qstop + apply_material_vnewc, fused.
+constexpr field_use elem_fused[] = {
+    {field::x, mode::read, closure::elem_nodes},
+    {field::y, mode::read, closure::elem_nodes},
+    {field::z, mode::read, closure::elem_nodes},
+    {field::xd, mode::read, closure::elem_nodes},
+    {field::yd, mode::read, closure::elem_nodes},
+    {field::zd, mode::read, closure::elem_nodes},
+    {field::v, mode::read},
+    {field::volo, mode::read},
+    {field::q, mode::read},  // check_qstop (previous EOS pass)
+    {field::vnew, mode::write},
+    {field::delv, mode::write},
+    {field::arealg, mode::write},
+    {field::dxx, mode::write},
+    {field::dyy, mode::write},
+    {field::dzz, mode::write},
+    {field::vdov, mode::write},
+    {field::delx_xi, mode::write},
+    {field::delx_eta, mode::write},
+    {field::delx_zeta, mode::write},
+    {field::delv_xi, mode::write},
+    {field::delv_eta, mode::write},
+    {field::delv_zeta, mode::write},
+    {field::vnewc, mode::write},
+};
+
+// The velocity gradients are read at the element *and* its six face
+// neighbors (the only non-element-local read of the region wave — what
+// makes one task per region chunk legal is that delv_* is never written
+// after the element wave).
+constexpr field_use region_monoq[] = {
+    {field::elem_bc, mode::read},
+    {field::vdov, mode::read},
+    {field::elem_mass, mode::read},
+    {field::volo, mode::read},
+    {field::vnew, mode::read},
+    {field::delx_xi, mode::read},
+    {field::delx_eta, mode::read},
+    {field::delx_zeta, mode::read},
+    {field::delv_xi, mode::read, closure::face_neighbors},
+    {field::delv_eta, mode::read, closure::face_neighbors},
+    {field::delv_zeta, mode::read, closure::face_neighbors},
+    {field::qq, mode::write},
+    {field::ql, mode::write},
+};
+
+// The EOS re-reads p/e/q of the previous step and overwrites them (RMW,
+// covered by the write declarations).
+constexpr field_use region_eos[] = {
+    {field::delv, mode::read},
+    {field::qq, mode::read},
+    {field::ql, mode::read},
+    {field::vnewc, mode::read},
+    {field::p, mode::write},
+    {field::e, mode::write},
+    {field::q, mode::write},
+    {field::ss, mode::write},
+};
+
+constexpr field_use volume_update[] = {
+    {field::vnew, mode::read},
+    {field::v, mode::write},
+};
+
+constexpr field_use constraints[] = {
+    {field::arealg, mode::read},
+    {field::ss, mode::read},
+    {field::vdov, mode::read},
+    {field::dt_partial, mode::write},
+};
+
+}  // namespace declared
 
 std::vector<access> plane_accesses(body_kind k, index_t lo, index_t hi) {
     // Halo steps: the six corner-force arrays or delv_zeta over one element
@@ -417,26 +410,38 @@ graph_model build_iteration_table(const domain& d, partition_sizes parts) {
 std::vector<access> accesses_of(const task_decl& t, const domain& d) {
     const index_t* list =
         t.region >= 0 ? d.regElemList(t.region).data() : nullptr;
-    // A fused task's set is the union of its bodies' sets, in body order.
-    const auto join = [](std::vector<access> a, std::vector<access> b) {
-        a.insert(a.end(), b.begin(), b.end());
-        return a;
+    // A fused task's set is its bodies' declarations over its chunk, in the
+    // order run_body runs them.
+    std::vector<access> out;
+    const auto body = [&](std::span<const field_use> decl) {
+        for (const field_use& u : decl) {
+            if (field_space(u.f) == space::slot) {
+                out.push_back({u.f, u.m, t.slot, t.slot + 1, nullptr, u.c});
+            } else {
+                out.push_back({u.f, u.m, t.lo, t.hi, list, u.c});
+            }
+        }
     };
     switch (t.kind) {
         case body_kind::force_stress:
-            return force_stress_accesses(t.lo, t.hi);
+            body(declared::force_stress);
+            break;
         case body_kind::force_hourglass:
-            return force_hourglass_accesses(t.lo, t.hi);
+            body(declared::force_hourglass);
+            break;
         case body_kind::node:
-            return join(node_gather_accesses(t.lo, t.hi),
-                        node_velpos_accesses(t.lo, t.hi));
+            body(declared::node_gather);
+            body(declared::node_velpos);
+            break;
         case body_kind::elem:
-            return join(elem_wave_accesses(t.lo, t.hi),
-                        volume_update_accesses(t.lo, t.hi));
+            body(declared::elem_fused);
+            body(declared::volume_update);
+            break;
         case body_kind::region:
-            return join(join(region_monoq_accesses(list, t.lo, t.hi),
-                             region_eos_accesses(list, t.lo, t.hi)),
-                        constraint_accesses(list, t.lo, t.hi, t.slot));
+            body(declared::region_monoq);
+            body(declared::region_eos);
+            body(declared::constraints);
+            break;
         case body_kind::pack_corner:
         case body_kind::unpack_corner:
         case body_kind::pack_delv:
@@ -448,7 +453,7 @@ std::vector<access> accesses_of(const task_decl& t, const domain& d) {
         case body_kind::slab_liveness:
             break;
     }
-    return {};
+    return out;
 }
 
 void fill_accesses(graph_model& m, const domain& d) {

@@ -9,8 +9,8 @@
 // order them, and only a slab's halo sends carry edges.  A lone domain has
 // no neighbour, so its table is the four waves alone.
 // core/compiled_iteration compiles the table into the replayed static
-// graph; the same table, with every task's access set filled in from
-// lulesh/kernels.hpp's signatures, feeds two checkers:
+// graph; the same table, with every task's access set expanded from its
+// bodies' declarations (below), feeds two checkers:
 //
 //   * the static audit pass (core/graph_audit.*) walks the declarative
 //     model of one iteration and proves that every read-write and
@@ -19,10 +19,9 @@
 //     paper's hand-reasoned "the elided dependencies are element-local"
 //     claim (trick T2) into a checkable property;
 //
-//   * the dynamic shadow-epoch tracker (core/hazard.*) stamps the declared
+//   * the dynamic shadow-epoch tracker (amt/hazard.*) stamps the declared
 //     sets of in-flight tasks into shadow arrays and flags overlapping
-//     stamps as races — and flags task bodies touching indices outside
-//     their declaration, validating the declarations themselves.
+//     stamps as races.
 //
 // Index sets are intentionally *exact*, not conservative: an access is a
 // contiguous interval of the field's index space or an indirect slice of a
@@ -44,9 +43,8 @@
 namespace lulesh::graph {
 
 // The field catalog (field, space, field_space, field_name) lives in
-// lulesh/fields.hpp so the kernels can reference it for their hazard touch
-// probes without depending on this layer; re-exported here for the graph
-// model's consumers.
+// lulesh/fields.hpp, where the checkpoint records name their fields too;
+// re-exported here for the graph model's consumers.
 using lulesh::field;
 using lulesh::field_name;
 using lulesh::field_space;
@@ -129,46 +127,18 @@ std::size_t space_extent(space s, const domain& d, std::size_t slots);
 
 // --- per-body access declarations ----------------------------------------
 //
-// One function per wave_body:: call of graph_waves.hpp, mirroring the
-// kernel signatures it fuses.  A table task runs one or more of these
-// bodies in sequence over one chunk, and its access set is the union of
-// theirs (accesses_of).  Ranges are the same [lo, hi) the table hands the
-// kernels; region bodies additionally carry the region's element list.
-// Keep these in lockstep with the bodies: the shadow tracker flags a body
-// that touches outside its declaration, and the adversarial audit tests
-// flag a declaration that shrinks below what the ordering needs.
-
-/// force_stress_chunk(d, lo, hi).
-std::vector<access> force_stress_accesses(index_t lo, index_t hi);
-
-/// force_hourglass_chunk(d, lo, hi).
-std::vector<access> force_hourglass_accesses(index_t lo, index_t hi);
-
-/// gather_forces + calc_acceleration + apply_acceleration_bc_masked over
-/// nodes [lo, hi).
-std::vector<access> node_gather_accesses(index_t lo, index_t hi);
-
-/// velocity_position_chunk over nodes [lo, hi).
-std::vector<access> node_velpos_accesses(index_t lo, index_t hi);
-
-/// calc_kinematics + calc_lagrange_deviatoric +
-/// calc_monotonic_q_gradients + check_qstop + apply_material_vnewc.
-std::vector<access> elem_wave_accesses(index_t lo, index_t hi);
-
-/// calc_monotonic_q_region over list[lo..hi).
-std::vector<access> region_monoq_accesses(const index_t* list, index_t lo,
-                                          index_t hi);
-
-/// eval_eos_chunk over list[lo..hi).
-std::vector<access> region_eos_accesses(const index_t* list, index_t lo,
-                                        index_t hi);
-
-/// update_volumes over [lo, hi).
-std::vector<access> volume_update_accesses(index_t lo, index_t hi);
-
-/// calc_time_constraints over list[lo..hi) into partial `slot`.
-std::vector<access> constraint_accesses(const index_t* list, index_t lo,
-                                        index_t hi, index_t slot);
+// Each wave_body:: function of graph_waves.hpp declares the fields it uses
+// once: a constexpr array of the same name in access.cpp lists every field,
+// its mode and its closure, with no bounds.  accesses_of supplies them: a
+// task's chunk [lo, hi), indexed through the region's element list for the
+// region bodies, and [slot, slot + 1) for the slot-space dt_partial.  A
+// table task runs one or more bodies over one chunk, and its access set is
+// their declarations in body order.  Everything that reads access sets —
+// the static audit, the shadow tracker, the NaN scan, perfbench — reads
+// that expansion.  tools/amtlint's AMT003 checks each declaration against
+// every field access of the kernels its body reaches, and the adversarial
+// audit tests flag a declaration that shrinks below what the ordering
+// needs.
 
 // --- the iteration table ----------------------------------------------------
 

@@ -302,7 +302,6 @@ bool state_capture::pack_region(std::size_t i) noexcept {
     const std::vector<real_t>* src = field_vector(*d_, r.f);
     const std::size_t bytes =
         static_cast<std::size_t>(r.hi - r.lo) * sizeof(real_t);
-    hazard_touch(r.f, /*write=*/false, r.lo, r.hi);
     // One pass over the source: fused copy + checksum, streaming the
     // payload past the cache (the record is only read back on restore).
     const std::uint32_t crc =

@@ -1,21 +1,19 @@
 // lulesh/fields.hpp
 //
 // The catalog of domain fields the task waves touch, as a small enum shared
-// by three layers: the kernels (which instrument their contiguous accesses
-// with hazard touch probes), the declarative access sets (core/access), and
-// the static/dynamic hazard auditors.  Scalar control state (dt, cut-offs,
-// monoq coefficients) is excluded — scalars are read-only during an
-// iteration and cannot race.
+// by the declarative access sets (core/access), which declare each wave
+// body's fields once, and the static/dynamic hazard auditors that read
+// them.  Scalar control state (dt, cut-offs, monoq coefficients) is
+// excluded — scalars are read-only during an iteration and cannot race.
 //
-// Depends only on types.hpp so the kernels can use it without pulling in
-// the core layer; the generic shadow tracker (amt/hazard.hpp) identifies
-// fields by their integer value.
+// Depends only on types.hpp; the generic shadow tracker (amt/hazard.hpp)
+// identifies fields by their integer value.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
-#include "amt/hazard.hpp"
 #include "lulesh/types.hpp"
 
 namespace lulesh {
@@ -161,31 +159,5 @@ constexpr const char* field_name(field f) noexcept {
     }
     return "?";
 }
-
-/// Kernel-side hazard probe: declares that the calling task accesses the
-/// interval [lo, hi) of `f`'s index space (element ids for corner fields —
-/// the probe converts to corner positions).  One relaxed load + branch when
-/// the tracker is disarmed; a no-op outside any task scope (serial and
-/// parallel-for drivers run the same kernels unscoped).
-inline void hazard_touch(field f, bool write, index_t lo, index_t hi) {
-    if (field_space(f) == space::corner) {
-        amt::hazard::touch(static_cast<int>(f), write,
-                           static_cast<std::int64_t>(lo) * 8,
-                           static_cast<std::int64_t>(hi) * 8);
-    } else {
-        amt::hazard::touch(static_cast<int>(f), write, lo, hi);
-    }
-}
-
-/// Declarative sibling of hazard_touch for *indirect* accesses: a kernel
-/// that reaches `f` through a gather/scatter map (elem→node corners,
-/// node→element corner list, region element lists) touches an index set
-/// that is not a contiguous range in f's own space, so an interval probe
-/// here would stamp the wrong indices and mis-fire the shadow tracker.
-/// Those closures are declared to the graph auditor in core/access instead;
-/// this marker exists so the source-level lint (tools/amtlint, rule AMT003)
-/// can still verify the kernel's full field footprint is declared.
-/// Deliberately a no-op — second argument mirrors hazard_touch's `write`.
-inline void hazard_covers(field, bool = false) {}
 
 }  // namespace lulesh

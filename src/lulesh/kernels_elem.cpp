@@ -4,27 +4,12 @@
 #include <cmath>
 
 #include "lulesh/elem_geometry.hpp"
-#include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/simd.hpp"
 
 namespace lulesh::kernels {
 
 void calc_kinematics(domain& d, index_t lo, index_t hi, real_t dt) {
-    hazard_touch(field::vnew, true, lo, hi);
-    hazard_touch(field::delv, true, lo, hi);
-    hazard_touch(field::volo, false, lo, hi);
-    hazard_touch(field::v, false, lo, hi);
-    hazard_touch(field::arealg, true, lo, hi);
-    hazard_touch(field::dxx, true, lo, hi);
-    hazard_touch(field::dyy, true, lo, hi);
-    hazard_touch(field::dzz, true, lo, hi);
-    hazard_covers(field::x);   // corner gather through nodelist (elem_nodes)
-    hazard_covers(field::y);
-    hazard_covers(field::z);
-    hazard_covers(field::xd);
-    hazard_covers(field::yd);
-    hazard_covers(field::zd);
     const real_t dt2 = real_t(0.5) * dt;
     simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t k) {
         using T = decltype(lane);
@@ -112,8 +97,6 @@ bool apply_material_vnewc(domain& d, index_t lo, index_t hi) {
 }
 
 void update_volumes(domain& d, index_t lo, index_t hi) {
-    hazard_touch(field::vnew, false, lo, hi);
-    hazard_touch(field::v, true, lo, hi);
     const real_t v_cut = d.v_cut;
     for (index_t k = lo; k < hi; ++k) {
         const auto i = static_cast<std::size_t>(k);

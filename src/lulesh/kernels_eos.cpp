@@ -17,7 +17,6 @@
 #include <string>
 
 #include "lulesh/eos.hpp"
-#include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/simd.hpp"
 
@@ -138,14 +137,6 @@ void eos_sound_speed(domain& d, const index_t* list, index_t lo, index_t hi,
 
 void eval_eos_chunk(domain& d, const index_t* list, index_t lo, index_t hi,
                     int rep) {
-    hazard_covers(field::e, true);  // gathered and scattered through list
-    hazard_covers(field::delv);
-    hazard_covers(field::p, true);
-    hazard_covers(field::q, true);
-    hazard_covers(field::qq);
-    hazard_covers(field::ql);
-    hazard_covers(field::vnewc);
-    hazard_covers(field::ss, true);
     const eos::constants c(d);
 
     // The task-body walker: each block's values stay in registers through

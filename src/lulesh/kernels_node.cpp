@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "lulesh/elem_geometry.hpp"
-#include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/simd.hpp"
 
@@ -170,14 +169,6 @@ void calc_fb_hourglass_force(domain& d, index_t lo, index_t hi,
 bool force_stress_chunk(domain& d, index_t lo, index_t hi) {
     // Task-local sigma temporaries (paper trick T5): one value per element in
     // the chunk instead of a mesh-sized global array.
-    hazard_touch(field::p, false, lo, hi);
-    hazard_touch(field::q, false, lo, hi);
-    hazard_touch(field::fx_elem, true, lo, hi);
-    hazard_touch(field::fy_elem, true, lo, hi);
-    hazard_touch(field::fz_elem, true, lo, hi);
-    hazard_covers(field::x);   // corner gather through nodelist (elem_nodes)
-    hazard_covers(field::y);
-    hazard_covers(field::z);
     bool ok = true;
     simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t k) {
         using T = decltype(lane);
@@ -192,19 +183,6 @@ bool force_stress_chunk(domain& d, index_t lo, index_t hi) {
 bool force_hourglass_chunk(domain& d, index_t lo, index_t hi) {
     // Fuses hourglass control and FB force per element block with
     // stack-local temporaries (tricks T3+T5).
-    hazard_touch(field::v, false, lo, hi);
-    hazard_touch(field::ss, false, lo, hi);
-    hazard_touch(field::volo, false, lo, hi);
-    hazard_touch(field::elem_mass, false, lo, hi);
-    hazard_touch(field::fx_elem_hg, true, lo, hi);
-    hazard_touch(field::fy_elem_hg, true, lo, hi);
-    hazard_touch(field::fz_elem_hg, true, lo, hi);
-    hazard_covers(field::x);   // corner gather through nodelist (elem_nodes)
-    hazard_covers(field::y);
-    hazard_covers(field::z);
-    hazard_covers(field::xd);
-    hazard_covers(field::yd);
-    hazard_covers(field::zd);
     bool ok = true;
     simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {
         using T = decltype(lane);
@@ -222,17 +200,6 @@ bool force_hourglass_chunk(domain& d, index_t lo, index_t hi) {
 }
 
 void gather_forces(domain& d, index_t lo, index_t hi) {
-    hazard_touch(field::fx, true, lo, hi);
-    hazard_touch(field::fy, true, lo, hi);
-    hazard_touch(field::fz, true, lo, hi);
-    // Corner-force reads go through nodeElemCornerList: a node range maps to
-    // a scattered set of corner positions (node_corners closure).
-    hazard_covers(field::fx_elem);
-    hazard_covers(field::fy_elem);
-    hazard_covers(field::fz_elem);
-    hazard_covers(field::fx_elem_hg);
-    hazard_covers(field::fy_elem_hg);
-    hazard_covers(field::fz_elem_hg);
     for (index_t n = lo; n < hi; ++n) {
         const index_t count = d.nodeElemCount(n);
         const index_t* corners = d.nodeElemCornerList(n);
@@ -258,13 +225,6 @@ void gather_forces(domain& d, index_t lo, index_t hi) {
 }
 
 void calc_acceleration(domain& d, index_t lo, index_t hi) {
-    hazard_touch(field::xdd, true, lo, hi);
-    hazard_touch(field::ydd, true, lo, hi);
-    hazard_touch(field::zdd, true, lo, hi);
-    hazard_touch(field::fx, false, lo, hi);
-    hazard_touch(field::fy, false, lo, hi);
-    hazard_touch(field::fz, false, lo, hi);
-    hazard_touch(field::nodal_mass, false, lo, hi);
     for (index_t n = lo; n < hi; ++n) {
         const auto i = static_cast<std::size_t>(n);
         d.xdd[i] = d.fx[i] / d.nodalMass[i];
@@ -333,15 +293,6 @@ void calc_position(domain& d, index_t lo, index_t hi, real_t dt) {
 }
 
 void velocity_position_chunk(domain& d, index_t lo, index_t hi, real_t dt) {
-    hazard_touch(field::xdd, false, lo, hi);
-    hazard_touch(field::ydd, false, lo, hi);
-    hazard_touch(field::zdd, false, lo, hi);
-    hazard_touch(field::xd, true, lo, hi);
-    hazard_touch(field::yd, true, lo, hi);
-    hazard_touch(field::zd, true, lo, hi);
-    hazard_touch(field::x, true, lo, hi);
-    hazard_touch(field::y, true, lo, hi);
-    hazard_touch(field::z, true, lo, hi);
     // Two separate loops within one task body — the loops are deliberately
     // *not* fused element-wise, preserving the reference's computational
     // structure (paper Section IV, Figure 7).

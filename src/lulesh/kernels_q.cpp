@@ -3,27 +3,12 @@
 
 #include <cstddef>
 
-#include "lulesh/fields.hpp"
 #include "lulesh/kernels.hpp"
 #include "lulesh/simd.hpp"
 
 namespace lulesh::kernels {
 
 void calc_monotonic_q_gradients(domain& d, index_t lo, index_t hi) {
-    hazard_touch(field::volo, false, lo, hi);
-    hazard_touch(field::vnew, false, lo, hi);
-    hazard_touch(field::delx_xi, true, lo, hi);
-    hazard_touch(field::delx_eta, true, lo, hi);
-    hazard_touch(field::delx_zeta, true, lo, hi);
-    hazard_touch(field::delv_xi, true, lo, hi);
-    hazard_touch(field::delv_eta, true, lo, hi);
-    hazard_touch(field::delv_zeta, true, lo, hi);
-    hazard_covers(field::x);   // corner gather through nodelist (elem_nodes)
-    hazard_covers(field::y);
-    hazard_covers(field::z);
-    hazard_covers(field::xd);
-    hazard_covers(field::yd);
-    hazard_covers(field::zd);
     constexpr real_t ptiny = real_t(1.e-36);
 
     simd::for_blocks<simd::vec>(lo, hi, [&](auto lane, index_t i) {

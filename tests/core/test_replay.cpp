@@ -254,9 +254,11 @@ TEST(ReplayEquivalence, ReplacedDomainOfTheSameShapeIsRebound) {
 TEST(ReplayEquivalence, InstrumentedReplayOfAReplacedDomainIsCleanAndBitwise) {
     // The same sequence with the shadow tracker armed and the NaN scan on:
     // the access sets are built once per bound domain, so the re-emplaced
-    // domain must get fresh ones — stale sets would point into the old
-    // domain's freed region lists and the tracker would report the bodies'
-    // accesses as undeclared.
+    // domain must get fresh ones.  Stale sets would point into the old
+    // domain's freed region lists, which the NaN scan of every region task
+    // then reads: a heap-use-after-free that the sanitize build reports
+    // every time (this binary carries the sanitize label for it), and that
+    // a plain build may or may not survive.
     struct tracker_guard {
         tracker_guard() {
             amt::hazard::clear_violations();

@@ -12,17 +12,15 @@
 #include <vector>
 
 #include "amtlint.hpp"
+#include "lulesh/fields.hpp"
 
 namespace {
 
 using amtlint::diagnostic;
-using amtlint::lint_source;
+using amtlint::lint_sources;
 
-std::vector<diagnostic> lint(const std::string& src,
-                             bool kernel_rules = true) {
-    amtlint::config cfg;
-    cfg.kernel_rules = kernel_rules;
-    return lint_source("fix.cpp", src, cfg);
+std::vector<diagnostic> lint(const std::string& src) {
+    return lint_sources({{"fix.cpp", src}});
 }
 
 std::string rules_of(const std::vector<diagnostic>& ds) {
@@ -196,51 +194,83 @@ TEST(Amt002, SilentOnGetOutsideAnyTaskBody) {
 }
 
 // ===================== AMT003: undeclared field accesses ==================
+//
+// Each fixture pairs the source under test (fix.cpp) with a wave body's
+// declaration in a source of its own, as core/access.cpp holds them, so the
+// line numbers of fix.cpp read as written.
+
+/// `field_use BODY[] = {ENTRIES};` alone in access.cpp.
+amtlint::source declaration(const std::string& body,
+                            const std::string& entries) {
+    return {"access.cpp",
+            "constexpr field_use " + body + "[] = {\n" + entries + "};\n"};
+}
+
+/// Lints fix.cpp together with the declaration of `body`.
+std::vector<diagnostic> lint_declared(const std::string& body,
+                                      const std::string& entries,
+                                      const std::string& src) {
+    return lint_sources({declaration(body, entries), {"fix.cpp", src}});
+}
 
 TEST(Amt003, FlagsWriteToUndeclaredField) {
     const std::string src =
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"  // 1
-        "    hazard_touch(field::p, false, lo, hi);\n"           // 2
+        "namespace wave_body {\n"                                // 1
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"    // 2
         "    for (index_t i = lo; i < hi; ++i) {\n"              // 3
         "        d.q[i] = d.p[i] * 2.0;\n"                       // 4
         "    }\n"                                                // 5
-        "}\n";
-    const auto ds = lint(src);
+        "}\n"                                                    // 6
+        "}  // namespace wave_body\n";
+    const auto ds =
+        lint_declared("my_body", "{field::p, mode::read},\n", src);
     ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
     EXPECT_EQ(ds[0].rule, "AMT003");
+    EXPECT_EQ(ds[0].file, "fix.cpp");
     EXPECT_EQ(ds[0].line, 4);
     EXPECT_NE(ds[0].message.find("writes field 'q'"), std::string::npos)
+        << ds[0].message;
+    EXPECT_NE(ds[0].message.find("does not list"), std::string::npos)
         << ds[0].message;
 }
 
 TEST(Amt003, ReadOnlyProbeDoesNotCoverWrite) {
+    // A field declared mode::read does not cover a write of it.
     const std::string src =
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"  // 1
-        "    hazard_touch(field::e, false, lo, hi);\n"           // 2
+        "namespace wave_body {\n"                                // 1
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"    // 2
         "    d.e[lo] = 1.0;\n"                                   // 3
-        "}\n";
-    const auto ds = lint(src);
+        "}\n"
+        "}  // namespace wave_body\n";
+    const auto ds =
+        lint_declared("my_body", "{field::e, mode::read},\n", src);
     ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
     EXPECT_EQ(ds[0].rule, "AMT003");
     EXPECT_EQ(ds[0].line, 3);
+    EXPECT_NE(ds[0].message.find("lists as a read"), std::string::npos)
+        << ds[0].message;
 }
 
 TEST(Amt003, SimdStoresAreWrites) {
     const std::string src =
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"   // 1
-        "    hazard_touch(field::vnew, false, lo, hi);\n"         // 2
-        "    hazard_covers(field::x);\n"                          // 3
-        "    T x[8];\n"                                           // 4
-        "    simd::gather_corners(&d.x[0], d.nodelist(lo), x);\n" // 5
-        "    simd::store(&d.vnew[lo], x[0]);\n"                   // 6
-        "    simd::store_corners(&d.fx_elem[lo * 8], x);\n"       // 7
-        "}\n";
-    const auto ds = lint(src);
+        "namespace wave_body {\n"                                 // 1
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"     // 2
+        "    T x[8];\n"                                           // 3
+        "    simd::gather_corners(&d.x[0], d.nodelist(lo), x);\n" // 4
+        "    simd::store(&d.vnew[lo], x[0]);\n"                   // 5
+        "    simd::store_corners(&d.fx_elem[lo * 8], x);\n"       // 6
+        "}\n"
+        "}  // namespace wave_body\n";
+    const auto ds = lint_declared(
+        "my_body",
+        "{field::vnew, mode::read},\n"
+        "{field::x, mode::read, closure::elem_nodes},\n",
+        src);
     ASSERT_EQ(ds.size(), 2u) << rules_of(ds);
-    EXPECT_EQ(ds[0].line, 6);
+    EXPECT_EQ(ds[0].line, 5);
     EXPECT_NE(ds[0].message.find("writes field 'vnew'"), std::string::npos)
         << ds[0].message;
-    EXPECT_EQ(ds[1].line, 7);
+    EXPECT_EQ(ds[1].line, 6);
     EXPECT_NE(ds[1].message.find("writes field 'fx_elem'"),
               std::string::npos)
         << ds[1].message;
@@ -248,17 +278,19 @@ TEST(Amt003, SimdStoresAreWrites) {
 
 TEST(Amt003, ListScattersAreWrites) {
     const std::string src =
-        "void my_kernel(domain& d, const index_t* l) {\n"      // 1
-        "    hazard_covers(field::e, true);\n"                  // 2
-        "    hazard_covers(field::ss);\n"                       // 3
-        "    const T e = simd::gather<T>(&d.e[0], l);\n"        // 4
-        "    const T ss = simd::gather<T>(&d.ss[0], l);\n"      // 5
-        "    simd::scatter(&d.e[0], l, e);\n"                   // 6
-        "    simd::scatter(&d.ss[0], l, ss);\n"                 // 7
-        "}\n";
-    const auto ds = lint(src);
+        "namespace wave_body {\n"                               // 1
+        "void my_body(domain& d, const index_t* l) {\n"         // 2
+        "    const T e = simd::gather<T>(&d.e[0], l);\n"        // 3
+        "    const T ss = simd::gather<T>(&d.ss[0], l);\n"      // 4
+        "    simd::scatter(&d.e[0], l, e);\n"                   // 5
+        "    simd::scatter(&d.ss[0], l, ss);\n"                 // 6
+        "}\n"
+        "}  // namespace wave_body\n";
+    const auto ds = lint_declared(
+        "my_body", "{field::e, mode::write},\n{field::ss, mode::read},\n",
+        src);
     ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
-    EXPECT_EQ(ds[0].line, 7);
+    EXPECT_EQ(ds[0].line, 6);
     EXPECT_NE(ds[0].message.find("writes field 'ss'"), std::string::npos)
         << ds[0].message;
 }
@@ -276,73 +308,180 @@ TEST(Amt003, FollowsProbelessHelpersInSameFile) {
             std::string(decl) + " helper(domain& d, index_t i) {\n"  // 1
             "    d.ss[i] = 0.0;\n"                                   // 2
             "}\n"                                                    // 3
-            "void my_kernel(domain& d, index_t lo, index_t hi) {\n"  // 4
-            "    hazard_touch(field::vnew, true, lo, hi);\n"         // 5
+            "namespace wave_body {\n"                                // 4
+            "void my_body(domain& d, index_t lo, index_t hi) {\n"    // 5
             "    for (index_t i = lo; i < hi; ++i) {\n"              // 6
             "        d.vnew[i] = 1.0;\n"                             // 7
             "        " + call + ";\n"                                // 8
             "    }\n"                                                // 9
-            "}\n";
-        const auto ds = lint(src);
+            "}\n"
+            "}  // namespace wave_body\n";
+        const auto ds =
+            lint_declared("my_body", "{field::vnew, mode::write},\n", src);
         ASSERT_EQ(ds.size(), 1u) << call << ": " << rules_of(ds);
         EXPECT_EQ(ds[0].rule, "AMT003") << call;
         EXPECT_EQ(ds[0].line, 2) << call;  // at the helper's access site
-        EXPECT_NE(ds[0].message.find("'my_kernel'"), std::string::npos)
+        EXPECT_NE(ds[0].message.find("'my_body'"), std::string::npos)
             << call << ": " << ds[0].message;
     }
 }
 
-TEST(Amt003, HazardCoversSatisfiesIndirectAccess) {
+TEST(Amt003, FlagsAnUndeclaredWriteInAKernelOfAnotherSource) {
+    // The body calls a kernel that another source defines; the write is
+    // reported where it is, naming the body whose declaration lacks it.
+    const amtlint::source body = {
+        "graph_waves.cpp",
+        "namespace wave_body {\n"
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"
+        "    k::my_kernel(d, lo, hi);\n"
+        "}\n"
+        "}  // namespace wave_body\n"};
+    const amtlint::source kernel = {
+        "kernels.cpp",
+        "namespace lulesh::kernels {\n"                          // 1
+        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"  // 2
+        "    for (index_t i = lo; i < hi; ++i) {\n"              // 3
+        "        d.vnewc[i] = d.vnew[i];\n"                      // 4
+        "        d.ss[i] = 0.0;\n"                               // 5
+        "    }\n"
+        "}\n"
+        "}  // namespace lulesh::kernels\n"};
+    const auto ds = lint_sources(
+        {declaration("my_body",
+                     "{field::vnew, mode::read},\n"
+                     "{field::vnewc, mode::write},\n"),
+         body, kernel});
+    ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
+    EXPECT_EQ(ds[0].rule, "AMT003");
+    EXPECT_EQ(ds[0].file, "kernels.cpp");
+    EXPECT_EQ(ds[0].line, 5);
+    EXPECT_NE(ds[0].message.find("wave body 'my_body' writes field 'ss'"),
+              std::string::npos)
+        << ds[0].message;
+    EXPECT_NE(ds[0].message.find("'my_kernel'"), std::string::npos)
+        << ds[0].message;
+}
+
+TEST(Amt003, ACalleeNameResolvesToEveryDefinition) {
+    // Two sources define a function of the called name; the clean one
+    // must not hide the other's undeclared write.
+    const auto ds = lint_sources(
+        {declaration("my_body", "{field::v, mode::write},\n"),
+         {"body.cpp",
+          "namespace wave_body {\n"
+          "void my_body(domain& d, index_t i) { step(d, i); }\n"
+          "}  // namespace wave_body\n"},
+         {"a.cpp", "void step(domain& d, index_t i) { d.v[i] = 1.0; }\n"},
+         {"b.cpp", "void step(domain& d, index_t i) { d.q[i] = 1.0; }\n"}});
+    ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
+    EXPECT_EQ(ds[0].file, "b.cpp");
+    EXPECT_NE(ds[0].message.find("writes field 'q'"), std::string::npos)
+        << ds[0].message;
+}
+
+TEST(Amt003, SuppressibleAtTheAccess) {
+    const auto ds = lint_sources(
+        {declaration("my_body", "{field::v, mode::read},\n"),
+         {"body.cpp",
+          "namespace wave_body {\n"
+          "void my_body(domain& d, index_t i) {\n"
+          "    // amtlint: allow(AMT003) fixture: a reviewed exception\n"
+          "    d.q[i] = d.v[i];\n"
+          "}\n"
+          "}  // namespace wave_body\n"}});
+    EXPECT_TRUE(ds.empty()) << rules_of(ds);
+}
+
+TEST(Amt003, FlagsADeclarationWithoutItsBody) {
+    // A same-named function outside namespace wave_body is not the body:
+    // the declaration is then checked against nothing, which is reported
+    // at the declaration.
+    const auto ds = lint_sources(
+        {declaration("my_body", "{field::v, mode::read},\n"),
+         {"kernels.cpp",
+          "namespace lulesh::kernels {\n"
+          "void my_body(domain& d, index_t i) { d.q[i] = 1.0; }\n"
+          "}  // namespace lulesh::kernels\n"}});
+    ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
+    EXPECT_EQ(ds[0].rule, "AMT003");
+    EXPECT_EQ(ds[0].file, "access.cpp");
+    EXPECT_EQ(ds[0].line, 1);
+    EXPECT_NE(ds[0].message.find("names no wave_body::my_body"),
+              std::string::npos)
+        << ds[0].message;
+}
+
+TEST(Amt003, ClosureDeclarationCoversIndirectAccess) {
+    // x is reached through the element's node list: the elem_nodes entry
+    // covers it (the lint checks fields and modes; closures are the
+    // audit's business).
     const std::string src =
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"
-        "    hazard_touch(field::vnew, true, lo, hi);\n"
-        "    hazard_covers(field::x);\n"
+        "namespace wave_body {\n"
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"
         "    for (index_t k = lo; k < hi; ++k) {\n"
         "        const index_t* nl = d.nodelist(k);\n"
         "        d.vnew[k] = d.x[nl[0]];\n"
         "    }\n"
-        "}\n";
-    EXPECT_TRUE(lint(src).empty()) << rules_of(lint(src));
+        "}\n"
+        "}  // namespace wave_body\n";
+    const auto ds = lint_declared(
+        "my_body",
+        "{field::vnew, mode::write},\n"
+        "{field::x, mode::read, closure::elem_nodes},\n",
+        src);
+    EXPECT_TRUE(ds.empty()) << rules_of(ds);
 }
 
 TEST(Amt003, SilentOnProbelessFunctions) {
-    // Probe-less kernels (serial-driver helpers, loop-granular forms) are
-    // exempt: the rule polices declared sets, it does not mandate probes.
+    // Functions no declared body reaches (the fork-join drivers' kernels,
+    // serial helpers) are not checked: the rule polices declarations, it
+    // does not mandate them.
     const std::string src =
         "void serial_kernel(domain& d, index_t lo, index_t hi) {\n"
         "    for (index_t i = lo; i < hi; ++i) d.q[i] = 0.0;\n"
-        "}\n";
+        "}\n"
+        "namespace wave_body {\n"
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"
+        "    for (index_t i = lo; i < hi; ++i) d.v[i] = 0.0;\n"
+        "}\n"
+        "}  // namespace wave_body\n";
     EXPECT_TRUE(lint(src).empty()) << rules_of(lint(src));
+    const auto ds =
+        lint_declared("my_body", "{field::v, mode::write},\n", src);
+    EXPECT_TRUE(ds.empty()) << rules_of(ds);
 }
 
 TEST(Amt003, SilentOnTracerProbesInProbedKernels) {
-    // The task tracer's annotations (amt/trace.hpp) sit inside probed
-    // kernel bodies — the compiled graph annotates every task node, and
-    // the dist driver wraps pack/unpack in scoped spans.  None of that is
-    // a domain field access, and the probe-bearing kernel must stay clean.
+    // The task tracer's annotations (amt/trace.hpp) sit inside wave
+    // bodies — the compiled graph annotates every task node, and the dist
+    // driver wraps pack/unpack in scoped spans.  None of that is a domain
+    // field access, and a declared body must stay clean.
     const std::string src =
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"
-        "    hazard_touch(field::vnew, true, lo, hi);\n"
+        "namespace wave_body {\n"
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"
         "    amt::trace::annotate_task(\"elem:vnew\", "
         "static_cast<std::int32_t>(lo));\n"
         "    amt::trace::scoped_span span(\n"
         "        amt::trace::event_kind::halo_span, \"halo:pack\", 3);\n"
         "    amt::trace::mark(\"kernel-entry\", 1);\n"
         "    for (index_t i = lo; i < hi; ++i) d.vnew[i] = 1.0;\n"
-        "}\n";
-    EXPECT_TRUE(lint(src).empty()) << rules_of(lint(src));
+        "}\n"
+        "}  // namespace wave_body\n";
+    const auto ds =
+        lint_declared("my_body", "{field::vnew, mode::write},\n", src);
+    EXPECT_TRUE(ds.empty()) << rules_of(ds);
 }
 
 TEST(Amt003, SilentOnMetricsUpdatesInProbedKernels) {
     // Same deal for the metrics registry (amt/metrics.hpp): instrumented
-    // kernel bodies cache a counter/histogram reference and update it
-    // next to their field accesses (the scheduler does exactly this for
+    // bodies cache a counter/histogram reference and update it next to
+    // their field accesses (the scheduler does exactly this for
     // amt_task_duration_ns).  None of get_*/add/record/scoped_timer is a
-    // domain field access, so a probed kernel carrying metric updates
+    // domain field access, so a declared body carrying metric updates
     // must stay clean.
     const std::string src =
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"
-        "    hazard_touch(field::vnew, true, lo, hi);\n"
+        "namespace wave_body {\n"
+        "void my_body(domain& d, index_t lo, index_t hi) {\n"
         "    static auto& kernel_runs = amt::metrics::get_counter(\n"
         "        \"lulesh_kernel_runs\", \"probed kernel executions\");\n"
         "    static auto& kernel_ns = amt::metrics::get_histogram(\n"
@@ -350,46 +489,48 @@ TEST(Amt003, SilentOnMetricsUpdatesInProbedKernels) {
         "    kernel_runs.add(1);\n"
         "    amt::metrics::scoped_timer timer(kernel_ns);\n"
         "    for (index_t i = lo; i < hi; ++i) d.vnew[i] = 1.0;\n"
-        "}\n";
-    EXPECT_TRUE(lint(src).empty()) << rules_of(lint(src));
-}
-
-TEST(Amt003, SilentOnCheckpointPackStyleDynamicTouch) {
-    // The overlapped checkpoint pack task (checkpoint_chain.cpp
-    // pack_region) declares its read with a *runtime* field value —
-    // hazard_touch(r.f, ...) — because the field is data, not code.  The
-    // rule keys on literal field:: declarations, so pack-style bodies must
-    // not trip it; this fixture pins that down so pack tasks can never
-    // introduce new AMT003 positives.
-    const std::string src =
-        "void pack_region(const domain& d, field f, index_t lo, index_t hi,\n"
-        "                 char* out) {\n"
-        "    hazard_touch(f, /*write=*/false, lo, hi);\n"
-        "    const real_t* src = field_data(d, f);\n"
-        "    std::memcpy(out, src + lo,\n"
-        "                static_cast<std::size_t>(hi - lo) * sizeof(real_t));\n"
-        "}\n";
-    EXPECT_TRUE(lint(src).empty()) << rules_of(lint(src));
+        "}\n"
+        "}  // namespace wave_body\n";
+    const auto ds =
+        lint_declared("my_body", "{field::vnew, mode::write},\n", src);
+    EXPECT_TRUE(ds.empty()) << rules_of(ds);
 }
 
 TEST(Amt003, ReadOnlyProbeCoversMatchingReads) {
-    // The literal read-only declaration a non-overlapped pack would use:
-    // reads of the declared field are covered, and nothing else fires.
+    // A read declaration covers reads of its field, and nothing else fires.
     const std::string src =
-        "void pack_e(const domain& d, index_t lo, index_t hi, real_t* out) {\n"
-        "    hazard_touch(field::e, false, lo, hi);\n"
+        "namespace wave_body {\n"
+        "void my_body(const domain& d, index_t lo, index_t hi, real_t* out) "
+        "{\n"
         "    for (index_t i = lo; i < hi; ++i) out[i - lo] = d.e[i];\n"
-        "}\n";
-    EXPECT_TRUE(lint(src).empty()) << rules_of(lint(src));
+        "}\n"
+        "}  // namespace wave_body\n";
+    const auto ds =
+        lint_declared("my_body", "{field::e, mode::read},\n", src);
+    EXPECT_TRUE(ds.empty()) << rules_of(ds);
 }
 
-TEST(Amt003, GatedOffWithKernelRulesDisabled) {
-    const std::string src =
-        "void my_kernel(domain& d, index_t lo, index_t hi) {\n"
-        "    hazard_touch(field::p, false, lo, hi);\n"
-        "    d.q[lo] = 1.0;\n"
-        "}\n";
-    EXPECT_TRUE(lint(src, /*kernel_rules=*/false).empty());
+TEST(Amt003, EveryCatalogFieldIsRecognized) {
+    // The lint's domain-member map must name every field of the catalog
+    // (lulesh/fields.hpp): a member missing from it would be an access
+    // AMT003 silently ignores.  dt_partial is a task's reduction slot, not
+    // a domain member, so the body writes every other field undeclared.
+    for (std::size_t i = 0; i < lulesh::num_fields; ++i) {
+        const auto f = static_cast<lulesh::field>(i);
+        if (f == lulesh::field::dt_partial) continue;
+        const std::string member = lulesh::field_name(f);
+        const std::string src =
+            "namespace wave_body {\n"
+            "void my_body(domain& d, index_t i) {\n"
+            "    d." + member + "[i] = 0;\n"
+            "}\n"
+            "}  // namespace wave_body\n";
+        const auto ds = lint_declared(
+            "my_body", "{field::dt_partial, mode::write},\n", src);
+        ASSERT_EQ(ds.size(), 1u) << member << ": " << rules_of(ds);
+        EXPECT_EQ(ds[0].rule, "AMT003") << member;
+        EXPECT_EQ(ds[0].line, 3) << member;
+    }
 }
 
 // ===================== AMT004: mutable shared state =======================
@@ -679,7 +820,7 @@ TEST(Amt006, AtomicsOnlyModeRunsJustAmt006) {
         "}\n";
     amtlint::config cfg;
     cfg.atomics_only = true;
-    const auto ds = lint_source("fix.cpp", src, cfg);
+    const auto ds = lint_sources({{"fix.cpp", src}}, cfg);
     ASSERT_EQ(ds.size(), 1u) << rules_of(ds);
     EXPECT_EQ(ds[0].rule, "AMT006");
     EXPECT_EQ(ds[0].line, 4);

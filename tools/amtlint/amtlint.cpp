@@ -1,14 +1,15 @@
 // tools/amtlint/amtlint.cpp — tokenizer, lightweight scope/capture analysis,
-// and the five AMT rules.  See amtlint.hpp for the rule catalogue.
+// and the six AMT rules.  See amtlint.hpp for the rule catalogue.
 //
 // Design notes.  The analysis is deliberately token-based, not AST-based: a
 // real C++ frontend is a dependency this tree cannot take, and the rules
 // only need (a) balanced-bracket structure, (b) lambda introducer/parameter
-// /body spans, (c) function-definition spans with a same-file call graph,
-// and (d) statement boundaries.  Heuristics are tuned to be *quiet*: a rule
-// that cries wolf gets suppressed wholesale and protects nothing.  Every
-// heuristic here is covered by a positive and a negative fixture test
-// (tests/tools/), and the tree itself runs clean (ctest -L lint).
+// /body spans, (c) function-definition spans with a call graph over the
+// scan set, and (d) statement boundaries.  Heuristics are tuned to be
+// *quiet*: a rule that cries wolf gets suppressed wholesale and protects
+// nothing.  Every heuristic here is covered by a positive and a negative
+// fixture test (tests/tools/), and the tree itself runs clean
+// (ctest -L lint).
 
 #include "amtlint.hpp"
 
@@ -510,22 +511,53 @@ struct field_access {
 
 struct function_info {
     std::string name;
+    std::size_t file = 0;    ///< index into the scan set
+    bool wave_body = false;  ///< defined in namespace wave_body
     std::size_t body_lo = 0;
     std::size_t body_hi = 0;
-    std::vector<field_access> accesses;       ///< direct accesses
-    std::map<std::string, bool> probes;       ///< field -> declared-as-write
-    std::vector<std::string> callees;         ///< same-file call targets
-    bool has_probe = false;
+    std::vector<field_access> accesses;  ///< direct accesses
+    std::vector<std::string> callees;    ///< names of called functions
 };
 
-/// Finds namespace-scope function definitions: `name ( params ) [spec] {`.
-std::vector<function_info> find_functions(const std::vector<token>& toks) {
+/// Name of the namespace a `{` at toks[i] opens (`namespace a::b {` opens
+/// "b", an anonymous one ""), or nullopt when it opens no namespace.
+std::optional<std::string> namespace_opened(const std::vector<token>& toks,
+                                            std::size_t i) {
+    std::size_t j = i;
+    while (j > 0 &&
+           (toks[j - 1].k == token::kind::ident || is(toks[j - 1], "::"))) {
+        --j;
+        if (toks[j].text == "namespace") {
+            return j + 1 < i ? toks[i - 1].text : std::string();
+        }
+    }
+    return std::nullopt;
+}
+
+/// Finds function definitions, `name ( params ) [spec] {`, with the
+/// namespace each is defined in.
+std::vector<function_info> find_functions(const std::vector<token>& toks,
+                                          std::size_t file) {
     static const std::unordered_set<std::string> not_names = {
         "if", "for", "while", "switch", "catch", "return", "sizeof",
         "alignof", "decltype", "static_assert", "operator"};
     std::vector<function_info> fns;
+    // One entry per open brace: the namespace it opens, or nullopt.
+    std::vector<std::optional<std::string>> scopes;
+    const auto innermost_namespace = [&scopes]() -> std::string {
+        for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
+            if (*it) return **it;
+        }
+        return {};
+    };
     for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (!is(toks[i], "{") || i < 2) continue;
+        if (is(toks[i], "}")) {
+            if (!scopes.empty()) scopes.pop_back();
+            continue;
+        }
+        if (!is(toks[i], "{")) continue;
+        scopes.push_back(namespace_opened(toks, i));
+        if (i < 2) continue;
         // Walk back over ) + specifier tokens to find the parameter list.
         std::size_t j = i - 1;
         while (j > 0 && toks[j].k == token::kind::ident &&
@@ -558,6 +590,11 @@ std::vector<function_info> find_functions(const std::vector<token>& toks) {
         }
         function_info fn;
         fn.name = name.text;
+        fn.file = file;
+        // In `namespace wave_body {`, or defined as `wave_body::name(`.
+        fn.wave_body = innermost_namespace() == "wave_body" ||
+                       (open >= 3 && is(toks[open - 2], "::") &&
+                        toks[open - 3].text == "wave_body");
         fn.body_lo = i;
         fn.body_hi = match_bracket(toks, i);
         if (fn.body_hi >= toks.size()) continue;
@@ -587,124 +624,182 @@ std::size_t skip_template_args(const std::vector<token>& toks, std::size_t i,
     return i;
 }
 
+/// Fills in `fn`'s direct field accesses and its calls to any function
+/// named in `names` (every definition in the scan set).
 void collect_function_facts(const std::vector<token>& toks,
-                            std::vector<function_info>& fns) {
-    std::unordered_set<std::string> names;
-    for (const auto& f : fns) names.insert(f.name);
+                            const std::unordered_set<std::string>& names,
+                            function_info& fn) {
     const auto& members = field_members();
+    for (std::size_t i = fn.body_lo + 1; i < fn.body_hi; ++i) {
+        // Lambdas inside bodies are scanned as part of the body.
+        if (toks[i].k != token::kind::ident) continue;
+        const std::string& t = toks[i].text;
 
-    for (auto& fn : fns) {
-        for (std::size_t i = fn.body_lo + 1; i < fn.body_hi; ++i) {
-            // Nested function spans never occur (namespace-scope only), but
-            // lambdas inside bodies are fine to scan as part of the body.
-            if (toks[i].k != token::kind::ident) continue;
-            const std::string& t = toks[i].text;
-
-            // hazard_touch(field::NAME, WRITE, ...) / hazard_covers(...)
-            if ((t == "hazard_touch" || t == "hazard_covers") &&
-                i + 5 < toks.size() && is(toks[i + 1], "(") &&
-                toks[i + 2].text == "field" && is(toks[i + 3], "::") &&
-                toks[i + 4].k == token::kind::ident) {
-                fn.has_probe = true;
-                const std::string& f = toks[i + 4].text;
-                bool write = false;
-                if (is(toks[i + 5], ",") && i + 6 < toks.size()) {
-                    write = toks[i + 6].text == "true";
-                }
-                auto [it, fresh] = fn.probes.try_emplace(f, write);
-                if (!fresh) it->second = it->second || write;
+        // Call: a known function name, then any explicit template
+        // arguments, then '('.
+        if (names.count(t) > 0) {
+            const std::size_t j = skip_template_args(toks, i + 1, fn.body_hi);
+            if (j < fn.body_hi && is(toks[j], "(")) {
+                fn.callees.push_back(t);
                 continue;
             }
+        }
 
-            // Same-file call: known function name, then any explicit
-            // template arguments, then '('.
-            if (names.count(t) > 0 && t != fn.name) {
-                const std::size_t j = skip_template_args(toks, i + 1,
-                                                         fn.body_hi);
-                if (j < fn.body_hi && is(toks[j], "(")) {
-                    fn.callees.push_back(t);
-                    continue;
-                }
+        // Domain field access: recv . member [ ... ] (also ->).
+        if (i >= 2 && (is(toks[i - 1], ".") || is(toks[i - 1], "->")) &&
+            toks[i - 2].k == token::kind::ident && i + 1 < toks.size() &&
+            is(toks[i + 1], "[")) {
+            auto it = members.find(t);
+            if (it == members.end()) continue;
+            const std::size_t close = match_bracket(toks, i + 1);
+            bool write = false;
+            if (close + 1 < toks.size()) {
+                const std::string& nxt = toks[close + 1].text;
+                write = nxt == "=" || nxt == "+=" || nxt == "-=" ||
+                        nxt == "*=" || nxt == "/=";
             }
-
-            // Domain field access: recv . member [ ... ] (also ->).
-            if (i >= 2 && (is(toks[i - 1], ".") || is(toks[i - 1], "->")) &&
-                toks[i - 2].k == token::kind::ident && i + 1 < toks.size() &&
-                is(toks[i + 1], "[")) {
-                auto it = members.find(t);
-                if (it == members.end()) continue;
-                const std::size_t close = match_bracket(toks, i + 1);
-                bool write = false;
-                if (close + 1 < toks.size()) {
-                    const std::string& nxt = toks[close + 1].text;
-                    write = nxt == "=" || nxt == "+=" || nxt == "-=" ||
-                            nxt == "*=" || nxt == "/=";
-                }
-                // The SIMD lane stores (lulesh/simd.hpp) take the address
-                // of the first slot they write: store(&d.f[i], v), and the
-                // region-list scatter its field's base: scatter(&d.f[0],
-                // list, v).
-                if (i >= 5 && is(toks[i - 3], "&") && is(toks[i - 4], "(") &&
-                    (toks[i - 5].text == "store" ||
-                     toks[i - 5].text == "store_corners" ||
-                     toks[i - 5].text == "scatter")) {
-                    write = true;
-                }
-                fn.accesses.push_back({it->second, write, toks[i].line});
+            // The SIMD lane stores (lulesh/simd.hpp) take the address of
+            // the first slot they write: store(&d.f[i], v), and the
+            // region-list scatter its field's base: scatter(&d.f[0],
+            // list, v).
+            if (i >= 5 && is(toks[i - 3], "&") && is(toks[i - 4], "(") &&
+                (toks[i - 5].text == "store" ||
+                 toks[i - 5].text == "store_corners" ||
+                 toks[i - 5].text == "scatter")) {
+                write = true;
             }
+            fn.accesses.push_back({it->second, write, toks[i].line});
         }
     }
 }
 
-void check_amt003(const std::vector<token>& toks,
-                  std::vector<diagnostic>& out) {
-    auto fns = find_functions(toks);
-    collect_function_facts(toks, fns);
-    std::unordered_map<std::string, const function_info*> by_name;
-    for (const auto& f : fns) by_name.emplace(f.name, &f);
+/// One wave body's access declaration (core/access):
+/// `field_use NAME[] = { {field::F, mode::M[, closure::C]}, ... };`.
+struct body_declaration {
+    std::string name;
+    std::size_t file = 0;
+    int line = 0;
+    std::map<std::string, bool> fields;  ///< field -> declared as a write
+};
 
-    for (const auto& fn : fns) {
-        if (!fn.has_probe) continue;  // probe-less helpers are checked via
-                                      // their probe-bearing callers
-        // Effective footprint: own accesses plus those of probe-less
-        // callees, transitively (a probe-bearing callee declares for
-        // itself, and its probes execute inside the same task scope).
-        std::vector<field_access> footprint = fn.accesses;
-        std::unordered_set<std::string> visited = {fn.name};
-        std::vector<std::string> stack(fn.callees.begin(), fn.callees.end());
-        while (!stack.empty()) {
-            const std::string callee = stack.back();
-            stack.pop_back();
-            if (!visited.insert(callee).second) continue;
-            auto it = by_name.find(callee);
-            if (it == by_name.end() || it->second->has_probe) continue;
-            const function_info* cf = it->second;
-            footprint.insert(footprint.end(), cf->accesses.begin(),
-                             cf->accesses.end());
-            stack.insert(stack.end(), cf->callees.begin(),
-                         cf->callees.end());
+std::vector<body_declaration> find_declarations(
+    const std::vector<token>& toks, std::size_t file) {
+    std::vector<body_declaration> decls;
+    for (std::size_t i = 0; i + 5 < toks.size(); ++i) {
+        if (toks[i].text != "field_use" ||
+            toks[i + 1].k != token::kind::ident || !is(toks[i + 2], "[") ||
+            !is(toks[i + 3], "]") || !is(toks[i + 4], "=") ||
+            !is(toks[i + 5], "{")) {
+            continue;
+        }
+        body_declaration decl{toks[i + 1].text, file, toks[i + 1].line, {}};
+        const std::size_t end = match_bracket(toks, i + 5);
+        std::string f;
+        for (std::size_t k = i + 6; k + 2 < end; ++k) {
+            if (!is(toks[k + 1], "::")) continue;
+            if (toks[k].text == "field") f = toks[k + 2].text;
+            if (toks[k].text == "mode" && !f.empty()) {
+                bool& write = decl.fields[f];
+                write = write || toks[k + 2].text == "write";
+                f.clear();
+            }
+        }
+        decls.push_back(std::move(decl));
+        i = end;
+    }
+    return decls;
+}
+
+/// A file of the scan set, tokenized once for every rule.
+struct scanned_file {
+    std::string path;
+    std::vector<token> toks;
+    suppression_map sup;
+};
+
+/// AMT003 over the whole scan set: each declaration against every field
+/// access of the functions its wave_body:: namesake reaches.
+void check_amt003(const std::vector<scanned_file>& files,
+                  std::vector<diagnostic>& out) {
+    std::vector<function_info> fns;
+    std::vector<body_declaration> decls;
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        auto found = find_functions(files[f].toks, f);
+        fns.insert(fns.end(), found.begin(), found.end());
+        auto declared = find_declarations(files[f].toks, f);
+        decls.insert(decls.end(), declared.begin(), declared.end());
+    }
+    if (decls.empty()) return;
+    std::unordered_set<std::string> names;
+    for (const auto& fn : fns) names.insert(fn.name);
+    std::unordered_map<std::string, std::vector<const function_info*>> by_name;
+    for (auto& fn : fns) {
+        collect_function_facts(files[fn.file].toks, names, fn);
+        by_name[fn.name].push_back(&fn);
+    }
+
+    for (const auto& decl : decls) {
+        // The body, then everything it calls: a callee name resolves to
+        // every definition of that name, so resolution can add accesses
+        // but never hide one.
+        std::vector<const function_info*> reached;
+        for (const function_info* fn : by_name[decl.name]) {
+            if (fn->wave_body) reached.push_back(fn);
+        }
+        if (reached.empty()) {
+            out.push_back(
+                {files[decl.file].path, decl.line, "AMT003",
+                 "declaration '" + decl.name + "' names no wave_body::" +
+                     decl.name + " in the scan set — its accesses are "
+                     "checked against nothing"});
+            continue;
+        }
+        std::unordered_set<const function_info*> seen(reached.begin(),
+                                                      reached.end());
+        std::unordered_set<std::string> expanded;
+        for (std::size_t r = 0; r < reached.size(); ++r) {
+            for (const std::string& callee : reached[r]->callees) {
+                if (!expanded.insert(callee).second) continue;
+                for (const function_info* def : by_name[callee]) {
+                    if (seen.insert(def).second) reached.push_back(def);
+                }
+            }
         }
 
+        struct site {
+            const field_access* acc;
+            const function_info* fn;
+        };
+        std::vector<site> footprint;
+        for (const function_info* fn : reached) {
+            for (const auto& acc : fn->accesses) {
+                footprint.push_back({&acc, fn});
+            }
+        }
+        std::stable_sort(footprint.begin(), footprint.end(),
+                         [&files](const site& a, const site& b) {
+                             const std::string& fa = files[a.fn->file].path;
+                             const std::string& fb = files[b.fn->file].path;
+                             if (fa != fb) return fa < fb;
+                             return a.acc->line < b.acc->line;
+                         });
         // First undeclared access per (field, mode) reports once.
         std::set<std::pair<std::string, bool>> reported;
-        std::sort(footprint.begin(), footprint.end(),
-                  [](const field_access& a, const field_access& b) {
-                      return a.line < b.line;
-                  });
-        for (const auto& acc : footprint) {
-            auto p = fn.probes.find(acc.field);
-            const bool covered =
-                p != fn.probes.end() && (!acc.write || p->second);
-            if (covered) continue;
-            if (!reported.insert({acc.field, acc.write}).second) continue;
-            out.push_back(
-                {"", acc.line, "AMT003",
-                 "kernel '" + fn.name + "' " +
-                     (acc.write ? "writes" : "reads") + " field '" +
-                     acc.field + "' without declaring it — add "
-                     "hazard_touch(field::" + acc.field +
-                     ", ...) for contiguous ranges or hazard_covers(field::" +
-                     acc.field + ", ...) for indirect/closure accesses"});
+        for (const auto& [acc, fn] : footprint) {
+            const auto d = decl.fields.find(acc->field);
+            const bool listed = d != decl.fields.end();
+            if (listed && (!acc->write || d->second)) continue;
+            if (!reported.insert({acc->field, acc->write}).second) continue;
+            const std::string mode = acc->write ? "write" : "read";
+            std::string msg = "wave body '" + decl.name + "' " +
+                              (acc->write ? "writes" : "reads") + " field '" +
+                              acc->field + "' (in '" + fn->name + "') ";
+            msg += listed ? "that its declaration lists as a read — declare "
+                            "it mode::write"
+                          : "that its declaration does not list — add "
+                            "{field::" + acc->field + ", mode::" + mode +
+                                "} to it";
+            out.push_back({files[fn->file].path, acc->line, "AMT003", msg});
         }
     }
 }
@@ -782,14 +877,7 @@ void check_amt004(const std::vector<token>& toks,
     while (i < toks.size()) {
         const std::string& t = toks[i].text;
         if (t == "{") {
-            // Namespace brace: `namespace [ident[::ident...]] {`.
-            std::size_t j = i;
-            while (j > 0 && (toks[j - 1].k == token::kind::ident ||
-                             is(toks[j - 1], "::"))) {
-                --j;
-                if (toks[j].text == "namespace") break;
-            }
-            ns_stack.push_back(j < i && toks[j].text == "namespace");
+            ns_stack.push_back(namespace_opened(toks, i).has_value());
             ++i;
             continue;
         }
@@ -935,34 +1023,44 @@ void check_amt006(const std::vector<token>& toks,
 
 }  // namespace
 
-std::vector<diagnostic> lint_source(const std::string& file,
-                                    const std::string& contents,
-                                    const config& cfg) {
-    suppression_map sup;
-    const auto toks = tokenize(contents, sup);
+std::vector<diagnostic> lint_sources(const std::vector<source>& sources,
+                                     const config& cfg) {
+    std::vector<scanned_file> files;
+    files.reserve(sources.size());
+    for (const auto& src : sources) {
+        scanned_file f{src.file, {}, {}};
+        f.toks = tokenize(src.contents, f.sup);
+        files.push_back(std::move(f));
+    }
 
     std::vector<diagnostic> diags;
-    if (!cfg.atomics_only) {
-        const auto lambdas = find_task_lambdas(toks);
-        check_amt001(toks, lambdas, diags);
-        check_amt002(toks, lambdas, diags);
-        if (cfg.kernel_rules) {
-            check_amt003(toks, diags);
-            check_amt004(toks, diags);
+    for (const auto& f : files) {
+        std::vector<diagnostic> local;
+        if (!cfg.atomics_only) {
+            const auto lambdas = find_task_lambdas(f.toks);
+            check_amt001(f.toks, lambdas, local);
+            check_amt002(f.toks, lambdas, local);
+            check_amt004(f.toks, local);
+            check_amt005(f.toks, local);
         }
-        check_amt005(toks, diags);
+        check_amt006(f.toks, local);
+        for (auto& d : local) d.file = f.path;
+        diags.insert(diags.end(), local.begin(), local.end());
     }
-    check_amt006(toks, diags);
+    if (!cfg.atomics_only) check_amt003(files, diags);
 
+    std::unordered_map<std::string, const suppression_map*> sup_of;
+    for (const auto& f : files) sup_of.emplace(f.path, &f.sup);
     std::vector<diagnostic> kept;
     for (auto& d : diags) {
-        d.file = file;
+        const suppression_map& sup = *sup_of.at(d.file);
         auto it = sup.find(d.rule);
         if (it != sup.end() && it->second.count(d.line) > 0) continue;
         kept.push_back(std::move(d));
     }
     std::sort(kept.begin(), kept.end(),
               [](const diagnostic& a, const diagnostic& b) {
+                  if (a.file != b.file) return a.file < b.file;
                   if (a.line != b.line) return a.line < b.line;
                   if (a.rule != b.rule) return a.rule < b.rule;
                   return a.message < b.message;

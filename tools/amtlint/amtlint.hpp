@@ -21,12 +21,17 @@
 //           classic many-task starvation deadlock.  get() on the task's own
 //           continuation parameter is allowed (the antecedent is ready by
 //           construction).
-//   AMT003  kernel code touching a domain field it never declared: every
-//           probe-bearing kernel function (one that calls hazard_touch or
-//           hazard_covers from lulesh/fields.hpp) must declare *all* domain
-//           fields its body — including probe-less same-file helpers —
-//           reads or writes.  This cross-checks the access declarations the
-//           graph audit trusts against the actual source.
+//   AMT003  a wave body reaching a domain field its declaration does not
+//           list.  Each wave body declares its fields once, as a
+//           `field_use NAME[] = {{field::F, mode::M, ...}, ...}` array
+//           (core/access.cpp) named like its wave_body::NAME function.  The
+//           rule follows that function's calls across the whole scan set —
+//           a callee name resolves to every definition of that name — and
+//           reports, at the access, every field the declaration lacks and
+//           every write it lists as a read.  A declaration whose body is not
+//           in the scan set is reported too.  This checks the access sets
+//           the graph audit and the shadow tracker trust against the
+//           source; it checks fields and modes, not closures.
 //   AMT004  mutable namespace-scope or function-static state in task/kernel
 //           code without atomics — breaks the task-local-scratch discipline
 //           (paper trick T5); tasks of one wave run concurrently.
@@ -70,29 +75,28 @@ struct diagnostic {
     friend bool operator==(const diagnostic&, const diagnostic&) = default;
 };
 
-struct config {
-    /// Apply AMT003/AMT004 (kernel-discipline rules) to this file.  The
-    /// driver enables them for application/task code and leaves the runtime
-    /// implementation layer (src/amt) out of the default scan set entirely:
-    /// the runtime *implements* the future/task primitives and legitimately
-    /// manipulates them below the abstraction line the rules police.
-    bool kernel_rules = true;
+/// One file of the scan set: its display path and full contents.
+struct source {
+    std::string file;
+    std::string contents;
+};
 
+struct config {
     /// Run ONLY AMT006 (raw-atomic detection).  Used for the second scan
-    /// pass over src/amt: the runtime layer is exempt from the task-usage
-    /// rules (it implements the primitives) but must still route every
-    /// atomic through the shim — except the shim and model themselves,
-    /// which the driver excludes by path.
+    /// pass over src/amt, which the tree pass leaves out with --exclude:
+    /// the runtime *implements* the future/task primitives and
+    /// legitimately manipulates them below the abstraction line the other
+    /// rules police, but must still route every atomic through the shim —
+    /// except the shim and model themselves, which the driver excludes by
+    /// path.
     bool atomics_only = false;
 };
 
-/// Lints one translation unit given its display path and full contents.
-/// Pure function of its inputs; diagnostics come back sorted by
-/// (line, rule).  All five rules are per-file by design — AMT003's
-/// helper-footprint propagation follows calls within the same file, which
-/// is where the kernels keep their helpers.
-std::vector<diagnostic> lint_source(const std::string& file,
-                                    const std::string& contents,
-                                    const config& cfg = {});
+/// Lints a scan set.  Pure function of its inputs; diagnostics come back
+/// sorted by (file, line, rule).  AMT003 is a rule over the whole set (a
+/// body's kernels live in other files than its declaration); every other
+/// rule looks at one file at a time.
+std::vector<diagnostic> lint_sources(const std::vector<source>& sources,
+                                     const config& cfg = {});
 
 }  // namespace amtlint

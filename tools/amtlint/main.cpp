@@ -1,7 +1,7 @@
 // tools/amtlint/main.cpp — CLI driver.
 //
 //   amtlint [--baseline FILE] [--root DIR] [--exclude SUBSTR]...
-//           [--no-kernel-rules] [--atomics-only] <file-or-dir>...
+//           [--atomics-only] <file-or-dir>...
 //
 // Directories are walked recursively for .hpp/.cpp/.h/.cc sources; paths
 // are reported relative to --root (default: current directory) with '/'
@@ -44,8 +44,7 @@ std::string display_path(const fs::path& p, const fs::path& root) {
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--baseline FILE] [--root DIR] [--exclude SUBSTR]...\n"
-                 "       [--no-kernel-rules] [--atomics-only] "
-                 "<file-or-dir>...\n";
+                 "       [--atomics-only] <file-or-dir>...\n";
     return 2;
 }
 
@@ -73,8 +72,6 @@ int main(int argc, char** argv) {
             root = value("--root");
         } else if (arg == "--exclude") {
             excludes.emplace_back(value("--exclude"));
-        } else if (arg == "--no-kernel-rules") {
-            cfg.kernel_rules = false;
         } else if (arg == "--atomics-only") {
             cfg.atomics_only = true;
         } else if (arg == "-h" || arg == "--help") {
@@ -134,8 +131,9 @@ int main(int argc, char** argv) {
         }
     }
 
-    int new_count = 0;
-    std::set<std::string> seen_baselined;
+    // The whole scan set is read first: AMT003 follows calls across files.
+    std::vector<amtlint::source> sources;
+    sources.reserve(scan.size());
     for (const auto& [disp, path] : scan) {
         std::ifstream f(path, std::ios::binary);
         if (!f) {
@@ -144,15 +142,19 @@ int main(int argc, char** argv) {
         }
         std::ostringstream ss;
         ss << f.rdbuf();
-        for (const auto& d : amtlint::lint_source(disp, ss.str(), cfg)) {
-            const std::string line = d.format();
-            if (baseline.count(line) > 0) {
-                seen_baselined.insert(line);
-                continue;
-            }
-            std::cout << line << "\n";
-            ++new_count;
+        sources.push_back({disp, ss.str()});
+    }
+
+    int new_count = 0;
+    std::set<std::string> seen_baselined;
+    for (const auto& d : amtlint::lint_sources(sources, cfg)) {
+        const std::string line = d.format();
+        if (baseline.count(line) > 0) {
+            seen_baselined.insert(line);
+            continue;
         }
+        std::cout << line << "\n";
+        ++new_count;
     }
 
     for (const auto& b : baseline) {
